@@ -11,6 +11,8 @@ API::
 
     GET  /healthz            -> "ok"
     GET  /stats              -> JSON serve/store counters
+                                (``store_entries`` counts the entry
+                                files on disk: O(entries), unsorted)
     GET  /query?family=...&experiment=...&seed=...&digest=...
                              -> JSON rows from the store index
     POST /run                -> rendered scenario (text/plain)
@@ -32,6 +34,26 @@ server-wide lock — one simulation at a time, every policy (retry,
 quarantine, fault plans via ``REPRO_CAMPAIGN_FAULTS``) identical to the
 CLI path — and land in the shared store, where ``repro campaign
 query``/``verify-cache`` and warm CLI sweeps see them immediately.
+
+Wire rules.  Every non-streamed response leaves as ONE write of
+headers + body, and accepted connections run with ``TCP_NODELAY``: a
+header block flushed ahead of its body made the body's ``send()`` wait
+behind Nagle for the client's delayed ACK, ~40 ms on every small reply.
+The streamed variant writes its closing chunks and the ``0\r\n\r\n``
+terminator together.  A ``POST`` rejected before its body is read (wrong
+path, bad/missing/oversized ``Content-Length``) answers with
+``Connection: close`` — the unread body would otherwise be parsed as
+the next request line of a keep-alive connection.
+
+Admission memo.  A warm ``POST /run`` is one read, one store lookup, one
+send: ``ServeState`` remembers ``sha256(raw body) -> job digest`` for up
+to :data:`MEMO_CAP` bodies and asks the store for a remembered digest
+before parsing anything.  The body -> digest mapping is a pure function
+of process constants (the family registry, the cache schema salt), so
+there is nothing to invalidate; the store stays authoritative — when it
+no longer holds the digest the request takes the full parse -> validate
+-> ``run_jobs`` path as if never seen.  Only bodies that were answered
+200 are remembered, and ``?progress=1`` bypasses the memo.
 """
 
 from __future__ import annotations
@@ -40,12 +62,18 @@ import argparse
 import json
 import sys
 import threading
+from hashlib import sha256
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from io import BytesIO
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 #: Refuse request bodies larger than this (a spec is a few KB).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Admission memo size.  An entry is a 32-byte key and a 64-char digest
+#: (~250 B with the dict slot), so a full memo stays under 1 MB.
+MEMO_CAP = 4096
 
 
 class ServeError(Exception):
@@ -56,8 +84,24 @@ class ServeError(Exception):
         self.status = status
 
 
+def _parse_body(raw: bytes) -> Any:
+    """Decode a ``POST /run`` body; malformed JSON is a 400."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ServeError(400, f"body is not valid JSON: {exc}") from exc
+
+
+def _rendered(result) -> bytes:
+    """The bytes ``repro scenario run`` prints for ``result``."""
+    from repro.scenario.runner import render_result
+
+    return (render_result(result) + "\n").encode("utf-8")
+
+
 class ServeState:
-    """Shared server state: the store, counters, and the run lock."""
+    """Shared server state: the store, counters, the admission memo,
+    and the run lock."""
 
     def __init__(self, store) -> None:
         self.store = store
@@ -65,11 +109,37 @@ class ServeState:
         self.counters = {"requests": 0, "hits": 0, "misses": 0,
                          "executed": 0, "errors": 0}
         self.counters_lock = threading.Lock()
+        #: sha256(raw body) -> job digest, oldest first, <= MEMO_CAP.
+        self.memo: Dict[bytes, str] = {}
+        self.memo_lock = threading.Lock()
 
     def bump(self, **deltas: int) -> None:
         with self.counters_lock:
             for name, delta in deltas.items():
                 self.counters[name] += delta
+
+    # ------------------------------------------------------------------
+    def run_body(self, raw: bytes) -> Tuple[bytes, str, bool, int]:
+        """Serve one raw ``POST /run`` body; returns what :meth:`run`
+        returns.
+
+        A body answered before goes straight from its remembered digest
+        to the store.  The store is authoritative: if it no longer
+        holds that digest the body is admitted in full again.
+        """
+        key = sha256(raw).digest()
+        digest = self.memo.get(key)
+        if digest is not None:
+            hit, result = self.store.get(digest)
+            if hit:
+                self.bump(hits=1)
+                return _rendered(result), digest, True, 0
+        served = self.run(self.spec_for(_parse_body(raw)))
+        with self.memo_lock:
+            if key not in self.memo and len(self.memo) >= MEMO_CAP:
+                del self.memo[next(iter(self.memo))]
+            self.memo[key] = served[1]  # the job digest
+        return served
 
     # ------------------------------------------------------------------
     def spec_for(self, body: Dict[str, Any]):
@@ -113,15 +183,14 @@ class ServeState:
         Returns ``(rendered_bytes, digest, hit, executed)``.
         """
         from repro.campaign.executor import run_jobs
-        from repro.scenario.runner import render_result, scenario_job
+        from repro.scenario.runner import scenario_job
 
         job = scenario_job(spec, key=spec.name)
         digest = job.digest
         hit, result = self.store.get(digest)
         if hit:
             self.bump(hits=1)
-            rendered = (render_result(result) + "\n").encode("utf-8")
-            return rendered, digest, True, 0
+            return _rendered(result), digest, True, 0
         self.bump(misses=1)
         with self.lock:
             outcome = run_jobs(
@@ -139,16 +208,14 @@ class ServeState:
                 else "job quarantined"
             )
             raise ServeError(500, f"scenario failed to execute ({detail})")
-        rendered = (render_result(outcome.results[job]) + "\n").encode(
-            "utf-8"
-        )
-        return rendered, digest, False, executed
+        return _rendered(outcome.results[job]), digest, False, executed
 
 
 class _Handler(BaseHTTPRequestHandler):
     state: ServeState  # injected by make_server
     quiet = True
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)
@@ -164,13 +231,20 @@ class _Handler(BaseHTTPRequestHandler):
         headers: Optional[Dict[str, str]] = None,
         content_type: str = "text/plain; charset=utf-8",
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
+        # end_headers() flushes the header block by itself; collect it
+        # so that headers + body reach the socket as one write.
+        wire, self.wfile = self.wfile, BytesIO()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(payload)))
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = wire
+        wire.write(head + payload)
 
     def _send_json(self, status: int, obj: Any) -> None:
         self._send_text(
@@ -181,9 +255,17 @@ class _Handler(BaseHTTPRequestHandler):
             content_type="application/json",
         )
 
-    def _send_error_text(self, status: int, message: str) -> None:
+    def _send_error_text(
+        self, status: int, message: str, close: bool = False
+    ) -> None:
+        """``close`` ends the connection after this reply: for a request
+        whose body is still unread on the socket."""
         self.state.bump(errors=1)
-        self._send_text(status, (f"error: {message}\n").encode("utf-8"))
+        self._send_text(
+            status,
+            (f"error: {message}\n").encode("utf-8"),
+            headers={"Connection": "close"} if close else None,
+        )
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib name)
@@ -195,9 +277,7 @@ class _Handler(BaseHTTPRequestHandler):
         if url.path == "/stats":
             with self.state.counters_lock:
                 counters = dict(self.state.counters)
-            counters["store_entries"] = len(
-                self.state.store.entry_digests()
-            )
+            counters["store_entries"] = len(self.state.store)
             counters["store_root"] = str(self.state.store.root)
             self._send_json(200, counters)
             return
@@ -227,35 +307,35 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (stdlib name)
         self.state.bump(requests=1)
         url = urlsplit(self.path)
+        # Rejections up to the body read leave the body on the socket,
+        # so each of them closes the connection.
         if url.path != "/run":
-            self._send_error_text(404, f"no such endpoint {url.path!r}")
+            self._send_error_text(
+                404, f"no such endpoint {url.path!r}", close=True
+            )
             return
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            self._send_error_text(400, "bad Content-Length")
+            self._send_error_text(400, "bad Content-Length", close=True)
             return
         if length <= 0:
-            self._send_error_text(400, "POST /run needs a JSON body")
+            self._send_error_text(
+                400, "POST /run needs a JSON body", close=True
+            )
             return
         if length > MAX_BODY_BYTES:
-            self._send_error_text(413, "request body too large")
+            self._send_error_text(413, "request body too large", close=True)
             return
         raw = self.rfile.read(length)
-        try:
-            body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_error_text(400, f"body is not valid JSON: {exc}")
-            return
         stream = parse_qs(url.query).get("progress", ["0"])[-1] in (
             "1", "true", "yes",
         )
         try:
-            spec = self.state.spec_for(body)
             if stream:
-                self._run_streaming(spec)
+                self._run_streaming(self.state.spec_for(_parse_body(raw)))
             else:
-                rendered, digest, hit, executed = self.state.run(spec)
+                rendered, digest, hit, executed = self.state.run_body(raw)
                 self._send_text(
                     200,
                     rendered,
@@ -279,30 +359,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
 
-        def chunk(data: bytes) -> None:
-            self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
-            self.wfile.flush()
+        def chunk(data: bytes) -> bytes:
+            return b"%x\r\n%s\r\n" % (len(data), data)
 
         def progress(event: str, job, done: int, total: int) -> None:
-            chunk(
+            self.wfile.write(chunk(
                 f"# [{done}/{total}] {job.label} ({event})\n".encode(
                     "utf-8"
                 )
-            )
+            ))
 
         # Headers and progress chunks are already on the wire, so no
         # failure past this point may fall through to do_POST's
         # catch-all (a second send_response would corrupt the framing):
         # report errors as a final chunk and always terminate the body.
+        # The closing chunks and the terminator go out as one write.
         try:
             rendered, digest, hit, executed = self.state.run(
                 spec, progress=progress
             )
-            chunk(
+            tail = chunk(
                 f"# digest={digest} cache={'hit' if hit else 'miss'} "
                 f"executed={executed}\n".encode("utf-8")
-            )
-            chunk(rendered)
+            ) + chunk(rendered)
         except Exception as exc:  # noqa: BLE001 — keep the framing valid
             self.state.bump(errors=1)
             message = (
@@ -310,15 +389,11 @@ class _Handler(BaseHTTPRequestHandler):
                 if isinstance(exc, ServeError)
                 else f"{type(exc).__name__}: {exc}"
             )
-            try:
-                chunk(f"# error: {message}\n".encode("utf-8"))
-            except OSError:
-                pass  # client hung up mid-stream
-        finally:
-            try:
-                self.wfile.write(b"0\r\n\r\n")
-            except OSError:
-                pass
+            tail = chunk(f"# error: {message}\n".encode("utf-8"))
+        try:
+            self.wfile.write(tail + b"0\r\n\r\n")
+        except OSError:
+            pass  # client hung up mid-stream
 
 
 def make_server(

@@ -8,13 +8,18 @@ digest.
 """
 
 import contextlib
+import hashlib
+import http.client
 import io
 import json
+import socket
+import sys
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
+from test_scenario_golden import GOLDEN_DIR, GOLDEN_PARAMS
 
 from repro.campaign.store import ResultStore
 from repro.serve import make_server
@@ -28,7 +33,9 @@ OVERRIDES = {"seconds": 0.5, "seed": 3}
 def server(tmp_path):
     store = ResultStore(tmp_path / "store")
     srv = make_server(store)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
     thread.start()
     host, port = srv.server_address[:2]
     try:
@@ -237,3 +244,321 @@ def test_streaming_error_still_terminates_the_chunked_body(server):
         state.run = original
     assert b"# error: RuntimeError: kaboom mid-stream" in body
     assert get(base, "/healthz").read() == b"ok\n"
+
+
+# ----------------------------------------------------------------------
+# the wire contract: one write per response, TCP_NODELAY, clean rejects
+# ----------------------------------------------------------------------
+class _RecordingWriter:
+    """Stands in for a handler's ``wfile``; logs every ``write``."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def write(self, data):
+        self._log.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture()
+def wire(server):
+    """The server, its ``wfile`` writes and its connections' NODELAY."""
+    srv, base, _ = server
+    writes, nodelay = [], []
+    handler = srv.RequestHandlerClass
+
+    class Recording(handler):
+        def setup(self):
+            super().setup()
+            nodelay.append(
+                self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+            self.wfile = _RecordingWriter(self.wfile, writes)
+
+    srv.RequestHandlerClass = Recording
+    return base, writes, nodelay
+
+
+def writes_of(writes, exchange):
+    """What the server wrote while answering ``exchange()``."""
+    del writes[:]
+    try:
+        body = exchange().read()
+    except urllib.error.HTTPError as err:
+        body = err.read()
+    assert body
+    return list(writes)
+
+
+def test_each_non_streamed_response_is_a_single_write(wire):
+    base, writes, nodelay = wire
+    payload = {"family": FAMILY, "overrides": OVERRIDES}
+    exchanges = {
+        "miss": lambda: post(base, payload),
+        "memoised hit": lambda: post(base, payload),
+        "parsed hit": lambda: post(base, dict(payload, overrides=dict(
+            reversed(OVERRIDES.items())))),
+        "/stats": lambda: get(base, "/stats"),
+        "/query": lambda: get(base, f"/query?family={FAMILY}"),
+        "/healthz": lambda: get(base, "/healthz"),
+        "unknown family": lambda: post(base, {"family": "nonesuch"}),
+        "wrong path": lambda: post(base, payload, path="/nope"),
+        "unknown endpoint": lambda: get(base, "/nonesuch"),
+    }
+    for name, exchange in exchanges.items():
+        sent = writes_of(writes, exchange)
+        assert len(sent) == 1, (name, sent)
+        head, _, body = sent[0].partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 ") and body, name
+    assert len(nodelay) == len(exchanges) and all(nodelay)
+
+
+def test_streamed_terminator_shares_a_write_with_the_final_chunk(wire):
+    base, writes, _ = wire
+    payload = {"family": FAMILY, "overrides": OVERRIDES}
+    plain = post(base, payload).read()
+    sent = writes_of(
+        writes, lambda: post(base, payload, path="/run?progress=1")
+    )
+    assert sent[-1].endswith(b"\r\n" + plain + b"\r\n0\r\n\r\n")
+    assert not any(b"0\r\n\r\n" in write for write in sent[:-1])
+
+
+def test_rejected_post_does_not_desync_a_keepalive_connection(server):
+    """A POST refused before its body is read must not leave that body
+    to be parsed as the next request line."""
+    srv, base, _ = server
+    host, port = srv.server_address[:2]
+    body = json.dumps({"family": FAMILY}).encode("utf-8")
+    rejected = (
+        b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+        % (len(body), body)
+    )
+    # Pipelined on a raw socket: the reject closes; nothing answers the
+    # stray body, and the /healthz behind it is never misparsed.
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(rejected + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        received = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            received += data
+    assert received.startswith(b"HTTP/1.1 404 ")
+    assert b"\r\nConnection: close\r\n" in received
+    assert received.count(b"HTTP/1.") == 1
+    assert b"Bad request" not in received and b"<html" not in received.lower()
+    # http.client sees the close and re-opens for the next request.
+    for path, length, status in (
+        ("/nope", "2", 404),
+        ("/run", "nope", 400),
+        ("/run", None, 400),
+        ("/run", str(2 ** 40), 413),
+    ):
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        conn.putrequest("POST", path)
+        if length is not None:
+            conn.putheader("Content-Length", length)
+        conn.endheaders(b"{}")
+        response = conn.getresponse()
+        assert response.status == status
+        assert response.getheader("Connection") == "close"
+        response.read()
+        conn.request("GET", "/healthz")
+        again = conn.getresponse()
+        assert (again.status, again.read()) == (200, b"ok\n")
+        conn.close()
+    # Every reject was counted, and nothing fell to stdlib's own 400.
+    stats = json.loads(get(base, "/stats").read())
+    assert stats["errors"] == 5
+
+
+def test_stats_store_entries_counts_the_entry_files(server):
+    _, base, store = server
+
+    def on_disk():
+        return len(list(store.root.glob("??/*.pkl")))
+
+    def reported():
+        return json.loads(get(base, "/stats").read())["store_entries"]
+
+    assert reported() == on_disk() == 0
+    response = post(base, {"family": FAMILY, "overrides": OVERRIDES})
+    response.read()
+    store.put("ab" * 32, {"unrelated": True})
+    assert reported() == on_disk() == 2
+    store.path_for(response.headers["X-Repro-Digest"]).unlink()
+    assert reported() == on_disk() == 1
+
+
+# ----------------------------------------------------------------------
+# the admission memo
+# ----------------------------------------------------------------------
+def verdict_and_body(response):
+    """``(X-Repro-* headers, body)`` of one POST /run reply."""
+    headers = sorted(
+        (name, value) for name, value in response.headers.items()
+        if name.startswith("X-Repro-")
+    )
+    assert len(headers) == 3
+    return headers, response.read()
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_PARAMS))
+def test_memoised_reply_is_byte_identical_to_the_parsed_one(server, family):
+    from repro.scenario import build_spec, run_spec, scenario_job
+    from repro.scenario.codec import spec_to_json
+
+    srv, base, store = server
+    state = srv.repro_state
+    spec = build_spec(family, **GOLDEN_PARAMS[family])
+    job = scenario_job(spec, key=spec.name)
+    store.put_for_job(job, run_spec(spec))
+    golden = (GOLDEN_DIR / f"scenario_{family}.txt").read_bytes()
+    bodies = (
+        {"family": family, "overrides": GOLDEN_PARAMS[family]},
+        {"spec": spec_to_json(spec)},
+    )
+    for seen, body in enumerate(bodies):
+        assert len(state.memo) == seen
+        parsed = verdict_and_body(post(base, body))
+        assert len(state.memo) == seen + 1
+        memoised = verdict_and_body(post(base, body))
+        assert len(state.memo) == seen + 1
+        assert parsed == memoised
+        headers, rendered = memoised
+        assert rendered == golden
+        assert headers == [
+            ("X-Repro-Cache", "hit"),
+            ("X-Repro-Digest", job.digest),
+            ("X-Repro-Executed", "0"),
+        ]
+    assert state.counters["hits"] == 4 and state.counters["misses"] == 0
+
+
+def test_memoised_body_whose_entry_vanished_is_a_real_miss(server):
+    srv, base, store = server
+    state = srv.repro_state
+    payload = {"family": FAMILY, "overrides": OVERRIDES}
+    cold = post(base, payload)
+    cold_body = cold.read()
+    digest = cold.headers["X-Repro-Digest"]
+    assert list(state.memo.values()) == [digest]
+    store.path_for(digest).unlink()
+    again = post(base, payload)
+    assert again.headers["X-Repro-Cache"] == "miss"
+    assert again.headers["X-Repro-Executed"] == "1"
+    assert again.headers["X-Repro-Digest"] == digest
+    assert again.read() == cold_body
+    assert store.contains(digest)  # re-stored
+    warm = post(base, payload)
+    assert warm.headers["X-Repro-Cache"] == "hit"
+    assert warm.read() == cold_body
+    assert state.counters == {
+        "requests": 3, "hits": 1, "misses": 2, "executed": 2, "errors": 0,
+    }
+
+
+def test_error_bodies_and_streamed_requests_are_not_memoised(server):
+    srv, base, _ = server
+    state = srv.repro_state
+    expect_error(base, {"family": "nonesuch"}, 404)
+    expect_error(base, {"family": FAMILY, "overrides": {"bogus": 1}}, 400)
+    expect_error(base, {"family": FAMILY, "overrides": {"seconds": -1}}, 400)
+    request = urllib.request.Request(base + "/run", data=b"{not json")
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request, timeout=30)
+    assert err.value.code == 400
+    post(
+        base, {"family": FAMILY, "overrides": OVERRIDES},
+        path="/run?progress=1",
+    ).read()
+    assert state.memo == {}
+    assert state.counters["errors"] == 4
+
+
+@pytest.fixture()
+def capped_state(tmp_path, monkeypatch):
+    """A ``ServeState`` with a memo of 8 whose ``run`` simulates nothing."""
+    import repro.serve as serve
+
+    monkeypatch.setattr(serve, "MEMO_CAP", 8)
+    state = serve.ServeState(ResultStore(tmp_path / "store"))
+    monkeypatch.setattr(
+        state, "run", lambda spec: (b"render\n", "d" * 64, True, 0)
+    )
+    return state
+
+
+def raw_body(seed):
+    return json.dumps(
+        {"family": FAMILY, "overrides": dict(OVERRIDES, seed=seed)}
+    ).encode("utf-8")
+
+
+def test_memo_stays_at_its_cap(capped_state):
+    state = capped_state
+    raws = [raw_body(seed) for seed in range(8 + 5)]
+    for raw in raws:
+        state.run_body(raw)
+    assert len(state.memo) == 8
+    # Oldest out first: the last eight bodies are the ones remembered.
+    assert list(state.memo) == [
+        hashlib.sha256(raw).digest() for raw in raws[-8:]
+    ]
+
+
+def test_memo_cap_holds_under_concurrent_admission(capped_state):
+    state = capped_state
+    failures = []
+
+    def admit(worker):
+        try:
+            for seed in range(150):
+                state.run_body(raw_body(worker * 1000 + seed))
+                assert len(state.memo) <= 8
+        except Exception as exc:  # noqa: BLE001 — reported below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=admit, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == [] and len(state.memo) == 8
+
+
+def test_two_threads_posting_the_same_new_body(server):
+    srv, base, _ = server
+    state = srv.repro_state
+    payload = {"family": FAMILY, "overrides": OVERRIDES}
+    replies, barrier = [], threading.Barrier(2)
+
+    def client():
+        barrier.wait(timeout=30)
+        response = post(base, payload)
+        replies.append((response.headers["X-Repro-Digest"], response.read()))
+
+    threads = [threading.Thread(target=client) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert len(replies) == 2 and replies[0] == replies[1]
+    assert replies[0][1] == cli_render(FAMILY, OVERRIDES)
+    assert list(state.memo.values()) == [replies[0][0]]
+    assert state.counters["executed"] == 1
+    assert state.counters["hits"] + state.counters["misses"] == 2
