@@ -26,7 +26,9 @@ from typing import Any, Callable, Dict, Hashable, List, Tuple
 #: Version salt folded into every digest.  Bump when the frozen-tree
 #: encoding or any executor's semantics change incompatibly: old cache
 #: entries then simply stop matching instead of being served stale.
-CACHE_SCHEMA = "repro-campaign/1"
+#: (/2: the wire pump drains unobservable tail drops, so the stored
+#: ``events_executed``/``events_by_category`` — which render — shrank.)
+CACHE_SCHEMA = "repro-campaign/2"
 
 _TAG_TUPLE = "@tuple"
 _TAG_DICT = "@dict"

@@ -347,6 +347,20 @@ class AccessPoint:
         packet.mac_dst = station
         return scheduler.enqueue(packet)
 
+    def refuse_downlink(self, station: str) -> bool:
+        """Account a demand arrival the queue refuses *now*, or decline.
+
+        ``True`` means the arrival was a tail drop (or aimed at a
+        departed station) and every counter :meth:`downlink_arrival`
+        would have moved has moved; ``False`` means it would be
+        admitted and nothing was touched.  Lets the wire's pump settle
+        provably-unobservable drops without a kernel event each.
+        """
+        if self.scheduler.refuse(station):
+            self.downlink_packets += 1
+            return True
+        return False
+
     def _on_attempt(self, dst: str, success: bool) -> None:
         # One attempt at a time so rate control reacts before the retry.
         self.rate_controller.on_exchange(dst, success, 1)

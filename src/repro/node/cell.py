@@ -407,8 +407,9 @@ class Cell:
         sender: object
         if direction == "down":
             # Demand-driven engine: the wire's pump charges one kernel
-            # event per offered packet, and tail drops at the AP queue
-            # never materialize a packet at all.
+            # event per *observable* arrival (unobservable tail drops
+            # are drained inline), and tail drops at the AP queue never
+            # materialize a packet at all.
             sender = host.udp_stream(
                 sta_addr,
                 rate_mbps,

@@ -20,9 +20,11 @@ class WiredHost:
     * :meth:`send` — per-packet: the caller built a packet, the host
       ships it over the backbone pipe (TCP data/ACKs, one-off traffic).
     * :meth:`udp_stream` — demand-driven: a CBR schedule is registered
-      with the pipe's pump, which costs one kernel event per offered
-      packet and materializes packets only when the AP queue admits
-      them (see ``repro.transport.udp.UdpDownlinkSource``).
+      with the pipe's pump, which costs one kernel event per
+      *observable* arrival — tail drops nothing can observe before the
+      next event are accounted inline — and materializes packets only
+      when the AP queue admits them (see
+      ``repro.transport.udp.UdpDownlinkSource``).
     """
 
     def __init__(self, name: str, ap: AccessPoint) -> None:

@@ -213,6 +213,29 @@ class ApScheduler:
             return
         queue.count_drop()
 
+    def refuse(self, station: str) -> bool:
+        """Refuse-and-count in one call, or say no without side effects.
+
+        If :meth:`enqueue` would turn an arrival for ``station`` away
+        right now, account the loss (tail drop or ``refused_departed``)
+        exactly as :meth:`admits` + :meth:`drop_arrival` do and return
+        ``True``.  Otherwise return ``False`` and touch nothing — unlike
+        :meth:`admits`, an unknown station is *not* associated; that
+        side effect belongs to the arrival that is actually delivered.
+        The wire pump's drain loop calls this once per offered packet
+        in a saturated cell, hence the single flat method.
+        """
+        queue = self.queues.get(station)
+        if queue is None:
+            if station in self._departed:
+                self.refused_departed += 1
+                return True
+            return False
+        if len(queue.queue) < queue.capacity:
+            return False
+        queue.dropped += 1
+        return True
+
     def on_uplink_complete(
         self, station: str, airtime_us: float, *, attempts: int = 1,
         success: bool = True, payload_bytes: int = 0,

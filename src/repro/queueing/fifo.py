@@ -68,6 +68,17 @@ class ApFifoScheduler(ApScheduler):
             return
         self.fifo_dropped += 1
 
+    def refuse(self, station: str) -> bool:
+        if station not in self.queues:
+            if station in self._departed:
+                self.refused_departed += 1
+                return True
+            return False
+        if len(self._fifo) < self.total_capacity:
+            return False
+        self.fifo_dropped += 1
+        return True
+
     def has_pending(self) -> bool:
         return bool(self._fifo)
 

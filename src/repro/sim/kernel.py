@@ -61,6 +61,9 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._stopped = False
+        #: ``until`` of the running :meth:`run` call; ``inf`` outside
+        #: ``run`` and for a run with no horizon (see :meth:`next_time`).
+        self._horizon = float("inf")
         self._events_executed = 0
         #: executed events per EventCategory bucket (index = category).
         self._cat_counts = [0] * NUM_CATEGORIES
@@ -451,6 +454,7 @@ class Simulator:
         cat_counts = self._cat_counts
         trace = self.trace
         horizon = float("inf") if until is None else until
+        self._horizon = horizon
         budget = -1 if max_events is None else max_events
         try:
             while heap:
@@ -495,6 +499,7 @@ class Simulator:
                     self._now = until
         finally:
             self._running = False
+            self._horizon = float("inf")
         return self._now
 
     def run_for(self, duration: float, **kwargs: Any) -> float:
@@ -513,6 +518,21 @@ class Simulator:
             self._stale -= 1
             event._in_heap = False
         return heap[0][0] if heap else None
+
+    def next_time(self) -> float:
+        """Earliest time at which anything but the running event can act.
+
+        The smaller of :meth:`peek` and the ``until`` horizon of the
+        running :meth:`run` call — no pending event fires before it and
+        no caller regains control before it, so state that only kernel
+        events mutate is frozen over ``[now, next_time())``.  ``inf``
+        when nothing is queued and no horizon is set.  ``stop()`` and
+        ``max_events`` end a run by count, not by time, and do not
+        bound it.
+        """
+        head = self.peek()
+        horizon = self._horizon
+        return horizon if head is None or head > horizon else head
 
     def pending_count(self) -> int:
         """Number of non-cancelled events currently queued.  O(1)."""

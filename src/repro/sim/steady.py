@@ -82,8 +82,9 @@ class _Snapshot:
     __slots__ = (
         "flow_ids", "station_idents", "queue_idents", "bucket_names",
         "backlogs", "flow_bytes", "flow_segments", "occupancy",
-        "exchanges", "drops", "wire_delivered", "busy_us", "spent_us",
-        "bad_exchanges", "other_events",
+        "exchanges", "drops", "fifo_dropped", "wire_delivered",
+        "downlink_packets", "busy_us", "spent_us", "bad_exchanges",
+        "other_events",
     )
 
 
@@ -204,7 +205,11 @@ class FastForwardEngine:
         snap.drops = {
             name: queue.dropped for name, queue in scheduler.queues.items()
         }
+        # The shared-FIFO discipline counts its tail drops on the
+        # scheduler, not on the (always empty) per-station queues.
+        snap.fifo_dropped = getattr(scheduler, "fifo_dropped", None)
         snap.wire_delivered = cell.ap.downlink_wire.delivered
+        snap.downlink_packets = cell.ap.downlink_packets
         snap.busy_us = self._channel_busy_us()
         snap.spent_us = (
             {name: bucket.spent_us for name, bucket in buckets.items()}
@@ -360,9 +365,17 @@ class FastForwardEngine:
             queue.dropped += int(round(
                 (queue.dropped - snap.drops.get(name, 0)) * scale
             ))
-        wire = cell.ap.downlink_wire
+        if snap.fifo_dropped is not None:
+            scheduler.fifo_dropped += int(round(
+                (scheduler.fifo_dropped - snap.fifo_dropped) * scale
+            ))
+        ap = cell.ap
+        wire = ap.downlink_wire
         wire.delivered += int(round(
             (wire.delivered - snap.wire_delivered) * scale
+        ))
+        ap.downlink_packets += int(round(
+            (ap.downlink_packets - snap.downlink_packets) * scale
         ))
         cell.channel._busy_accum += (
             self._channel_busy_us() - snap.busy_us

@@ -15,9 +15,12 @@ small uniform jitter, same RNG stream layout):
 * :class:`UdpDownlinkSource` — the demand-driven source for wired
   downlink flows.  It never schedules its own timer: it registers its
   arrival schedule with the :class:`~repro.transport.wired.WiredLink`
-  pump, which charges exactly one kernel event per offered packet (the
-  delivery) and asks the source to materialize a packet only when the
-  AP queue has room (drop-before-alloc, pooled packets).
+  pump, which charges exactly one kernel event per *observable*
+  arrival (the delivery of an admitted packet, or of a tail drop that
+  ties with or follows the next thing that can run; drops nothing can
+  observe are accounted inline, see "Draining" in ``wired.py``) and
+  asks the source to materialize a packet only when the AP queue has
+  room (drop-before-alloc, pooled packets).
 """
 
 from __future__ import annotations
@@ -146,7 +149,14 @@ class UdpDownlinkSource:
     * :meth:`deliver` — when the arrival exits the pipe, where the AP's
       queue decides *before any allocation* whether the packet exists
       at all (tail drops cost nothing), and accepted packets come from
-      the AP's :class:`~repro.transport.packet.PacketPool`.
+      the AP's :class:`~repro.transport.packet.PacketPool`;
+    * :meth:`refuse` — when the pump drains: a tail drop (or a refusal
+      for a departed station) that nothing can observe before the next
+      kernel event is counted here and now, with no event of its own.
+
+    After ``Simulator.stop()`` or a ``max_events`` cut (never after
+    ``run(until=...)``) ``sent`` and the AP's drop counters may
+    therefore already include drops up to the next pending event.
     """
 
     HEADER_BYTES = UdpSender.HEADER_BYTES
@@ -238,6 +248,9 @@ class UdpDownlinkSource:
         self._staged_seq = seq
         self._staged_ts = fire_us
         self.ap.downlink_arrival(self.station, self._materialize)
+
+    def refuse(self) -> bool:
+        return self.ap.refuse_downlink(self.station)
 
     # ------------------------------------------------------------------
     def _materialize(self) -> Packet:

@@ -14,8 +14,8 @@ event that delivered it out of the pipe.  A :class:`DemandSource`
 (e.g. ``repro.transport.udp.UdpDownlinkSource``) instead registers its
 *future arrival schedule* with the link, and the link *folds* each
 arrival into the serialization state when a delivery (or a competing
-plain ``send``) proves it is next in fire-time order — so each offered
-packet costs exactly one kernel event: its delivery.
+plain ``send``) proves it is next in fire-time order — so each
+*observable* arrival costs exactly one kernel event: its delivery.
 
 Exactness: the serialization fold ``busy = max(busy, t_fire) + bits/rate``
 is order-sensitive, so folds must happen in fire-time order across all
@@ -28,15 +28,45 @@ source stopping, or a new source attaching with an earlier first fire
 source's counters — then refolds in the correct order.  Delivery
 timestamps are computed with the same float expression the two-event
 path used, so they match bit for bit.
+
+Draining
+--------
+
+In a saturated cell most arrivals exist only to be tail-dropped, and a
+drop nobody can observe needs no event at all.  At the end of a pump
+delivery — a kernel event in which the pump is the last actor — the
+link keeps folding, and an arrival whose delivery time ``t`` satisfies
+``now <= t < sim.next_time()`` *strictly* and whose consumer refuses it
+*now* (:meth:`DemandSource.refuse`) is accounted on the spot; the first
+arrival that is admitted, ties with, or lands after the next thing that
+can run gets its kernel event as before.  :attr:`WiredLink.drained`
+counts the arrivals settled this way, so ``pump delivery events +
+drained == delivered``.
+
+Exactness: room in a queue opens only inside some *other* kernel event
+(dequeue, flush, disassociate, timeline) or in caller code between
+``run`` calls; none can run before ``next_time()``; enqueues in between
+only keep a full queue full; and a drop schedules nothing, so
+``next_time()`` is loop-invariant and the drop commutes with everything
+up to it.  A drained arrival is never speculative either: whatever
+could unwind it (a plain ``send``, ``stop()``, a new source) acts at or
+after ``next_time()``, later than its fire time.  The one visible
+difference: ``stop()`` and ``max_events`` end a run by count, not by
+time, so after them (never after ``run(until=...)``) the counters may
+already include drops up to the next pending event.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, Deque, List, Optional, Protocol, Tuple
 
 from repro.sim import EventCategory, Simulator
+
+_INF = float("inf")
+#: ``_fold_next`` limit under which no delivery time can fall.
+_NO_DRAIN = -_INF
 
 
 class DemandSource(Protocol):
@@ -61,6 +91,14 @@ class DemandSource(Protocol):
 
     def deliver(self, seq: int, fire_us: float) -> None:
         """The arrival transited the pipe; hand it to the consumer."""
+
+    def refuse(self) -> bool:
+        """Would the consumer turn an arrival away right now?
+
+        ``True``: it would, and every counter :meth:`deliver` would have
+        moved for that loss has been moved (refuse-and-count).
+        ``False``: it would be admitted, and nothing was touched.
+        """
 
 
 class _Folded:
@@ -103,6 +141,9 @@ class WiredLink:
         self.rate_mbps = rate_mbps
         self._busy_until = 0.0
         self.delivered = 0
+        #: demand arrivals accounted without a kernel event (counted in
+        #: ``delivered`` too; see "Draining" in the module docstring).
+        self.drained = 0
         # Demand-driven state: registered sources, a heap of
         # (fire_us, registration_index) holding at most one live entry
         # per source, and the FIFO of folded-but-undelivered arrivals
@@ -170,11 +211,12 @@ class WiredLink:
         # max(busy, now) anyway).
         self._busy_until = self.sim.now
         self.delivered = 0
+        self.drained = 0
         if self._arrivals:
             self._fold_next()
 
     # ------------------------------------------------------------------
-    # demand-driven (event-per-packet) path
+    # demand-driven (event-per-observable-arrival) path
     # ------------------------------------------------------------------
     def attach_source(self, source: DemandSource) -> None:
         """Register a demand-driven source; delivery starts immediately."""
@@ -232,19 +274,29 @@ class WiredLink:
                 continue
             self._fold_next()
 
-    def _fold_next(self) -> None:
-        """Fold the earliest live arrival; schedule its delivery event."""
+    def _fold_next(self, limit: float = _NO_DRAIN) -> None:
+        """Fold the earliest live arrival; schedule its delivery event.
+
+        Arrivals that would leave the pipe strictly before ``limit`` and
+        that their consumer refuses right now are accounted inline and
+        folding continues (see "Draining" in the module docstring); only
+        :meth:`_pump_deliver` passes a limit.
+        """
         arrivals = self._arrivals
         sources = self._sources
+        sim = self.sim
+        now = sim.now
+        rate = self.rate_mbps
+        delay = self.delay_us
+        pushed = None  # the entry this loop pushed last: live by construction
         while arrivals:
-            fire, index = arrivals[0]
+            entry = arrivals[0]
+            fire, index = entry
             source = sources[index]
-            if source.peek_fire_us() != fire:
+            if entry is not pushed and source.peek_fire_us() != fire:
                 heappop(arrivals)  # orphaned by stop()/rewind
                 continue
-            heappop(arrivals)
             busy_before = self._busy_until
-            rate = self.rate_mbps
             if rate > 0:
                 start = busy_before
                 if fire > start:
@@ -255,14 +307,15 @@ class WiredLink:
                 ready = fire
             seq = source.advance()
             next_fire = source.peek_fire_us()
-            if next_fire is not None:
-                heappush(arrivals, (next_fire, index))
-            record = _Folded(source, index, fire, seq, busy_before, None)
+            if next_fire is None:
+                heappop(arrivals)
+            else:
+                pushed = (next_fire, index)
+                heapreplace(arrivals, pushed)
             # Same float expression the two-event path evaluates at the
             # source-timer event (where now == fire), so the delivery
             # timestamp is bit-identical: now' + (ready - now' + delay).
-            deliver_at = fire + (ready - fire + self.delay_us)
-            now = self.sim.now
+            deliver_at = fire + (ready - fire + delay)
             if deliver_at < now:
                 # Unreachable in normal operation (folds are paced so
                 # deliveries stay ahead of the clock); reset() can
@@ -270,7 +323,12 @@ class WiredLink:
                 # delivery then lands immediately rather than in the
                 # past.
                 deliver_at = now
-            record.event = self.sim.schedule_transient_at(
+            if deliver_at < limit and source.refuse():
+                self.delivered += 1
+                self.drained += 1
+                continue
+            record = _Folded(source, index, fire, seq, busy_before, None)
+            record.event = sim.schedule_transient_at(
                 deliver_at,
                 self._pump_deliver,
                 category=EventCategory.TRAFFIC,
@@ -282,11 +340,19 @@ class WiredLink:
         record = self._folded.popleft()
         self.delivered += 1
         record.source.deliver(record.seq, record.fire_us)
-        # Keep at most one speculative fold: folding here while the new
-        # tail still fires in the future would stack a second arrival
-        # ahead of time, which a plain send could no longer unwind.
         folded = self._folded
-        if not folded or folded[-1].fire_us <= self.sim.now:
+        if not folded:
+            # The pump is the last actor of this kernel event: drain.
+            # An unbounded limit (nothing pending, no run horizon) would
+            # never hand control back to a ``max_events`` budget, so it
+            # gets the plain one-event-per-arrival path.
+            limit = self.sim.next_time()
+            self._fold_next(limit if limit < _INF else _NO_DRAIN)
+        elif folded[-1].fire_us <= self.sim.now:
+            # Keep at most one speculative fold: folding here while the
+            # tail still fires in the future would stack a second
+            # arrival ahead of time, which a plain send could no longer
+            # unwind.
             self._fold_next()
 
     def fast_forward(self, delta_us: float) -> None:

@@ -213,6 +213,36 @@ def test_steady_long_fifo_uses_dcf_model():
     assert fast_total == pytest.approx(slow.total_mbps, rel=0.10)
 
 
+@pytest.mark.parametrize("scheduler", ["tbr", "fifo"])
+def test_jump_credits_drop_and_downlink_counters(scheduler):
+    # Regression: the planner credited ``wire.delivered`` but neither
+    # ``AccessPoint.downlink_packets`` (the same arrivals, counted one
+    # hop later) nor the shared FIFO's ``fifo_dropped`` (its per-station
+    # queues are always empty), so after a jump they fell an order of
+    # magnitude behind the counters they mirror.
+    spec = build_spec("steady-long", scheduler=scheduler, seconds=12.0)
+    cells = {}
+    for fast in (False, True):
+        runtime = ScenarioRuntime(spec, fast_forward=fast)
+        runtime.run()
+        cells[fast] = runtime.cell
+    slow, fast = cells[False], cells[True]
+    jumps = fast.sim.fast_forwards
+    assert jumps >= 1 and slow.sim.fast_forwards == 0
+    # Every wire delivery is one AP arrival; each jump credits the two
+    # with independently rounded products of the same window rate.
+    assert slow.ap.downlink_packets == slow.ap.downlink_wire.delivered
+    assert abs(
+        fast.ap.downlink_packets - fast.ap.downlink_wire.delivered
+    ) <= jumps
+    assert fast.ap.downlink_packets == pytest.approx(
+        slow.ap.downlink_packets, rel=0.05
+    )
+    assert fast.scheduler.dropped() == pytest.approx(
+        slow.scheduler.dropped(), rel=0.10
+    )
+
+
 # ----------------------------------------------------------------------
 # satellite 1: detector keys on identity, never on station names
 # ----------------------------------------------------------------------

@@ -48,12 +48,12 @@ PINNED_BUDGETS = {
         {"traffic": 1206, "mac": 2734, "phy": 2523, "timer": 251, "other": 4},
     ),
     "bursty": (
-        3, 3815,
-        {"traffic": 1162, "mac": 1215, "phy": 1184, "timer": 251, "other": 3},
+        3, 3520,
+        {"traffic": 867, "mac": 1215, "phy": 1184, "timer": 251, "other": 3},
     ),
     "mixed": (
-        0, 4647,
-        {"traffic": 1808, "mac": 1360, "phy": 1279, "timer": 200, "other": 0},
+        0, 4241,
+        {"traffic": 1402, "mac": 1360, "phy": 1279, "timer": 200, "other": 0},
     ),
     "fairness-churn": (
         2, 8906,

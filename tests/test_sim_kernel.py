@@ -184,6 +184,47 @@ def test_peek_returns_next_pending_time():
     assert sim.peek() == 9.0
 
 
+def test_next_time_outside_run_is_the_heap_top_or_inf():
+    sim = Simulator()
+    assert sim.next_time() == float("inf")  # empty heap, no horizon
+    sim.schedule(40.0, lambda: None)
+    first = sim.schedule(10.0, lambda: None)
+    assert sim.next_time() == 10.0
+    first.cancel()
+    assert sim.next_time() == 40.0  # cancelled heads are skipped
+
+
+def test_next_time_inside_run_is_bounded_by_the_horizon():
+    sim = Simulator()
+    seen = []
+    sim.schedule(10.0, lambda: seen.append(sim.next_time()))
+    sim.schedule(30.0, lambda: seen.append(sim.next_time()))
+    doomed = sim.schedule(60.0, lambda: None)
+    sim.schedule(70.0, lambda: seen.append(sim.next_time()))
+    sim.schedule(20.0, doomed.cancel)
+    sim.run(until=50.0)
+    # From 10: the heap top (20) precedes the horizon.  From 30: the
+    # next live event (70, the one at 60 is cancelled) lies beyond the
+    # horizon, which is what bounds it.
+    assert seen == [20.0, 50.0]
+    # The horizon belongs to the run: gone once it returns.
+    assert sim.next_time() == 70.0
+    sim.run()
+    assert seen == [20.0, 50.0, float("inf")]  # no horizon, empty heap
+
+
+def test_next_time_horizon_is_cleared_when_a_callback_raises():
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(10.0, boom)
+    with pytest.raises(RuntimeError):
+        sim.run(until=50.0)
+    assert sim.next_time() == float("inf")
+
+
 def test_pending_count_ignores_cancelled():
     sim = Simulator()
     keep = sim.schedule(1.0, lambda: None)

@@ -378,6 +378,9 @@ def test_reset_mid_sim_with_backlogged_demand_source(rate_mbps):
         def deliver(self, seq, fire_us):
             delivered.append(sim.now)
 
+        def refuse(self):
+            return False  # every arrival is admitted: nothing drains
+
     link.attach_source(Fast())
     sim.run(until=2150.0)
     link.reset()  # new epoch mid-backlog
