@@ -6,26 +6,28 @@ deterministically by job key.  The building blocks:
 
 * :mod:`repro.campaign.job` — hashable, picklable job descriptors with
   a content-addressed digest (config hash + schema salt);
-* :mod:`repro.campaign.cache` — on-disk result cache keyed by digest
-  with checksummed entries, so re-running a campaign never recomputes a
-  finished job and silent corruption reads as a miss, not a result;
-* :mod:`repro.campaign.store` — the cache promoted to a queryable
-  :class:`ResultStore`: a crash-safe on-disk index over (experiment,
+* :mod:`repro.campaign.store` — the one :class:`ResultStore`: on-disk
+  results keyed by digest with checksummed entries (silent corruption
+  reads as a miss, not a result), a crash-safe index over (experiment,
   family, seed, digest), incremental-sweep planning
   (:meth:`ResultStore.plan`) and index rebuild from the raw entries;
-* :mod:`repro.campaign.executor` — serial and supervised-parallel
-  execution with cache lookups, duplicate-config coalescing and
+* :mod:`repro.campaign.policy` — the failure taxonomy,
+  :class:`RetryPolicy` (bounded attempts, seeded exponential backoff)
+  and :func:`~repro.campaign.policy.book`, the one attempt state
+  machine: failed attempt in, retry-after or quarantine out;
+* :mod:`repro.campaign.pool` — one attempt of one job
+  (``_execute_one``) and the check of its reply (``decode_reply``),
+  shared by every backend; and the ``workers > 1`` backend itself,
+  :class:`~repro.campaign.pool.SupervisedPool`: crash isolation,
+  per-job timeouts, degradation when the pool itself keeps dying;
+* :mod:`repro.campaign.queue` — :class:`SpoolQueue`, the backend whose
+  workers are independent ``repro campaign worker`` processes draining
+  a shared directory (atomic-rename job leases, heartbeat-based crash
+  reclaim);
+* :mod:`repro.campaign.executor` — :func:`run_jobs`: store hit-check,
+  duplicate-config coalescing, one ``drain`` through the backend that
+  ``workers`` picks (the in-process :class:`Inline` for 1), and
   completion-order-independent merging;
-* :mod:`repro.campaign.queue` — the :class:`WorkQueue` seam between
-  the executor and its workers: the in-process supervised pool, or a
-  filesystem spool that independent ``repro campaign worker``
-  processes drain cooperatively (atomic-rename job leases,
-  heartbeat-based crash reclaim);
-* :mod:`repro.campaign.pool` — the supervised worker pool: crash
-  isolation, per-job timeouts, checksum-verified replies, degradation
-  to serial when the pool itself keeps dying;
-* :mod:`repro.campaign.policy` — the failure taxonomy and
-  :class:`RetryPolicy` (bounded attempts, seeded exponential backoff);
 * :mod:`repro.campaign.manifest` — per-campaign checkpoints behind
   ``repro campaign --resume``;
 * :mod:`repro.campaign.faults` — deterministic fault injection for the
@@ -49,19 +51,14 @@ from repro.campaign.job import (
     resolve_executor,
     thaw,
 )
-from repro.campaign.cache import CacheCorruption, ResultCache
 from repro.campaign.store import (
+    CacheCorruption,
     ResultStore,
     StoreIndex,
     SweepPlan,
     default_store_root,
 )
-from repro.campaign.queue import (
-    PoolQueue,
-    SpoolQueue,
-    WorkQueue,
-    worker_loop,
-)
+from repro.campaign.queue import SpoolQueue, worker_loop
 from repro.campaign.executor import (
     CampaignOutcome,
     CampaignStats,
@@ -87,15 +84,12 @@ __all__ = [
     "FaultPlan",
     "Job",
     "JobFailure",
-    "PoolQueue",
-    "ResultCache",
     "ResultStore",
     "RetryPolicy",
     "RunManifest",
     "SpoolQueue",
     "StoreIndex",
     "SweepPlan",
-    "WorkQueue",
     "campaign_digest",
     "default_store_root",
     "execute_job",

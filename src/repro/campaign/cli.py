@@ -34,10 +34,14 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.campaign.executor import quarantine_report, run_jobs
-from repro.campaign.faults import FaultPlanError
+from repro.campaign.executor import (
+    CampaignOutcome,
+    quarantine_report,
+    run_jobs,
+)
+from repro.campaign.faults import FaultPlan, FaultPlanError
 from repro.campaign.job import Job
 from repro.campaign.manifest import RunManifest, campaign_digest
 from repro.campaign.policy import RetryPolicy
@@ -45,13 +49,8 @@ from repro.campaign.registry import FIGURE_SUITE, campaign_registry
 from repro.campaign.store import (
     DEFAULT_CACHE_DIRNAME,
     ResultStore,
-    default_store_root,
+    unlink_quietly,
 )
-
-#: Legacy name for the store directory relative to the resolved root.
-#: The *actual* default is :func:`repro.campaign.store.default_store_root`
-#: — ``REPRO_CACHE_DIR`` or the repo root, never the bare CWD.
-DEFAULT_CACHE_DIR = DEFAULT_CACHE_DIRNAME
 
 #: argparse help text for every ``--cache-dir`` flag in the repo.
 CACHE_DIR_HELP = (
@@ -68,21 +67,177 @@ def manifest_path(cache_dir, digest: str) -> Path:
     return Path(cache_dir) / "runs" / f"{digest[:16]}.json"
 
 
+# ----------------------------------------------------------------------
+# "how to execute": the flags ``repro campaign`` and ``repro scenario
+# sweep`` share, their meaning, and the exit code of the outcome
+# ----------------------------------------------------------------------
+class UsageError(Exception):
+    """Bad flags; the message is for stderr and the exit code is 2."""
+
+
+def add_execution_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker processes (default: one per CPU; 1 = inline, "
+        "in-process)",
+    )
+    parser.add_argument(
+        "--cache-dir", default=None, metavar="DIR", help=CACHE_DIR_HELP
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="neither read nor write the result store (also disables "
+        "the resume manifest)",
+    )
+    parser.add_argument(
+        "--force", action="store_true",
+        help="ignore stored results (they are refreshed afterwards)",
+    )
+    parser.add_argument(
+        "--timeout", type=float, default=None, metavar="S",
+        help="per-job wall-clock budget in seconds; a hung job is "
+        "killed and retried (workers > 1 only)",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=None, metavar="N",
+        help="max attempts per job before quarantine (default: "
+        f"{RetryPolicy.max_attempts})",
+    )
+    parser.add_argument(
+        "--partial", action="store_true",
+        help="exit 0 even when jobs were quarantined (whatever "
+        "completed still renders)",
+    )
+    parser.add_argument(
+        "--missing-only", action="store_true",
+        help="plan against the store first, report cached/missing "
+        "counts, execute only the missing jobs and skip the renders "
+        "(fill-the-store mode for incremental sweeps)",
+    )
+    parser.add_argument(
+        "--queue", choices=("pool", "spool"), default="pool",
+        help="backend for --jobs > 1: the in-process supervised pool "
+        "(default) or a filesystem spool shared with independent "
+        "'repro campaign worker' processes",
+    )
+    parser.add_argument(
+        "--spool-dir", default=None, metavar="DIR",
+        help="spool directory for --queue spool",
+    )
+    parser.add_argument(
+        "--spool-workers", type=int, default=None, metavar="N",
+        help="local worker processes the spool coordinator spawns "
+        "(default: --jobs; 0 = rely entirely on external workers)",
+    )
+    parser.add_argument(
+        "--quiet", action="store_true", help="suppress per-job progress"
+    )
+
+
+def check_execution_flags(args: argparse.Namespace) -> None:
+    """Range and combination checks that need nothing but the flags."""
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
+    if args.timeout is not None and args.timeout <= 0:
+        raise UsageError("--timeout must be positive")
+    if args.retries is not None and args.retries < 1:
+        raise UsageError("--retries must be >= 1")
+    if args.queue == "spool" and not args.spool_dir:
+        raise UsageError("--queue spool requires --spool-dir")
+    if args.spool_workers is not None and args.spool_workers < 0:
+        raise UsageError("--spool-workers must be >= 0")
+
+
+def _print_progress(event: str, job: Job, done: int, total: int) -> None:
+    print(f"  [{done}/{total}] {job.label} ({event})")
+
+
+def execution_kwargs(
+    args: argparse.Namespace, jobs: List[Job]
+) -> Tuple[Dict[str, Any], List[Job]]:
+    """Checked flags -> ``(run_jobs keyword arguments, jobs to run)``.
+
+    Opens the store, builds the retry policy and the spool backend,
+    validates the ``REPRO_CAMPAIGN_FAULTS`` plan, and under
+    ``--missing-only`` prints the plan and narrows ``jobs`` to the
+    missing ones (possibly none).  Raises :class:`UsageError`.
+    """
+    cache = None if args.no_cache else ResultStore(args.cache_dir)
+    if args.missing_only:
+        if cache is None:
+            raise UsageError(
+                "--missing-only needs the result store (drop --no-cache)"
+            )
+        plan = cache.plan(jobs)
+        print(plan.summary())
+        if not plan.missing:
+            print("nothing to execute — the store already has every job")
+        jobs = plan.missing
+    queue = None
+    if args.queue == "spool":
+        from repro.campaign.queue import SpoolQueue
+
+        if cache is None:
+            raise UsageError(
+                "--queue spool needs the result store (drop --no-cache)"
+            )
+        workers = args.spool_workers
+        if workers is None:
+            workers = args.jobs if args.jobs is not None else 1
+        queue = SpoolQueue(args.spool_dir, cache, workers=workers)
+    try:
+        # A malformed REPRO_CAMPAIGN_FAULTS plan is a usage error — name
+        # the problem instead of unwinding with a traceback.
+        fault_plan = FaultPlan.from_env()
+    except FaultPlanError as exc:
+        raise UsageError(str(exc)) from exc
+    kwargs = dict(
+        workers=args.jobs,
+        cache=cache,
+        force=args.force,
+        progress=None if args.quiet else _print_progress,
+        retry=(
+            None
+            if args.retries is None
+            else RetryPolicy(max_attempts=args.retries)
+        ),
+        timeout_s=args.timeout,
+        fault_plan=fault_plan,
+        queue=queue,
+    )
+    return kwargs, jobs
+
+
+def report_outcome(outcome: CampaignOutcome, partial: bool) -> int:
+    """Print the quarantine report and the stats line; the exit code."""
+    report = quarantine_report(outcome)
+    if report:
+        print(report)
+        print()
+    print(outcome.stats.summary())
+    if outcome.stats.interrupted:
+        print(
+            "interrupted — finished results are in the store; a rerun "
+            "executes only the remainder",
+            file=sys.stderr,
+        )
+        return EXIT_INTERRUPTED
+    return 1 if outcome.failures and not partial else 0
+
+
 def verify_cache_main(
     cache_dir: Optional[str], purge: bool, reindex: bool = False
 ) -> int:
     """``repro campaign verify-cache``: payload and index integrity.
 
-    Payload verification is unchanged from the plain cache (checksums,
-    exit 1 on damage, ``--purge`` to drop).  On top of it the store's
-    index is cross-checked against the entries on disk: dangling rows
-    and unindexed entries are reported, and ``--reindex`` rebuilds the
-    index to exactly match the surviving entries (always run after a
-    purge, so the purge never leaves dangling rows behind).
+    Every entry's checksum is verified (exit 1 on damage, ``--purge``
+    to drop), and the index is cross-checked against the entries on
+    disk: dangling rows and unindexed entries are reported, and
+    ``--reindex`` rebuilds the index to exactly match the surviving
+    entries (always run after a purge, so the purge never leaves
+    dangling rows behind).
     """
-    store = ResultStore(
-        default_store_root() if cache_dir is None else cache_dir
-    )
+    store = ResultStore(cache_dir)
     if store.swept_tmp:
         print(f"swept {store.swept_tmp} stale temp file(s)")
     total, bad = store.verify_summary()
@@ -91,10 +246,7 @@ def verify_cache_main(
         print(f"  {status:10} {digest[:16]}…  {detail}")
     if bad and purge:
         for digest, _, _ in bad:
-            try:
-                store.path_for(digest).unlink()
-            except OSError:
-                pass
+            unlink_quietly(store.path_for(digest))
         print(f"purged {len(bad)} bad entrie(s)")
     if store.index.corrupt_lines:
         print(
@@ -143,9 +295,7 @@ def query_main(argv: List[str]) -> int:
         help="include entry size and indexing state per row",
     )
     args = parser.parse_args(argv)
-    store = ResultStore(
-        default_store_root() if args.cache_dir is None else args.cache_dir
-    )
+    store = ResultStore(args.cache_dir)
     rows = store.query(
         experiment=args.experiment,
         family=args.family,
@@ -203,15 +353,15 @@ def worker_main(argv: List[str]) -> int:
     if args.max_jobs is not None and args.max_jobs < 1:
         parser.error("--max-jobs must be >= 1")
 
-    def progress(status: str, _detail: str) -> None:
-        if not args.quiet:
-            print(f"  [{status}]", flush=True)
-
     processed = worker_loop(
         args.spool_dir,
         idle_exit_s=args.idle_exit,
         max_jobs=args.max_jobs,
-        progress=progress,
+        progress=(
+            None
+            if args.quiet
+            else lambda status: print(f"  [{status}]", flush=True)
+        ),
     )
     print(f"worker pid {os.getpid()}: processed {processed} claim(s)")
     return 0
@@ -244,90 +394,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             "a special command: 'verify-cache', 'query', 'worker'"
         ),
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes (default: one per CPU; 1 = serial, "
-            "in-process)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=CACHE_DIR_HELP,
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="neither read nor write the on-disk cache (also disables "
-        "the resume manifest)",
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="ignore cached results (they are refreshed afterwards)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-job wall-clock budget in seconds; a hung job is "
-        "killed and retried (workers > 1 only)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max attempts per job before quarantine (default: "
-        f"{RetryPolicy.max_attempts})",
-    )
+    add_execution_flags(parser)
     parser.add_argument(
         "--resume",
         action="store_true",
         help="resume this campaign from its manifest: cached digests "
         "are reused and previously quarantined jobs are reported "
         "without re-running their attempts",
-    )
-    parser.add_argument(
-        "--partial",
-        action="store_true",
-        help="exit 0 even when jobs were quarantined (the completed "
-        "experiments still render)",
-    )
-    parser.add_argument(
-        "--missing-only",
-        action="store_true",
-        help="plan against the store first, report cached/missing "
-        "counts, execute only the missing jobs and skip the renders "
-        "(fill-the-store mode for incremental sweeps)",
-    )
-    parser.add_argument(
-        "--queue",
-        choices=("pool", "spool"),
-        default="pool",
-        help="scheduling backend: the in-process supervised pool "
-        "(default) or a filesystem spool shared with independent "
-        "'repro campaign worker' processes",
-    )
-    parser.add_argument(
-        "--spool-dir",
-        default=None,
-        metavar="DIR",
-        help="spool directory for --queue spool",
-    )
-    parser.add_argument(
-        "--spool-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="local worker processes the spool coordinator spawns "
-        "(default: --jobs; 0 = rely entirely on external workers)",
     )
     parser.add_argument(
         "--purge",
@@ -352,28 +425,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--list", action="store_true", help="list selectable experiments"
     )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-job progress"
-    )
     args = parser.parse_args(argv)
 
-    if args.jobs is not None and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.seconds is not None and args.seconds <= 0:
         parser.error("--seconds must be positive")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error("--timeout must be positive")
-    if args.retries is not None and args.retries < 1:
-        parser.error("--retries must be >= 1")
-
     if args.experiments and args.experiments[0] == "verify-cache":
         if len(args.experiments) > 1:
             parser.error("verify-cache takes no experiment names")
         return verify_cache_main(args.cache_dir, args.purge, args.reindex)
-    if args.queue == "spool" and args.spool_dir is None:
-        parser.error("--queue spool needs --spool-dir")
-    if args.spool_workers is not None and args.spool_workers < 0:
-        parser.error("--spool-workers must be >= 0")
+    try:
+        check_execution_flags(args)
+    except UsageError as exc:
+        parser.error(str(exc))
 
     registry = campaign_registry()
     if args.list:
@@ -397,89 +460,32 @@ def main(argv: Optional[List[str]] = None) -> int:
             registry[name].build_jobs(seed=args.seed, seconds=args.seconds)
         )
 
-    cache = (
-        None
-        if args.no_cache
-        else ResultStore(
-            default_store_root()
-            if args.cache_dir is None
-            else args.cache_dir
-        )
-    )
+    digest = campaign_digest(job.digest for job in jobs)
+    try:
+        if args.resume and args.no_cache:
+            raise UsageError("--resume needs the cache; drop --no-cache")
+        kwargs, jobs = execution_kwargs(args, jobs)
+    except UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    if not jobs:
+        return 0
     manifest = None
     skip_failed = None
-    if cache is not None:
-        digest = campaign_digest(job.digest for job in jobs)
-        manifest = RunManifest.load(manifest_path(cache.root, digest), digest)
+    if kwargs["cache"] is not None:
+        manifest = RunManifest.load(
+            manifest_path(kwargs["cache"].root, digest), digest
+        )
         if args.resume:
             skip_failed = set(manifest.failed)
         else:
             # A fresh (non-resume) run re-attempts everything that is
-            # not in the cache, including previously failed digests.
+            # not in the store, including previously failed digests.
             manifest.failed.clear()
-    elif args.resume:
-        print("--resume needs the cache; drop --no-cache", file=sys.stderr)
-        return 2
 
-    if args.missing_only:
-        if cache is None:
-            print(
-                "--missing-only needs the store; drop --no-cache",
-                file=sys.stderr,
-            )
-            return 2
-        plan = cache.plan(jobs)
-        print(plan.summary())
-        if not plan.missing:
-            print("nothing to execute — the store already has every job")
-            return 0
-        jobs = plan.missing
-
-    retry = (
-        RetryPolicy(max_attempts=args.retries)
-        if args.retries is not None
-        else None
+    outcome = run_jobs(
+        jobs, manifest=manifest, skip_failed=skip_failed, **kwargs
     )
-
-    queue = None
-    if args.queue == "spool":
-        from repro.campaign.queue import SpoolQueue
-
-        if cache is None:
-            print(
-                "--queue spool needs the shared store; drop --no-cache",
-                file=sys.stderr,
-            )
-            return 2
-        spool_workers = (
-            args.spool_workers
-            if args.spool_workers is not None
-            else (args.jobs if args.jobs is not None else 1)
-        )
-        queue = SpoolQueue(args.spool_dir, cache, workers=spool_workers)
-
-    def progress(event: str, job: Job, done: int, total: int) -> None:
-        if not args.quiet:
-            print(f"  [{done}/{total}] {job.label} ({event})")
-
-    try:
-        outcome = run_jobs(
-            jobs,
-            workers=args.jobs,
-            cache=cache,
-            force=args.force,
-            progress=progress,
-            retry=retry,
-            timeout_s=args.timeout,
-            manifest=manifest,
-            skip_failed=skip_failed,
-            queue=queue,
-        )
-    except FaultPlanError as exc:
-        # A malformed REPRO_CAMPAIGN_FAULTS plan is a usage error — name
-        # the problem and exit 2 instead of unwinding with a traceback.
-        print(str(exc), file=sys.stderr)
-        return 2
 
     failed_experiments = set(outcome.failed_experiments())
     incomplete = failed_experiments | (
@@ -505,22 +511,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(spec.render(result))
         print()
 
-    report = quarantine_report(outcome)
-    if report:
-        print(report)
-        print()
-    print(outcome.stats.summary())
-
-    if outcome.stats.interrupted:
-        print(
-            "interrupted — finished results are cached; rerun with "
-            "--resume to execute only the remainder",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    if outcome.failures and not args.partial:
-        return 1
-    return 0
+    return report_outcome(outcome, args.partial)
 
 
 if __name__ == "__main__":  # pragma: no cover

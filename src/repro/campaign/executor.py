@@ -1,12 +1,12 @@
-"""Fault-tolerant campaign execution: serial, supervised-parallel, resumable.
+"""Fault-tolerant campaign execution: one path, three backends.
 
 ``run_jobs`` takes jobs from any mix of experiments and returns their
 results merged *by job key*, never by completion order, so a parallel
-campaign is byte-identical to a serial one.  Along the way it:
+campaign is byte-identical to an inline one.  Along the way it:
 
 * coalesces duplicate configs — jobs sharing a digest (e.g. fig3's and
   fig9's 1-vs-11 FIFO uplink run) execute once and fan back out;
-* consults the :class:`~repro.campaign.cache.ResultCache` before
+* consults the :class:`~repro.campaign.store.ResultStore` before
   spending any CPU, unless ``force`` invalidates;
 * survives failure: worker crashes, hung jobs and corrupted results
   cost *attempts* under a :class:`~repro.campaign.policy.RetryPolicy`
@@ -14,21 +14,31 @@ campaign is byte-identical to a serial one.  Along the way it:
   exhausts its attempts is **quarantined** as a structured
   :class:`~repro.campaign.policy.JobFailure` while the rest of the
   campaign completes;
-* degrades gracefully: repeated pool-level worker deaths abandon the
-  pool and finish the remaining jobs serially in-process, recording
+* degrades gracefully: a backend whose workers keep dying hands its
+  remaining jobs back and they drain inline, recording
   ``degraded_reason`` in :class:`CampaignStats`;
-* checkpoints: every completion lands in the cache *and* the optional
+* checkpoints: every completion lands in the store *and* the optional
   :class:`~repro.campaign.manifest.RunManifest` immediately, and a
   ``KeyboardInterrupt`` returns a coherent partial
   :class:`CampaignOutcome` (flushed results, ``stats.interrupted``,
   wall clock set) instead of losing the run.
 
-Parallel execution is the supervised worker pool of
-:mod:`repro.campaign.pool` — long-lived processes fed one digest at a
-time, per-job wall-clock deadlines, checksum-verified result payloads.
-Worker processes only ever receive :class:`Job` descriptors (frozen
-primitive trees); cache and manifest writes happen in the parent, so no
-locking is needed.
+Every backend is a ``drain(items, retry=, timeout_s=, fault_plan=,
+sink=)`` over the same three parts: one attempt is
+:func:`~repro.campaign.pool._execute_one`, its reply is checked by
+:func:`~repro.campaign.pool.decode_reply`, and a failed one is booked
+by :func:`~repro.campaign.policy.book`.  It reports into the run as it
+goes — ``sink.finish(digest, value)``, ``sink.retried(digest, record)``
+when a retry is scheduled after ``record.backoff_s``,
+``sink.quarantine(failure)`` — and returns ``(None, [])``, or
+``(reason, remaining_items)`` when it gives up and the remainder drains
+inline.  Backends differ only in *where* the attempt runs:
+:class:`Inline` in this process,
+:class:`~repro.campaign.pool.SupervisedPool` in supervised children on
+pipes, :class:`~repro.campaign.queue.SpoolQueue` in whichever process
+claims the job from a shared directory.  Worker processes only ever
+receive :class:`Job` descriptors (frozen primitive trees); manifest
+writes happen in the parent, so no locking is needed.
 """
 
 from __future__ import annotations
@@ -48,16 +58,12 @@ from typing import (
     Tuple,
 )
 
-from repro.campaign.cache import ResultCache
 from repro.campaign.faults import FaultPlan
 from repro.campaign.job import Job, execute_job
 from repro.campaign.manifest import RunManifest
-from repro.campaign.policy import (
-    AttemptRecord,
-    JobFailure,
-    RetryPolicy,
-    is_permanent,
-)
+from repro.campaign.policy import AttemptRecord, JobFailure, RetryPolicy, book
+from repro.campaign.pool import SupervisedPool, _execute_one, decode_reply
+from repro.campaign.store import ResultStore
 
 #: ``progress(event, job, done, total)`` with ``event`` one of
 #: ``"cached"`` / ``"executed"`` / ``"retried"`` / ``"failed"`` /
@@ -92,7 +98,7 @@ class CampaignStats:
     workers: int = 1
     wall_s: float = 0.0
     interrupted: bool = False  #: a SIGINT cut the campaign short
-    degraded_reason: Optional[str] = None  #: pool fell back to serial
+    degraded_reason: Optional[str] = None  #: backend fell back to inline
 
     def summary(self) -> str:
         text = (
@@ -143,48 +149,28 @@ class CampaignOutcome:
         }
 
     def experiments(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for job in self.results:
-            seen.setdefault(job.experiment, None)
-        return list(seen)
+        return list(dict.fromkeys(job.experiment for job in self.results))
 
     def failed_experiments(self) -> List[str]:
         """Experiments with at least one quarantined job, in failure
         order — their ``reduce()`` would see an incomplete mapping."""
-        seen: Dict[str, None] = {}
-        for failure in self.failures:
-            seen.setdefault(failure.experiment, None)
-        return list(seen)
+        return list(dict.fromkeys(f.experiment for f in self.failures))
 
 
-def resolve_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        return os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
+@dataclass
 class _Run:
-    """Mutable state shared by the serial and supervised paths."""
+    """One campaign's mutable state, and the sink its backends report
+    into (``finish`` / ``retried`` / ``quarantine``)."""
 
-    def __init__(
-        self,
-        by_digest: Dict[str, List[Job]],
-        stats: CampaignStats,
-        cache: Optional[ResultCache],
-        manifest: Optional[RunManifest],
-        progress: Optional[ProgressFn],
-    ) -> None:
-        self.by_digest = by_digest
-        self.stats = stats
-        self.cache = cache
-        self.manifest = manifest
-        self.progress = progress
-        self.resolved: Dict[str, Any] = {}
-        self.failures: List[JobFailure] = []
-        self.attempts_used: Dict[str, int] = {}
-        self.done = 0
+    by_digest: Dict[str, List[Job]]
+    stats: CampaignStats
+    cache: Optional[ResultStore]
+    manifest: Optional[RunManifest]
+    progress: Optional[ProgressFn]
+    resolved: Dict[str, Any] = field(default_factory=dict)
+    failures: List[JobFailure] = field(default_factory=list)
+    attempts_used: Dict[str, int] = field(default_factory=dict)
+    done: int = 0
 
     def emit(self, event: str, digest: str) -> None:
         if self.progress is not None:
@@ -203,13 +189,7 @@ class _Run:
         self.stats.executed += 1
         self.done += 1
         if self.cache is not None:
-            # A ResultStore keeps a queryable index next to the payload;
-            # duck-typed so a plain ResultCache still works unchanged.
-            put_for_job = getattr(self.cache, "put_for_job", None)
-            if put_for_job is not None:
-                put_for_job(self.by_digest[digest][0], value)
-            else:
-                self.cache.put(digest, value)
+            self.cache.put_for_job(self.by_digest[digest][0], value)
         if self.manifest is not None:
             self.manifest.record_done(
                 digest, self.attempts_used.get(digest, 0) + 1
@@ -237,119 +217,56 @@ class _Run:
         self.emit("skipped", failure.digest)
 
 
-def _run_serial(
-    run: _Run,
-    pending: List[Tuple[str, Job]],
-    retry: RetryPolicy,
-    sleep: Callable[[float], None] = time.sleep,
-) -> None:
-    """In-process execution with the same retry/quarantine semantics.
+class Inline:
+    """The ``workers == 1`` backend, and where a degraded backend's
+    remainder drains: every attempt runs in this process.
 
     No worker boundary means no crash isolation and no wall-clock
-    timeouts (killing a hung job requires a process to kill), but
-    transient exceptions still retry on the seeded backoff schedule and
-    exhausted jobs still quarantine instead of aborting the campaign.
-    Fault plans deliberately do not apply in-process
-    (:mod:`repro.campaign.faults`).
+    timeouts (killing a hung job requires a process to kill), and fault
+    plans deliberately do not apply (:mod:`repro.campaign.faults`).
+    The result still crosses the pickle-and-checksum reply, so an
+    unpicklable one costs attempts here exactly as in a worker.
     """
-    import traceback as tb_mod
 
-    for digest, job in pending:
-        attempt = 1
-        records: List[AttemptRecord] = []
-        last_tb = ""
-        while True:
-            try:
-                value = execute_job(job)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                last_tb = tb_mod.format_exc()
-                record = AttemptRecord(
-                    attempt=attempt,
-                    kind="exception",
-                    detail=f"{type(exc).__name__}: {exc}",
-                    worker_pid=os.getpid(),
+    def drain(
+        self,
+        items: List[Tuple[str, Job]],
+        *,
+        retry: RetryPolicy,
+        timeout_s: Optional[float],
+        fault_plan: Optional[FaultPlan],
+        sink,
+    ) -> Tuple[Optional[str], List[Tuple[str, Job]]]:
+        for digest, job in items:
+            records: List[AttemptRecord] = []
+            last_tb = ""
+            while True:
+                attempt = len(records) + 1
+                reply = decode_reply(_execute_one(digest, job, attempt, None))
+                if reply[0] == "ok":
+                    sink.finish(digest, reply[1])
+                    break
+                _, kind, detail, exc_type, tb = reply
+                last_tb = tb or last_tb
+                record, permanent = book(
+                    retry, digest, attempt, kind, detail, os.getpid(), exc_type
                 )
                 records.append(record)
-                permanent = is_permanent("exception", type(exc).__name__)
-                if not permanent and attempt < retry.max_attempts:
-                    backoff = retry.backoff_s(digest, attempt)
-                    record.backoff_s = backoff
-                    run.retried(digest, record)
-                    if backoff > 0:
-                        sleep(backoff)
-                    attempt += 1
-                    continue
-                run.quarantine(
-                    JobFailure(
-                        digest=digest,
-                        experiment=job.experiment,
-                        key=job.key,
-                        label=job.label,
-                        attempts=records,
-                        traceback=last_tb,
-                        permanent=permanent,
+                if record.backoff_s is None:
+                    sink.quarantine(
+                        JobFailure.for_job(job, records, last_tb, permanent)
                     )
-                )
-                break
-            else:
-                run.finish(digest, value)
-                break
-
-
-def _drain_queue(
-    run: _Run,
-    pending: List[Tuple[str, Job]],
-    queue,
-    *,
-    retry: RetryPolicy,
-    timeout_s: Optional[float],
-    fault_plan: Optional[FaultPlan],
-) -> None:
-    """Drain ``pending`` through a :class:`~repro.campaign.queue.\
-WorkQueue` backend, degrading to serial if the backend gives up."""
-    degraded_reason, remaining = queue.drain(
-        pending,
-        retry=retry,
-        timeout_s=timeout_s,
-        fault_plan=fault_plan,
-        on_result=run.finish,
-        on_retry=lambda digest, job, record: run.retried(digest, record),
-        on_failure=lambda digest, job, failure: run.quarantine(failure),
-    )
-    if degraded_reason is not None:
-        run.stats.degraded_reason = degraded_reason
-        _run_serial(run, remaining, retry)
-
-
-def _run_supervised(
-    run: _Run,
-    pending: List[Tuple[str, Job]],
-    *,
-    workers: int,
-    retry: RetryPolicy,
-    timeout_s: Optional[float],
-    fault_plan: Optional[FaultPlan],
-) -> None:
-    """Supervised pool execution, degrading to serial on pool failure."""
-    from repro.campaign.queue import PoolQueue
-
-    _drain_queue(
-        run,
-        pending,
-        PoolQueue(workers=workers),
-        retry=retry,
-        timeout_s=timeout_s,
-        fault_plan=fault_plan,
-    )
+                    break
+                sink.retried(digest, record)
+                time.sleep(record.backoff_s)
+        return None, []
 
 
 def run_jobs(
     jobs: Iterable[Job],
     *,
     workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[ResultStore] = None,
     force: bool = False,
     progress: Optional[ProgressFn] = None,
     retry: Optional[RetryPolicy] = None,
@@ -362,45 +279,45 @@ def run_jobs(
     """Execute a campaign and merge results deterministically.
 
     ``workers=None`` means one worker per CPU.  ``force=True`` skips
-    cache lookups (entries are still refreshed with the new results).
-    ``timeout_s`` bounds each job's wall clock (supervised pool only —
-    the in-process path has no one to kill).  ``retry`` defaults to
+    store lookups (entries are still refreshed with the new results).
+    ``timeout_s`` bounds each job's wall clock (not inline — there is
+    no one to kill).  ``retry`` defaults to
     three attempts with seeded exponential backoff.  Digests listed in
     ``skip_failed`` (a resumed run's prior quarantine) are reported as
     failures without spending any attempts; ``manifest``, when given,
     is updated after every completion or quarantine so a later run can
     resume.  ``fault_plan`` injects worker failures for the chaos suite
     (default: the ``REPRO_CAMPAIGN_FAULTS`` environment hook).
-    ``queue`` overrides the scheduling backend with any
-    :class:`~repro.campaign.queue.WorkQueue` (e.g. a
+    ``queue`` overrides the backend (e.g. a
     :class:`~repro.campaign.queue.SpoolQueue` shared with independent
-    worker processes); by default ``workers > 1`` drains through the
-    supervised pool and ``workers == 1`` runs serially in-process.
+    worker processes); by default ``workers > 1`` drains through a
+    :class:`~repro.campaign.pool.SupervisedPool` and ``workers == 1``
+    through :class:`Inline`.
 
     Raises if two jobs share an ``(experiment, key)`` identity — the
     reduce step could not tell their results apart.  A
     ``KeyboardInterrupt`` mid-campaign does *not* raise: completed
-    results are already flushed to the cache and the partial
+    results are already flushed to the store and the partial
     :class:`CampaignOutcome` comes back with ``stats.interrupted``.
     """
     job_list = list(jobs)
-    workers = resolve_workers(workers)
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     retry = retry if retry is not None else RetryPolicy()
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
-    seen_ids: Dict[Tuple[str, Hashable], Job] = {}
+    t0 = time.perf_counter()
+    seen_ids: Dict[Tuple[str, Hashable], str] = {}
+    by_digest: Dict[str, List[Job]] = {}
     for job in job_list:
         ident = (job.experiment, job.key)
-        if ident in seen_ids and seen_ids[ident].digest != job.digest:
+        if seen_ids.setdefault(ident, job.digest) != job.digest:
             raise ValueError(
                 f"conflicting jobs for {job.label}: same experiment/key, "
                 "different configs"
             )
-        seen_ids.setdefault(ident, job)
-
-    t0 = time.perf_counter()
-    by_digest: Dict[str, List[Job]] = {}
-    for job in job_list:
         by_digest.setdefault(job.digest, []).append(job)
 
     stats = CampaignStats(
@@ -410,7 +327,7 @@ def run_jobs(
 
     run = _Run(by_digest, stats, cache, manifest, progress)
     if cache is not None and not force:
-        for digest, group in by_digest.items():
+        for digest in by_digest:
             hit, value = cache.get(digest)
             if hit:
                 run.hit(digest, value)
@@ -422,15 +339,8 @@ def run_jobs(
             prior = (
                 manifest.failure_for(digest) if manifest is not None else None
             )
-            lead = by_digest[digest][0]
             if prior is None:
-                prior = JobFailure(
-                    digest=digest,
-                    experiment=lead.experiment,
-                    key=lead.key,
-                    label=lead.label,
-                    permanent=True,
-                )
+                prior = JobFailure.for_job(by_digest[digest][0], permanent=True)
             run.skip_known_failure(prior)
 
     finished = set(run.resolved)
@@ -441,27 +351,25 @@ def run_jobs(
         if digest not in finished
     ]
 
+    if queue is not None:
+        backend = queue
+    elif workers > 1:
+        backend = SupervisedPool(min(workers, max(2, len(pending))))
+    else:
+        backend = Inline()
     try:
-        if pending and queue is not None:
-            _drain_queue(
-                run,
+        while pending:
+            gave_up, pending = backend.drain(
                 pending,
-                queue,
                 retry=retry,
                 timeout_s=timeout_s,
                 fault_plan=fault_plan,
+                sink=run,
             )
-        elif pending and workers > 1:
-            _run_supervised(
-                run,
-                pending,
-                workers=min(workers, max(2, len(pending))),
-                retry=retry,
-                timeout_s=timeout_s,
-                fault_plan=fault_plan,
-            )
-        else:
-            _run_serial(run, pending, retry)
+            if gave_up is not None:
+                # The backend handed back what it did not finish.
+                stats.degraded_reason = gave_up
+                backend = Inline()
     except KeyboardInterrupt:
         stats.interrupted = True
 
@@ -479,7 +387,7 @@ def run_jobs(
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
-def quarantine_report(outcome: CampaignOutcome, *, verbose: bool = True) -> str:
+def quarantine_report(outcome: CampaignOutcome) -> str:
     """Human-readable quarantine section for the CLIs."""
     if not outcome.failures:
         return ""
@@ -497,7 +405,7 @@ def quarantine_report(outcome: CampaignOutcome, *, verbose: bool = True) -> str:
                 f"{record.detail}"
                 f" (pid {record.worker_pid}){backoff}"
             )
-        if verbose and failure.traceback:
+        if failure.traceback:
             lines.append("    last traceback:")
             for tb_line in failure.traceback.rstrip().splitlines():
                 lines.append(f"      {tb_line}")

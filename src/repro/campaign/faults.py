@@ -9,11 +9,12 @@ with byte-for-byte reproducible runs — the plan is pure data, matched
 by digest prefix and attempt number, with no randomness of its own.
 
 Faults apply **only inside worker processes** (``repro.campaign.pool``
-sets :data:`in_worker` after fork).  The serial in-process path and the
-degraded-to-serial fallback never consult the plan: a ``crash`` fault
+sets :data:`in_worker` after fork).  The inline backend and the
+degraded-to-inline fallback never consult the plan: a ``crash`` fault
 must never take down the supervising process, and "the pool keeps
-dying, serial still completes the campaign" is exactly the degradation
-contract under test.
+dying, inline still completes the campaign" is exactly the degradation
+contract under test.  (Job-level failures that must also happen inline
+come from an executor instead — :func:`fail_until`.)
 
 Plans are normally passed straight to
 :func:`repro.campaign.executor.run_jobs`; the ``REPRO_CAMPAIGN_FAULTS``
@@ -24,6 +25,7 @@ chaos tests.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ from typing import Optional, Tuple
 FAULTS_ENV = "REPRO_CAMPAIGN_FAULTS"
 
 #: Worker-side flag: ``pool._worker_main`` flips this after fork so
-#: fault actions can never fire in a supervising (or serial) process.
+#: fault actions can never fire in a supervising (or inline) process.
 in_worker = False
 
 #: What an injected fault does to the worker:
@@ -109,16 +111,7 @@ class FaultPlan:
         return None
 
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "digest_prefix": f.digest_prefix,
-                    "attempt": f.attempt,
-                    "action": f.action,
-                }
-                for f in self.faults
-            ]
-        )
+        return json.dumps([dataclasses.asdict(f) for f in self.faults])
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -191,6 +184,23 @@ def echo(params):
     if sleep_s:
         _time.sleep(sleep_s)
     return {"echo": params.get("value"), "params": dict(params)}
+
+
+def fail_until(params):
+    """Job executor that raises the builtin exception named
+    ``params["error"]`` until the file ``params["marker"]`` exists —
+    creating it on the way out, so the *next* attempt, in whichever
+    process runs it, succeeds like :func:`echo`.  Without a marker it
+    fails every time.  Unlike a fault plan this also fails inline.
+    Address it as ``"repro.campaign.faults:fail_until"``."""
+    import builtins
+
+    marker = params.get("marker")
+    if marker is None or not os.path.exists(marker):
+        if marker is not None:
+            open(marker, "w").close()
+        raise getattr(builtins, params["error"])("fail_until: not yet")
+    return echo(params)
 
 
 def unpicklable_result(params):

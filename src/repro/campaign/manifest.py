@@ -1,6 +1,6 @@
 """Per-campaign run manifests: the checkpoint behind ``--resume``.
 
-The :class:`~repro.campaign.cache.ResultCache` already makes re-runs
+The :class:`~repro.campaign.store.ResultStore` already makes re-runs
 incremental for *successful* jobs; the manifest adds the other half of
 the checkpoint: which digests this campaign has **finished with** —
 completed or quarantined — so a resumed run can (a) prove it executed
@@ -11,19 +11,20 @@ A manifest is one small JSON file, keyed by the *campaign digest* (a
 hash over the sorted unique job digests, so "the same sweep" resolves
 to the same manifest regardless of experiment order).  It is rewritten
 atomically after every job completion, which makes it safe to consult
-after a mid-sweep ``kill -9`` of the campaign process itself.
+after a mid-sweep ``kill -9`` of the campaign process itself.  Failure
+records are stored in :meth:`~repro.campaign.policy.JobFailure.to_dict`
+form, the same shape the spool's ``failed/`` records use.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
-from repro.campaign.policy import AttemptRecord, JobFailure
+from repro.campaign.policy import JobFailure
+from repro.campaign.store import atomic_write
 
 MANIFEST_VERSION = 1
 
@@ -32,32 +33,6 @@ def campaign_digest(digests: Iterable[str]) -> str:
     """Stable identity of a campaign: hash of its sorted unique digests."""
     joined = ",".join(sorted(set(digests)))
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
-
-
-def _failure_to_dict(failure: JobFailure) -> Dict:
-    return {
-        "digest": failure.digest,
-        "experiment": failure.experiment,
-        "key": repr(failure.key),
-        "label": failure.label,
-        "permanent": failure.permanent,
-        "traceback": failure.traceback,
-        "attempts": [dataclasses.asdict(a) for a in failure.attempts],
-    }
-
-
-def _failure_from_dict(data: Dict) -> JobFailure:
-    return JobFailure(
-        digest=data["digest"],
-        experiment=data["experiment"],
-        key=data["key"],
-        label=data["label"],
-        permanent=bool(data.get("permanent", False)),
-        traceback=data.get("traceback", ""),
-        attempts=[
-            AttemptRecord(**attempt) for attempt in data.get("attempts", [])
-        ],
-    )
 
 
 class RunManifest:
@@ -96,8 +71,7 @@ class RunManifest:
         return manifest
 
     def save(self) -> None:
-        """Atomic rewrite (tmp + rename), same discipline as the cache."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        """Atomic rewrite (tmp + rename), same discipline as the store."""
         payload = json.dumps(
             {
                 "version": MANIFEST_VERSION,
@@ -108,9 +82,7 @@ class RunManifest:
             indent=0,
             sort_keys=True,
         )
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        tmp.write_text(payload)
-        os.replace(tmp, self.path)
+        atomic_write(self.path, payload.encode())
 
     # ------------------------------------------------------------------
     def record_done(self, digest: str, attempts: int = 1) -> None:
@@ -119,13 +91,10 @@ class RunManifest:
         self.save()
 
     def record_failed(self, failure: JobFailure) -> None:
-        self.failed[failure.digest] = _failure_to_dict(failure)
+        self.failed[failure.digest] = failure.to_dict()
         self.completed.pop(failure.digest, None)
         self.save()
 
-    def prior_failures(self) -> List[JobFailure]:
-        return [_failure_from_dict(data) for data in self.failed.values()]
-
     def failure_for(self, digest: str) -> Optional[JobFailure]:
         data = self.failed.get(digest)
-        return None if data is None else _failure_from_dict(data)
+        return None if data is None else JobFailure.from_dict(data)

@@ -25,9 +25,10 @@ chaos suite asserts the schedule, not just "it retried".
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 #: Exception type names whose re-raise is certain: retrying burns
 #: attempts without new information, so they quarantine immediately.
@@ -113,6 +114,55 @@ class AttemptRecord:
     #: delay scheduled before the next attempt (None on the final one).
     backoff_s: Optional[float] = None
 
+    def to_dict(self) -> Dict[str, Any]:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "AttemptRecord":
+        """Lenient: a spool attempt line carries extra keys, and a torn
+        one may lack some."""
+        return cls(
+            attempt=int(data.get("attempt", 0)),
+            kind=str(data.get("kind", "crash")),
+            detail=str(data.get("detail", "")),
+            worker_pid=data.get("worker_pid"),
+            backoff_s=data.get("backoff_s"),
+        )
+
+
+def book(
+    retry: RetryPolicy,
+    digest: str,
+    attempt: int,
+    kind: str,
+    detail: str,
+    pid: Optional[int],
+    exc_type: Optional[str],
+) -> Tuple[AttemptRecord, bool]:
+    """The attempt state machine: one failed attempt in, retry or
+    quarantine out.
+
+    Returns ``(record, permanent)``.  The attempt is to be retried,
+    ``record.backoff_s`` seconds from now, iff ``record.backoff_s`` is
+    not ``None``; otherwise the job is quarantined.  Every backend books
+    through here, so the taxonomy and the seeded schedule cannot drift
+    between them.
+    """
+    record = AttemptRecord(
+        attempt=attempt, kind=kind, detail=detail, worker_pid=pid
+    )
+    permanent = is_permanent(kind, exc_type)
+    if not permanent and attempt < retry.max_attempts:
+        record.backoff_s = retry.backoff_s(digest, attempt)
+    return record, permanent
+
+
+def degrade_after(workers: int) -> int:
+    """Consecutive worker deaths (not timeouts) with no intervening
+    progress before a backend gives its remaining jobs back for inline
+    execution."""
+    return max(3, workers + 1)
+
 
 @dataclass
 class JobFailure:
@@ -127,6 +177,42 @@ class JobFailure:
     traceback: str = ""
     #: permanent classification (vs. transient attempts exhausted).
     permanent: bool = False
+
+    @classmethod
+    def for_job(
+        cls,
+        job,
+        attempts: Iterable[AttemptRecord] = (),
+        traceback: str = "",
+        permanent: bool = False,
+    ) -> "JobFailure":
+        return cls(
+            digest=job.digest,
+            experiment=job.experiment,
+            key=job.key,
+            label=job.label,
+            attempts=list(attempts),
+            traceback=traceback,
+            permanent=permanent,
+        )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON shape of manifests and spool ``failed/`` records."""
+        return {**dataclasses.asdict(self), "key": repr(self.key)}
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "JobFailure":
+        return cls(
+            digest=data["digest"],
+            experiment=data["experiment"],
+            key=data["key"],
+            label=data["label"],
+            permanent=bool(data.get("permanent", False)),
+            traceback=data.get("traceback", ""),
+            attempts=[
+                AttemptRecord.from_dict(a) for a in data.get("attempts", [])
+            ],
+        )
 
     def summary(self) -> str:
         kinds = ", ".join(a.kind for a in self.attempts)

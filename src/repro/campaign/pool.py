@@ -9,16 +9,20 @@ campaign with it.  This pool supervises instead of delegating:
   ``(digest, attempt)`` a dying worker was holding — a crash costs that
   one attempt, never the campaign;
 * results come back as ``(payload_bytes, sha256)`` and are verified
-  before unpickling, so a corrupted reply is an attempt failure, not a
-  cache entry;
+  before unpickling (:func:`decode_reply`), so a corrupted reply is an
+  attempt failure, not a store entry;
 * every assignment carries a wall-clock deadline; a hung worker is
   SIGKILLed at its deadline, the item retried on the
   :class:`~repro.campaign.policy.RetryPolicy`'s seeded backoff
   schedule, and a fresh worker spawned in its place;
 * repeated worker deaths with no intervening progress trip the
   *degradation* threshold: the pool shuts down and hands the remaining
-  items back to the caller for serial in-process execution (the
+  items back to the caller for inline in-process execution (the
   supervisor's own process is never at risk).
+
+The worker-side half — :func:`_execute_one` and its inverse
+:func:`decode_reply` — is also how the inline and spool backends run a
+job, so one reply format and one failure taxonomy serve all three.
 
 Scheduling is deterministic: ready items run in (ready-time, submission
 sequence) order, retries re-enter the queue at ``now + backoff`` with a
@@ -31,14 +35,12 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import multiprocessing
 import os
 import pickle
 import signal
 import time
 import traceback
-from multiprocessing import connection
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign import faults as faults_mod
 from repro.campaign.faults import FaultPlan
@@ -47,7 +49,8 @@ from repro.campaign.policy import (
     AttemptRecord,
     JobFailure,
     RetryPolicy,
-    is_permanent,
+    book,
+    degrade_after,
 )
 
 #: How long a worker may hang (seconds) when a fault plan says "hang";
@@ -61,7 +64,7 @@ _JOIN_S = 2.0
 
 
 # ----------------------------------------------------------------------
-# worker side
+# one attempt: shared by every backend
 # ----------------------------------------------------------------------
 def _flip_last_byte(payload: bytes) -> bytes:
     if not payload:
@@ -72,7 +75,9 @@ def _flip_last_byte(payload: bytes) -> bytes:
 def _execute_one(
     digest: str, job: Job, attempt: int, plan: Optional[FaultPlan]
 ) -> Tuple:
-    """Run one job in this worker; returns the reply tuple.
+    """Run one attempt of one job in this process; returns the reply
+    tuple.  Fault actions only fire in real worker processes
+    (:data:`repro.campaign.faults.in_worker`).
 
     Replies are primitive-only:
     ``("ok", digest, attempt, payload, sha256hex)`` or
@@ -123,6 +128,31 @@ def _execute_one(
     return ("ok", digest, attempt, payload, checksum)
 
 
+def decode_reply(reply: Tuple) -> Tuple:
+    """Verify and unpack an :func:`_execute_one` reply.
+
+    ``("ok", value)``, or ``("fail", kind, detail, exc_type, traceback)``
+    with ``kind`` from the :mod:`~repro.campaign.policy` taxonomy — the
+    arguments :func:`~repro.campaign.policy.book` wants.
+    """
+    if reply[0] == "ok":
+        _, _, _, payload, checksum = reply
+        if hashlib.sha256(payload).hexdigest() != checksum:
+            detail = f"payload checksum mismatch ({len(payload)} bytes)"
+            return ("fail", "corrupt-result", detail, None, "")
+        try:
+            return ("ok", pickle.loads(payload))
+        except Exception as exc:
+            detail = f"payload failed to unpickle: {type(exc).__name__}: {exc}"
+            return ("fail", "corrupt-result", detail, None, "")
+    _, _, _, exc_type, message, tb = reply
+    kind = "unpicklable" if exc_type == "UnpicklableResult" else "exception"
+    return ("fail", kind, f"{exc_type}: {message}", exc_type, tb)
+
+
+# ----------------------------------------------------------------------
+# worker side
+# ----------------------------------------------------------------------
 def _worker_main(conn, plan: Optional[FaultPlan]) -> None:
     """Long-lived worker loop: recv item, execute, send reply.
 
@@ -202,58 +232,47 @@ class _Worker:
 
 
 class PoolDegraded(Exception):
-    """Internal signal: too many worker deaths, fall back to serial."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+    """Internal signal: too many worker deaths, fall back to inline."""
 
 
 class SupervisedPool:
-    """Drives a set of work items through supervised workers.
+    """The ``workers > 1`` backend: drives work items through
+    supervised worker processes.
 
-    Callbacks (all invoked in the supervising process, in completion
-    order):
-
-    * ``on_result(digest, value)`` — a digest resolved;
-    * ``on_retry(digest, job, record)`` — an attempt failed, retry
-      scheduled after ``record.backoff_s``;
-    * ``on_failure(digest, job, failure)`` — a digest quarantined.
-
-    :meth:`run` returns ``(degraded_reason, remaining)`` where
-    ``remaining`` is the (deterministically ordered) list of
-    ``(digest, job)`` items not yet resolved when the pool degraded —
-    empty on a normal completion.  ``KeyboardInterrupt`` propagates
+    ``drain`` follows the contract in :mod:`repro.campaign.executor`;
+    every ``sink`` call happens in the supervising process, in
+    completion order.  When the pool degrades, the items it hands back
+    are deterministically ordered.  ``KeyboardInterrupt`` propagates
     after in-flight replies are drained and workers are killed.
     """
 
-    def __init__(
-        self,
-        *,
-        workers: int,
-        retry: RetryPolicy,
-        timeout_s: Optional[float],
-        fault_plan: Optional[FaultPlan],
-        on_result: Callable[[str, Any], None],
-        on_retry: Callable[[str, Job, AttemptRecord], None],
-        on_failure: Callable[[str, Job, JobFailure], None],
-        degrade_after: Optional[int] = None,
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 2:
             raise ValueError("SupervisedPool needs >= 2 workers")
         self.workers_n = workers
+
+    def drain(
+        self,
+        items: List[Tuple[str, Job]],
+        *,
+        retry: RetryPolicy,
+        timeout_s: Optional[float],
+        fault_plan: Optional[FaultPlan],
+        sink,
+    ) -> Tuple[Optional[str], List[Tuple[str, Job]]]:
+        # Imported here, not at module top: the inline backend shares
+        # this module's _execute_one/decode_reply, and a process that
+        # only ever runs inline (repro serve) should not pay for
+        # multiprocessing.
+        import multiprocessing
+        from multiprocessing import connection
+
         self.retry = retry
         self.timeout_s = timeout_s
         self.plan = fault_plan
-        self.on_result = on_result
-        self.on_retry = on_retry
-        self.on_failure = on_failure
-        #: consecutive worker deaths (not timeouts) with no intervening
-        #: reply before the pool declares itself unusable.
-        self.degrade_after = (
-            degrade_after if degrade_after is not None else max(3, workers + 1)
-        )
+        self.sink = sink
         self._ctx = multiprocessing.get_context()
+        self._wait = connection.wait
         self._workers: List[_Worker] = []
         self._wid_seq = 0
         self._seq = 0
@@ -262,6 +281,20 @@ class SupervisedPool:
         self._attempts: Dict[str, List[AttemptRecord]] = {}
         self._last_tb: Dict[str, str] = {}
         self._consecutive_deaths = 0
+        for digest, job in items:
+            self._push(digest, job, 1, 0.0)
+        for _ in range(min(self.workers_n, len(items))):
+            self._spawn()
+        try:
+            self._supervise()
+        except PoolDegraded as degraded:
+            return str(degraded), self._reclaim_remaining()
+        except KeyboardInterrupt:
+            self._drain_ready()
+            raise
+        finally:
+            self._shutdown()
+        return None, []
 
     # ------------------------------------------------------------------
     def _spawn(self) -> _Worker:
@@ -273,24 +306,6 @@ class SupervisedPool:
     def _push(self, digest: str, job: Job, attempt: int, ready_at: float) -> None:
         heapq.heappush(self._heap, (ready_at, self._seq, digest, job, attempt))
         self._seq += 1
-
-    # ------------------------------------------------------------------
-    def run(self, items: List[Tuple[str, Job]]) -> Tuple[Optional[str], List[Tuple[str, Job]]]:
-        for digest, job in items:
-            self._push(digest, job, 1, 0.0)
-        for _ in range(min(self.workers_n, len(items))):
-            self._spawn()
-        try:
-            self._supervise()
-        except PoolDegraded as degraded:
-            remaining = self._reclaim_remaining()
-            return degraded.reason, remaining
-        except KeyboardInterrupt:
-            self._drain_ready()
-            raise
-        finally:
-            self._shutdown()
-        return None, []
 
     # ------------------------------------------------------------------
     def _supervise(self) -> None:
@@ -318,7 +333,7 @@ class SupervisedPool:
                 # Died while idle: no attempt consumed — requeue the
                 # item and replace the worker.
                 self._push(digest, job, attempt, ready_at)
-                self._worker_died_idle(worker)
+                self._worker_died(worker)
                 continue
             worker.item = (digest, job, attempt)
             worker.deadline = (
@@ -338,7 +353,7 @@ class SupervisedPool:
     def _wait_and_collect(self, busy: List[_Worker], now: float) -> None:
         objects: List[Any] = [w.conn for w in busy]
         objects.extend(w.proc.sentinel for w in busy)
-        ready = connection.wait(objects, timeout=self._wait_timeout(busy, now))
+        ready = self._wait(objects, timeout=self._wait_timeout(busy, now))
         ready_set = set(ready)
         for worker in busy:
             if worker.conn in ready_set:
@@ -347,65 +362,44 @@ class SupervisedPool:
             if worker.item is None or worker not in self._workers:
                 continue
             if worker.proc.sentinel in ready_set:
-                self._worker_crashed(worker)
+                self._worker_died(worker)
 
     def _collect_reply(self, worker: _Worker) -> None:
         try:
             reply = worker.conn.recv()
         except (EOFError, OSError):
-            self._worker_crashed(worker)
+            self._worker_died(worker)
             return
         digest, job, attempt = worker.item
         worker.item = None
         worker.deadline = None
         self._consecutive_deaths = 0
+        reply = decode_reply(reply)
         if reply[0] == "ok":
-            _, _, _, payload, checksum = reply
-            if hashlib.sha256(payload).hexdigest() != checksum:
-                self._attempt_failed(
-                    digest, job, attempt, "corrupt-result",
-                    f"payload checksum mismatch ({len(payload)} bytes)",
-                    worker.pid,
-                )
-                return
-            try:
-                value = pickle.loads(payload)
-            except Exception as exc:
-                self._attempt_failed(
-                    digest, job, attempt, "corrupt-result",
-                    f"payload failed to unpickle: {type(exc).__name__}: {exc}",
-                    worker.pid,
-                )
-                return
-            self.on_result(digest, value)
+            self.sink.finish(digest, reply[1])
             return
-        _, _, _, exc_type, message, tb = reply
-        kind = "unpicklable" if exc_type == "UnpicklableResult" else "exception"
+        _, kind, detail, exc_type, tb = reply
         if tb:
             self._last_tb[digest] = tb
         self._attempt_failed(
-            digest, job, attempt, kind, f"{exc_type}: {message}",
-            worker.pid, exc_type=exc_type,
+            digest, job, attempt, kind, detail, worker.pid, exc_type
         )
 
     # ------------------------------------------------------------------
-    def _worker_died_idle(self, worker: _Worker) -> None:
+    def _worker_died(self, worker: _Worker) -> None:
+        """Reap and replace a dead worker; the item it held, if any,
+        costs a ``crash`` attempt (dying idle consumes none)."""
+        item, pid = worker.item, worker.pid
+        detail = f"worker pid {pid} {worker.death_detail()}"
         self._remove_worker(worker)
-        self._note_death()
-        self._spawn()
-
-    def _worker_crashed(self, worker: _Worker) -> None:
-        digest, job, attempt = worker.item
-        detail = f"worker pid {worker.pid} {worker.death_detail()}"
-        pid = worker.pid
-        self._remove_worker(worker)
-        self._attempt_failed(digest, job, attempt, "crash", detail, pid)
+        if item is not None:
+            self._attempt_failed(*item, "crash", detail, pid)
         self._note_death()
         self._spawn()
 
     def _note_death(self) -> None:
         self._consecutive_deaths += 1
-        if self._consecutive_deaths >= self.degrade_after:
+        if self._consecutive_deaths >= degrade_after(self.workers_n):
             raise PoolDegraded(
                 f"pool degraded to serial after {self._consecutive_deaths} "
                 "consecutive worker deaths without progress"
@@ -420,7 +414,7 @@ class SupervisedPool:
                 continue
             digest, job, attempt = worker.item
             pid = worker.pid
-            self._remove_worker(worker, kill=True)
+            self._remove_worker(worker)
             self._attempt_failed(
                 digest, job, attempt, "timeout",
                 f"exceeded {self.timeout_s:g}s wall clock; "
@@ -429,15 +423,8 @@ class SupervisedPool:
             )
             self._spawn()
 
-    def _remove_worker(self, worker: _Worker, kill: bool = False) -> None:
-        if kill:
-            worker.kill()
-        else:
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            worker.proc.join()
+    def _remove_worker(self, worker: _Worker) -> None:
+        worker.kill()  # a no-op signal for one already dead; reaps it
         if worker in self._workers:
             self._workers.remove(worker)
 
@@ -452,51 +439,38 @@ class SupervisedPool:
         pid: Optional[int],
         exc_type: Optional[str] = None,
     ) -> None:
-        record = AttemptRecord(
-            attempt=attempt, kind=kind, detail=detail, worker_pid=pid
+        record, permanent = book(
+            self.retry, digest, attempt, kind, detail, pid, exc_type
         )
         self._attempts.setdefault(digest, []).append(record)
-        permanent = is_permanent(kind, exc_type)
-        if not permanent and attempt < self.retry.max_attempts:
-            backoff = self.retry.backoff_s(digest, attempt)
-            record.backoff_s = backoff
-            self._push(digest, job, attempt + 1, time.monotonic() + backoff)
-            self.on_retry(digest, job, record)
+        if record.backoff_s is not None:
+            self._push(
+                digest, job, attempt + 1, time.monotonic() + record.backoff_s
+            )
+            self.sink.retried(digest, record)
             return
-        failure = JobFailure(
-            digest=digest,
-            experiment=job.experiment,
-            key=job.key,
-            label=job.label,
-            attempts=list(self._attempts[digest]),
-            traceback=self._last_tb.get(digest, ""),
-            permanent=permanent,
+        self.sink.quarantine(
+            JobFailure.for_job(
+                job,
+                self._attempts[digest],
+                self._last_tb.get(digest, ""),
+                permanent,
+            )
         )
-        self.on_failure(digest, job, failure)
 
     # ------------------------------------------------------------------
     def _reclaim_remaining(self) -> List[Tuple[str, Job]]:
-        """Queued + in-flight items, in deterministic sequence order."""
-        entries = list(self._heap)
-        self._heap.clear()
-        reclaimed = [
-            (seq, digest, job) for (_, seq, digest, job, _) in entries
-        ]
+        """Queued items in submission-sequence order, then in-flight
+        ones (a digest is only ever one or the other)."""
+        queued = sorted(
+            (seq, digest, job) for (_, seq, digest, job, _) in self._heap
+        )
+        remaining = [(digest, job) for _, digest, job in queued]
         for worker in self._workers:
             if worker.item is not None:
-                digest, job, _ = worker.item
-                # In-flight items keep their original relative order by
-                # using the sequence the pool would assign next.
-                reclaimed.append((self._seq, digest, job))
-                self._seq += 1
+                remaining.append(worker.item[:2])
                 worker.item = None
-        reclaimed.sort(key=lambda entry: entry[0])
-        seen = set()
-        remaining = []
-        for _, digest, job in reclaimed:
-            if digest not in seen:
-                seen.add(digest)
-                remaining.append((digest, job))
+        self._heap.clear()
         return remaining
 
     def _drain_ready(self) -> None:
@@ -505,7 +479,7 @@ class SupervisedPool:
         if not busy:
             return
         try:
-            ready = connection.wait([w.conn for w in busy], timeout=_DRAIN_S)
+            ready = self._wait([w.conn for w in busy], timeout=_DRAIN_S)
         except OSError:
             return
         for worker in busy:

@@ -1,23 +1,17 @@
-"""Pluggable work queues: the scheduling layer of the campaign stack.
+"""The filesystem spool: the backend whose workers are independent
+processes.
 
-The executor used to be welded to one backend — the in-process
-:class:`~repro.campaign.pool.SupervisedPool`.  This module puts a thin
-:class:`WorkQueue` interface in front of scheduling and provides two
-backends with identical failure semantics (same
-:class:`~repro.campaign.policy.RetryPolicy` backoff schedule, same
-permanent/transient taxonomy, same quarantine records, same
-:class:`~repro.campaign.faults.FaultPlan` injection inside worker
-processes):
-
-* :class:`PoolQueue` — the existing supervised pool, unchanged: one
-  coordinating process, long-lived worker children on pipes;
-* :class:`SpoolQueue` — a **filesystem spool**: jobs are pickled
-  envelopes in a shared directory, claimed by atomic ``os.rename`` (the
-  rename either succeeds for exactly one claimant or raises — no locks,
-  works over a shared filesystem), executed by any number of
-  *independent* worker processes (``repro campaign worker``) that write
-  results straight into the shared
-  :class:`~repro.campaign.store.ResultStore`.
+:class:`SpoolQueue` is the third ``drain`` (contract and shared parts:
+:mod:`repro.campaign.executor`), so the attempt, the reply check, the
+backoff schedule, the permanent/transient taxonomy, the quarantine
+records and :class:`~repro.campaign.faults.FaultPlan` injection inside
+worker processes are the shared ones.  What it adds is the transport:
+jobs are pickled envelopes in a shared directory, claimed by atomic
+``os.rename`` (the rename either succeeds for exactly one claimant or
+raises — no locks, works over a shared filesystem), executed by any
+number of *independent* worker processes (``repro campaign worker``)
+that write results straight into the shared
+:class:`~repro.campaign.store.ResultStore`.
 
 Spool liveness is lease-based: a claim is accompanied by a heartbeat
 file the owner touches while working.  A worker that dies — SIGKILL,
@@ -37,7 +31,8 @@ Spool layout, under one root directory::
     claims/<digest>.job    leased envelopes (atomic rename from jobs/)
     claims/<digest>.hb     heartbeat (mtime = lease freshness)
     attempts/<digest>.jsonl  one line per failed attempt
-    failed/<digest>.json   quarantine record (attempts exhausted)
+                           (AttemptRecord.to_dict + requeued, traceback)
+    failed/<digest>.json   quarantine record (JobFailure.to_dict)
 
 Results never pass through the spool: workers write them to the result
 store (checksummed, atomic), and the coordinator detects completion by
@@ -46,7 +41,7 @@ digest presence — which also makes enqueue/execute idempotent.
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 import json
 import os
 import pickle
@@ -60,18 +55,21 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.campaign import faults as faults_mod
 from repro.campaign.faults import FaultPlan
 from repro.campaign.job import Job
-from repro.campaign.manifest import _failure_from_dict, _failure_to_dict
 from repro.campaign.policy import (
     AttemptRecord,
     JobFailure,
     RetryPolicy,
-    is_permanent,
+    book,
+    degrade_after,
 )
-from repro.campaign.store import ResultStore, job_meta
-
-OnResult = Callable[[str, Any], None]
-OnRetry = Callable[[str, Job, AttemptRecord], None]
-OnFailure = Callable[[str, Job, JobFailure], None]
+from repro.campaign.pool import _execute_one, decode_reply
+from repro.campaign.store import (
+    ResultStore,
+    _pid_alive,
+    append_json_line,
+    atomic_write,
+    unlink_quietly,
+)
 
 SPOOL_VERSION = 1
 CONFIG_NAME = "policy.json"
@@ -81,70 +79,10 @@ CONFIG_NAME = "policy.json"
 DEFAULT_LEASE_S = 30.0
 
 #: Coordinator/worker poll interval when nothing is ready.
-DEFAULT_POLL_S = 0.05
+POLL_S = 0.05
 
-
-class WorkQueue:
-    """Interface the executor drains pending work through.
-
-    ``drain(items, ...)`` runs every ``(digest, job)`` item to a
-    terminal state — ``on_result`` / ``on_failure`` exactly once per
-    digest, ``on_retry`` per rescheduled attempt — and returns
-    ``(degraded_reason, remaining)``: ``(None, [])`` on normal
-    completion, or a reason string plus the deterministically-ordered
-    unresolved items when the backend gave up and the caller should
-    fall back to serial in-process execution.
-    """
-
-    backend = "abstract"
-
-    def drain(
-        self,
-        items: List[Tuple[str, Job]],
-        *,
-        retry: RetryPolicy,
-        timeout_s: Optional[float],
-        fault_plan: Optional[FaultPlan],
-        on_result: OnResult,
-        on_retry: OnRetry,
-        on_failure: OnFailure,
-    ) -> Tuple[Optional[str], List[Tuple[str, Job]]]:
-        raise NotImplementedError
-
-
-class PoolQueue(WorkQueue):
-    """The supervised in-process pool behind the queue interface."""
-
-    backend = "pool"
-
-    def __init__(self, workers: int) -> None:
-        if workers < 2:
-            raise ValueError("PoolQueue needs >= 2 workers")
-        self.workers = workers
-
-    def drain(
-        self,
-        items: List[Tuple[str, Job]],
-        *,
-        retry: RetryPolicy,
-        timeout_s: Optional[float],
-        fault_plan: Optional[FaultPlan],
-        on_result: OnResult,
-        on_retry: OnRetry,
-        on_failure: OnFailure,
-    ) -> Tuple[Optional[str], List[Tuple[str, Job]]]:
-        from repro.campaign.pool import SupervisedPool
-
-        pool = SupervisedPool(
-            workers=self.workers,
-            retry=retry,
-            timeout_s=timeout_s,
-            fault_plan=fault_plan,
-            on_result=on_result,
-            on_retry=on_retry,
-            on_failure=on_failure,
-        )
-        return pool.run(list(items))
+#: How long a coordinator-spawned worker lingers on a drained spool.
+SPAWNED_IDLE_EXIT_S = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -174,24 +112,12 @@ def init_spool(root) -> Path:
     return root
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def save_config(root, cfg: SpoolConfig) -> None:
     root = init_spool(root)
     payload = {
         "version": SPOOL_VERSION,
         "store_root": cfg.store_root,
-        "retry": {
-            "max_attempts": cfg.retry.max_attempts,
-            "backoff_base_s": cfg.retry.backoff_base_s,
-            "backoff_factor": cfg.retry.backoff_factor,
-            "jitter_frac": cfg.retry.jitter_frac,
-            "seed": cfg.retry.seed,
-        },
+        "retry": dataclasses.asdict(cfg.retry),
         "timeout_s": cfg.timeout_s,
         "lease_s": cfg.lease_s,
         "fault_plan": (
@@ -200,7 +126,7 @@ def save_config(root, cfg: SpoolConfig) -> None:
             else json.loads(cfg.fault_plan.to_json())
         ),
     }
-    _atomic_write(
+    atomic_write(
         root / CONFIG_NAME,
         (json.dumps(payload, indent=0, sort_keys=True) + "\n").encode(),
     )
@@ -229,7 +155,7 @@ def load_config(root) -> Optional[SpoolConfig]:
 def _write_envelope(
     path: Path, digest: str, job: Job, ready_at: float
 ) -> None:
-    _atomic_write(
+    atomic_write(
         path,
         pickle.dumps(
             {"digest": digest, "job": job, "ready_at": ready_at},
@@ -272,31 +198,14 @@ def enqueue(root, cfg: SpoolConfig, items: List[Tuple[str, Job]]) -> int:
     save_config(root, cfg)
     dirs = _dirs(root)
     now = time.time()
-    queued = 0
     for digest, job in items:
-        for stale in (
-            dirs["failed"] / f"{digest}.json",
-            dirs["attempts"] / f"{digest}.jsonl",
-        ):
-            try:
-                stale.unlink()
-            except OSError:
-                pass
+        unlink_quietly(dirs["failed"] / f"{digest}.json")
+        unlink_quietly(dirs["attempts"] / f"{digest}.jsonl")
         claim = dirs["claims"] / f"{digest}.job"
-        try:
-            if now - claim.stat().st_mtime > cfg.lease_s:
-                hb = claim.with_suffix(".hb")
-                if not hb.exists() or now - hb.stat().st_mtime > cfg.lease_s:
-                    claim.unlink()
-                    try:
-                        hb.unlink()
-                    except OSError:
-                        pass
-        except OSError:
-            pass
+        if _lease_expired(cfg, now, claim.with_suffix(".hb"), claim):
+            _release(claim)
         _write_envelope(dirs["jobs"] / f"{digest}.job", digest, job, 0.0)
-        queued += 1
-    return queued
+    return len(items)
 
 
 # ----------------------------------------------------------------------
@@ -319,32 +228,29 @@ def _attempt_lines(root: Path, digest: str) -> List[Dict[str, Any]]:
     return lines
 
 
-def _append_attempt(root: Path, digest: str, line: Dict[str, Any]) -> None:
-    path = _dirs(root)["attempts"] / f"{digest}.jsonl"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # One O_APPEND write per line: concurrent workers interleave at
-    # line granularity.
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(line, sort_keys=True) + "\n")
-        fh.flush()
-
-
-def _record_from_line(line: Dict[str, Any]) -> AttemptRecord:
-    return AttemptRecord(
-        attempt=int(line.get("attempt", 0)),
-        kind=str(line.get("kind", "crash")),
-        detail=str(line.get("detail", "")),
-        worker_pid=line.get("worker_pid"),
-        backoff_s=line.get("backoff_s"),
-    )
-
-
 def _release(claim_path: Path) -> None:
-    for path in (claim_path, claim_path.with_suffix(".hb")):
+    unlink_quietly(claim_path)
+    unlink_quietly(claim_path.with_suffix(".hb"))
+
+
+def _lease_expired(cfg: SpoolConfig, now: float, *vouchers: Path) -> bool:
+    """Whether the first of ``vouchers`` that exists (a claim's
+    heartbeat, else the claim file itself) was last touched more than
+    ``lease_s`` ago.  No voucher at all is not a lease."""
+    for path in vouchers:
         try:
-            path.unlink()
+            return now - path.stat().st_mtime > cfg.lease_s
         except OSError:
-            pass
+            continue
+    return False
+
+
+def _lease_owner(hb_path: Path) -> Optional[int]:
+    """The pid a heartbeat file names, if it can still be read."""
+    try:
+        return json.loads(hb_path.read_text()).get("pid")
+    except (OSError, ValueError):
+        return None
 
 
 def _fail_attempt(
@@ -368,49 +274,34 @@ def _fail_attempt(
     attempt count by one reclaim — never lose the failure.  Returns
     ``"requeued"`` or ``"failed"``.
     """
-    record = AttemptRecord(
-        attempt=attempt, kind=kind, detail=detail, worker_pid=pid
+    record, permanent = book(
+        cfg.retry, digest, attempt, kind, detail, pid, exc_type
     )
-    permanent = is_permanent(kind, exc_type)
-    requeue = not permanent and attempt < cfg.retry.max_attempts
-    if requeue:
-        record.backoff_s = cfg.retry.backoff_s(digest, attempt)
-    _append_attempt(
-        root,
-        digest,
-        {
-            "attempt": record.attempt,
-            "kind": record.kind,
-            "detail": record.detail,
-            "worker_pid": record.worker_pid,
-            "backoff_s": record.backoff_s,
-            "requeued": requeue,
-            "traceback": tb,
-        },
+    requeue = record.backoff_s is not None
+    append_json_line(
+        _dirs(root)["attempts"] / f"{digest}.jsonl",
+        {**record.to_dict(), "requeued": requeue, "traceback": tb},
     )
     if requeue:
         _write_envelope(
             _dirs(root)["jobs"] / f"{digest}.job",
             digest,
             job,
-            time.time() + (record.backoff_s or 0.0),
+            time.time() + record.backoff_s,
         )
         _release(claim_path)
         return "requeued"
     lines = _attempt_lines(root, digest)
     tracebacks = [l.get("traceback", "") for l in lines if l.get("traceback")]
-    failure = JobFailure(
-        digest=digest,
-        experiment=job.experiment,
-        key=job.key,
-        label=job.label,
-        attempts=[_record_from_line(l) for l in lines],
-        traceback=tracebacks[-1] if tracebacks else tb,
-        permanent=permanent,
+    failure = JobFailure.for_job(
+        job,
+        [AttemptRecord.from_dict(l) for l in lines],
+        tracebacks[-1] if tracebacks else tb,
+        permanent,
     )
-    _atomic_write(
+    atomic_write(
         _dirs(root)["failed"] / f"{digest}.json",
-        (json.dumps(_failure_to_dict(failure), sort_keys=True) + "\n").encode(),
+        (json.dumps(failure.to_dict(), sort_keys=True) + "\n").encode(),
     )
     _release(claim_path)
     return "failed"
@@ -419,7 +310,7 @@ def _fail_attempt(
 def load_failure(root, digest: str) -> Optional[JobFailure]:
     path = _dirs(Path(root))["failed"] / f"{digest}.json"
     try:
-        return _failure_from_dict(json.loads(path.read_text()))
+        return JobFailure.from_dict(json.loads(path.read_text()))
     except (OSError, ValueError, KeyError):
         return None
 
@@ -427,6 +318,27 @@ def load_failure(root, digest: str) -> Optional[JobFailure]:
 # ----------------------------------------------------------------------
 # claiming and leases
 # ----------------------------------------------------------------------
+def _take(src: Path, dst: Path) -> bool:
+    """Claim by rename: it succeeds for exactly one contender.
+
+    The winner's file is fresh-stamped.  Rename preserves mtime (=
+    enqueue time) and lease freshness must start *now*, or a job that
+    sat queued longer than ``lease_s`` is reclaimable the instant it is
+    claimed — before the heartbeat file exists; likewise a reclaim in
+    progress must look live so nobody sweeps it out from under its
+    reclaimer while the attempt is booked.
+    """
+    try:
+        os.rename(src, dst)
+    except OSError:
+        return False  # lost the race
+    try:
+        os.utime(dst)
+    except OSError:
+        pass
+    return True
+
+
 def claim_next(
     root: Path, now: Optional[float] = None
 ) -> Tuple[str, Optional[str], Optional[Job], Optional[Path]]:
@@ -452,19 +364,8 @@ def claim_next(
         if float(env.get("ready_at", 0.0)) > now:
             continue
         claim_path = dirs["claims"] / path.name
-        try:
-            os.rename(path, claim_path)
-        except OSError:
-            continue  # lost the race to another claimant
-        try:
-            # rename preserves mtime (= enqueue time); lease freshness
-            # must start *now*, or a job that sat queued longer than
-            # lease_s is reclaimable the instant it is claimed — before
-            # the heartbeat file exists.
-            os.utime(claim_path)
-        except OSError:
-            pass
-        return "claimed", env["digest"], env["job"], claim_path
+        if _take(path, claim_path):
+            return "claimed", env["digest"], env["job"], claim_path
     return ("wait" if saw_pending else "empty"), None, None, None
 
 
@@ -509,45 +410,41 @@ class _Lease(threading.Thread):
         )
 
     def run(self) -> None:
+        timeout_s = self.cfg.timeout_s
         while not self.stop_event.wait(self.interval):
             try:
                 os.utime(self.hb_path)
             except OSError:
                 pass
-            timeout_s = self.cfg.timeout_s
             if (
                 timeout_s is not None
                 and time.monotonic() - self.started_at > timeout_s
             ):
-                exiting = faults_mod.in_worker
-                try:
-                    if self.claim_path.exists():
-                        _fail_attempt(
-                            self.root,
-                            self.cfg,
-                            self.digest,
-                            self.job,
-                            self.attempt,
-                            kind="timeout",
-                            detail=(
-                                f"exceeded {timeout_s:g}s wall clock; "
-                                + (
-                                    f"worker pid {os.getpid()} "
-                                    "self-terminated"
-                                    if exiting
-                                    else f"coordinator pid {os.getpid()} "
-                                    "released the claim"
-                                )
-                            ),
-                            pid=os.getpid(),
-                            claim_path=self.claim_path,
-                        )
-                finally:
-                    if exiting:
-                        # A hung simulation cannot be interrupted from
-                        # a thread; exiting the process is the kill.
-                        os._exit(124)
+                self._overrun(timeout_s)
                 return
+
+    def _overrun(self, timeout_s: float) -> None:
+        pid = os.getpid()
+        exiting = faults_mod.in_worker
+        fate = (
+            f"worker pid {pid} self-terminated"
+            if exiting
+            else f"coordinator pid {pid} released the claim"
+        )
+        try:
+            if self.claim_path.exists():
+                _fail_attempt(
+                    self.root, self.cfg, self.digest, self.job, self.attempt,
+                    kind="timeout",
+                    detail=f"exceeded {timeout_s:g}s wall clock; {fate}",
+                    pid=pid,
+                    claim_path=self.claim_path,
+                )
+        finally:
+            if exiting:
+                # A hung simulation cannot be interrupted from a
+                # thread; exiting the process is the kill.
+                os._exit(124)
 
     def release(self) -> None:
         self.stop_event.set()
@@ -555,23 +452,11 @@ class _Lease(threading.Thread):
 
 
 def _take_for_reclaim(claim: Path) -> Optional[Path]:
-    """Rename ``claim`` into this process's reclaim name, fresh-stamped.
-
-    The rename either wins or loses to a concurrent reclaimer; the
-    ``utime`` marks the reclaim-in-progress as live so nobody sweeps it
-    out from under us while we book the attempt.
-    """
+    """Rename ``claim`` into this process's reclaim name, or ``None``
+    when a concurrent reclaimer won."""
     base = claim.name.split(".reclaim.")[0]
     taken = claim.with_name(f"{base}.reclaim.{os.getpid()}")
-    try:
-        os.rename(claim, taken)
-    except OSError:
-        return None  # another reclaimer won
-    try:
-        os.utime(taken)
-    except OSError:
-        pass
-    return taken
+    return taken if _take(claim, taken) else None
 
 
 def _book_expired(root: Path, cfg: SpoolConfig, taken: Path) -> bool:
@@ -582,11 +467,7 @@ def _book_expired(root: Path, cfg: SpoolConfig, taken: Path) -> bool:
         return False
     digest, job = env["digest"], env["job"]
     hb = _dirs(root)["claims"] / f"{digest}.hb"
-    owner_pid = None
-    try:
-        owner_pid = json.loads(hb.read_text()).get("pid")
-    except (OSError, ValueError):
-        pass
+    owner_pid = _lease_owner(hb)
     attempt = len(_attempt_lines(root, digest)) + 1
     _fail_attempt(
         root,
@@ -602,10 +483,7 @@ def _book_expired(root: Path, cfg: SpoolConfig, taken: Path) -> bool:
         pid=owner_pid,
         claim_path=taken,
     )
-    try:
-        hb.unlink()
-    except OSError:
-        pass
+    unlink_quietly(hb)
     return True
 
 
@@ -619,30 +497,24 @@ def reclaim_expired(root, cfg: SpoolConfig) -> int:
     so stale reclaim files are themselves swept as expired claims.
     """
     root = Path(root)
-    dirs = _dirs(root)
+    claims = _dirs(root)["claims"]
     now = time.time()
+    candidates = [
+        (claim, (claim.with_suffix(".hb"), claim))
+        for claim in sorted(claims.glob("*.job"))
+    ]
+    # A stranded reclaim has only its own mtime to vouch for it (the
+    # stale heartbeat is why it was taken): fresh means its reclaimer
+    # may still be booking it.
+    candidates += [
+        (stranded, (stranded,))
+        for stranded in sorted(claims.glob("*.job.reclaim.*"))
+    ]
     reclaimed = 0
-    for claim in sorted(dirs["claims"].glob("*.job")):
-        hb = claim.with_suffix(".hb")
-        try:
-            ref = hb.stat().st_mtime
-        except OSError:
-            try:
-                ref = claim.stat().st_mtime
-            except OSError:
-                continue
-        if now - ref <= cfg.lease_s:
+    for claim, vouchers in candidates:
+        if not _lease_expired(cfg, now, *vouchers):
             continue
         taken = _take_for_reclaim(claim)
-        if taken is not None and _book_expired(root, cfg, taken):
-            reclaimed += 1
-    for stranded in sorted(dirs["claims"].glob("*.job.reclaim.*")):
-        try:
-            if now - stranded.stat().st_mtime <= cfg.lease_s:
-                continue  # its reclaimer may still be booking it
-        except OSError:
-            continue
-        taken = _take_for_reclaim(stranded)
         if taken is not None and _book_expired(root, cfg, taken):
             reclaimed += 1
     return reclaimed
@@ -651,27 +523,17 @@ def reclaim_expired(root, cfg: SpoolConfig) -> int:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-def _store_result(store, digest: str, job: Job, value: Any) -> None:
-    if isinstance(store, ResultStore):
-        store.put(digest, value, meta=job_meta(job))
-    else:
-        store.put(digest, value)
-
-
-def process_one(root, cfg: SpoolConfig, store) -> str:
+def process_one(root, cfg: SpoolConfig, store: ResultStore) -> str:
     """Claim and run one ready job; returns what happened.
 
     ``"done"`` / ``"requeued"`` / ``"failed"`` after holding a claim,
     ``"wait"`` when work exists but nothing is ready, ``"empty"`` when
-    the spool is drained.  Execution goes through the pool's
-    :func:`~repro.campaign.pool._execute_one`, so fault injection,
-    result checksumming and the failure taxonomy are byte-identical to
-    the supervised backend; faults still only fire when
-    :data:`repro.campaign.faults.in_worker` is set, i.e. in real worker
-    processes, never in a coordinating one.
+    the spool is drained.  The attempt and its reply check are the
+    shared :func:`~repro.campaign.pool._execute_one` and
+    :func:`~repro.campaign.pool.decode_reply`; faults still only fire
+    when :data:`repro.campaign.faults.in_worker` is set, i.e. in real
+    worker processes, never in a coordinating one.
     """
-    from repro.campaign.pool import _execute_one
-
     root = Path(root)
     status, digest, job, claim_path = claim_next(root)
     if status != "claimed":
@@ -683,37 +545,16 @@ def process_one(root, cfg: SpoolConfig, store) -> str:
         reply = _execute_one(digest, job, attempt, cfg.fault_plan)
     finally:
         lease.release()
+    reply = decode_reply(reply)
     if reply[0] == "ok":
-        _, _, _, payload, checksum = reply
-        if hashlib.sha256(payload).hexdigest() != checksum:
-            return _fail_attempt(
-                root, cfg, digest, job, attempt,
-                kind="corrupt-result",
-                detail=f"payload checksum mismatch ({len(payload)} bytes)",
-                pid=os.getpid(), claim_path=claim_path,
-            )
-        try:
-            value = pickle.loads(payload)
-        except Exception as exc:
-            return _fail_attempt(
-                root, cfg, digest, job, attempt,
-                kind="corrupt-result",
-                detail=(
-                    f"payload failed to unpickle: "
-                    f"{type(exc).__name__}: {exc}"
-                ),
-                pid=os.getpid(), claim_path=claim_path,
-            )
-        _store_result(store, digest, job, value)
+        store.put_for_job(job, reply[1])
         _release(claim_path)
         return "done"
-    _, _, _, exc_type, message, tb = reply
-    kind = "unpicklable" if exc_type == "UnpicklableResult" else "exception"
+    _, kind, detail, exc_type, tb = reply
     return _fail_attempt(
         root, cfg, digest, job, attempt,
-        kind=kind, detail=f"{exc_type}: {message}",
-        pid=os.getpid(), claim_path=claim_path,
-        exc_type=exc_type, tb=tb,
+        kind=kind, detail=detail, pid=os.getpid(),
+        claim_path=claim_path, exc_type=exc_type, tb=tb,
     )
 
 
@@ -721,10 +562,9 @@ def worker_loop(
     root,
     *,
     idle_exit_s: float = 5.0,
-    poll_s: float = DEFAULT_POLL_S,
     as_worker: bool = True,
     max_jobs: Optional[int] = None,
-    progress: Optional[Callable[[str, str], None]] = None,
+    progress: Optional[Callable[[str], None]] = None,
 ) -> int:
     """Drain a spool: the body of ``repro campaign worker``.
 
@@ -742,22 +582,20 @@ def worker_loop(
     processed = 0
     idle_since: Optional[float] = None
     store = None
-    store_root = None
     while True:
         cfg = load_config(root)
         if cfg is None:
             status = "empty"  # not initialised yet — same grace period
         else:
-            if store is None or store_root != cfg.store_root:
+            if store is None or str(store.root) != cfg.store_root:
                 store = ResultStore(cfg.store_root)
-                store_root = cfg.store_root
             reclaim_expired(root, cfg)
             status = process_one(root, cfg, store)
         if status in ("done", "requeued", "failed"):
             processed += 1
             idle_since = None
             if progress is not None:
-                progress(status, "")
+                progress(status)
             if max_jobs is not None and processed >= max_jobs:
                 return processed
             continue
@@ -769,50 +607,46 @@ def worker_loop(
                 return processed
         else:  # "wait": backoff-delayed or leased elsewhere — stay
             idle_since = None
-        time.sleep(poll_s)
+        time.sleep(POLL_S)
 
 
-def _spawned_worker_main(root, idle_exit_s: float) -> None:
+def _spawned_worker_main(root) -> None:
     """Entry point for coordinator-spawned spool worker processes."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    worker_loop(root, idle_exit_s=idle_exit_s, as_worker=True)
+    worker_loop(root, idle_exit_s=SPAWNED_IDLE_EXIT_S, as_worker=True)
 
 
 # ----------------------------------------------------------------------
 # the coordinating side
 # ----------------------------------------------------------------------
-class SpoolQueue(WorkQueue):
+class SpoolQueue:
     """Drain a campaign through a filesystem spool.
 
     The coordinator enqueues the items, optionally spawns ``workers``
     local worker processes, and then *observes*: results appear in the
     shared ``store``, quarantines in ``failed/``, retries in the
-    attempt log.  Independent ``repro campaign worker`` processes —
-    started by hand, by CI, or on other hosts sharing the directory —
-    join the same drain at any time.  ``workers=0`` relies entirely on
-    such external workers (set ``participate=True`` to have the
-    coordinator claim jobs itself, with fault injection off, mirroring
-    the pool's serial path).
+    attempt log — and it reports each into the run's ``sink`` exactly
+    as the other backends do.  Independent ``repro campaign worker``
+    processes — started by hand, by CI, or on other hosts sharing the
+    directory — join the same drain at any time.  ``workers=0`` relies
+    entirely on such external workers (set ``participate=True`` to have
+    the coordinator claim jobs itself, with fault injection off, like
+    the inline backend).
 
     A storm of spawned-worker deaths with no progress (no result, no
     quarantine, no new attempt line) degrades exactly like the pool:
     remaining jobs are withdrawn from the spool and handed back for
-    serial in-process execution.
+    inline execution.
     """
-
-    backend = "spool"
 
     def __init__(
         self,
         root,
-        store,
+        store: ResultStore,
         *,
         workers: int = 1,
         participate: bool = False,
         lease_s: float = DEFAULT_LEASE_S,
-        poll_s: float = DEFAULT_POLL_S,
-        degrade_after: Optional[int] = None,
-        worker_idle_exit_s: float = 0.5,
     ) -> None:
         if workers < 0:
             raise ValueError("SpoolQueue workers must be >= 0")
@@ -821,19 +655,12 @@ class SpoolQueue(WorkQueue):
         self.workers = workers
         self.participate = participate
         self.lease_s = lease_s
-        self.poll_s = poll_s
-        self.degrade_after = (
-            degrade_after
-            if degrade_after is not None
-            else max(3, workers + 1)
-        )
-        self.worker_idle_exit_s = worker_idle_exit_s
 
     # ------------------------------------------------------------------
     def _spawn(self, ctx):
         proc = ctx.Process(
             target=_spawned_worker_main,
-            args=(str(self.root), self.worker_idle_exit_s),
+            args=(str(self.root),),
             daemon=True,
             name="repro-spool-worker",
         )
@@ -847,9 +674,7 @@ class SpoolQueue(WorkQueue):
         retry: RetryPolicy,
         timeout_s: Optional[float],
         fault_plan: Optional[FaultPlan],
-        on_result: OnResult,
-        on_retry: OnRetry,
-        on_failure: OnFailure,
+        sink,
     ) -> Tuple[Optional[str], List[Tuple[str, Job]]]:
         import multiprocessing
 
@@ -860,8 +685,7 @@ class SpoolQueue(WorkQueue):
             fault_plan=fault_plan,
             lease_s=self.lease_s,
         )
-        order = [digest for digest, _ in items]
-        pending: Dict[str, Job] = dict(items)
+        pending: Dict[str, Job] = dict(items)  # keeps submission order
         enqueue(self.root, cfg, items)
         ctx = multiprocessing.get_context()
         procs = [self._spawn(ctx) for _ in range(self.workers)]
@@ -876,19 +700,19 @@ class SpoolQueue(WorkQueue):
                     lines = _attempt_lines(self.root, digest)
                     requeued = [l for l in lines if l.get("requeued")]
                     for line in requeued[retries_seen[digest]:]:
-                        on_retry(digest, job, _record_from_line(line))
+                        sink.retried(digest, AttemptRecord.from_dict(line))
                         progressed = True
                     retries_seen[digest] = len(requeued)
                     failure = load_failure(self.root, digest)
                     if failure is not None:
-                        on_failure(digest, job, failure)
+                        sink.quarantine(failure)
                         del pending[digest]
                         progressed = True
                         continue
                     if self.store.contains(digest):
                         hit, value = self.store.get(digest)
                         if hit:
-                            on_result(digest, value)
+                            sink.finish(digest, value)
                             del pending[digest]
                             progressed = True
                         else:
@@ -906,17 +730,16 @@ class SpoolQueue(WorkQueue):
                     proc.join()
                     deaths += 1
                     procs[index] = self._spawn(ctx)
-                if self.workers > 0 and deaths >= self.degrade_after:
-                    remaining = self._withdraw(order, pending)
+                if self.workers > 0 and deaths >= degrade_after(self.workers):
                     return (
                         f"spool degraded to serial after {deaths} "
                         "consecutive worker deaths without progress",
-                        remaining,
+                        self._withdraw(pending),
                     )
                 if self.participate and self.workers == 0:
                     process_one(self.root, cfg, self.store)
                     continue  # immediately re-check for the result
-                time.sleep(self.poll_s)
+                time.sleep(POLL_S)
         finally:
             for proc in procs:
                 if proc.is_alive():
@@ -928,19 +751,15 @@ class SpoolQueue(WorkQueue):
         return None, []
 
     # ------------------------------------------------------------------
-    def _withdraw(
-        self, order: List[str], pending: Dict[str, Job]
-    ) -> List[Tuple[str, Job]]:
-        """Pull unresolved jobs out of the spool for the serial fallback.
+    def _withdraw(self, pending: Dict[str, Job]) -> List[Tuple[str, Job]]:
+        """Pull unresolved jobs out of the spool for the inline fallback.
 
         Queued envelopes are removed outright; claims whose owner is
         dead are taken over (our spawned workers just died — an
-        external worker with a live pid keeps its lease and the serial
+        external worker with a live pid keeps its lease and the inline
         fallback simply races it to the store, harmlessly, since
         results are idempotent by digest).
         """
-        from repro.campaign.cache import _pid_alive
-
         dirs = _dirs(self.root)
         for digest in pending:
             trash = dirs["jobs"] / f".{digest}.withdrawn.{os.getpid()}"
@@ -950,12 +769,7 @@ class SpoolQueue(WorkQueue):
             except OSError:
                 pass
             claim = dirs["claims"] / f"{digest}.job"
-            hb = claim.with_suffix(".hb")
-            owner = None
-            try:
-                owner = json.loads(hb.read_text()).get("pid")
-            except (OSError, ValueError):
-                pass
+            owner = _lease_owner(claim.with_suffix(".hb"))
             if owner is None or not _pid_alive(int(owner)):
                 _release(claim)
-        return [(digest, pending[digest]) for digest in order if digest in pending]
+        return list(pending.items())

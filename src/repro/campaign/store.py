@@ -1,28 +1,45 @@
-"""Layered result store: the checksummed cache plus a queryable index.
+"""The result store: checksummed entries plus a queryable index.
 
-:class:`ResultStore` is the campaign subsystem's storage layer.  It
-keeps :class:`~repro.campaign.cache.ResultCache`'s on-disk payload
-format byte-for-byte (versioned magic + SHA-256 + pickle, written via
-temp file + rename) and adds what an opaque blob store cannot answer:
+:class:`ResultStore` is the campaign subsystem's one storage class.
+Each finished job's result is one **entry** file under its digest (see
+:attr:`repro.campaign.job.Job.digest`, which already folds in the schema
+salt — invalidation is automatic when the job encoding changes, and
+``--force`` simply bypasses lookups while still refreshing entries).
+
+Entries are *checksummed*: a versioned header (magic line + SHA-256 of
+the pickled payload) is verified on every read, so silent corruption —
+a flipped bit, a truncated write, a partial disk — is detected
+deterministically rather than by unpickle luck, and the damaged entry
+is dropped so the next run refreshes it.  Writes go through
+:func:`atomic_write` so a killed campaign never leaves a truncated
+entry behind; temp files orphaned by a process that died *between* the
+write and the rename are swept on open (their embedded writer pid no
+longer exists).
+
+Next to the entries the store keeps what an opaque blob store cannot
+answer:
 
 * a **crash-safe on-disk index** over ``(experiment, family, config
   digest, seed)`` — an append-only JSONL log replayed on open, so a
   killed writer costs at most its own un-flushed line, never the
   index.  A truncated or corrupt tail line is skipped on load (the
-  payload files stay authoritative), and :meth:`reindex` rebuilds the
-  whole index from the surviving entries;
+  entry files stay authoritative), and :meth:`ResultStore.reindex`
+  rebuilds the whole index from the surviving entries — which is also
+  how a directory of bare entries with no index at all upgrades in
+  place;
 * **query/list/stat** operations that answer "which results do I have
   for this experiment / family / seed?" from the index alone, without
   unpickling a single payload (``repro campaign query``);
-* **incremental-sweep planning**: :meth:`plan` splits a batch of jobs
-  into ``(cached, missing)`` by probing entry presence, so a
-  10,000-config sweep enumerates everything but executes only the
+* **incremental-sweep planning**: :meth:`ResultStore.plan` splits a
+  batch of jobs into ``(cached, missing)`` by probing entry presence,
+  so a 10,000-config sweep enumerates everything but executes only the
   uncached remainder (``--missing-only``).
 
 The index is *advisory*: entry files remain the source of truth.
 Reads never trust the index (``get`` goes to the file), queries drop
-dangling index rows lazily, and :meth:`verify_index` reports both
-inconsistency directions for ``repro campaign verify-cache``.
+dangling index rows lazily, and :meth:`ResultStore.verify_index`
+reports both inconsistency directions for ``repro campaign
+verify-cache``.
 
 This module also owns the store-root resolution rule that fixes the
 old relative-path footgun: ``.repro-cache/campaign`` used to resolve
@@ -34,14 +51,23 @@ against the repository root found by walking up from the CWD.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import pickle
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.campaign.cache import ResultCache
 from repro.campaign.job import Job, thaw
+
+#: First line of every entry; bump the version for incompatible layout
+#: changes (old entries then read as corrupt -> miss -> refresh).
+MAGIC = b"repro-cache/1\n"
+
+#: Unparsable temp files older than this are swept regardless of pid.
+STALE_TMP_AGE_S = 3600.0
 
 #: Environment override for the store root (absolute or CWD-relative).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -55,6 +81,84 @@ _ROOT_MARKERS = (".git", "setup.py", "pyproject.toml")
 
 #: Index file name, under the store root.
 INDEX_NAME = "index.jsonl"
+
+
+def _encode(value: Any) -> bytes:
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    checksum = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return MAGIC + checksum + b"\n" + payload
+
+
+class CacheCorruption(Exception):
+    """An entry's header or checksum did not verify."""
+
+
+def _decode(blob: bytes) -> Any:
+    if not blob.startswith(MAGIC):
+        raise CacheCorruption("missing or unknown header magic")
+    rest = blob[len(MAGIC):]
+    newline = rest.find(b"\n")
+    if newline != 64:  # sha256 hex digest length
+        raise CacheCorruption("malformed checksum line")
+    checksum, payload = rest[:newline], rest[newline + 1:]
+    actual = hashlib.sha256(payload).hexdigest().encode("ascii")
+    if actual != checksum:
+        raise CacheCorruption(
+            f"payload checksum mismatch ({len(payload)} bytes)"
+        )
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        raise CacheCorruption(
+            f"checksummed payload failed to unpickle: "
+            f"{type(exc).__name__}: {exc}"
+        )
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write-then-rename, so readers see the old file or the new one,
+    never a torn one.  The temp name embeds the writer's pid, which is
+    what lets a store sweep the orphans of dead writers on open."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+def append_json_line(path: Path, record: Dict[str, Any]) -> None:
+    """Append ``record`` as one durable JSONL line.  One ``write()`` of
+    one line in append mode: concurrent writers (spool workers sharing
+    the directory) interleave at line granularity, never mid-line, for
+    small records; a killed writer costs at most its own line."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def unlink_quietly(path: Path) -> bool:
+    """Remove a file that may already be gone, or be another process's
+    to remove; whether this call removed it."""
+    try:
+        path.unlink()
+        return True
+    except OSError:
+        return False
+
+
+def _pid_alive(pid: int) -> bool:
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    except OSError:
+        return False
+    return True
 
 
 def repo_root(start: Optional[Path] = None) -> Optional[Path]:
@@ -140,12 +244,10 @@ class StoreIndex:
 
     def __init__(self, path) -> None:
         self.path = Path(path)
-        self.entries: Dict[str, Dict[str, Any]] = {}
-        self.corrupt_lines = 0
         self.load()
 
     def load(self) -> None:
-        self.entries = {}
+        self.entries: Dict[str, Dict[str, Any]] = {}
         self.corrupt_lines = 0
         try:
             text = self.path.read_text()
@@ -168,40 +270,28 @@ class StoreIndex:
             else:
                 self.corrupt_lines += 1
 
-    # ------------------------------------------------------------------
-    def _append(self, record: Dict[str, Any]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # One write() of one line in append mode: concurrent store
-        # writers (spool workers sharing the directory) interleave at
-        # line granularity, never mid-line, for small records.
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     def add(self, digest: str, meta: Optional[Dict[str, Any]] = None) -> None:
         meta = dict(meta or {})
         if self.entries.get(digest) == meta:
             return  # idempotent re-put: don't grow the log
-        self._append({"op": "add", "digest": digest, **meta})
+        append_json_line(self.path, {"op": "add", "digest": digest, **meta})
         self.entries[digest] = meta
 
     def remove(self, digest: str) -> None:
         if digest not in self.entries:
             return
-        self._append({"op": "remove", "digest": digest})
+        append_json_line(self.path, {"op": "remove", "digest": digest})
         self.entries.pop(digest, None)
 
     def rewrite(self) -> None:
         """Atomic compaction: one ``add`` line per live entry."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         lines = [
             json.dumps({"op": "add", "digest": digest, **meta}, sort_keys=True)
             for digest, meta in sorted(self.entries.items())
         ]
-        tmp.write_text("".join(line + "\n" for line in lines))
-        os.replace(tmp, self.path)
+        atomic_write(
+            self.path, "".join(line + "\n" for line in lines).encode()
+        )
 
 
 @dataclass
@@ -232,25 +322,74 @@ class SweepPlan:
         )
 
 
-class ResultStore(ResultCache):
-    """The cache plus a queryable, rebuildable metadata index.
-
-    Payload entries are bit-compatible with :class:`ResultCache` (an
-    existing cache directory upgrades in place: the index starts empty
-    and :meth:`reindex` — or simply continued use — populates it).
-    """
+class ResultStore:
+    """Digest-keyed checksummed entries under one root directory, plus
+    a queryable, rebuildable metadata index."""
 
     def __init__(self, root=None) -> None:
-        super().__init__(default_store_root() if root is None else root)
+        self.root = Path(default_store_root() if root is None else root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.swept_tmp = self._sweep_stale_tmp()
         self.index = StoreIndex(self.root / INDEX_NAME)
 
+    def path_for(self, digest: str) -> Path:
+        # Two-level fan-out keeps directory listings short even for
+        # campaigns with thousands of jobs.
+        return self.root / digest[:2] / f"{digest}.pkl"
+
+    def _sweep_stale_tmp(self) -> int:
+        """Remove temp files whose writer died mid-``put``.
+
+        Temp names embed the writer's pid (``.<name>.<pid>.tmp``); a
+        temp whose pid is no longer alive is an orphan from a crashed
+        process and can never be renamed into place.  Unparsable temps
+        are only removed once they are clearly ancient, so a concurrent
+        writer's live temp is never yanked out from under it.
+        """
+        removed = 0
+        for tmp in self.root.glob("*/.*.tmp"):
+            try:
+                pid = int(tmp.name.rsplit(".", 2)[-2])
+            except (ValueError, IndexError):
+                pid = None
+            if pid is not None:
+                if pid == os.getpid() or _pid_alive(pid):
+                    continue
+            else:
+                try:
+                    age = time.time() - tmp.stat().st_mtime
+                except OSError:
+                    continue
+                if age < STALE_TMP_AGE_S:
+                    continue
+            removed += unlink_quietly(tmp)
+        return removed
+
     # ------------------------------------------------------------------
-    # writes keep the index in step
+    # entries; writes keep the index in step
     # ------------------------------------------------------------------
+    def get(self, digest: str) -> Tuple[bool, Any]:
+        """``(hit, value)``; corrupt or missing entries are misses."""
+        path = self.path_for(digest)
+        try:
+            return True, _decode(path.read_bytes())
+        except CacheCorruption:
+            # Detected corruption: drop the entry so a rerun refreshes
+            # it instead of serving damaged bytes.
+            unlink_quietly(path)
+        except OSError:
+            pass
+        if not path.exists():
+            # Entry gone (never existed, or dropped as corrupt): the
+            # index row, if any, is stale — self-heal it now.
+            self.index.remove(digest)
+        return False, None
+
     def put(
         self, digest: str, value: Any, meta: Optional[Dict[str, Any]] = None
     ) -> Path:
-        path = super().put(digest, value)
+        path = self.path_for(digest)
+        atomic_write(path, _encode(value))
         self.index.add(digest, meta)
         return path
 
@@ -258,19 +397,43 @@ class ResultStore(ResultCache):
         """``put`` with the job's own metadata in the index row."""
         return self.put(job.digest, value, meta=job_meta(job))
 
-    def get(self, digest: str) -> Tuple[bool, Any]:
-        hit, value = super().get(digest)
-        if not hit and not self.path_for(digest).exists():
-            # Entry gone (never existed, or dropped as corrupt): the
-            # index row, if any, is stale — self-heal it now.
-            self.index.remove(digest)
-        return hit, value
+    def entry_digests(self) -> List[str]:
+        """Digests of the entry files actually on disk, sorted."""
+        return sorted(p.stem for p in self.root.glob("??/*.pkl"))
+
+    def __len__(self) -> int:
+        return len(self.entry_digests())
 
     def clear(self) -> int:
-        removed = super().clear()
+        """Delete every entry; returns how many were removed."""
+        removed = sum(
+            unlink_quietly(self.path_for(digest))
+            for digest in self.entry_digests()
+        )
         self.index.entries.clear()
         self.index.rewrite()
         return removed
+
+    # ------------------------------------------------------------------
+    # verification
+    # ------------------------------------------------------------------
+    def verify_summary(self) -> Tuple[int, List[Tuple[str, str, str]]]:
+        """``(total_entries, bad_entries)`` with one ``(digest, status,
+        detail)`` per bad entry, sorted by digest; ``status`` is
+        ``"corrupt"`` or ``"unreadable"``.  Read-only: damaged entries
+        are *reported*, not dropped (``get`` drops them, ``verify-cache
+        --purge`` in the CLI does it in bulk)."""
+        digests = self.entry_digests()
+        bad = []
+        for digest in digests:
+            try:
+                _decode(self.path_for(digest).read_bytes())
+            except OSError as exc:
+                detail = f"{type(exc).__name__}: {exc}"
+                bad.append((digest, "unreadable", detail))
+            except CacheCorruption as exc:
+                bad.append((digest, "corrupt", str(exc)))
+        return len(digests), bad
 
     # ------------------------------------------------------------------
     # presence and planning (no payload reads)
@@ -316,9 +479,8 @@ class ResultStore(ResultCache):
         Rows whose entry file has vanished are dropped from the result
         *and* healed out of the index.
         """
-        matches: List[Tuple[str, Dict[str, Any]]] = []
-        for digest in sorted(self.index.entries):
-            meta = self.index.entries[digest]
+        alive: List[Tuple[str, Dict[str, Any]]] = []
+        for digest, meta in sorted(self.index.entries.items()):
             if digest_prefix and not digest.startswith(digest_prefix):
                 continue
             if experiment is not None and meta.get("experiment") != experiment:
@@ -327,9 +489,6 @@ class ResultStore(ResultCache):
                 continue
             if seed is not None and meta.get("seed") != seed:
                 continue
-            matches.append((digest, meta))
-        alive: List[Tuple[str, Dict[str, Any]]] = []
-        for digest, meta in matches:
             if self.contains(digest):
                 alive.append((digest, meta))
             else:
@@ -355,10 +514,6 @@ class ResultStore(ResultCache):
     # ------------------------------------------------------------------
     # index consistency
     # ------------------------------------------------------------------
-    def entry_digests(self) -> List[str]:
-        """Digests of the entry files actually on disk, sorted."""
-        return sorted(self.digests())
-
     def verify_index(self) -> Tuple[List[str], List[str]]:
         """``(dangling, unindexed)``: index rows without an entry file,
         and entry files without an index row.  Read-only — the

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.cache import ResultCache
+from repro.campaign.store import ResultStore
 from repro.campaign.executor import CampaignOutcome, run_jobs
 from repro.campaign.job import Job
 from repro.campaign.registry import FIGURE_SUITE, campaign_registry
@@ -164,20 +164,20 @@ def run_campaign_bench(
             "host would measure multiprocessing overhead, not speedup"
         )
 
-    def timed(leg_workers: int, cache: ResultCache) -> Tuple[float, CampaignOutcome]:
+    def timed(leg_workers: int, cache: ResultStore) -> Tuple[float, CampaignOutcome]:
         t0 = time.perf_counter()
         outcome = run_jobs(jobs, workers=leg_workers, cache=cache)
         return time.perf_counter() - t0, outcome
 
     with tempfile.TemporaryDirectory(prefix="repro-campaign-bench-") as tmp:
-        serial_cache = ResultCache(f"{tmp}/serial")
+        serial_cache = ResultStore(f"{tmp}/serial")
         serial_wall, serial_outcome = timed(1, serial_cache)
         if progress is not None:
             progress("serial", serial_wall)
         executor_degraded = None
         parallel_retries = 0
         if degraded_reason is None:
-            warm_cache = ResultCache(f"{tmp}/parallel")
+            warm_cache = ResultStore(f"{tmp}/parallel")
             parallel_wall, parallel_outcome = timed(workers, warm_cache)
             executor_degraded = parallel_outcome.stats.degraded_reason
             parallel_retries = parallel_outcome.stats.retried

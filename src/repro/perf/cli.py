@@ -72,7 +72,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--output",
-        default=None,
+        default=DEFAULT_PATH,
         metavar="PATH",
         help=(
             "where to write the JSON report instead of silently "
@@ -80,20 +80,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="legacy alias for --output",
-    )
-    parser.add_argument(
         "--no-write",
         action="store_true",
         help="print the table without writing the JSON report",
-    )
-    parser.add_argument(
-        "--no-json",
-        action="store_true",
-        help="legacy alias for --no-write",
     )
     parser.add_argument(
         "--note",
@@ -152,14 +141,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.output is not None and args.json is not None:
-        parser.error("--output and --json name the same path; pass one")
-    output = args.output if args.output is not None else args.json
-    if output is None:
-        output = DEFAULT_PATH
-    no_write = args.no_write or args.no_json
-    if not no_write:
-        parent = Path(output).resolve().parent
+    if not args.no_write:
+        parent = Path(args.output).resolve().parent
         if not parent.is_dir():
             parser.error(
                 f"--output parent directory does not exist: {parent}"
@@ -306,10 +289,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_campus_scaling(campus_samples))
         campus = campus_row(campus_samples, seed=args.seed)
 
-    if not no_write:
+    if not args.no_write:
         path = write_report(
             samples,
-            output,
+            args.output,
             note=args.note,
             campaign=campaign,
             fastforward=fastforward,

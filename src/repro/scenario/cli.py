@@ -20,12 +20,8 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional
 
-# Same default store as the figure/table campaigns — scenario jobs are
-# content-addressed, so sharing the directory is safe (and lets warm
-# re-runs coalesce across both CLIs).
-from repro.campaign.store import default_store_root
 from repro.scenario.registry import FAMILIES, build_spec, sweep_specs
-from repro.scenario.runner import render_result, run_spec, run_sweep
+from repro.scenario.runner import render_result, run_spec, scenario_job
 
 
 def _coerce(text: str) -> Any:
@@ -104,49 +100,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--set", action="append", default=[], metavar="KEY=VALUE",
         dest="assignments", help="fixed override applied to every point",
     )
-    sweep_p.add_argument("--jobs", type=int, default=None, metavar="N")
-    sweep_p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result store root (default: $REPRO_CACHE_DIR, else "
-        "<repo root>/.repro-cache/campaign)",
-    )
-    sweep_p.add_argument("--no-cache", action="store_true")
-    sweep_p.add_argument("--force", action="store_true")
-    sweep_p.add_argument("--quiet", action="store_true")
-    sweep_p.add_argument(
-        "--missing-only", action="store_true",
-        help="plan the sweep against the result store, report the "
-        "cached/missing split, and execute only the missing points "
-        "(no renders — fill-the-store mode)",
-    )
-    sweep_p.add_argument(
-        "--queue", choices=("pool", "spool"), default="pool",
-        help="work queue backend: in-process supervised pool (default) "
-        "or a filesystem spool shared with 'repro campaign worker' "
-        "processes",
-    )
-    sweep_p.add_argument(
-        "--spool-dir", default=None, metavar="DIR",
-        help="spool directory for --queue spool",
-    )
-    sweep_p.add_argument(
-        "--spool-workers", type=int, default=None, metavar="N",
-        help="worker processes to spawn for --queue spool (default: "
-        "--jobs; 0 relies on external workers)",
-    )
-    sweep_p.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-point wall-clock budget; hung points are killed and "
-        "retried (workers > 1 only)",
-    )
-    sweep_p.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="max attempts per point before quarantine",
-    )
-    sweep_p.add_argument(
-        "--partial", action="store_true",
-        help="exit 0 even when points were quarantined",
-    )
+    # How to execute — workers, store, retries, queue — is the campaign
+    # CLI's flag set and meaning, shared verbatim (same default store
+    # too: scenario jobs are content-addressed, so warm re-runs coalesce
+    # across both CLIs).
+    from repro.campaign import cli as campaign_cli
+
+    campaign_cli.add_execution_flags(sweep_p)
     sweep_p.add_argument(
         "--sanitize", action="store_true",
         help="run every point under the runtime invariant sanitizer "
@@ -220,16 +180,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     # sweep
-    if args.jobs is not None and args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("--timeout must be positive", file=sys.stderr)
-        return 2
-    if args.retries is not None and args.retries < 1:
-        print("--retries must be >= 1", file=sys.stderr)
-        return 2
     try:
+        campaign_cli.check_execution_flags(args)
         axes = {
             key: [_coerce(v) for v in value.split(",") if v]
             for key, value in _parse_assignments(args.axes, "--axis").items()
@@ -246,19 +198,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         specs = sweep_specs(args.family, axes, **overrides)
         for spec in specs:
             spec.validate()  # fail fast, before any worker fan-out
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, campaign_cli.UsageError) as exc:
         print(str(exc), file=sys.stderr)
-        return 2
-
-    from repro.campaign.executor import quarantine_report
-    from repro.campaign.policy import RetryPolicy
-    from repro.campaign.store import ResultStore
-
-    if args.queue == "spool" and not args.spool_dir:
-        print("--queue spool requires --spool-dir", file=sys.stderr)
-        return 2
-    if args.spool_workers is not None and args.spool_workers < 0:
-        print("--spool-workers must be >= 0", file=sys.stderr)
         return 2
 
     if args.sanitize:
@@ -276,84 +217,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         os.environ[FASTFWD_ENV] = "1"
 
-    cache = (
-        None
-        if args.no_cache
-        else ResultStore(
-            default_store_root()
-            if args.cache_dir is None
-            else args.cache_dir
-        )
-    )
-    retry = (
-        RetryPolicy(max_attempts=args.retries)
-        if args.retries is not None
-        else None
-    )
+    from repro.campaign.executor import run_jobs
 
-    missing_only = args.missing_only
-    if missing_only:
-        if cache is None:
-            print(
-                "--missing-only needs the result store (drop --no-cache)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.scenario.runner import scenario_job
-
-        plan = cache.plan(
-            scenario_job(spec, key=spec.name) for spec in specs
-        )
-        print(plan.summary())
-        if not plan.missing:
-            print("nothing to execute — the store already has every point")
-            return 0
-        missing_names = {job.key for job in plan.missing}
-        specs = [spec for spec in specs if spec.name in missing_names]
-
-    queue = None
-    if args.queue == "spool":
-        if cache is None:
-            print(
-                "--queue spool needs the result store (drop --no-cache)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.campaign.queue import SpoolQueue
-
-        spool_workers = (
-            args.spool_workers
-            if args.spool_workers is not None
-            else (args.jobs or 1)
-        )
-        queue = SpoolQueue(
-            args.spool_dir, cache, workers=spool_workers
-        )
-
-    def progress(event: str, job, done: int, total: int) -> None:
-        if not args.quiet:
-            print(f"  [{done}/{total}] {job.label} ({event})")
-
-    from repro.campaign.faults import FaultPlanError
-
+    jobs = [scenario_job(spec, key=spec.name) for spec in specs]
     try:
-        outcome = run_sweep(
-            specs,
-            workers=args.jobs,
-            cache=cache,
-            force=args.force,
-            progress=progress,
-            retry=retry,
-            timeout_s=args.timeout,
-            queue=queue,
-        )
-    except FaultPlanError as exc:
-        # A malformed REPRO_CAMPAIGN_FAULTS plan is a usage error, not
-        # a crash — same exit code as any other bad CLI input.
+        kwargs, jobs = campaign_cli.execution_kwargs(args, jobs)
+    except campaign_cli.UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if not jobs:
+        return 0
+    outcome = run_jobs(jobs, **kwargs)
     by_key = outcome.experiment_results("scenario")
-    if missing_only:
+    if args.missing_only:
         # Fill-the-store mode: the renders belong to a later warm run.
         specs = []
     for spec in specs:
@@ -363,16 +239,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             continue
         print(render_result(by_key[spec.name]))
         print()
-    report = quarantine_report(outcome)
-    if report:
-        print(report)
-        print()
-    print(outcome.stats.summary())
-    if outcome.stats.interrupted:
-        return 130
-    if outcome.failures and not args.partial:
-        return 1
-    return 0
+    return campaign_cli.report_outcome(outcome, args.partial)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,7 @@ import pytest
 from repro.campaign import (
     CACHE_SCHEMA,
     Job,
-    ResultCache,
+    ResultStore,
     execute_job,
     freeze,
     job_params,
@@ -114,7 +114,7 @@ def test_execute_job_echo():
 # cache
 # ----------------------------------------------------------------------
 def test_cache_round_trip_and_corruption(tmp_path):
-    cache = ResultCache(tmp_path / "c")
+    cache = ResultStore(tmp_path / "c")
     digest = "ab" + "0" * 62
     assert cache.get(digest) == (False, None)
     cache.put(digest, {"v": 1})
@@ -150,7 +150,7 @@ def test_run_jobs_merges_by_key_and_coalesces(tmp_path):
 
 
 def test_run_jobs_cache_hits_and_force(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ResultStore(tmp_path)
     jobs = [echo_job("e", i, seed=i) for i in range(3)]
     cold = run_jobs(jobs, workers=1, cache=cache)
     assert (cold.stats.executed, cold.stats.cached) == (3, 0)
@@ -162,7 +162,7 @@ def test_run_jobs_cache_hits_and_force(tmp_path):
 
 
 def test_run_jobs_progress_events(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ResultStore(tmp_path)
     jobs = [echo_job("e", i, seed=i) for i in range(2)]
     events = []
     run_jobs(jobs, workers=1, cache=cache,

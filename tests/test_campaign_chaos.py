@@ -24,7 +24,7 @@ import pytest
 from repro.campaign import (
     Fault,
     FaultPlan,
-    ResultCache,
+    ResultStore,
     RetryPolicy,
     RunManifest,
     campaign_digest,
@@ -210,19 +210,28 @@ def test_corrupt_payload_detected_by_checksum_and_retried():
     }
 
 
-def test_unpicklable_result_costs_attempts_not_the_campaign():
-    jobs = echo_jobs(2) + [
+@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pool"])
+def test_unpicklable_result_costs_attempts_not_the_campaign(tmp_path, workers):
+    """On every backend — inline used to raise out of the campaign."""
+    jobs = [
         make_job(
             "chaos", "closure", "repro.campaign.faults:unpicklable_result",
             {"x": 1},
         )
-    ]
-    outcome = run_jobs(jobs, workers=2, retry=fast_retry(max_attempts=2))
+    ] + echo_jobs(2)
+    store = ResultStore(tmp_path / "store")
+    outcome = run_jobs(
+        jobs, workers=workers, cache=store, retry=fast_retry(max_attempts=2)
+    )
     [failure] = outcome.failures
     assert failure.key == "closure"
     assert [a.kind for a in failure.attempts] == ["unpicklable"] * 2
     assert not failure.permanent
     assert sorted(outcome.experiment_results("chaos")) == [0, 1]
+    assert outcome.stats.executed == 2
+    # Nothing of the failed digest reached the store.
+    assert not store.contains(failure.digest)
+    assert not list(store.root.glob("*/.*.tmp"))
 
 
 def test_fault_plan_env_hook_round_trips(monkeypatch):
@@ -276,7 +285,7 @@ def test_interrupt_flushes_finished_results_and_reports_partial(
     tmp_path, workers
 ):
     jobs = echo_jobs(6)
-    cache = ResultCache(tmp_path / "cache")
+    cache = ResultStore(tmp_path / "cache")
     outcome = run_jobs(
         jobs,
         workers=workers,
@@ -300,7 +309,7 @@ def test_interrupt_flushes_finished_results_and_reports_partial(
 
 def test_resume_executes_only_the_remainder(tmp_path):
     jobs = echo_jobs(6)
-    cache = ResultCache(tmp_path / "cache")
+    cache = ResultStore(tmp_path / "cache")
     digest = campaign_digest(j.digest for j in jobs)
     manifest = RunManifest(tmp_path / "runs" / "m.json", digest)
 
@@ -339,7 +348,7 @@ def test_resume_skips_known_failures_without_burning_attempts(tmp_path):
     jobs = echo_jobs(4)
     victim = jobs[3].digest
     plan = FaultPlan((Fault(victim, 0, "fail"),))
-    cache = ResultCache(tmp_path / "cache")
+    cache = ResultStore(tmp_path / "cache")
     digest = campaign_digest(j.digest for j in jobs)
     manifest = RunManifest(tmp_path / "runs" / "m.json", digest)
 
@@ -382,7 +391,7 @@ def test_resume_skips_known_failures_without_burning_attempts(tmp_path):
 # ----------------------------------------------------------------------
 def test_corrupted_cache_entry_is_a_miss_and_reexecutes(tmp_path):
     jobs = echo_jobs(2)
-    cache = ResultCache(tmp_path / "cache")
+    cache = ResultStore(tmp_path / "cache")
     run_jobs(jobs, workers=1, cache=cache)
 
     # Flip one byte of one entry's payload: the checksum catches it.
@@ -391,7 +400,7 @@ def test_corrupted_cache_entry_is_a_miss_and_reexecutes(tmp_path):
     blob[-1] ^= 0xFF
     path.write_bytes(bytes(blob))
 
-    total, bad = ResultCache(tmp_path / "cache").verify_summary()
+    total, bad = ResultStore(tmp_path / "cache").verify_summary()
     assert total == 2
     assert [(d, s) for d, s, _ in bad] == [(jobs[0].digest, "corrupt")]
 
@@ -406,7 +415,7 @@ def test_corrupted_cache_entry_is_a_miss_and_reexecutes(tmp_path):
 
 def test_stale_tmp_files_swept_on_open(tmp_path):
     root = tmp_path / "cache"
-    cache = ResultCache(root)
+    cache = ResultStore(root)
     cache.put("ab" + "0" * 62, {"x": 1})
 
     sub = root / "ab"
@@ -415,7 +424,7 @@ def test_stale_tmp_files_swept_on_open(tmp_path):
     live = sub / f".entry.pkl.{os.getpid()}.tmp"  # a live writer's temp
     live.write_bytes(b"in-flight write")
 
-    reopened = ResultCache(root)
+    reopened = ResultStore(root)
     assert reopened.swept_tmp == 1
     assert not dead.exists()
     assert live.exists()  # never yank a live writer's temp

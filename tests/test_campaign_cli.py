@@ -116,10 +116,10 @@ def test_resume_without_cache_is_a_usage_error(capsys):
 
 
 def test_verify_cache_flags_and_purges_corruption(tmp_path, capsys):
-    from repro.campaign.cache import ResultCache
+    from repro.campaign.store import ResultStore
 
     cache_dir = str(tmp_path / "cache")
-    cache = ResultCache(cache_dir)
+    cache = ResultStore(cache_dir)
     cache.put("ab" + "0" * 62, {"ok": True})
     cache.put("cd" + "0" * 62, {"ok": True})
     path = cache.path_for("ab" + "0" * 62)

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.campaign import ResultCache, run_jobs
+from repro.campaign import ResultStore, run_jobs
 from repro.experiments import fig8, fig9
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -35,7 +35,7 @@ def test_fig8_fig9_jobs4_byte_identical_to_serial_goldens(tmp_path):
     """One mixed campaign, 4 workers: renders must equal the goldens,
     and a warm-cache rerun must reproduce them without executing."""
     jobs = fig8.jobs(seed=1, seconds=1.0) + fig9.jobs(seed=1, seconds=1.0)
-    cache = ResultCache(tmp_path / "cache")
+    cache = ResultStore(tmp_path / "cache")
 
     cold = run_jobs(jobs, workers=4, cache=cache)
     assert cold.stats.executed == cold.stats.unique
@@ -62,7 +62,7 @@ def test_smoke_fig9_parallel_matches_golden_within_budget(tmp_path):
     serial golden, the warm rerun executes nothing, and the whole thing
     lands within the wall budget."""
     jobs = fig9.jobs(seed=1, seconds=1.0)
-    cache = ResultCache(tmp_path / "cache")
+    cache = ResultStore(tmp_path / "cache")
 
     t0 = time.perf_counter()
     cold = run_jobs(jobs, workers=2, cache=cache)

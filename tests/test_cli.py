@@ -44,7 +44,7 @@ def test_perf_subcommand_dispatches(tmp_path, capsys):
     target = tmp_path / "bench.json"
     rc = main(
         ["perf", "--stations", "4", "--schedulers", "fifo",
-         "--profiles", "same", "--seconds", "0.05", "--json", str(target)]
+         "--profiles", "same", "--seconds", "0.05", "--output", str(target)]
     )
     assert rc == 0
     assert "events/sec" in capsys.readouterr().out

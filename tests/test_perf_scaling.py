@@ -130,7 +130,7 @@ def test_perf_cli_writes_json(tmp_path, capsys):
             "--schedulers", "fifo",
             "--profiles", "same",
             "--seconds", "0.05",
-            "--json", str(target),
+            "--output", str(target),
         ]
     )
     assert rc == 0
@@ -145,7 +145,7 @@ def test_perf_cli_no_json(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = perf_cli_main(
         ["--stations", "4", "--schedulers", "fifo", "--profiles", "same",
-         "--seconds", "0.05", "--no-json"]
+         "--seconds", "0.05", "--no-write"]
     )
     assert rc == 0
     assert not (tmp_path / "BENCH_perf.json").exists()

@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from repro.campaign.cache import ResultCache
+from repro.campaign.store import ResultStore
 from repro.campaign.executor import run_jobs, serial_results
 from repro.scenario import (
     build_spec,
@@ -191,7 +191,7 @@ def test_sweep_runs_as_cached_campaign_jobs(tmp_path):
         seconds=1.0, warmup_s=0.25,
     )
     jobs = [scenario_job(spec, key=spec.name) for spec in specs]
-    cache = ResultCache(str(tmp_path / "cache"))
+    cache = ResultStore(str(tmp_path / "cache"))
 
     cold = run_jobs(jobs, workers=1, cache=cache)
     assert cold.stats.executed == 2

@@ -7,8 +7,11 @@ index tail, vanished entry file, killed writer mid-campaign) must be
 detected and healed back to exactly the surviving entries.
 """
 
+import hashlib
 import json
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.campaign.store import (
 )
 
 ECHO = "repro.campaign.faults:echo"
+FIXTURE = Path(__file__).parent / "fixtures" / "store_no_index"
 
 
 def echo_job(value, experiment="store-test", seed=None):
@@ -190,10 +194,14 @@ def test_verify_and_reindex_heal_both_directions(tmp_path):
         store.put_for_job(job, {"echo": job.key})
     # Dangling row: entry file vanished behind the index's back.
     store.path_for(jobs[0].digest).unlink()
-    # Unindexed entry: payload written through the raw cache layer
-    # (e.g. a pre-index directory, or a crash before the index append).
+    # Unindexed entry: the raw entry file planted behind the store's
+    # back (e.g. a pre-index directory, or a crash before the index
+    # append).
     extra = echo_job(99)
-    super(ResultStore, store).put(extra.digest, {"echo": 99})
+    source = store.path_for(jobs[1].digest)
+    planted = store.path_for(extra.digest)
+    planted.parent.mkdir(exist_ok=True)
+    planted.write_bytes(source.read_bytes())
     dangling, unindexed = store.verify_index()
     assert dangling == [jobs[0].digest]
     assert unindexed == [extra.digest]
@@ -252,19 +260,32 @@ def test_clear_resets_index(tmp_path):
 
 
 def test_payload_format_is_cache_compatible(tmp_path):
-    """A ResultStore entry is byte-identical to a ResultCache entry —
-    existing warm caches upgrade in place."""
-    from repro.campaign.cache import ResultCache
+    """The entry layout, pinned literally — and the upgrade-in-place
+    promise: ``fixtures/store_no_index`` was written by the pre-index
+    cache class (no ``index.jsonl``), and a fresh store reads, verifies
+    and reindexes it under today's digests."""
+    jobs = [echo_job(1), echo_job(2)]
+    values = [{"echo": v, "params": {"value": v}} for v in (1, 2)]
+    written = ResultStore(tmp_path / "new").put_for_job(jobs[0], values[0])
+    digest = jobs[0].digest
+    assert written == tmp_path / "new" / digest[:2] / f"{digest}.pkl"
+    payload = pickle.dumps(values[0], protocol=pickle.HIGHEST_PROTOCOL)
+    assert written.read_bytes() == (
+        b"repro-cache/1\n"
+        + hashlib.sha256(payload).hexdigest().encode("ascii")
+        + b"\n"
+        + payload
+    )
 
-    job = echo_job("compat")
-    store = ResultStore(tmp_path / "a")
-    cache = ResultCache(tmp_path / "b")
-    p1 = store.put_for_job(job, {"v": 1})
-    p2 = cache.put(job.digest, {"v": 1})
-    assert p1.read_bytes() == p2.read_bytes()
-    # And the raw-cache reader accepts the store's entry.
-    hit, value = ResultCache(tmp_path / "a").get(job.digest)
-    assert hit and value == {"v": 1}
+    legacy = shutil.copytree(FIXTURE, tmp_path / "legacy")
+    store = ResultStore(legacy)
+    assert not (legacy / "index.jsonl").exists()
+    for job, value in zip(jobs, values):
+        assert store.get(job.digest) == (True, value)
+    assert store.verify_summary() == (2, [])
+    assert store.verify_index() == ([], sorted(j.digest for j in jobs))
+    assert store.reindex() == (2, 2, 0)
+    assert ResultStore(legacy).verify_index() == ([], [])
 
 
 def test_index_ops_are_idempotent(tmp_path):
