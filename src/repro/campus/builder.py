@@ -49,9 +49,9 @@ class CampusRuntime:
     (``run()``, ``timeline_fired``, ``pool_leaked()``,
     ``station_rates_mbps()``) so the scenario runner can drive either.
     ``sanitize``/``fast_forward`` default to the same environment
-    switches; fast-forward *inhibits* on campus workloads — the engine
-    has no multi-cell planner — so flagged runs are byte-identical to
-    unflagged ones.
+    switches; fast-forward *inhibits* on campus workloads — nothing yet
+    certifies one cell of a coupled campus as a root for the steady-state
+    walker — so flagged runs are byte-identical to unflagged ones.
     """
 
     def __init__(

@@ -76,6 +76,8 @@ class Transmission:
 
     __slots__ = ("frame", "sender", "start", "end", "collided")
 
+    TIME_STATE = dict(clocks=("start", "end"))
+
     def __init__(self, frame: "Frame", sender: str, start: float, end: float) -> None:
         self.frame = frame
         self.sender = sender
@@ -86,6 +88,15 @@ class Transmission:
 
 class Channel:
     """Zero-delay broadcast medium with overlap collisions."""
+
+    #: Busy/idle marks, the deaf-after-transmit window and in-flight
+    #: frame boundaries all move with the clock (``repro.sim.steady``),
+    #: so a jump taken mid-exchange resumes with identical timing.
+    TIME_STATE = dict(
+        clocks=("busy_start", "idle_start", "_last_tx_end"),
+        counters=("_busy_accum",),
+        parts=("active",),
+    )
 
     def __init__(self, sim: Simulator, loss_model=None, *, sniffers=None) -> None:
         from repro.channel.loss import NoLoss
@@ -272,26 +283,6 @@ class Channel:
         if self.busy and self.busy_start is not None:
             accum += self.sim.now - self.busy_start
         return accum / total
-
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift the medium's absolute-time state after a kernel jump.
-
-        Busy/idle transition marks, per-sender last-transmission ends
-        (the deaf-after-transmit window) and any in-flight transmission
-        boundaries all move with the clock, so a jump taken mid-exchange
-        resumes with identical relative timing.  ``_busy_accum`` is an
-        accumulator, not a timestamp — the fast-forward planner credits
-        the skipped interval's busy time into it separately.
-        """
-        if self.busy_start is not None:
-            self.busy_start += delta_us
-        self.idle_start += delta_us
-        last = self._last_tx_end
-        for sender in last:
-            last[sender] += delta_us
-        for tx in self.active:
-            tx.start += delta_us
-            tx.end += delta_us
 
     # ------------------------------------------------------------------
     def couple(self, other: "Channel") -> None:

@@ -35,6 +35,13 @@ class UsageRecord:
 class ChannelUsageMonitor:
     """Accumulates per-station channel occupancy time."""
 
+    #: A jump (``repro.sim.steady``) appends nothing to ``records``:
+    #: there was no individual exchange to describe.
+    TIME_STATE = dict(
+        counters=("_occupancy_us", "_exchanges"),
+        phase={"_origin": "stays put: skipped time counts as measured"},
+    )
+
     def __init__(self, sim: Simulator, *, keep_records: bool = False) -> None:
         self.sim = sim
         self.keep_records = keep_records
@@ -80,33 +87,12 @@ class ChannelUsageMonitor:
         self.records.clear()
         self._origin = self.sim.now
 
-    def credit(
-        self, station: str, occupancy_us: float, exchanges: int
-    ) -> None:
-        """Fold a synthesized interval's usage into the accumulators.
-
-        The fast-forward planner calls this with the skipped interval's
-        modeled occupancy and exchange count; unlike
-        :meth:`record_exchange` it never appends a per-exchange record
-        (there was no individual exchange to describe).
-        """
-        if occupancy_us < 0 or exchanges < 0:
-            raise ValueError("credited usage must be non-negative")
-        self._occupancy_us[station] = (
-            self._occupancy_us.get(station, 0.0) + occupancy_us
-        )
-        self._exchanges[station] = self._exchanges.get(station, 0) + exchanges
-
     # ------------------------------------------------------------------
     def occupancy_us(self, station: str) -> float:
         return self._occupancy_us.get(station, 0.0)
 
     def exchanges(self, station: str) -> int:
         return self._exchanges.get(station, 0)
-
-    def exchange_counts(self) -> Dict[str, int]:
-        """Snapshot of every station's exchange count."""
-        return dict(self._exchanges)
 
     def total_occupancy_us(self) -> float:
         return sum(self._occupancy_us.values())

@@ -83,6 +83,13 @@ class TbrConfig:
 class TbrScheduler(ApScheduler):
     """The Time-based Regulator as an AP scheduler."""
 
+    TIME_STATE = dict(
+        clocks=("_window_start_us",),
+        counters=("regular_releases", "borrowed_releases"),
+        parts=("_fill_timer", "_adjust_timer", "buckets"),
+        exact={"rate_history": "record_skipped_adjusts"},
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -333,17 +340,13 @@ class TbrScheduler(ApScheduler):
         if self._adjust_timer is not None:
             self._adjust_timer.stop()
 
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift all clock-bearing TBR state after a kernel jump.
-
-        Timer phases and window origins move with the clock; token
-        balances stay (bounded steady-state values), and the planner is
-        responsible for crediting cumulative spend/fill totals plus the
-        skipped window's ``rate_history`` entries.
-        """
-        self._window_start_us += delta_us
-        self._fill_timer.fast_forward(delta_us)
-        if self._adjust_timer is not None:
-            self._adjust_timer.fast_forward(delta_us)
-        for bucket in self.buckets.values():
-            bucket.fast_forward(delta_us)
+    def record_skipped_adjusts(self, delta_us: float) -> None:
+        """The ADJUSTRATEEVENTs a jump of ``delta_us`` skipped never fire
+        (their timer phase shifts past them); in steady state they would
+        have re-recorded the converged rates, so the history gets one
+        row per skipped window."""
+        interval = self.config.adjust_interval_us
+        if interval > 0:
+            rates = {name: b.rate for name, b in self.buckets.items()}
+            for _ in range(int(delta_us // interval)):
+                self.rate_history.append(dict(rates))

@@ -27,6 +27,18 @@ class TokenBucket:
         "window_start_us",
     )
 
+    TIME_STATE = dict(
+        clocks=("window_start_us",),
+        counters=("spent_us",),
+        exact={"filled_us": "fill_skipped"},
+        phase={
+            "tokens_us": "the steady balance orbits a bounded range below "
+            "depth_us: the pre-jump value is depth-safe and phase-correct",
+            "spent_since_adjust_us": "the window origin shifts instead; "
+            "crediting this too would double-correct actual_rate",
+        },
+    )
+
     def __init__(
         self,
         station: str,
@@ -87,15 +99,7 @@ class TokenBucket:
         self.spent_since_adjust_us = 0.0
         self.window_start_us = now_us
 
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift the adjustment-window origin after a clock jump.
-
-        ``tokens_us`` is left alone: in steady state the balance orbits a
-        bounded range below ``depth_us``, so carrying the pre-jump value
-        across is both depth-safe and phase-correct.  The cumulative
-        ``spent_us``/``filled_us`` totals are credited by the planner;
-        ``spent_since_adjust_us`` stays as-is because the window origin
-        moves with the jump (crediting it *and* shifting the origin would
-        double-correct ``actual_rate``).
-        """
-        self.window_start_us += delta_us
+    def fill_skipped(self, delta_us: float) -> None:
+        """The fills a jump skipped are ``rate × Δ`` by construction,
+        so they are credited exactly, not from a measured window."""
+        self.filled_us += self.rate * delta_us

@@ -119,6 +119,20 @@ class ExchangeReport:
 class DcfMac:
     """One station's (or the AP's) DCF entity."""
 
+    #: ``_bo_anchor`` is the only absolute timestamp held outside the
+    #: event heap; a jump (``repro.sim.steady``) shifts it so ``on_busy``'s
+    #: elapsed-slot arithmetic matches the shifted countdown event.
+    TIME_STATE = dict(
+        clocks=("_bo_anchor",),
+        counters=("tx_attempts", "tx_success", "rx_data_ok"),
+        phase={
+            "_airtime_accum": "the in-progress exchange resumes after the jump",
+            "_attempts": "attempt number of the in-progress exchange",
+            "_bo_slots": "remaining backoff of the in-progress countdown",
+            "_rx_seen": "dedup keys: last frame sequence number per peer",
+        },
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -232,16 +246,6 @@ class DcfMac:
         self, listener: Callable[[ExchangeReport], None]
     ) -> None:
         self.completion_listeners.append(listener)
-
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift the backoff anchor after a kernel clock jump.
-
-        ``_bo_anchor`` is the only absolute timestamp this MAC stores
-        outside the event heap (pending backoff/ACK events move with the
-        heap); shifting it keeps the elapsed-slot arithmetic in
-        ``on_busy`` consistent with the shifted countdown event.
-        """
-        self._bo_anchor += delta_us
 
     def shutdown(self, *, abort_in_flight: bool = False) -> None:
         """Tear this MAC down (station disassociation / AP outage).

@@ -70,6 +70,10 @@ class InactivityReaper:
     enough either.
     """
 
+    #: Pending ``_idle_check`` events move with the heap; the marks
+    #: their deadlines derive from must move too.
+    TIME_STATE = dict(clocks=("_last_heard",))
+
     def __init__(
         self,
         sim: Simulator,
@@ -133,17 +137,17 @@ class InactivityReaper:
         self._exhaustions.pop(station, None)
         self._last_heard.pop(station, None)
 
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift last-heard marks after a kernel jump (pending
-        ``_idle_check`` events move with the heap, so the deadlines
-        derived from these marks stay consistent)."""
-        heard = self._last_heard
-        for station in heard:
-            heard[station] += delta_us
-
 
 class AccessPoint:
     """Infrastructure-mode AP."""
+
+    TIME_STATE = dict(
+        counters=("downlink_packets",),
+        parts=(
+            "mac", "uplink_wire", "downlink_wire", "scheduler",
+            "packet_pool", "reaper",
+        ),
+    )
 
     def __init__(
         self,
@@ -225,15 +229,6 @@ class AccessPoint:
         self.reaper = InactivityReaper(self.sim, config, on_reap)
         self.mac.retry_exhausted_listener = self.reaper.on_retry_exhausted
         return self.reaper
-
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift all clock-bearing AP state after a kernel jump."""
-        self.mac.fast_forward(delta_us)
-        self.uplink_wire.fast_forward(delta_us)
-        self.downlink_wire.fast_forward(delta_us)
-        self.scheduler.fast_forward(delta_us)
-        if self.reaper is not None:
-            self.reaper.fast_forward(delta_us)
 
     # ------------------------------------------------------------------
     # outage: ungraceful AP death and recovery

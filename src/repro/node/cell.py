@@ -48,6 +48,8 @@ from repro.transport.udp import UdpSender, UdpSink
 class FlowHandle:
     """Everything about one flow a test or experiment might poke."""
 
+    TIME_STATE = dict(parts=("stats", "sender", "receiver"))
+
     name: str
     station: Station
     direction: str  # "up" | "down"
@@ -79,6 +81,12 @@ def _make_scheduler(
 
 class Cell:
     """A single 802.11 cell with an AP, stations and flows."""
+
+    #: The root ``repro.sim.steady``'s walker starts from.
+    TIME_STATE = dict(
+        parts=("channel", "usage", "ap", "stations", "flows"),
+        phase={"_measure_start_us": "stays put: skipped time counts as measured"},
+    )
 
     def __init__(
         self,
@@ -454,23 +462,6 @@ class Cell:
         self.usage.reset()
         for flow in self.flows:
             flow.stats.reset()
-
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift every component's clock-bearing state after a kernel
-        jump (see :meth:`Simulator.fast_forward_to`).
-
-        This moves *phases* — busy/idle marks, backoff anchors, wire
-        serialization clocks, timer references, token windows — not
-        accumulators: the fast-forward planner credits the skipped
-        interval's throughput/occupancy/token totals separately, and the
-        measurement origin (``_measure_start_us``, the usage monitor's
-        origin) deliberately stays put so skipped time counts as
-        measured time.
-        """
-        self.channel.fast_forward(delta_us)
-        self.ap.fast_forward(delta_us)
-        for station in self.stations.values():
-            station.fast_forward(delta_us)
 
     @property
     def measured_us(self) -> float:

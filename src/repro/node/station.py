@@ -28,6 +28,10 @@ class Station:
     does not contain the client-side implementation").
     """
 
+    TIME_STATE = dict(
+        clocks=("_defer_until",), counters=("rx_bytes",), parts=("mac",)
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -95,11 +99,6 @@ class Station:
         self.queue.queue.clear()
         self.queue.mac = None
         self.mac.shutdown()
-
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift clock-bearing station state after a kernel jump."""
-        self._defer_until += delta_us
-        self.mac.fast_forward(delta_us)
 
     # ------------------------------------------------------------------
     # MAC callbacks

@@ -13,6 +13,8 @@ class StationQueue:
 
     __slots__ = ("station", "capacity", "queue", "dropped", "enqueued_bytes")
 
+    TIME_STATE = dict(counters=("dropped", "enqueued_bytes"))
+
     def __init__(self, station: str, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -69,6 +71,12 @@ class ApScheduler:
     ``per_station_capacity`` is None, matching the paper's experimental
     setup (n queues of 100/n packets).
     """
+
+    #: The throughput-fair disciplines hold no clocks; TBR adds its own.
+    TIME_STATE = dict(
+        parts=("queues",),
+        phase={"_rr_index": "round-robin cursor: bounded by len(_order)"},
+    )
 
     def __init__(
         self,
@@ -273,15 +281,6 @@ class ApScheduler:
             self.tx_failed += 1
         for listener in self.completion_listeners:
             listener(packet, airtime_us, success, attempts, rate_mbps)
-
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift any clock-bearing scheduler state after a kernel jump.
-
-        The throughput-fair disciplines (FIFO/RR/DRR) hold no absolute
-        timestamps — queues, drop counters and round-robin cursors are
-        all time-free — so the base implementation is a deliberate no-op.
-        TBR overrides this to move its timer phases and token windows.
-        """
 
     # ------------------------------------------------------------------
     # introspection

@@ -19,6 +19,10 @@ from repro.queueing.base import ApScheduler, StationQueue
 class DrrScheduler(ApScheduler):
     """Deficit Round Robin over per-station queues."""
 
+    TIME_STATE = dict(
+        phase={"deficit": "byte deficits: bounded by quantum + one packet"}
+    )
+
     def __init__(
         self,
         total_capacity: int = 100,

@@ -19,6 +19,9 @@ from repro.transport.packet import try_release
 class ApFifoScheduler(ApScheduler):
     """Single shared FIFO; ignores per-station structure entirely."""
 
+    #: Tail drops count here, not on the (always empty) station queues.
+    TIME_STATE = dict(counters=("fifo_dropped",))
+
     def __init__(self, total_capacity: int = 110) -> None:
         super().__init__(total_capacity=total_capacity)
         self._fifo: deque = deque()

@@ -1,4 +1,4 @@
-"""Steady-state detection and analytic fast-forward (ROADMAP item 2a).
+"""Steady-state detection and analytic fast-forward.
 
 Saturated cells spend almost all simulated time in a periodic steady
 state: every backlogged station's queue stays pegged, the AP drains at a
@@ -6,27 +6,40 @@ fixed per-station cycle, and nothing structural changes until the next
 timeline perturbation.  Grinding through every DCF/PHY event of such a
 stretch costs O(packets); this module collapses it to O(transitions).
 
-The machinery has three parts:
+There is one mechanism for skipping time, in three parts:
 
-* :class:`SteadyStateDetector` — watches a calibration window and
-  declares steady state only when the workload is *provably* in the
-  regime the paper's analytic model describes: saturated downlink UDP,
-  stable membership (keyed on object identity, never station names),
-  zero MAC retries, and measured occupancy shares that agree with
-  ``analysis.model``'s DCF/TBR share equations (Eqs 4 and 11, weighted
-  variants included).
-* the planner inside :class:`FastForwardEngine` — measures per-
-  accumulator rates over the calibration window, synthesizes the
-  skipped interval's contribution (flow bytes, occupancy/exchange
-  counts, queue drops, wire deliveries, channel busy time, TBR token
-  spend/fill and rate history), shifts every component-held absolute
-  timestamp via the ``fast_forward(delta_us)`` protocol, and jumps the
-  kernel with :meth:`Simulator.fast_forward_to`.
-* the engagement contract — a jump never crosses a pending timeline
-  event (category OTHER is pinned in the kernel), never happens within
-  ``min_skip_us`` of one, and anything the detector cannot certify
-  (TCP flows, churn, chaos, loss windows, rate switches mid-window)
-  simply runs event-by-event, byte-identical to a run without the flag.
+* **declarations** — a class that holds time-dependent state says so
+  once, where the state lives, in a ``TIME_STATE`` class attribute (all
+  keys optional; a subclass declares only what it adds)::
+
+      TIME_STATE = dict(
+          clocks=("_bo_anchor",),      # absolute timestamps: shift by Δ
+          counters=("tx_attempts",),   # accumulators: scale window growth
+          parts=("buckets",),          # attributes holding more time state
+          exact={"filled_us": "fill_skipped"},  # attr -> method(delta_us)
+          phase={"tokens_us": "why a jump leaves it alone"},
+      )
+
+* **the walker** — :func:`time_state` follows ``parts`` from a root and
+  is the only code that interprets declarations: :func:`shift_clocks`,
+  :func:`read_counters` and :func:`credit_counters`.  ``phase`` is
+  documentation that ``tests/test_steady_completeness.py`` enforces:
+  any numeric attribute that moves over a window must be declared.
+* :class:`FastForwardEngine` — certifies a calibration window only when
+  the workload is *provably* in the regime the paper's analytic model
+  describes: saturated downlink UDP, stable membership (keyed on object
+  identity, never station names), zero MAC retries, and measured
+  occupancy shares that agree with ``analysis.model``'s DCF/TBR share
+  equations (Eqs 4 and 11, weighted variants included).  A certified
+  jump is "credit the ledger, shift the ledger, shift the heap"
+  (:meth:`Simulator.fast_forward_to`); a declined window is counted by
+  reason in :attr:`FastForwardEngine.declines`.
+
+A jump never crosses a pending timeline event (category OTHER is pinned
+in the kernel), never happens within :data:`MIN_SKIP_US` of one, and
+anything the detector cannot certify (TCP flows, churn, chaos, loss
+windows, rate switches mid-window) simply runs event-by-event,
+byte-identical to a run without the flag.
 
 Enable with ``REPRO_FASTFWD=1`` (or ``fast_forward=True`` on
 ``ScenarioRuntime``/``run_spec``); see EXPERIMENTS.md "Fast-forward".
@@ -35,8 +48,9 @@ Enable with ``REPRO_FASTFWD=1`` (or ``fast_forward=True`` on
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from collections import Counter, deque
+from types import SimpleNamespace
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.sim.event import EventCategory
 from repro.sim.units import us_from_s
@@ -46,65 +60,148 @@ FASTFWD_ENV = "REPRO_FASTFWD"
 
 _TRUTHY = {"1", "true", "yes", "on"}
 
+#: default event-by-event measurement window before each jump decision.
+CALIBRATION_US = 400_000.0
+#: smallest interval worth synthesizing; anything closer to the next
+#: timeline event (or the horizon) runs event-by-event.  Also the reason
+#: short golden windows are byte-identical under the flag: a window
+#: shorter than ``CALIBRATION_US + MIN_SKIP_US`` can never jump.
+MIN_SKIP_US = 1_000_000.0
+#: absolute tolerance between measured occupancy shares and the analytic
+#: model's prediction (loose: the model gates *regime* membership, the
+#: measured rates drive the synthesis).
+SHARE_TOLERANCE = 0.2
+#: max backlog drift across the window still called stable: the larger
+#: of this packet count and half the starting backlog (a shared
+#: drop-tail FIFO keeps per-station backlogs pegged only in aggregate —
+#: individual stations legitimately swing by a dozen packets while the
+#: cell is perfectly steady).
+BACKLOG_JITTER = 4
+
 
 def fastforward_enabled() -> bool:
     """Is fast-forward requested via the environment?"""
     return os.environ.get(FASTFWD_ENV, "").strip().lower() in _TRUTHY
 
 
-@dataclass
-class FastForwardConfig:
-    """Engagement tunables (defaults chosen for long-horizon runs)."""
-
-    #: event-by-event measurement window before each jump decision.
-    calibration_us: float = 400_000.0
-    #: smallest interval worth synthesizing; anything closer to the next
-    #: timeline event (or the horizon) runs event-by-event.  Also the
-    #: reason short golden windows are byte-identical under the flag:
-    #: a window shorter than ``calibration_us + min_skip_us`` can never
-    #: jump.
-    min_skip_us: float = 1_000_000.0
-    #: absolute tolerance between measured occupancy shares and the
-    #: analytic model's prediction (loose: the model gates *regime*
-    #: membership, the measured rates drive the synthesis).
-    share_tolerance: float = 0.2
-    #: max backlog drift across the window still called stable: the
-    #: larger of this packet count and half the starting backlog (a
-    #: shared drop-tail FIFO keeps per-station backlogs pegged only in
-    #: aggregate — individual stations legitimately swing by a dozen
-    #: packets while the cell is perfectly steady).
-    backlog_jitter: int = 4
-
-
-class _Snapshot:
-    """Accumulator and membership state at a calibration-window start."""
-
-    __slots__ = (
-        "flow_ids", "station_idents", "queue_idents", "bucket_names",
-        "backlogs", "flow_bytes", "flow_segments", "occupancy",
-        "exchanges", "drops", "fifo_dropped", "wire_delivered",
-        "downlink_packets", "busy_us", "spent_us", "bad_exchanges",
-        "other_events",
-    )
+# ----------------------------------------------------------------------
+# the walker: the only code that interprets TIME_STATE declarations
+# ----------------------------------------------------------------------
+def time_state(root: Any) -> Iterator[Tuple[Any, Dict[str, Any]]]:
+    """Yield ``(obj, declaration)`` for ``root`` and everything its
+    declared ``parts`` reach (objects, or dicts / sequences of them):
+    each object once, one pair per declaring class in its MRO."""
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, deque)):
+            stack.extend(obj)
+        else:
+            for klass in type(obj).__mro__:
+                decl = klass.__dict__.get("TIME_STATE")
+                if decl is not None:
+                    yield obj, decl
+                    for name in decl.get("parts", ()):
+                        stack.append(getattr(obj, name))
 
 
+def _shifted(value: Any, delta_us: float) -> Any:
+    if value is None:  # an unset mark (``stop_us``, ``busy_start``)
+        return None
+    if isinstance(value, tuple):  # a time-keyed ``(fire_us, ...)`` entry
+        return (value[0] + delta_us,) + value[1:]
+    return value + delta_us
+
+
+def shift_clocks(root: Any, delta_us: float) -> None:
+    """Move every declared clock under ``root`` by ``delta_us``.
+
+    The shift is uniform, so time-keyed heaps stay ordered and every
+    relative distance (backoff anchor to countdown event, fold record to
+    wire clock) is preserved verbatim.
+    """
+    for obj, decl in time_state(root):
+        for attr in decl.get("clocks", ()):
+            value = getattr(obj, attr)
+            if isinstance(value, dict):
+                for key in value:
+                    value[key] += delta_us
+            elif isinstance(value, list):
+                value[:] = [_shifted(item, delta_us) for item in value]
+            else:
+                setattr(obj, attr, _shifted(value, delta_us))
+
+
+def read_counters(root: Any) -> Dict[Tuple[int, str], Any]:
+    """Snapshot every declared counter under ``root``."""
+    values = {}
+    for obj, decl in time_state(root):
+        for attr in decl.get("counters", ()):
+            value = getattr(obj, attr)
+            if isinstance(value, dict):
+                value = dict(value)
+            values[id(obj), attr] = value
+    return values
+
+
+def _credited(now: Any, before: Any, scale: float) -> Any:
+    growth = (now - before) * scale
+    return now + (int(round(growth)) if isinstance(now, int) else growth)
+
+
+def credit_counters(
+    root: Any, before: Dict[Tuple[int, str], Any], scale: float,
+    delta_us: float,
+) -> None:
+    """Fold ``delta_us`` of steady state into every counter under ``root``.
+
+    Each counter grows by ``scale`` (``delta_us / window``) times its
+    growth since ``before``, the :func:`read_counters` snapshot from the
+    calibration window's start; ``int`` counters by the rounded product
+    (one packet of rounding error per jump, bounded by the jump count,
+    not the horizon).  ``exact`` contributions are not measured: their
+    methods take ``delta_us`` itself.
+    """
+    for obj, decl in time_state(root):
+        for attr in decl.get("counters", ()):
+            now = getattr(obj, attr)
+            was = before[id(obj), attr]
+            if isinstance(now, dict):
+                for key, value in now.items():
+                    now[key] = _credited(value, was.get(key, 0), scale)
+            else:
+                setattr(obj, attr, _credited(now, was, scale))
+        for method in decl.get("exact", {}).values():
+            getattr(obj, method)(delta_us)
+
+
+# ----------------------------------------------------------------------
+# the engine
+# ----------------------------------------------------------------------
 class FastForwardEngine:
     """Runs a cell with analytic skips over certified steady stretches.
 
     Drop-in replacement for ``cell.run(seconds, warmup_seconds=...)``:
     statically ineligible workloads (any non-UDP or non-downlink flow)
     fall back to exactly that call, and eligible ones interleave
-    event-by-event calibration windows with synthesized jumps bounded
-    by the next pending timeline event.
+    event-by-event calibration windows (``calibration_us`` each; longer
+    trades wall-clock for synthesis accuracy) with synthesized jumps
+    bounded by the next pending timeline event.
     """
 
-    def __init__(
-        self, cell, config: Optional[FastForwardConfig] = None
-    ) -> None:
+    def __init__(self, cell, *, calibration_us: float = CALIBRATION_US) -> None:
         self.cell = cell
-        self.config = config if config is not None else FastForwardConfig()
+        self.calibration_us = calibration_us
         #: jumps taken (mirrors ``sim.fast_forwards`` for this engine).
         self.jumps = 0
+        #: calibration windows that did not end in a jump, by reason.
+        self.declines: Counter = Counter()
         #: AP MAC exchanges in the current window that needed a retry or
         #: failed outright — any of these voids the steady-state claim.
         self._bad_exchanges = 0
@@ -149,138 +246,92 @@ class FastForwardEngine:
             sim.run(until=sim.now + us_from_s(warmup_seconds))
             cell.reset_measurements()
         until = sim.now + us_from_s(seconds)
-        config = self.config
         while sim.now < until:
             window_start = sim.now
             snap = self._snapshot()
-            sim.run(until=min(window_start + config.calibration_us, until))
+            sim.run(until=min(window_start + self.calibration_us, until))
             if sim.now >= until:
                 break
             window = sim.now - window_start
-            if window <= 0:
-                continue
             landmark = sim.next_pending(EventCategory.OTHER)
             target = until if landmark is None else min(landmark, until)
             delta = target - sim.now
-            if delta < config.min_skip_us:
+            reason = self._decline_reason(snap, delta)
+            if reason is not None:
+                self.declines[reason] += 1
                 continue
-            if not self._steady(snap):
-                continue
-            self._credit(snap, window, delta)
-            cell.fast_forward(delta)
+            credit_counters(cell, snap.counters, delta / window, delta)
+            shift_clocks(cell, delta)
             sim.fast_forward_to(target)
             self.jumps += 1
 
     # ------------------------------------------------------------------
     # detector
     # ------------------------------------------------------------------
-    def _snapshot(self) -> _Snapshot:
+    def _snapshot(self) -> SimpleNamespace:
+        """Detector inputs and the counter ledger at a window start."""
         cell = self.cell
-        scheduler = cell.scheduler
-        snap = _Snapshot()
-        # Membership keyed on *object identity* (station/queue instances,
-        # bucket keys), never on name matching: a station literally named
-        # "steady" (the bursty family ships one) is just another station,
-        # and a leave/rejoin under the same name changes the identity set.
-        snap.flow_ids = frozenset(id(flow) for flow in cell.flows)
-        snap.station_idents = frozenset(
-            (name, id(station)) for name, station in cell.stations.items()
+        return SimpleNamespace(
+            flow_ids=frozenset(id(flow) for flow in cell.flows),
+            backlogs={
+                name: cell.scheduler.backlog(name) for name in cell.stations
+            },
+            occupancy=cell.usage.occupancies_us(),
+            bad_exchanges=self._bad_exchanges,
+            timeline_events=cell.sim.events_by_category()["other"],
+            counters=read_counters(cell),
         )
-        snap.queue_idents = frozenset(
-            (name, id(queue)) for name, queue in scheduler.queues.items()
-        )
-        buckets = getattr(scheduler, "buckets", None)
-        snap.bucket_names = frozenset(buckets) if buckets is not None else frozenset()
-        snap.backlogs = {
-            name: scheduler.backlog(name) for name in cell.stations
-        }
-        snap.flow_bytes = {
-            id(flow): flow.stats.bytes_delivered for flow in cell.flows
-        }
-        snap.flow_segments = {
-            id(flow): flow.stats.segments_delivered for flow in cell.flows
-        }
-        snap.occupancy = cell.usage.occupancies_us()
-        snap.exchanges = cell.usage.exchange_counts()
-        snap.drops = {
-            name: queue.dropped for name, queue in scheduler.queues.items()
-        }
-        # The shared-FIFO discipline counts its tail drops on the
-        # scheduler, not on the (always empty) per-station queues.
-        snap.fifo_dropped = getattr(scheduler, "fifo_dropped", None)
-        snap.wire_delivered = cell.ap.downlink_wire.delivered
-        snap.downlink_packets = cell.ap.downlink_packets
-        snap.busy_us = self._channel_busy_us()
-        snap.spent_us = (
-            {name: bucket.spent_us for name, bucket in buckets.items()}
-            if buckets is not None
-            else {}
-        )
-        snap.bad_exchanges = self._bad_exchanges
-        snap.other_events = cell.sim._cat_counts[EventCategory.OTHER]
-        return snap
 
-    def _channel_busy_us(self) -> float:
-        channel = self.cell.channel
-        busy = channel._busy_accum
-        if channel.busy and channel.busy_start is not None:
-            busy += channel.sim.now - channel.busy_start
-        return busy
-
-    def _steady(self, snap: _Snapshot) -> bool:
+    def _decline_reason(
+        self, snap: SimpleNamespace, delta_us: float
+    ) -> Optional[str]:
+        """Why the window since ``snap`` cannot seed a ``delta_us`` jump
+        (``None``: it can)."""
         cell = self.cell
-        scheduler = cell.scheduler
+        if delta_us < MIN_SKIP_US:
+            return "too-close-to-landmark"
         # (a) flow set unchanged and still all-eligible, with no source
         # stopped (a quiesced flow means churn/chaos touched the cell).
         flows = cell.flows
         if frozenset(id(flow) for flow in flows) != snap.flow_ids:
-            return False
+            return "flow-set"
         for flow in flows:
             if flow.kind != "udp" or flow.direction != "down":
-                return False
+                return "flow-kind"
             if getattr(flow.sender, "stop_us", None) is not None:
-                return False
-        # (b) membership stable across the window, by identity.
-        if frozenset(
-            (name, id(station)) for name, station in cell.stations.items()
-        ) != snap.station_idents:
-            return False
-        if frozenset(
-            (name, id(queue)) for name, queue in scheduler.queues.items()
-        ) != snap.queue_idents:
-            return False
-        buckets = getattr(scheduler, "buckets", None)
-        bucket_names = frozenset(buckets) if buckets is not None else frozenset()
-        if bucket_names != snap.bucket_names:
-            return False
+                return "source-stopped"
+        # (b) membership stable across the window: the ledger is keyed
+        # on *object identity* (station, queue, bucket, flow-end
+        # instances), never on names — a station literally named
+        # "steady" (the bursty family ships one) is just another station,
+        # and a leave/rejoin under the same name changes the key set.
+        if read_counters(cell).keys() != snap.counters.keys():
+            return "membership"
         # (c) a timeline event fired *inside* the calibration window: the
         # measured rates blend the before/after regimes and must not
         # seed a synthesis (the very next window is clean again).
-        if (
-            cell.sim._cat_counts[EventCategory.OTHER]
-            != snap.other_events
-        ):
-            return False
+        if cell.sim.events_by_category()["other"] != snap.timeline_events:
+            return "timeline-in-window"
         # (d) saturation: every station feeding a downlink flow stayed
         # backlogged, with only packet-level jitter (relative for large
-        # backlogs — see FastForwardConfig.backlog_jitter).
-        fed = {flow.station.address for flow in flows}
-        for name in fed:
+        # backlogs — see BACKLOG_JITTER).
+        for name in {flow.station.address for flow in flows}:
             before = snap.backlogs.get(name, 0)
-            now = scheduler.backlog(name)
+            now = cell.scheduler.backlog(name)
             if before <= 0 or now <= 0:
-                return False
-            limit = max(self.config.backlog_jitter, before // 2)
-            if abs(now - before) > limit:
-                return False
+                return "backlog"
+            if abs(now - before) > max(BACKLOG_JITTER, before // 2):
+                return "backlog"
         # (e) a clean channel: any retried or failed AP exchange in the
         # window (loss models, degrade windows, collisions) disqualifies.
         if self._bad_exchanges != snap.bad_exchanges:
-            return False
+            return "retries"
         # (f) the analytic model agrees this is its regime.
-        return self._shares_match_model(snap)
+        if not self._shares_match_model(snap):
+            return "share-model"
+        return None
 
-    def _shares_match_model(self, snap: _Snapshot) -> bool:
+    def _shares_match_model(self, snap: SimpleNamespace) -> bool:
         """Compare window occupancy shares with Eq 4 / Eq 11 predictions."""
         from repro.analysis.model import (
             NodeSpec,
@@ -319,81 +370,8 @@ class FastForwardEngine:
             predicted = tf_time_shares(nodes)
         else:
             predicted = dcf_time_shares(nodes, transport="udp")
-        tolerance = self.config.share_tolerance
         for name in cell.stations:
             measured = deltas[name] / total
-            if abs(measured - predicted[name]) > tolerance:
+            if abs(measured - predicted[name]) > SHARE_TOLERANCE:
                 return False
         return True
-
-    # ------------------------------------------------------------------
-    # planner: synthesize the skipped interval
-    # ------------------------------------------------------------------
-    def _credit(self, snap: _Snapshot, window: float, delta: float) -> None:
-        """Fold ``delta`` us of steady state into every accumulator.
-
-        Rates are measured over the just-completed calibration window;
-        integer accumulators are credited with the rounded product (one
-        packet of rounding error per jump, bounded by the jump count,
-        not the horizon).  TBR token *fills* are exact (``rate × Δ`` by
-        construction); spend and occupancy ride the measured cycle.
-        """
-        cell = self.cell
-        scale = delta / window
-        for flow in cell.flows:
-            stats = flow.stats
-            fid = id(flow)
-            stats.bytes_delivered += int(round(
-                (stats.bytes_delivered - snap.flow_bytes[fid]) * scale
-            ))
-            stats.segments_delivered += int(round(
-                (stats.segments_delivered - snap.flow_segments[fid]) * scale
-            ))
-        usage = cell.usage
-        occupancy = usage.occupancies_us()
-        exchanges = usage.exchange_counts()
-        for name in cell.stations:
-            occ_delta = occupancy.get(name, 0.0) - snap.occupancy.get(name, 0.0)
-            exch_delta = exchanges.get(name, 0) - snap.exchanges.get(name, 0)
-            usage.credit(
-                name,
-                occ_delta * scale,
-                int(round(exch_delta * scale)),
-            )
-        scheduler = cell.scheduler
-        for name, queue in scheduler.queues.items():
-            queue.dropped += int(round(
-                (queue.dropped - snap.drops.get(name, 0)) * scale
-            ))
-        if snap.fifo_dropped is not None:
-            scheduler.fifo_dropped += int(round(
-                (scheduler.fifo_dropped - snap.fifo_dropped) * scale
-            ))
-        ap = cell.ap
-        wire = ap.downlink_wire
-        wire.delivered += int(round(
-            (wire.delivered - snap.wire_delivered) * scale
-        ))
-        ap.downlink_packets += int(round(
-            (ap.downlink_packets - snap.downlink_packets) * scale
-        ))
-        cell.channel._busy_accum += (
-            self._channel_busy_us() - snap.busy_us
-        ) * scale
-        buckets = getattr(scheduler, "buckets", None)
-        if buckets is not None:
-            for name, bucket in buckets.items():
-                spend = bucket.spent_us - snap.spent_us.get(name, 0.0)
-                bucket.spent_us += spend * scale
-                bucket.filled_us += bucket.rate * delta
-            # The skipped interval's ADJUSTRATEEVENTs never fire (their
-            # timer phase shifts past them); in steady state they would
-            # have re-recorded the converged rates, so the history gets
-            # one entry per skipped window.
-            interval = scheduler.config.adjust_interval_us
-            if interval > 0:
-                rates = {
-                    name: bucket.rate for name, bucket in buckets.items()
-                }
-                for _ in range(int(delta // interval)):
-                    scheduler.rate_history.append(dict(rates))

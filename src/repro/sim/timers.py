@@ -17,6 +17,12 @@ class PeriodicTimer:
     de-synchronize periodic work across instances.
     """
 
+    #: The pending fire event moves with the heap on a jump
+    #: (``repro.sim.steady``); ``_last_fire`` must too, or the next
+    #: callback gets the whole skip as ``elapsed`` (TBR's fill timer
+    #: would grant the skip's worth of tokens at once).
+    TIME_STATE = dict(clocks=("_last_fire",))
+
     def __init__(
         self,
         sim: Simulator,
@@ -58,16 +64,6 @@ class PeriodicTimer:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift the timer's phase reference after a kernel clock jump.
-
-        The pending fire event moves with the heap; ``_last_fire`` must
-        move by the same amount or the first post-jump callback would be
-        handed the whole skipped interval as ``elapsed`` (for TBR's fill
-        timer that would grant the skip's worth of tokens at once).
-        """
-        self._last_fire += delta_us
 
     def _next_delay(self) -> float:
         if self._jitter_rng is not None and self._jitter_fraction > 0.0:

@@ -116,6 +116,16 @@ class PacketPool:
 
     __slots__ = ("max_size", "_free", "allocated", "reused", "recycled")
 
+    #: ``allocated + reused - recycled`` is the outstanding-packet count
+    #: the sanitizer balances against live packets; a jump
+    #: (``repro.sim.steady``) scaling each term with its own rounding
+    #: would unbalance it.
+    TIME_STATE = dict(
+        phase=dict.fromkeys(
+            ("allocated", "reused", "recycled"), "term of the pool balance"
+        )
+    )
+
     def __init__(self, max_size: int = 256) -> None:
         if max_size < 0:
             raise ValueError("max_size must be >= 0")

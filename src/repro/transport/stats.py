@@ -11,6 +11,15 @@ from repro.sim import Simulator, throughput_mbps
 class FlowStats:
     """Receiver-side goodput, latency and task-completion bookkeeping."""
 
+    TIME_STATE = dict(
+        clocks=("last_delivery_us",),
+        counters=("bytes_delivered", "segments_delivered"),
+        phase={
+            "delays_us": "a sample set, not a sum: a jump adds no samples",
+            "_origin": "stays put: skipped time counts as measured",
+        },
+    )
+
     def __init__(self, sim: Simulator, name: str = "flow") -> None:
         self.sim = sim
         self.name = name

@@ -127,12 +127,6 @@ class UdpSender:
             self._timer.cancel()
             self._timer = None
 
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift the stop deadline after a kernel jump (the pacing timer
-        itself lives in the heap and moves with it)."""
-        if self.stop_us is not None:
-            self.stop_us += delta_us
-
 
 class UdpDownlinkSource:
     """Demand-driven CBR source feeding an AP's downlink wire.
@@ -160,6 +154,19 @@ class UdpDownlinkSource:
     """
 
     HEADER_BYTES = UdpSender.HEADER_BYTES
+
+    #: The schedule shifts with the owning wire's ``_arrivals`` heap
+    #: (``repro.sim.steady``), keeping ``peek_fire_us`` consistent with
+    #: it.  ``sent`` is the offered load, which delivered counts must not
+    #: exceed, so it scales; the sequence numbers do not.
+    TIME_STATE = dict(
+        clocks=("_fire_us", "_rewound", "_staged_ts", "stop_us"),
+        counters=("sent",),
+        phase={
+            "_seq": "sequence number: the sink's last_seq follows it",
+            "_staged_seq": "sequence number of the arrival being delivered",
+        },
+    )
 
     def __init__(
         self,
@@ -293,23 +300,14 @@ class UdpDownlinkSource:
             self.stop_us = now
         self.link.source_stopped(self)
 
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift the arrival schedule after a kernel jump.
-
-        Called by the owning wire's ``fast_forward`` (the wire shifts
-        its ``_arrivals`` heap by the same amount, so ``peek_fire_us``
-        stays consistent with the heap entries).
-        """
-        self._fire_us += delta_us
-        if self._rewound:
-            self._rewound = [fire + delta_us for fire in self._rewound]
-        self._staged_ts += delta_us
-        if self.stop_us is not None:
-            self.stop_us += delta_us
-
 
 class UdpSink:
     """Counts delivered datagrams into a :class:`FlowStats`."""
+
+    TIME_STATE = dict(
+        counters=("received",),
+        phase={"last_seq": "follows the source's _seq, which does not jump"},
+    )
 
     def __init__(self, stats: Optional[FlowStats] = None) -> None:
         self.stats = stats

@@ -106,6 +106,8 @@ class _Folded:
 
     __slots__ = ("source", "index", "fire_us", "seq", "busy_before", "event")
 
+    TIME_STATE = dict(clocks=("fire_us", "busy_before"))
+
     def __init__(
         self,
         source: DemandSource,
@@ -125,6 +127,17 @@ class _Folded:
 
 class WiredLink:
     """One-way wired pipe: serialize (optional) then propagate."""
+
+    #: The serialization clock, the ``(fire_us, index)`` arrival heap,
+    #: the folded records and every attached source move by the delta the
+    #: kernel heap moved (``repro.sim.steady``), so the fold/unwind
+    #: invariants (fire-time order, ``busy_before`` restoration,
+    #: ``peek_fire_us`` matching ``_arrivals``) are preserved verbatim.
+    TIME_STATE = dict(
+        clocks=("_busy_until", "_arrivals"),
+        counters=("delivered", "drained"),
+        parts=("_folded", "_sources"),
+    )
 
     def __init__(
         self,
@@ -354,28 +367,6 @@ class WiredLink:
             # arrival ahead of time, which a plain send could no longer
             # unwind.
             self._fold_next()
-
-    def fast_forward(self, delta_us: float) -> None:
-        """Shift the pipe's serialization clock after a kernel jump.
-
-        ``_busy_until``, the unfolded arrival schedule, the folded-but-
-        undelivered records and every attached demand source move by the
-        same ``delta_us`` the heap moved, so the fold/unwind invariants
-        (fire-time order, ``busy_before`` restoration, ``peek_fire_us``
-        consistency with ``_arrivals``) are preserved verbatim.  The
-        uniform shift keeps the arrivals heap ordered — no re-heapify.
-        """
-        self._busy_until += delta_us
-        self._arrivals[:] = [
-            (fire + delta_us, index) for fire, index in self._arrivals
-        ]
-        for record in self._folded:
-            record.fire_us += delta_us
-            record.busy_before += delta_us
-        for source in self._sources:
-            ff = getattr(source, "fast_forward", None)
-            if ff is not None:
-                ff(delta_us)
 
     def _unwind_tail(self) -> None:
         """Roll back the speculative fold (see module docstring)."""
