@@ -29,7 +29,7 @@ setup(
         "Reproduction of Tan & Guttag, 'Time-based Fairness Improves "
         "Performance in Multi-rate WLANs' (USENIX ATC 2004): "
         "deterministic 802.11 simulator, TBR scheduler, experiment/"
-        "campaign/scenario/perf subsystems"
+        "campaign/scenario/campus/serve subsystems"
     ),
     long_description=README.read_text(encoding="utf-8"),
     long_description_content_type="text/markdown",

@@ -1,5 +1,5 @@
 """Wires the experiment modules' ``jobs()``/``reduce()`` pairs into the
-campaign CLI and the perf campaign benchmark.
+campaign CLI.
 
 Imported lazily (this module pulls in every experiment) — the rest of
 ``repro.campaign`` stays importable from ``repro.experiments.common``
@@ -37,7 +37,7 @@ class CampaignExperiment:
 
 
 #: The paper's figures and tables, in presentation order — the default
-#: campaign selection and the suite the perf benchmark times.
+#: campaign selection.
 FIGURE_SUITE = (
     "fig1", "fig2", "fig3", "fig4", "fig5", "fig8", "fig9",
     "table1", "table2", "table3", "table4",

@@ -14,7 +14,8 @@
 Scenario specs grow a ``campus`` section
 (:class:`~repro.scenario.spec.CampusSpec`) compiled by
 :class:`CampusRuntime`; ``python -m repro scenario run campus`` is the
-command-line face and ``python -m repro campus-scaling`` the perf leg.
+command-line face, and ``scenario sweep campus --axis n_cells=...`` its
+scaling curve.
 """
 
 from repro.campus.builder import CampusRuntime

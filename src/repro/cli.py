@@ -9,19 +9,17 @@ Usage::
     python -m repro campaign --resume [--timeout 600] [--retries 3]
     python -m repro campaign verify-cache [--purge]
     python -m repro scenario run churn [--set period_s=1.0]
-    python -m repro perf [--stations 4,16,64,128] [--schedulers fifo,drr,tbr]
-    python -m repro campus-scaling [--cells 2,4,8,16,32,64]
     python -m repro serve [--port 8037] [--cache-dir DIR]
 
-Each experiment prints the same paper-vs-measured rendering the
-benchmark harness stores under ``benchmarks/results/``.  ``campaign``
+Each experiment prints its paper-vs-measured rendering.  ``campaign``
 runs any mix of experiments across *supervised* worker processes —
 crashed or hung jobs are retried with backoff, poison jobs are
 quarantined without sinking the rest, and interrupted runs resume from
 an on-disk checksummed result cache (see ``repro.campaign``);
 ``scenario`` runs and sweeps the declarative workload families (see
-``repro.scenario``); ``perf`` runs the simulator scaling benchmark
-instead (see ``repro.perf``) and writes ``BENCH_perf.json``.
+``repro.scenario``); ``serve`` answers the same scenarios over HTTP
+from the result store (see ``repro.serve``).  Performance is measured
+by ``benchmarks/suite`` (see its README).
 """
 
 from __future__ import annotations
@@ -50,12 +48,8 @@ def _call_run(module, seed: int, seconds: Optional[float]):
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "perf":
-        # The perf benchmark has its own flag set; hand over before the
-        # experiment parser rejects them.
-        from repro.perf.cli import main as perf_main
-
-        return perf_main(argv[1:])
+    # Subcommands with their own flag sets: hand over before the
+    # experiment parser rejects them.
     if argv and argv[0] == "campaign":
         from repro.campaign.cli import main as campaign_main
 
@@ -64,10 +58,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.scenario.cli import main as scenario_main
 
         return scenario_main(argv[1:])
-    if argv and argv[0] == "campus-scaling":
-        from repro.perf.campus_scaling import main as campus_main
-
-        return campus_main(argv[1:])
     if argv and argv[0] == "serve":
         from repro.serve import main as serve_main
 
@@ -84,7 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment",
         help=(
             "experiment name (see 'list'), 'all', 'list', 'campaign', "
-            "'scenario', or 'perf'"
+            "'scenario', or 'serve'"
         ),
     )
     parser.add_argument("--seed", type=int, default=1)
@@ -104,10 +94,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               "(python -m repro campaign --help)")
         print("  scenario Declarative workload families: run/list/sweep "
               "(python -m repro scenario --help)")
-        print("  perf     Simulator scaling benchmark -> BENCH_perf.json "
-              "(python -m repro perf --help)")
-        print("  campus-scaling ESS cells-vs-wall benchmark -> "
-              "BENCH_perf.json (python -m repro campus-scaling --help)")
         print("  serve    Scenario reproduction over HTTP, backed by the "
               "result store (python -m repro serve --help)")
         return 0

@@ -15,9 +15,9 @@ from repro.sim import Simulator, us_from_s
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "slow: full-size multi-process campaign tests; skipped unless "
-        "REPRO_RUN_SLOW=1 is set (tier-1 covers the same paths with "
-        "small-N smoke configurations)",
+        "slow: full-size multi-process campaign tests and full-duration "
+        "paper claims; skipped unless REPRO_RUN_SLOW=1 is set (tier-1 "
+        "covers the same paths with small-N, short-run configurations)",
     )
 
 
@@ -25,7 +25,7 @@ def pytest_collection_modifyitems(config, items):
     if os.environ.get("REPRO_RUN_SLOW", "").lower() not in ("", "0", "false", "no"):
         return
     skip_slow = pytest.mark.skip(
-        reason="slow campaign test; set REPRO_RUN_SLOW=1 to run"
+        reason="slow test; set REPRO_RUN_SLOW=1 to run"
     )
     for item in items:
         if "slow" in item.keywords:

@@ -7,7 +7,7 @@ not the RNG streams, not the merge order, not a single formatted digit.
 The full fig8+fig9 campaign at ``--jobs 4`` is marked ``slow`` (set
 ``REPRO_RUN_SLOW=1``); tier-1 runs the same machinery as a small-N
 smoke (fig9 only, 2 workers) under a wall-clock budget, mirroring
-``tests/test_perf_scaling.py``'s budget pattern.
+``tests/test_perf_event_budget.py``'s N=16 budget pattern.
 """
 
 import pathlib

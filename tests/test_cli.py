@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.experiments import REGISTRY
 
 
 def test_list_prints_experiments(capsys):
@@ -35,17 +36,19 @@ def test_fig5_duration_mapping(capsys):
     assert "Figure 5" in capsys.readouterr().out
 
 
-def test_list_mentions_perf(capsys):
+def test_list_does_not_offer_perf(capsys):
+    # Exactly the experiments and the three subcommands: no benchmark
+    # entry point (performance is measured by benchmarks/suite).
     assert main(["list"]) == 0
-    assert "perf" in capsys.readouterr().out
+    offered = {
+        line.split()[0] for line in capsys.readouterr().out.splitlines()
+    }
+    assert offered == set(REGISTRY) | {"campaign", "scenario", "serve"}
 
 
-def test_perf_subcommand_dispatches(tmp_path, capsys):
-    target = tmp_path / "bench.json"
-    rc = main(
-        ["perf", "--stations", "4", "--schedulers", "fifo",
-         "--profiles", "same", "--seconds", "0.05", "--output", str(target)]
-    )
-    assert rc == 0
-    assert "events/sec" in capsys.readouterr().out
-    assert target.exists()
+def test_perf_subcommand_is_an_unknown_experiment(capsys):
+    assert main(["perf"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown experiment 'perf'" in err
+    for valid in ("fig9", "table3", "all", "list"):
+        assert valid in err

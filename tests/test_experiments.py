@@ -189,3 +189,31 @@ def test_ablation_bg_coexistence():
     result = ablations.run_bg_coexistence(seed=1, seconds=S)
     assert result.g_recovery() > 3.0
     assert "coexistence" in ablations.render_bg_coexistence(result)
+
+
+def test_ablation_oar_comparison():
+    # Holds at the short S with the full-length tolerances unchanged.
+    result = ablations.run_oar_comparison(seed=1, seconds=S)
+    dcf = result.throughput["dcf"]
+    oar = result.throughput["oar"]
+    tbr = result.throughput["tbr"]
+    # DCF equalises throughput; OAR and TBR favour the fast node.
+    assert abs(dcf["n1"] - dcf["n2"]) < 0.3
+    assert oar["n2"] > 3.0 * oar["n1"]
+    assert tbr["n2"] > 2.0 * tbr["n1"]
+    # OAR's bursting also amortises contention: highest aggregate.
+    assert sum(oar.values()) > sum(tbr.values()) > sum(dcf.values())
+    assert "OAR" in ablations.render_oar_comparison(result)
+
+
+def test_ablation_polling_tbr():
+    # Holds at the short S with the full-length tolerances unchanged.
+    result = ablations.run_polling_tbr(seed=1, seconds=S)
+    rr = result.throughput["rr-poll"]
+    tbr = result.throughput["tbr-poll"]
+    # Round-robin polling reproduces the anomaly; token-driven polling
+    # restores time fairness with unmodified clients (Section 4.1).
+    assert rr["n1"] == pytest.approx(rr["n2"], rel=0.1)
+    assert tbr["n2"] > 4.0 * tbr["n1"]
+    assert sum(tbr.values()) > 1.5 * sum(rr.values())
+    assert "Polling" in ablations.render_polling_tbr(result)

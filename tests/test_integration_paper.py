@@ -1,9 +1,9 @@
 """Integration tests: the paper's headline claims, end to end.
 
-These run short (a few simulated seconds) versions of the benchmark
+These run short (a few simulated seconds) versions of the paper's
 experiments and assert *shape*: who wins, by roughly what factor, and
-the invariants the paper derives.  The benchmarks in ``benchmarks/``
-run the full-length versions.
+the invariants the paper derives.  ``tests/test_paper_claims.py`` runs
+the full-length versions (``slow`` marker).
 """
 
 import pytest
