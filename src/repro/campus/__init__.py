@@ -2,7 +2,7 @@
 
 ::
 
-    from repro.campus import Campus, CampusRuntime
+    from repro.campus import Campus
 
     campus = Campus(seed=1, scheduler="tbr")
     campus.add_cell("c0", channel=1)
@@ -11,15 +11,15 @@
     campus.add_station("c0", "n1", rate_mbps=11.0)
     campus.run(seconds=5, warmup_seconds=1)
 
-Scenario specs grow a ``campus`` section
-(:class:`~repro.scenario.spec.CampusSpec`) compiled by
-:class:`CampusRuntime`; ``python -m repro scenario run campus`` is the
-command-line face, and ``scenario sweep campus --axis n_cells=...`` its
-scaling curve.
+Every scenario spec compiles onto a :class:`Campus` — its ``campus``
+section (:class:`~repro.scenario.spec.CampusSpec`) or, without one, a
+single implicit cell — through the one compiler,
+:class:`repro.scenario.builder.ScenarioRuntime`;
+``python -m repro scenario run campus`` is the command-line face, and
+``scenario sweep campus --axis n_cells=...`` its scaling curve.
 """
 
-from repro.campus.builder import CampusRuntime
 from repro.campus.core import Campus
 from repro.campus.sanitizer import CampusSanitizer
 
-__all__ = ["Campus", "CampusRuntime", "CampusSanitizer"]
+__all__ = ["Campus", "CampusSanitizer"]

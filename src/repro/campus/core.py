@@ -18,7 +18,7 @@ co-channel anomaly the ESS layer exists to expose.
 
 A station is a member of exactly one cell at a time; roaming
 (disassociate → association delay → associate) is driven by the
-scenario layer (:mod:`repro.campus.builder`), with the membership map
+scenario layer (:mod:`repro.scenario.builder`), with the membership map
 kept here.
 """
 
@@ -55,7 +55,6 @@ class Campus:
         self.adjacency: Set[Tuple[str, str]] = set()
         #: station name -> cell name (exactly one cell per station).
         self.membership: Dict[str, str] = {}
-        self._measure_start_us = 0.0
 
     # ------------------------------------------------------------------
     # topology
@@ -147,6 +146,14 @@ class Campus:
             return
         self.cells[cell_name].remove_station(name)
 
+    def crash_station(self, name: str) -> None:
+        """Ungraceful death (:meth:`Cell.crash_station`) in whichever
+        cell holds the station: off the membership map, AP state kept."""
+        cell_name = self.membership.pop(name, None)
+        if cell_name is None:
+            return
+        self.cells[cell_name].crash_station(name)
+
     # ------------------------------------------------------------------
     # running and measuring
     # ------------------------------------------------------------------
@@ -159,13 +166,8 @@ class Campus:
         self.sim.run(until=self.sim.now + us_from_s(seconds))
 
     def reset_measurements(self) -> None:
-        self._measure_start_us = self.sim.now
         for cell in self.cells.values():
             cell.reset_measurements()
-
-    @property
-    def measured_us(self) -> float:
-        return self.sim.now - self._measure_start_us
 
     # ------------------------------------------------------------------
     # campus-wide reporting (merged across cells)

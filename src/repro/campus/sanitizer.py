@@ -21,7 +21,7 @@ to an unsanitized one.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.sim.sanitizer import (
     _BENIGN_DETACHED,
@@ -38,14 +38,12 @@ class CampusSanitizer:
     def __init__(
         self,
         campus: Any,
-        runtime: Optional[Any] = None,
         *,
         check_interval_us: float = 10_000.0,
     ) -> None:
         from repro.mac.dcf import DcfMac
 
         self.campus = campus
-        self.runtime = runtime
         self.check_interval_us = check_interval_us
         self._mac_type = DcfMac
         #: uninstalled per-cell sanitizers, reused for their TBR walk.

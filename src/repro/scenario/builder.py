@@ -1,11 +1,17 @@
-"""Compile a :class:`~repro.scenario.spec.ScenarioSpec` into a live cell.
+"""Compile a :class:`~repro.scenario.spec.ScenarioSpec` into live cells.
 
-The builder is the *only* way specs touch the simulator, and it is
-deliberately boring: stations are created in spec order, each followed
-immediately by its flows in spec order — exactly the construction
-sequence the pre-scenario experiment code used, which is what keeps the
-fig/table goldens byte-identical now that
-:func:`repro.experiments.common.run_competing` goes through here.
+The builder is the *only* way specs touch the simulator — plain and
+campus specs alike: a spec without a ``campus`` section is one implicit
+cell (AP address ``"ap"``) holding ``spec.stations`` / ``spec.flows``,
+so cell *k* of N is compiled by exactly the code that compiles the
+paper's lone cell.  It is deliberately boring, and the order is the
+byte-identity contract: per cell, in spec order, the cell, then the
+reaper if any, then each station followed immediately by its flows in
+spec order — exactly the construction sequence the pre-scenario
+experiment code used, which is what keeps the fig/table goldens
+byte-identical now that
+:func:`repro.experiments.common.run_competing` goes through here —
+then the adjacency once every cell exists, and the timeline last.
 
 Timeline events are scheduled up front (category ``OTHER``, so they
 show up as their own line in the kernel's event accounting) and fire
@@ -54,24 +60,44 @@ inside the run:
   the ordinary disassociate path.  Without a reaper the stranded token
   rate persists, which the runtime sanitizer's live-share invariant
   flags.
+* **roam** — at ``at_s`` the *source* cell tears the station down
+  through the leave path (sources quiesced, queue flushed back to the
+  pool, TBR bucket retired with its rate redistributed, MAC detached);
+  ``delay_s`` later (association latency; builder machinery, not a
+  timeline event) the rejoin path associates a fresh station object in
+  the *destination* cell.  Roam landings and rejoins share the
+  ``@r<n>`` sequence, so leave/rejoin and roam cycles never collide on
+  a flow name.
+
+Station-targeted events resolve the station's *current* cell through
+the campus membership map, so they follow a roamer around; join,
+degrade and outage address the lone cell (``spec.validate()`` keeps
+them, crashes and the reaper out of campus specs — single-cell
+semantics the ESS layer does not define yet).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
+from repro.campus.core import Campus
+from repro.campus.sanitizer import CampusSanitizer
 from repro.channel.loss import BernoulliLoss, PerLinkLoss
+from repro.node.access_point import ReaperConfig
 from repro.node.cell import Cell, FlowHandle
 from repro.node.rate_control import FixedRate
 from repro.scenario.spec import (
     ApOutageEvent,
+    CampusSpec,
+    CellSpec,
     ChannelDegradeEvent,
     FlowSpec,
     JoinEvent,
     LeaveEvent,
     RateSwitchEvent,
     RejoinEvent,
+    RoamEvent,
     ScenarioSpec,
     StationCrashEvent,
     StationSpec,
@@ -79,14 +105,31 @@ from repro.scenario.spec import (
     TrafficOnEvent,
 )
 from repro.sim import EventCategory, us_from_s
+from repro.sim.sanitizer import RuntimeSanitizer, pool_leak, sanitize_enabled
+from repro.sim.steady import FastForwardEngine, fastforward_enabled
 from repro.transport.apps import PacedApp
 
 
-class ScenarioRuntime:
-    """A compiled scenario: the cell plus the timeline machinery.
+def _campus_spec(spec: ScenarioSpec) -> CampusSpec:
+    """The campus ``spec`` describes: its own, or — for a plain spec —
+    one implicit cell holding the top-level stations and flows."""
+    if spec.campus is not None:
+        return spec.campus
+    return CampusSpec(
+        cells=(
+            CellSpec(name="cell", stations=spec.stations, flows=spec.flows),
+        )
+    )
 
-    ``sanitize`` arms the runtime invariant sanitizer
-    (:mod:`repro.sim.sanitizer`) for this run; ``None`` (the default)
+
+class ScenarioRuntime:
+    """A compiled scenario: the campus (:attr:`campus`; one cell for a
+    plain spec, reachable as :attr:`cell`) plus the timeline machinery.
+
+    ``sanitize`` arms the runtime invariant sanitizer for this run —
+    :class:`~repro.sim.sanitizer.RuntimeSanitizer` on one cell,
+    :class:`~repro.campus.sanitizer.CampusSanitizer` (the same per-cell
+    checks plus the cross-cell ones) on several; ``None`` (the default)
     defers to the ``REPRO_SANITIZE`` environment switch.  Sanitized
     runs execute the identical event sequence — the sanitizer only
     observes — so results stay byte-identical either way.
@@ -95,8 +138,9 @@ class ScenarioRuntime:
     (:mod:`repro.sim.steady`); ``None`` defers to ``REPRO_FASTFWD``.
     It is a *runtime* flag, not part of the spec — content digests and
     campaign cache keys are unchanged, because the results must agree
-    either way (byte-identically whenever the detector inhibits, within
-    printed precision on certified steady stretches).
+    either way (byte-identically whenever the detector inhibits — which
+    it always does on more than one cell — within printed precision on
+    certified steady stretches).
     """
 
     def __init__(
@@ -109,18 +153,14 @@ class ScenarioRuntime:
         spec.validate()
         self.spec = spec
         if sanitize is None:
-            from repro.sim.sanitizer import sanitize_enabled
-
             sanitize = sanitize_enabled()
         self.sanitize = sanitize
         self.sanitizer = None
         if fast_forward is None:
-            from repro.sim.steady import fastforward_enabled
-
             fast_forward = fastforward_enabled()
         self.fast_forward = fast_forward
         self.ff_engine = None
-        self.cell = Cell(
+        self.campus = Campus(
             seed=spec.seed,
             scheduler=spec.scheduler,
             tbr_config=spec.tbr_config,
@@ -132,10 +172,10 @@ class ScenarioRuntime:
         self._spec_flows: Dict[str, List[FlowSpec]] = {}
         #: the original station specs, kept for rejoin revival.
         self._station_specs: Dict[str, StationSpec] = {}
+        #: station -> the cell it last associated in (rejoin target).
+        self._last_cells: Dict[str, str] = {}
         self._burst_seq: Dict[str, int] = {}
         self._rejoin_seq: Dict[str, int] = {}
-        self._departed: Set[str] = set()
-        self._crashed: Set[str] = set()
         self._degrade_seq = 0
         #: still-open degrade windows' models, oldest first; closing one
         #: re-exposes the newest remaining (or the base model), so
@@ -144,25 +184,40 @@ class ScenarioRuntime:
         self._degrade_base = None
         self._outage_seq = 0
         self.timeline_fired = 0
+        self.roams_fired = 0
 
-        if spec.reaper is not None:
-            from repro.node.access_point import ReaperConfig
-
-            self.cell.enable_reaper(
-                ReaperConfig(
-                    exhaustion_threshold=spec.reaper.exhaustion_threshold,
-                    idle_timeout_us=us_from_s(spec.reaper.idle_timeout_s),
-                ),
-                on_reap=self._on_reaped,
+        layout = _campus_spec(spec)
+        for cell_spec in layout.cells:
+            ap_address = cell_spec.ap_address
+            if ap_address is None and len(layout.cells) == 1:
+                # One lone cell keeps the canonical "ap" address however
+                # the spec spells it: the address names the AP MAC's RNG
+                # stream, so it is part of the byte-identity contract.
+                ap_address = "ap"
+            cell = self.campus.add_cell(
+                cell_spec.name,
+                channel=cell_spec.channel,
+                ap_address=ap_address,
             )
-
-        for station in spec.stations:
-            self._add_station(
-                station, [f for f in spec.flows if f.station == station.name]
-            )
+            if spec.reaper is not None:
+                cell.enable_reaper(
+                    ReaperConfig(
+                        exhaustion_threshold=spec.reaper.exhaustion_threshold,
+                        idle_timeout_us=us_from_s(spec.reaper.idle_timeout_s),
+                    ),
+                    on_reap=self._on_reaped,
+                )
+            for station in cell_spec.stations:
+                self._add_station(
+                    cell_spec.name,
+                    station,
+                    [f for f in cell_spec.flows if f.station == station.name],
+                )
+        for a, b in layout.adjacency:
+            self.campus.connect(a, b)
         # Stable sort: simultaneous events fire in spec order.
         for event in sorted(spec.timeline, key=lambda e: e.at_s):
-            self.cell.sim.schedule(
+            self.campus.sim.schedule(
                 us_from_s(event.at_s),
                 self._fire,
                 event,
@@ -172,10 +227,30 @@ class ScenarioRuntime:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    @property
+    def cell(self) -> Cell:
+        """The lone cell of a one-cell runtime — the paper's cell, and
+        what join, degrade and outage events address."""
+        cells = self.campus.cells
+        if len(cells) != 1:
+            raise AttributeError(
+                f"a {len(cells)}-cell runtime has no lone cell; "
+                "see runtime.campus.cells"
+            )
+        return next(iter(cells.values()))
+
     def _add_station(
-        self, station: StationSpec, flows: List[FlowSpec]
+        self,
+        cell_name: str,
+        station: StationSpec,
+        flows: List[FlowSpec],
+        suffix: str = "",
     ) -> None:
-        self.cell.add_station(
+        """Associate ``station`` in ``cell_name`` and start ``flows`` —
+        at compile time, on a join and (with an ``@r<n>`` ``suffix``)
+        on every rejoin and roam landing."""
+        self.campus.add_station(
+            cell_name,
             station.name,
             rate_mbps=station.rate_mbps,
             downlink_rate_mbps=station.downlink_rate_mbps,
@@ -184,8 +259,9 @@ class ScenarioRuntime:
         )
         self._station_specs[station.name] = station
         self._spec_flows[station.name] = list(flows)
+        self._last_cells[station.name] = cell_name
         self._active[station.name] = []
-        for flow, name in zip(flows, self._flow_names(flows)):
+        for flow, name in zip(flows, self._flow_names(flows, suffix)):
             self._start_flow(flow, name=name)
 
     @staticmethod
@@ -217,9 +293,10 @@ class ScenarioRuntime:
     def _start_flow(
         self, flow: FlowSpec, name: Optional[str] = None
     ) -> FlowHandle:
-        station = self.cell.stations[flow.station]
+        cell = self.campus.cell_of(flow.station)
+        station = cell.stations[flow.station]
         if flow.kind == "tcp":
-            handle = self.cell.tcp_flow(
+            handle = cell.tcp_flow(
                 station,
                 direction=flow.direction,
                 app=flow.app,
@@ -228,7 +305,7 @@ class ScenarioRuntime:
                 name=name,
             )
         else:
-            handle = self.cell.udp_flow(
+            handle = cell.udp_flow(
                 station,
                 direction=flow.direction,
                 rate_mbps=flow.rate_mbps,
@@ -241,34 +318,51 @@ class ScenarioRuntime:
     # ------------------------------------------------------------------
     # timeline execution
     # ------------------------------------------------------------------
+    #: event type -> handler(runtime, event): the one dispatch, covering
+    #: every member of :data:`~repro.scenario.spec.TimelineEvent`.
+    _HANDLERS = {
+        JoinEvent: lambda self, e: self._join(e),
+        LeaveEvent: lambda self, e: self._leave(e.station),
+        RejoinEvent: lambda self, e: self._rejoin(e.station),
+        RateSwitchEvent: lambda self, e: self._switch_rate(e),
+        TrafficOffEvent: lambda self, e: self._quiesce_station(e.station),
+        TrafficOnEvent: lambda self, e: self._burst_on(e.station),
+        ChannelDegradeEvent: lambda self, e: self._degrade_channel(e),
+        ApOutageEvent: lambda self, e: self._ap_outage(e),
+        StationCrashEvent: lambda self, e: self._crash(e.station),
+        RoamEvent: lambda self, e: self._roam(e),
+    }
+
     def _fire(self, event) -> None:
         self.timeline_fired += 1
-        if isinstance(event, JoinEvent):
-            self._add_station(event.station, list(event.flows))
-        elif isinstance(event, LeaveEvent):
-            self._leave(event.station)
-        elif isinstance(event, RejoinEvent):
-            self._rejoin(event.station)
-        elif isinstance(event, RateSwitchEvent):
-            self._switch_rate(event)
-        elif isinstance(event, TrafficOffEvent):
-            self._quiesce_station(event.station)
-        elif isinstance(event, TrafficOnEvent):
-            self._burst_on(event.station)
-        elif isinstance(event, ChannelDegradeEvent):
-            self._degrade_channel(event)
-        elif isinstance(event, ApOutageEvent):
-            self._ap_outage(event)
-        elif isinstance(event, StationCrashEvent):
-            self._crash(event.station)
-        else:  # pragma: no cover - spec.validate() rejects unknown kinds
+        handler = self._HANDLERS.get(type(event))
+        if handler is None:  # pragma: no cover - spec.validate() rejects it
             raise TypeError(f"unknown timeline event {event!r}")
+        handler(self, event)
+
+    def _join(self, event: JoinEvent) -> None:
+        (cell_name,) = self.campus.cells  # the lone cell, as in ``cell``
+        self._add_station(cell_name, event.station, list(event.flows))
 
     def _leave(self, name: str) -> None:
-        """True disassociation: quiesce sources, then tear down."""
+        """True disassociation: quiesce sources, then tear down in
+        whichever cell holds the station."""
         self._quiesce_station(name)
-        self._departed.add(name)
-        self.cell.remove_station(name)
+        self.campus.remove_station(name)
+
+    def _roam(self, event: RoamEvent) -> None:
+        """Disassociate from the source cell now; land later."""
+        self.roams_fired += 1
+        self._leave(event.station)
+        # The landing is builder machinery (like an outage recovery):
+        # it rides category OTHER but does not count as timeline_fired.
+        self.campus.sim.schedule(
+            us_from_s(event.delay_s),
+            self._rejoin,
+            event.station,
+            event.to_cell,
+            category=EventCategory.OTHER,
+        )
 
     def _crash(self, name: str) -> None:
         """Ungraceful death: the station vanishes, AP state stays.
@@ -285,14 +379,17 @@ class ScenarioRuntime:
             else:
                 survivors.append(handle)
         self._active[name] = survivors
-        self._departed.add(name)
-        self._crashed.add(name)
-        self.cell.crash_station(name)
+        self.campus.crash_station(name)
 
     def _on_reaped(self, name: str) -> None:
         """The AP declared ``name`` dead and tore its state down;
         stop the remaining (downlink) sources so the wire does not keep
-        offering traffic the scheduler will only refuse."""
+        offering traffic the scheduler will only refuse.
+
+        The reaper works inside the cell, behind the campus's back, so
+        a reaped station that had *not* crashed (a live one behind a
+        hopeless link) is still on the membership map: drop it here."""
+        self.campus.membership.pop(name, None)
         self._quiesce_station(name)
 
     def _ap_outage(self, event: ApOutageEvent) -> None:
@@ -330,28 +427,19 @@ class ScenarioRuntime:
                 category=EventCategory.OTHER,
             )
 
-    def _rejoin(self, name: str) -> None:
-        """Revive a departed station from its original spec."""
-        self._departed.discard(name)
+    def _rejoin(self, name: str, cell_name: Optional[str] = None) -> None:
+        """Associate again, from the original spec, a station that was
+        here before: in ``cell_name`` (a roam landing) or by default the
+        cell it last occupied (rejoin, outage recovery) — membership was
+        popped on the way out, so ``_last_cells`` remembers."""
         seq = self._rejoin_seq.get(name, 0) + 1
         self._rejoin_seq[name] = seq
-        self._add_rejoined_station(name, seq)
-
-    def _add_rejoined_station(self, name: str, seq: int) -> None:
-        spec = self._station_specs[name]
-        self.cell.add_station(
-            spec.name,
-            rate_mbps=spec.rate_mbps,
-            downlink_rate_mbps=spec.downlink_rate_mbps,
-            queue_capacity=spec.queue_capacity,
-            cooperate_with_tbr=spec.cooperate_with_tbr,
+        self._add_station(
+            cell_name if cell_name is not None else self._last_cells[name],
+            self._station_specs[name],
+            self._spec_flows[name],
+            suffix=f"@r{seq}",
         )
-        self._active[name] = []
-        flows = self._spec_flows.get(name, [])
-        for flow, flow_name in zip(
-            flows, self._flow_names(flows, suffix=f"@r{seq}")
-        ):
-            self._start_flow(flow, name=flow_name)
 
     def _quiesce_station(self, name: str) -> None:
         for handle in self._active.get(name, ()):
@@ -373,7 +461,8 @@ class ScenarioRuntime:
         sender.app_finished = True
 
     def _switch_rate(self, event: RateSwitchEvent) -> None:
-        station = self.cell.stations[event.station]
+        cell = self.campus.cell_of(event.station)
+        station = cell.stations[event.station]
         controller = station.rate_controller
         if not isinstance(controller, FixedRate):
             raise TypeError(
@@ -387,11 +476,11 @@ class ScenarioRuntime:
             if event.downlink_rate_mbps is not None
             else event.rate_mbps
         )
-        self.cell.ap.set_downlink_rate(event.station, downlink)
+        cell.ap.set_downlink_rate(event.station, downlink)
 
     def _burst_on(self, name: str) -> None:
-        if name in self._departed:
-            return
+        if name not in self.campus.membership:
+            return  # departed, crashed or mid-roam: nobody to send
         self._quiesce_station(name)  # idempotent: on-after-on restarts
         seq = self._burst_seq.get(name, 0) + 1
         self._burst_seq[name] = seq
@@ -469,14 +558,15 @@ class ScenarioRuntime:
         the caller.
         """
         if self.sanitize and self.sanitizer is None:
-            from repro.sim.sanitizer import RuntimeSanitizer
-
-            self.sanitizer = RuntimeSanitizer(self.cell).install()
+            if len(self.campus.cells) == 1:
+                self.sanitizer = RuntimeSanitizer(self.cell).install()
+            else:
+                self.sanitizer = CampusSanitizer(self.campus).install()
         if self.fast_forward and self.ff_engine is None:
-            from repro.sim.steady import FastForwardEngine
-
-            self.ff_engine = FastForwardEngine(self.cell)
-        runner = self.ff_engine.run if self.ff_engine is not None else self.cell.run
+            # The engine, not the builder, decides whether this campus
+            # can jump (today: one cell) and records why when it cannot.
+            self.ff_engine = FastForwardEngine(self.campus)
+        runner = self.ff_engine.run if self.ff_engine else self.campus.run
         try:
             runner(
                 seconds=self.spec.seconds,
@@ -489,17 +579,16 @@ class ScenarioRuntime:
             self.sanitizer.finalize()
 
     def pool_leaked(self) -> int:
-        """End-of-run pooled-packet leak count (0 on a healthy run);
-        see :func:`repro.sim.sanitizer.pool_leak`."""
-        from repro.sim.sanitizer import pool_leak
-
-        return pool_leak(self.cell)
+        """End-of-run pooled-packet leak count, summed over the cells
+        (0 on a healthy run); see :func:`repro.sim.sanitizer.pool_leak`."""
+        return sum(pool_leak(cell) for cell in self.campus.cells.values())
 
     def station_rates_mbps(self) -> Dict[str, float]:
         """Current uplink rate per station (post-timeline)."""
         return {
             name: station.rate_controller.rate_for(station.ap_address)
-            for name, station in self.cell.stations.items()
+            for cell in self.campus.cells.values()
+            for name, station in cell.stations.items()
         }
 
 

@@ -79,65 +79,28 @@ def run_spec(
 ) -> ScenarioResult:
     """Compile, run and measure one scenario spec.
 
-    ``sanitize=True`` runs under the
-    :class:`~repro.sim.sanitizer.RuntimeSanitizer`; ``fast_forward=True``
-    runs through the steady-state fast-forward engine
-    (:mod:`repro.sim.steady`).  Either ``None`` defers to the matching
-    environment switch (``REPRO_SANITIZE`` / ``REPRO_FASTFWD``), which
-    is how campaign worker processes inherit the settings.
-    """
-    if spec.campus is not None:
-        return _run_campus_spec(
-            spec, sanitize=sanitize, fast_forward=fast_forward
-        )
-    runtime = ScenarioRuntime(
-        spec, sanitize=sanitize, fast_forward=fast_forward
-    )
-    sim = runtime.cell.sim
-    runtime.run()
-    return ScenarioResult(
-        name=spec.name,
-        seed=spec.seed,
-        scheduler=spec.scheduler,
-        seconds=spec.seconds,
-        warmup_seconds=spec.warmup_seconds,
-        throughput_mbps=runtime.cell.station_throughputs_mbps(),
-        flow_throughput_mbps=runtime.cell.throughputs_mbps(),
-        occupancy=runtime.cell.occupancy_fractions(),
-        final_rates_mbps=runtime.station_rates_mbps(),
-        timeline_fired=runtime.timeline_fired,
-        events_executed=sim.events_executed,
-        events_by_category=sim.events_by_category(),
-        pool_leaked=runtime.pool_leaked(),
-        fast_forwards=sim.fast_forwards,
-        fast_forwarded_s=sim.fast_forwarded_us / 1e6,
-    )
-
-
-def _run_campus_spec(
-    spec: ScenarioSpec,
-    *,
-    sanitize: Optional[bool] = None,
-    fast_forward: Optional[bool] = None,
-) -> ScenarioResult:
-    """Campus leg of :func:`run_spec` (same contract, merged figures).
+    ``sanitize=True`` runs under the runtime sanitizer
+    (:mod:`repro.sim.sanitizer`; :mod:`repro.campus.sanitizer` on
+    several cells); ``fast_forward=True`` runs through the steady-state
+    fast-forward engine (:mod:`repro.sim.steady`).  Either ``None``
+    defers to the matching environment switch (``REPRO_SANITIZE`` /
+    ``REPRO_FASTFWD``), which is how campaign worker processes inherit
+    the settings.
 
     Station-keyed figures merge across cells — station names are
     campus-unique, and a roamer's airtime in every cell it visited sums
-    under its one name — while the ``cell_*`` fields keep the per-cell
-    view.  A single-cell campus fills ``cell_members`` with one entry;
-    :func:`render_result` only appends the campus block for >= 2 cells,
-    which is what keeps the 1-cell differential render byte-identical.
+    under its one name.  The ``cell_*`` fields and ``roams_fired`` keep
+    the per-cell view, and are filled only when the spec has a
+    ``campus`` section: a plain spec's result stays field for field
+    what it always was (cached pickles, ``==``).
     """
-    from repro.campus.builder import CampusRuntime
-
-    runtime = CampusRuntime(
+    runtime = ScenarioRuntime(
         spec, sanitize=sanitize, fast_forward=fast_forward
     )
-    sim = runtime.campus.sim
-    runtime.run()
     campus = runtime.campus
-    return ScenarioResult(
+    sim = campus.sim
+    runtime.run()
+    result = ScenarioResult(
         name=spec.name,
         seed=spec.seed,
         scheduler=spec.scheduler,
@@ -153,15 +116,17 @@ def _run_campus_spec(
         pool_leaked=runtime.pool_leaked(),
         fast_forwards=sim.fast_forwards,
         fast_forwarded_s=sim.fast_forwarded_us / 1e6,
-        cell_members={
+    )
+    if spec.campus is not None:
+        result.cell_members = {
             name: sorted(members)
             for name, members in campus.cell_members().items()
-        },
-        cell_channels=dict(campus.channel_map),
-        cell_occupancy=campus.cell_occupancy_fractions(),
-        cell_busy_fraction=campus.cell_busy_fractions(),
-        roams_fired=runtime.roams_fired,
-    )
+        }
+        result.cell_channels = dict(campus.channel_map)
+        result.cell_occupancy = campus.cell_occupancy_fractions()
+        result.cell_busy_fraction = campus.cell_busy_fractions()
+        result.roams_fired = runtime.roams_fired
+    return result
 
 
 # ----------------------------------------------------------------------

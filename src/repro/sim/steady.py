@@ -37,9 +37,9 @@ There is one mechanism for skipping time, in three parts:
 
 A jump never crosses a pending timeline event (category OTHER is pinned
 in the kernel), never happens within :data:`MIN_SKIP_US` of one, and
-anything the detector cannot certify (TCP flows, churn, chaos, loss
-windows, rate switches mid-window) simply runs event-by-event,
-byte-identical to a run without the flag.
+anything the detector cannot certify (more than one cell, TCP flows,
+churn, chaos, loss windows, rate switches mid-window) simply runs
+event-by-event, byte-identical to a run without the flag.
 
 Enable with ``REPRO_FASTFWD=1`` (or ``fast_forward=True`` on
 ``ScenarioRuntime``/``run_spec``); see EXPERIMENTS.md "Fast-forward".
@@ -185,22 +185,30 @@ def credit_counters(
 # the engine
 # ----------------------------------------------------------------------
 class FastForwardEngine:
-    """Runs a cell with analytic skips over certified steady stretches.
+    """Runs a campus with analytic skips over certified steady stretches.
 
-    Drop-in replacement for ``cell.run(seconds, warmup_seconds=...)``:
-    statically ineligible workloads (any non-UDP or non-downlink flow)
-    fall back to exactly that call, and eligible ones interleave
-    event-by-event calibration windows (``calibration_us`` each; longer
-    trades wall-clock for synthesis accuracy) with synthesized jumps
-    bounded by the next pending timeline event.
+    Drop-in replacement for ``campus.run(seconds, warmup_seconds=...)``
+    (:class:`repro.campus.core.Campus`): statically ineligible workloads
+    (more than one cell; any non-UDP or non-downlink flow) fall back to
+    exactly that call, recording why once in :attr:`declines`, and
+    eligible ones interleave event-by-event calibration windows
+    (``calibration_us`` each; longer trades wall-clock for synthesis
+    accuracy) with synthesized jumps bounded by the next pending
+    timeline event.
     """
 
-    def __init__(self, cell, *, calibration_us: float = CALIBRATION_US) -> None:
-        self.cell = cell
+    def __init__(self, campus, *, calibration_us: float = CALIBRATION_US) -> None:
+        self.campus = campus
+        cells = list(campus.cells.values())
+        #: the cell the detector certifies and the walker credits: the
+        #: lone one.  ``None`` on several — nothing yet certifies one
+        #: cell of a coupled campus as a root for the walker.
+        self.cell = cells[0] if len(cells) == 1 else None
         self.calibration_us = calibration_us
         #: jumps taken (mirrors ``sim.fast_forwards`` for this engine).
         self.jumps = 0
-        #: calibration windows that did not end in a jump, by reason.
+        #: calibration windows that did not end in a jump, by reason —
+        #: and, counted once per run, why a run never calibrated at all.
         self.declines: Counter = Counter()
         #: AP MAC exchanges in the current window that needed a retry or
         #: failed outright — any of these voids the steady-state claim.
@@ -235,8 +243,9 @@ class FastForwardEngine:
     # ------------------------------------------------------------------
     def run(self, seconds: float, *, warmup_seconds: float = 0.0) -> None:
         cell = self.cell
-        if not self._statically_eligible():
-            cell.run(seconds, warmup_seconds=warmup_seconds)
+        if cell is None or not self._statically_eligible():
+            self.declines["multi-cell" if cell is None else "flow-kind"] += 1
+            self.campus.run(seconds, warmup_seconds=warmup_seconds)
             return
         if not self._listener_installed:
             cell.ap.mac.add_completion_listener(self._on_ap_exchange)
@@ -244,7 +253,7 @@ class FastForwardEngine:
         sim = cell.sim
         if warmup_seconds > 0:
             sim.run(until=sim.now + us_from_s(warmup_seconds))
-            cell.reset_measurements()
+            self.campus.reset_measurements()
         until = sim.now + us_from_s(seconds)
         while sim.now < until:
             window_start = sim.now

@@ -1,12 +1,14 @@
 """Differential equivalence: a 1-cell campus IS the single-cell path.
 
-The campus layer earns trust by proving it adds nothing when there is
-nothing to add: the same stations, flows and timeline run through a
-one-cell ``CampusSpec`` must be *byte-identical* — rendered figures,
-usage ledger, per-category event counts — to the plain single-cell
-scenario path.  Every RNG stream, event ordering and measurement
-window has to line up for this to hold, so any campus-layer divergence
-(an extra event, a renamed stream, a skewed warm-up) fails here first.
+One compiler builds both spellings (a plain spec is normalised to one
+implicit cell), so this pair is a regression pin rather than a proof:
+the same stations, flows and timeline wrapped in a one-cell
+``CampusSpec`` must stay *byte-identical* — rendered figures, usage
+ledger, per-category event counts, fast-forward jumps — to the plain
+spec.  Every RNG stream, event ordering and measurement window has to
+line up for this to hold, so a normalisation that drifts (an extra
+event, a renamed stream, a skewed warm-up, a flag honoured for one
+spelling only) fails here first.
 """
 
 import pytest
@@ -20,6 +22,7 @@ from repro.scenario import (
     StationSpec,
     TrafficOffEvent,
     TrafficOnEvent,
+    build_spec,
     render_result,
     run_spec,
 )
@@ -39,23 +42,30 @@ TIMELINE = (
 )
 
 
-def _pair(scheduler: str, timeline=(), seed: int = 3):
+def _pair(
+    scheduler: str,
+    timeline=(),
+    seed: int = 3,
+    stations=STATIONS,
+    flows=FLOWS,
+    seconds: float = 1.8,
+):
     """The same workload as a plain spec and as a 1-cell campus."""
     common = dict(
         name="diff",
         scheduler=scheduler,
-        seconds=1.8,
+        seconds=seconds,
         warmup_seconds=0.4,
         seed=seed,
         timeline=timeline,
     )
-    plain = ScenarioSpec(stations=STATIONS, flows=FLOWS, **common)
+    plain = ScenarioSpec(stations=stations, flows=flows, **common)
     campus = ScenarioSpec(
         stations=(),
         flows=(),
         campus=CampusSpec(
             cells=(
-                CellSpec(name="solo", stations=STATIONS, flows=FLOWS),
+                CellSpec(name="solo", stations=stations, flows=flows),
             )
         ),
         **common,
@@ -118,6 +128,27 @@ def test_one_cell_campus_matches_with_fast_forward_flagged():
     for result in results[1:]:
         _identical(results[0], result)
     assert all(r.fast_forwards == 0 for r in results)
+
+
+def test_one_cell_campus_jumps_exactly_like_the_plain_spec():
+    # Saturated downlink UDP (steady-long's cell) is what the engine
+    # certifies, and it arms on one cell however the spec spells it:
+    # same jumps, same simulated time skipped, same bytes.
+    steady = build_spec("steady-long", seconds=8.0, perturb_every_s=4.0)
+    plain, campus = _pair(
+        "tbr",
+        timeline=steady.timeline,
+        seed=1,
+        stations=steady.stations,
+        flows=steady.flows,
+        seconds=8.0,
+    )
+    plain_result = run_spec(plain, fast_forward=True)
+    campus_result = run_spec(campus, fast_forward=True)
+    assert plain_result.fast_forwards >= 1
+    assert plain_result.fast_forwards == campus_result.fast_forwards
+    assert plain_result.fast_forwarded_s == campus_result.fast_forwarded_s
+    _identical(plain_result, campus_result)
 
 
 def test_one_cell_campus_render_has_no_campus_block():

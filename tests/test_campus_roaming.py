@@ -12,13 +12,13 @@ re-converges to 1/n_active in *both* cells.
 
 import pytest
 
-from repro.campus import CampusRuntime
 from repro.core.tbr import TbrConfig
 from repro.scenario import (
     CampusSpec,
     CellSpec,
     FlowSpec,
     RoamEvent,
+    ScenarioRuntime,
     ScenarioSpec,
     StationSpec,
     build_spec,
@@ -108,7 +108,7 @@ def _roam_spec(
 # nothing stranded in the source cell
 # ----------------------------------------------------------------------
 def test_roam_strands_nothing_in_the_source_cell():
-    runtime = CampusRuntime(_roam_spec(), sanitize=True)
+    runtime = ScenarioRuntime(_roam_spec(), sanitize=True)
     runtime.run()
     source = runtime.campus.cells["c0"]
     # No station object, no association, no queue, no tokens, no rate.
@@ -131,7 +131,7 @@ def test_roam_strands_nothing_in_the_source_cell():
 
 
 def test_roam_back_strands_nothing_in_either_cell():
-    runtime = CampusRuntime(
+    runtime = ScenarioRuntime(
         _roam_spec(roam_back_s=1.5), sanitize=True
     )
     runtime.run()
@@ -160,7 +160,7 @@ def test_roam_back_strands_nothing_in_either_cell():
 # T_init exactly once per (re)association
 # ----------------------------------------------------------------------
 def test_destination_grants_initial_tokens_exactly_once():
-    runtime = CampusRuntime(_roam_spec())
+    runtime = ScenarioRuntime(_roam_spec())
     dest = runtime.campus.cells["c1"].scheduler
     grants = []
     real_associate = dest.associate
@@ -181,7 +181,7 @@ def test_landing_bucket_is_fresh_not_inherited():
     # The walker runs saturated downlink in c0, so its bucket is deep
     # in debt when the roam fires; the destination bucket must start
     # from T_init, not inherit the debt.
-    runtime = CampusRuntime(_roam_spec(downlink=True))
+    runtime = ScenarioRuntime(_roam_spec(downlink=True))
     source = runtime.campus.cells["c0"].scheduler
     debt = {}
     real_disassociate = source.disassociate
@@ -218,7 +218,7 @@ def test_roam_during_in_flight_mac_exchange_aborts_cleanly():
     # on a *different* RF channel — the orphaned exchange must retry
     # out and drop, pools must balance, and the sanitized run must
     # stay clean.
-    runtime = CampusRuntime(
+    runtime = ScenarioRuntime(
         _roam_spec(downlink=True, channels=(1, 6)), sanitize=True
     )
     source_mac = runtime.campus.cells["c0"].ap.mac
@@ -238,7 +238,7 @@ def test_roam_during_in_flight_mac_exchange_may_complete_cross_cell():
     # RF earshot, so the in-flight exchange may complete through the
     # coupled medium instead of aborting.  Either way: clean pools,
     # clean sanitizer, walker lives in c1.
-    runtime = CampusRuntime(_roam_spec(downlink=True), sanitize=True)
+    runtime = ScenarioRuntime(_roam_spec(downlink=True), sanitize=True)
     runtime.run()
     assert runtime.pool_leaked() == 0
     assert runtime.campus.membership["walker"] == "c1"
@@ -306,7 +306,7 @@ def test_tbr_reconverges_to_fair_share_in_both_cells():
             cells=tuple(cells), adjacency=(("c0", "c1"),)
         ),
     )
-    runtime = CampusRuntime(spec)
+    runtime = ScenarioRuntime(spec)
     for cell in runtime.campus.cells.values():
         cell.usage.keep_records = True
     runtime.run()
@@ -363,3 +363,14 @@ def test_campus_runs_never_engage_the_fast_forward_engine():
     result = run_spec(spec, fast_forward=True)
     assert result.fast_forwards == 0
     assert result.fast_forwarded_s == 0.0
+
+
+def test_flagged_campus_run_says_why_it_never_jumped():
+    # The engine, not the builder, holds the multi-cell decision: an
+    # empty ``declines`` would read as "never armed".
+    runtime = ScenarioRuntime(
+        build_spec("campus", seconds=1.0, warmup_s=0.2), fast_forward=True
+    )
+    runtime.run()
+    assert runtime.campus.sim.fast_forwards == 0
+    assert runtime.ff_engine.declines == {"multi-cell": 1}

@@ -211,7 +211,7 @@ def test_steady_long_fifo_uses_dcf_model():
     slow = run_spec(spec, fast_forward=False)
     runtime = ScenarioRuntime(spec, fast_forward=True)
     runtime.ff_engine = FastForwardEngine(
-        runtime.cell, calibration_us=1_000_000.0
+        runtime.campus, calibration_us=1_000_000.0
     )
     runtime.run()
     assert runtime.cell.sim.fast_forwards >= 1
@@ -262,7 +262,7 @@ def test_jump_credits_drop_and_downlink_counters(scheduler):
             # 10 % that test accepts.  (An uncredited counter is off by
             # the skipped fraction, > 80 % here, under either bound.)
             runtime.ff_engine = FastForwardEngine(
-                runtime.cell, calibration_us=1_000_000.0
+                runtime.campus, calibration_us=1_000_000.0
             )
         runtime.run()
         cells[fast] = runtime.cell
@@ -467,6 +467,11 @@ def test_tcp_workloads_fall_back_statically():
     assert fast.fast_forwards == 0
     assert render_result(fast) == render_result(slow)
     assert fast.events_by_category == slow.events_by_category
+    # A run that never calibrates still says why, once, in the counter
+    # the calibration windows use.
+    runtime = ScenarioRuntime(spec, fast_forward=True)
+    runtime.run()
+    assert runtime.ff_engine.declines == {"flow-kind": 1}
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +536,7 @@ def test_static_eligibility_requires_udp_downlink_flows():
         ),
         fast_forward=True,
     )
-    assert FastForwardEngine(eligible.cell)._statically_eligible()
+    assert FastForwardEngine(eligible.campus)._statically_eligible()
     # No flows at all: nothing to saturate, nothing to synthesize.
     idle = ScenarioRuntime(
         ScenarioSpec(
@@ -543,4 +548,4 @@ def test_static_eligibility_requires_udp_downlink_flows():
         ),
         fast_forward=True,
     )
-    assert not FastForwardEngine(idle.cell)._statically_eligible()
+    assert not FastForwardEngine(idle.campus)._statically_eligible()

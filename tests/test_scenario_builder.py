@@ -1,17 +1,26 @@
 """Builder semantics: timelines actually change the running cell."""
 
+import typing
+
 import pytest
 
+from repro.campus import CampusSanitizer
 from repro.scenario import (
+    ChannelDegradeEvent,
     FlowSpec,
     JoinEvent,
     LeaveEvent,
     RateSwitchEvent,
+    ReaperSpec,
     ScenarioRuntime,
     ScenarioSpec,
+    StationCrashEvent,
     StationSpec,
+    TimelineEvent,
     TrafficOffEvent,
     TrafficOnEvent,
+    build,
+    build_spec,
     run_spec,
 )
 
@@ -242,3 +251,83 @@ def test_timeline_events_count_as_other_category():
         make_spec(timeline=(TrafficOffEvent(at_s=0.5, station="a"),))
     )
     assert result.events_by_category["other"] == 1
+
+
+# ----------------------------------------------------------------------
+# one compiler: plain and campus specs, every event kind, one membership
+# ----------------------------------------------------------------------
+def test_build_compiles_a_campus_spec():
+    runtime = build(build_spec("campus", seconds=1.0, warmup_s=0.2))
+    assert len(runtime.campus.cells) == 2
+    assert all(cell.stations for cell in runtime.campus.cells.values())
+    runtime.run()
+    assert runtime.roams_fired == 2
+
+
+def test_fire_handles_every_timeline_event_kind():
+    assert set(ScenarioRuntime._HANDLERS) == set(
+        typing.get_args(TimelineEvent)
+    )
+
+
+def _two_station_spec(name, **overrides):
+    return make_spec(
+        name=name,
+        scheduler="tbr",
+        stations=(
+            StationSpec("a", rate_mbps=11.0),
+            StationSpec("far", rate_mbps=11.0),
+        ),
+        flows=tuple(
+            FlowSpec(station=station, kind="udp", direction="down",
+                     rate_mbps=2.0)
+            for station in ("a", "far")
+        ),
+        **overrides,
+    )
+
+
+#: ``far`` crashes and nothing ever reaps it: only the crash itself can
+#: take it off the map.
+UNREAPED_CRASH = _two_station_spec(
+    "unreaped-crash",
+    timeline=(StationCrashEvent(at_s=0.5, station="far"),),
+)
+#: ``far`` stays alive behind a link that loses everything, so the
+#: reaper tears down a station the builder never saw leave.
+HOPELESS_LINK = _two_station_spec(
+    "hopeless-link",
+    timeline=(
+        ChannelDegradeEvent(
+            at_s=0.5, duration_s=2.0, loss_probability=1.0, station="far",
+        ),
+    ),
+    seconds=3.0,
+    reaper=ReaperSpec(exhaustion_threshold=2, idle_timeout_s=0.4),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, reaped",
+    [
+        # crash + reap, outage recovery, leave/rejoin, in one timeline
+        (build_spec("chaos", seed=5, seconds=4.0), 1),
+        (build_spec("fairness-outage", seconds=3.0, warmup_s=0.5,
+                    outage_s=0.5), None),
+        (build_spec("fairness-churn", seconds=2.4, warmup_s=0.5), None),
+        (UNREAPED_CRASH, None),
+        (HOPELESS_LINK, 1),
+    ],
+    ids=lambda value: getattr(value, "name", None),
+)
+def test_membership_map_names_exactly_the_associated_stations(spec, reaped):
+    # Crash and reap pop ``cell.stations`` inside the cell, behind the
+    # campus's back; the one-cell world must still satisfy the campus
+    # invariants (single membership, map and station tables agree).
+    runtime = build(spec)
+    runtime.run()
+    campus = runtime.campus
+    if reaped is not None:
+        assert runtime.cell.ap.reaper.reap_count == reaped
+    assert set(campus.membership) == set(runtime.cell.stations)
+    CampusSanitizer(campus)._check_campus(campus.sim.now)
