@@ -32,13 +32,12 @@ deterministically by job key.  The building blocks:
   ``repro campaign --resume``;
 * :mod:`repro.campaign.faults` — deterministic fault injection for the
   chaos test suite;
-* :mod:`repro.campaign.registry` — the experiment modules' ``jobs()`` /
-  ``reduce()`` pairs wired up for the ``python -m repro campaign`` CLI
-  (:mod:`repro.campaign.cli`).
+* :mod:`repro.campaign.cli` — ``python -m repro campaign`` over the one
+  experiment table, :data:`repro.experiments.EXPERIMENTS`.
 
-The registry and CLI import the experiment modules, so they are *not*
-re-exported here — ``repro.experiments.common`` depends on this package
-for :class:`Job` and importing them eagerly would be circular.
+The CLI imports the experiment modules (inside ``main()``), so it is
+*not* re-exported here — ``repro.experiments.common`` depends on this
+package for :class:`Job` and importing it eagerly would be circular.
 """
 
 from repro.campaign.job import (

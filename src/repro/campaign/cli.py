@@ -45,7 +45,6 @@ from repro.campaign.faults import FaultPlan, FaultPlanError
 from repro.campaign.job import Job
 from repro.campaign.manifest import RunManifest, campaign_digest
 from repro.campaign.policy import RetryPolicy
-from repro.campaign.registry import FIGURE_SUITE, campaign_registry
 from repro.campaign.store import (
     DEFAULT_CACHE_DIRNAME,
     ResultStore,
@@ -438,27 +437,37 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         parser.error(str(exc))
 
-    registry = campaign_registry()
+    # Imported here, not at module level: the experiment table pulls in
+    # every experiment module, and ``repro.scenario.cli`` imports this
+    # module for the execution flags alone.
+    from repro.experiments import EXPERIMENTS, FIGURE_SUITE
+
     if args.list:
-        for name in registry:
+        for name in EXPERIMENTS:
             print(f"  {name}")
         return 0
 
     selected = list(args.experiments) if args.experiments else list(FIGURE_SUITE)
-    unknown = [name for name in selected if name not in registry]
+    unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
-        valid = ", ".join(registry)
+        valid = ", ".join(EXPERIMENTS)
         print(
             f"unknown experiment(s) {', '.join(unknown)}; valid: {valid}",
             file=sys.stderr,
         )
         return 2
 
+    knobs: Dict[str, Any] = {"seed": args.seed}
+    if args.seconds is not None:
+        knobs["seconds"] = args.seconds
     jobs: List[Job] = []
     for name in selected:
-        jobs.extend(
-            registry[name].build_jobs(seed=args.seed, seconds=args.seconds)
-        )
+        try:
+            jobs.extend(EXPERIMENTS[name].jobs(**knobs))
+        except ValueError as exc:
+            # The job factory rejected the duration (or seed).
+            print(f"{name}: {exc}", file=sys.stderr)
+            return 2
 
     digest = campaign_digest(job.digest for job in jobs)
     try:
@@ -506,9 +515,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"[{name}: not rendered — {why}]")
             print()
             continue
-        spec = registry[name]
-        result = spec.reduce(outcome.experiment_results(name))
-        print(spec.render(result))
+        experiment = EXPERIMENTS[name]
+        result = experiment.reduce(outcome.experiment_results(name))
+        print(experiment.render(result))
         print()
 
     return report_outcome(outcome, args.partial)

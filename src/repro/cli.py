@@ -25,25 +25,11 @@ by ``benchmarks/suite`` (see its README).
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from typing import List, Optional
 
-from repro.experiments import REGISTRY
-
-
-def _call_run(module, seed: int, seconds: Optional[float]):
-    """Invoke ``module.run`` with whichever knobs it supports."""
-    params = inspect.signature(module.run).parameters
-    kwargs = {"seed": seed}
-    if seconds is not None:
-        if "seconds" in params:
-            kwargs["seconds"] = seconds
-        elif "max_seconds" in params:
-            kwargs["max_seconds"] = seconds
-        elif "duration_s" in params:
-            kwargs["duration_s"] = seconds
-    return module.run(**kwargs)
+from repro.campaign.executor import serial_results
+from repro.experiments import EXPERIMENTS, ablations
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -87,9 +73,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
-        for name, module in REGISTRY.items():
-            doc = (module.__doc__ or "").strip().splitlines()[0]
-            print(f"  {name:8} {doc}")
+        for name, experiment in EXPERIMENTS.items():
+            print(f"  {name:8} {experiment.summary}")
         print("  campaign Parallel cached experiment runner "
               "(python -m repro campaign --help)")
         print("  scenario Declarative workload families: run/list/sweep "
@@ -99,19 +84,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.experiment == "all":
-        names = list(REGISTRY)
-    elif args.experiment in REGISTRY:
+        names = [n for n in EXPERIMENTS if n not in ablations.ABLATIONS]
+    elif args.experiment in EXPERIMENTS:
         names = [args.experiment]
     else:
-        valid = ", ".join(REGISTRY)
+        valid = ", ".join(EXPERIMENTS)
         print(f"unknown experiment {args.experiment!r}; valid: {valid}, all, list",
               file=sys.stderr)
         return 2
 
+    knobs = {"seed": args.seed}
+    if args.seconds is not None:
+        knobs["seconds"] = args.seconds
     for name in names:
-        module = REGISTRY[name]
-        result = _call_run(module, args.seed, args.seconds)
-        print(module.render(result))
+        experiment = EXPERIMENTS[name]
+        try:
+            jobs = experiment.jobs(**knobs)
+        except ValueError as exc:
+            # The job factory rejected the duration (or seed).
+            print(f"{name}: {exc}", file=sys.stderr)
+            return 2
+        print(experiment.render(experiment.reduce(serial_results(jobs))))
         print()
     return 0
 

@@ -8,59 +8,75 @@ dedicated figure:
   Exp-TBR-vs-Eq12 gap); the oracle mode reads true attempt counts;
 * **bucket depth** — deeper buckets allow longer bursts and worsen
   short-term fairness (Section 4.5);
-* **adjust cadence** — how fast ADJUSTRATEEVENT reclaims idle share;
 * **weighted shares** — the QoS extension (unequal rate_i);
 * **work conservation** — strict Figure 6 dequeue vs an immediate
   borrowing fallback (which defeats uplink regulation);
+* **polling MAC** — PCF-style polling with TBR dictating the poll order;
+* **OAR** — the related-work baseline that needs every client modified;
+* **client cooperation** — the notification bit for uplink UDP;
 * **802.11g coexistence** — the paper's motivation: a 54 Mbps client
   dragged down by an 802.11b peer, and what TBR restores.
+
+Each is one row of :data:`ABLATIONS`: a *matrix* function ``(seed=,
+seconds=, ...) -> {label: case}`` and a renderer over ``{label:
+result}``.  A case is a :class:`ScenarioSpec` (run by the one
+``scenario_job``) wherever the spec language can say it, and an
+``(executor, params)`` pair only where it has no word for the setup.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple, Union,
+)
 
 from repro.analysis.fairness import jain_index
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job, make_job
 from repro.channel.loss import PerLinkLoss
-from repro.core.tbr import TbrConfig
-from repro.experiments.common import competing_job, fmt_table
+from repro.core.tbr import TbrConfig, TbrScheduler
+from repro.experiments.common import competing_spec, fmt_table
 from repro.node.cell import Cell
-from repro.sim import us_from_s
+from repro.scenario.runner import ScenarioResult, scenario_job
+from repro.scenario.spec import FlowSpec, ScenarioSpec, StationSpec
+from repro.sim import Simulator, us_from_s
+
+#: One labelled case of an ablation: a spec, or ``(executor, params)``.
+Case = Union[ScenarioSpec, Tuple[Callable[[Dict], Any], Dict[str, Any]]]
+
+
+def _throughput_rows(
+    throughputs: Mapping[str, Mapping[str, float]], first: str, second: str
+) -> List[List[str]]:
+    """One ``[label, first's Mbps, second's Mbps, total]`` row per case."""
+    return [
+        [label, f"{thr[first]:.3f}", f"{thr[second]:.3f}",
+         f"{sum(thr.values()):.3f}"]
+        for label, thr in throughputs.items()
+    ]
+
+
+def _station_throughputs(
+    results: Mapping[str, ScenarioResult]
+) -> Dict[str, Dict[str, float]]:
+    return {label: r.throughput_mbps for label, r in results.items()}
 
 
 # ----------------------------------------------------------------------
 # retry accounting
 # ----------------------------------------------------------------------
-@dataclass
-class RetryAccountingResult:
-    loss_rate: float
-    throughput: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def slow_node_bias(self) -> float:
-        """How much extra throughput the lossy slow node keeps when its
-        retries are invisible (paper: TBR 'slightly biased the node
-        sending at a lower data rate')."""
-        blind = self.throughput["blind"]["n1"]
-        oracle = self.throughput["oracle"]["n1"]
-        if oracle <= 0:
-            return 0.0
-        return blind / oracle - 1.0
-
-
-RETRY_EXECUTOR = "repro.experiments.ablations:execute_retry_accounting"
+RETRY_LOSS_RATE = 0.08
 
 
 def execute_retry_accounting(params: Dict) -> Dict[str, float]:
     """Job executor: lossy 1-vs-11 uplink under TBR, one accounting mode."""
-    loss = PerLinkLoss({("n1", "ap"): params["loss_rate"]})
+    # Hand-built: the spec language has no per-link loss model and no
+    # word for ``oracle_retry_accounting``.
     cell = Cell(
         seed=params["seed"],
         scheduler="tbr",
-        loss_model=loss,
+        loss_model=PerLinkLoss({("n1", "ap"): params["loss_rate"]}),
         oracle_retry_accounting=params["oracle"],
     )
     n1 = cell.add_station("n1", rate_mbps=1.0)
@@ -71,12 +87,14 @@ def execute_retry_accounting(params: Dict) -> Dict[str, float]:
     return cell.station_throughputs_mbps()
 
 
-def jobs_retry_accounting(
-    seed: int = 1, seconds: float = 15.0, loss_rate: float = 0.08
-) -> List[Job]:
-    return [
-        make_job(
-            "abl-retry", label, RETRY_EXECUTOR,
+def retry_accounting(
+    seed: int = 1, seconds: float = 15.0, loss_rate: float = RETRY_LOSS_RATE
+) -> Dict[str, Case]:
+    """1 Mbps lossy uplink vs clean 11 Mbps uplink, TBR with and
+    without retransmission information."""
+    return {
+        label: (
+            execute_retry_accounting,
             {
                 "oracle": oracle,
                 "loss_rate": loss_rate,
@@ -85,69 +103,45 @@ def jobs_retry_accounting(
             },
         )
         for label, oracle in (("blind", False), ("oracle", True))
-    ]
+    }
 
 
-def reduce_retry_accounting(
-    results: Mapping[str, Dict[str, float]], loss_rate: float = 0.08
-) -> RetryAccountingResult:
-    return RetryAccountingResult(
-        loss_rate=loss_rate,
-        throughput={label: results[label] for label in ("blind", "oracle")},
-    )
+def slow_node_bias(results: Mapping[str, Dict[str, float]]) -> float:
+    """How much extra throughput the lossy slow node keeps when its
+    retries are invisible (paper: TBR 'slightly biased the node
+    sending at a lower data rate')."""
+    blind = results["blind"]["n1"]
+    oracle = results["oracle"]["n1"]
+    if oracle <= 0:
+        return 0.0
+    return blind / oracle - 1.0
 
 
-def run_retry_accounting(
-    seed: int = 1, seconds: float = 15.0, loss_rate: float = 0.08
-) -> RetryAccountingResult:
-    """1 Mbps lossy uplink vs clean 11 Mbps uplink, TBR with and
-    without retransmission information."""
-    return reduce_retry_accounting(
-        serial_results(
-            jobs_retry_accounting(seed=seed, seconds=seconds, loss_rate=loss_rate)
-        ),
-        loss_rate=loss_rate,
-    )
-
-
-def render_retry_accounting(result: RetryAccountingResult) -> str:
-    rows = [
-        [
-            label,
-            f"{thr['n1']:.3f}",
-            f"{thr['n2']:.3f}",
-            f"{sum(thr.values()):.3f}",
-        ]
-        for label, thr in result.throughput.items()
-    ]
+def render_retry_accounting(
+    results: Mapping[str, Dict[str, float]],
+    loss_rate: float = RETRY_LOSS_RATE,
+) -> str:
     table = fmt_table(
         ["accounting", "n1 (1 Mbps, lossy)", "n2 (11 Mbps)", "total"],
-        rows,
+        _throughput_rows(results, "n1", "n2"),
         title=(
-            f"Retry accounting ablation ({result.loss_rate * 100:.0f}% uplink "
+            f"Retry accounting ablation ({loss_rate * 100:.0f}% uplink "
             f"loss on n1)"
         ),
     )
     return (
         f"{table}\n"
         f"slow-node bias without retry info: "
-        f"{result.slow_node_bias() * 100:+.1f}% (paper: small positive)"
+        f"{slow_node_bias(results) * 100:+.1f}% (paper: small positive)"
     )
 
 
 # ----------------------------------------------------------------------
 # bucket depth (short-term fairness)
 # ----------------------------------------------------------------------
-@dataclass
-class BucketDepthResult:
-    #: depth_us -> (long-term Jain over station occupancy,
-    #:              mean short-window Jain)
-    fairness: Dict[float, Tuple[float, float]] = field(default_factory=dict)
-
-
-BUCKET_DEPTH_EXECUTOR = "repro.experiments.ablations:execute_bucket_depth"
-
 DEFAULT_DEPTHS_US = (20_000.0, 100_000.0, 500_000.0, 2_000_000.0)
+#: Width of the short-term fairness windows, in seconds.
+WINDOW_S = 0.5
 
 
 def execute_bucket_depth(params: Dict) -> Tuple[float, float]:
@@ -156,6 +150,8 @@ def execute_bucket_depth(params: Dict) -> Tuple[float, float]:
     window_s = params["window_s"]
     seconds = params["seconds"]
     config = TbrConfig(bucket_depth_us=depth, initial_tokens_us=depth / 5.0)
+    # Hand-built: the spec language has no windowed measurement loop (a
+    # spec run yields one figure per station for the whole window).
     cell = Cell(seed=params["seed"], scheduler="tbr", tbr_config=config)
     n1 = cell.add_station("n1", rate_mbps=1.0)
     n2 = cell.add_station("n2", rate_mbps=11.0)
@@ -180,54 +176,33 @@ def execute_bucket_depth(params: Dict) -> Tuple[float, float]:
     return (long_term, short_term)
 
 
-def jobs_bucket_depth(
+def bucket_depth(
     seed: int = 1,
     seconds: float = 12.0,
     depths_us: Tuple[float, ...] = DEFAULT_DEPTHS_US,
-    window_s: float = 0.5,
-) -> List[Job]:
-    return [
-        make_job(
-            "abl-bucket-depth", depth, BUCKET_DEPTH_EXECUTOR,
+) -> Dict[float, Case]:
+    """Sweep bucket depth; measure occupancy fairness long-term and over
+    short windows (deep buckets allow long one-station bursts)."""
+    return {
+        depth: (
+            execute_bucket_depth,
             {
                 "depth_us": depth,
-                "window_s": window_s,
+                "window_s": WINDOW_S,
                 "seed": seed,
                 "seconds": seconds,
             },
         )
         for depth in depths_us
-    ]
+    }
 
 
-def reduce_bucket_depth(
-    results: Mapping[float, Tuple[float, float]]
-) -> BucketDepthResult:
-    return BucketDepthResult(fairness=dict(results))
-
-
-def run_bucket_depth(
-    seed: int = 1,
-    seconds: float = 12.0,
-    depths_us: Tuple[float, ...] = DEFAULT_DEPTHS_US,
-    window_s: float = 0.5,
-) -> BucketDepthResult:
-    """Sweep bucket depth; measure occupancy fairness long-term and over
-    short windows (deep buckets allow long one-station bursts)."""
-    return reduce_bucket_depth(
-        serial_results(
-            jobs_bucket_depth(
-                seed=seed, seconds=seconds, depths_us=depths_us,
-                window_s=window_s,
-            )
-        )
-    )
-
-
-def render_bucket_depth(result: BucketDepthResult) -> str:
+def render_bucket_depth(results: Mapping[float, Tuple[float, float]]) -> str:
+    """``results``: depth_us -> (long-term Jain over station occupancy,
+    mean short-window Jain)."""
     rows = [
         [f"{depth / 1000:.0f} ms", f"{lt:.3f}", f"{st:.3f}"]
-        for depth, (lt, st) in result.fairness.items()
+        for depth, (lt, st) in results.items()
     ]
     return fmt_table(
         ["bucket depth", "long-term Jain", "short-window Jain"],
@@ -239,76 +214,35 @@ def render_bucket_depth(result: BucketDepthResult) -> str:
 # ----------------------------------------------------------------------
 # weighted shares (QoS extension)
 # ----------------------------------------------------------------------
-@dataclass
-class WeightedSharesResult:
-    weights: Dict[str, float]
-    occupancy: Dict[str, float] = field(default_factory=dict)
-    throughput: Dict[str, float] = field(default_factory=dict)
-
-    def occupancy_ratio(self) -> float:
-        return (
-            self.occupancy["n1"] / self.occupancy["n2"]
-            if self.occupancy.get("n2")
-            else 0.0
-        )
+WEIGHTS = {"n1": 3.0, "n2": 1.0}
 
 
-WEIGHTED_EXECUTOR = "repro.experiments.ablations:execute_weighted_shares"
-
-
-def execute_weighted_shares(params: Dict) -> WeightedSharesResult:
-    """Job executor: weighted TBR shares on two same-rate stations."""
-    weights = params["weights"]
-    config = TbrConfig(weights=weights, adjust_interval_us=0)
-    cell = Cell(seed=params["seed"], scheduler="tbr", tbr_config=config)
-    n1 = cell.add_station("n1", rate_mbps=11.0)
-    n2 = cell.add_station("n2", rate_mbps=11.0)
-    cell.tcp_flow(n1, direction="down")
-    cell.tcp_flow(n2, direction="down")
-    cell.run(seconds=params["seconds"], warmup_seconds=3.0)
-    return WeightedSharesResult(
-        weights=weights,
-        occupancy=cell.occupancy_fractions(),
-        throughput=cell.station_throughputs_mbps(),
-    )
-
-
-def jobs_weighted_shares(
-    seed: int = 1, seconds: float = 15.0, weights: Optional[Dict[str, float]] = None
-) -> List[Job]:
-    weights = weights if weights is not None else {"n1": 3.0, "n2": 1.0}
-    return [
-        make_job(
-            "abl-weighted", "weighted", WEIGHTED_EXECUTOR,
-            {"weights": weights, "seed": seed, "seconds": seconds},
-        )
-    ]
-
-
-def reduce_weighted_shares(
-    results: Mapping[str, WeightedSharesResult]
-) -> WeightedSharesResult:
-    return results["weighted"]
-
-
-def run_weighted_shares(
-    seed: int = 1, seconds: float = 15.0, weights: Optional[Dict[str, float]] = None
-) -> WeightedSharesResult:
+def weighted_shares(seed: int = 1, seconds: float = 15.0) -> Dict[str, Case]:
     """Two same-rate stations with a 3:1 channel-time weighting."""
-    return reduce_weighted_shares(
-        serial_results(
-            jobs_weighted_shares(seed=seed, seconds=seconds, weights=weights)
+    return {
+        "weighted": competing_spec(
+            [11.0, 11.0], direction="down", scheduler="tbr",
+            tbr_config=TbrConfig(weights=WEIGHTS, adjust_interval_us=0),
+            seconds=seconds, seed=seed,
         )
+    }
+
+
+def occupancy_ratio(results: Mapping[str, ScenarioResult]) -> float:
+    occupancy = results["weighted"].occupancy
+    return (
+        occupancy["n1"] / occupancy["n2"] if occupancy.get("n2") else 0.0
     )
 
 
-def render_weighted_shares(result: WeightedSharesResult) -> str:
+def render_weighted_shares(results: Mapping[str, ScenarioResult]) -> str:
+    result = results["weighted"]
     rows = [
         [
             name,
-            f"{result.weights.get(name, 1.0):g}",
+            f"{WEIGHTS.get(name, 1.0):g}",
             f"{result.occupancy[name]:.3f}",
-            f"{result.throughput[name]:.3f}",
+            f"{result.throughput_mbps[name]:.3f}",
         ]
         for name in sorted(result.occupancy)
     ]
@@ -317,63 +251,37 @@ def render_weighted_shares(result: WeightedSharesResult) -> str:
         rows,
         title="Weighted TBR shares (Section 4.5 QoS extension)",
     )
-    target = result.weights["n1"] / result.weights["n2"]
     return (
         f"{table}\n"
-        f"occupancy ratio n1/n2: {result.occupancy_ratio():.2f} "
-        f"(target {target:g})"
+        f"occupancy ratio n1/n2: {occupancy_ratio(results):.2f} "
+        f"(target {WEIGHTS['n1'] / WEIGHTS['n2']:g})"
     )
 
 
 # ----------------------------------------------------------------------
 # work conservation
 # ----------------------------------------------------------------------
-@dataclass
-class WorkConservationResult:
-    throughput: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-
-def jobs_work_conservation(seed: int = 1, seconds: float = 15.0) -> List[Job]:
-    return [
-        competing_job(
-            "abl-work-conservation", label,
-            [1.0, 11.0], direction="up", scheduler="tbr",
-            tbr_config=TbrConfig(work_conserving=wc),
-            seconds=seconds, seed=seed,
-        )
-        for label, wc in (("strict", False), ("borrowing", True))
-    ]
-
-
-def reduce_work_conservation(results: Mapping) -> WorkConservationResult:
-    return WorkConservationResult(
-        throughput={
-            label: results[label].throughput_mbps
-            for label in ("strict", "borrowing")
-        }
-    )
-
-
-def run_work_conservation(seed: int = 1, seconds: float = 15.0) -> WorkConservationResult:
+def work_conservation(seed: int = 1, seconds: float = 15.0) -> Dict[str, Case]:
     """Strict Figure 6 dequeue vs immediate borrowing, uplink 1vs11.
 
     The borrowing fallback re-releases the slow station's withheld TCP
     acks whenever no eligible queue is backlogged, which collapses TBR
     back to throughput fairness on uplink traffic.
     """
-    return reduce_work_conservation(
-        serial_results(jobs_work_conservation(seed=seed, seconds=seconds))
-    )
+    return {
+        label: competing_spec(
+            [1.0, 11.0], direction="up", scheduler="tbr",
+            tbr_config=TbrConfig(work_conserving=wc),
+            seconds=seconds, seed=seed,
+        )
+        for label, wc in (("strict", False), ("borrowing", True))
+    }
 
 
-def render_work_conservation(result: WorkConservationResult) -> str:
-    rows = [
-        [label, f"{thr['n1']:.3f}", f"{thr['n2']:.3f}", f"{sum(thr.values()):.3f}"]
-        for label, thr in result.throughput.items()
-    ]
+def render_work_conservation(results: Mapping[str, ScenarioResult]) -> str:
     return fmt_table(
         ["dequeue policy", "n1 (1 Mbps)", "n2 (11 Mbps)", "total"],
-        rows,
+        _throughput_rows(_station_throughputs(results), "n1", "n2"),
         title="Work conservation ablation (uplink 1vs11, TBR)",
     )
 
@@ -381,20 +289,12 @@ def render_work_conservation(result: WorkConservationResult) -> str:
 # ----------------------------------------------------------------------
 # polling MAC + TBR (Section 4.1's PCF remark)
 # ----------------------------------------------------------------------
-@dataclass
-class PollingTbrResult:
-    throughput: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    charged_time_ratio: Dict[str, float] = field(default_factory=dict)
-
-
-POLLING_EXECUTOR = "repro.experiments.ablations:execute_polling_tbr"
-
-
 def execute_polling_tbr(params: Dict) -> Dict[str, object]:
     """Job executor: saturated polled uplink under one poll policy.
 
     Returns ``{"throughput": {...}, "charged_time_ratio": float|None}``
-    (the ratio only exists for the token-driven policy).
+    (the ratio only exists for the token-driven policy).  No ``Cell``
+    at all: the spec language has no polling MAC.
     """
     from repro.channel.medium import Channel
     from repro.mac.polling import (
@@ -405,8 +305,6 @@ def execute_polling_tbr(params: Dict) -> Dict[str, object]:
     )
     from repro.phy.phy import DOT11B_LONG_PREAMBLE
     from repro.queueing.round_robin import RoundRobinScheduler
-    from repro.core.tbr import TbrScheduler
-    from repro.sim import Simulator, us_from_s
 
     class _Pkt:
         def __init__(self):
@@ -453,27 +351,7 @@ def execute_polling_tbr(params: Dict) -> Dict[str, object]:
     return {"throughput": throughput, "charged_time_ratio": ratio}
 
 
-def jobs_polling_tbr(seed: int = 1, seconds: float = 5.0) -> List[Job]:
-    return [
-        make_job(
-            "abl-polling", label, POLLING_EXECUTOR,
-            {"policy": label, "seed": seed, "seconds": seconds},
-        )
-        for label in ("rr-poll", "tbr-poll")
-    ]
-
-
-def reduce_polling_tbr(results: Mapping[str, Dict]) -> PollingTbrResult:
-    result = PollingTbrResult()
-    for label in ("rr-poll", "tbr-poll"):
-        entry = results[label]
-        result.throughput[label] = entry["throughput"]
-        if entry["charged_time_ratio"] is not None:
-            result.charged_time_ratio[label] = entry["charged_time_ratio"]
-    return result
-
-
-def run_polling_tbr(seed: int = 1, seconds: float = 5.0) -> PollingTbrResult:
+def polling_tbr(seed: int = 1, seconds: float = 5.0) -> Dict[str, Case]:
     """Saturated uplink 1vs11 under a polling MAC, with the poll order
     driven by plain round robin vs TBR token state.
 
@@ -481,22 +359,25 @@ def run_polling_tbr(seed: int = 1, seconds: float = 5.0) -> PollingTbrResult:
     mechanism (such as 802.11's PCF), no explicit communication is
     necessary since TBR can dictate which node gets polled."
     """
-    return reduce_polling_tbr(
-        serial_results(jobs_polling_tbr(seed=seed, seconds=seconds))
-    )
+    return {
+        label: (
+            execute_polling_tbr,
+            {"policy": label, "seed": seed, "seconds": seconds},
+        )
+        for label in ("rr-poll", "tbr-poll")
+    }
 
 
-def render_polling_tbr(result: PollingTbrResult) -> str:
-    rows = [
-        [label, f"{thr['n1']:.3f}", f"{thr['n2']:.3f}", f"{sum(thr.values()):.3f}"]
-        for label, thr in result.throughput.items()
-    ]
+def render_polling_tbr(results: Mapping[str, Dict[str, Any]]) -> str:
     table = fmt_table(
         ["poll order", "n1 (1M)", "n2 (11M)", "total"],
-        rows,
+        _throughput_rows(
+            {label: r["throughput"] for label, r in results.items()},
+            "n1", "n2",
+        ),
         title="Polling MAC (PCF-style) x poll policy, saturated uplink UDP",
     )
-    ratio = result.charged_time_ratio.get("tbr-poll", 0.0)
+    ratio = results["tbr-poll"]["charged_time_ratio"]
     return (
         f"{table}\n"
         f"TBR-polled charged-time ratio n1/n2: {ratio:.2f} (target 1.0); "
@@ -507,69 +388,51 @@ def render_polling_tbr(result: PollingTbrResult) -> str:
 # ----------------------------------------------------------------------
 # OAR baseline (related work [23], Sadeghi et al.)
 # ----------------------------------------------------------------------
-@dataclass
-class OarComparisonResult:
-    throughput: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    occupancy: Dict[str, Dict[str, float]] = field(default_factory=dict)
+def _udp_uplink_spec(
+    name: str, scheduler: str, seed: int, seconds: float,
+    cooperate: bool = False, tbr_config: Optional[TbrConfig] = None,
+) -> ScenarioSpec:
+    """A 1 Mbps station offering 2 Mbps and an 11 Mbps station offering
+    8 Mbps of uplink UDP (``competing_spec`` has one offered rate) —
+    the setup OAR and client cooperation share."""
+    return ScenarioSpec(
+        name=name, scheduler=scheduler, tbr_config=tbr_config,
+        stations=(
+            StationSpec("n1", rate_mbps=1.0, cooperate_with_tbr=cooperate),
+            StationSpec("n2", rate_mbps=11.0, cooperate_with_tbr=cooperate),
+        ),
+        flows=(
+            FlowSpec("n1", kind="udp", rate_mbps=2.0),
+            FlowSpec("n2", kind="udp", rate_mbps=8.0),
+        ),
+        seconds=seconds, warmup_seconds=3.0, seed=seed,
+    )
 
 
-OAR_EXECUTOR = "repro.experiments.ablations:execute_oar_case"
-
-OAR_CASES = (
-    ("dcf", "fifo", 0.0),
-    ("oar", "fifo", 1.0),
-    ("tbr", "tbr", 0.0),
-)
-
-
-def execute_oar_case(params: Dict) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Job executor: one MAC/AP case of the OAR comparison."""
+def execute_oar(params: Dict) -> ScenarioResult:
+    """Job executor: the OAR case — every client MAC bursts at 1 Mbps
+    base rate under a stock (FIFO) AP."""
     from repro.mac.dcf import MacConfig
 
-    scheduler = params["scheduler"]
-    config = TbrConfig(notify_clients=True) if scheduler == "tbr" else None
-    cell = Cell(seed=params["seed"], scheduler=scheduler, tbr_config=config)
-    mac_config = MacConfig(burst_base_rate_mbps=params["burst_base"])
-    cooperate = scheduler == "tbr"
-    n1 = cell.add_station(
-        "n1", rate_mbps=1.0, mac_config=mac_config,
-        cooperate_with_tbr=cooperate,
-    )
-    n2 = cell.add_station(
-        "n2", rate_mbps=11.0, mac_config=mac_config,
-        cooperate_with_tbr=cooperate,
-    )
+    seed, seconds = params["seed"], params["seconds"]
+    # Hand-built: the spec language has no word for a client MAC's
+    # ``MacConfig.burst_base_rate_mbps``.
+    cell = Cell(seed=seed, scheduler="fifo")
+    mac_config = MacConfig(burst_base_rate_mbps=1.0)
+    n1 = cell.add_station("n1", rate_mbps=1.0, mac_config=mac_config)
+    n2 = cell.add_station("n2", rate_mbps=11.0, mac_config=mac_config)
     cell.udp_flow(n1, direction="up", rate_mbps=2.0)
     cell.udp_flow(n2, direction="up", rate_mbps=8.0)
-    cell.run(seconds=params["seconds"], warmup_seconds=3.0)
-    return cell.station_throughputs_mbps(), cell.occupancy_fractions()
+    cell.run(seconds=seconds, warmup_seconds=3.0)
+    return ScenarioResult(
+        name="abl-oar/oar", seed=seed, scheduler="fifo",
+        seconds=seconds, warmup_seconds=3.0,
+        throughput_mbps=cell.station_throughputs_mbps(),
+        occupancy=cell.occupancy_fractions(),
+    )
 
 
-def jobs_oar_comparison(seed: int = 1, seconds: float = 15.0) -> List[Job]:
-    return [
-        make_job(
-            "abl-oar", label, OAR_EXECUTOR,
-            {
-                "scheduler": scheduler,
-                "burst_base": burst_base,
-                "seed": seed,
-                "seconds": seconds,
-            },
-        )
-        for label, scheduler, burst_base in OAR_CASES
-    ]
-
-
-def reduce_oar_comparison(results: Mapping[str, Tuple]) -> OarComparisonResult:
-    result = OarComparisonResult()
-    for label, _, _ in OAR_CASES:
-        throughput, occupancy = results[label]
-        result.throughput[label] = throughput
-        result.occupancy[label] = occupancy
-    return result
-
-
-def run_oar_comparison(seed: int = 1, seconds: float = 15.0) -> OarComparisonResult:
+def oar_comparison(seed: int = 1, seconds: float = 15.0) -> Dict[str, Case]:
     """DCF vs OAR vs TBR on uplink UDP, 1 Mbps vs 11 Mbps.
 
     OAR (Opportunistic Auto Rate) reaches temporal fairness inside the
@@ -578,22 +441,26 @@ def run_oar_comparison(seed: int = 1, seconds: float = 15.0) -> OarComparisonRes
     changes the AP (the paper's deployment argument); OAR's aggregate
     is higher because bursting also amortizes contention overhead.
     """
-    return reduce_oar_comparison(
-        serial_results(jobs_oar_comparison(seed=seed, seconds=seconds))
-    )
+    return {
+        "dcf": _udp_uplink_spec("abl-oar/dcf", "fifo", seed, seconds),
+        "oar": (execute_oar, {"seed": seed, "seconds": seconds}),
+        "tbr": _udp_uplink_spec(
+            "abl-oar/tbr", "tbr", seed, seconds, cooperate=True,
+            tbr_config=TbrConfig(notify_clients=True),
+        ),
+    }
 
 
-def render_oar_comparison(result: OarComparisonResult) -> str:
+def render_oar_comparison(results: Mapping[str, ScenarioResult]) -> str:
     rows = []
-    for label in result.throughput:
-        thr = result.throughput[label]
-        occ = result.occupancy[label]
+    for label, result in results.items():
+        thr, occ = result.throughput_mbps, result.occupancy
         rows.append(
             [
                 label,
                 f"{thr['n1']:.3f}",
                 f"{thr['n2']:.3f}",
-                f"{sum(thr.values()):.3f}",
+                f"{result.total_mbps:.3f}",
                 f"{occ['n1']:.2f}/{occ['n2']:.2f}",
             ]
         )
@@ -612,57 +479,7 @@ def render_oar_comparison(result: OarComparisonResult) -> str:
 # ----------------------------------------------------------------------
 # client cooperation (uplink UDP, paper Section 4.1)
 # ----------------------------------------------------------------------
-@dataclass
-class ClientCooperationResult:
-    throughput: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    occupancy: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def slow_occupancy(self, label: str) -> float:
-        return self.occupancy[label]["n1"]
-
-
-COOPERATION_EXECUTOR = "repro.experiments.ablations:execute_client_cooperation"
-
-
-def execute_client_cooperation(
-    params: Dict,
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Job executor: uplink UDP under TBR, one cooperation mode."""
-    cooperate = params["cooperate"]
-    config = TbrConfig(notify_clients=cooperate, defer_hint_us=8_000.0)
-    cell = Cell(seed=params["seed"], scheduler="tbr", tbr_config=config)
-    n1 = cell.add_station("n1", rate_mbps=1.0, cooperate_with_tbr=cooperate)
-    n2 = cell.add_station("n2", rate_mbps=11.0, cooperate_with_tbr=cooperate)
-    cell.udp_flow(n1, direction="up", rate_mbps=2.0)
-    cell.udp_flow(n2, direction="up", rate_mbps=8.0)
-    cell.run(seconds=params["seconds"], warmup_seconds=3.0)
-    return cell.station_throughputs_mbps(), cell.occupancy_fractions()
-
-
-def jobs_client_cooperation(seed: int = 1, seconds: float = 15.0) -> List[Job]:
-    return [
-        make_job(
-            "abl-cooperation", label, COOPERATION_EXECUTOR,
-            {"cooperate": cooperate, "seed": seed, "seconds": seconds},
-        )
-        for label, cooperate in (("no-agent", False), ("client-agent", True))
-    ]
-
-
-def reduce_client_cooperation(
-    results: Mapping[str, Tuple]
-) -> ClientCooperationResult:
-    result = ClientCooperationResult()
-    for label in ("no-agent", "client-agent"):
-        throughput, occupancy = results[label]
-        result.throughput[label] = throughput
-        result.occupancy[label] = occupancy
-    return result
-
-
-def run_client_cooperation(
-    seed: int = 1, seconds: float = 15.0
-) -> ClientCooperationResult:
+def client_cooperation(seed: int = 1, seconds: float = 15.0) -> Dict[str, Case]:
     """Uplink *UDP* 1vs11 under TBR, with and without the client agent.
 
     Uplink UDP has no ack stream the AP can withhold, so TBR needs the
@@ -670,16 +487,22 @@ def run_client_cooperation(
     slow station's occupancy stays near DCF's; with it, TBR's hints
     piggybacked on MAC ACKs bring both stations toward equal time.
     """
-    return reduce_client_cooperation(
-        serial_results(jobs_client_cooperation(seed=seed, seconds=seconds))
-    )
+    return {
+        label: _udp_uplink_spec(
+            f"abl-cooperation/{label}", "tbr", seed, seconds,
+            cooperate=cooperate,
+            tbr_config=TbrConfig(
+                notify_clients=cooperate, defer_hint_us=8_000.0
+            ),
+        )
+        for label, cooperate in (("no-agent", False), ("client-agent", True))
+    }
 
 
-def render_client_cooperation(result: ClientCooperationResult) -> str:
+def render_client_cooperation(results: Mapping[str, ScenarioResult]) -> str:
     rows = []
-    for label in result.throughput:
-        thr = result.throughput[label]
-        occ = result.occupancy[label]
+    for label, result in results.items():
+        thr, occ = result.throughput_mbps, result.occupancy
         rows.append(
             [
                 label,
@@ -699,50 +522,7 @@ def render_client_cooperation(result: ClientCooperationResult) -> str:
 # ----------------------------------------------------------------------
 # 802.11b/g coexistence (the paper's motivation)
 # ----------------------------------------------------------------------
-@dataclass
-class BgCoexistenceResult:
-    throughput: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def g_recovery(self) -> float:
-        """How much of its throughput the g client regains under TBR."""
-        normal = self.throughput["normal"]["g1"]
-        tbr = self.throughput["tbr"]["g1"]
-        return tbr / normal if normal > 0 else 0.0
-
-
-BG_EXECUTOR = "repro.experiments.ablations:execute_bg_coexistence"
-
-
-def execute_bg_coexistence(params: Dict) -> Dict[str, float]:
-    """Job executor: mixed b/g cell under one AP scheduler."""
-    cell = Cell(seed=params["seed"], scheduler=params["scheduler"])
-    g1 = cell.add_station("g1", rate_mbps=54.0)
-    b1 = cell.add_station("b1", rate_mbps=1.0)
-    cell.tcp_flow(g1, direction="down")
-    cell.tcp_flow(b1, direction="down")
-    cell.run(seconds=params["seconds"], warmup_seconds=3.0)
-    return cell.station_throughputs_mbps()
-
-
-def jobs_bg_coexistence(seed: int = 1, seconds: float = 15.0) -> List[Job]:
-    return [
-        make_job(
-            "abl-bg", label, BG_EXECUTOR,
-            {"scheduler": sched, "seed": seed, "seconds": seconds},
-        )
-        for label, sched in (("normal", "fifo"), ("tbr", "tbr"))
-    ]
-
-
-def reduce_bg_coexistence(
-    results: Mapping[str, Dict[str, float]]
-) -> BgCoexistenceResult:
-    return BgCoexistenceResult(
-        throughput={label: results[label] for label in ("normal", "tbr")}
-    )
-
-
-def run_bg_coexistence(seed: int = 1, seconds: float = 15.0) -> BgCoexistenceResult:
+def bg_coexistence(seed: int = 1, seconds: float = 15.0) -> Dict[str, Case]:
     """A 54 Mbps (802.11g) client sharing a protection-mode cell with a
     1 Mbps 802.11b client, with and without TBR.
 
@@ -750,61 +530,65 @@ def run_bg_coexistence(seed: int = 1, seconds: float = 15.0) -> BgCoexistenceRes
     slots with the payload at the OFDM rate (CTS-to-self protection
     overhead folded into the long preamble).
     """
-    return reduce_bg_coexistence(
-        serial_results(jobs_bg_coexistence(seed=seed, seconds=seconds))
-    )
+    return {
+        label: competing_spec(
+            {"g1": 54.0, "b1": 1.0}, direction="down", scheduler=scheduler,
+            seconds=seconds, seed=seed,
+        )
+        for label, scheduler in (("normal", "fifo"), ("tbr", "tbr"))
+    }
 
 
-def render_bg_coexistence(result: BgCoexistenceResult) -> str:
-    rows = [
-        [
-            label,
-            f"{thr['g1']:.3f}",
-            f"{thr['b1']:.3f}",
-            f"{sum(thr.values()):.3f}",
-        ]
-        for label, thr in result.throughput.items()
-    ]
+def g_recovery(results: Mapping[str, ScenarioResult]) -> float:
+    """How much of its throughput the g client regains under TBR."""
+    normal = results["normal"].throughput_mbps["g1"]
+    tbr = results["tbr"].throughput_mbps["g1"]
+    return tbr / normal if normal > 0 else 0.0
+
+
+def render_bg_coexistence(results: Mapping[str, ScenarioResult]) -> str:
     table = fmt_table(
         ["config", "g client (54M)", "b client (1M)", "total"],
-        rows,
+        _throughput_rows(_station_throughputs(results), "g1", "b1"),
         title="802.11b/g coexistence (downlink TCP, protection-mode timing)",
     )
     return (
         f"{table}\n"
-        f"g client keeps {result.g_recovery():.1f}x more throughput under TBR"
+        f"g client keeps {g_recovery(results):.1f}x more throughput under TBR"
     )
 
 
 # ----------------------------------------------------------------------
-# campaign registry
+# the table, and the two functions written once over it
 # ----------------------------------------------------------------------
-#: ``name -> (jobs, reduce, render)``; names match the ``experiment``
-#: field each ``jobs_*`` factory stamps on its jobs, so the campaign
-#: CLI can mix ablations with the figure/table experiments.
-CAMPAIGNS = {
-    "abl-retry": (
-        jobs_retry_accounting, reduce_retry_accounting, render_retry_accounting
-    ),
-    "abl-bucket-depth": (
-        jobs_bucket_depth, reduce_bucket_depth, render_bucket_depth
-    ),
-    "abl-weighted": (
-        jobs_weighted_shares, reduce_weighted_shares, render_weighted_shares
-    ),
-    "abl-work-conservation": (
-        jobs_work_conservation, reduce_work_conservation,
-        render_work_conservation,
-    ),
-    "abl-polling": (jobs_polling_tbr, reduce_polling_tbr, render_polling_tbr),
-    "abl-oar": (
-        jobs_oar_comparison, reduce_oar_comparison, render_oar_comparison
-    ),
-    "abl-cooperation": (
-        jobs_client_cooperation, reduce_client_cooperation,
-        render_client_cooperation,
-    ),
-    "abl-bg": (
-        jobs_bg_coexistence, reduce_bg_coexistence, render_bg_coexistence
-    ),
+#: ``name -> (matrix, render)``; the name is the ``experiment`` field of
+#: every job the row builds.
+ABLATIONS: Dict[str, Tuple[Callable[..., Dict[Hashable, Case]], Callable]] = {
+    "abl-retry": (retry_accounting, render_retry_accounting),
+    "abl-bucket-depth": (bucket_depth, render_bucket_depth),
+    "abl-weighted": (weighted_shares, render_weighted_shares),
+    "abl-work-conservation": (work_conservation, render_work_conservation),
+    "abl-polling": (polling_tbr, render_polling_tbr),
+    "abl-oar": (oar_comparison, render_oar_comparison),
+    "abl-cooperation": (client_cooperation, render_client_cooperation),
+    "abl-bg": (bg_coexistence, render_bg_coexistence),
 }
+
+
+def jobs(name: str, **knobs) -> List[Job]:
+    """One job per labelled case of ablation ``name``, in matrix order."""
+    matrix, _ = ABLATIONS[name]
+    out = []
+    for label, case in matrix(**knobs).items():
+        if isinstance(case, ScenarioSpec):
+            out.append(scenario_job(case, experiment=name, key=label))
+        else:
+            executor, params = case
+            address = f"{executor.__module__}:{executor.__qualname__}"
+            out.append(make_job(name, label, address, params))
+    return out
+
+
+def run(name: str, **knobs) -> Dict[Hashable, Any]:
+    """``{label: result}`` of ablation ``name``, run serially."""
+    return serial_results(jobs(name, **knobs))

@@ -25,22 +25,20 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from repro.campaign.executor import serial_results
-from repro.campaign.job import Job, make_job
-from repro.core.tbr import TbrConfig
-from repro.experiments.common import fmt_frac, fmt_table
-from repro.scenario.builder import ScenarioRuntime
-from repro.scenario.registry import build_spec
+from repro.campaign.job import Job
+from repro.experiments.common import (
+    family_jobs,
+    fmt_frac,
+    phased_occupancy,
+    render_phase_shares,
+    shares,
+)
 from repro.scenario.spec import LeaveEvent, RejoinEvent, ScenarioSpec
 from repro.sim import us_from_s
 
 FAMILY = "fairness-churn"
 PHASES = ("before", "away", "after")
 SCHEDULERS = ("fifo", "tbr")
-
-#: A phase share within this distance of 1/n_active counts as fair.
-SHARE_TOLERANCE = 0.12
-#: Width of the post-leave convergence probe window, in FILLEVENTs.
-CONVERGE_WINDOW_FILLS = 25
 
 #: Executor address for :func:`execute_churn` (what workers import).
 CHURN_EXECUTOR = "repro.experiments.fairness_churn:execute_churn"
@@ -77,21 +75,6 @@ class FairnessChurnResult:
         return self.runs["fifo"]
 
 
-def _phase_of(time_us: float, leave_us: float, rejoin_us: float) -> str:
-    if time_us < leave_us:
-        return "before"
-    if time_us < rejoin_us:
-        return "away"
-    return "after"
-
-
-def _shares(occupancy: Mapping[str, float]) -> Dict[str, float]:
-    total = sum(occupancy.values())
-    if total <= 0:
-        return {station: 0.0 for station in occupancy}
-    return {station: used / total for station, used in occupancy.items()}
-
-
 def execute_churn(params: Dict[str, object]) -> ChurnPhaseRun:
     """Job executor: ``params`` carries the (thawed) fairness-churn spec.
 
@@ -120,74 +103,31 @@ def execute_churn(params: Dict[str, object]) -> ChurnPhaseRun:
             "(the away phase would have no stations to share the channel)"
         )
 
-    runtime = ScenarioRuntime(spec)
-    cell = runtime.cell
-    cell.usage.keep_records = True
-    runtime.run()
-
-    stations = [s.name for s in spec.stations]
     leave_us, rejoin_us = us_from_s(leave_s), us_from_s(rejoin_s)
-    phase_occupancy: Dict[str, Dict[str, float]] = {
-        phase: {station: 0.0 for station in stations} for phase in PHASES
-    }
-    for record in cell.usage.records:
-        phase_occupancy[_phase_of(record.time, leave_us, rejoin_us)][
-            record.station
-        ] += record.airtime_us
-
-    run = ChurnPhaseRun(
+    # Post-leave convergence is probed through the away phase, over the
+    # stations that stay.
+    occupancy, converge_fills = phased_occupancy(
+        spec,
+        (leave_us, rejoin_us),
+        (leave_us, rejoin_us),
+        [s.name for s in spec.stations if s.name != leaver],
+    )
+    return ChurnPhaseRun(
         scheduler=spec.scheduler,
         seed=spec.seed,
         seconds=spec.seconds,
         shares={
-            phase: _shares(phase_occupancy[phase]) for phase in PHASES
+            phase: shares(used) for phase, used in zip(PHASES, occupancy)
         },
         n_active={
             "before": n_peers + 1, "away": n_peers, "after": n_peers + 1
         },
+        converge_fills=converge_fills,
     )
-
-    # Post-leave convergence: walk contiguous windows of
-    # CONVERGE_WINDOW_FILLS fill intervals through the away phase and
-    # find the first whose shares are all within tolerance of fair.
-    fill_us = (spec.tbr_config or TbrConfig()).fill_interval_us
-    window_us = CONVERGE_WINDOW_FILLS * fill_us
-    away = [r for r in cell.usage.records if leave_us <= r.time < rejoin_us]
-    fair = 1.0 / n_peers
-    peers = [s for s in stations if s != leaver]
-    window = 1
-    while leave_us + window * window_us <= rejoin_us:
-        lo = leave_us + (window - 1) * window_us
-        hi = lo + window_us
-        occupancy = {station: 0.0 for station in peers}
-        for record in away:
-            if lo <= record.time < hi and record.station in occupancy:
-                occupancy[record.station] += record.airtime_us
-        shares = _shares(occupancy)
-        if all(abs(shares[p] - fair) <= SHARE_TOLERANCE for p in peers):
-            run.converge_fills = window * CONVERGE_WINDOW_FILLS
-            break
-        window += 1
-    return run
 
 
 def jobs(seed: int = 1, seconds: float = 9.0) -> List[Job]:
-    # The frozen spec IS the job config (like repro.scenario.scenario_
-    # job): its content digest covers every knob, including the family
-    # defaults resolved here at job-build time.
-    return [
-        make_job(
-            "fairness-churn",
-            scheduler,
-            CHURN_EXECUTOR,
-            {
-                "spec": build_spec(
-                    FAMILY, scheduler=scheduler, seed=seed, seconds=seconds
-                )
-            },
-        )
-        for scheduler in SCHEDULERS
-    ]
+    return family_jobs(FAMILY, CHURN_EXECUTOR, seed, seconds)
 
 
 def reduce(results: Mapping[str, ChurnPhaseRun]) -> FairnessChurnResult:
@@ -202,36 +142,16 @@ def render(result: FairnessChurnResult) -> str:
     blocks: List[str] = []
     for scheduler in SCHEDULERS:
         reduced = result.runs[scheduler]
-        stations = sorted(reduced.shares["before"])
-        rows = []
-        for station in stations:
-            rows.append(
-                [station]
-                + [fmt_frac(reduced.shares[p].get(station, 0.0)) for p in PHASES]
-            )
-        rows.append(
-            ["1/n_active"]
-            + [fmt_frac(1.0 / reduced.n_active[p]) for p in PHASES]
-        )
-        table = fmt_table(
-            ["station", "before", "away", "after"],
-            rows,
-            title=(
+        blocks.append(
+            render_phase_shares(
                 f"Fairness under churn ({scheduler}, seed {reduced.seed}, "
                 f"{reduced.seconds:g} s in equal thirds): occupancy share "
-                "per phase"
-            ),
+                "per phase",
+                PHASES,
+                reduced.shares,
+                [fmt_frac(1.0 / reduced.n_active[p]) for p in PHASES],
+                "leave",
+                reduced.converge_fills,
+            )
         )
-        if reduced.converge_fills is None:
-            note = (
-                "post-leave shares never settled within "
-                f"{SHARE_TOLERANCE:g} of 1/n_active"
-            )
-        else:
-            note = (
-                "post-leave shares within "
-                f"{SHARE_TOLERANCE:g} of 1/n_active after "
-                f"{reduced.converge_fills} FILLEVENTs"
-            )
-        blocks.append(f"{table}\n{note}")
     return "\n\n".join(blocks)

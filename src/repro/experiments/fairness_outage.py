@@ -26,22 +26,21 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from repro.campaign.executor import serial_results
-from repro.campaign.job import Job, make_job
-from repro.core.tbr import TbrConfig
-from repro.experiments.common import fmt_frac, fmt_table
-from repro.scenario.builder import ScenarioRuntime
-from repro.scenario.registry import build_spec, fairness_outage_phases
+from repro.campaign.job import Job
+from repro.experiments.common import (
+    family_jobs,
+    fmt_frac,
+    phased_occupancy,
+    render_phase_shares,
+    shares,
+)
+from repro.scenario.registry import fairness_outage_phases
 from repro.scenario.spec import ApOutageEvent, ScenarioSpec
 from repro.sim import us_from_s
 
 FAMILY = "fairness-outage"
 PHASES = ("before", "down", "after")
 SCHEDULERS = ("fifo", "tbr")
-
-#: A phase share within this distance of 1/n_active counts as fair.
-SHARE_TOLERANCE = 0.12
-#: Width of the post-recovery convergence probe window, in FILLEVENTs.
-CONVERGE_WINDOW_FILLS = 25
 
 #: Executor address for :func:`execute_outage` (what workers import).
 OUTAGE_EXECUTOR = "repro.experiments.fairness_outage:execute_outage"
@@ -81,21 +80,6 @@ class FairnessOutageResult:
         return self.runs["fifo"]
 
 
-def _phase_of(time_us: float, down_us: float, up_us: float) -> str:
-    if time_us < down_us:
-        return "before"
-    if time_us < up_us:
-        return "down"
-    return "after"
-
-
-def _shares(occupancy: Mapping[str, float]) -> Dict[str, float]:
-    total = sum(occupancy.values())
-    if total <= 0:
-        return {station: 0.0 for station in occupancy}
-    return {station: used / total for station, used in occupancy.items()}
-
-
 def execute_outage(params: Dict[str, object]) -> OutagePhaseRun:
     """Job executor: ``params`` carries the (thawed) fairness-outage spec.
 
@@ -116,74 +100,30 @@ def execute_outage(params: Dict[str, object]) -> OutagePhaseRun:
         outage.at_s + outage.duration_s + outage.rejoin_jitter_s
     )
 
-    runtime = ScenarioRuntime(spec)
-    cell = runtime.cell
-    cell.usage.keep_records = True
-    runtime.run()
-
+    # Post-recovery convergence is probed through the after phase, over
+    # every station.
     stations = [s.name for s in spec.stations]
-    phase_occupancy: Dict[str, Dict[str, float]] = {
-        phase: {station: 0.0 for station in stations} for phase in PHASES
-    }
-    for record in cell.usage.records:
-        phase_occupancy[_phase_of(record.time, down_us, up_us)][
-            record.station
-        ] += record.airtime_us
-
-    run = OutagePhaseRun(
+    occupancy, converge_fills = phased_occupancy(
+        spec,
+        (down_us, up_us),
+        (up_us, us_from_s(spec.warmup_seconds + spec.seconds)),
+        stations,
+    )
+    return OutagePhaseRun(
         scheduler=spec.scheduler,
         seed=spec.seed,
         seconds=spec.seconds,
         shares={
-            phase: _shares(phase_occupancy[phase]) for phase in PHASES
+            phase: shares(used) for phase, used in zip(PHASES, occupancy)
         },
         n_active=len(stations),
-        down_airtime_us=sum(phase_occupancy["down"].values()),
+        down_airtime_us=sum(occupancy[1].values()),  # the "down" phase
+        converge_fills=converge_fills,
     )
-
-    # Post-recovery convergence: walk contiguous windows of
-    # CONVERGE_WINDOW_FILLS fill intervals through the after phase and
-    # find the first whose shares are all within tolerance of fair.
-    fill_us = (spec.tbr_config or TbrConfig()).fill_interval_us
-    window_us = CONVERGE_WINDOW_FILLS * fill_us
-    horizon_us = us_from_s(spec.warmup_seconds + spec.seconds)
-    after = [r for r in cell.usage.records if r.time >= up_us]
-    fair = 1.0 / len(stations)
-    window = 1
-    while up_us + window * window_us <= horizon_us:
-        lo = up_us + (window - 1) * window_us
-        hi = lo + window_us
-        occupancy = {station: 0.0 for station in stations}
-        for record in after:
-            if lo <= record.time < hi and record.station in occupancy:
-                occupancy[record.station] += record.airtime_us
-        shares = _shares(occupancy)
-        if all(
-            abs(shares[s] - fair) <= SHARE_TOLERANCE for s in stations
-        ):
-            run.converge_fills = window * CONVERGE_WINDOW_FILLS
-            break
-        window += 1
-    return run
 
 
 def jobs(seed: int = 1, seconds: float = 9.0) -> List[Job]:
-    # The frozen spec IS the job config (same pattern as fairness-
-    # churn): its content digest covers every knob, including the
-    # family defaults resolved here at job-build time.
-    return [
-        make_job(
-            "fairness-outage",
-            scheduler,
-            OUTAGE_EXECUTOR,
-            {
-                "spec": build_spec(
-                    FAMILY, scheduler=scheduler, seed=seed, seconds=seconds
-                )
-            },
-        )
-        for scheduler in SCHEDULERS
-    ]
+    return family_jobs(FAMILY, OUTAGE_EXECUTOR, seed, seconds)
 
 
 def reduce(results: Mapping[str, OutagePhaseRun]) -> FairnessOutageResult:
@@ -198,41 +138,19 @@ def render(result: FairnessOutageResult) -> str:
     blocks: List[str] = []
     for scheduler in SCHEDULERS:
         reduced = result.runs[scheduler]
-        stations = sorted(reduced.shares["before"])
-        rows = []
-        for station in stations:
-            rows.append(
-                [station]
-                + [
-                    fmt_frac(reduced.shares[p].get(station, 0.0))
-                    for p in PHASES
-                ]
-            )
-        fair = 1.0 / reduced.n_active
-        rows.append(
-            ["1/n_active", fmt_frac(fair), "-", fmt_frac(fair)]
-        )
-        table = fmt_table(
-            ["station", "before", "down", "after"],
-            rows,
-            title=(
+        fair = fmt_frac(1.0 / reduced.n_active)
+        blocks.append(
+            render_phase_shares(
                 f"Fairness across an AP outage ({scheduler}, seed "
                 f"{reduced.seed}, {reduced.seconds:g} s): occupancy "
-                "share per phase"
-            ),
+                "share per phase",
+                PHASES,
+                reduced.shares,
+                [fair, "-", fair],
+                "recovery",
+                reduced.converge_fills,
+            )
         )
-        if reduced.converge_fills is None:
-            note = (
-                "post-recovery shares never settled within "
-                f"{SHARE_TOLERANCE:g} of 1/n_active"
-            )
-        else:
-            note = (
-                "post-recovery shares within "
-                f"{SHARE_TOLERANCE:g} of 1/n_active after "
-                f"{reduced.converge_fills} FILLEVENTs"
-            )
-        blocks.append(f"{table}\n{note}")
     return "\n\n".join(blocks)
 
 

@@ -76,6 +76,8 @@ def build_exp1_cell(seed: int = 1) -> Cell:
         if shadow:
             env.set_shadowing("ap", name, shadow)
 
+    # Hand-built: the spec language has no SNR-driven loss model and no
+    # rate controller (ARF) on the AP.
     cell = Cell(
         seed=seed,
         scheduler="rr",

@@ -16,12 +16,12 @@ from typing import Dict, List, Mapping
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
 from repro.experiments.common import (
-    CompetingResult,
     competing_job,
     fmt_frac,
     fmt_mbps,
     fmt_table,
 )
+from repro.scenario.runner import ScenarioResult
 
 PAPER_TOTAL_11V11 = 5.08
 PAPER_TOTAL_11V1 = 1.34
@@ -31,8 +31,8 @@ PAPER_CHANNEL_TIME_RATIO_11V1 = 6.4
 
 @dataclass
 class Fig2Result:
-    same_rate: CompetingResult  # 11 vs 11
-    mixed: CompetingResult  # 1 vs 11
+    same_rate: ScenarioResult  # 11 vs 11
+    mixed: ScenarioResult  # 1 vs 11
 
     @property
     def channel_time_ratio(self) -> float:
@@ -60,7 +60,7 @@ def jobs(seed: int = 1, seconds: float = 15.0) -> List[Job]:
     ]
 
 
-def reduce(results: Mapping[str, CompetingResult]) -> Fig2Result:
+def reduce(results: Mapping[str, ScenarioResult]) -> Fig2Result:
     return Fig2Result(same_rate=results["same"], mixed=results["mixed"])
 
 

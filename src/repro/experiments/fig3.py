@@ -19,12 +19,12 @@ from typing import Dict, List, Mapping, Tuple
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
 from repro.experiments.common import (
-    CompetingResult,
     competing_job,
     fmt_frac,
     fmt_mbps,
     fmt_table,
 )
+from repro.scenario.runner import ScenarioResult
 
 COMBOS: List[Tuple[float, float]] = [(11.0, 11.0), (1.0, 11.0), (1.0, 1.0)]
 
@@ -41,7 +41,7 @@ PAPER_THROUGHPUT = {
 
 @dataclass
 class Fig3Result:
-    cases: Dict[Tuple[float, float], Dict[str, CompetingResult]] = field(
+    cases: Dict[Tuple[float, float], Dict[str, ScenarioResult]] = field(
         default_factory=dict
     )
 
@@ -58,7 +58,7 @@ def jobs(seed: int = 1, seconds: float = 15.0) -> List[Job]:
     ]
 
 
-def reduce(results: Mapping[Tuple, CompetingResult]) -> Fig3Result:
+def reduce(results: Mapping[Tuple, ScenarioResult]) -> Fig3Result:
     result = Fig3Result()
     for combo in COMBOS:
         result.cases[combo] = {

@@ -19,11 +19,11 @@ from typing import Dict, List, Mapping
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
 from repro.experiments.common import (
-    CompetingResult,
     competing_job,
     fmt_mbps,
     fmt_table,
 )
+from repro.scenario.runner import ScenarioResult
 
 CONFIGS = ("udp_down", "udp_up", "tcp_down", "tcp_up")
 
@@ -38,7 +38,7 @@ PAPER_PER_NODE = {
 
 @dataclass
 class Fig4Result:
-    runs: Dict[str, CompetingResult] = field(default_factory=dict)
+    runs: Dict[str, ScenarioResult] = field(default_factory=dict)
 
 
 def jobs(seed: int = 1, seconds: float = 15.0) -> List[Job]:
@@ -63,7 +63,7 @@ def jobs(seed: int = 1, seconds: float = 15.0) -> List[Job]:
     return out
 
 
-def reduce(results: Mapping[str, CompetingResult]) -> Fig4Result:
+def reduce(results: Mapping[str, ScenarioResult]) -> Fig4Result:
     result = Fig4Result()
     for config in CONFIGS:
         result.runs[config] = results[config]

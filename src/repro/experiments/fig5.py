@@ -61,11 +61,11 @@ def execute_dorm(params: Dict) -> List[BusyInterval]:
     return busy_intervals(records, threshold_mbps=params["threshold_mbps"])
 
 
-def jobs(seed: int = 1, duration_s: float = 24.0 * 3600.0) -> List[Job]:
+def jobs(seed: int = 1, seconds: float = 24.0 * 3600.0) -> List[Job]:
     return [
         make_job(
             "fig5", "dorm", DORM_EXECUTOR,
-            {"duration_s": duration_s, "threshold_mbps": 4.0, "seed": seed},
+            {"duration_s": seconds, "threshold_mbps": 4.0, "seed": seed},
         )
     ]
 
@@ -74,8 +74,8 @@ def reduce(results: Mapping[str, List[BusyInterval]]) -> Fig5Result:
     return Fig5Result(intervals=results["dorm"])
 
 
-def run(seed: int = 1, duration_s: float = 24.0 * 3600.0) -> Fig5Result:
-    return reduce(serial_results(jobs(seed=seed, duration_s=duration_s)))
+def run(seed: int = 1, seconds: float = 24.0 * 3600.0) -> Fig5Result:
+    return reduce(serial_results(jobs(seed=seed, seconds=seconds)))
 
 
 def render(result: Fig5Result) -> str:

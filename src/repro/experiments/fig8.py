@@ -13,7 +13,8 @@ from typing import Dict, List, Mapping, Tuple
 
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
-from repro.experiments.common import CompetingResult, competing_job, fmt_table
+from repro.experiments.common import competing_job, fmt_table
+from repro.scenario.runner import ScenarioResult
 
 RATES = (1.0, 2.0, 5.5, 11.0)
 DIRECTIONS = ("down", "up")
@@ -23,7 +24,7 @@ SCHEDULERS = (("normal", "fifo"), ("tbr", "tbr"))
 @dataclass
 class Fig8Result:
     #: keyed by (direction, rate) -> {"normal": ..., "tbr": ...}
-    runs: Dict[Tuple[str, float], Dict[str, CompetingResult]] = field(
+    runs: Dict[Tuple[str, float], Dict[str, ScenarioResult]] = field(
         default_factory=dict
     )
 
@@ -50,7 +51,7 @@ def jobs(seed: int = 1, seconds: float = 12.0) -> List[Job]:
     ]
 
 
-def reduce(results: Mapping[Tuple, CompetingResult]) -> Fig8Result:
+def reduce(results: Mapping[Tuple, ScenarioResult]) -> Fig8Result:
     result = Fig8Result()
     for direction in DIRECTIONS:
         for rate in RATES:

@@ -18,7 +18,8 @@ from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS
 from repro.analysis.model import NodeSpec, rf_throughputs, tf_throughputs
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
-from repro.experiments.common import CompetingResult, competing_job, fmt_table
+from repro.experiments.common import competing_job, fmt_table
+from repro.scenario.runner import ScenarioResult
 
 PAIRS = ((1.0, 11.0), (2.0, 11.0), (5.5, 11.0))
 DIRECTIONS = ("down", "up")
@@ -40,7 +41,7 @@ def model_predictions(pair: Tuple[float, float]) -> Dict[str, Dict[str, float]]:
 @dataclass
 class Fig9Result:
     #: keyed by (direction, pair) -> {"normal", "tbr"} results.
-    runs: Dict[Tuple[str, Tuple[float, float]], Dict[str, CompetingResult]] = field(
+    runs: Dict[Tuple[str, Tuple[float, float]], Dict[str, ScenarioResult]] = field(
         default_factory=dict
     )
 
@@ -66,7 +67,7 @@ def jobs(seed: int = 1, seconds: float = 15.0) -> List[Job]:
     ]
 
 
-def reduce(results: Mapping[Tuple, CompetingResult]) -> Fig9Result:
+def reduce(results: Mapping[Tuple, ScenarioResult]) -> Fig9Result:
     result = Fig9Result()
     for direction in DIRECTIONS:
         for pair in PAIRS:

@@ -69,8 +69,15 @@ class Table1Result:
     analytic: Dict[str, object] = field(default_factory=dict)
 
 
-def _run_tasks(scheduler: str, seed: int, max_seconds: float) -> NotionOutcome:
-    cell = Cell(seed=seed, scheduler=scheduler)
+TASKS_EXECUTOR = "repro.experiments.table1:execute_tasks"
+
+
+def execute_tasks(params: Dict) -> NotionOutcome:
+    """Job executor: the task-model run for one fairness notion."""
+    max_seconds = params["max_seconds"]
+    # Hand-built: the spec language measures a fixed window, and this
+    # run ends when both tasks complete.
+    cell = Cell(seed=params["seed"], scheduler=params["scheduler"])
     slow = cell.add_station("slow", rate_mbps=RATE_SLOW)
     fast = cell.add_station("fast", rate_mbps=RATE_FAST)
     flows = [
@@ -103,19 +110,11 @@ def _run_tasks(scheduler: str, seed: int, max_seconds: float) -> NotionOutcome:
     return outcome
 
 
-TASKS_EXECUTOR = "repro.experiments.table1:execute_tasks"
-
-
-def execute_tasks(params: Dict) -> NotionOutcome:
-    """Job executor: the task-model run for one fairness notion."""
-    return _run_tasks(params["scheduler"], params["seed"], params["max_seconds"])
-
-
-def jobs(seed: int = 1, max_seconds: float = 120.0) -> List[Job]:
+def jobs(seed: int = 1, seconds: float = 120.0) -> List[Job]:
     return [
         make_job(
             "table1", notion, TASKS_EXECUTOR,
-            {"scheduler": scheduler, "seed": seed, "max_seconds": max_seconds},
+            {"scheduler": scheduler, "seed": seed, "max_seconds": seconds},
         )
         for notion, scheduler in (("rf", "fifo"), ("tf", "tbr"))
     ]
@@ -131,8 +130,8 @@ def reduce(results: Mapping[str, NotionOutcome]) -> Table1Result:
     return Table1Result(rf=results["rf"], tf=results["tf"], analytic=analytic)
 
 
-def run(seed: int = 1, max_seconds: float = 120.0) -> Table1Result:
-    return reduce(serial_results(jobs(seed=seed, max_seconds=max_seconds)))
+def run(seed: int = 1, seconds: float = 120.0) -> Table1Result:
+    return reduce(serial_results(jobs(seed=seed, seconds=seconds)))
 
 
 def render(result: Table1Result) -> str:

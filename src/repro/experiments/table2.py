@@ -14,7 +14,8 @@ from typing import Dict, List, Mapping
 from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS, analytic_baseline_mbps
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
-from repro.experiments.common import CompetingResult, competing_job, fmt_table
+from repro.experiments.common import competing_job, fmt_table
+from repro.scenario.runner import ScenarioResult
 
 RATES = (1.0, 2.0, 5.5, 11.0)
 
@@ -39,7 +40,7 @@ def jobs(seed: int = 1, seconds: float = 15.0) -> List[Job]:
     ]
 
 
-def reduce(results: Mapping[float, CompetingResult]) -> Table2Result:
+def reduce(results: Mapping[float, ScenarioResult]) -> Table2Result:
     result = Table2Result()
     for rate in RATES:
         result.measured_mbps[rate] = results[rate].total_mbps

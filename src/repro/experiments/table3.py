@@ -16,7 +16,8 @@ from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS
 from repro.analysis.model import FairnessPrediction, NodeSpec, predict
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
-from repro.experiments.common import CompetingResult, competing_job, fmt_table
+from repro.experiments.common import competing_job, fmt_table
+from repro.scenario.runner import ScenarioResult
 
 NODE_RATES = {"n1": 1.0, "n2": 2.0, "n3": 11.0, "n4": 11.0}
 
@@ -29,8 +30,8 @@ PAPER_TF_TOTAL = 3.175
 @dataclass
 class Table3Result:
     prediction: FairnessPrediction
-    simulated_rf: CompetingResult
-    simulated_tf: CompetingResult
+    simulated_rf: ScenarioResult
+    simulated_tf: ScenarioResult
 
 
 def jobs(seed: int = 1, seconds: float = 20.0) -> List[Job]:
@@ -43,7 +44,7 @@ def jobs(seed: int = 1, seconds: float = 20.0) -> List[Job]:
     ]
 
 
-def reduce(results: Mapping[str, CompetingResult]) -> Table3Result:
+def reduce(results: Mapping[str, ScenarioResult]) -> Table3Result:
     nodes = [
         NodeSpec(name, rate, beta_mbps=PAPER_TABLE2_TCP_MBPS[rate])
         for name, rate in NODE_RATES.items()

@@ -11,13 +11,13 @@ channel fully utilized instead of idling n1 at a hard 50 % cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro.campaign.executor import serial_results
-from repro.campaign.job import Job, make_job
-from repro.core.tbr import TbrConfig
-from repro.node.cell import Cell
+from repro.campaign.job import Job
 from repro.experiments.common import fmt_table
+from repro.scenario.runner import ScenarioResult, scenario_job
+from repro.scenario.spec import FlowSpec, ScenarioSpec, StationSpec
 
 PAPER = {
     "normal": {"n1": 2.9434, "n2": 2.1276, "total": 5.071},
@@ -35,47 +35,38 @@ class Table4Result:
         return sum(self.throughput[which].values())
 
 
-def _run_one(
-    scheduler: str, seed: int, seconds: float, tbr_config: Optional[TbrConfig]
-) -> Dict[str, float]:
-    cell = Cell(seed=seed, scheduler=scheduler, tbr_config=tbr_config)
-    n1 = cell.add_station("n1", rate_mbps=11.0)
-    n2 = cell.add_station("n2", rate_mbps=11.0)
-    cell.tcp_flow(n1, direction="up")
-    cell.tcp_flow(n2, direction="up", app="paced", paced_mbps=PACED_MBPS)
-    cell.run(seconds=seconds, warmup_seconds=3.0)
-    return cell.station_throughputs_mbps()
-
-
-PAIR_EXECUTOR = "repro.experiments.table4:execute_run"
-
-
-def execute_run(params: Dict) -> Dict[str, float]:
-    """Job executor: one paced-vs-greedy pair under one scheduler."""
-    return _run_one(
-        params["scheduler"], params["seed"], params["seconds"],
-        params["tbr_config"],
+def pair_spec(scheduler: str, seed: int, seconds: float) -> ScenarioSpec:
+    """The paced-vs-greedy pair under one AP scheduler."""
+    return ScenarioSpec(
+        name=f"table4/{scheduler}",
+        scheduler=scheduler,
+        stations=(StationSpec("n1"), StationSpec("n2")),
+        flows=(
+            FlowSpec("n1"),
+            FlowSpec("n2", app="paced", rate_mbps=PACED_MBPS),
+        ),
+        seconds=seconds,
+        warmup_seconds=3.0,
+        seed=seed,
     )
 
 
 def jobs(seed: int = 1, seconds: float = 15.0) -> List[Job]:
     return [
-        make_job(
-            "table4", label, PAIR_EXECUTOR,
-            {
-                "scheduler": scheduler,
-                "seed": seed,
-                "seconds": seconds,
-                "tbr_config": None,
-            },
+        scenario_job(
+            pair_spec(scheduler, seed, seconds),
+            experiment="table4", key=label,
         )
         for label, scheduler in (("normal", "fifo"), ("tbr", "tbr"))
     ]
 
 
-def reduce(results: Mapping[str, Dict[str, float]]) -> Table4Result:
+def reduce(results: Mapping[str, ScenarioResult]) -> Table4Result:
     return Table4Result(
-        throughput={label: results[label] for label in ("normal", "tbr")}
+        throughput={
+            label: results[label].throughput_mbps
+            for label in ("normal", "tbr")
+        }
     )
 
 

@@ -12,7 +12,7 @@ cache exactly like the figure/table reproductions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, Optional
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence
 
 from repro.campaign.job import Job, make_job
 from repro.scenario.builder import ScenarioRuntime
@@ -187,12 +187,27 @@ def run_sweep(
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
+def fmt_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[object]],
+    title: Optional[str] = None,
+) -> str:
+    """Fixed-width ASCII table."""
+    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+    sep = "-+-".join("-" * w for w in widths)
+    lines.append(" | ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
+    lines.append(sep)
+    for row in cells[1:]:
+        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
 def render_result(result: ScenarioResult) -> str:
     """ASCII summary: per-station table plus kernel accounting."""
-    # Imported lazily: experiments.common builds its setups through this
-    # package, so a module-level import here would be a cycle.
-    from repro.experiments.common import fmt_table
-
     rows = []
     for name in sorted(result.throughput_mbps):
         rows.append(

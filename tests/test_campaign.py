@@ -22,10 +22,9 @@ from repro.campaign import (
     serial_results,
     thaw,
 )
-from repro.campaign.registry import FIGURE_SUITE, campaign_registry
 from repro.core.rate_adjust import RateAdjustConfig
 from repro.core.tbr import TbrConfig
-from repro.experiments import fig2
+from repro.experiments import EXPERIMENTS, FIGURE_SUITE, fig2
 from repro.experiments.common import competing_job
 from repro.phy.phy import DOT11B_LONG_PREAMBLE, PhyParams, frame_airtime_us
 
@@ -95,9 +94,11 @@ def test_job_is_hashable_and_picklable():
     clone = pickle.loads(pickle.dumps(job))
     assert clone == job
     assert clone.digest == job.digest
-    params = job_params(clone)
-    assert params["rates"] == {"n1": 1.0, "n2": 11.0}
-    assert params["tbr_config"].work_conserving is True
+    spec = job_params(clone)["spec"]
+    assert {s.name: s.rate_mbps for s in spec.stations} == {
+        "n1": 1.0, "n2": 11.0,
+    }
+    assert spec.tbr_config.work_conserving is True
 
 
 def test_job_rejects_malformed_executor():
@@ -206,11 +207,10 @@ def test_serial_results_keys_and_order():
 # registry: every experiment exposes coherent jobs()/reduce()
 # ----------------------------------------------------------------------
 def test_registry_covers_figures_tables_and_ablations():
-    registry = campaign_registry()
-    assert set(FIGURE_SUITE) <= set(registry)
-    assert any(name.startswith("abl-") for name in registry)
-    for name, spec in registry.items():
-        jobs = spec.build_jobs(seed=1)
+    assert set(FIGURE_SUITE) <= set(EXPERIMENTS)
+    assert any(name.startswith("abl-") for name in EXPERIMENTS)
+    for name, experiment in EXPERIMENTS.items():
+        jobs = experiment.jobs(seed=1)
         assert jobs, name
         assert all(job.experiment == name for job in jobs), name
         keys = [job.key for job in jobs]
@@ -245,7 +245,7 @@ def test_phyparams_pickles_cleanly_with_fresh_memos():
 
 def test_default_phy_survives_job_round_trip():
     job = competing_job("t", "k", [11.0], seconds=1.0)
-    phy = job_params(pickle.loads(pickle.dumps(job)))["phy"]
+    phy = job_params(pickle.loads(pickle.dumps(job)))["spec"].phy
     assert phy == DOT11B_LONG_PREAMBLE
     assert phy is not DOT11B_LONG_PREAMBLE
     assert phy._eifs_cache == {}

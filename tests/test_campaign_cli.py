@@ -18,6 +18,17 @@ def test_unknown_experiment_errors(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+def test_duration_the_job_factory_rejects_is_a_usage_error(capsys):
+    # Exit 2 with the one-line reason, not a ValueError traceback.
+    assert campaign_main(
+        ["fairness-outage", "--seconds", "1", "--no-cache"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert "fairness-outage: " in captured.err
+    assert "phases must satisfy" in captured.err
+    assert captured.out == ""
+
+
 def test_flag_validation():
     with pytest.raises(SystemExit):
         campaign_main(["fig2", "--jobs", "0"])

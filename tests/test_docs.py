@@ -4,7 +4,7 @@ import os
 import re
 from pathlib import Path
 
-from repro.experiments import REGISTRY
+from repro.experiments import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,7 +15,7 @@ COMMAND_DOCS = (
     ".github/workflows/ci.yml",
     ".claude/skills/verify/SKILL.md",
 )
-SUBCOMMANDS = set(REGISTRY) | {"list", "all", "campaign", "scenario", "serve"}
+SUBCOMMANDS = set(EXPERIMENTS) | {"list", "all", "campaign", "scenario", "serve"}
 
 #: Surfaces that were deleted in favour of ``benchmarks/suite``.  The
 #: histories and this file may name them; nothing else may.

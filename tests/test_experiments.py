@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import (
-    REGISTRY,
+    EXPERIMENTS,
     ablations,
     fig1,
     fig2,
@@ -22,13 +22,13 @@ S = 4.0  # short simulated seconds for smoke tests
 
 
 def test_registry_complete():
-    assert set(REGISTRY) == {
+    assert set(EXPERIMENTS) == {
         "fig1", "fig2", "fig3", "fig4", "fig5", "fig8", "fig9",
         "table1", "table2", "table3", "table4", "fairness-churn",
         "fairness-outage",
-    }
-    for module in REGISTRY.values():
-        assert hasattr(module, "run") and hasattr(module, "render")
+    } | set(ablations.ABLATIONS)
+    for experiment in EXPERIMENTS.values():
+        assert callable(experiment.run) and callable(experiment.render)
 
 
 def test_fig1_shapes():
@@ -78,7 +78,7 @@ def test_fig4_shape():
 
 
 def test_fig5_shape():
-    result = fig5.run(seed=1, duration_s=12 * 3600)
+    result = fig5.run(seed=1, seconds=12 * 3600)
     assert result.mean_heaviest_fraction > 0.5
     assert result.solo_fraction < 0.25
     assert result.multi_user_fraction > 0.7
@@ -108,7 +108,7 @@ def test_fig9_model_predictions():
 
 
 def test_table1_shape():
-    result = table1.run(seed=1, max_seconds=60.0)
+    result = table1.run(seed=1, seconds=60.0)
     assert result.rf.throughput_gap < result.tf.throughput_gap
     assert result.tf.time_gap < result.rf.time_gap
     assert result.tf.avg_task_time_s < result.rf.avg_task_time_s
@@ -146,57 +146,58 @@ def test_table4_shape():
 # ablations
 # ----------------------------------------------------------------------
 def test_ablation_retry_accounting():
-    result = ablations.run_retry_accounting(seed=1, seconds=S, loss_rate=0.1)
+    result = ablations.run("abl-retry", seed=1, seconds=S, loss_rate=0.1)
     # Without retry info the lossy slow node is favoured (paper's bias).
-    assert result.slow_node_bias() > 0.0
+    assert ablations.slow_node_bias(result) > 0.0
     assert "Retry accounting" in ablations.render_retry_accounting(result)
 
 
 def test_ablation_bucket_depth():
-    result = ablations.run_bucket_depth(
-        seed=1, seconds=S, depths_us=(50_000.0, 2_000_000.0)
+    result = ablations.run(
+        "abl-bucket-depth", seed=1, seconds=S,
+        depths_us=(50_000.0, 2_000_000.0),
     )
-    shallow_lt, shallow_st = result.fairness[50_000.0]
-    deep_lt, deep_st = result.fairness[2_000_000.0]
+    shallow_lt, shallow_st = result[50_000.0]
+    deep_lt, deep_st = result[2_000_000.0]
     # Deeper buckets hurt short-term fairness (Section 4.5).
     assert shallow_st >= deep_st - 0.02
     assert "Bucket depth" in ablations.render_bucket_depth(result)
 
 
 def test_ablation_weighted_shares():
-    result = ablations.run_weighted_shares(seed=1, seconds=S)
-    assert result.occupancy_ratio() > 1.7
+    result = ablations.run("abl-weighted", seed=1, seconds=S)
+    assert ablations.occupancy_ratio(result) > 1.7
     assert "Weighted" in ablations.render_weighted_shares(result)
 
 
 def test_ablation_work_conservation():
-    result = ablations.run_work_conservation(seed=1, seconds=S)
-    strict = sum(result.throughput["strict"].values())
-    borrowing = sum(result.throughput["borrowing"].values())
+    result = ablations.run("abl-work-conservation", seed=1, seconds=S)
+    strict = result["strict"].total_mbps
+    borrowing = result["borrowing"].total_mbps
     assert strict > 1.4 * borrowing
     assert "Work conservation" in ablations.render_work_conservation(result)
 
 
 def test_ablation_client_cooperation():
-    result = ablations.run_client_cooperation(seed=1, seconds=S)
-    without = result.slow_occupancy("no-agent")
-    with_agent = result.slow_occupancy("client-agent")
+    result = ablations.run("abl-cooperation", seed=1, seconds=S)
+    without = result["no-agent"].occupancy["n1"]
+    with_agent = result["client-agent"].occupancy["n1"]
     assert with_agent < without - 0.15
     assert "Client cooperation" in ablations.render_client_cooperation(result)
 
 
 def test_ablation_bg_coexistence():
-    result = ablations.run_bg_coexistence(seed=1, seconds=S)
-    assert result.g_recovery() > 3.0
+    result = ablations.run("abl-bg", seed=1, seconds=S)
+    assert ablations.g_recovery(result) > 3.0
     assert "coexistence" in ablations.render_bg_coexistence(result)
 
 
 def test_ablation_oar_comparison():
     # Holds at the short S with the full-length tolerances unchanged.
-    result = ablations.run_oar_comparison(seed=1, seconds=S)
-    dcf = result.throughput["dcf"]
-    oar = result.throughput["oar"]
-    tbr = result.throughput["tbr"]
+    result = ablations.run("abl-oar", seed=1, seconds=S)
+    dcf = result["dcf"].throughput_mbps
+    oar = result["oar"].throughput_mbps
+    tbr = result["tbr"].throughput_mbps
     # DCF equalises throughput; OAR and TBR favour the fast node.
     assert abs(dcf["n1"] - dcf["n2"]) < 0.3
     assert oar["n2"] > 3.0 * oar["n1"]
@@ -208,9 +209,9 @@ def test_ablation_oar_comparison():
 
 def test_ablation_polling_tbr():
     # Holds at the short S with the full-length tolerances unchanged.
-    result = ablations.run_polling_tbr(seed=1, seconds=S)
-    rr = result.throughput["rr-poll"]
-    tbr = result.throughput["tbr-poll"]
+    result = ablations.run("abl-polling", seed=1, seconds=S)
+    rr = result["rr-poll"]["throughput"]
+    tbr = result["tbr-poll"]["throughput"]
     # Round-robin polling reproduces the anomaly; token-driven polling
     # restores time fairness with unmodified clients (Section 4.1).
     assert rr["n1"] == pytest.approx(rr["n2"], rel=0.1)

@@ -82,4 +82,3 @@ def test_competing_result_total():
     res = run_competing([11.0, 11.0], seconds=0.5, warmup_seconds=0.0)
     assert res.total_mbps == pytest.approx(sum(res.throughput_mbps.values()))
     assert res.scheduler == "fifo"
-    assert res.direction == "up"

@@ -18,8 +18,10 @@ import pathlib
 
 import pytest
 
-from repro.campaign.executor import serial_results
-from repro.campaign.registry import campaign_registry
+from repro.campaign.job import job_params
+from repro.experiments import EXPERIMENTS
+from repro.experiments.common import competing_job, competing_spec
+from repro.scenario.runner import SCENARIO_EXECUTOR, run_spec, scenario_job
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -33,8 +35,6 @@ GOLDEN_SECONDS = {
     "table1": 20.0,
 }
 
-REGISTRY = campaign_registry()
-
 
 def golden_path(name: str) -> pathlib.Path:
     seconds = f"{GOLDEN_SECONDS.get(name, 1.0):g}".replace(".", "p")
@@ -42,16 +42,58 @@ def golden_path(name: str) -> pathlib.Path:
     return GOLDEN_DIR / f"{stem}_seed1_{seconds}s.txt"
 
 
-@pytest.mark.parametrize("name", list(REGISTRY))
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_experiment_output_matches_pre_optimization_golden(name):
     path = golden_path(name)
     assert path.exists(), (
         f"experiment {name!r} is registered without a golden: render it "
         f"at seed 1 into {path.name}"
     )
-    experiment = REGISTRY[name]
-    jobs = experiment.build_jobs(
-        seed=1, seconds=GOLDEN_SECONDS.get(name, 1.0)
-    )
-    rendered = experiment.render(experiment.reduce(serial_results(jobs)))
-    assert rendered + "\n" == path.read_text()
+    experiment = EXPERIMENTS[name]
+    result = experiment.run(seed=1, seconds=GOLDEN_SECONDS.get(name, 1.0))
+    assert experiment.render(result) + "\n" == path.read_text()
+
+
+# ----------------------------------------------------------------------
+# the figures run through the one spec path the sanitizer watches
+# ----------------------------------------------------------------------
+def _jobs(name, seconds=None):
+    if seconds is None:
+        seconds = GOLDEN_SECONDS.get(name, 1.0)
+    return EXPERIMENTS[name].jobs(seed=1, seconds=seconds)
+
+
+def test_sanitizer_reaches_the_paper_figures():
+    jobs = [job for name in EXPERIMENTS for job in _jobs(name)]
+    assert len(jobs) == 77
+    scenario = [job for job in jobs if job.executor == SCENARIO_EXECUTOR]
+    # Coverage cannot silently shrink: everything but fig 1, fig 5,
+    # table 1, fairness-*, abl-retry, abl-bucket-depth, abl-polling and
+    # OAR's bursting case is a plain scenario job.
+    assert len(scenario) >= 57
+    # The sanitizer is observation-only: armed, every one of them holds
+    # each invariant and returns the identical result.
+    for spec in {job_params(job)["spec"] for job in scenario}:
+        assert run_spec(spec, sanitize=True) == run_spec(
+            spec, sanitize=False
+        ), spec.name
+
+
+def test_a_figure_run_is_the_store_entry_of_its_spec():
+    setup = dict(direction="down", scheduler="tbr", seconds=1.0, seed=3)
+    job = competing_job("fig9", "k", (1.0, 11.0), **setup)
+    spec = competing_spec([1.0, 11.0], **setup)
+    assert job.digest == scenario_job(spec).digest
+
+
+def test_figures_coalesce_their_shared_runs():
+    # What repro.campaign.job promises: the same simulation asked for
+    # by two figures is one digest (fig3's [1.0, 11.0] list and fig9's
+    # (1.0, 11.0) tuple included), so a campaign runs it once.
+    digests = {
+        name: {job.digest for job in _jobs(name, seconds=1.0)}
+        for name in ("fig2", "fig3", "fig9")
+    }
+    assert len(digests["fig3"] & digests["fig9"]) == 2
+    assert len(digests["fig2"] & digests["fig9"]) == 1
+    assert len(digests["fig2"] & digests["fig3"]) == 2

@@ -562,3 +562,31 @@ def test_two_threads_posting_the_same_new_body(server):
     assert list(state.memo.values()) == [replies[0][0]]
     assert state.counters["executed"] == 1
     assert state.counters["hits"] + state.counters["misses"] == 2
+
+
+def test_rendering_a_result_does_not_import_the_experiments():
+    # render_result's table formatter lives beside it, so serving (and
+    # the scenario CLI, and every suite workload) never pays for the
+    # experiment modules and what they pull in (traces, polling MAC).
+    import os
+    import pathlib
+    import subprocess
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    program = (
+        "import sys\n"
+        "import repro.serve\n"
+        "from repro.scenario.runner import ScenarioResult, render_result\n"
+        "text = render_result(ScenarioResult('x', 1, 'tbr', 1.0, 0.0,\n"
+        "    throughput_mbps={'n1': 1.0}, occupancy={'n1': 0.5}))\n"
+        "assert 'n1' in text, text\n"
+        "assert 'repro.experiments' not in sys.modules\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
