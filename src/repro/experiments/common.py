@@ -140,6 +140,8 @@ def competing_job(
 # ----------------------------------------------------------------------
 # phased occupancy (the fairness-churn / fairness-outage reduction)
 # ----------------------------------------------------------------------
+#: The AP schedulers each fairness experiment contrasts.
+SCHEDULERS = ("fifo", "tbr")
 #: A phase share within this distance of 1/n_active counts as fair.
 SHARE_TOLERANCE = 0.12
 #: Width of the convergence probe window, in FILLEVENTs.
@@ -162,7 +164,7 @@ def family_jobs(
                 )
             },
         )
-        for scheduler in ("fifo", "tbr")
+        for scheduler in SCHEDULERS
     ]
 
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
 from repro.experiments.common import (
+    SCHEDULERS,
     family_jobs,
     fmt_frac,
     phased_occupancy,
@@ -38,7 +39,6 @@ from repro.sim import us_from_s
 
 FAMILY = "fairness-churn"
 PHASES = ("before", "away", "after")
-SCHEDULERS = ("fifo", "tbr")
 
 #: Executor address for :func:`execute_churn` (what workers import).
 CHURN_EXECUTOR = "repro.experiments.fairness_churn:execute_churn"

@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Optional
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
 from repro.experiments.common import (
+    SCHEDULERS,
     family_jobs,
     fmt_frac,
     phased_occupancy,
@@ -40,7 +41,6 @@ from repro.sim import us_from_s
 
 FAMILY = "fairness-outage"
 PHASES = ("before", "down", "after")
-SCHEDULERS = ("fifo", "tbr")
 
 #: Executor address for :func:`execute_outage` (what workers import).
 OUTAGE_EXECUTOR = "repro.experiments.fairness_outage:execute_outage"
@@ -106,7 +106,7 @@ def execute_outage(params: Dict[str, object]) -> OutagePhaseRun:
     occupancy, converge_fills = phased_occupancy(
         spec,
         (down_us, up_us),
-        (up_us, us_from_s(spec.warmup_seconds + spec.seconds)),
+        (up_us, us_from_s(spec.horizon_s)),
         stations,
     )
     return OutagePhaseRun(

@@ -12,7 +12,10 @@ import hashlib
 import http.client
 import io
 import json
+import os
+import pathlib
 import socket
+import subprocess
 import sys
 import threading
 import urllib.error
@@ -21,6 +24,7 @@ import urllib.request
 import pytest
 from test_scenario_golden import GOLDEN_DIR, GOLDEN_PARAMS
 
+import repro
 from repro.campaign.store import ResultStore
 from repro.serve import make_server
 
@@ -568,12 +572,6 @@ def test_rendering_a_result_does_not_import_the_experiments():
     # render_result's table formatter lives beside it, so serving (and
     # the scenario CLI, and every suite workload) never pays for the
     # experiment modules and what they pull in (traces, polling MAC).
-    import os
-    import pathlib
-    import subprocess
-
-    import repro
-
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
     program = (
         "import sys\n"
