@@ -14,14 +14,6 @@ either observes the other's carrier).
 from repro.sim.event import Event, EventCategory, EventPriority
 from repro.sim.kernel import Simulator, SimulationError
 from repro.sim.timers import PeriodicTimer
-from repro.sim.process import Process, Sleep, waituntil
-from repro.sim.monitor import (
-    Counter,
-    TimeWeightedValue,
-    TimeSeries,
-    IntervalAccumulator,
-    WelfordStat,
-)
 from repro.sim.units import (
     US_PER_MS,
     US_PER_S,
@@ -40,14 +32,6 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "PeriodicTimer",
-    "Process",
-    "Sleep",
-    "waituntil",
-    "Counter",
-    "TimeWeightedValue",
-    "TimeSeries",
-    "IntervalAccumulator",
-    "WelfordStat",
     "US_PER_MS",
     "US_PER_S",
     "us_from_ms",

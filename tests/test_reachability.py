@@ -84,16 +84,6 @@ ALLOWED: Dict[str, str] = {
     "queueing/base.py::ApScheduler.is_associated": (
         "side-effect-free accessor several test files observe membership with"
     ),
-    # whole modules
-    "sim/process.py::Condition": _GOES,
-    "sim/process.py::Process": _GOES,
-    "sim/process.py::Sleep": _GOES,
-    "sim/process.py::waituntil": _GOES,
-    "sim/monitor.py::Counter": _GOES,
-    "sim/monitor.py::IntervalAccumulator": _GOES,
-    "sim/monitor.py::TimeSeries": _GOES,
-    "sim/monitor.py::TimeWeightedValue": _GOES,
-    "sim/monitor.py::WelfordStat": _GOES,
     # kernel / units
     "sim/kernel.py::Simulator.call_soon": _GOES,
     "sim/kernel.py::Simulator.run_for": _GOES,

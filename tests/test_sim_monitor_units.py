@@ -1,17 +1,8 @@
-"""Tests for measurement primitives and unit helpers."""
-
-import math
+"""Tests for the unit helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.sim import (
-    Counter,
-    IntervalAccumulator,
-    Simulator,
-    TimeSeries,
-    TimeWeightedValue,
-    WelfordStat,
     throughput_mbps,
     us_from_ms,
     us_from_s,
@@ -21,9 +12,6 @@ from repro.sim import (
 )
 
 
-# ----------------------------------------------------------------------
-# units
-# ----------------------------------------------------------------------
 def test_unit_round_trips():
     assert us_from_ms(1.5) == 1500.0
     assert us_from_s(2.0) == 2_000_000.0
@@ -42,110 +30,3 @@ def test_throughput_empty_interval_is_zero():
 
 def test_mbps_from_bytes_per_us():
     assert mbps_from_bytes_per_us(1.0) == 8.0
-
-
-# ----------------------------------------------------------------------
-# Counter
-# ----------------------------------------------------------------------
-def test_counter_accumulates_and_marks():
-    c = Counter()
-    c.add(3)
-    c.add()
-    assert c.value == 4
-    c.mark()
-    c.add(2)
-    assert c.since_mark() == 2
-    assert c.value == 6
-
-
-# ----------------------------------------------------------------------
-# TimeWeightedValue
-# ----------------------------------------------------------------------
-def test_time_weighted_average():
-    sim = Simulator()
-    v = TimeWeightedValue(sim, initial=0.0)
-    sim.schedule(10.0, v.set, 4.0)
-    sim.run(until=20.0)
-    # 0 for 10us, 4 for 10us -> average 2.
-    assert v.average() == pytest.approx(2.0)
-
-
-def test_time_weighted_add_and_reset():
-    sim = Simulator()
-    v = TimeWeightedValue(sim, initial=1.0)
-    sim.run(until=10.0)
-    v.reset()
-    v.add(1.0)  # value becomes 2 at t=10
-    sim.run(until=20.0)
-    assert v.average() == pytest.approx(2.0)
-    assert v.value == 2.0
-
-
-def test_time_weighted_zero_elapsed_returns_value():
-    sim = Simulator()
-    v = TimeWeightedValue(sim, initial=7.0)
-    assert v.average() == 7.0
-
-
-# ----------------------------------------------------------------------
-# TimeSeries
-# ----------------------------------------------------------------------
-def test_time_series_basics():
-    ts = TimeSeries()
-    assert len(ts) == 0
-    assert ts.mean() == 0.0
-    assert ts.last() is None
-    ts.record(1.0, 10.0)
-    ts.record(2.0, 20.0)
-    assert len(ts) == 2
-    assert ts.values() == [10.0, 20.0]
-    assert ts.mean() == 15.0
-    assert ts.last() == (2.0, 20.0)
-
-
-# ----------------------------------------------------------------------
-# IntervalAccumulator
-# ----------------------------------------------------------------------
-def test_interval_accumulator_buckets():
-    acc = IntervalAccumulator(width_us=1000.0)
-    acc.add(100.0, 5.0)
-    acc.add(900.0, 5.0)
-    acc.add(1500.0, 7.0)
-    assert acc.buckets() == [(0, 10.0), (1, 7.0)]
-    assert acc.totals() == [10.0, 7.0]
-
-
-def test_interval_accumulator_validates_width():
-    with pytest.raises(ValueError):
-        IntervalAccumulator(0.0)
-
-
-# ----------------------------------------------------------------------
-# WelfordStat
-# ----------------------------------------------------------------------
-def test_welford_mean_variance():
-    w = WelfordStat()
-    for x in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-        w.add(x)
-    assert w.mean == pytest.approx(5.0)
-    assert w.variance == pytest.approx(32.0 / 7.0)
-    assert w.min == 2.0
-    assert w.max == 9.0
-
-
-def test_welford_empty_is_safe():
-    w = WelfordStat()
-    assert w.mean == 0.0
-    assert w.variance == 0.0
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
-def test_welford_matches_reference(xs):
-    w = WelfordStat()
-    for x in xs:
-        w.add(x)
-    mean = sum(xs) / len(xs)
-    var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
-    assert w.mean == pytest.approx(mean, rel=1e-9, abs=1e-6)
-    assert w.variance == pytest.approx(var, rel=1e-6, abs=1e-6)
-    assert w.stdev == pytest.approx(math.sqrt(var), rel=1e-6, abs=1e-6)

@@ -1,13 +1,10 @@
-"""Tests for PeriodicTimer and generator processes."""
+"""Tests for PeriodicTimer."""
 
 import pytest
 
-from repro.sim import PeriodicTimer, Process, Simulator, Sleep, waituntil
+from repro.sim import PeriodicTimer, Simulator
 
 
-# ----------------------------------------------------------------------
-# PeriodicTimer
-# ----------------------------------------------------------------------
 def test_timer_fires_every_period():
     sim = Simulator()
     times = []
@@ -71,111 +68,3 @@ def test_timer_jitter_fraction_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         PeriodicTimer(sim, 10.0, lambda e: None, jitter_fraction=1.0)
-
-
-# ----------------------------------------------------------------------
-# Process
-# ----------------------------------------------------------------------
-def test_process_sleeps_advance_time():
-    sim = Simulator()
-    marks = []
-
-    def gen():
-        marks.append(sim.now)
-        yield 10.0
-        marks.append(sim.now)
-        yield Sleep(5.0)
-        marks.append(sim.now)
-
-    Process(sim, gen())
-    sim.run()
-    assert marks == [0.0, 10.0, 15.0]
-
-
-def test_process_result_captured():
-    sim = Simulator()
-
-    def gen():
-        yield 1.0
-        return 42
-
-    proc = Process(sim, gen())
-    sim.run()
-    assert proc.finished
-    assert proc.result == 42
-
-
-def test_process_waits_on_condition():
-    sim = Simulator()
-    cond = waituntil()
-    got = []
-
-    def gen():
-        value = yield cond
-        got.append((sim.now, value))
-
-    Process(sim, gen())
-    sim.schedule(25.0, cond.fire, "payload")
-    sim.run()
-    assert got == [(25.0, "payload")]
-
-
-def test_condition_fire_idempotent():
-    sim = Simulator()
-    cond = waituntil()
-
-    def gen():
-        value = yield cond
-        return value
-
-    proc = Process(sim, gen())
-    cond.fire("first")
-    cond.fire("second")
-    sim.run()
-    assert proc.result == "first"
-
-
-def test_prefired_condition_resumes_immediately():
-    sim = Simulator()
-    cond = waituntil()
-    cond.fire("ready")
-
-    def gen():
-        value = yield cond
-        return value
-
-    proc = Process(sim, gen())
-    sim.run()
-    assert proc.result == "ready"
-
-
-def test_process_stop_terminates():
-    sim = Simulator()
-    marks = []
-
-    def gen():
-        yield 10.0
-        marks.append("should not happen")
-
-    proc = Process(sim, gen())
-    sim.run(until=5.0)
-    proc.stop()
-    sim.run()
-    assert marks == []
-    assert proc.finished
-
-
-def test_process_bad_yield_raises():
-    sim = Simulator()
-
-    def gen():
-        yield "nonsense"
-
-    Process(sim, gen())
-    with pytest.raises(TypeError):
-        sim.run()
-
-
-def test_sleep_negative_rejected():
-    with pytest.raises(ValueError):
-        Sleep(-1.0)
