@@ -14,16 +14,7 @@ either observes the other's carrier).
 from repro.sim.event import Event, EventCategory, EventPriority
 from repro.sim.kernel import Simulator, SimulationError
 from repro.sim.timers import PeriodicTimer
-from repro.sim.units import (
-    US_PER_MS,
-    US_PER_S,
-    us_from_ms,
-    us_from_s,
-    s_from_us,
-    ms_from_us,
-    mbps_from_bytes_per_us,
-    throughput_mbps,
-)
+from repro.sim.units import US_PER_S, us_from_s, throughput_mbps
 
 __all__ = [
     "Event",
@@ -32,12 +23,7 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "PeriodicTimer",
-    "US_PER_MS",
     "US_PER_S",
-    "us_from_ms",
     "us_from_s",
-    "s_from_us",
-    "ms_from_us",
-    "mbps_from_bytes_per_us",
     "throughput_mbps",
 ]

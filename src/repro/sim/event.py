@@ -115,14 +115,6 @@ class Event:
             if self._in_heap and self._kernel is not None:
                 self._kernel._note_cancelled()
 
-    @property
-    def pending(self) -> bool:
-        """True while the event is scheduled and not cancelled."""
-        return not self.cancelled and self.callback is not None
-
-    def _sort_key(self) -> tuple:
-        return (self.time, self.priority, self.seq)
-
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.priority, self.seq) < (
             other.time,

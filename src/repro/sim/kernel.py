@@ -19,8 +19,7 @@ compaction those corpses inflate every subsequent sift.
 ``reschedule``/``reschedule_at`` recycle a spent :class:`Event` object
 (one that already executed or was discarded) so high-churn timers — MAC
 backoff, ACK timeouts, periodic fill timers — do not allocate a fresh
-event per cycle.  ``schedule_many`` batches the bookkeeping for callers
-that enqueue several events at once.
+event per cycle.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import heapq
 import random
 from heapq import heapify, heappush
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.event import NUM_CATEGORIES, Event, EventCategory, EventPriority
 
@@ -180,40 +179,6 @@ class Simulator:
         heappush(self._heap, (time, prio, seq, event))
         return event
 
-    def schedule_many(
-        self,
-        requests: Iterable[Sequence],
-        *,
-        priority: int = EventPriority.NORMAL,
-        category: int = 0,
-    ) -> List[Event]:
-        """Batch-schedule ``(delay, callback, *args)`` tuples.
-
-        All delays are relative to the current time and must be
-        non-negative.  Returns the created events in request order (the
-        order that fixes same-timestamp ties).
-        """
-        batch = [tuple(request) for request in requests]
-        for request in batch:
-            if request[0] < 0:
-                raise SimulationError(f"negative delay {request[0]!r}")
-        prio = priority if type(priority) is int else int(priority)
-        now = self._now
-        heap = self._heap
-        seq = self._seq
-        events: List[Event] = []
-        append = events.append
-        for request in batch:
-            time = now + request[0]
-            event = Event(time, prio, seq, request[1], request[2:], self, category)
-            event._in_heap = True
-            heappush(heap, (time, prio, seq, event))
-            seq += 1
-            append(event)
-        self._live += len(events)
-        self._seq = seq
-        return events
-
     def schedule_transient(
         self,
         delay: float,
@@ -299,18 +264,6 @@ class Simulator:
         self._live += 1
         heappush(self._heap, (time, prio, seq, event))
         return event
-
-    def call_soon(
-        self,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = EventPriority.NORMAL,
-        category: int = 0,
-    ) -> Event:
-        """Schedule ``callback`` at the current time (after current event)."""
-        return self.schedule_at(
-            self._now, callback, *args, priority=priority, category=category
-        )
 
     def reschedule(
         self,
@@ -501,10 +454,6 @@ class Simulator:
             self._running = False
             self._horizon = float("inf")
         return self._now
-
-    def run_for(self, duration: float, **kwargs: Any) -> float:
-        """Run for ``duration`` us past the current time."""
-        return self.run(until=self._now + duration, **kwargs)
 
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""

@@ -47,10 +47,6 @@ class PeriodicTimer:
         self._last_fire: float = 0.0
         self._running = False
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def start(self) -> None:
         """Start (or restart) the timer; first fire is one period from now."""
         self.stop()

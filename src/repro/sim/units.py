@@ -1,40 +1,16 @@
 """Time and rate unit helpers.
 
 The simulator's time base is the floating-point microsecond.  These
-helpers exist so call sites read as intent (``us_from_ms(40)``) rather
+helpers exist so call sites read as intent (``us_from_s(2.5)``) rather
 than as magic multiplications.
 """
 
-US_PER_MS = 1_000.0
 US_PER_S = 1_000_000.0
-
-
-def us_from_ms(ms: float) -> float:
-    """Convert milliseconds to microseconds."""
-    return ms * US_PER_MS
 
 
 def us_from_s(s: float) -> float:
     """Convert seconds to microseconds."""
     return s * US_PER_S
-
-
-def s_from_us(us: float) -> float:
-    """Convert microseconds to seconds."""
-    return us / US_PER_S
-
-
-def ms_from_us(us: float) -> float:
-    """Convert microseconds to milliseconds."""
-    return us / US_PER_MS
-
-
-def mbps_from_bytes_per_us(bytes_per_us: float) -> float:
-    """Convert a byte-per-microsecond rate to megabits per second.
-
-    1 byte/us = 8 bits/us = 8 Mbps.
-    """
-    return bytes_per_us * 8.0
 
 
 def throughput_mbps(payload_bytes: float, elapsed_us: float) -> float:

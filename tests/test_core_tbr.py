@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import TbrConfig, TbrScheduler
-from repro.sim import Simulator, us_from_ms
+from repro.sim import Simulator
 
 
 class Pkt:
@@ -71,7 +71,7 @@ def test_fill_event_accrues_tokens():
     tbr.associate("a")
     tbr.associate("b")
     # Run just past the 50 ms fill so five fills have fired.
-    sim.run(until=us_from_ms(50) + 1.0)
+    sim.run(until=50 * 1000.0 + 1.0)
     # 50 ms at rate 0.5 -> 25 ms of channel time each.
     assert tbr.tokens_us("a") == pytest.approx(25_000.0)
 
@@ -81,7 +81,7 @@ def test_fill_event_wakes_mac_on_eligibility_edge():
     tbr.associate("a")
     tbr.enqueue(Pkt("a"))
     notifications_before = tbr.mac.notifications
-    sim.run(until=us_from_ms(15))
+    sim.run(until=15 * 1000.0)
     assert tbr.mac.notifications > notifications_before
 
 
@@ -189,7 +189,7 @@ def test_adjust_moves_rate_from_idle_to_busy():
     from repro.sim import PeriodicTimer
 
     PeriodicTimer(sim, 10_000.0, spend).start()
-    sim.run(until=us_from_ms(2000))
+    sim.run(until=2000 * 1000.0)
     assert tbr.token_rate("busy") > 0.6
     assert tbr.token_rate("idle") < 0.4
     assert sum(b.rate for b in tbr.buckets.values()) == pytest.approx(1.0)
@@ -199,7 +199,7 @@ def test_adjust_disabled_keeps_rates():
     sim, tbr = make_tbr(adjust_interval_us=0)
     tbr.associate("a")
     tbr.associate("b")
-    sim.run(until=us_from_ms(500))
+    sim.run(until=500 * 1000.0)
     assert tbr.token_rate("a") == pytest.approx(0.5)
 
 
@@ -233,6 +233,6 @@ def test_stop_cancels_timers():
     tbr.associate("a")
     tbr.stop()
     pending_before = sim.pending_count()
-    sim.run(until=us_from_ms(100))
+    sim.run(until=100 * 1000.0)
     # No timer kept re-arming itself.
     assert sim.pending_count() <= pending_before

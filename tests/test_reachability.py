@@ -84,18 +84,6 @@ ALLOWED: Dict[str, str] = {
     "queueing/base.py::ApScheduler.is_associated": (
         "side-effect-free accessor several test files observe membership with"
     ),
-    # kernel / units
-    "sim/kernel.py::Simulator.call_soon": _GOES,
-    "sim/kernel.py::Simulator.run_for": _GOES,
-    "sim/kernel.py::Simulator.schedule_many": _GOES,
-    "sim/event.py::Event._sort_key": _GOES,
-    "sim/event.py::Event.pending": _GOES,
-    "sim/timers.py::PeriodicTimer.running": _GOES,
-    "sim/units.py::US_PER_MS": _GOES,
-    "sim/units.py::mbps_from_bytes_per_us": _GOES,
-    "sim/units.py::ms_from_us": _GOES,
-    "sim/units.py::s_from_us": _GOES,
-    "sim/units.py::us_from_ms": _GOES,
     # breadth nothing selects
     "channel/loss.py::GilbertElliottLoss": _GOES,
     "channel/loss.py::PerLinkLoss.set_link": _GOES,

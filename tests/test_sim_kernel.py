@@ -96,15 +96,6 @@ def test_event_at_until_boundary_not_executed():
     assert fired == ["x"]
 
 
-def test_run_for_advances_relative():
-    sim = Simulator()
-    sim.schedule(10.0, lambda: None)
-    sim.run_for(30.0)
-    assert sim.now == 30.0
-    sim.run_for(30.0)
-    assert sim.now == 60.0
-
-
 def test_run_with_empty_queue_advances_to_until():
     sim = Simulator()
     sim.run(until=123.0)
@@ -148,19 +139,6 @@ def test_events_scheduled_during_execution_run():
     sim.run()
     assert order == ["outer", "inner"]
     assert sim.now == 6.0
-
-
-def test_call_soon_runs_at_current_time_after_current_event():
-    sim = Simulator()
-    order = []
-
-    def outer():
-        sim.call_soon(order.append, "soon")
-        order.append("outer")
-
-    sim.schedule(1.0, outer)
-    sim.run()
-    assert order == ["outer", "soon"]
 
 
 def test_run_not_reentrant():

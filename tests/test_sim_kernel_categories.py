@@ -15,8 +15,9 @@ def test_every_schedule_variant_carries_its_category():
     sim.schedule_at(2.0, noop, category=EventCategory.MAC)
     sim.schedule_transient(3.0, noop, category=EventCategory.PHY)
     sim.schedule_transient_at(4.0, noop, category=EventCategory.PHY)
-    sim.call_soon(noop, category=EventCategory.TIMER)
-    sim.schedule_many([(5.0, noop), (6.0, noop)], category=EventCategory.TRAFFIC)
+    sim.schedule(0.0, noop, category=EventCategory.TIMER)
+    sim.schedule(5.0, noop, category=EventCategory.TRAFFIC)
+    sim.schedule(6.0, noop, category=EventCategory.TRAFFIC)
     sim.schedule(7.0, noop)  # untagged -> other
     sim.run()
     assert sim.events_by_category() == {

@@ -1,9 +1,8 @@
 """Regression tests for the kernel fast paths.
 
 Covers the lazy-cancellation accounting, heap compaction, O(1)
-``pending_count``, the ``reschedule``/``schedule_many``/
-``schedule_transient`` fast paths, and the ordering guarantees they
-must preserve.
+``pending_count``, the ``reschedule``/``schedule_transient`` fast
+paths, and the ordering guarantees they must preserve.
 """
 
 import pytest
@@ -181,37 +180,6 @@ def test_reschedule_ties_fall_after_existing_events():
     sim.reschedule(spent, 5.0, order.append, "second")
     sim.run()
     assert order == ["warmup", "first", "second"]
-
-
-# ----------------------------------------------------------------------
-# schedule_many
-# ----------------------------------------------------------------------
-def test_schedule_many_runs_in_request_order_on_ties():
-    sim = Simulator()
-    order = []
-    events = sim.schedule_many((5.0, order.append, i) for i in range(6))
-    assert len(events) == 6
-    assert sim.pending_count() == 6
-    sim.run()
-    assert order == [0, 1, 2, 3, 4, 5]
-
-
-def test_schedule_many_rejects_negative_delay_atomically():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule_many([(1.0, lambda: None), (-2.0, lambda: None)])
-    # The bad batch must not have been partially scheduled.
-    assert sim.pending_count() == 0
-    sim.run()
-    assert sim.events_executed == 0
-
-
-def test_schedule_many_passes_args():
-    sim = Simulator()
-    got = []
-    sim.schedule_many([(1.0, lambda a, b: got.append((a, b)), 1, "two")])
-    sim.run()
-    assert got == [(1, "two")]
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, us_from_ms, us_from_s
+from repro.sim import Simulator, us_from_s
 from repro.transport import (
     BulkApp,
     FlowStats,
@@ -71,7 +71,7 @@ def test_udp_stop():
     sim = Simulator(seed=1)
     count = []
     sender = UdpSender(sim, "u", lambda s, d: count.append(s), rate_mbps=8.0)
-    sim.run(until=us_from_ms(100))
+    sim.run(until=100 * 1000.0)
     sender.stop()
     n = len(count)
     sim.run(until=us_from_s(1.0))
@@ -137,7 +137,7 @@ def test_paced_app_stop():
     sender = TcpSender(sim, "s", lambda s, p: None)
     sender.supply = lambda n: supplied.append(n)
     app = PacedApp(sim, sender, rate_mbps=1.0)
-    sim.run(until=us_from_ms(100))
+    sim.run(until=100 * 1000.0)
     app.stop()
     n = len(supplied)
     sim.run(until=us_from_s(1.0))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, us_from_ms
+from repro.sim import Simulator
 from repro.transport import FlowStats, TcpParams, TcpReceiver, TcpSender
 
 
@@ -45,7 +45,7 @@ def test_bulk_transfer_delivers_in_order():
     sim = Simulator()
     pipe, sender, receiver, stats = make_connection(sim)
     sender.set_unbounded()
-    sim.run(until=us_from_ms(500))
+    sim.run(until=500 * 1000.0)
     assert stats.bytes_delivered > 100_000
     # Acks may still be in flight; the receiver can only be ahead.
     assert receiver.rcv_nxt >= sender.snd_una
@@ -61,7 +61,7 @@ def test_task_completes_and_fires_callback():
     sender.on_complete = lambda: fired.append(sim.now)
     sender.supply(14600)  # 10 segments
     sender.finish()
-    sim.run(until=us_from_ms(2000))
+    sim.run(until=2000 * 1000.0)
     assert fired, "completion callback must fire"
     assert stats.bytes_delivered == 14600
     assert sender.snd_una == 14600
@@ -73,7 +73,7 @@ def test_slow_start_doubles_window_per_rtt():
     pipe, sender, receiver, stats = make_connection(sim, params)
     sender.set_unbounded()
     # After a few RTTs cwnd should have grown well beyond initial.
-    sim.run(until=us_from_ms(100))  # 10 RTTs at 10 ms
+    sim.run(until=100 * 1000.0)  # 10 RTTs at 10 ms
     assert sender.cwnd > 10 * params.mss
 
 
@@ -82,7 +82,7 @@ def test_delayed_ack_ratio():
     params = TcpParams(delack_segments=2)
     pipe, sender, receiver, stats = make_connection(sim)
     sender.set_unbounded()
-    sim.run(until=us_from_ms(300))
+    sim.run(until=300 * 1000.0)
     # Roughly one ack per two segments (within slack for window edges).
     ratio = receiver.acks_sent / max(1, stats.segments_delivered)
     assert ratio < 0.7
@@ -93,7 +93,7 @@ def test_single_loss_triggers_fast_retransmit_not_timeout():
     pipe, sender, receiver, stats = make_connection(sim)
     pipe.drop_data.add(1460 * 10)  # drop the 11th segment once
     sender.set_unbounded()
-    sim.run(until=us_from_ms(400))
+    sim.run(until=400 * 1000.0)
     assert sender.fast_retransmits >= 1
     assert sender.timeouts == 0
     assert receiver.rcv_nxt > 1460 * 20  # recovered and moved on
@@ -103,10 +103,10 @@ def test_fast_recovery_halves_cwnd():
     sim = Simulator()
     pipe, sender, receiver, stats = make_connection(sim)
     sender.set_unbounded()
-    sim.run(until=us_from_ms(150))
+    sim.run(until=150 * 1000.0)
     before = sender.cwnd
     pipe.drop_data.add(sender.snd_nxt)  # next new segment lost
-    sim.run(until=us_from_ms(300))
+    sim.run(until=300 * 1000.0)
     assert sender.fast_retransmits >= 1
     assert sender.cwnd < before
 
@@ -117,7 +117,7 @@ def test_total_blackout_uses_rto_backoff():
     pipe.drop_every_data = True
     sender.supply(1460)
     sender.finish()
-    sim.run(until=us_from_ms(4000))
+    sim.run(until=4000 * 1000.0)
     assert sender.timeouts >= 2
     assert sender.rto > TcpParams().min_rto_us
 
@@ -128,13 +128,13 @@ def test_recovery_after_blackout():
     pipe.drop_every_data = True
     sender.supply(14600)
     sender.finish()
-    sim.run(until=us_from_ms(700))
+    sim.run(until=700 * 1000.0)
 
     def heal():
         pipe.drop_every_data = False
 
     sim.schedule(0.0, heal)
-    sim.run(until=us_from_ms(8000))
+    sim.run(until=8000 * 1000.0)
     assert stats.bytes_delivered == 14600
 
 
@@ -185,7 +185,7 @@ def test_rtt_estimation_sets_rto():
     sim = Simulator()
     pipe, sender, receiver, stats = make_connection(sim, delay_us=10_000.0)
     sender.set_unbounded()
-    sim.run(until=us_from_ms(300))
+    sim.run(until=300 * 1000.0)
     assert sender.srtt is not None
     assert sender.srtt == pytest.approx(20_000.0, rel=0.5)
     assert sender.rto >= TcpParams().min_rto_us
@@ -196,7 +196,7 @@ def test_window_limits_inflight():
     params = TcpParams(rwnd_segments=4, init_ssthresh_segments=100.0)
     pipe, sender, receiver, stats = make_connection(sim, params)
     sender.set_unbounded()
-    sim.run(until=us_from_ms(200))
+    sim.run(until=200 * 1000.0)
     assert sender.flight_size <= 4 * params.mss
 
 
@@ -223,6 +223,6 @@ def test_sub_mss_tail_segment():
     sender.on_complete = lambda: done.append(True)
     sender.supply(2000)  # 1460 + 540 tail
     sender.finish()
-    sim.run(until=us_from_ms(1000))
+    sim.run(until=1000 * 1000.0)
     assert done
     assert stats.bytes_delivered == 2000
