@@ -14,7 +14,6 @@ from repro.channel.loss import (
     BernoulliLoss,
     PerLinkLoss,
     SnrLoss,
-    GilbertElliottLoss,
 )
 from repro.channel.propagation import (
     Position,
@@ -33,7 +32,6 @@ __all__ = [
     "BernoulliLoss",
     "PerLinkLoss",
     "SnrLoss",
-    "GilbertElliottLoss",
     "Position",
     "LogDistancePathLoss",
     "RadioEnvironment",

@@ -72,11 +72,6 @@ class PerLinkLoss(LossModel):
         self.links: Dict[Tuple[str, str], float] = dict(links or {})
         self.default = default
 
-    def set_link(self, src: str, dst: str, probability: float) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability!r}")
-        self.links[(src, dst)] = probability
-
     def loss_probability(self, frame: "Frame") -> float:
         return self.links.get((frame.src, frame.dst), self.default)
 
@@ -97,49 +92,3 @@ class SnrLoss(LossModel):
 
         snr = self.environment.snr_db(frame.src, frame.dst)
         return frame_error_probability(frame.rate_mbps, snr, frame.size_bytes)
-
-
-class GilbertElliottLoss(LossModel):
-    """Two-state burst-loss model (per link).
-
-    Each link is an independent Gilbert-Elliott chain: a GOOD state with
-    low loss and a BAD state with high loss; state transitions are
-    sampled per frame.  Used by robustness tests and the burst-loss
-    ablation, not by the headline reproductions.
-    """
-
-    def __init__(
-        self,
-        p_good_to_bad: float = 0.01,
-        p_bad_to_good: float = 0.1,
-        loss_good: float = 0.0,
-        loss_bad: float = 0.5,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        super().__init__(rng)
-        for name, value in (
-            ("p_good_to_bad", p_good_to_bad),
-            ("p_bad_to_good", p_bad_to_good),
-            ("loss_good", loss_good),
-            ("loss_bad", loss_bad),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        self.p_good_to_bad = p_good_to_bad
-        self.p_bad_to_good = p_bad_to_good
-        self.loss_good = loss_good
-        self.loss_bad = loss_bad
-        self._state_bad: Dict[Tuple[str, str], bool] = {}
-
-    def loss_probability(self, frame: "Frame") -> float:
-        key = (frame.src, frame.dst)
-        bad = self._state_bad.get(key, False)
-        # Advance the chain one step for this frame.
-        if bad:
-            if self.rng.random() < self.p_bad_to_good:
-                bad = False
-        else:
-            if self.rng.random() < self.p_good_to_bad:
-                bad = True
-        self._state_bad[key] = bad
-        return self.loss_bad if bad else self.loss_good

@@ -74,7 +74,6 @@ class RadioEnvironment:
         self.positions: Dict[str, Position] = {}
         self._walls: Dict[Tuple[str, str], float] = {}
         self._shadowing: Dict[Tuple[str, str], float] = {}
-        self._snr_override: Dict[Tuple[str, str], float] = {}
 
     def place(self, address: str, x: float, y: float) -> None:
         self.positions[address] = Position(x, y)
@@ -95,14 +94,7 @@ class RadioEnvironment:
         self._shadowing[(a, b)] = loss_db
         self._shadowing[(b, a)] = loss_db
 
-    def override_snr(self, src: str, dst: str, snr_db: float) -> None:
-        """Pin the SNR of a directed link (tests, controlled scenarios)."""
-        self._snr_override[(src, dst)] = snr_db
-
     def snr_db(self, src: str, dst: str) -> float:
-        override = self._snr_override.get((src, dst))
-        if override is not None:
-            return override
         try:
             a = self.positions[src]
             b = self.positions[dst]

@@ -1,11 +1,6 @@
 """Nodes: stations, access points, wired hosts and rate control."""
 
-from repro.node.rate_control import (
-    RateController,
-    FixedRate,
-    ArfController,
-    SnrRateController,
-)
+from repro.node.rate_control import RateController, FixedRate, ArfController
 from repro.node.station import Station
 from repro.node.access_point import AccessPoint
 from repro.node.wired_host import WiredHost
@@ -15,7 +10,6 @@ __all__ = [
     "RateController",
     "FixedRate",
     "ArfController",
-    "SnrRateController",
     "Station",
     "AccessPoint",
     "WiredHost",

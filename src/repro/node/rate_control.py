@@ -4,8 +4,7 @@ The paper (Section 1) notes that vendors implement automatic rate
 selection — ARF-style "step down after consecutive failures, probe up
 after consecutive successes" (Kamerman & Monteban's WaveLAN-II scheme,
 the paper's reference [16]) — and that users may also pin rates
-manually.  Both are provided, plus an SNR-threshold controller used by
-scenario builders to initialize rates from node positions.
+manually.  Both are provided.
 """
 
 from __future__ import annotations
@@ -129,41 +128,3 @@ class ArfController(RateController):
         if state.rate_index > 0:
             state.rate_index -= 1
             self.rate_changes += 1
-
-
-class SnrRateController(RateController):
-    """Pick the highest rate sustaining a target PER at the link's SNR.
-
-    A stateless controller driven by a
-    :class:`repro.channel.RadioEnvironment`; scenario builders use it to
-    derive initial/pinned rates from geometry, and it also serves as an
-    idealized "oracle" rate-adaptation baseline.
-    """
-
-    def __init__(
-        self,
-        environment,
-        src: str,
-        rates: Optional[Sequence[float]] = None,
-        *,
-        frame_bytes: int = 1500,
-        target_per: float = 0.1,
-    ) -> None:
-        from repro.phy.rates import DOT11B_RATES
-
-        self.environment = environment
-        self.src = src
-        self.rates = sorted(
-            rates if rates is not None else [r.mbps for r in DOT11B_RATES]
-        )
-        self.frame_bytes = frame_bytes
-        self.target_per = target_per
-
-    def rate_for(self, dst: str) -> float:
-        from repro.phy.modulation import highest_rate_for_snr
-
-        snr = self.environment.snr_db(self.src, dst)
-        return highest_rate_for_snr(
-            snr, self.rates, frame_bytes=self.frame_bytes,
-            target_per=self.target_per,
-        )

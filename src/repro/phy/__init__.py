@@ -10,16 +10,12 @@ between the live MAC simulation and the analytic model in
 from repro.phy.rates import (
     Dot11Rate,
     DOT11B_RATES,
-    DOT11G_RATES,
     rate_by_mbps,
     basic_rates_b,
-    basic_rates_g,
 )
 from repro.phy.phy import (
     PhyParams,
     DOT11B_LONG_PREAMBLE,
-    DOT11B_SHORT_PREAMBLE,
-    DOT11G_OFDM,
     frame_airtime_us,
     ack_airtime_us,
     ack_rate_for,
@@ -28,27 +24,19 @@ from repro.phy.modulation import (
     ber_for_rate,
     per_from_ber,
     frame_error_probability,
-    snr_to_per,
-    highest_rate_for_snr,
 )
 
 __all__ = [
     "Dot11Rate",
     "DOT11B_RATES",
-    "DOT11G_RATES",
     "rate_by_mbps",
     "basic_rates_b",
-    "basic_rates_g",
     "PhyParams",
     "DOT11B_LONG_PREAMBLE",
-    "DOT11B_SHORT_PREAMBLE",
-    "DOT11G_OFDM",
     "frame_airtime_us",
     "ack_airtime_us",
     "ack_rate_for",
     "ber_for_rate",
     "per_from_ber",
     "frame_error_probability",
-    "snr_to_per",
-    "highest_rate_for_snr",
 ]

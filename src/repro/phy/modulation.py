@@ -1,11 +1,10 @@
-"""SNR -> BER -> packet-error-rate curves for 802.11b/g modulations.
+"""SNR -> BER -> packet-error-rate curves for 802.11b modulations.
 
-These follow the standard textbook expressions (DBPSK/DQPSK, CCK
-approximations, and M-QAM with coding gain for OFDM) at the level of
-fidelity common in network simulators: the goal is that packet error
-rate falls off a cliff a few dB around each rate's sensitivity point,
-which is what drives automatic rate adaptation behaviour (the paper's
-EXP-1 reproduction).
+These follow the standard textbook expressions (DBPSK/DQPSK and CCK
+approximations) at the level of fidelity common in network simulators:
+the goal is that packet error rate falls off a cliff a few dB around
+each rate's sensitivity point, which is what drives automatic rate
+adaptation behaviour (the paper's EXP-1 reproduction).
 """
 
 from __future__ import annotations
@@ -23,17 +22,12 @@ def _q_function(x: float) -> float:
 def ber_for_rate(rate_mbps: float, snr_db: float) -> float:
     """Bit error rate at ``snr_db`` for the modulation of ``rate_mbps``.
 
-    SNR is interpreted as Eb/N0-equivalent per-bit SNR for the DSSS rates
-    (spreading gain folded in) and as per-symbol SNR scaled by the coding
-    rate for OFDM.  The curves are monotone decreasing in SNR and ordered
+    SNR is interpreted as Eb/N0-equivalent per-bit SNR (spreading gain
+    folded in).  The curves are monotone decreasing in SNR and ordered
     by rate (faster rates need more SNR), which is all downstream code
     relies on.
     """
-    rate = rate_by_mbps(rate_mbps)
-    snr = 10.0 ** (snr_db / 10.0)
-    if rate.family == "b":
-        return _ber_dsss(rate, snr)
-    return _ber_ofdm(rate, snr)
+    return _ber_dsss(rate_by_mbps(rate_mbps), 10.0 ** (snr_db / 10.0))
 
 
 def _ber_dsss(rate: Dot11Rate, snr: float) -> float:
@@ -49,30 +43,6 @@ def _ber_dsss(rate: Dot11Rate, snr: float) -> float:
         return _q_function(math.sqrt(max(snr * 4.0, 0.0)))
     # CCK-11.
     return _q_function(math.sqrt(max(snr * 2.0, 0.0)))
-
-
-def _ber_ofdm(rate: Dot11Rate, snr: float) -> float:
-    # M-QAM BER with convolutional coding approximated by an SNR gain.
-    coding_gain = {
-        "BPSK1/2": 2.0, "BPSK3/4": 1.5,
-        "QPSK1/2": 2.0, "QPSK3/4": 1.5,
-        "16QAM1/2": 2.0, "16QAM3/4": 1.5,
-        "64QAM2/3": 1.8, "64QAM3/4": 1.5,
-    }[rate.modulation]
-    bits_per_symbol = {
-        "BPSK1/2": 1, "BPSK3/4": 1,
-        "QPSK1/2": 2, "QPSK3/4": 2,
-        "16QAM1/2": 4, "16QAM3/4": 4,
-        "64QAM2/3": 6, "64QAM3/4": 6,
-    }[rate.modulation]
-    m = 2 ** bits_per_symbol
-    effective = snr * coding_gain
-    if m == 2:
-        return _q_function(math.sqrt(max(2.0 * effective, 0.0)))
-    # Gray-coded M-QAM approximation.
-    arg = math.sqrt(max(3.0 * effective / (m - 1.0), 0.0))
-    factor = 4.0 / bits_per_symbol * (1.0 - 1.0 / math.sqrt(m))
-    return min(0.5, factor * _q_function(arg))
 
 
 def per_from_ber(ber: float, frame_bytes: int) -> float:
@@ -93,33 +63,3 @@ def per_from_ber(ber: float, frame_bytes: int) -> float:
 def frame_error_probability(rate_mbps: float, snr_db: float, frame_bytes: int) -> float:
     """PER of a ``frame_bytes`` frame at ``rate_mbps`` under ``snr_db``."""
     return per_from_ber(ber_for_rate(rate_mbps, snr_db), frame_bytes)
-
-
-def snr_to_per(rate_mbps: float, snr_db: float, frame_bytes: int = 1500) -> float:
-    """Alias of :func:`frame_error_probability` with a 1500 B default."""
-    return frame_error_probability(rate_mbps, snr_db, frame_bytes)
-
-
-def highest_rate_for_snr(
-    snr_db: float,
-    rates=None,
-    *,
-    frame_bytes: int = 1500,
-    target_per: float = 0.1,
-) -> float:
-    """Highest rate whose PER at ``snr_db`` stays below ``target_per``.
-
-    Falls back to the lowest rate when even it cannot meet the target
-    (a station never disconnects in our single-cell model; it just runs
-    slow and lossy, matching the paper's observation that retransmitting
-    at a too-high rate is futile while a lower rate still works).
-    """
-    from repro.phy.rates import DOT11B_RATES
-
-    pool = list(rates) if rates is not None else [r.mbps for r in DOT11B_RATES]
-    pool.sort()
-    best = pool[0]
-    for mbps in pool:
-        if frame_error_probability(mbps, snr_db, frame_bytes) <= target_per:
-            best = mbps
-    return best

@@ -1,11 +1,8 @@
 """PHY timing parameters and frame airtime computation.
 
-Two PHY families are modelled:
-
-* 802.11b DSSS/CCK — PLCP preamble+header sent at 1 Mbps (192 us long,
-  96 us short), payload at the data rate;
-* 802.11g ERP-OFDM — 20 us preamble+SIGNAL, then 4 us symbols carrying
-  ``4 * rate`` bits each (including 16 SERVICE bits and 6 tail bits).
+One PHY family is modelled: 802.11b DSSS/CCK — PLCP preamble+header
+sent at 1 Mbps (192 us with the long preamble), payload at the data
+rate.
 
 The MAC-level constants (slot, SIFS, CWmin/max) live here too because
 they are properties of the PHY in the standard.
@@ -13,11 +10,10 @@ they are properties of the PHY in the standard.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.phy.rates import basic_rates_b, basic_rates_g
+from repro.phy.rates import basic_rates_b
 
 #: MAC data-frame overhead: 24-byte header + 4-byte FCS.
 MAC_DATA_OVERHEAD_BYTES = 28
@@ -31,21 +27,16 @@ ACK_BYTES = 14
 class PhyParams:
     """Timing constants for one PHY configuration.
 
-    ``mode`` selects the airtime formula: ``"dsss"`` (802.11b) or
-    ``"ofdm"`` (802.11g).  ``plcp_us`` is the preamble+PLCP-header
-    duration for dsss; for ofdm it is the preamble+SIGNAL duration.
+    ``plcp_us`` is the preamble+PLCP-header duration.
     """
 
     name: str
-    mode: str
     slot_us: float
     sifs_us: float
     plcp_us: float
     cw_min: int
     cw_max: int
     basic_rates: Sequence[float] = field(default_factory=tuple)
-    #: bits prepended to the OFDM payload (SERVICE + tail), dsss: 0.
-    ofdm_service_tail_bits: int = 0
 
     def __post_init__(self) -> None:
         # Per-instance memo tables for the pure timing functions below.
@@ -91,36 +82,12 @@ class PhyParams:
 
 DOT11B_LONG_PREAMBLE = PhyParams(
     name="802.11b (long preamble)",
-    mode="dsss",
     slot_us=20.0,
     sifs_us=10.0,
     plcp_us=192.0,
     cw_min=31,
     cw_max=1023,
     basic_rates=tuple(basic_rates_b()),
-)
-
-DOT11B_SHORT_PREAMBLE = PhyParams(
-    name="802.11b (short preamble)",
-    mode="dsss",
-    slot_us=20.0,
-    sifs_us=10.0,
-    plcp_us=96.0,
-    cw_min=31,
-    cw_max=1023,
-    basic_rates=tuple(basic_rates_b()),
-)
-
-DOT11G_OFDM = PhyParams(
-    name="802.11g (ERP-OFDM)",
-    mode="ofdm",
-    slot_us=9.0,
-    sifs_us=10.0,
-    plcp_us=20.0,
-    cw_min=15,
-    cw_max=1023,
-    basic_rates=tuple(basic_rates_g()),
-    ofdm_service_tail_bits=22,
 )
 
 
@@ -140,15 +107,7 @@ def _psdu_airtime_us(phy: PhyParams, psdu_bytes: int, rate_mbps: float) -> float
         raise ValueError("psdu_bytes must be non-negative")
     if rate_mbps <= 0:
         raise ValueError("rate must be positive")
-    bits = 8.0 * psdu_bytes
-    if phy.mode == "dsss":
-        value = phy.plcp_us + bits / rate_mbps
-    elif phy.mode == "ofdm":
-        bits_per_symbol = 4.0 * rate_mbps
-        symbols = math.ceil((phy.ofdm_service_tail_bits + bits) / bits_per_symbol)
-        value = phy.plcp_us + 4.0 * symbols
-    else:
-        raise ValueError(f"unknown phy mode {phy.mode!r}")
+    value = phy.plcp_us + 8.0 * psdu_bytes / rate_mbps
     cache[key] = value
     return value
 

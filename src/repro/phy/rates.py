@@ -1,4 +1,4 @@
-"""802.11b/g data-rate tables.
+"""802.11b data-rate table.
 
 Rates are identified by their nominal Mbps value; because the simulator's
 time unit is the microsecond, a rate of ``d`` Mbps transmits exactly
@@ -18,50 +18,28 @@ class Dot11Rate:
     Attributes:
         mbps: nominal data rate in Mbps (== bits per microsecond).
         modulation: human-readable modulation name.
-        family: ``"b"`` (DSSS/CCK) or ``"g"`` (ERP-OFDM).
         min_snr_db: SNR (dB) above which this rate sustains a low packet
-            error rate; used by the SNR-driven rate picker and by the
-            EXP-1 reproduction.  Values follow common simulator practice
+            error rate.  Values follow common simulator practice
             (e.g. ns-2 / Qualnet 802.11b curves).
     """
 
     mbps: float
     modulation: str
-    family: str
     min_snr_db: float
-
-    def bits_us(self, bits: float) -> float:
-        """Airtime in us for ``bits`` payload bits at this rate."""
-        return bits / self.mbps
 
 
 DOT11B_RATES: List[Dot11Rate] = [
-    Dot11Rate(1.0, "DBPSK", "b", 1.0),
-    Dot11Rate(2.0, "DQPSK", "b", 4.0),
-    Dot11Rate(5.5, "CCK5.5", "b", 7.0),
-    Dot11Rate(11.0, "CCK11", "b", 10.0),
+    Dot11Rate(1.0, "DBPSK", 1.0),
+    Dot11Rate(2.0, "DQPSK", 4.0),
+    Dot11Rate(5.5, "CCK5.5", 7.0),
+    Dot11Rate(11.0, "CCK11", 10.0),
 ]
 
-DOT11G_RATES: List[Dot11Rate] = [
-    Dot11Rate(6.0, "BPSK1/2", "g", 5.0),
-    Dot11Rate(9.0, "BPSK3/4", "g", 6.0),
-    Dot11Rate(12.0, "QPSK1/2", "g", 8.0),
-    Dot11Rate(18.0, "QPSK3/4", "g", 10.0),
-    Dot11Rate(24.0, "16QAM1/2", "g", 13.0),
-    Dot11Rate(36.0, "16QAM3/4", "g", 17.0),
-    Dot11Rate(48.0, "64QAM2/3", "g", 21.0),
-    Dot11Rate(54.0, "64QAM3/4", "g", 23.0),
-]
-
-_ALL_RATES = {r.mbps: r for r in DOT11B_RATES + DOT11G_RATES}
+_ALL_RATES = {r.mbps: r for r in DOT11B_RATES}
 
 
 def rate_by_mbps(mbps: float) -> Dot11Rate:
-    """Look up a rate object by its Mbps value.
-
-    802.11b rates shadow nothing in the g table (they do not overlap), so
-    a plain numeric lookup is unambiguous.
-    """
+    """Look up a rate object by its Mbps value."""
     try:
         return _ALL_RATES[float(mbps)]
     except KeyError:
@@ -72,8 +50,3 @@ def rate_by_mbps(mbps: float) -> Dot11Rate:
 def basic_rates_b() -> Sequence[float]:
     """The 802.11b basic (mandatory) rate set used for control frames."""
     return (1.0, 2.0)
-
-
-def basic_rates_g() -> Sequence[float]:
-    """The 802.11g basic rate set used for control frames (pure-g cell)."""
-    return (6.0, 12.0, 24.0)

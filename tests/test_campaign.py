@@ -229,7 +229,7 @@ def test_experiment_run_equals_campaign_reduce():
 # ----------------------------------------------------------------------
 def test_phyparams_pickles_cleanly_with_fresh_memos():
     phy = PhyParams(
-        name="test", mode="dsss", slot_us=20.0, sifs_us=10.0, plcp_us=192.0,
+        name="test", slot_us=20.0, sifs_us=10.0, plcp_us=192.0,
         cw_min=31, cw_max=1023, basic_rates=(1.0, 2.0),
     )
     warm = frame_airtime_us(phy, 1500, 2.0)

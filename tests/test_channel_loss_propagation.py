@@ -6,7 +6,6 @@ import pytest
 
 from repro.channel import (
     BernoulliLoss,
-    GilbertElliottLoss,
     LogDistancePathLoss,
     NoLoss,
     PerLinkLoss,
@@ -50,50 +49,6 @@ def test_per_link_loss_uses_link_and_default():
     model = PerLinkLoss({("a", "b"): 1.0}, default=0.0)
     assert model.is_lost(frame("a", "b"))
     assert not model.is_lost(frame("b", "a"))
-    model.set_link("b", "a", 1.0)
-    assert model.is_lost(frame("b", "a"))
-
-
-def test_per_link_validation():
-    model = PerLinkLoss()
-    with pytest.raises(ValueError):
-        model.set_link("a", "b", -0.1)
-
-
-def test_gilbert_elliott_bursts():
-    model = GilbertElliottLoss(
-        p_good_to_bad=0.05,
-        p_bad_to_good=0.2,
-        loss_good=0.0,
-        loss_bad=1.0,
-        rng=random.Random(2),
-    )
-    outcomes = [model.is_lost(frame()) for _ in range(4000)]
-    loss_rate = sum(outcomes) / len(outcomes)
-    # Stationary bad-state probability = 0.05 / (0.05 + 0.2) = 0.2.
-    assert 0.1 < loss_rate < 0.3
-    # Losses must be bursty: P(loss | previous loss) >> overall rate.
-    joint = sum(
-        1 for i in range(1, len(outcomes)) if outcomes[i] and outcomes[i - 1]
-    )
-    cond = joint / max(1, sum(outcomes[:-1]))
-    assert cond > 1.5 * loss_rate
-
-
-def test_gilbert_elliott_validation():
-    with pytest.raises(ValueError):
-        GilbertElliottLoss(p_good_to_bad=1.5)
-
-
-def test_gilbert_elliott_per_link_state():
-    model = GilbertElliottLoss(
-        p_good_to_bad=1.0, p_bad_to_good=0.0, loss_good=0.0, loss_bad=1.0,
-        rng=random.Random(3),
-    )
-    model.is_lost(frame("a", "b"))  # drives a->b into BAD
-    # A different link starts fresh in GOOD (first frame samples the
-    # transition, so only the *second* call would be lossy).
-    assert ("c", "d") not in model._state_bad or not model._state_bad[("c", "d")]
 
 
 # ----------------------------------------------------------------------
@@ -152,12 +107,6 @@ def test_environment_walls_and_shadowing_symmetric():
     assert env.snr_db("a", "b") == pytest.approx(walled - 10.0)
 
 
-def test_environment_override():
-    env = RadioEnvironment()
-    env.override_snr("x", "y", 7.5)
-    assert env.snr_db("x", "y") == 7.5
-
-
 def test_environment_missing_node_raises():
     env = RadioEnvironment()
     env.place("a", 0.0, 0.0)
@@ -167,8 +116,9 @@ def test_environment_missing_node_raises():
 
 def test_snr_loss_model_tracks_environment():
     env = RadioEnvironment()
-    env.override_snr("a", "b", 30.0)   # clean
-    env.override_snr("a", "c", -10.0)  # dead
+    for name in "abc":
+        env.place(name, 0.0, 0.0)  # 67 dB at the reference distance: clean
+    env.set_shadowing("a", "c", 80.0)  # -13 dB: dead
     model = SnrLoss(env, rng=random.Random(4))
     assert model.loss_probability(frame("a", "b")) < 0.01
     assert model.loss_probability(frame("a", "c")) > 0.99

@@ -1,9 +1,8 @@
-"""Tests for rate controllers (fixed, ARF, SNR-driven)."""
+"""Tests for rate controllers (fixed, ARF)."""
 
 import pytest
 
-from repro.channel import RadioEnvironment
-from repro.node import ArfController, FixedRate, SnrRateController
+from repro.node import ArfController, FixedRate
 
 
 # ----------------------------------------------------------------------
@@ -119,22 +118,3 @@ def test_arf_rate_change_counter():
     ctrl = ArfController(down_threshold=1)
     fail(ctrl, "x", 3)
     assert ctrl.rate_changes == 3
-
-
-# ----------------------------------------------------------------------
-# SNR controller
-# ----------------------------------------------------------------------
-def test_snr_controller_picks_by_link_quality():
-    env = RadioEnvironment()
-    env.override_snr("ap", "near", 40.0)
-    env.override_snr("ap", "far", 1.0)
-    ctrl = SnrRateController(env, "ap")
-    assert ctrl.rate_for("near") == 11.0
-    assert ctrl.rate_for("far") == 1.0
-
-
-def test_snr_controller_custom_rates():
-    env = RadioEnvironment()
-    env.override_snr("ap", "x", 40.0)
-    ctrl = SnrRateController(env, "ap", rates=[6.0, 54.0])
-    assert ctrl.rate_for("x") == 54.0

@@ -1,22 +1,16 @@
 """Tests for PHY rate tables, frame timing and error curves."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.phy import (
     DOT11B_LONG_PREAMBLE,
-    DOT11B_SHORT_PREAMBLE,
     DOT11B_RATES,
-    DOT11G_OFDM,
-    DOT11G_RATES,
     ack_airtime_us,
     ack_rate_for,
     ber_for_rate,
     frame_airtime_us,
     frame_error_probability,
-    highest_rate_for_snr,
     per_from_ber,
     rate_by_mbps,
 )
@@ -30,22 +24,13 @@ def test_dot11b_rates_present():
     assert [r.mbps for r in DOT11B_RATES] == [1.0, 2.0, 5.5, 11.0]
 
 
-def test_dot11g_rates_present():
-    assert [r.mbps for r in DOT11G_RATES] == [6.0, 9.0, 12.0, 18.0, 24.0, 36.0, 48.0, 54.0]
-
-
 def test_rate_lookup():
     assert rate_by_mbps(5.5).modulation == "CCK5.5"
-    assert rate_by_mbps(54).family == "g"
 
 
 def test_rate_lookup_unknown_raises():
     with pytest.raises(ValueError):
         rate_by_mbps(3.0)
-
-
-def test_bits_us():
-    assert rate_by_mbps(11.0).bits_us(11.0) == pytest.approx(1.0)
 
 
 def test_min_snr_ordered_by_rate():
@@ -59,7 +44,6 @@ def test_min_snr_ordered_by_rate():
 def test_difs_is_sifs_plus_two_slots():
     phy = DOT11B_LONG_PREAMBLE
     assert phy.difs_us == pytest.approx(10.0 + 2 * 20.0)
-    assert DOT11G_OFDM.difs_us == pytest.approx(10.0 + 2 * 9.0)
 
 
 def test_eifs_includes_ack_at_lowest_basic():
@@ -78,28 +62,11 @@ def test_data_airtime_dsss_exact():
     assert frame_airtime_us(phy, 1500, 11.0) == pytest.approx(expected)
 
 
-def test_data_airtime_short_preamble_saves_96us():
-    long = frame_airtime_us(DOT11B_LONG_PREAMBLE, 1500, 11.0)
-    short = frame_airtime_us(DOT11B_SHORT_PREAMBLE, 1500, 11.0)
-    assert long - short == pytest.approx(96.0)
-
-
 def test_data_airtime_without_llc():
     phy = DOT11B_LONG_PREAMBLE
     with_llc = frame_airtime_us(phy, 100, 1.0, include_llc=True)
     without = frame_airtime_us(phy, 100, 1.0, include_llc=False)
     assert with_llc - without == pytest.approx(8.0 * LLC_SNAP_BYTES / 1.0)
-
-
-def test_ofdm_airtime_symbol_quantized():
-    phy = DOT11G_OFDM
-    airtime = frame_airtime_us(phy, 1500, 54.0)
-    payload_part = airtime - phy.plcp_us
-    # OFDM payload time is a whole number of 4 us symbols.
-    assert payload_part % 4.0 == pytest.approx(0.0)
-    bits = 22 + 8 * (1500 + MAC_DATA_OVERHEAD_BYTES + LLC_SNAP_BYTES)
-    symbols = math.ceil(bits / (4.0 * 54.0))
-    assert airtime == pytest.approx(20.0 + 4.0 * symbols)
 
 
 def test_slower_rate_longer_airtime():
@@ -129,16 +96,11 @@ def test_ack_rate_selection_b():
     assert ack_rate_for(phy, 1.0) == 1.0
 
 
-def test_ack_rate_selection_g():
-    assert ack_rate_for(DOT11G_OFDM, 54.0) == 24.0
-    assert ack_rate_for(DOT11G_OFDM, 9.0) == 6.0
-
-
 # ----------------------------------------------------------------------
 # error model
 # ----------------------------------------------------------------------
 def test_ber_decreases_with_snr():
-    for rate in (1.0, 2.0, 5.5, 11.0, 6.0, 54.0):
+    for rate in (1.0, 2.0, 5.5, 11.0):
         bers = [ber_for_rate(rate, snr) for snr in (-5.0, 0.0, 5.0, 10.0, 20.0)]
         assert bers == sorted(bers, reverse=True)
 
@@ -174,20 +136,6 @@ def test_per_monotone_in_frame_size(ber, nbytes):
 
 @given(st.floats(min_value=-10.0, max_value=40.0))
 def test_per_always_a_probability(snr):
-    for rate in (1.0, 11.0, 54.0):
+    for rate in (1.0, 11.0):
         per = frame_error_probability(rate, snr, 1500)
         assert 0.0 <= per <= 1.0
-
-
-def test_highest_rate_for_snr_extremes():
-    assert highest_rate_for_snr(40.0) == 11.0
-    assert highest_rate_for_snr(-20.0) == 1.0
-
-
-def test_highest_rate_for_snr_monotone():
-    picks = [highest_rate_for_snr(snr) for snr in range(-5, 30)]
-    assert picks == sorted(picks)
-
-
-def test_highest_rate_custom_pool():
-    assert highest_rate_for_snr(40.0, rates=[6.0, 54.0]) == 54.0

@@ -84,17 +84,6 @@ ALLOWED: Dict[str, str] = {
     "queueing/base.py::ApScheduler.is_associated": (
         "side-effect-free accessor several test files observe membership with"
     ),
-    # breadth nothing selects
-    "channel/loss.py::GilbertElliottLoss": _GOES,
-    "channel/loss.py::PerLinkLoss.set_link": _GOES,
-    "channel/propagation.py::RadioEnvironment.override_snr": _GOES,
-    "node/rate_control.py::SnrRateController": _GOES,
-    "phy/modulation.py::highest_rate_for_snr": _GOES,
-    "phy/modulation.py::snr_to_per": _GOES,
-    "phy/phy.py::DOT11B_SHORT_PREAMBLE": _GOES,
-    "phy/phy.py::DOT11G_OFDM": _GOES,
-    "phy/rates.py::Dot11Rate.bits_us": _GOES,
-    "phy/rates.py::basic_rates_g": _GOES,
     # helpers
     "analysis/fairness.py::max_min_gap": _GOES,
     "analysis/fairness.py::normalized_gap": _GOES,
