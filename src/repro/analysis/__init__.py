@@ -21,17 +21,13 @@ from repro.analysis.model import (
     NodeSpec,
     dcf_time_shares,
     rf_throughputs,
-    rf_total,
     tf_time_shares,
     tf_throughputs,
-    tf_total,
     predict,
     FairnessPrediction,
 )
 from repro.analysis.fairness import (
     jain_index,
-    max_min_gap,
-    normalized_gap,
 )
 from repro.analysis.efficiency import (
     Task,
@@ -47,15 +43,11 @@ __all__ = [
     "NodeSpec",
     "dcf_time_shares",
     "rf_throughputs",
-    "rf_total",
     "tf_time_shares",
     "tf_throughputs",
-    "tf_total",
     "predict",
     "FairnessPrediction",
     "jain_index",
-    "max_min_gap",
-    "normalized_gap",
     "Task",
     "fluid_completion_times",
     "task_model_metrics",

@@ -36,20 +36,3 @@ def jain_index(values: Values) -> float:
     # The element equal to peak contributes 1.0, so squares >= 1 here.
     squares = sum((x / peak) ** 2 for x in xs)
     return total * total / (len(xs) * squares)
-
-
-def max_min_gap(values: Values) -> float:
-    """The paper's pairwise measure, maximized: max_i,j |φ_i - φ_j|."""
-    xs = _as_list(values)
-    if not xs:
-        raise ValueError("need at least one value")
-    return max(xs) - min(xs)
-
-
-def normalized_gap(values: Values) -> float:
-    """max-min gap normalized by the mean (0 = perfectly fair)."""
-    xs = _as_list(values)
-    mean = sum(xs) / len(xs)
-    if mean == 0:
-        return 0.0
-    return max_min_gap(xs) / mean

@@ -80,11 +80,6 @@ def rf_throughputs(
     }
 
 
-def rf_total(nodes: Sequence[NodeSpec], transport: str = "tcp") -> float:
-    """Eq 7 / Eq 10: aggregate throughput under DCF."""
-    return sum(rf_throughputs(nodes, transport).values())
-
-
 def tf_time_shares(nodes: Sequence[NodeSpec]) -> Dict[str, float]:
     """Eq 11 (weighted): equal/weighted channel-time shares."""
     total_weight = sum(node.weight for node in nodes)
@@ -102,11 +97,6 @@ def tf_throughputs(
     return {
         node.name: shares[node.name] * beta for node, beta in zip(nodes, betas)
     }
-
-
-def tf_total(nodes: Sequence[NodeSpec], transport: str = "tcp") -> float:
-    """Eq 13: aggregate throughput under time-based fairness."""
-    return sum(tf_throughputs(nodes, transport).values())
 
 
 @dataclass

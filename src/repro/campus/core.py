@@ -112,14 +112,6 @@ class Campus:
             self.cells[a].channel.couple(self.cells[b].channel)
             self.cells[b].channel.couple(self.cells[a].channel)
 
-    def coupled_pairs(self) -> List[Tuple[str, str]]:
-        """Adjacent pairs that actually share an RF channel (sorted)."""
-        return sorted(
-            pair
-            for pair in self.adjacency
-            if self.channel_map[pair[0]] == self.channel_map[pair[1]]
-        )
-
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------

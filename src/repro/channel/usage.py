@@ -38,7 +38,7 @@ class ChannelUsageMonitor:
     #: A jump (``repro.sim.steady``) appends nothing to ``records``:
     #: there was no individual exchange to describe.
     TIME_STATE = dict(
-        counters=("_occupancy_us", "_exchanges"),
+        counters=("_occupancy_us",),
         phase={"_origin": "stays put: skipped time counts as measured"},
     )
 
@@ -47,7 +47,6 @@ class ChannelUsageMonitor:
         self.keep_records = keep_records
         self.records: List[UsageRecord] = []
         self._occupancy_us: Dict[str, float] = {}
-        self._exchanges: Dict[str, int] = {}
         self._origin = sim.now
 
     def record_exchange(
@@ -65,7 +64,6 @@ class ChannelUsageMonitor:
         if airtime_us < 0:
             raise ValueError("airtime must be non-negative")
         self._occupancy_us[station] = self._occupancy_us.get(station, 0.0) + airtime_us
-        self._exchanges[station] = self._exchanges.get(station, 0) + 1
         if self.keep_records:
             self.records.append(
                 UsageRecord(
@@ -83,16 +81,12 @@ class ChannelUsageMonitor:
     def reset(self) -> None:
         """Clear accumulated occupancy (e.g. after warm-up)."""
         self._occupancy_us.clear()
-        self._exchanges.clear()
         self.records.clear()
         self._origin = self.sim.now
 
     # ------------------------------------------------------------------
     def occupancy_us(self, station: str) -> float:
         return self._occupancy_us.get(station, 0.0)
-
-    def exchanges(self, station: str) -> int:
-        return self._exchanges.get(station, 0)
 
     def total_occupancy_us(self) -> float:
         return sum(self._occupancy_us.values())

@@ -196,9 +196,6 @@ class TbrScheduler(ApScheduler):
     # ------------------------------------------------------------------
     # MACTXEVENT
     # ------------------------------------------------------------------
-    def has_pending(self) -> bool:
-        return any(self.queues[s] for s in self._order)
-
     def dequeue(self) -> Any:
         queue = self._select_eligible()
         if queue is not None:

@@ -32,7 +32,6 @@ from typing import (
 )
 
 from repro.analysis.fairness import jain_index
-from repro.campaign.executor import serial_results
 from repro.campaign.job import Job, make_job
 from repro.channel.loss import PerLinkLoss
 from repro.core.tbr import TbrConfig, TbrScheduler
@@ -587,8 +586,3 @@ def jobs(name: str, **knobs) -> List[Job]:
             address = f"{executor.__module__}:{executor.__qualname__}"
             out.append(make_job(name, label, address, params))
     return out
-
-
-def run(name: str, **knobs) -> Dict[Hashable, Any]:
-    """``{label: result}`` of ablation ``name``, run serially."""
-    return serial_results(jobs(name, **knobs))

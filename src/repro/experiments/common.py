@@ -266,14 +266,3 @@ def fmt_mbps(value: float) -> str:
 
 def fmt_frac(value: float) -> str:
     return f"{value:.3f}"
-
-
-def fmt_pct(value: float) -> str:
-    return f"{value * 100:+.0f}%"
-
-
-def ratio_note(measured: float, paper: float) -> str:
-    """'measured (paper X, ratio Y)' comparison cell."""
-    if paper == 0:
-        return f"{measured:.3f}"
-    return f"{measured:.3f} (paper {paper:.3f}, x{measured / paper:.2f})"

@@ -70,10 +70,6 @@ class FairnessChurnResult:
     def tbr(self) -> ChurnPhaseRun:
         return self.runs["tbr"]
 
-    @property
-    def fifo(self) -> ChurnPhaseRun:
-        return self.runs["fifo"]
-
 
 def execute_churn(params: Dict[str, object]) -> ChurnPhaseRun:
     """Job executor: ``params`` carries the (thawed) fairness-churn spec.

@@ -75,10 +75,6 @@ class FairnessOutageResult:
     def tbr(self) -> OutagePhaseRun:
         return self.runs["tbr"]
 
-    @property
-    def fifo(self) -> OutagePhaseRun:
-        return self.runs["fifo"]
-
 
 def execute_outage(params: Dict[str, object]) -> OutagePhaseRun:
     """Job executor: ``params`` carries the (thawed) fairness-outage spec.

@@ -25,10 +25,6 @@ class Table2Result:
     measured_mbps: Dict[float, float] = field(default_factory=dict)
     analytic_mbps: Dict[float, float] = field(default_factory=dict)
 
-    @property
-    def paper_mbps(self) -> Dict[float, float]:
-        return dict(PAPER_TABLE2_TCP_MBPS)
-
 
 def jobs(seed: int = 1, seconds: float = 15.0) -> List[Job]:
     return [

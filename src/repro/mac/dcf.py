@@ -64,9 +64,6 @@ class TxScheduler(Protocol):
         changes.
         """
 
-    def has_pending(self) -> bool:
-        """True if a future ``dequeue`` may return a packet."""
-
     def on_complete(
         self, packet: Any, airtime_us: float, success: bool, attempts: int,
         rate_mbps: float,

@@ -42,9 +42,6 @@ class FifoTxScheduler:
             return None
         return self.queue.popleft()
 
-    def has_pending(self) -> bool:
-        return bool(self.queue)
-
     def on_complete(
         self, packet: Any, airtime_us: float, success: bool, attempts: int,
         rate_mbps: float,

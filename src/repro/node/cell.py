@@ -481,9 +481,6 @@ class Cell:
             f.name: f.stats.throughput_mbps(self.measured_us) for f in self.flows
         }
 
-    def total_throughput_mbps(self) -> float:
-        return sum(self.throughputs_mbps().values())
-
     def station_throughputs_mbps(self) -> Dict[str, float]:
         """Goodput summed per station (0.0 each on an empty window)."""
         result: Dict[str, float] = {}

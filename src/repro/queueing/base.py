@@ -261,9 +261,6 @@ class ApScheduler:
     def bind(self, mac) -> None:
         self.mac = mac
 
-    def has_pending(self) -> bool:
-        return any(self.queues[s] for s in self._order)
-
     def dequeue(self) -> Any:
         queue = self._select_queue()
         if queue is None:
@@ -288,9 +285,6 @@ class ApScheduler:
     def backlog(self, station: str) -> int:
         q = self.queues.get(station)
         return len(q) if q is not None else 0
-
-    def total_backlog(self) -> int:
-        return sum(len(q) for q in self.queues.values())
 
     def dropped(self) -> int:
         return self._departed_dropped + sum(

@@ -82,9 +82,6 @@ class ApFifoScheduler(ApScheduler):
         self.fifo_dropped += 1
         return True
 
-    def has_pending(self) -> bool:
-        return bool(self._fifo)
-
     def dequeue(self) -> Any:
         if not self._fifo:
             return None
@@ -95,9 +92,6 @@ class ApFifoScheduler(ApScheduler):
 
     def backlog(self, station: str) -> int:
         return sum(1 for p in self._fifo if p.station == station)
-
-    def total_backlog(self) -> int:
-        return len(self._fifo)
 
     def dropped(self) -> int:
         return self.fifo_dropped

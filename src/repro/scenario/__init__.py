@@ -15,7 +15,7 @@ serially or as cached campaign jobs by :mod:`repro.scenario.runner`.
 ``python -m repro scenario`` is the command-line face.
 """
 
-from repro.scenario.builder import ScenarioRuntime, build
+from repro.scenario.builder import ScenarioRuntime
 from repro.scenario.registry import (
     FAMILIES,
     ScenarioFamily,
@@ -28,7 +28,6 @@ from repro.scenario.runner import (
     execute_scenario,
     render_result,
     run_spec,
-    run_sweep,
     scenario_job,
 )
 from repro.scenario.spec import (
@@ -74,12 +73,10 @@ __all__ = [
     "TimelineEvent",
     "TrafficOffEvent",
     "TrafficOnEvent",
-    "build",
     "build_spec",
     "execute_scenario",
     "render_result",
     "run_spec",
-    "run_sweep",
     "scenario_job",
     "sweep_specs",
 ]

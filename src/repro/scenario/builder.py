@@ -590,8 +590,3 @@ class ScenarioRuntime:
             for cell in self.campus.cells.values()
             for name, station in cell.stations.items()
         }
-
-
-def build(spec: ScenarioSpec) -> ScenarioRuntime:
-    """Validate and compile ``spec`` (not yet run)."""
-    return ScenarioRuntime(spec)

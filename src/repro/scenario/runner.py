@@ -12,7 +12,7 @@ cache exactly like the figure/table reproductions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 from repro.campaign.job import Job, make_job
 from repro.scenario.builder import ScenarioRuntime
@@ -161,27 +161,6 @@ def scenario_job(
         SCENARIO_EXECUTOR,
         {"spec": spec},
     )
-
-
-def run_sweep(
-    specs: Iterable[ScenarioSpec], *, workers: Optional[int] = None, **kwargs
-):
-    """Fan a batch of specs out through the campaign executor.
-
-    One :func:`scenario_job` per spec (keyed by ``spec.name``) handed to
-    :func:`repro.campaign.executor.run_jobs` with ``kwargs`` passed
-    through (store, retry policy, per-job timeout, backend), so scenario
-    sweeps get the same crash isolation, quarantine and
-    partial-completion semantics as the figure/table campaigns.
-    Returns the :class:`~repro.campaign.executor.CampaignOutcome`;
-    per-spec results are under
-    ``outcome.experiment_results("scenario")`` keyed by spec name, and
-    quarantined specs appear in ``outcome.failures`` instead.
-    """
-    from repro.campaign.executor import run_jobs
-
-    jobs = [scenario_job(spec, key=spec.name) for spec in specs]
-    return run_jobs(jobs, workers=workers, **kwargs)
 
 
 # ----------------------------------------------------------------------

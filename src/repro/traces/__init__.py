@@ -14,7 +14,7 @@ are redistributable, so this package provides:
   for the workshop sessions and the dorm day.
 """
 
-from repro.traces.records import TraceRecord, total_bytes, duration_us
+from repro.traces.records import TraceRecord
 from repro.traces.sniffer import ChannelSniffer
 from repro.traces.analyze import (
     bytes_by_rate,
@@ -33,8 +33,6 @@ from repro.traces.synthetic import (
 
 __all__ = [
     "TraceRecord",
-    "total_bytes",
-    "duration_us",
     "ChannelSniffer",
     "bytes_by_rate",
     "rate_fractions",

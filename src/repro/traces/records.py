@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
 
 
 @dataclass(frozen=True)
@@ -22,13 +21,3 @@ class TraceRecord:
     rate_mbps: float
     direction: str  # "up" | "down"
     retry: bool = False
-
-
-def total_bytes(records: Iterable[TraceRecord]) -> int:
-    return sum(r.size_bytes for r in records)
-
-
-def duration_us(records: List[TraceRecord]) -> float:
-    if not records:
-        return 0.0
-    return records[-1].time_us - records[0].time_us

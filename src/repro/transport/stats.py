@@ -30,8 +30,6 @@ class FlowStats:
         self.completed_us: Optional[float] = None
         self.delays_us: List[float] = []
         self._origin = sim.now
-        self._mark_bytes = 0
-        self._mark_time = sim.now
 
     def on_deliver(self, nbytes: int) -> None:
         now = self.sim.now
@@ -95,16 +93,3 @@ class FlowStats:
         self.last_delivery_us = None
         self.delays_us.clear()
         self._origin = self.sim.now
-        self._mark_bytes = 0
-        self._mark_time = self.sim.now
-
-    def mark(self) -> None:
-        """Start an interval measurement window."""
-        self._mark_bytes = self.bytes_delivered
-        self._mark_time = self.sim.now
-
-    def interval_throughput_mbps(self) -> float:
-        """Goodput since the last :meth:`mark`."""
-        return throughput_mbps(
-            self.bytes_delivered - self._mark_bytes, self.sim.now - self._mark_time
-        )

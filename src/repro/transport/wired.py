@@ -267,10 +267,6 @@ class WiredLink:
             if not self._folded:
                 self._fold_next()
 
-    def pump_pending(self) -> int:
-        """Folded-but-undelivered demand arrivals (introspection)."""
-        return len(self._folded)
-
     def _fold_due(self, now: float) -> None:
         """Fold every arrival with fire time at or before ``now``.
 

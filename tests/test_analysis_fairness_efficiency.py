@@ -9,8 +9,6 @@ from repro.analysis import (
     Task,
     fluid_completion_times,
     jain_index,
-    max_min_gap,
-    normalized_gap,
     task_model_metrics,
 )
 
@@ -49,12 +47,6 @@ def test_jain_validation():
 def test_jain_bounds(xs):
     idx = jain_index(xs)
     assert 1.0 / len(xs) - 1e-9 <= idx <= 1.0 + 1e-9
-
-
-def test_gaps():
-    assert max_min_gap([1.0, 4.0, 2.0]) == 3.0
-    assert normalized_gap([2.0, 2.0]) == 0.0
-    assert normalized_gap([0.0, 4.0]) == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,8 @@ from repro.analysis import (
     dcf_time_shares,
     predict,
     rf_throughputs,
-    rf_total,
     tf_throughputs,
     tf_time_shares,
-    tf_total,
 )
 
 
@@ -86,7 +84,7 @@ def test_dcf_time_shares_sum_to_one():
 
 def test_rf_1v11_matches_paper_figure2():
     nodes = [paper_node("slow", 1.0), paper_node("fast", 11.0)]
-    total = rf_total(nodes)
+    total = predict(nodes).rf_total
     assert total == pytest.approx(1.34, rel=0.06)
     shares = dcf_time_shares(nodes)
     assert shares["slow"] / shares["fast"] == pytest.approx(6.4, rel=0.05)
@@ -139,7 +137,7 @@ def test_baseline_property():
 
 def test_rf_equals_tf_for_uniform_nodes():
     nodes = [paper_node("a", 5.5), paper_node("b", 5.5)]
-    assert rf_total(nodes) == pytest.approx(tf_total(nodes))
+    assert predict(nodes).rf_total == pytest.approx(predict(nodes).tf_total)
     assert rf_throughputs(nodes) == pytest.approx(tf_throughputs(nodes))
 
 
@@ -185,8 +183,8 @@ def test_model_invariants(rates):
     assert sum(tf_shares.values()) == pytest.approx(1.0)
     # TF aggregate always >= RF aggregate (equal sizes), equality iff
     # all rates identical.
-    rf = rf_total(nodes)
-    tf = tf_total(nodes)
+    rf = predict(nodes).rf_total
+    tf = predict(nodes).tf_total
     assert tf >= rf - 1e-9
     if len(set(rates)) == 1:
         assert tf == pytest.approx(rf)

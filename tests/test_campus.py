@@ -62,13 +62,11 @@ def test_connect_validates_and_is_idempotent():
     campus.connect("c0", "c1")
     campus.connect("c1", "c0")  # same pair, either order: no-op
     assert campus.adjacency == {("c0", "c1")}
-    assert campus.coupled_pairs() == [("c0", "c1")]
 
 
 def test_adjacency_on_different_channels_stays_inert():
     campus = _two_cell_campus(channels=(1, 6))
     assert campus.adjacency == {("c0", "c1")}
-    assert campus.coupled_pairs() == []
 
 
 # ----------------------------------------------------------------------

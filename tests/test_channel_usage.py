@@ -15,7 +15,6 @@ def test_occupancy_accumulates():
     assert usage.occupancy_us("a") == 150.0
     assert usage.occupancy_us("b") == 25.0
     assert usage.total_occupancy_us() == 175.0
-    assert usage.exchanges("a") == 2
 
 
 def test_unknown_station_zero():

@@ -125,14 +125,6 @@ def test_round_robin_among_eligible():
     assert order == ["a", "b", "a", "b"]
 
 
-def test_has_pending_reflects_queues():
-    sim, tbr = make_tbr()
-    tbr.associate("a")
-    assert not tbr.has_pending()
-    tbr.enqueue(Pkt("a"))
-    assert tbr.has_pending()
-
-
 # ----------------------------------------------------------------------
 # COMPLETEEVENT
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS
 from repro.experiments import (
     EXPERIMENTS,
     ablations,
@@ -120,7 +121,7 @@ def test_table1_shape():
 
 def test_table2_shape():
     result = table2.run(seed=1, seconds=S)
-    for rate, paper in result.paper_mbps.items():
+    for rate, paper in PAPER_TABLE2_TCP_MBPS.items():
         assert result.measured_mbps[rate] == pytest.approx(paper, rel=0.12)
     assert "Table 2" in table2.render(result)
 
@@ -146,16 +147,15 @@ def test_table4_shape():
 # ablations
 # ----------------------------------------------------------------------
 def test_ablation_retry_accounting():
-    result = ablations.run("abl-retry", seed=1, seconds=S, loss_rate=0.1)
+    result = EXPERIMENTS["abl-retry"].run(seed=1, seconds=S, loss_rate=0.1)
     # Without retry info the lossy slow node is favoured (paper's bias).
     assert ablations.slow_node_bias(result) > 0.0
     assert "Retry accounting" in ablations.render_retry_accounting(result)
 
 
 def test_ablation_bucket_depth():
-    result = ablations.run(
-        "abl-bucket-depth", seed=1, seconds=S,
-        depths_us=(50_000.0, 2_000_000.0),
+    result = EXPERIMENTS["abl-bucket-depth"].run(
+        seed=1, seconds=S, depths_us=(50_000.0, 2_000_000.0),
     )
     shallow_lt, shallow_st = result[50_000.0]
     deep_lt, deep_st = result[2_000_000.0]
@@ -165,13 +165,13 @@ def test_ablation_bucket_depth():
 
 
 def test_ablation_weighted_shares():
-    result = ablations.run("abl-weighted", seed=1, seconds=S)
+    result = EXPERIMENTS["abl-weighted"].run(seed=1, seconds=S)
     assert ablations.occupancy_ratio(result) > 1.7
     assert "Weighted" in ablations.render_weighted_shares(result)
 
 
 def test_ablation_work_conservation():
-    result = ablations.run("abl-work-conservation", seed=1, seconds=S)
+    result = EXPERIMENTS["abl-work-conservation"].run(seed=1, seconds=S)
     strict = result["strict"].total_mbps
     borrowing = result["borrowing"].total_mbps
     assert strict > 1.4 * borrowing
@@ -179,7 +179,7 @@ def test_ablation_work_conservation():
 
 
 def test_ablation_client_cooperation():
-    result = ablations.run("abl-cooperation", seed=1, seconds=S)
+    result = EXPERIMENTS["abl-cooperation"].run(seed=1, seconds=S)
     without = result["no-agent"].occupancy["n1"]
     with_agent = result["client-agent"].occupancy["n1"]
     assert with_agent < without - 0.15
@@ -187,14 +187,14 @@ def test_ablation_client_cooperation():
 
 
 def test_ablation_bg_coexistence():
-    result = ablations.run("abl-bg", seed=1, seconds=S)
+    result = EXPERIMENTS["abl-bg"].run(seed=1, seconds=S)
     assert ablations.g_recovery(result) > 3.0
     assert "coexistence" in ablations.render_bg_coexistence(result)
 
 
 def test_ablation_oar_comparison():
     # Holds at the short S with the full-length tolerances unchanged.
-    result = ablations.run("abl-oar", seed=1, seconds=S)
+    result = EXPERIMENTS["abl-oar"].run(seed=1, seconds=S)
     dcf = result["dcf"].throughput_mbps
     oar = result["oar"].throughput_mbps
     tbr = result["tbr"].throughput_mbps
@@ -209,7 +209,7 @@ def test_ablation_oar_comparison():
 
 def test_ablation_polling_tbr():
     # Holds at the short S with the full-length tolerances unchanged.
-    result = ablations.run("abl-polling", seed=1, seconds=S)
+    result = EXPERIMENTS["abl-polling"].run(seed=1, seconds=S)
     rr = result["rr-poll"]["throughput"]
     tbr = result["tbr-poll"]["throughput"]
     # Round-robin polling reproduces the anomaly; token-driven polling

@@ -5,9 +5,7 @@ import pytest
 from repro.experiments.common import (
     fmt_frac,
     fmt_mbps,
-    fmt_pct,
     fmt_table,
-    ratio_note,
     run_competing,
 )
 
@@ -28,14 +26,6 @@ def test_fmt_table_title():
 def test_fmt_helpers():
     assert fmt_mbps(1.23456) == "1.235"
     assert fmt_frac(0.5) == "0.500"
-    assert fmt_pct(0.82) == "+82%"
-    assert fmt_pct(-0.061) == "-6%"
-
-
-def test_ratio_note():
-    note = ratio_note(2.0, 1.0)
-    assert "2.000" in note and "x2.00" in note
-    assert ratio_note(2.0, 0.0) == "2.000"
 
 
 def test_run_competing_accepts_dict_and_list():

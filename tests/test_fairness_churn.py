@@ -63,5 +63,5 @@ def test_post_leave_shares_reconverge_within_fill_budget(result):
 def test_fifo_baseline_still_shows_the_anomaly(result):
     # The 1 Mbps leaver hogs the channel under FIFO whenever present —
     # the motivating anomaly; TBR holds it to its time share.
-    assert result.fifo.shares["before"]["leaver"] > 0.45
+    assert result.runs["fifo"].shares["before"]["leaver"] > 0.45
     assert result.tbr.shares["before"]["leaver"] < 0.40

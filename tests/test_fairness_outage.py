@@ -54,8 +54,8 @@ def test_tbr_after_shares_return_to_fair(result):
 def test_fifo_baseline_reconverges_to_the_anomaly(result):
     # FIFO re-associates just as well — but the slow station goes
     # right back to owning the channel, so the contrast survives.
-    assert result.fifo.shares["after"]["slow"] > 0.5
-    assert result.fifo.converge_fills is None
+    assert result.runs["fifo"].shares["after"]["slow"] > 0.5
+    assert result.runs["fifo"].converge_fills is None
 
 
 def test_blackout_actually_silences_the_cell(result):

@@ -50,7 +50,7 @@ def test_disassociate_refuses_late_arrivals_until_reassociation():
     assert sched.admits("a") is False
     sched.drop_arrival("a")  # the demand path's follow-up call is safe
     assert sched.refused_departed == 2
-    assert sched.total_backlog() == 0
+    assert sched.backlog("a") == 0
     # ...but a brand-new station still lazily associates,
     assert sched.enqueue(_pkt("fresh")) is True
     # and an explicit re-association reopens the door.
@@ -89,7 +89,7 @@ def test_fifo_disassociate_purges_shared_fifo():
     sched.enqueue(_pkt("b"))
     sched.enqueue(_pkt("a"))
     assert sched.disassociate("a") == 2
-    assert sched.total_backlog() == 1
+    assert (sched.backlog("a"), sched.backlog("b")) == (0, 1)
     assert sched.dequeue().station == "b"
     assert sched.enqueue(_pkt("a")) is False  # departed: refused
     assert sched.refused_departed == 1
@@ -295,7 +295,7 @@ def test_zero_length_measurement_window_reports_zeros():
     assert cell.measured_us == 0.0
     assert cell.throughputs_mbps() == {"n1/udp-down": 0.0}
     assert cell.station_throughputs_mbps() == {"n1": 0.0}
-    assert cell.total_throughput_mbps() == 0.0
+    assert sum(cell.throughputs_mbps().values()) == 0.0
     assert cell.occupancy_fractions() == {"n1": 0.0}
     assert cell.occupancy_shares() == {"n1": 0.0}
 
@@ -305,11 +305,11 @@ def test_reset_measurements_reopens_an_empty_window():
     n1 = cell.add_station("n1", rate_mbps=11.0)
     cell.udp_flow(n1, direction="down", rate_mbps=4.0)
     cell.run(seconds=0.3)
-    assert cell.total_throughput_mbps() > 0.0
+    assert sum(cell.throughputs_mbps().values()) > 0.0
     cell.reset_measurements()
     # Immediately after the reset the window is empty again: still 0.0
     # everywhere, never a ZeroDivisionError.
     assert cell.measured_us == 0.0
-    assert cell.total_throughput_mbps() == 0.0
+    assert sum(cell.throughputs_mbps().values()) == 0.0
     assert cell.occupancy_fractions() == {"n1": 0.0}
     assert cell.occupancy_shares() == {"n1": 0.0}

@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS
 from repro.experiments import (
+    EXPERIMENTS,
     ablations,
     fig1,
     fig2,
@@ -170,7 +171,7 @@ def test_table2_baselines():
     result = table2.run(seed=1, seconds=15.0)
     # Simulated baselines within 10% of the paper's measurements, and
     # strictly ordered by rate.
-    for rate, paper in result.paper_mbps.items():
+    for rate, paper in PAPER_TABLE2_TCP_MBPS.items():
         assert result.measured_mbps[rate] == pytest.approx(paper, rel=0.10)
     ordered = [result.measured_mbps[r] for r in sorted(result.measured_mbps)]
     assert ordered == sorted(ordered)
@@ -214,7 +215,7 @@ def test_table4_rate_adjustment():
 # ablations and extensions
 # ----------------------------------------------------------------------
 def test_ablation_bucket_depth():
-    result = ablations.run("abl-bucket-depth", seed=1, seconds=12.0)
+    result = EXPERIMENTS["abl-bucket-depth"].run(seed=1, seconds=12.0)
     depths = sorted(result)
     shallow = result[depths[0]]
     deepest = result[depths[-1]]
@@ -229,7 +230,7 @@ def test_ablation_retry_accounting():
     # this case slightly biased the node sending at a lower data rate,
     # thus decreasing the total throughput by a small amount compared
     # to Eq12."
-    result = ablations.run("abl-retry", seed=1, seconds=15.0)
+    result = EXPERIMENTS["abl-retry"].run(seed=1, seconds=15.0)
     # Blind accounting favours the lossy slow node; oracle accounting
     # (true attempt counts) restores the fast node and the total.
     assert ablations.slow_node_bias(result) > 0.0
@@ -239,7 +240,7 @@ def test_ablation_retry_accounting():
 
 
 def test_ablation_work_conservation():
-    result = ablations.run("abl-work-conservation", seed=1, seconds=15.0)
+    result = EXPERIMENTS["abl-work-conservation"].run(seed=1, seconds=15.0)
     strict = result["strict"].throughput_mbps
     borrowing = result["borrowing"].throughput_mbps
     # Borrowing re-releases withheld TCP acks and collapses back to
@@ -249,7 +250,7 @@ def test_ablation_work_conservation():
 
 
 def test_extension_bg_coexistence():
-    result = ablations.run("abl-bg", seed=1, seconds=15.0)
+    result = EXPERIMENTS["abl-bg"].run(seed=1, seconds=15.0)
     # Stock AP: the g client is dragged to b-class throughput (or
     # worse); TBR restores several-fold more.
     assert result["normal"].throughput_mbps["g1"] < 1.0
@@ -258,7 +259,7 @@ def test_extension_bg_coexistence():
 
 
 def test_extension_client_cooperation():
-    result = ablations.run("abl-cooperation", seed=1, seconds=15.0)
+    result = EXPERIMENTS["abl-cooperation"].run(seed=1, seconds=15.0)
     # Without cooperation the slow UDP source keeps DCF's outsized
     # share; the notification bit pulls it down and the fast station's
     # throughput up.
@@ -272,7 +273,7 @@ def test_extension_client_cooperation():
 
 
 def test_extension_oar_baseline():
-    result = ablations.run("abl-oar", seed=1, seconds=15.0)
+    result = EXPERIMENTS["abl-oar"].run(seed=1, seconds=15.0)
     dcf = result["dcf"].throughput_mbps
     oar = result["oar"].throughput_mbps
     tbr = result["tbr"].throughput_mbps
@@ -288,7 +289,7 @@ def test_extension_oar_baseline():
 
 
 def test_extension_polling_tbr():
-    result = ablations.run("abl-polling", seed=1, seconds=5.0)
+    result = EXPERIMENTS["abl-polling"].run(seed=1, seconds=5.0)
     rr = result["rr-poll"]["throughput"]
     tbr = result["tbr-poll"]["throughput"]
     # Round-robin polling reproduces the anomaly (equal throughputs);
@@ -303,7 +304,7 @@ def test_extension_polling_tbr():
 
 
 def test_extension_weighted_shares():
-    result = ablations.run("abl-weighted", seed=1, seconds=15.0)
+    result = EXPERIMENTS["abl-weighted"].run(seed=1, seconds=15.0)
     # A 3:1 weight shows up as a clear occupancy and throughput bias
     # (the ratio undershoots 3.0 slightly because contention overhead
     # is unweighted).

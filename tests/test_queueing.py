@@ -95,7 +95,6 @@ def test_backlog_and_drops_reporting():
     sched.enqueue(Pkt("a"))
     sched.enqueue(Pkt("a"))  # dropped
     assert sched.backlog("a") == 1
-    assert sched.total_backlog() == 1
     assert sched.dropped() == 1
 
 
@@ -137,7 +136,6 @@ def test_round_robin_skips_empty_queues():
 def test_round_robin_empty():
     sched = RoundRobinScheduler()
     assert sched.dequeue() is None
-    assert not sched.has_pending()
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +155,6 @@ def test_fifo_capacity_shared():
     assert all(sched.enqueue(Pkt("a")) for _ in range(3))
     assert not sched.enqueue(Pkt("b"))
     assert sched.dropped() == 1
-    assert sched.total_backlog() == 3
     assert sched.backlog("a") == 3
     assert sched.backlog("b") == 0
 
@@ -229,8 +226,6 @@ def test_drr_serves_all_without_loss():
         for _ in range(5):
             sched.enqueue(Pkt(s, size))
     served = []
-    while sched.has_pending():
-        pkt = sched.dequeue()
-        assert pkt is not None
+    while (pkt := sched.dequeue()) is not None:
         served.append(pkt)
     assert len(served) == 15

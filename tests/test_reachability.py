@@ -84,35 +84,6 @@ ALLOWED: Dict[str, str] = {
     "queueing/base.py::ApScheduler.is_associated": (
         "side-effect-free accessor several test files observe membership with"
     ),
-    # helpers
-    "analysis/fairness.py::max_min_gap": _GOES,
-    "analysis/fairness.py::normalized_gap": _GOES,
-    "analysis/model.py::rf_total": _GOES,
-    "analysis/model.py::tf_total": _GOES,
-    "experiments/ablations.py::run": _GOES,
-    "experiments/common.py::fmt_pct": _GOES,
-    "experiments/common.py::ratio_note": _GOES,
-    "scenario/builder.py::build": _GOES,
-    "scenario/runner.py::run_sweep": "census: no caller and no test at all",
-    "traces/records.py::duration_us": _GOES,
-    "traces/records.py::total_bytes": _GOES,
-    # methods nobody calls
-    "mac/dcf.py::TxScheduler.has_pending": _GOES,
-    "mac/fifo.py::FifoTxScheduler.has_pending": _GOES,
-    "queueing/base.py::ApScheduler.has_pending": _GOES,
-    "queueing/fifo.py::ApFifoScheduler.has_pending": _GOES,
-    "core/tbr.py::TbrScheduler.has_pending": _GOES,
-    "queueing/base.py::ApScheduler.total_backlog": _GOES,
-    "queueing/fifo.py::ApFifoScheduler.total_backlog": _GOES,
-    "campus/core.py::Campus.coupled_pairs": _GOES,
-    "node/cell.py::Cell.total_throughput_mbps": _GOES,
-    "channel/usage.py::ChannelUsageMonitor.exchanges": _GOES,
-    "transport/stats.py::FlowStats.mark": _GOES,
-    "transport/stats.py::FlowStats.interval_throughput_mbps": _GOES,
-    "transport/wired.py::WiredLink.pump_pending": _GOES,
-    "experiments/fairness_churn.py::FairnessChurnResult.fifo": _GOES,
-    "experiments/fairness_outage.py::FairnessOutageResult.fifo": _GOES,
-    "experiments/table2.py::Table2Result.paper_mbps": _GOES,
 }
 
 #: Outside bases that call ``prefix + <something>`` methods by name.

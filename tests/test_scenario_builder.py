@@ -19,7 +19,6 @@ from repro.scenario import (
     TimelineEvent,
     TrafficOffEvent,
     TrafficOnEvent,
-    build,
     build_spec,
     run_spec,
 )
@@ -257,7 +256,7 @@ def test_timeline_events_count_as_other_category():
 # one compiler: plain and campus specs, every event kind, one membership
 # ----------------------------------------------------------------------
 def test_build_compiles_a_campus_spec():
-    runtime = build(build_spec("campus", seconds=1.0, warmup_s=0.2))
+    runtime = ScenarioRuntime(build_spec("campus", seconds=1.0, warmup_s=0.2))
     assert len(runtime.campus.cells) == 2
     assert all(cell.stations for cell in runtime.campus.cells.values())
     runtime.run()
@@ -324,7 +323,7 @@ def test_membership_map_names_exactly_the_associated_stations(spec, reaped):
     # Crash and reap pop ``cell.stations`` inside the cell, behind the
     # campus's back; the one-cell world must still satisfy the campus
     # invariants (single membership, map and station tables agree).
-    runtime = build(spec)
+    runtime = ScenarioRuntime(spec)
     runtime.run()
     campus = runtime.campus
     if reaped is not None:

@@ -14,27 +14,15 @@ from repro.traces import (
     WorkshopTraceConfig,
     busy_intervals,
     bytes_by_rate,
-    duration_us,
     generate_dorm_trace,
     generate_workshop_trace,
     heaviest_user_fractions,
     rate_fractions,
-    total_bytes,
 )
 
 
 def rec(t, station="u", size=1000, rate=11.0, direction="down"):
     return TraceRecord(t, station, size, rate, direction)
-
-
-# ----------------------------------------------------------------------
-# records
-# ----------------------------------------------------------------------
-def test_totals_and_duration():
-    records = [rec(0.0), rec(10.0, size=500), rec(20.0)]
-    assert total_bytes(records) == 2500
-    assert duration_us(records) == 20.0
-    assert duration_us([]) == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -209,17 +209,6 @@ def test_flow_stats_throughput_and_reset():
     assert stats.throughput_mbps() == 0.0
 
 
-def test_flow_stats_interval_window():
-    sim = Simulator()
-    stats = FlowStats(sim, "f")
-    stats.on_deliver(1000)
-    sim.run(until=1000.0)
-    stats.mark()
-    stats.on_deliver(1250)
-    sim.run(until=2000.0)
-    assert stats.interval_throughput_mbps() == pytest.approx(10.0)
-
-
 def test_flow_stats_completion():
     sim = Simulator()
     stats = FlowStats(sim, "f")

@@ -252,7 +252,7 @@ def test_reset_mid_drain_keeps_the_accounting_identity():
     cell.sim.run(until=600_000.0)
     assert link.drained > 0
     sent_before = sum(s.sent for s in senders)
-    assert sent_before == link.delivered + link.pump_pending()
+    assert sent_before == link.delivered + len(link._folded)
     link.reset()
     assert (link.delivered, link.drained) == (0, 0)
     probe.wire_events = 0
@@ -263,7 +263,7 @@ def test_reset_mid_drain_keeps_the_accounting_identity():
     assert cell.ap.downlink_packets - downlink_before == link.delivered
     assert (
         sum(s.sent for s in senders) - sent_before
-        == link.delivered + link.pump_pending() - 1
+        == link.delivered + len(link._folded) - 1
     )  # the -1: one fold was pending (already counted in sent) at reset
 
 
@@ -345,7 +345,7 @@ def test_exact_time_tie_is_not_drained():
     assert source.observed == [100.0, 300.0]
     assert seen == [(1, 2)]  # at the tie, only 100 and 200 are in
     assert (link.drained, link.delivered) == (4, 6)
-    assert link.pump_pending() == 1
+    assert len(link._folded) == 1
 
 
 def test_unbounded_limit_does_not_drain():
