@@ -98,7 +98,7 @@ class Channel:
         parts=("active",),
     )
 
-    def __init__(self, sim: Simulator, loss_model=None, *, sniffers=None) -> None:
+    def __init__(self, sim: Simulator, loss_model=None) -> None:
         from repro.channel.loss import NoLoss
 
         self.sim = sim
@@ -110,7 +110,7 @@ class Channel:
         #: when the medium last became idle (0.0 at t=0: born idle).
         self.idle_start: float = 0.0
         self._busy_accum = 0.0
-        self._sniffers: List[Callable] = list(sniffers or [])
+        self._sniffers: List[Callable] = []
         #: optional capture: callable(winner_candidates) -> Transmission or
         #: None; invoked on overlap, may spare one frame from collision.
         self.capture_rule: Optional[Callable] = None

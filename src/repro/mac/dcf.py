@@ -76,7 +76,6 @@ class MacConfig:
     """Tunables of the DCF state machine."""
 
     max_attempts: int = 7
-    queue_limit: int = 0  # informational; queues enforce their own limits
     ack_timeout_margin_us: float = 0.0
     #: OAR-style opportunistic bursting (Sadeghi et al., the paper's
     #: related work [23]): when non-zero, a station that wins contention

@@ -29,6 +29,10 @@ from repro.sim import EventCategory, Simulator
 from repro.transport.packet import Packet, PacketPool
 from repro.transport.wired import WiredLink
 
+#: The wired backbone pipes (one each way, generously provisioned).
+WIRED_DELAY_US = 1000.0
+WIRED_RATE_MBPS = 100.0
+
 
 def _deliver_packet(packet: Packet) -> None:
     packet.deliver()
@@ -160,8 +164,6 @@ class AccessPoint:
         rate_controller: Optional[RateController] = None,
         default_rate_mbps: float = 11.0,
         mac_config: Optional[MacConfig] = None,
-        wired_delay_us: float = 1000.0,
-        wired_rate_mbps: float = 100.0,
         oracle_retry_accounting: bool = False,
     ) -> None:
         self.sim = sim
@@ -187,9 +189,8 @@ class AccessPoint:
         self.mac.add_completion_listener(self._on_mac_complete)
         self.mac.attempt_listener = self._on_attempt
 
-        # Wired backbone pipes (one each way, generously provisioned).
-        self.uplink_wire = WiredLink(sim, wired_delay_us, wired_rate_mbps)
-        self.downlink_wire = WiredLink(sim, wired_delay_us, wired_rate_mbps)
+        self.uplink_wire = WiredLink(sim, WIRED_DELAY_US, WIRED_RATE_MBPS)
+        self.downlink_wire = WiredLink(sim, WIRED_DELAY_US, WIRED_RATE_MBPS)
         #: freelist for demand-driven downlink packets (drop-before-
         #: alloc sources recycle consumed packets through it).
         self.packet_pool = PacketPool()

@@ -96,10 +96,8 @@ class Cell:
         scheduler: Union[str, ApScheduler] = "fifo",
         tbr_config: Optional[TbrConfig] = None,
         loss_model=None,
-        wired_delay_us: float = 1000.0,
         oracle_retry_accounting: bool = False,
         ap_rate_controller: Optional[RateController] = None,
-        keep_usage_records: bool = False,
         sim: Optional[Simulator] = None,
         ap_address: str = "ap",
     ) -> None:
@@ -110,7 +108,7 @@ class Cell:
         self.sim = sim if sim is not None else Simulator(seed=seed)
         self.phy = phy
         self.channel = Channel(self.sim, loss_model)
-        self.usage = ChannelUsageMonitor(self.sim, keep_records=keep_usage_records)
+        self.usage = ChannelUsageMonitor(self.sim)
         self.scheduler = _make_scheduler(self.sim, scheduler, tbr_config)
         self.ap = AccessPoint(
             self.sim,
@@ -119,7 +117,6 @@ class Cell:
             phy,
             address=ap_address,
             rate_controller=ap_rate_controller,
-            wired_delay_us=wired_delay_us,
             oracle_retry_accounting=oracle_retry_accounting,
         )
         self.ap.mac.add_completion_listener(self._on_ap_exchange)

@@ -11,7 +11,7 @@ they are properties of the PHY in the standard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.phy.rates import basic_rates_b
 
@@ -46,7 +46,7 @@ class PhyParams:
         # and the key spaces (PSDU size x rate) are tiny in practice.
         object.__setattr__(self, "_psdu_cache", {})
         object.__setattr__(self, "_ack_rate_cache", {})
-        object.__setattr__(self, "_eifs_cache", {})
+        object.__setattr__(self, "_eifs_us", None)
         object.__setattr__(
             self, "_difs_us", self.sifs_us + 2.0 * self.slot_us
         )
@@ -68,16 +68,15 @@ class PhyParams:
         """DIFS = SIFS + 2 slots."""
         return self._difs_us
 
-    def eifs_us(self, lowest_rate_mbps: Optional[float] = None) -> float:
+    def eifs_us(self) -> float:
         """EIFS = SIFS + DIFS + ACK airtime at the lowest basic rate."""
-        cache: Dict[Optional[float], float] = self._eifs_cache
-        cached = cache.get(lowest_rate_mbps)
-        if cached is not None:
-            return cached
-        rate = lowest_rate_mbps if lowest_rate_mbps is not None else min(self.basic_rates)
-        value = self.sifs_us + self._difs_us + ack_airtime_us(self, rate)
-        cache[lowest_rate_mbps] = value
-        return value
+        cached = self._eifs_us
+        if cached is None:
+            cached = self.sifs_us + self._difs_us + ack_airtime_us(
+                self, min(self.basic_rates)
+            )
+            object.__setattr__(self, "_eifs_us", cached)
+        return cached
 
 
 DOT11B_LONG_PREAMBLE = PhyParams(

@@ -13,8 +13,7 @@ class PeriodicTimer:
 
     The callback receives the time elapsed since its previous invocation
     (or since :meth:`start`), which is exactly what token-fill style
-    handlers such as TBR's FILLEVENT need.  ``jitter_rng`` may be given to
-    de-synchronize periodic work across instances.
+    handlers such as TBR's FILLEVENT need.
     """
 
     #: The pending fire event moves with the heap on a jump
@@ -30,19 +29,13 @@ class PeriodicTimer:
         callback: Callable[[float], Any],
         *,
         priority: int = EventPriority.NORMAL,
-        jitter_rng=None,
-        jitter_fraction: float = 0.0,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period!r}")
-        if not 0.0 <= jitter_fraction < 1.0:
-            raise ValueError("jitter_fraction must be in [0, 1)")
         self.sim = sim
         self.period = period
         self.callback = callback
         self.priority = priority
-        self._jitter_rng = jitter_rng
-        self._jitter_fraction = jitter_fraction
         self._event: Optional[Event] = None
         self._last_fire: float = 0.0
         self._running = False
@@ -61,17 +54,11 @@ class PeriodicTimer:
             self._event.cancel()
             self._event = None
 
-    def _next_delay(self) -> float:
-        if self._jitter_rng is not None and self._jitter_fraction > 0.0:
-            spread = self.period * self._jitter_fraction
-            return self.period + self._jitter_rng.uniform(-spread, spread)
-        return self.period
-
     def _schedule_next(self) -> None:
         # Recycle the just-fired event object (timer-reuse fast path);
         # a cancelled-in-heap event falls back to a fresh allocation.
         self._event = self.sim.reschedule(
-            self._event, self._next_delay(), self._fire,
+            self._event, self.period, self._fire,
             priority=self.priority, category=EventCategory.TIMER,
         )
 

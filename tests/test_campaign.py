@@ -248,5 +248,5 @@ def test_default_phy_survives_job_round_trip():
     phy = job_params(pickle.loads(pickle.dumps(job)))["spec"].phy
     assert phy == DOT11B_LONG_PREAMBLE
     assert phy is not DOT11B_LONG_PREAMBLE
-    assert phy._eifs_cache == {}
+    assert phy._eifs_us is None
     assert phy.eifs_us() == DOT11B_LONG_PREAMBLE.eifs_us()

@@ -50,21 +50,3 @@ def test_timer_rejects_bad_period():
     with pytest.raises(ValueError):
         PeriodicTimer(sim, 0.0, lambda e: None)
 
-
-def test_timer_jitter_bounds():
-    sim = Simulator(seed=3)
-    times = []
-    timer = PeriodicTimer(
-        sim, 100.0, lambda e: times.append(e),
-        jitter_rng=sim.rng("jit"), jitter_fraction=0.2,
-    )
-    timer.start()
-    sim.run(until=2000.0)
-    assert times, "timer should have fired"
-    assert all(80.0 <= e <= 120.0 for e in times)
-
-
-def test_timer_jitter_fraction_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        PeriodicTimer(sim, 10.0, lambda e: None, jitter_fraction=1.0)
