@@ -84,6 +84,10 @@ POLL_S = 0.05
 #: How long a coordinator-spawned worker lingers on a drained spool.
 SPAWNED_IDLE_EXIT_S = 0.5
 
+#: How long a finished drain gives its workers to let go — of their
+#: last claim before they are reaped, then of life once terminated.
+REAP_GRACE_S = 2.0
+
 
 # ----------------------------------------------------------------------
 # spool protocol: shared by SpoolQueue and standalone workers
@@ -740,11 +744,18 @@ class SpoolQueue:
                     process_one(self.root, cfg, self.store)
                     continue  # immediately re-check for the result
                 time.sleep(POLL_S)
+            # A result is visible from the moment it is in the store,
+            # which is before the worker that put it there releases its
+            # claim: reaping now could leave ``claims/*.job`` behind a
+            # clean drain.  A wedged worker only costs the grace period.
+            deadline = time.monotonic() + REAP_GRACE_S
+            while not spool_drained(self.root) and time.monotonic() < deadline:
+                time.sleep(POLL_S)
         finally:
             for proc in procs:
                 if proc.is_alive():
                     proc.terminate()
-                proc.join(timeout=2.0)
+                proc.join(timeout=REAP_GRACE_S)
                 if proc.is_alive():
                     proc.kill()
                     proc.join()

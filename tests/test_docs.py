@@ -17,9 +17,13 @@ COMMAND_DOCS = (
 )
 SUBCOMMANDS = set(EXPERIMENTS) | {"list", "all", "campaign", "scenario", "serve"}
 
-#: Surfaces that were deleted in favour of ``benchmarks/suite``.  The
-#: histories and this file may name them; nothing else may.
-RETIRED = ("benchmarks/results", "repro.perf", "campus-scaling")
+#: Surfaces that were deleted (in favour of ``benchmarks/suite``; as
+#: unreachable, PR 21).  The histories and this file may name them;
+#: nothing else may.
+RETIRED = (
+    "benchmarks/results", "repro.perf", "campus-scaling",
+    "repro.sim.process", "repro.sim.monitor", "sim/process.py", "sim/monitor.py",
+)
 HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_docs.py"}
 TEXT_SUFFIXES = {".py", ".md", ".yml", ".json", ".txt", ".gitignore"}
 SCRATCH_DIRS = {

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS
 from repro.experiments import (
     EXPERIMENTS,
     ablations,
@@ -121,7 +120,7 @@ def test_table1_shape():
 
 def test_table2_shape():
     result = table2.run(seed=1, seconds=S)
-    for rate, paper in PAPER_TABLE2_TCP_MBPS.items():
+    for rate, paper in table2.PAPER_TABLE2_TCP_MBPS.items():
         assert result.measured_mbps[rate] == pytest.approx(paper, rel=0.12)
     assert "Table 2" in table2.render(result)
 

@@ -292,6 +292,29 @@ def test_two_workers_drain_byte_identical_to_serial(tmp_path):
     assert q.spool_drained(tmp_path / "spool")
 
 
+def test_clean_drain_waits_for_workers_to_release_their_claims(
+    tmp_path, monkeypatch
+):
+    # A result is visible before the worker that stored it releases its
+    # claim; widen that window (spawned workers inherit the patch by fork).
+    release = q._release
+
+    def slow_release(claim_path):
+        time.sleep(0.3)
+        release(claim_path)
+
+    monkeypatch.setattr(q, "_release", slow_release)
+    store = ResultStore(tmp_path / "store")
+    outcome = run_jobs(
+        echo_jobs(6),
+        cache=store,
+        queue=q.SpoolQueue(tmp_path / "spool", store, workers=2),
+    )
+    assert outcome.stats.executed == 6
+    assert q.spool_drained(tmp_path / "spool")
+    assert os.listdir(tmp_path / "spool" / "claims") == []
+
+
 def test_spool_survives_injected_worker_kill(tmp_path):
     jobs = echo_jobs(4)
     plan = FaultPlan.from_json(json.dumps([
