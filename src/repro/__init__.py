@@ -4,7 +4,7 @@ Performance in Multi-rate WLANs" (USENIX ATC 2004).
 The package provides:
 
 * ``repro.sim`` — a deterministic discrete-event simulation kernel;
-* ``repro.phy`` / ``repro.channel`` / ``repro.mac`` — an 802.11b/g PHY
+* ``repro.phy`` / ``repro.channel`` / ``repro.mac`` — an 802.11b PHY
   timing model, a single-cell broadcast channel with collision semantics,
   and a faithful DCF (CSMA/CA) MAC;
 * ``repro.node`` / ``repro.queueing`` / ``repro.transport`` — stations,

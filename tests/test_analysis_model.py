@@ -183,8 +183,8 @@ def test_model_invariants(rates):
     assert sum(tf_shares.values()) == pytest.approx(1.0)
     # TF aggregate always >= RF aggregate (equal sizes), equality iff
     # all rates identical.
-    rf = predict(nodes).rf_total
-    tf = predict(nodes).tf_total
+    prediction = predict(nodes)
+    rf, tf = prediction.rf_total, prediction.tf_total
     assert tf >= rf - 1e-9
     if len(set(rates)) == 1:
         assert tf == pytest.approx(rf)
