@@ -20,15 +20,17 @@ collision, see ``repro.mac.dcf``).
 Notification fan-out is the hot path of a large cell: every busy/idle
 transition used to call into all N listeners even though only the
 stations with an armed backoff do anything with it.  Transitions are now
-delivered from a precomputed snapshot of *carrier-subscribed* listeners
-(bound methods, rebuilt lazily when the subscription set changes), and a
-listener that does not currently contend can unsubscribe from carrier
-transitions entirely via :meth:`carrier_unsubscribe` — it can still read
-:attr:`carrier_busy` / :attr:`idle_start` at decision time.  Listeners
-are subscribed by default, so implementations unaware of the
-subscription API keep the historical behavior.  Delivery order is
-always attachment order, regardless of subscription churn, which keeps
-simulations byte-for-byte deterministic.
+delivered to the *carrier-subscribed* listeners only, held as a tuple in
+attach order that :meth:`carrier_subscribe` / :meth:`carrier_unsubscribe`
+replace by inserting or cutting one entry (a contending MAC leaves and
+re-joins once per exchange, so the set is never re-sorted and a fan-out
+in progress keeps iterating the tuple it started with).  A listener that
+does not currently contend unsubscribes from carrier transitions
+entirely — it can still read :attr:`carrier_busy` / :attr:`idle_start`
+at decision time.  Listeners are subscribed by default, so
+implementations unaware of the subscription API keep the historical
+behavior.  Delivery order is always attachment order, regardless of
+subscription churn, which keeps simulations byte-for-byte deterministic.
 
 Frame-end delivery similarly runs off a snapshot of
 ``(attach_index, address, on_frame_end)`` triples rebuilt on attach.
@@ -36,10 +38,19 @@ A MAC that only needs frame-end notifications when it is *involved* can
 opt into filtered delivery (:meth:`frame_end_filtered`): a clean
 unicast frame is then delivered to its destination (O(1) address
 lookup) and to the listeners whose EIFS state must be cleared
-(:meth:`eifs_mark`), instead of to all N listeners.  Corrupted
-(collided) and broadcast frames are always delivered to everyone,
-because every observer's EIFS/receive state depends on them.  Delivery
-order remains attachment order in every case.
+(:meth:`eifs_mark`), instead of to all N listeners.  Broadcast frames
+are delivered to everyone, and so are corrupted (collided) ones —
+every observer's EIFS/receive state depends on them — except to a
+filtered listener that is already EIFS-marked and is not the
+destination: the frame can teach it nothing it has not recorded.
+Delivery order remains attachment order in every case.
+
+Carrier edges are delivered only when a listener's state can depend on
+them.  A receiver that owes a SIFS response reserves it
+(:meth:`Channel.reserve_response`), and the busy->idle edge of the frame
+that just ended and the idle->busy edge of the response are then
+withheld together — the *response hold*; its contract sits beside the
+state that implements it, in :meth:`Channel.__init__`.
 """
 
 from __future__ import annotations
@@ -54,6 +65,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Broadcast destination address (== repro.mac.frames.BROADCAST; kept
 #: literal here so the channel does not import the MAC package).
 _BROADCAST = "*"
+
+#: Frame-end priority and category as plain ``int``s: an ``IntEnum``
+#: member costs the kernel an ``int()`` per push and an ``__index__``
+#: per executed event, and this is the busiest schedule site there is.
+_PRIO_PHY = int(EventPriority.PHY)
+_CAT_PHY = int(EventCategory.PHY)
+
+#: ``_response_at`` of a medium nobody has reserved: before any clock.
+_NEVER = float("-inf")
 
 
 class ChannelListener(Protocol):
@@ -89,11 +109,12 @@ class Transmission:
 class Channel:
     """Zero-delay broadcast medium with overlap collisions."""
 
-    #: Busy/idle marks, the deaf-after-transmit window and in-flight
-    #: frame boundaries all move with the clock (``repro.sim.steady``),
-    #: so a jump taken mid-exchange resumes with identical timing.
+    #: Busy/idle marks, the deaf-after-transmit window, a reserved
+    #: response's start and in-flight frame boundaries all move with the
+    #: clock (``repro.sim.steady``), so a jump taken mid-exchange — or
+    #: inside a response hold — resumes with identical timing.
     TIME_STATE = dict(
-        clocks=("busy_start", "idle_start", "_last_tx_end"),
+        clocks=("busy_start", "idle_start", "_last_tx_end", "_response_at"),
         counters=("_busy_accum",),
         parts=("active",),
     )
@@ -122,10 +143,9 @@ class Channel:
         #: listener's delivery position untouched.
         self._attach_index: Dict[int, int] = {}
         self._attach_seq = 0
-        #: carrier-subscribed listeners keyed by attach index.
-        self._carrier_subs: Dict[int, ChannelListener] = {}
-        self._carrier_snapshot: Tuple[Tuple[Callable, Callable], ...] = ()
-        self._carrier_dirty = False
+        #: carrier-subscribed listeners as ``(attach index, listener)``
+        #: in attach order; replaced, never mutated (see module docstring).
+        self._carrier_subs: Tuple[Tuple[int, ChannelListener], ...] = ()
         #: (index, address, on_frame_end) for every attached listener.
         self._frame_end_entries: Dict[int, Tuple[int, str, Callable]] = {}
         #: same entries as a tuple in attach order (corrupted/broadcast
@@ -146,6 +166,28 @@ class Channel:
         #: unsubscribed listeners observe the same "busy until told
         #: otherwise" state the per-listener on_idle callbacks provide.
         self._idle_pending = False
+        #: The response hold stretches that window across events.  WHO:
+        #: a receiver committed to transmit at a known instant at most
+        #: SIFS after the frame end it is handling reserves it
+        #: (:meth:`reserve_response`, here and on every coupled medium).
+        #: WHAT: a medium that goes idle with a live reservation sets
+        #: ``_idle_deferred`` instead of fanning out ``on_idle``, reads
+        #: ``carrier_busy`` True meanwhile, and the next transmission to
+        #: begin on it clears the mark instead of fanning out
+        #: ``on_busy`` — ``busy``, the timestamps, the accumulators,
+        #: collisions and frame-end delivery are untouched.  WHY it
+        #: cannot be observed: the gap is at most SIFS, and SIFS < DIFS
+        #: <= every IFS, so a countdown armed at the withheld idle edge
+        #: could not have expired or advanced a slot before the withheld
+        #: busy edge froze it again with its slot count unchanged.
+        #: OBLIGATION: a reserver that will not transmit after all calls
+        #: :meth:`cancel_response`, which delivers the withheld edge.
+        #: ``_response_at`` is a timestamp rather than a flag so that a
+        #: reservation expires by itself: one made after this medium's
+        #: copy of the frame already ended (a roamed receiver answering
+        #: cross-cell) or never honoured can defer nothing later.
+        self._response_at = _NEVER
+        self._idle_deferred = False
         #: co-channel neighbours (see :meth:`couple`): media that hear
         #: every transmission started here as foreign interference.
         self._coupled: List["Channel"] = []
@@ -158,8 +200,7 @@ class Channel:
         self._attach_seq += 1
         self.listeners.append(listener)
         self._attach_index[id(listener)] = index
-        self._carrier_subs[index] = listener
-        self._carrier_dirty = True
+        self._carrier_subs += ((index, listener),)
         entry = (index, listener.address, listener.on_frame_end)
         self._frame_end_entries[index] = entry
         self._frame_end_always[index] = entry
@@ -175,12 +216,11 @@ class Channel:
         delivery order.  A transmission the listener already put on the
         air still ends normally.  No-op when not attached.
         """
-        index = self._attach_index.pop(id(listener), None)
-        if index is None:
+        if id(listener) not in self._attach_index:
             return
+        self.carrier_unsubscribe(listener)
+        index = self._attach_index.pop(id(listener))
         self.listeners.remove(listener)
-        if self._carrier_subs.pop(index, None) is not None:
-            self._carrier_dirty = True
         self._frame_end_entries.pop(index, None)
         self._frame_end_always.pop(index, None)
         self._eifs_dirty.pop(index, None)
@@ -204,11 +244,13 @@ class Channel:
         """Opt ``listener`` into filtered frame-end delivery.
 
         The listener then hears about a frame end only when it is the
-        destination, the frame was corrupted or broadcast, or it asked
-        for the next clean frame via :meth:`eifs_mark`.  Only safe for
-        MACs (like :class:`repro.mac.dcf.DcfMac`) whose handler is a
-        pure no-op for clean unicast frames addressed elsewhere once
-        their EIFS flag is clear.
+        destination, the frame was broadcast, the frame was corrupted
+        and it is not EIFS-marked yet, or it asked for the next clean
+        frame via :meth:`eifs_mark`.  Only safe for MACs (like
+        :class:`repro.mac.dcf.DcfMac`) whose handler is a pure no-op for
+        clean unicast frames addressed elsewhere once their EIFS flag
+        is clear, and for corrupted ones addressed elsewhere while it
+        is set.
         """
         index = self._attach_index[id(listener)]
         entry = self._frame_end_always.pop(index, None)
@@ -218,11 +260,14 @@ class Channel:
 
     def eifs_mark(self, listener: ChannelListener) -> None:
         """A filtered listener entered EIFS state: deliver the next
-        clean frame to it so it can observe the medium recovering."""
+        clean frame to it so it can observe the medium recovering, and
+        no further corrupted ones addressed elsewhere.  (An unfiltered
+        listener hears everything regardless and is not recorded.)"""
         index = self._attach_index[id(listener)]
-        self._eifs_dirty[index] = (
-            index, listener.address, listener.on_frame_end
-        )
+        if index not in self._frame_end_always:
+            self._eifs_dirty[index] = (
+                index, listener.address, listener.on_frame_end
+            )
 
     def eifs_unmark(self, listener: ChannelListener) -> None:
         """A filtered listener cleared its EIFS state."""
@@ -231,9 +276,14 @@ class Channel:
     def carrier_subscribe(self, listener: ChannelListener) -> None:
         """(Re)enable busy/idle notifications for ``listener``."""
         index = self._attach_index[id(listener)]
-        if index not in self._carrier_subs:
-            self._carrier_subs[index] = listener
-            self._carrier_dirty = True
+        subs = self._carrier_subs
+        position = len(subs)
+        while position and subs[position - 1][0] >= index:
+            position -= 1
+        if position == len(subs) or subs[position][0] != index:
+            self._carrier_subs = (
+                subs[:position] + ((index, listener),) + subs[position:]
+            )
 
     def carrier_unsubscribe(self, listener: ChannelListener) -> None:
         """Stop busy/idle notifications for ``listener``.
@@ -243,17 +293,11 @@ class Channel:
         paying for every transition.  ``on_frame_end`` is unaffected.
         """
         index = self._attach_index[id(listener)]
-        if self._carrier_subs.pop(index, None) is not None:
-            self._carrier_dirty = True
-
-    def _carrier_callbacks(self) -> Tuple[Tuple[Callable, Callable], ...]:
-        if self._carrier_dirty:
-            self._carrier_snapshot = tuple(
-                (sub.on_busy, sub.on_idle)
-                for _, sub in sorted(self._carrier_subs.items())
-            )
-            self._carrier_dirty = False
-        return self._carrier_snapshot
+        subs = self._carrier_subs
+        for position, entry in enumerate(subs):
+            if entry[0] == index:
+                self._carrier_subs = subs[:position] + subs[position + 1:]
+                return
 
     def add_sniffer(self, sniffer: Callable) -> None:
         """Register ``sniffer(frame, corrupted, start, end)`` observers."""
@@ -267,12 +311,13 @@ class Channel:
     def carrier_busy(self) -> bool:
         """The carrier state an unsubscribed listener should act on.
 
-        Identical to :attr:`busy` except during the frame-end broadcast
-        of the transmission that empties the medium, where it stays True
-        until the idle notifications have gone out — matching what a
-        subscribed listener believes at that point in the event.
+        Identical to :attr:`busy` except while the idle notifications
+        of the transmission that emptied the medium are outstanding —
+        during its frame-end broadcast, and across a response hold —
+        where it stays True, matching what a subscribed listener
+        believes at that point.
         """
-        return bool(self.active) or self._idle_pending
+        return bool(self.active) or self._idle_pending or self._idle_deferred
 
     def busy_fraction(self) -> float:
         """Fraction of elapsed simulation time the medium was busy."""
@@ -304,6 +349,37 @@ class Channel:
         if other not in self._coupled:
             self._coupled.append(other)
 
+    def reserve_response(self, at: float) -> None:
+        """A listener here is committed to begin transmitting at ``at``.
+
+        For a receiver that owes a response at most SIFS after the frame
+        end it is handling (``at <= now + SIFS``).  Until ``at``, this
+        medium and its coupled neighbours — exactly the media the
+        response will begin on — withhold carrier edges as the response
+        hold describes (:meth:`__init__`).  A caller that then will not
+        transmit must :meth:`cancel_response`.
+        """
+        self._response_at = at
+        for other in self._coupled:
+            other._response_at = at
+
+    def cancel_response(self) -> None:
+        """The reserved response will not be sent: release the hold.
+
+        Every medium :meth:`reserve_response` reached forgets its
+        reservation — whoever made it: delivering an edge is always
+        correct, only withholding one needs a reason — and one that
+        deferred its idle edge delivers it now.  Listeners get the true
+        ``idle_start``, so they arm as if told on time.
+        """
+        for medium in (self, *self._coupled):
+            medium._response_at = _NEVER
+            if medium._idle_deferred:
+                medium._idle_deferred = False
+                idle_start = medium.idle_start
+                for _, sub in medium._carrier_subs:
+                    sub.on_idle(idle_start)
+
     def transmit(self, frame: "Frame", duration: float) -> Transmission:
         """Begin transmitting ``frame``; it ends ``duration`` us from now.
 
@@ -321,29 +397,38 @@ class Channel:
     def _begin(self, frame: "Frame", duration: float) -> Transmission:
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration!r}")
-        now = self.sim.now
-        tx = Transmission(frame, frame.src, now, now + duration)
-        prev_end = self._last_tx_end.get(frame.src, 0.0)
-        self._last_tx_end[frame.src] = max(prev_end, tx.end)
-        was_idle = not self.active
+        sim = self.sim
+        now = sim.now
+        end = now + duration
+        src = frame.src
+        tx = Transmission(frame, src, now, end)
+        last_tx_end = self._last_tx_end
+        if last_tx_end.get(src, 0.0) < end:
+            last_tx_end[src] = end
+        active = self.active
+        was_idle = not active
         if not was_idle:
             # Overlap: everyone still in the air (and the newcomer) collides.
             survivors = self._apply_capture(tx)
-            for other in self.active:
+            for other in active:
                 if other not in survivors:
                     other.collided = True
             if tx not in survivors:
                 tx.collided = True
-        self.active.append(tx)
+        active.append(tx)
         if was_idle:
             self.busy_start = now
-            for on_busy, _ in self._carrier_callbacks():
-                on_busy(now)
+            if self._idle_deferred:
+                # Response hold: nobody was told the medium went idle,
+                # so nobody is armed and nobody needs telling it is busy.
+                self._idle_deferred = False
+            else:
+                for _, sub in self._carrier_subs:
+                    sub.on_busy(now)
         # Frame-end events are fire-and-forget (never cancelled), so the
         # kernel may recycle the event objects.
-        self.sim.schedule_transient(
-            duration, self._end, tx,
-            priority=EventPriority.PHY, category=EventCategory.PHY,
+        sim.schedule_transient(
+            duration, self._end, tx, priority=_PRIO_PHY, category=_CAT_PHY
         )
         return tx
 
@@ -393,16 +478,23 @@ class Channel:
         # observe the peer's corrupted frame and retries after DIFS, not
         # EIFS, exactly as a real station that decoded no energy).
         #
-        # Corrupted and broadcast frames concern every listener.  A
-        # clean unicast frame only matters to its destination, to the
-        # unfiltered listeners, and to filtered listeners in EIFS state
-        # (their handler for it is "clear EIFS and return") — delivering
-        # to just those turns the O(listeners) loop into O(involved).
+        # Broadcast frames concern every listener, and so do corrupted
+        # ones, bar the filtered listeners already in EIFS state that
+        # are not the destination (``settled``: their handler for one
+        # more corrupted frame is a bare return).  A clean unicast frame
+        # only matters to its destination, to the unfiltered listeners,
+        # and to filtered listeners in EIFS state (their handler for it
+        # is "clear EIFS and return") — delivering to just those turns
+        # the O(listeners) loop into O(involved).
         src = frame.src
         dst = frame.dst
         deaf_after = tx.start + 1e-9
         last_end = self._last_tx_end.get
-        if collided or dst == _BROADCAST:
+        settled = ()
+        if collided:
+            targets = self._frame_end_snapshot
+            settled = self._eifs_dirty
+        elif dst == _BROADCAST:
             targets = self._frame_end_snapshot
         else:
             always = self._frame_end_always_snapshot
@@ -426,8 +518,10 @@ class Channel:
                     merged[dst_entry[0]] = dst_entry
                 merged.update(dirty)
                 targets = [entry for _, entry in sorted(merged.items())]
-        for _, address, on_frame_end in targets:
+        for index, address, on_frame_end in targets:
             if address == src:
+                continue
+            if index in settled and address != dst:
                 continue
             if last_end(address, 0.0) > deaf_after:
                 continue
@@ -435,5 +529,8 @@ class Channel:
 
         if went_idle:
             self._idle_pending = False
-            for _, on_idle in self._carrier_callbacks():
-                on_idle(now)
+            if self._response_at >= now:
+                self._idle_deferred = True
+            else:
+                for _, sub in self._carrier_subs:
+                    sub.on_idle(now)

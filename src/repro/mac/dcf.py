@@ -48,6 +48,13 @@ from repro.transport.packet import try_release
 #: Tolerance when comparing event timestamps to busy-start timestamps.
 _SLOT_EPS = 1e-6
 
+#: Priorities and the category of the per-exchange schedule sites as
+#: plain ``int``s (an ``IntEnum`` member costs the kernel an ``int()``
+#: per push and an ``__index__`` per executed event).
+_PRIO_TX_START = int(EventPriority.TX_START)
+_PRIO_HIGH = int(EventPriority.HIGH)
+_CAT_MAC = int(EventCategory.MAC)
+
 
 class TxScheduler(Protocol):
     """What the MAC needs from a transmit queue / scheduler."""
@@ -148,6 +155,10 @@ class DcfMac:
         self._rate_provider = rate_provider
         self.default_rate_mbps = default_rate_mbps
         self._rng = sim.rng(f"mac/{address}")
+        # The three PHY constants the freeze/resume path reads per arm.
+        self._slot_us = phy.slot_us
+        self._difs_us = phy.difs_us
+        self._eifs_us = phy.eifs_us()
 
         self.scheduler: Optional[TxScheduler] = None
         self.rx_handler: Optional[Callable[[Frame], None]] = None
@@ -258,7 +269,9 @@ class DcfMac:
         still occupies the medium until the scheduled frame end, but
         nothing delivers, and the packet is reclaimed.  Idempotent.
         """
-        self._cancel_countdown()
+        if self._bo_event is not None:
+            self._bo_event.cancel()
+            self._bo_event = None
         self._backoff_active = False
         self._bo_slots = 0
         if self._ack_timeout_event is not None:
@@ -267,6 +280,9 @@ class DcfMac:
         if self._ack_tx_event is not None:
             self._ack_tx_event.cancel()
             self._ack_tx_event = None
+            # The ACK was reserved (_schedule_ack) and will not be sent:
+            # contenders held across the SIFS gap must resume now.
+            self.channel.cancel_response()
         self._awaiting_ack_for = None
         self._burst_remaining = 0
         self._burst_continuation = False
@@ -380,7 +396,7 @@ class DcfMac:
         self._start_backoff(draw=True)
 
     def _current_ifs(self) -> float:
-        return self.phy.eifs_us() if self._use_eifs else self.phy.difs_us
+        return self._eifs_us if self._use_eifs else self._difs_us
 
     def _start_backoff(self, *, draw: bool) -> None:
         """Arm a backoff countdown; draws a fresh slot count if asked."""
@@ -400,24 +416,29 @@ class DcfMac:
         long-idle period, already-elapsed idle time does not pre-pay
         slots — the procedure starts now (802.11: the backoff procedure
         begins when it is invoked).  When resuming after busy, ``on_idle``
-        calls us at the idle transition, so both cases reduce to
+        calls us at the idle transition — or, when the channel released
+        a cancelled response hold, less than SIFS after it, which is
+        still before ``idle_start + IFS`` — so every case reduces to
         ``anchor = max(idle_start + IFS, now)``.
         """
-        self._cancel_countdown()
-        anchor = max(idle_start + self._current_ifs(), self.sim.now)
-        self._bo_anchor = anchor
-        expiry = anchor + self._bo_slots * self.phy.slot_us
-        spare = self._bo_spare
-        self._bo_spare = None
-        self._bo_event = self.sim.reschedule_at(
-            spare, expiry, self._countdown_expired,
-            priority=EventPriority.TX_START, category=EventCategory.MAC,
-        )
-
-    def _cancel_countdown(self) -> None:
         if self._bo_event is not None:
             self._bo_event.cancel()
-            self._bo_event = None
+        sim = self.sim
+        now = sim.now
+        # (_current_ifs() and max(), inlined: once per contender per edge)
+        anchor = idle_start + (
+            self._eifs_us if self._use_eifs else self._difs_us
+        )
+        if anchor < now:
+            anchor = now
+        self._bo_anchor = anchor
+        spare = self._bo_spare
+        self._bo_spare = None
+        self._bo_event = sim.reschedule_at(
+            spare, anchor + self._bo_slots * self._slot_us,
+            self._countdown_expired,
+            priority=_PRIO_TX_START, category=_CAT_MAC,
+        )
 
     def _countdown_expired(self) -> None:
         self._bo_spare = self._bo_event  # spent; reusable next arm
@@ -437,19 +458,22 @@ class DcfMac:
     # carrier-sense callbacks (from the channel)
     # ------------------------------------------------------------------
     def on_busy(self, busy_start: float) -> None:
-        if self._bo_event is None:
+        event = self._bo_event
+        if event is None:
             return
-        if abs(self._bo_event.time - busy_start) < _SLOT_EPS:
+        if abs(event.time - busy_start) < _SLOT_EPS:
             # Our countdown expires exactly when this carrier began: we
             # are committed to transmitting in this slot (collision).
             return
         # Freeze: account for slots that elapsed before the carrier.
         elapsed_us = busy_start - self._bo_anchor
-        elapsed_slots = 0
         if elapsed_us > 0:
-            elapsed_slots = int(elapsed_us / self.phy.slot_us + _SLOT_EPS)
-        self._bo_slots = max(0, self._bo_slots - elapsed_slots)
-        self._cancel_countdown()
+            slots = self._bo_slots - int(
+                elapsed_us / self._slot_us + _SLOT_EPS
+            )
+            self._bo_slots = slots if slots > 0 else 0
+        event.cancel()
+        self._bo_event = None
 
     def on_idle(self, idle_start: float) -> None:
         if self._backoff_active and self._bo_event is None:
@@ -489,8 +513,8 @@ class DcfMac:
         spare = self._ack_timeout_spare
         self._ack_timeout_spare = None
         self._ack_timeout_event = self.sim.reschedule(
-            spare, timeout, self._ack_timeout, priority=EventPriority.HIGH,
-            category=EventCategory.MAC,
+            spare, timeout, self._ack_timeout,
+            priority=_PRIO_HIGH, category=_CAT_MAC,
         )
 
     def _broadcast_done(self) -> None:
@@ -679,10 +703,14 @@ class DcfMac:
             self.ack_decorator(ack, data_frame)
         spare = self._ack_tx_spare
         self._ack_tx_spare = None
+        sifs = self.phy.sifs_us
         self._ack_tx_event = self.sim.reschedule(
-            spare, self.phy.sifs_us, self._send_ack, ack,
-            priority=EventPriority.TX_START, category=EventCategory.MAC,
+            spare, sifs, self._send_ack, ack,
+            priority=_PRIO_TX_START, category=_CAT_MAC,
         )
+        # Committed: nothing but shutdown() stops _send_ack, so the
+        # channel may hold carrier edges across the SIFS gap.
+        self.channel.reserve_response(self.sim.now + sifs)
 
     def _send_ack(self, ack: Frame) -> None:
         self._ack_tx_spare = self._ack_tx_event  # spent; reusable

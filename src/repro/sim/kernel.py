@@ -20,6 +20,11 @@ compaction those corpses inflate every subsequent sift.
 (one that already executed or was discarded) so high-churn timers — MAC
 backoff, ACK timeouts, periodic fill timers — do not allocate a fresh
 event per cycle.
+
+``Simulator.now`` is a plain attribute, not a property: it is read
+several times per executed event from every layer, and a Python-level
+property call each time was measurable.  Only this module assigns it
+(``run`` and ``fast_forward_to``); everything else reads.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ class Simulator:
 
     Time is floating-point microseconds starting at 0.  Events scheduled
     at identical timestamps run in ``(priority, insertion order)`` order.
+    :attr:`now` is written by the kernel alone and is read-only to
+    everyone else by convention (see the module docstring).
 
     The kernel also owns named deterministic RNG streams
     (:meth:`rng`): every component draws randomness from a stream keyed
@@ -54,7 +61,8 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self._now = 0.0
+        #: current simulation time in microseconds.
+        self.now = 0.0
         #: heap of (time, priority, seq, event) — see module docstring.
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
@@ -89,11 +97,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in microseconds."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Number of events executed so far (for budget checks in tests)."""
@@ -147,7 +150,7 @@ class Simulator:
             raise SimulationError(f"negative delay {delay!r}")
         # Inlined schedule_at: this is the hottest allocation site in
         # saturated cells, one delegation frame matters.
-        time = self._now + delay
+        time = self.now + delay
         prio = priority if type(priority) is int else int(priority)
         seq = self._seq
         self._seq = seq + 1
@@ -166,9 +169,9 @@ class Simulator:
         category: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}, now is {self._now!r}"
+                f"cannot schedule at {time!r}, now is {self.now!r}"
             )
         prio = priority if type(priority) is int else int(priority)
         seq = self._seq
@@ -202,7 +205,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        time = self._now + delay
+        time = self.now + delay
         prio = priority if type(priority) is int else int(priority)
         seq = self._seq
         self._seq = seq + 1
@@ -240,9 +243,9 @@ class Simulator:
         off ``t``.  Same recycling contract as
         :meth:`schedule_transient`.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}, now is {self._now!r}"
+                f"cannot schedule at {time!r}, now is {self.now!r}"
             )
         prio = priority if type(priority) is int else int(priority)
         seq = self._seq
@@ -285,7 +288,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        time = self._now + delay
+        time = self.now + delay
         if event is None or event._in_heap or event._kernel is not self:
             return self.schedule_at(
                 time, callback, *args, priority=priority, category=category
@@ -321,9 +324,9 @@ class Simulator:
             return self.schedule_at(
                 time, callback, *args, priority=priority, category=category
             )
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}, now is {self._now!r}"
+                f"cannot schedule at {time!r}, now is {self.now!r}"
             )
         prio = priority if type(priority) is int else int(priority)
         seq = self._seq
@@ -426,12 +429,12 @@ class Simulator:
                 if time >= horizon and until is not None:
                     # (The second test matters only for events scheduled
                     # at +inf with no horizon: those still execute.)
-                    self._now = until
+                    self.now = until
                     break
                 heappop(heap)
                 self._live -= 1
                 event._in_heap = False
-                self._now = time
+                self.now = time
                 callback, args = event.callback, event.args
                 # Break reference cycles and make double-execution obvious.
                 event.callback = None  # type: ignore[assignment]
@@ -448,12 +451,12 @@ class Simulator:
                 self._events_executed += 1
             else:
                 # Queue drained completely.
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._running = False
             self._horizon = float("inf")
-        return self._now
+        return self.now
 
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""
@@ -530,10 +533,10 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("fast_forward_to() inside run()")
-        delta = target - self._now
+        delta = target - self.now
         if delta < 0:
             raise SimulationError(
-                f"cannot fast-forward to {target!r}, now is {self._now!r}"
+                f"cannot fast-forward to {target!r}, now is {self.now!r}"
             )
         if delta == 0:
             return
@@ -559,8 +562,8 @@ class Simulator:
         heap[:] = rebuilt
         heapify(heap)
         self._stale = 0
-        old_now = self._now
-        self._now = target
+        old_now = self.now
+        self.now = target
         self.fast_forwards += 1
         self.fast_forwarded_us += delta
         for listener in self.ff_listeners:

@@ -104,3 +104,34 @@ def test_tracked_ledger_is_one_schema_and_covers_the_contract():
             for cells in row["workloads"].values())
         for row in rows
     )
+
+
+#: Deterministic per-layer counts of the traced runs (seed 1, the
+#: benchmark's sizes): the same program on the same input, so PR to PR
+#: they move only when a change removes (or adds) simulated work.
+TRACKED_COUNTS = (
+    "sim.events", "sim.timer_events", "mac.events", "phy.events",
+    "transport.events",
+)
+
+
+def test_tracked_counts_never_rise():
+    """Over consecutive row-sets that carry them, the event counts of
+    every workload may only fall and ``share_err`` — the science — may
+    not move at all: a row-set that breaks this needs a CHANGES.md line
+    saying why, and this test edited beside it."""
+    rows = json.loads((ROOT / "BENCH_perf.json").read_text())
+    traced = [
+        row for row in rows
+        if all("sim.events" in cells for cells in row["workloads"].values())
+    ]
+    assert len(traced) >= 2
+    for before, after in zip(traced, traced[1:]):
+        for name, cells in after["workloads"].items():
+            earlier = before["workloads"][name]
+            where = f"{name}: {before['commit']} -> {after['commit']}"
+            for metric in TRACKED_COUNTS:
+                assert (cells[metric]["median"]
+                        <= earlier[metric]["median"]), (where, metric)
+            assert (cells["share_err"]["median"]
+                    == earlier["share_err"]["median"]), where

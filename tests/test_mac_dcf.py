@@ -302,3 +302,88 @@ def test_eifs_after_observing_corrupted_frame():
 def test_mac_config_validation():
     with pytest.raises(ValueError):
         MacConfig(max_attempts=0)
+
+
+# ----------------------------------------------------------------------
+# the response hold (Channel.reserve_response), seen from the MAC
+# ----------------------------------------------------------------------
+def _held_after_first_data_frame(eager=False, seed=3):
+    """Three saturated stations, stopped 5 us after the AP received its
+    first clean data frame: the AP's ACK is pending, the sender waits
+    for it and the other two are mid-backoff, frozen.  ``eager`` makes
+    the channel deliver every edge (the reference the hold must match)."""
+    h = MacHarness(3, seed=seed)
+    if eager:
+        h.channel.reserve_response = lambda at: None
+    for i in range(3):
+        h.saturate(i)
+    while not h.rx_frames:
+        h.sim.run(max_events=1)
+    h.sim.run(until=h.sim.now + 5.0)
+    sender = h.rx_frames[0].src
+    contenders = [mac for mac in h.macs if mac.address != sender]
+    assert h.ap._ack_tx_event is not None
+    assert all(mac._backoff_active for mac in contenders)
+    return h, contenders
+
+
+def test_hold_leaves_contenders_unarmed_across_the_sifs_gap():
+    h, contenders = _held_after_first_data_frame()
+    assert (h.channel.busy, h.channel.carrier_busy) == (False, True)
+    assert all(mac._bo_event is None for mac in contenders)
+    eager, eager_contenders = _held_after_first_data_frame(eager=True)
+    assert not eager.channel.carrier_busy
+    assert all(mac._bo_event is not None for mac in eager_contenders)
+    # What the eager side armed, the ACK freezes with no slot elapsed.
+    for side in (h, eager):
+        side.sim.run(until=side.sim.now + 10.0)
+    assert h.channel.busy and eager.channel.busy
+    assert [mac._bo_slots for mac in contenders] == [
+        mac._bo_slots for mac in eager_contenders
+    ]
+    assert all(mac._bo_event is None for mac in eager_contenders)
+    assert h.sim._seq < eager.sim._seq
+
+
+def test_receiver_shutdown_inside_the_hold_strands_nobody():
+    expiries = []
+    for eager in (False, True):
+        h, contenders = _held_after_first_data_frame(eager=eager)
+        h.ap.shutdown()
+        assert not h.channel.carrier_busy
+        assert all(mac._bo_event is not None for mac in contenders)
+        expiries.append([
+            (mac._bo_event.time, mac._bo_anchor, mac._bo_slots)
+            for mac in contenders
+        ])
+    held, reference = expiries
+    assert held == reference
+
+
+def test_fast_forward_jump_inside_a_hold_resumes_identically():
+    from repro.sim.steady import shift_clocks
+
+    delta = 3_000_000.0
+    traces = []
+    for jump in (0.0, delta):
+        h, contenders = _held_after_first_data_frame()
+        reserved = h.channel._response_at
+        if jump:
+            shift_clocks([h.channel, h.ap] + h.macs, jump)
+            h.sim.fast_forward_to(h.sim.now + jump)
+            assert h.channel._response_at == reserved + jump
+            assert h.channel.carrier_busy  # still holding
+        trace = []
+        h.sim.trace = lambda time, callback, trace=trace, jump=jump: (
+            trace.append((time - jump, callback.__qualname__))
+        )
+        h.sim.run(until=h.sim.now + 50_000.0)
+        traces.append((trace, [
+            (m._bo_slots, m._cw, m.tx_attempts, m.tx_success) for m in h.macs
+        ]))
+    (straight, straight_macs), (jumped, jumped_macs) = traces
+    assert len(straight) > 100 and straight_macs == jumped_macs
+    assert [name for _, name in jumped] == [name for _, name in straight]
+    assert [t for t, _ in jumped] == pytest.approx(
+        [t for t, _ in straight], abs=1e-6
+    )

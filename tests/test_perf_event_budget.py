@@ -200,16 +200,18 @@ CAMPUS_PINNED_BUDGETS = {
 }
 
 
+def campus_spec(n_channels):
+    return build_spec(
+        "campus", seconds=1.2, warmup_s=0.3, n_channels=n_channels
+    )
+
+
 @pytest.mark.parametrize(
     "n_channels", sorted(CAMPUS_PINNED_BUDGETS), ids=lambda n: f"ch{n}"
 )
 def test_campus_event_budget_is_pinned(n_channels):
     fired, roams, total, cats = CAMPUS_PINNED_BUDGETS[n_channels]
-    result = run_spec(
-        build_spec(
-            "campus", seconds=1.2, warmup_s=0.3, n_channels=n_channels
-        )
-    )
+    result = run_spec(campus_spec(n_channels))
     measured = (
         result.timeline_fired,
         result.roams_fired,
@@ -231,3 +233,38 @@ def test_coupling_charges_phy_per_neighbour():
     _, _, _, separate = CAMPUS_PINNED_BUDGETS[3]
     assert coupled["phy"] > coupled["mac"]
     assert separate["phy"] < separate["mac"]
+
+
+# ----------------------------------------------------------------------
+# heap pushes: the work behind the executed events
+# ----------------------------------------------------------------------
+#: label -> (spec, executed events as pinned above, heap pushes).
+#: ``Simulator._seq`` counts every schedule / reschedule, executed or
+#: not; what it has over the executed count is freeze/resume churn —
+#: countdowns armed and cancelled without expiring, ACK timeouts
+#: cancelled by the ACK.  Pushes may only move down; say why.  PR 22's
+#: response hold took the campus rows from 7 499 and 12 860 (one arm
+#: never pushed per contender per exchange, local and foreign); the n64
+#: cell has a single contender, the AP, so nothing is ever frozen there
+#: and it stayed at 794.
+HEADLINE = ("tbr", "multi", 64, 0.5)
+PINNED_PUSHES = {
+    "tbr/multi/n64": (
+        saturated_spec(*HEADLINE), PINNED_BUDGETS[HEADLINE][0], 794,
+    ),
+    "campus/ch1": (campus_spec(1), CAMPUS_PINNED_BUDGETS[1][2], 6116),
+    "campus/ch3": (campus_spec(3), CAMPUS_PINNED_BUDGETS[3][2], 11460),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_PUSHES))
+def test_heap_pushes_are_pinned(label):
+    spec, events, pushes = PINNED_PUSHES[label]
+    runtime = ScenarioRuntime(spec)
+    runtime.run()
+    sim = runtime.campus.sim
+    measured = (sim.events_executed, sim._seq)
+    assert measured == (events, pushes), (
+        f"{label}: (events, pushes) moved to {measured!r} — pushes may "
+        "only fall at unchanged events; say why in the PR description"
+    )
