@@ -9,7 +9,7 @@ with byte-for-byte reproducible runs — the plan is pure data, matched
 by digest prefix and attempt number, with no randomness of its own.
 
 Faults apply **only inside worker processes** (``repro.campaign.pool``
-sets :data:`in_worker` after fork).  The inline backend and the
+sets :data:`in_worker` first thing in each worker).  The inline backend and the
 degraded-to-inline fallback never consult the plan: a ``crash`` fault
 must never take down the supervising process, and "the pool keeps
 dying, inline still completes the campaign" is exactly the degradation
@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 #: Environment hook consulted when ``run_jobs`` is not given a plan.
 FAULTS_ENV = "REPRO_CAMPAIGN_FAULTS"
 
-#: Worker-side flag: ``pool._worker_main`` flips this after fork so
+#: Worker-side flag: ``pool._worker_main`` flips this in the worker so
 #: fault actions can never fire in a supervising (or inline) process.
 in_worker = False
 

@@ -18,7 +18,10 @@ campaign with it.  This pool supervises instead of delegating:
 * repeated worker deaths with no intervening progress trip the
   *degradation* threshold: the pool shuts down and hands the remaining
   items back to the caller for inline in-process execution (the
-  supervisor's own process is never at risk).
+  supervisor's own process is never at risk);
+* a campaign's pool lives for one ``drain``; ``repro serve`` *keeps*
+  one (:meth:`SupervisedPool.start`) and drives it from its request
+  threads, each ``drain`` call leasing the workers it supervises.
 
 The worker-side half — :func:`_execute_one` and its inverse
 :func:`decode_reply` — is also how the inline and spool backends run a
@@ -35,12 +38,14 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import importlib
 import os
 import pickle
 import signal
+import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.campaign import faults as faults_mod
 from repro.campaign.faults import FaultPlan
@@ -153,14 +158,19 @@ def decode_reply(reply: Tuple) -> Tuple:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _worker_main(conn, plan: Optional[FaultPlan]) -> None:
+def _worker_main(conn, preload: Tuple[str, ...] = ()) -> None:
     """Long-lived worker loop: recv item, execute, send reply.
 
     SIGINT is ignored — a ^C on the campaign belongs to the supervisor,
-    which decides whether to drain, kill, or resume.
+    which decides whether to drain, kill, or resume.  ``preload`` names
+    modules to import before the first item, so a kept pool's first job
+    on each worker does not pay for them.  The loop ends on the poison
+    pill or on pipe EOF — the supervisor closed its end, or died.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     faults_mod.in_worker = True
+    for name in preload:
+        importlib.import_module(name)
     while True:
         try:
             item = conn.recv()
@@ -168,7 +178,7 @@ def _worker_main(conn, plan: Optional[FaultPlan]) -> None:
             return
         if item is None:
             return
-        digest, job, attempt = item
+        digest, job, attempt, plan = item
         reply = _execute_one(digest, job, attempt, plan)
         try:
             conn.send(reply)
@@ -184,12 +194,12 @@ class _Worker:
 
     __slots__ = ("wid", "proc", "conn", "item", "deadline")
 
-    def __init__(self, ctx, wid: int, plan: Optional[FaultPlan]) -> None:
+    def __init__(self, ctx, wid: int, preload: Tuple[str, ...]) -> None:
         self.wid = wid
         parent_conn, child_conn = ctx.Pipe()
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, plan),
+            args=(child_conn, preload),
             daemon=True,
             name=f"repro-campaign-worker-{wid}",
         )
@@ -235,22 +245,156 @@ class PoolDegraded(Exception):
     """Internal signal: too many worker deaths, fall back to inline."""
 
 
+class PoolClosed(RuntimeError):
+    """``drain`` on a pool that was closed, or closed under it."""
+
+
 class SupervisedPool:
     """The ``workers > 1`` backend: drives work items through
     supervised worker processes.
 
     ``drain`` follows the contract in :mod:`repro.campaign.executor`;
-    every ``sink`` call happens in the supervising process, in
+    every ``sink`` call happens in the thread that called ``drain``, in
     completion order.  When the pool degrades, the items it hands back
     are deterministically ordered.  ``KeyboardInterrupt`` propagates
     after in-flight replies are drained and workers are killed.
+
+    By default the workers live for one ``drain``: up to ``workers`` are
+    spawned for it and stopped when it returns.  After :meth:`start`
+    the pool *keeps* ``workers`` processes until :meth:`close`, and
+    ``drain`` may be called from several threads at once (``repro
+    serve``'s request threads): each call leases idle workers —
+    blocking until one is free, which is the callers' admission bound —
+    supervises only those, replaces the ones that die under it, and
+    hands them back.
+
+    ``context`` names the :mod:`multiprocessing` start method (``None``:
+    the platform default, ``fork`` on Linux).  A kept pool driven from
+    threads must use ``"spawn"``: a worker that dies is replaced from
+    whichever thread supervised it, and ``fork`` from a multi-threaded
+    process copies every lock another thread holds into the child.
+    ``preload`` is passed to each worker (:func:`_worker_main`), and
+    ``on_assign(digest, pid)`` is told which worker an attempt went to.
     """
 
-    def __init__(self, workers: int) -> None:
+    def __init__(
+        self,
+        workers: int,
+        *,
+        context: Optional[str] = None,
+        preload: Tuple[str, ...] = (),
+        on_assign: Optional[Callable[[str, int], None]] = None,
+    ) -> None:
         if workers < 2:
             raise ValueError("SupervisedPool needs >= 2 workers")
         self.workers_n = workers
+        self.context = context
+        self.preload = tuple(preload)
+        self.on_assign = on_assign
+        #: Guards the worker table and every process start / poll /
+        #: reap: multiprocessing's own child bookkeeping polls *all*
+        #: children on each start, so two threads may not do it at once.
+        self._cond = threading.Condition()
+        self._ctx = None
+        self._wid_seq = 0
+        self._all: List[_Worker] = []  #: every live worker, leased or not
+        self._idle: List[_Worker] = []  #: kept and waiting for a drain
+        self._kept = False
+        self._closed = False
 
+    # ------------------------------------------------------------------
+    # lifetime of a kept pool
+    # ------------------------------------------------------------------
+    def start(self) -> "SupervisedPool":
+        """Spawn all ``workers`` now and keep them between drains."""
+        with self._cond:
+            self._kept = True
+            while len(self._all) < self.workers_n:
+                self._idle.append(self._spawn())
+        return self
+
+    def live_workers(self) -> int:
+        with self._cond:
+            return sum(worker.proc.is_alive() for worker in self._all)
+
+    def close(self) -> None:
+        """Stop every worker; a ``drain`` still running raises
+        :class:`PoolClosed` from its own thread, which reaps the worker
+        it held — so nothing is left to wait for when this returns."""
+        with self._cond:
+            self._closed = True
+            for worker in self._idle:
+                self._reap(worker, polite=True)
+            self._idle.clear()
+            for worker in self._all:  # leased: signal only, owner reaps
+                if worker.proc.is_alive():
+                    worker.proc.kill()
+            self._cond.notify_all()
+            self._cond.wait_for(lambda: not self._all, timeout=_JOIN_S)
+            for worker in list(self._all):
+                self._reap(worker)
+
+    # ------------------------------------------------------------------
+    # the worker table
+    # ------------------------------------------------------------------
+    def _spawn(self) -> _Worker:
+        with self._cond:
+            if self._closed:
+                raise PoolClosed("the worker pool is closed")
+            if self._ctx is None:
+                # Imported here, not at module top: the inline backend
+                # shares this module's _execute_one/decode_reply, and a
+                # process that only ever runs inline (a campaign or a
+                # server with one job slot) should not pay for
+                # multiprocessing.
+                import multiprocessing
+
+                self._ctx = multiprocessing.get_context(self.context)
+            worker = _Worker(self._ctx, self._wid_seq, self.preload)
+            self._wid_seq += 1
+            self._all.append(worker)
+            return worker
+
+    def _reap(self, worker: _Worker, polite: bool = False) -> None:
+        with self._cond:
+            if polite:
+                worker.stop()
+            else:
+                worker.kill()  # a no-op signal for one already dead
+            if worker in self._all:
+                self._all.remove(worker)
+            self._cond.notify_all()
+
+    def _lease(self, wanted: int) -> List[_Worker]:
+        with self._cond:
+            if not self._kept:
+                return [
+                    self._spawn() for _ in range(min(self.workers_n, wanted))
+                ]
+            self._cond.wait_for(lambda: self._idle or self._closed)
+            if self._closed:
+                raise PoolClosed("the worker pool is closed")
+            mine = self._idle[:wanted]
+            del self._idle[:wanted]
+            return mine
+
+    def _release(self, workers: List[_Worker]) -> None:
+        """Back to the idle list if the pool is kept and the worker is
+        known to be between items; anything else is stopped (a worker
+        still holding an item is killed: nobody will read its reply),
+        and a kept pool is topped back up to ``workers``."""
+        with self._cond:
+            keep = self._kept and not self._closed
+            for worker in workers:
+                if keep and worker.item is None and worker.proc.is_alive():
+                    self._idle.append(worker)
+                else:
+                    self._reap(worker, polite=worker.item is None)
+            while keep and len(self._all) < self.workers_n:
+                self._idle.append(self._spawn())
+            self._cond.notify_all()
+
+    # ------------------------------------------------------------------
     def drain(
         self,
         items: List[Tuple[str, Job]],
@@ -260,21 +404,42 @@ class SupervisedPool:
         fault_plan: Optional[FaultPlan],
         sink,
     ) -> Tuple[Optional[str], List[Tuple[str, Job]]]:
-        # Imported here, not at module top: the inline backend shares
-        # this module's _execute_one/decode_reply, and a process that
-        # only ever runs inline (repro serve) should not pay for
-        # multiprocessing.
-        import multiprocessing
+        call = _Supervision(self, items, retry, timeout_s, fault_plan, sink)
+        try:
+            call.workers = self._lease(len(items))
+            call.supervise()
+        except PoolDegraded as degraded:
+            return str(degraded), call.reclaim_remaining()
+        except KeyboardInterrupt:
+            call.drain_ready()
+            raise
+        finally:
+            self._release(call.workers)
+        return None, []
+
+
+class _Supervision:
+    """One ``drain`` call: its ready queue, its attempt records and the
+    workers it holds while it runs."""
+
+    def __init__(
+        self,
+        pool: SupervisedPool,
+        items: List[Tuple[str, Job]],
+        retry: RetryPolicy,
+        timeout_s: Optional[float],
+        plan: Optional[FaultPlan],
+        sink,
+    ) -> None:
         from multiprocessing import connection
 
+        self.pool = pool
         self.retry = retry
         self.timeout_s = timeout_s
-        self.plan = fault_plan
+        self.plan = plan
         self.sink = sink
-        self._ctx = multiprocessing.get_context()
+        self.workers: List[_Worker] = []
         self._wait = connection.wait
-        self._workers: List[_Worker] = []
-        self._wid_seq = 0
         self._seq = 0
         #: (ready_at, seq, digest, job, attempt)
         self._heap: List[Tuple[float, int, str, Job, int]] = []
@@ -283,36 +448,21 @@ class SupervisedPool:
         self._consecutive_deaths = 0
         for digest, job in items:
             self._push(digest, job, 1, 0.0)
-        for _ in range(min(self.workers_n, len(items))):
-            self._spawn()
-        try:
-            self._supervise()
-        except PoolDegraded as degraded:
-            return str(degraded), self._reclaim_remaining()
-        except KeyboardInterrupt:
-            self._drain_ready()
-            raise
-        finally:
-            self._shutdown()
-        return None, []
 
     # ------------------------------------------------------------------
-    def _spawn(self) -> _Worker:
-        worker = _Worker(self._ctx, self._wid_seq, self.plan)
-        self._wid_seq += 1
-        self._workers.append(worker)
-        return worker
+    def _spawn(self) -> None:
+        self.workers.append(self.pool._spawn())
 
     def _push(self, digest: str, job: Job, attempt: int, ready_at: float) -> None:
         heapq.heappush(self._heap, (ready_at, self._seq, digest, job, attempt))
         self._seq += 1
 
     # ------------------------------------------------------------------
-    def _supervise(self) -> None:
-        while self._heap or any(w.item is not None for w in self._workers):
+    def supervise(self) -> None:
+        while self._heap or any(w.item is not None for w in self.workers):
             now = time.monotonic()
             self._assign(now)
-            busy = [w for w in self._workers if w.item is not None]
+            busy = [w for w in self.workers if w.item is not None]
             if not busy:
                 if self._heap:
                     time.sleep(max(0.0, self._heap[0][0] - now))
@@ -322,13 +472,13 @@ class SupervisedPool:
             self._expire_deadlines()
 
     def _assign(self, now: float) -> None:
-        idle = [w for w in self._workers if w.item is None]
+        idle = [w for w in self.workers if w.item is None]
         idle.sort(key=lambda w: w.wid)
         while idle and self._heap and self._heap[0][0] <= now:
             ready_at, seq, digest, job, attempt = heapq.heappop(self._heap)
             worker = idle.pop(0)
             try:
-                worker.conn.send((digest, job, attempt))
+                worker.conn.send((digest, job, attempt, self.plan))
             except (BrokenPipeError, OSError):
                 # Died while idle: no attempt consumed — requeue the
                 # item and replace the worker.
@@ -339,12 +489,14 @@ class SupervisedPool:
             worker.deadline = (
                 now + self.timeout_s if self.timeout_s is not None else None
             )
+            if self.pool.on_assign is not None:
+                self.pool.on_assign(digest, worker.pid)
 
     def _wait_timeout(self, busy: List[_Worker], now: float) -> Optional[float]:
         candidates = [
             w.deadline - now for w in busy if w.deadline is not None
         ]
-        if self._heap and any(w.item is None for w in self._workers):
+        if self._heap and any(w.item is None for w in self.workers):
             candidates.append(self._heap[0][0] - now)
         if not candidates:
             return None
@@ -359,7 +511,7 @@ class SupervisedPool:
             if worker.conn in ready_set:
                 self._collect_reply(worker)
         for worker in busy:
-            if worker.item is None or worker not in self._workers:
+            if worker.item is None or worker not in self.workers:
                 continue
             if worker.proc.sentinel in ready_set:
                 self._worker_died(worker)
@@ -390,8 +542,9 @@ class SupervisedPool:
         """Reap and replace a dead worker; the item it held, if any,
         costs a ``crash`` attempt (dying idle consumes none)."""
         item, pid = worker.item, worker.pid
-        detail = f"worker pid {pid} {worker.death_detail()}"
-        self._remove_worker(worker)
+        with self.pool._cond:  # the exit code is a poll, like the reap
+            detail = f"worker pid {pid} {worker.death_detail()}"
+            self._remove_worker(worker)
         if item is not None:
             self._attempt_failed(*item, "crash", detail, pid)
         self._note_death()
@@ -399,7 +552,7 @@ class SupervisedPool:
 
     def _note_death(self) -> None:
         self._consecutive_deaths += 1
-        if self._consecutive_deaths >= degrade_after(self.workers_n):
+        if self._consecutive_deaths >= degrade_after(self.pool.workers_n):
             raise PoolDegraded(
                 f"pool degraded to serial after {self._consecutive_deaths} "
                 "consecutive worker deaths without progress"
@@ -407,7 +560,7 @@ class SupervisedPool:
 
     def _expire_deadlines(self) -> None:
         now = time.monotonic()
-        for worker in list(self._workers):
+        for worker in list(self.workers):
             if worker.item is None or worker.deadline is None:
                 continue
             if now < worker.deadline:
@@ -424,9 +577,9 @@ class SupervisedPool:
             self._spawn()
 
     def _remove_worker(self, worker: _Worker) -> None:
-        worker.kill()  # a no-op signal for one already dead; reaps it
-        if worker in self._workers:
-            self._workers.remove(worker)
+        self.pool._reap(worker)
+        if worker in self.workers:
+            self.workers.remove(worker)
 
     # ------------------------------------------------------------------
     def _attempt_failed(
@@ -459,23 +612,24 @@ class SupervisedPool:
         )
 
     # ------------------------------------------------------------------
-    def _reclaim_remaining(self) -> List[Tuple[str, Job]]:
+    def reclaim_remaining(self) -> List[Tuple[str, Job]]:
         """Queued items in submission-sequence order, then in-flight
-        ones (a digest is only ever one or the other)."""
+        ones (a digest is only ever one or the other).  A worker keeps
+        the item it holds, so that the release kills it."""
         queued = sorted(
             (seq, digest, job) for (_, seq, digest, job, _) in self._heap
         )
         remaining = [(digest, job) for _, digest, job in queued]
-        for worker in self._workers:
-            if worker.item is not None:
-                remaining.append(worker.item[:2])
-                worker.item = None
+        remaining.extend(
+            worker.item[:2] for worker in self.workers
+            if worker.item is not None
+        )
         self._heap.clear()
         return remaining
 
-    def _drain_ready(self) -> None:
+    def drain_ready(self) -> None:
         """Collect replies already in the pipes (interrupt path)."""
-        busy = [w for w in self._workers if w.item is not None]
+        busy = [w for w in self.workers if w.item is not None]
         if not busy:
             return
         try:
@@ -488,11 +642,3 @@ class SupervisedPool:
                     self._collect_reply(worker)
                 except Exception:
                     pass
-
-    def _shutdown(self) -> None:
-        for worker in list(self._workers):
-            if worker.item is None:
-                worker.stop()
-            else:
-                worker.kill()
-        self._workers.clear()

@@ -55,6 +55,7 @@ import hashlib
 import json
 import os
 import pickle
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,10 +118,15 @@ def _decode(blob: bytes) -> Any:
 
 def atomic_write(path: Path, data: bytes) -> None:
     """Write-then-rename, so readers see the old file or the new one,
-    never a torn one.  The temp name embeds the writer's pid, which is
-    what lets a store sweep the orphans of dead writers on open."""
+    never a torn one.  The temp name ends in the writer's pid, which is
+    what lets a store sweep the orphans of dead writers on open, and
+    carries its thread too: two request threads of one server putting
+    the same digest must not share a temp file (the second rename would
+    find it gone)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(
+        f".{path.name}.{threading.get_ident():x}.{os.getpid()}.tmp"
+    )
     tmp.write_bytes(data)
     os.replace(tmp, path)
 
@@ -240,10 +246,17 @@ class StoreIndex:
     to parse (the torn tail of a killed append, or plain corruption),
     counting them in :attr:`corrupt_lines`; :meth:`rewrite` compacts
     the log atomically from the in-memory state.
+
+    :meth:`add` and :meth:`remove` are safe to call from several
+    threads of one process (``repro serve`` puts from every request
+    thread): one lock covers the log append *and* the dict update, so
+    the in-memory state is always a replay of the log in the order its
+    lines were written.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
+        self._lock = threading.Lock()
         self.load()
 
     def load(self) -> None:
@@ -272,16 +285,20 @@ class StoreIndex:
 
     def add(self, digest: str, meta: Optional[Dict[str, Any]] = None) -> None:
         meta = dict(meta or {})
-        if self.entries.get(digest) == meta:
-            return  # idempotent re-put: don't grow the log
-        append_json_line(self.path, {"op": "add", "digest": digest, **meta})
-        self.entries[digest] = meta
+        with self._lock:
+            if self.entries.get(digest) == meta:
+                return  # idempotent re-put: don't grow the log
+            append_json_line(
+                self.path, {"op": "add", "digest": digest, **meta}
+            )
+            self.entries[digest] = meta
 
     def remove(self, digest: str) -> None:
-        if digest not in self.entries:
-            return
-        append_json_line(self.path, {"op": "remove", "digest": digest})
-        self.entries.pop(digest, None)
+        with self._lock:
+            if digest not in self.entries:
+                return
+            append_json_line(self.path, {"op": "remove", "digest": digest})
+            self.entries.pop(digest, None)
 
     def rewrite(self) -> None:
         """Atomic compaction: one ``add`` line per live entry."""
@@ -340,7 +357,8 @@ class ResultStore:
     def _sweep_stale_tmp(self) -> int:
         """Remove temp files whose writer died mid-``put``.
 
-        Temp names embed the writer's pid (``.<name>.<pid>.tmp``); a
+        Temp names end in the writer's pid
+        (``.<name>.<thread>.<pid>.tmp``); a
         temp whose pid is no longer alive is an orphan from a crashed
         process and can never be renamed into place.  Unparsable temps
         are only removed once they are clearly ancient, so a concurrent

@@ -12,7 +12,12 @@ API::
     GET  /healthz            -> "ok"
     GET  /stats              -> JSON serve/store counters
                                 (``store_entries`` counts the entry
-                                files on disk: O(entries), unsorted)
+                                files on disk: O(entries), unsorted;
+                                ``workers`` live job slots, ``in_flight``
+                                leaders in the drain now, waiting for a
+                                slot or running, ``in_flight_peak`` its
+                                maximum, ``followers`` requests answered
+                                from another request's run)
     GET  /query?family=...&experiment=...&seed=...&digest=...
                              -> JSON rows from the store index
     POST /run                -> rendered scenario (text/plain)
@@ -29,11 +34,42 @@ store address), ``X-Repro-Cache`` (``hit``/``miss``) and
 render (the render itself stays byte-identical; strip lines starting
 with ``#`` and the payload matches the CLI).
 
-Misses execute through :func:`repro.campaign.executor.run_jobs` under a
-server-wide lock — one simulation at a time, every policy (retry,
-quarantine, fault plans via ``REPRO_CAMPAIGN_FAULTS``) identical to the
-CLI path — and land in the shared store, where ``repro campaign
-query``/``verify-cache`` and warm CLI sweeps see them immediately.
+Misses execute through :func:`repro.campaign.executor.run_jobs` — every
+policy (retry, quarantine, fault plans via ``REPRO_CAMPAIGN_FAULTS``)
+identical to the CLI path — in three stages, and land in the shared
+store, where ``repro campaign query``/``verify-cache`` and warm CLI
+sweeps see them immediately:
+
+1. **Admission**: parse, validate, digest; a store hit answers here.
+2. **Single-flight per digest**: the first request for a digest not in
+   the store *leads* and runs it; requests for the same digest that
+   arrive while it runs *follow* — they wait for the leader's outcome
+   and answer the same bytes with ``X-Repro-Cache: miss`` and
+   ``X-Repro-Executed: 0``, or the same 500 if it failed.  The table
+   entry goes when the leader finishes: the store stays authoritative.
+3. **The drain** (``--jobs N``, default one per CPU): a leader blocks
+   until one of ``N`` slots is free — that wait is the only admission
+   queue — and ``run_jobs([job], queue=<the drain>)`` executes on it.
+   With ``N > 1`` a slot is a kept, supervised worker process
+   (:class:`~repro.campaign.pool.SupervisedPool` after ``start()``:
+   one item at a time over a pipe, checksum-verified reply, a crash
+   costs that attempt and the worker is replaced); with ``N == 1`` it
+   is :class:`~repro.campaign.executor.Inline` on the request thread.
+   Store writes happen in this process, behind the store's own lock.
+
+Processes and threads.  The server runs a thread per connection, so it
+never ``fork()``s without ``exec``: a forked child would inherit the
+counter, memo or import lock some request thread held at that instant,
+locked for ever.  The workers are *spawned* (``fork`` + ``exec`` of a
+fresh interpreter, which runs no Python in between): all ``N`` before
+the banner line, from the thread that builds the server, and each
+replacement for a dead one from the request thread that was
+supervising it — the same call, safe from any thread.  A spawned
+worker inherits no descriptor but its own pipe end, so when the server
+goes — however it goes — every worker reads EOF and returns; the
+orderly path does not wait for that: ``SIGTERM`` and ``^C`` both reach
+``server_close()``, which stops the drain (idle workers get the poison
+pill, busy ones ``SIGKILL``) before the process exits.
 
 Wire rules.  Every non-streamed response leaves as ONE write of
 headers + body, and accepted connections run with ``TCP_NODELAY``: a
@@ -60,8 +96,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 import threading
+import time
 from hashlib import sha256
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from io import BytesIO
@@ -74,6 +113,11 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: Admission memo size.  An entry is a 32-byte key and a 64-char digest
 #: (~250 B with the dict slot), so a full memo stays under 1 MB.
 MEMO_CAP = 4096
+
+#: What a worker process imports before its first item: the module a
+#: scenario job's executor lives in — what the inline path imports on
+#: its first miss, and nothing else.
+WORKER_PRELOAD = ("repro.scenario.runner",)
 
 
 class ServeError(Exception):
@@ -99,19 +143,79 @@ def _rendered(result) -> bytes:
     return (render_result(result) + "\n").encode("utf-8")
 
 
+class _OneAtATime:
+    """The ``jobs == 1`` drain: :class:`~repro.campaign.executor.Inline`
+    on the request thread, one request at a time — the bound a pool's
+    wait for a free worker gives, without a process."""
+
+    def __init__(self) -> None:
+        self._slot = threading.Semaphore(1)
+
+    def drain(self, items, **how):
+        from repro.campaign.executor import Inline
+
+        with self._slot:
+            return Inline().drain(items, **how)
+
+    def live_workers(self) -> int:
+        return 1
+
+    def close(self) -> None:
+        pass
+
+
+class _Flight:
+    """One digest being executed: what its leader leaves for the
+    requests that follow it."""
+
+    __slots__ = ("done", "rendered", "error", "pid")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.rendered: Optional[bytes] = None
+        self.error: Optional[ServeError] = None
+        self.pid = os.getpid()  # where the last attempt ran
+
+
 class ServeState:
     """Shared server state: the store, counters, the admission memo,
-    and the run lock."""
+    the single-flight table and the drain."""
 
-    def __init__(self, store) -> None:
+    def __init__(self, store, jobs: int = 1, verbose: bool = False) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.store = store
-        self.lock = threading.Lock()  # one simulation at a time
+        self.verbose = verbose  #: one stderr line per miss
         self.counters = {"requests": 0, "hits": 0, "misses": 0,
                          "executed": 0, "errors": 0}
+        #: The drain's side of ``/stats``, under the same lock.
+        self.flight_counters = {"followers": 0, "in_flight": 0,
+                                "in_flight_peak": 0}
         self.counters_lock = threading.Lock()
         #: sha256(raw body) -> job digest, oldest first, <= MEMO_CAP.
         self.memo: Dict[bytes, str] = {}
         self.memo_lock = threading.Lock()
+        #: job digest -> the run in progress for it.
+        self.flights: Dict[str, _Flight] = {}
+        self.flights_lock = threading.Lock()
+        if jobs > 1:
+            from repro.campaign.pool import SupervisedPool
+
+            self.drain = SupervisedPool(
+                jobs, context="spawn", preload=WORKER_PRELOAD,
+                on_assign=self._assigned,
+            ).start()
+        else:
+            self.drain = _OneAtATime()
+
+    def close(self) -> None:
+        """Stop the drain's workers; the state serves no miss after."""
+        self.drain.close()
+
+    def _assigned(self, digest: str, pid: int) -> None:
+        flight = self.flights.get(digest)
+        if flight is not None:
+            flight.pid = pid
 
     def bump(self, **deltas: int) -> None:
         with self.counters_lock:
@@ -182,7 +286,6 @@ class ServeState:
 
         Returns ``(rendered_bytes, digest, hit, executed)``.
         """
-        from repro.campaign.executor import run_jobs
         from repro.scenario.runner import scenario_job
 
         job = scenario_job(spec, key=spec.name)
@@ -192,23 +295,75 @@ class ServeState:
             self.bump(hits=1)
             return _rendered(result), digest, True, 0
         self.bump(misses=1)
-        with self.lock:
+        t0 = time.perf_counter()
+        with self.flights_lock:
+            flight = self.flights.get(digest)
+            leads = flight is None
+            if leads:
+                flight = self.flights[digest] = _Flight()
+        if leads:
+            executed = self._lead(job, flight, progress)
+        else:
+            with self.counters_lock:
+                self.flight_counters["followers"] += 1
+            flight.done.wait()
+            executed = 0
+        if self.verbose:
+            sys.stderr.write(
+                f"serve: miss {digest[:12]} "
+                f"{'leader' if leads else 'follower'} worker={flight.pid} "
+                f"{1e3 * (time.perf_counter() - t0):.1f} ms"
+                + (f" failed: {flight.error}" if flight.error else "")
+                + "\n"
+            )
+        if flight.error is not None:
+            raise flight.error
+        return flight.rendered, digest, False, executed
+
+    def _lead(self, job, flight: _Flight, progress) -> int:
+        """Run ``job`` on the drain for its flight; returns how many
+        simulations that took.  Always lands the flight — a result or
+        an error — and always retires it from the table."""
+        from repro.campaign.executor import run_jobs
+
+        with self.counters_lock:
+            gauges = self.flight_counters
+            gauges["in_flight"] += 1
+            gauges["in_flight_peak"] = max(
+                gauges["in_flight_peak"], gauges["in_flight"]
+            )
+        executed = 0
+        try:
             outcome = run_jobs(
-                [job], workers=1, cache=self.store, progress=progress
+                [job], queue=self.drain, cache=self.store, progress=progress
             )
-        executed = outcome.stats.executed
-        self.bump(executed=executed)
-        if job not in outcome.results:
-            failure = next(
-                (f for f in outcome.failures if f.digest == digest), None
-            )
-            detail = (
-                f"{failure.attempts[-1].kind}: {failure.attempts[-1].detail}"
-                if failure and failure.attempts
-                else "job quarantined"
-            )
-            raise ServeError(500, f"scenario failed to execute ({detail})")
-        return _rendered(outcome.results[job]), digest, False, executed
+            executed = outcome.stats.executed
+            if job in outcome.results:
+                flight.rendered = _rendered(outcome.results[job])
+            else:
+                failure = next(
+                    (f for f in outcome.failures if f.digest == job.digest),
+                    None,
+                )
+                detail = (
+                    f"{failure.attempts[-1].kind}: "
+                    f"{failure.attempts[-1].detail}"
+                    if failure and failure.attempts
+                    else "job quarantined"
+                )
+                flight.error = ServeError(
+                    500, f"scenario failed to execute ({detail})"
+                )
+        except Exception as exc:  # noqa: BLE001 — followers must wake
+            flight.error = ServeError(500, f"{type(exc).__name__}: {exc}")
+        finally:
+            with self.counters_lock:
+                self.counters["executed"] += executed
+                self.flight_counters["in_flight"] -= 1
+            with self.flights_lock:
+                del self.flights[job.digest]
+            flight.done.set()
+        return executed
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -276,7 +431,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if url.path == "/stats":
             with self.state.counters_lock:
-                counters = dict(self.state.counters)
+                counters = {
+                    **self.state.counters, **self.state.flight_counters
+                }
+            counters["workers"] = self.state.drain.live_workers()
             counters["store_entries"] = len(self.state.store)
             counters["store_root"] = str(self.state.store.root)
             self._send_json(200, counters)
@@ -396,22 +554,46 @@ class _Handler(BaseHTTPRequestHandler):
             pass  # client hung up mid-stream
 
 
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+    repro_state: ServeState  # for tests and introspection
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.repro_state.close()
+
+
 def make_server(
-    store, host: str = "127.0.0.1", port: int = 0, quiet: bool = True
+    store,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    quiet: bool = True,
+    jobs: int = 1,
 ) -> ThreadingHTTPServer:
     """Build (but do not start) the serve front-end.
 
     Binds immediately — read ``server.server_address`` for the resolved
-    port when asking for port 0 — and runs via ``serve_forever()``.
+    port when asking for port 0 — and runs via ``serve_forever()``;
+    ``server_close()`` also stops the drain.  ``jobs > 1`` starts that
+    many worker processes here, on the calling thread; the default runs
+    misses inline and never starts one.
     """
-    state = ServeState(store)
+    state = ServeState(store, jobs=jobs, verbose=not quiet)
     handler = type(
         "_BoundHandler", (_Handler,), {"state": state, "quiet": quiet}
     )
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    server.repro_state = state  # for tests and introspection
+    try:
+        server = _Server((host, port), handler)
+    except BaseException:
+        state.close()
+        raise
+    server.repro_state = state
     return server
+
+
+def _terminate(signum, frame) -> None:
+    """``SIGTERM`` ends ``serve_forever()`` the way ``^C`` does."""
+    raise KeyboardInterrupt
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -433,25 +615,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         "<repo root>/.repro-cache/campaign)",
     )
     parser.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="misses simulated at once: N worker processes, or inline "
+        "on the request thread for 1 (default: one per CPU)",
+    )
+    parser.add_argument(
         "--verbose", action="store_true",
-        help="log one line per request to stderr",
+        help="log one line per request, and one per miss (digest, "
+        "leader/follower, worker pid, wall ms), to stderr",
     )
     args = parser.parse_args(argv)
+    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
+    if jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {jobs}")
 
     from repro.campaign.store import ResultStore, default_store_root
 
     store = ResultStore(
         default_store_root() if args.cache_dir is None else args.cache_dir
     )
+    signal.signal(signal.SIGTERM, _terminate)
     server = make_server(
-        store, host=args.host, port=args.port, quiet=not args.verbose
+        store, host=args.host, port=args.port, quiet=not args.verbose,
+        jobs=jobs,
     )
-    host, port = server.server_address[:2]
-    print(f"serving on http://{host}:{port} (store: {store.root})")
-    print('try: curl -s -X POST -d \'{"family": "churn", "overrides": '
-          f'{{"seconds": 1.0}}}}\' http://{host}:{port}/run')
-    sys.stdout.flush()
     try:
+        host, port = server.server_address[:2]
+        print(f"serving on http://{host}:{port} (store: {store.root})")
+        print('try: curl -s -X POST -d \'{"family": "churn", "overrides": '
+              f'{{"seconds": 1.0}}}}\' http://{host}:{port}/run')
+        sys.stdout.flush()
         server.serve_forever()
     except KeyboardInterrupt:
         pass

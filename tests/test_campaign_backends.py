@@ -1,7 +1,8 @@
 """One way to execute a job: the backends are interchangeable.
 
-Inline, the supervised pool and the spool differ in *where* an attempt
-runs and in nothing else — the attempt, the reply check and the
+Inline, the supervised pool, the spool and ``repro serve``'s drain (the
+same pool kept alive between calls) differ in *where* an attempt runs
+and in nothing else — the attempt, the reply check and the
 retry-or-quarantine decision are shared code.  The matrix below runs one
 job set covering every outcome through each backend and holds it to the
 same results, the same attempt records (the seeded backoff schedule, not
@@ -24,6 +25,7 @@ from repro.campaign.policy import (
 from repro.campaign.pool import SupervisedPool
 from repro.campaign.queue import SpoolQueue
 from repro.campaign.store import ResultStore
+from repro.serve import ServeState
 
 FAULTS = "repro.campaign.faults"
 RETRY = RetryPolicy(max_attempts=2, backoff_base_s=0.01)
@@ -34,6 +36,7 @@ BACKENDS = {
     "spool": lambda root, store: dict(
         queue=SpoolQueue(root / "spool", store, workers=2)
     ),
+    "serve": lambda root, store: dict(queue=ServeState(store, jobs=2).drain),
 }
 
 
@@ -64,13 +67,18 @@ def run_matrix(root, backend):
     Path("flaky.marker").unlink(missing_ok=True)  # every run starts flaky
     store = ResultStore(root / "store")
     manifest = RunManifest(root / "manifest.json", "matrix")
-    outcome = run_jobs(
-        matrix_jobs(),
-        cache=store,
-        retry=RETRY,
-        manifest=manifest,
-        **BACKENDS[backend](root, store),
-    )
+    how = BACKENDS[backend](root, store)
+    try:
+        outcome = run_jobs(
+            matrix_jobs(),
+            cache=store,
+            retry=RETRY,
+            manifest=manifest,
+            **how,
+        )
+    finally:
+        if backend == "serve":
+            how["queue"].close()  # its workers outlive a drain
     return outcome, store, manifest
 
 

@@ -18,6 +18,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -33,10 +34,11 @@ FAMILY = "churn"
 OVERRIDES = {"seconds": 0.5, "seed": 3}
 
 
-@pytest.fixture()
-def server(tmp_path):
+@contextlib.contextmanager
+def serving(tmp_path, **how):
+    """``make_server(store, **how)`` on a thread: server, base URL, store."""
     store = ResultStore(tmp_path / "store")
-    srv = make_server(store)
+    srv = make_server(store, **how)
     thread = threading.Thread(
         target=srv.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
     )
@@ -47,6 +49,12 @@ def server(tmp_path):
     finally:
         srv.shutdown()
         srv.server_close()
+
+
+@pytest.fixture()
+def server(tmp_path):
+    with serving(tmp_path) as served:
+        yield served
 
 
 def post(base, payload, path="/run"):
@@ -588,3 +596,196 @@ def test_rendering_a_result_does_not_import_the_experiments():
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+# ----------------------------------------------------------------------
+# the concurrency contract: single-flight per digest, a drain of workers
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def pooled(tmp_path):
+    """A ``jobs=2`` server: its two worker processes are started here,
+    before any client thread exists, and must be gone after close."""
+    import multiprocessing
+
+    with serving(tmp_path, jobs=2) as (srv, base, _):
+        yield srv.repro_state, base
+    assert multiprocessing.active_children() == []
+
+
+def post_all(base, payloads, path="/run"):
+    """POST every payload at once, a thread each; ``(status, headers,
+    body)`` per payload, in payload order."""
+    replies = [None] * len(payloads)
+    barrier = threading.Barrier(len(payloads))
+
+    def client(k):
+        barrier.wait(timeout=30)
+        try:
+            response = post(base, payloads[k], path=path)
+        except urllib.error.HTTPError as err:
+            response = err
+        replies[k] = (response.status, response.headers, response.read())
+
+    threads = [
+        threading.Thread(target=client, args=(k,))
+        for k in range(len(payloads))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    return replies
+
+
+def fault_plan(*faults):
+    """``REPRO_CAMPAIGN_FAULTS`` for ``(attempt, action)`` pairs that
+    match every digest."""
+    return json.dumps([
+        {"digest_prefix": "", "attempt": attempt, "action": action}
+        for attempt, action in faults
+    ])
+
+
+def test_distinct_cold_specs_run_side_by_side(pooled):
+    state, base = pooled
+    specs = [dict(OVERRIDES, seconds=2.0, seed=seed) for seed in (1, 2, 3, 4)]
+    replies = post_all(
+        base, [{"family": FAMILY, "overrides": spec} for spec in specs]
+    )
+    for spec, (status, headers, body) in zip(specs, replies):
+        assert status == 200
+        assert headers["X-Repro-Cache"] == "miss"
+        assert headers["X-Repro-Executed"] == "1"
+        assert body == cli_render(FAMILY, spec)
+    stats = json.loads(get(base, "/stats").read())
+    assert stats["executed"] == 4 and stats["followers"] == 0
+    assert stats["in_flight_peak"] >= 2 and stats["in_flight"] == 0
+    assert stats["workers"] == 2
+
+
+def test_identical_cold_specs_execute_once(pooled):
+    state, base = pooled
+    spec = dict(OVERRIDES, seconds=12.0)  # long enough for all to arrive
+    replies = post_all(base, [{"family": FAMILY, "overrides": spec}] * 4)
+    assert [status for status, _, _ in replies] == [200] * 4
+    assert {headers["X-Repro-Cache"] for _, headers, _ in replies} == {"miss"}
+    assert sorted(
+        headers["X-Repro-Executed"] for _, headers, _ in replies
+    ) == ["0", "0", "0", "1"]
+    assert {body for _, _, body in replies} == {cli_render(FAMILY, spec)}
+    assert state.counters["executed"] == 1
+    assert state.counters["misses"] == 4
+    assert state.flight_counters["followers"] == 3
+    assert state.flights == {}  # the store is the only memory of it
+
+
+def test_killed_worker_costs_an_attempt_not_the_request(pooled, monkeypatch):
+    state, base = pooled
+    before = {worker.pid for worker in state.drain._all}
+    monkeypatch.setenv("REPRO_CAMPAIGN_FAULTS", fault_plan((1, "kill")))
+    payload = {"family": FAMILY, "overrides": OVERRIDES}
+    response = post(base, payload)
+    assert response.headers["X-Repro-Executed"] == "1"
+    assert response.read() == cli_render(FAMILY, OVERRIDES)
+    # The dead worker was replaced from the request thread that was
+    # supervising it, and the server keeps serving on the new one.
+    after = {worker.pid for worker in state.drain._all}
+    assert len(after) == 2 and len(after - before) == 1
+    assert json.loads(get(base, "/stats").read())["workers"] == 2
+    monkeypatch.delenv("REPRO_CAMPAIGN_FAULTS")
+    other = dict(OVERRIDES, seed=4)
+    replies = post_all(
+        base, [{"family": FAMILY, "overrides": other}, payload]
+    )
+    assert [status for status, _, _ in replies] == [200, 200]
+    assert replies[0][2] == cli_render(FAMILY, other)
+    assert replies[1][1]["X-Repro-Cache"] == "hit"
+
+
+def test_failed_leader_fails_its_followers_the_same_way(pooled, monkeypatch):
+    state, base = pooled
+    # Two crashes keep the leader busy while the followers arrive; the
+    # third attempt fails for good.
+    monkeypatch.setenv(
+        "REPRO_CAMPAIGN_FAULTS",
+        fault_plan((1, "kill"), (2, "kill"), (0, "fail")),
+    )
+    payload = {"family": FAMILY, "overrides": OVERRIDES}
+    replies = post_all(base, [payload] * 4)
+    assert [status for status, _, _ in replies] == [500] * 4
+    texts = {body.decode() for _, _, body in replies}
+    assert len(texts) == 1
+    assert "scenario failed to execute (exception: ValueError: " in texts.pop()
+    assert state.flight_counters["followers"] == 3
+    assert state.counters["executed"] == 0 and state.counters["errors"] == 4
+    assert state.memo == {} and state.flights == {}
+    assert len(state.store) == 0
+    # Nothing remembers the failure: the same body now runs and answers.
+    monkeypatch.delenv("REPRO_CAMPAIGN_FAULTS")
+    response = post(base, payload)
+    assert response.headers["X-Repro-Executed"] == "1"
+    assert response.read() == cli_render(FAMILY, OVERRIDES)
+    assert state.drain.live_workers() == 2
+
+
+def test_progress_streams_from_a_worker_too(pooled):
+    _, base = pooled
+    streamed = post(
+        base, {"family": FAMILY, "overrides": OVERRIDES},
+        path="/run?progress=1",
+    ).read()
+    lines = streamed.splitlines(keepends=True)
+    marks = [line for line in lines if line.startswith(b"#")]
+    assert marks[0].startswith(b"# [1/1] ") and b"(executed)" in marks[0]
+    assert b"cache=miss executed=1" in marks[-1]
+    payload = b"".join(line for line in lines if not line.startswith(b"#"))
+    assert payload == cli_render(FAMILY, OVERRIDES)
+
+
+# ----------------------------------------------------------------------
+# orderly shutdown
+# ----------------------------------------------------------------------
+def live_processes():
+    """``{pid: parent pid}`` of every process that is not a zombie."""
+    found = {}
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue  # gone between the glob and the read
+        if fields[0] != "Z":
+            found[int(stat.parent.name)] = int(fields[1])
+    return found
+
+
+def test_sigterm_leaves_no_worker_behind(tmp_path):
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--jobs",
+         "2", "--cache-dir", str(tmp_path / "store")],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        banner = server.stdout.readline()
+        base = banner.split()[2]
+        assert base.startswith("http://127.0.0.1:"), banner
+        response = post(base, {"family": FAMILY, "overrides": OVERRIDES})
+        assert response.headers["X-Repro-Executed"] == "1"
+        family = [
+            pid for pid, parent in live_processes().items()
+            if parent == server.pid
+        ]
+        assert len(family) >= 2  # the two workers (and their tracker)
+        server.terminate()
+        deadline = time.monotonic() + 2.0
+        assert server.wait(timeout=10) == 0
+        while left := set(family) & set(live_processes()):
+            assert time.monotonic() < deadline, left
+            time.sleep(0.02)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()

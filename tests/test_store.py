@@ -296,3 +296,49 @@ def test_index_ops_are_idempotent(tmp_path):
     assert index.path.stat().st_size == size
     index.remove("b" * 64)  # removing the absent is silent
     assert index.path.stat().st_size == size
+
+
+def test_concurrent_puts_keep_memory_log_and_disk_in_step(tmp_path):
+    """``repro serve`` puts from every request thread: 8 writers, 200
+    entries, 8 of them fought over by all — no put may fail, and what
+    the store remembers must be what its log replays to."""
+    import sys
+    import threading
+
+    store = ResultStore(tmp_path / "store")
+    own = [[echo_job(100 * k + i) for i in range(24)] for k in range(8)]
+    shared = [echo_job(9000 + i) for i in range(8)]
+    failures = []
+
+    def writer(k):
+        try:
+            for i, job in enumerate(own[k]):
+                store.put_for_job(job, {"echo": job.key})
+                hot = shared[i % len(shared)]
+                store.put(
+                    hot.digest, {"echo": hot.key},
+                    meta={**job_meta(hot), "writer": k, "round": i},
+                )
+        except Exception as exc:  # noqa: BLE001 — reported below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert len(store) == 200
+    assert store.verify_index() == ([], [])
+    assert not list(store.root.glob("*/.*.tmp"))
+    reopened = ResultStore(store.root)
+    assert reopened.index.corrupt_lines == 0
+    assert reopened.index.entries == store.index.entries
+    for job in shared:
+        assert store.get(job.digest) == (True, {"echo": job.key})
