@@ -9,7 +9,7 @@ Usage::
     python -m repro campaign --resume [--timeout 600] [--retries 3]
     python -m repro campaign verify-cache [--purge]
     python -m repro scenario run churn [--set period_s=1.0]
-    python -m repro serve [--port 8037] [--cache-dir DIR]
+    python -m repro serve [--port 8037] [--cache-dir DIR] [--jobs N]
 
 Each experiment prints its paper-vs-measured rendering.  ``campaign``
 runs any mix of experiments across *supervised* worker processes —
