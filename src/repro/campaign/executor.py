@@ -290,9 +290,9 @@ def run_jobs(
     (default: the ``REPRO_CAMPAIGN_FAULTS`` environment hook).
     ``queue`` overrides the backend (e.g. a
     :class:`~repro.campaign.queue.SpoolQueue` shared with independent
-    worker processes); by default ``workers > 1`` drains through a
-    :class:`~repro.campaign.pool.SupervisedPool` and ``workers == 1``
-    through :class:`Inline`.
+    worker processes; the caller closes it); by default ``workers > 1``
+    drains through a :class:`~repro.campaign.pool.SupervisedPool`, closed
+    here, and ``workers == 1`` through :class:`Inline`.
 
     Raises if two jobs share an ``(experiment, key)`` identity — the
     reduce step could not tell their results apart.  A
@@ -351,12 +351,10 @@ def run_jobs(
         if digest not in finished
     ]
 
-    if queue is not None:
-        backend = queue
-    elif workers > 1:
-        backend = SupervisedPool(min(workers, max(2, len(pending))))
-    else:
-        backend = Inline()
+    built = None  # closed here; a queue passed in is the caller's
+    if queue is None and workers > 1:
+        built = SupervisedPool(min(workers, max(2, len(pending))))
+    backend = queue if queue is not None else built or Inline()
     try:
         while pending:
             gave_up, pending = backend.drain(
@@ -372,6 +370,9 @@ def run_jobs(
                 backend = Inline()
     except KeyboardInterrupt:
         stats.interrupted = True
+    finally:
+        if built is not None:
+            built.close()
 
     stats.wall_s = time.perf_counter() - t0
     results = {

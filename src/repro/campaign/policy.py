@@ -157,13 +157,6 @@ def book(
     return record, permanent
 
 
-def degrade_after(workers: int) -> int:
-    """Consecutive worker deaths (not timeouts) with no intervening
-    progress before a backend gives its remaining jobs back for inline
-    execution."""
-    return max(3, workers + 1)
-
-
 @dataclass
 class JobFailure:
     """A quarantined job: every attempt failed, the campaign moved on."""

@@ -16,11 +16,11 @@ campaign with it.  This pool supervises instead of delegating:
   :class:`~repro.campaign.policy.RetryPolicy`'s seeded backoff
   schedule, and a fresh worker spawned in its place;
 * repeated worker deaths with no intervening progress trip the
-  *degradation* threshold: the pool shuts down and hands the remaining
-  items back to the caller for inline in-process execution (the
-  supervisor's own process is never at risk);
-* a campaign's pool lives for one ``drain``; ``repro serve`` *keeps*
-  one (:meth:`SupervisedPool.start`) and drives it from its request
+  *degradation* threshold: the ``drain`` hands the remaining items back
+  to the caller for inline in-process execution (the supervisor's own
+  process is never at risk);
+* a pool keeps its workers from its first ``drain`` until ``close()``;
+  ``repro serve`` starts its one early and drives it from its request
   threads, each ``drain`` call leasing the workers it supervises.
 
 The worker-side half — :func:`_execute_one` and its inverse
@@ -55,7 +55,6 @@ from repro.campaign.policy import (
     JobFailure,
     RetryPolicy,
     book,
-    degrade_after,
 )
 
 #: How long a worker may hang (seconds) when a fault plan says "hang";
@@ -63,9 +62,10 @@ from repro.campaign.policy import (
 _HANG_S = 3600.0
 
 #: Seconds to wait for replies already in flight when shutting down on
-#: interrupt, and for workers to exit voluntarily before SIGKILL.
+#: interrupt; and how long a child gets to let go before SIGKILL — of
+#: its last item or claim, and of life once asked to stop.
 _DRAIN_S = 0.25
-_JOIN_S = 2.0
+REAP_GRACE_S = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +163,7 @@ def _worker_main(conn, preload: Tuple[str, ...] = ()) -> None:
 
     SIGINT is ignored — a ^C on the campaign belongs to the supervisor,
     which decides whether to drain, kill, or resume.  ``preload`` names
-    modules to import before the first item, so a kept pool's first job
+    modules to import before the first item, so a pool's first job
     on each worker does not pay for them.  The loop ends on the poison
     pill or on pipe EOF — the supervisor closed its end, or died.
     """
@@ -187,25 +187,25 @@ def _worker_main(conn, preload: Tuple[str, ...] = ()) -> None:
 
 
 # ----------------------------------------------------------------------
-# supervisor side
+# supervisor side: the worker table, shared with the spool
 # ----------------------------------------------------------------------
 class _Worker:
-    """One supervised process plus its pipe and current assignment."""
+    """One child, the supervisor's end of its pipe (if any), its item."""
 
     __slots__ = ("wid", "proc", "conn", "item", "deadline")
 
-    def __init__(self, ctx, wid: int, preload: Tuple[str, ...]) -> None:
+    def __init__(self, ctx, wid: int, name: str, target, args: Tuple, conn):
+        from multiprocessing.connection import Connection
+
         self.wid = wid
-        parent_conn, child_conn = ctx.Pipe()
         self.proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, preload),
-            daemon=True,
-            name=f"repro-campaign-worker-{wid}",
+            target=target, args=args, daemon=True, name=f"{name}-{wid}"
         )
         self.proc.start()
-        child_conn.close()
-        self.conn = parent_conn
+        for arg in args:  # a pipe end handed over is the child's alone
+            if isinstance(arg, Connection):
+                arg.close()
+        self.conn = conn
         self.item: Optional[Tuple[str, Job, int]] = None
         self.deadline: Optional[float] = None
 
@@ -225,21 +225,6 @@ class _Worker:
             return f"killed by {name}"
         return f"exited with status {code}"
 
-    def kill(self) -> None:
-        if self.proc.is_alive():
-            self.proc.kill()
-        self.proc.join()
-        self.conn.close()
-
-    def stop(self) -> None:
-        """Polite shutdown: poison pill, bounded join, then SIGKILL."""
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.proc.join(timeout=_JOIN_S)
-        self.kill()
-
 
 class PoolDegraded(Exception):
     """Internal signal: too many worker deaths, fall back to inline."""
@@ -249,7 +234,118 @@ class PoolClosed(RuntimeError):
     """``drain`` on a pool that was closed, or closed under it."""
 
 
-class SupervisedPool:
+class _WorkerTable:
+    """Up to ``workers`` children of one supervisor, whatever they run:
+    each is ``target(*args)``, ``child(ctx) -> (args, conn)`` building
+    its arguments and the supervisor's pipe end, and ``ask(worker)``
+    asks one to exit before the SIGKILL — SIGTERM by default, the
+    poison pill where there is a pipe.  ``who`` leads the
+    :class:`PoolDegraded` text.
+
+    ``live`` is every worker, ``free`` those no drain call holds (only
+    they are stopped from another thread).  ``cond`` guards both and
+    every process start / poll / reap: multiprocessing's own child
+    bookkeeping polls *all* children on each start.
+    """
+
+    def __init__(
+        self, workers, who, target, child,
+        ask=lambda worker: worker.proc.terminate(), context=None,
+    ):
+        # Imported here, not at module top: the inline backend shares
+        # this module, and an inline-only process should not pay for it.
+        import multiprocessing
+
+        self.workers_n = workers
+        self.who = who
+        self.target = target
+        self.child = child
+        self.ask = ask
+        self.cond = threading.Condition()
+        self.live: List[_Worker] = []
+        self.free: List[_Worker] = []
+        self.closed = False
+        self._ctx = multiprocessing.get_context(context)
+        self._seq = 0
+
+    def spawn(self) -> _Worker:
+        """Start one child, held by the caller."""
+        with self.cond:
+            if self.closed:
+                raise PoolClosed("the worker pool is closed")
+            args, conn = self.child(self._ctx)
+            worker = _Worker(
+                self._ctx, self._seq, f"repro-{self.who}-worker",
+                self.target, args, conn,
+            )
+            self._seq += 1
+            self.live.append(worker)
+            return worker
+
+    def reap(self, worker: _Worker, polite: bool = False) -> None:
+        """Stop ``worker`` — if ``polite``, :attr:`ask` it and wait
+        :data:`REAP_GRACE_S` first — with SIGKILL, and forget it."""
+        with self.cond:
+            if polite and worker.proc.is_alive():
+                try:
+                    self.ask(worker)
+                except OSError:
+                    pass
+                worker.proc.join(timeout=REAP_GRACE_S)
+            if worker.proc.is_alive():
+                worker.proc.kill()
+            worker.proc.join()
+            if worker.conn is not None:
+                worker.conn.close()
+            if worker in self.free:
+                self.free.remove(worker)
+            if worker in self.live:
+                self.live.remove(worker)
+            self.cond.notify_all()
+
+    def died(self, deaths: int) -> int:
+        """``deaths`` consecutive deaths (not timeouts) without progress
+        plus this one; :class:`PoolDegraded` at ``max(3, workers + 1)``."""
+        if deaths + 1 >= max(3, self.workers_n + 1):
+            raise PoolDegraded(
+                f"{self.who} degraded to serial after {deaths + 1} "
+                "consecutive worker deaths without progress"
+            )
+        return deaths + 1
+
+    def top_up(self, deaths: int = 0) -> int:
+        """Reap each free worker that exited, :meth:`died` on top of
+        ``deaths``, then start free ones until ``workers`` are live."""
+        with self.cond:
+            for worker in [w for w in self.free if not w.proc.is_alive()]:
+                self.reap(worker)
+                deaths = self.died(deaths)
+            while len(self.live) < self.workers_n:
+                self.free.append(self.spawn())
+            return deaths
+
+    def live_workers(self) -> int:
+        with self.cond:
+            return sum(worker.proc.is_alive() for worker in self.live)
+
+    def close(self) -> None:
+        """Stop every worker: a free one is asked; a held one is
+        SIGKILLed, and its drain raises :class:`PoolClosed` and reaps
+        it — so nothing is left to wait for when this returns."""
+        with self.cond:
+            self.closed = True
+            for worker in list(self.free):
+                self.reap(worker, polite=True)
+            for worker in self.live:
+                if worker.proc.is_alive():
+                    worker.proc.kill()
+            self.cond.notify_all()
+            self.cond.wait_for(lambda: not self.live, timeout=REAP_GRACE_S)
+            for worker in list(self.live):
+                self.reap(worker)
+
+
+class SupervisedPool(_WorkerTable):
     """The ``workers > 1`` backend: drives work items through
     supervised worker processes.
 
@@ -259,17 +355,16 @@ class SupervisedPool:
     are deterministically ordered.  ``KeyboardInterrupt`` propagates
     after in-flight replies are drained and workers are killed.
 
-    By default the workers live for one ``drain``: up to ``workers`` are
-    spawned for it and stopped when it returns.  After :meth:`start`
-    the pool *keeps* ``workers`` processes until :meth:`close`, and
-    ``drain`` may be called from several threads at once (``repro
-    serve``'s request threads): each call leases idle workers —
-    blocking until one is free, which is the callers' admission bound —
-    supervises only those, replaces the ones that die under it, and
-    hands them back.
+    The workers live from the first ``drain`` (or :meth:`start`, which
+    spawns all ``workers`` early) until :meth:`close`.  A ``drain``
+    leases free ones — spawning while fewer than ``workers`` are live,
+    no more than it has items, else waiting for one to be free, which
+    is concurrent callers' admission bound — supervises only those,
+    replaces the ones that die under it and hands them back; ``repro
+    serve`` calls it from several request threads at once.
 
     ``context`` names the :mod:`multiprocessing` start method (``None``:
-    the platform default, ``fork`` on Linux).  A kept pool driven from
+    the platform default, ``fork`` on Linux).  A pool driven from
     threads must use ``"spawn"``: a worker that dies is replaced from
     whichever thread supervised it, and ``fork`` from a multi-threaded
     process copies every lock another thread holds into the child.
@@ -287,112 +382,49 @@ class SupervisedPool:
     ) -> None:
         if workers < 2:
             raise ValueError("SupervisedPool needs >= 2 workers")
-        self.workers_n = workers
-        self.context = context
+        super().__init__(
+            workers, "pool", _worker_main, self._pipe,
+            ask=lambda worker: worker.conn.send(None),  # the poison pill
+            context=context,
+        )
         self.preload = tuple(preload)
         self.on_assign = on_assign
-        #: Guards the worker table and every process start / poll /
-        #: reap: multiprocessing's own child bookkeeping polls *all*
-        #: children on each start, so two threads may not do it at once.
-        self._cond = threading.Condition()
-        self._ctx = None
-        self._wid_seq = 0
-        self._all: List[_Worker] = []  #: every live worker, leased or not
-        self._idle: List[_Worker] = []  #: kept and waiting for a drain
-        self._kept = False
-        self._closed = False
 
-    # ------------------------------------------------------------------
-    # lifetime of a kept pool
-    # ------------------------------------------------------------------
+    def _pipe(self, ctx) -> Tuple[Tuple, Any]:
+        conn, child_conn = ctx.Pipe()
+        return (child_conn, self.preload), conn
+
     def start(self) -> "SupervisedPool":
-        """Spawn all ``workers`` now and keep them between drains."""
-        with self._cond:
-            self._kept = True
-            while len(self._all) < self.workers_n:
-                self._idle.append(self._spawn())
+        """Spawn all ``workers`` now rather than at the first drain."""
+        self.top_up()
         return self
 
-    def live_workers(self) -> int:
-        with self._cond:
-            return sum(worker.proc.is_alive() for worker in self._all)
-
-    def close(self) -> None:
-        """Stop every worker; a ``drain`` still running raises
-        :class:`PoolClosed` from its own thread, which reaps the worker
-        it held — so nothing is left to wait for when this returns."""
-        with self._cond:
-            self._closed = True
-            for worker in self._idle:
-                self._reap(worker, polite=True)
-            self._idle.clear()
-            for worker in self._all:  # leased: signal only, owner reaps
-                if worker.proc.is_alive():
-                    worker.proc.kill()
-            self._cond.notify_all()
-            self._cond.wait_for(lambda: not self._all, timeout=_JOIN_S)
-            for worker in list(self._all):
-                self._reap(worker)
-
-    # ------------------------------------------------------------------
-    # the worker table
-    # ------------------------------------------------------------------
-    def _spawn(self) -> _Worker:
-        with self._cond:
-            if self._closed:
-                raise PoolClosed("the worker pool is closed")
-            if self._ctx is None:
-                # Imported here, not at module top: the inline backend
-                # shares this module's _execute_one/decode_reply, and a
-                # process that only ever runs inline (a campaign or a
-                # server with one job slot) should not pay for
-                # multiprocessing.
-                import multiprocessing
-
-                self._ctx = multiprocessing.get_context(self.context)
-            worker = _Worker(self._ctx, self._wid_seq, self.preload)
-            self._wid_seq += 1
-            self._all.append(worker)
-            return worker
-
-    def _reap(self, worker: _Worker, polite: bool = False) -> None:
-        with self._cond:
-            if polite:
-                worker.stop()
-            else:
-                worker.kill()  # a no-op signal for one already dead
-            if worker in self._all:
-                self._all.remove(worker)
-            self._cond.notify_all()
-
     def _lease(self, wanted: int) -> List[_Worker]:
-        with self._cond:
-            if not self._kept:
-                return [
-                    self._spawn() for _ in range(min(self.workers_n, wanted))
-                ]
-            self._cond.wait_for(lambda: self._idle or self._closed)
-            if self._closed:
+        with self.cond:
+            self.cond.wait_for(
+                lambda: self.free or len(self.live) < self.workers_n
+                or self.closed
+            )
+            if self.closed:
                 raise PoolClosed("the worker pool is closed")
-            mine = self._idle[:wanted]
-            del self._idle[:wanted]
+            while len(self.live) < self.workers_n and len(self.free) < wanted:
+                self.free.append(self.spawn())
+            mine = self.free[:wanted]
+            del self.free[:wanted]
             return mine
 
     def _release(self, workers: List[_Worker]) -> None:
-        """Back to the idle list if the pool is kept and the worker is
-        known to be between items; anything else is stopped (a worker
-        still holding an item is killed: nobody will read its reply),
-        and a kept pool is topped back up to ``workers``."""
-        with self._cond:
-            keep = self._kept and not self._closed
+        """Back to the free list if the worker is known to be between
+        items; anything else is stopped (a worker still holding an item
+        is killed: nobody will read its reply)."""
+        with self.cond:
+            keep = not self.closed
             for worker in workers:
                 if keep and worker.item is None and worker.proc.is_alive():
-                    self._idle.append(worker)
+                    self.free.append(worker)
                 else:
-                    self._reap(worker, polite=worker.item is None)
-            while keep and len(self._all) < self.workers_n:
-                self._idle.append(self._spawn())
-            self._cond.notify_all()
+                    self.reap(worker, polite=worker.item is None)
+            self.cond.notify_all()
 
     # ------------------------------------------------------------------
     def drain(
@@ -445,14 +477,11 @@ class _Supervision:
         self._heap: List[Tuple[float, int, str, Job, int]] = []
         self._attempts: Dict[str, List[AttemptRecord]] = {}
         self._last_tb: Dict[str, str] = {}
-        self._consecutive_deaths = 0
+        self.deaths = 0
         for digest, job in items:
             self._push(digest, job, 1, 0.0)
 
     # ------------------------------------------------------------------
-    def _spawn(self) -> None:
-        self.workers.append(self.pool._spawn())
-
     def _push(self, digest: str, job: Job, attempt: int, ready_at: float) -> None:
         heapq.heappush(self._heap, (ready_at, self._seq, digest, job, attempt))
         self._seq += 1
@@ -525,7 +554,7 @@ class _Supervision:
         digest, job, attempt = worker.item
         worker.item = None
         worker.deadline = None
-        self._consecutive_deaths = 0
+        self.deaths = 0
         reply = decode_reply(reply)
         if reply[0] == "ok":
             self.sink.finish(digest, reply[1])
@@ -542,21 +571,13 @@ class _Supervision:
         """Reap and replace a dead worker; the item it held, if any,
         costs a ``crash`` attempt (dying idle consumes none)."""
         item, pid = worker.item, worker.pid
-        with self.pool._cond:  # the exit code is a poll, like the reap
+        with self.pool.cond:  # the exit code is a poll, like the reap
             detail = f"worker pid {pid} {worker.death_detail()}"
             self._remove_worker(worker)
         if item is not None:
             self._attempt_failed(*item, "crash", detail, pid)
-        self._note_death()
-        self._spawn()
-
-    def _note_death(self) -> None:
-        self._consecutive_deaths += 1
-        if self._consecutive_deaths >= degrade_after(self.pool.workers_n):
-            raise PoolDegraded(
-                f"pool degraded to serial after {self._consecutive_deaths} "
-                "consecutive worker deaths without progress"
-            )
+        self.deaths = self.pool.died(self.deaths)
+        self.workers.append(self.pool.spawn())
 
     def _expire_deadlines(self) -> None:
         now = time.monotonic()
@@ -574,10 +595,10 @@ class _Supervision:
                 f"worker pid {pid} killed",
                 pid,
             )
-            self._spawn()
+            self.workers.append(self.pool.spawn())
 
     def _remove_worker(self, worker: _Worker) -> None:
-        self.pool._reap(worker)
+        self.pool.reap(worker)
         if worker in self.workers:
             self.workers.remove(worker)
 

@@ -60,9 +60,14 @@ from repro.campaign.policy import (
     JobFailure,
     RetryPolicy,
     book,
-    degrade_after,
 )
-from repro.campaign.pool import _execute_one, decode_reply
+from repro.campaign.pool import (
+    REAP_GRACE_S,
+    PoolDegraded,
+    _execute_one,
+    _WorkerTable,
+    decode_reply,
+)
 from repro.campaign.store import (
     ResultStore,
     _pid_alive,
@@ -83,10 +88,6 @@ POLL_S = 0.05
 
 #: How long a coordinator-spawned worker lingers on a drained spool.
 SPAWNED_IDLE_EXIT_S = 0.5
-
-#: How long a finished drain gives its workers to let go — of their
-#: last claim before they are reaped, then of life once terminated.
-REAP_GRACE_S = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -637,10 +638,12 @@ class SpoolQueue:
     the coordinator claim jobs itself, with fault injection off, like
     the inline backend).
 
-    A storm of spawned-worker deaths with no progress (no result, no
-    quarantine, no new attempt line) degrades exactly like the pool:
-    remaining jobs are withdrawn from the spool and handed back for
-    inline execution.
+    The ``workers`` run in the pool's worker table
+    (:class:`~repro.campaign.pool._WorkerTable`), so a storm of their
+    deaths with no progress (no result, no quarantine, no new attempt
+    line) degrades exactly like the pool: remaining jobs are withdrawn
+    from the spool and handed back for inline execution.  What a dead
+    worker held is the spool's to learn, from its lease.
     """
 
     def __init__(
@@ -661,16 +664,6 @@ class SpoolQueue:
         self.lease_s = lease_s
 
     # ------------------------------------------------------------------
-    def _spawn(self, ctx):
-        proc = ctx.Process(
-            target=_spawned_worker_main,
-            args=(str(self.root),),
-            daemon=True,
-            name="repro-spool-worker",
-        )
-        proc.start()
-        return proc
-
     def drain(
         self,
         items: List[Tuple[str, Job]],
@@ -680,8 +673,6 @@ class SpoolQueue:
         fault_plan: Optional[FaultPlan],
         sink,
     ) -> Tuple[Optional[str], List[Tuple[str, Job]]]:
-        import multiprocessing
-
         cfg = SpoolConfig(
             store_root=str(self.store.root),
             retry=retry,
@@ -691,11 +682,13 @@ class SpoolQueue:
         )
         pending: Dict[str, Job] = dict(items)  # keeps submission order
         enqueue(self.root, cfg, items)
-        ctx = multiprocessing.get_context()
-        procs = [self._spawn(ctx) for _ in range(self.workers)]
+        table = _WorkerTable(
+            self.workers, "spool", _spawned_worker_main,
+            lambda ctx: ((str(self.root),), None),
+        )
         retries_seen: Dict[str, int] = {digest: 0 for digest in pending}
-        deaths = 0
         try:
+            deaths = table.top_up()
             while pending:
                 reclaim_expired(self.root, cfg)
                 progressed = False
@@ -728,18 +721,7 @@ class SpoolQueue:
                     deaths = 0
                 if not pending:
                     break
-                for index, proc in enumerate(procs):
-                    if proc.is_alive():
-                        continue
-                    proc.join()
-                    deaths += 1
-                    procs[index] = self._spawn(ctx)
-                if self.workers > 0 and deaths >= degrade_after(self.workers):
-                    return (
-                        f"spool degraded to serial after {deaths} "
-                        "consecutive worker deaths without progress",
-                        self._withdraw(pending),
-                    )
+                deaths = table.top_up(deaths)
                 if self.participate and self.workers == 0:
                     process_one(self.root, cfg, self.store)
                     continue  # immediately re-check for the result
@@ -751,14 +733,13 @@ class SpoolQueue:
             deadline = time.monotonic() + REAP_GRACE_S
             while not spool_drained(self.root) and time.monotonic() < deadline:
                 time.sleep(POLL_S)
+        except PoolDegraded as degraded:
+            # Withdrawn with every spawned worker stopped: a live one
+            # could claim a job after the withdrawal swept it.
+            table.close()
+            return str(degraded), self._withdraw(pending)
         finally:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-                proc.join(timeout=REAP_GRACE_S)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join()
+            table.close()
         return None, []
 
     # ------------------------------------------------------------------

@@ -50,7 +50,7 @@ sweeps see them immediately:
 3. **The drain** (``--jobs N``, default one per CPU): a leader blocks
    until one of ``N`` slots is free — that wait is the only admission
    queue — and ``run_jobs([job], queue=<the drain>)`` executes on it.
-   With ``N > 1`` a slot is a kept, supervised worker process
+   With ``N > 1`` a slot is a supervised worker process
    (:class:`~repro.campaign.pool.SupervisedPool` after ``start()``:
    one item at a time over a pipe, checksum-verified reply, a crash
    costs that attempt and the worker is replaced); with ``N == 1`` it

@@ -11,6 +11,7 @@ table test pins the decision itself.
 """
 
 import itertools
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -77,8 +78,9 @@ def run_matrix(root, backend):
             **how,
         )
     finally:
-        if backend == "serve":
-            how["queue"].close()  # its workers outlive a drain
+        queue = how.get("queue")
+        if hasattr(queue, "close"):
+            queue.close()  # a queue passed in is its caller's to close
     return outcome, store, manifest
 
 
@@ -136,6 +138,8 @@ def test_backends_are_equivalent(tmp_path, monkeypatch, backend):
 
     # ... and to the inline run, byte for byte.
     assert got == observed(*run_matrix(tmp_path / "reference", "inline"))
+    # Every drain built for it is closed: no worker outlives the test.
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ Jobs are ``builtins:dict`` echoes, so the suite tests the machinery,
 not the simulator; a full pool spin-up is a few hundred ms.
 """
 
+import multiprocessing
 import os
 import pickle
 import signal
@@ -33,6 +34,7 @@ from repro.campaign import (
     run_jobs,
 )
 from repro.campaign.faults import FAULTS_ENV
+from repro.campaign.queue import SpoolQueue
 
 ECHO = "builtins:dict"
 
@@ -246,14 +248,22 @@ def test_fault_plan_env_hook_round_trips(monkeypatch):
 # ----------------------------------------------------------------------
 # degradation to serial
 # ----------------------------------------------------------------------
-def test_pool_sickness_degrades_to_serial_and_completes():
+@pytest.mark.parametrize("backend", ["pool", "spool"])
+def test_pool_sickness_degrades_to_serial_and_completes(tmp_path, backend):
     jobs = echo_jobs(5)
-    # Every assignment kills its worker: the pool can never make
+    # Every assignment kills its worker: the backend can never make
     # progress.  max_attempts exceeds the death threshold, so no digest
-    # can quarantine before the pool gives up.
+    # can quarantine before it gives up; the spool's default 30 s lease
+    # means no reclaim counts as progress either.
     plan = FaultPlan((Fault("", 0, "kill"),))
+    how = dict(workers=2)
+    if backend == "spool":
+        spool = tmp_path / "spool"
+        how = dict(queue=SpoolQueue(
+            spool, ResultStore(tmp_path / "store"), workers=2
+        ))
     outcome = run_jobs(
-        jobs, workers=2, retry=fast_retry(max_attempts=5), fault_plan=plan
+        jobs, retry=fast_retry(max_attempts=5), fault_plan=plan, **how
     )
     # Degraded to in-process execution, where fault plans do not apply:
     # the campaign still completed every job.
@@ -262,6 +272,10 @@ def test_pool_sickness_degrades_to_serial_and_completes():
     assert outcome.ok
     assert sorted(outcome.experiment_results("chaos")) == [0, 1, 2, 3, 4]
     assert "degraded" in outcome.stats.summary()
+    if backend == "spool":
+        assert not any((spool / "jobs").iterdir())
+        assert not any((spool / "claims").iterdir())
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

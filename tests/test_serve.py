@@ -682,7 +682,7 @@ def test_identical_cold_specs_execute_once(pooled):
 
 def test_killed_worker_costs_an_attempt_not_the_request(pooled, monkeypatch):
     state, base = pooled
-    before = {worker.pid for worker in state.drain._all}
+    before = {worker.pid for worker in state.drain.live}
     monkeypatch.setenv("REPRO_CAMPAIGN_FAULTS", fault_plan((1, "kill")))
     payload = {"family": FAMILY, "overrides": OVERRIDES}
     response = post(base, payload)
@@ -690,7 +690,7 @@ def test_killed_worker_costs_an_attempt_not_the_request(pooled, monkeypatch):
     assert response.read() == cli_render(FAMILY, OVERRIDES)
     # The dead worker was replaced from the request thread that was
     # supervising it, and the server keeps serving on the new one.
-    after = {worker.pid for worker in state.drain._all}
+    after = {worker.pid for worker in state.drain.live}
     assert len(after) == 2 and len(after - before) == 1
     assert json.loads(get(base, "/stats").read())["workers"] == 2
     monkeypatch.delenv("REPRO_CAMPAIGN_FAULTS")
