@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.scenario.registry import FAMILIES, build_spec, sweep_specs
 from repro.scenario.runner import render_result, run_spec, scenario_job
+from repro.scenario.spec import check_finite
 
 
 def _coerce(text: str) -> Any:
@@ -165,6 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             # build_spec raises on unknown knobs, the family builder on
             # mistyped values (e.g. a float joiner count), validate()
             # on inconsistent specs — all are user input errors here.
+            check_finite(overrides)  # before a builder loops to inf
             spec = build_spec(args.family, **overrides)
             spec.validate()
         except (ValueError, TypeError) as exc:
@@ -195,6 +197,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
+        check_finite(overrides)
+        check_finite(axes)
         specs = sweep_specs(args.family, axes, **overrides)
         for spec in specs:
             spec.validate()  # fail fast, before any worker fan-out

@@ -23,9 +23,11 @@ warm-up.  Events beyond ``warmup_seconds + seconds`` never fire.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.tbr import TbrConfig
 from repro.phy.phy import DOT11B_LONG_PREAMBLE, PhyParams
@@ -34,6 +36,48 @@ SCHEDULERS = ("fifo", "rr", "drr", "tbr")
 FLOW_KINDS = ("tcp", "udp")
 DIRECTIONS = ("up", "down")
 TCP_APPS = ("bulk", "task", "paced")
+
+
+def check_finite(tree: Any) -> None:
+    """Raise ``ValueError`` naming the first ``inf`` or ``nan`` in
+    ``tree``: dataclass fields, sequence items and mapping values, in
+    order, walked without recursion.
+
+    One walk covers every number, because a non-finite one slips past
+    each field's own check (``nan <= 0`` and ``inf <= 0`` are false)
+    and a horizon of ``inf`` never ends.  Builders that lay out a
+    timeline up to the horizon take their overrides through here
+    before they run.
+    """
+    # (node, parent entry, key in parent); a path is spelled on failure.
+    stack = [(tree, None, None)]
+    while stack:
+        entry = stack.pop()
+        node = entry[0]
+        if isinstance(node, float):
+            if math.isfinite(node):
+                continue
+            where = ""
+            while entry[1] is not None:
+                key = entry[2]
+                step = f"[{key}]" if isinstance(key, int) else f".{key}"
+                where, entry = step + where, entry[1]
+            raise ValueError(
+                f"{where.lstrip('.') or 'value'} must be a finite number, "
+                f"got {node!r}"
+            )
+        if node is None or isinstance(node, (str, int)):
+            continue
+        if isinstance(node, (tuple, list)):
+            children = list(enumerate(node))
+        elif isinstance(node, dict):
+            children = list(node.items())
+        elif dataclasses.is_dataclass(node):
+            children = [(f.name, getattr(node, f.name))
+                        for f in dataclasses.fields(node)]
+        else:
+            continue
+        stack.extend((value, entry, key) for key, value in reversed(children))
 
 
 @dataclass(frozen=True)
@@ -487,6 +531,7 @@ class ScenarioSpec:
         reference a station that exists (initially present or already
         joined) and has not left before the event fires.
         """
+        check_finite(self)
         if not self.name:
             raise ValueError("scenario name must be non-empty")
         if self.scheduler not in SCHEDULERS:

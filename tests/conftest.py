@@ -12,6 +12,16 @@ from repro.phy import DOT11B_LONG_PREAMBLE
 from repro.sim import Simulator, us_from_s
 
 
+try:  # CI jobs that run no property test install only pytest
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    #: ``--hypothesis-profile=serve-soak``: the raw-socket fuzz of
+    #: ``repro serve`` (tests/test_serve_fuzz.py) at a soak's budget.
+    settings.register_profile("serve-soak", max_examples=1000, deadline=None)
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",

@@ -404,7 +404,7 @@ def test_walk_is_not_empty_and_the_allow_list_has_not_rotted(real):
         ("repro.cli", "main"),  # setup.py's console script
         ("repro.scenario.runner", "execute_scenario"),  # an executor string
         ("repro.sim.kernel", "Simulator.heap_compactions"),  # the suite
-        ("repro.serve", "_Handler.do_POST"),  # http.server calls it by name
+        ("repro.serve", "_Connection.data_received"),  # asyncio calls it
         ("repro.core.token_bucket", "TokenBucket.fill_skipped"),  # TIME_STATE
     }
     assert anchors <= real.alive, anchors - real.alive

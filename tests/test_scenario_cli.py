@@ -99,6 +99,20 @@ def test_nonpositive_interval_knobs_error_instead_of_hanging(capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+def test_non_finite_knobs_error_instead_of_hanging(capsys):
+    # bursty lays out its bursts up to the horizon: inf never ends.
+    assert main(["run", "bursty", "--set", "seconds=inf"]) == 2
+    assert "seconds must be a finite number, got inf" in (
+        capsys.readouterr().err
+    )
+    assert main(["run", "churn", "--seconds", "nan"]) == 2
+    assert "seconds must be a finite number, got nan" in (
+        capsys.readouterr().err
+    )
+    assert main(["sweep", "steady-long", "--axis", "seconds=1,inf"]) == 2
+    assert "seconds[1] must be a finite" in capsys.readouterr().err
+
+
 def test_sweep_uses_cache(tmp_path, capsys):
     args = [
         "sweep", "bursty",

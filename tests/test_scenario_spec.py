@@ -1,5 +1,6 @@
 """ScenarioSpec: validation, content identity, campaign encoding."""
 
+import math
 import pickle
 
 import pytest
@@ -137,6 +138,41 @@ def test_validate_rejects_bad_shapes(overrides, message):
     kwargs.update(overrides)
     with pytest.raises(ValueError, match=message):
         ScenarioSpec(**kwargs).validate()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(seconds=math.inf), "seconds must be a finite number, got inf"),
+    (dict(seconds=math.nan), "seconds must be a finite number, got nan"),
+    (
+        dict(warmup_seconds=math.inf),
+        "warmup_seconds must be a finite number, got inf",
+    ),
+    (
+        dict(stations=(StationSpec("slow", rate_mbps=math.nan),)),
+        "stations[0].rate_mbps must be a finite number, got nan",
+    ),
+    (
+        dict(timeline=(
+            RateSwitchEvent(at_s=-math.inf, station="fast", rate_mbps=2.0),
+        )),
+        "timeline[0].at_s must be a finite number, got -inf",
+    ),
+])
+def test_validate_rejects_every_non_finite_number(overrides, message):
+    """``inf`` and ``nan`` pass each field's own ``<= 0`` check; one
+    walk over the whole spec names the first of them."""
+    with pytest.raises(ValueError) as err:
+        two_station_spec(**overrides).validate()
+    assert str(err.value) == message
+
+
+def test_check_finite_walks_plain_overrides_too():
+    from repro.scenario.spec import check_finite
+
+    check_finite({"seconds": 2.0, "axis": [1, 2.5], "name": "x"})
+    with pytest.raises(ValueError) as err:
+        check_finite({"seconds": 2.0, "axis": [1, math.nan]})
+    assert str(err.value) == "axis[1] must be a finite number, got nan"
 
 
 def test_validate_tracks_timeline_causality():

@@ -20,6 +20,7 @@ import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -208,6 +209,53 @@ def test_error_paths(server):
     assert get(base, "/healthz").read() == b"ok\n"
 
 
+def spec_json_with(**fields):
+    """``{"spec": ...}`` for the test spec, some fields replaced."""
+    from repro.scenario.codec import spec_to_json
+    from repro.scenario.registry import build_spec
+
+    encoded = spec_to_json(build_spec(FAMILY, **OVERRIDES))
+    for pair in encoded["@dataclass"][1]:
+        pair[1] = fields.get(pair[0], pair[1])
+    return json.dumps({"spec": encoded}).encode("utf-8")
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"family": "churn", "overrides": {"seconds": 1e309}}',
+     "seconds must be a finite number, got inf"),
+    (b'{"family": "churn", "overrides": {"seconds": NaN}}',
+     "seconds must be a finite number, got nan"),
+    (b'{"family": "bursty", "overrides": {"warmup_s": -Infinity}}',
+     "warmup_s must be a finite number, got -inf"),
+    (spec_json_with(seconds=float("inf")),
+     "decoded spec is invalid: seconds must be a finite number, got inf"),
+], ids=["1e309", "NaN", "-Infinity", "codec"])
+def test_admission_refuses_non_finite_numbers(tmp_path, raw, message):
+    """``json`` reads ``1e309`` as ``inf`` and takes ``NaN``; a spec
+    holding either would pass every ``<= 0`` check and never end."""
+    from repro.serve import ServeError, ServeState, _parse_body
+
+    state = ServeState(ResultStore(tmp_path / "store"))
+    with pytest.raises(ServeError) as err:
+        state.spec_for(_parse_body(raw))
+    assert (err.value.status, str(err.value)) == (400, message)
+
+
+@pytest.mark.parametrize("raw", [
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"spec": ' + b'{"@tuple": [' * 5_000 + b"1" + b"]}" * 5_000 + b"}",
+], ids=["json", "codec"])
+@pytest.mark.parametrize("path", ["/run", "/run?progress=1"])
+def test_a_body_nested_too_deep_is_the_clients_error(server, raw, path):
+    _, base, _ = server
+    request = urllib.request.Request(base + path, data=raw)
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request, timeout=30)
+    assert err.value.code == 400
+    assert err.value.read() == b"error: request body nests too deeply\n"
+    assert json.loads(get(base, "/stats").read())["errors"] == 1
+
+
 def test_spec_decode_refuses_untrusted_dataclass(server):
     _, base, _ = server
     hostile = {
@@ -262,7 +310,7 @@ def test_streaming_error_still_terminates_the_chunked_body(server):
 # the wire contract: one write per response, TCP_NODELAY, clean rejects
 # ----------------------------------------------------------------------
 class _RecordingWriter:
-    """Stands in for a handler's ``wfile``; logs every ``write``."""
+    """Stands in for a connection's transport; logs every ``write``."""
 
     def __init__(self, inner, log):
         self._inner = inner
@@ -278,22 +326,22 @@ class _RecordingWriter:
 
 @pytest.fixture()
 def wire(server):
-    """The server, its ``wfile`` writes and its connections' NODELAY."""
+    """The server, its transports' writes and its connections' NODELAY."""
     srv, base, _ = server
     writes, nodelay = [], []
-    handler = srv.RequestHandlerClass
+    connection = srv.connection_class
 
-    class Recording(handler):
-        def setup(self):
-            super().setup()
+    class Recording(connection):
+        def connection_made(self, transport):
+            super().connection_made(transport)
             nodelay.append(
-                self.connection.getsockopt(
+                transport.get_extra_info("socket").getsockopt(
                     socket.IPPROTO_TCP, socket.TCP_NODELAY
                 )
             )
-            self.wfile = _RecordingWriter(self.wfile, writes)
+            self.transport = _RecordingWriter(transport, writes)
 
-    srv.RequestHandlerClass = Recording
+    srv.connection_class = Recording
     return base, writes, nodelay
 
 
@@ -741,6 +789,221 @@ def test_progress_streams_from_a_worker_too(pooled):
     assert b"cache=miss executed=1" in marks[-1]
     payload = b"".join(line for line in lines if not line.startswith(b"#"))
     assert payload == cli_render(FAMILY, OVERRIDES)
+
+
+def wait_for(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, condition
+        time.sleep(0.005)
+
+
+def test_a_streaming_client_that_hangs_up_fails_no_one_else(
+    tmp_path, monkeypatch
+):
+    """Its progress sink raises; the run still lands, counts as
+    executed, and the request following it gets the render."""
+    from repro.scenario import build_spec, scenario_job
+    from repro.serve import ServeState
+
+    store = ResultStore(tmp_path / "store")
+    state = ServeState(store)
+    spec = build_spec(FAMILY, **OVERRIDES)
+    put = store.put_for_job
+
+    def put_once_followed(job, value):
+        wait_for(lambda: state.flight_counters["followers"] == 1)
+        put(job, value)
+
+    def hung_up(*event):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(store, "put_for_job", put_once_followed)
+    replies = {}
+
+    def run(name, progress=None):
+        try:
+            replies[name] = state.run(spec, progress=progress)
+        except Exception as exc:  # noqa: BLE001 — compared below
+            replies[name] = exc
+
+    leader = threading.Thread(target=run, args=("leader", hung_up))
+    leader.start()
+    wait_for(lambda: state.flights)
+    follower = threading.Thread(target=run, args=("follower",))
+    follower.start()
+    for thread in (leader, follower):
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    rendered = cli_render(FAMILY, OVERRIDES)
+    digest = scenario_job(spec, key=spec.name).digest
+    assert replies == {
+        "leader": (rendered, digest, False, 1),
+        "follower": (rendered, digest, False, 0),
+    }
+    assert state.counters["executed"] == 1 and store.contains(digest)
+
+
+def test_followers_of_a_slow_leader_do_not_delay_a_distinct_miss(pooled):
+    """Eight requests wait on one long run; a short, unrelated miss
+    arriving behind them takes the other worker and answers first."""
+    state, base = pooled
+    slow = {"family": FAMILY, "overrides": dict(OVERRIDES, seconds=40.0)}
+    short = {"family": FAMILY, "overrides": dict(OVERRIDES, seed=4)}
+    finished = {}
+
+    def client(name, payload):
+        body = post(base, payload).read()
+        finished[name] = (time.monotonic(), body)
+
+    threads = [
+        threading.Thread(target=client, args=(f"slow-{k}", slow))
+        for k in range(9)
+    ]
+    for thread in threads:
+        thread.start()
+    wait_for(lambda: state.flight_counters["followers"] == 8)
+    client("short", short)
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert finished["short"][1] == cli_render(FAMILY, short["overrides"])
+    assert len({body for _, body in finished.values()}) == 2
+    assert all(
+        finished["short"][0] < at
+        for name, (at, _) in finished.items() if name != "short"
+    )
+    assert state.counters["executed"] == 2
+
+
+# ----------------------------------------------------------------------
+# what the server owes a raw HTTP/1.x client
+# ----------------------------------------------------------------------
+class RawClient:
+    """One socket, its replies parsed by hand, so that interim replies,
+    pipelining and closes stay visible."""
+
+    def __init__(self, base, timeout=30):
+        url = urllib.parse.urlsplit(base)
+        self.sock = socket.create_connection(
+            (url.hostname, url.port), timeout=timeout
+        )
+        self.buffer = b""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.sock.close()
+
+    def send(self, data):
+        self.sock.sendall(data)
+
+    def _fill(self):
+        data = self.sock.recv(65536)
+        if not data:
+            raise EOFError(self.buffer)
+        self.buffer += data
+
+    def reply(self):
+        """``(status, headers with lower-case names, body)`` of the next
+        reply on the wire."""
+        while b"\r\n\r\n" not in self.buffer:
+            self._fill()
+        head, _, self.buffer = self.buffer.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", 0))
+        while len(self.buffer) < length:
+            self._fill()
+        body, self.buffer = self.buffer[:length], self.buffer[length:]
+        return int(status_line.split()[1]), headers, body
+
+    def closed(self):
+        """True once the server has closed and nothing is left unread."""
+        try:
+            self._fill()
+        except (EOFError, ConnectionResetError):
+            return self.buffer == b""
+        return False
+
+
+def raw_post(body, path="/run", extra=b""):
+    return (
+        b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n%s\r\n%s"
+        % (path.encode(), len(body), extra, body)
+    )
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def test_expect_100_continue_gets_an_interim_reply_first(pooled):
+    _, base = pooled
+    body = json.dumps({"family": FAMILY, "overrides": OVERRIDES}).encode()
+    with RawClient(base) as raw:
+        head = raw_post(body, extra=b"Expect: 100-continue\r\n")
+        raw.send(head[: -len(body)])
+        assert raw.reply()[0] == 100
+        raw.send(body)
+        status, headers, rendered = raw.reply()
+        assert (status, headers["x-repro-cache"]) == (200, "miss")
+        assert rendered == cli_render(FAMILY, OVERRIDES)
+        raw.send(HEALTHZ)  # still a keep-alive connection
+        assert raw.reply()[::2] == (200, b"ok\n")
+
+
+@pytest.mark.parametrize("request_head", [
+    b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    b"GET /healthz HTTP/1.0\r\n\r\n",
+])
+def test_the_server_closes_when_the_client_asks_to(pooled, request_head):
+    _, base = pooled
+    with RawClient(base) as raw:
+        raw.send(request_head)
+        assert raw.reply()[::2] == (200, b"ok\n")
+        assert raw.closed()
+    # HTTP/1.0 may ask for keep-alive, and then gets it.
+    with RawClient(base) as raw:
+        for _ in range(2):
+            raw.send(b"GET /healthz HTTP/1.0\r\n"
+                     b"Connection: keep-alive\r\n\r\n")
+            assert raw.reply()[::2] == (200, b"ok\n")
+
+
+def test_a_half_closed_client_still_gets_its_replies(server):
+    """A client may shut its sending side once its requests are out."""
+    _, base, _ = server
+    body = json.dumps({"family": FAMILY, "overrides": OVERRIDES}).encode()
+    with RawClient(base) as raw:
+        raw.send(raw_post(body) + HEALTHZ)
+        raw.sock.shutdown(socket.SHUT_WR)
+        status, headers, rendered = raw.reply()
+        assert (status, headers["x-repro-cache"]) == (200, "miss")
+        assert rendered == cli_render(FAMILY, OVERRIDES)
+        assert raw.reply()[::2] == (200, b"ok\n")
+        assert raw.closed()
+
+
+def test_pipelined_requests_are_answered_in_order(pooled):
+    state, base = pooled
+    body = json.dumps({"family": FAMILY, "overrides": OVERRIDES}).encode()
+    expected = cli_render(FAMILY, OVERRIDES)
+    assert post(base, {"family": FAMILY, "overrides": OVERRIDES}).read() == (
+        expected
+    )
+    assert len(state.memo) == 1
+    with RawClient(base) as raw:
+        raw.send(raw_post(body) + HEALTHZ + raw_post(body))
+        first, health, last = raw.reply(), raw.reply(), raw.reply()
+    assert health[::2] == (200, b"ok\n")
+    for status, headers, rendered in (first, last):
+        assert (status, headers["x-repro-cache"]) == (200, "hit")
+        assert rendered == expected
+    assert state.counters["hits"] == 2
 
 
 # ----------------------------------------------------------------------
