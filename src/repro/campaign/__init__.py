@@ -8,9 +8,9 @@ deterministically by job key.  The building blocks:
   a content-addressed digest (config hash + schema salt);
 * :mod:`repro.campaign.store` — the one :class:`ResultStore`: on-disk
   results keyed by digest with checksummed entries (silent corruption
-  reads as a miss, not a result), a crash-safe index over (experiment,
-  family, seed, digest), incremental-sweep planning
-  (:meth:`ResultStore.plan`) and index rebuild from the raw entries;
+  reads as a miss, not a result), each carrying the metadata that
+  queries over (experiment, family, seed, digest) read from its header,
+  and incremental-sweep planning (:meth:`ResultStore.plan`);
 * :mod:`repro.campaign.policy` — the failure taxonomy,
   :class:`RetryPolicy` (bounded attempts, seeded exponential backoff)
   and :func:`~repro.campaign.policy.book`, the one attempt state
@@ -53,7 +53,6 @@ from repro.campaign.job import (
 from repro.campaign.store import (
     CacheCorruption,
     ResultStore,
-    StoreIndex,
     SweepPlan,
     default_store_root,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "RetryPolicy",
     "RunManifest",
     "SpoolQueue",
-    "StoreIndex",
     "SweepPlan",
     "campaign_digest",
     "default_store_root",

@@ -10,7 +10,7 @@ Examples::
     python -m repro campaign --resume             # finish an interrupted run
     python -m repro campaign --missing-only       # plan, then run only misses
     python -m repro campaign verify-cache         # integrity-check the store
-    python -m repro campaign query --family fig9  # index lookups, no unpickle
+    python -m repro campaign query --family fig9  # header lookups, no unpickle
     python -m repro campaign worker --spool-dir D # drain a shared spool
     python -m repro campaign --list               # selectable names
 
@@ -224,18 +224,10 @@ def report_outcome(outcome: CampaignOutcome, partial: bool) -> int:
     return 1 if outcome.failures and not partial else 0
 
 
-def verify_cache_main(
-    cache_dir: Optional[str], purge: bool, reindex: bool = False
-) -> int:
-    """``repro campaign verify-cache``: payload and index integrity.
-
-    Every entry's checksum is verified (exit 1 on damage, ``--purge``
-    to drop), and the index is cross-checked against the entries on
-    disk: dangling rows and unindexed entries are reported, and
-    ``--reindex`` rebuilds the index to exactly match the surviving
-    entries (always run after a purge, so the purge never leaves
-    dangling rows behind).
-    """
+def verify_cache_main(cache_dir: Optional[str], purge: bool) -> int:
+    """``repro campaign verify-cache``: every entry's checksum, which
+    covers its metadata line and its payload, is verified; exit 1 on
+    damage, ``--purge`` to drop the damaged entries."""
     store = ResultStore(cache_dir)
     if store.swept_tmp:
         print(f"swept {store.swept_tmp} stale temp file(s)")
@@ -247,37 +239,16 @@ def verify_cache_main(
         for digest, _, _ in bad:
             unlink_quietly(store.path_for(digest))
         print(f"purged {len(bad)} bad entrie(s)")
-    if store.index.corrupt_lines:
-        print(
-            f"index: skipped {store.index.corrupt_lines} corrupt "
-            "line(s) (torn append from a crashed writer)"
-        )
-    dangling, unindexed = store.verify_index()
-    if dangling or unindexed:
-        print(
-            f"index: {len(dangling)} dangling row(s), "
-            f"{len(unindexed)} unindexed entrie(s)"
-        )
-    else:
-        print("index: consistent with the entries on disk")
-    if reindex or (purge and bad):
-        entries, added, dropped = store.reindex()
-        print(
-            f"reindexed: {entries} entrie(s), {added} added, "
-            f"{dropped} dropped"
-        )
-    elif dangling or unindexed or store.index.corrupt_lines:
-        print("  (run verify-cache --reindex to rebuild the index)")
     return 1 if bad else 0
 
 
 def query_main(argv: List[str]) -> int:
-    """``repro campaign query``: index lookups, no payloads unpickled."""
+    """``repro campaign query``: header lookups, no payloads unpickled."""
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign query",
         description=(
             "Answer (experiment, family, seed, digest-prefix) lookups "
-            "from the result store's index without unpickling any "
+            "from the result store's entry headers without unpickling any "
             "payloads."
         ),
     )
@@ -291,7 +262,7 @@ def query_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--stat", action="store_true",
-        help="include entry size and indexing state per row",
+        help="include entry size per row",
     )
     args = parser.parse_args(argv)
     store = ResultStore(args.cache_dir)
@@ -407,12 +378,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="with verify-cache: delete the entries that fail "
         "verification",
     )
-    parser.add_argument(
-        "--reindex",
-        action="store_true",
-        help="with verify-cache: rebuild the store index from the "
-        "entries on disk",
-    )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--seconds",
@@ -431,7 +396,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiments and args.experiments[0] == "verify-cache":
         if len(args.experiments) > 1:
             parser.error("verify-cache takes no experiment names")
-        return verify_cache_main(args.cache_dir, args.purge, args.reindex)
+        return verify_cache_main(args.cache_dir, args.purge)
     try:
         check_execution_flags(args)
     except UsageError as exc:

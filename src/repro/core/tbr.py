@@ -27,7 +27,7 @@ station-side agent in :class:`repro.node.Station`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.rate_adjust import RateAdjustConfig, RateAdjuster
 from repro.core.token_bucket import TokenBucket
@@ -87,7 +87,6 @@ class TbrScheduler(ApScheduler):
         clocks=("_window_start_us",),
         counters=("regular_releases", "borrowed_releases"),
         parts=("_fill_timer", "_adjust_timer", "buckets"),
-        exact={"rate_history": "record_skipped_adjusts"},
     )
 
     def __init__(
@@ -118,7 +117,6 @@ class TbrScheduler(ApScheduler):
         # Diagnostics.
         self.borrowed_releases = 0
         self.regular_releases = 0
-        self.rate_history: List[Dict[str, float]] = []
         # Per-adjust-window uplink payload bytes (activity signal).
         self._uplink_bytes_window: Dict[str, int] = {}
         self._window_start_us = sim.now
@@ -277,11 +275,10 @@ class TbrScheduler(ApScheduler):
             for bucket in buckets:
                 base = self._weight(bucket.station) / total_weight
                 bucket.rate += restore * (base - bucket.rate)
-        rates = self.adjuster.adjust(
+        self.adjuster.adjust(
             buckets, self.sim.now, is_active=self._station_active
         )
         self.adjuster.normalize(buckets, total=1.0)
-        self.rate_history.append(dict(rates))
         self._uplink_bytes_window.clear()
         self._window_start_us = self.sim.now
 
@@ -336,14 +333,3 @@ class TbrScheduler(ApScheduler):
         self._fill_timer.stop()
         if self._adjust_timer is not None:
             self._adjust_timer.stop()
-
-    def record_skipped_adjusts(self, delta_us: float) -> None:
-        """The ADJUSTRATEEVENTs a jump of ``delta_us`` skipped never fire
-        (their timer phase shifts past them); in steady state they would
-        have re-recorded the converged rates, so the history gets one
-        row per skipped window."""
-        interval = self.config.adjust_interval_us
-        if interval > 0:
-            rates = {name: b.rate for name, b in self.buckets.items()}
-            for _ in range(int(delta_us // interval)):
-                self.rate_history.append(dict(rates))

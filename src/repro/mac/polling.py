@@ -237,8 +237,6 @@ class PollingCoordinator:
         self._downlink_rate = downlink_rate
         self.default_rate_mbps = default_rate_mbps
         self.rx_handler: Optional[Callable[[Frame], None]] = None
-        #: observers called (station, est_airtime_us, frame) per uplink.
-        self.uplink_observers: List[Callable] = []
         self.polls_sent = 0
         self.downlink_sent = 0
         self.idle_cycles = 0
@@ -458,8 +456,6 @@ class PollingCoordinator:
         self.scheduler.on_uplink_complete(
             frame.src, est, payload_bytes=frame.size_bytes
         )
-        for observer in self.uplink_observers:
-            observer(frame.src, est, frame)
         if self.rx_handler is not None:
             self.rx_handler(frame)
 

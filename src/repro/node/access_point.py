@@ -186,7 +186,6 @@ class AccessPoint:
         )
         self.mac.attach_scheduler(scheduler)
         self.mac.rx_handler = self._on_mac_rx
-        self.mac.add_completion_listener(self._on_mac_complete)
         self.mac.attempt_listener = self._on_attempt
 
         self.uplink_wire = WiredLink(sim, WIRED_DELAY_US, WIRED_RATE_MBPS)
@@ -200,8 +199,6 @@ class AccessPoint:
         self._enqueue_downlink_cb = self._enqueue_downlink
         self._deliver_packet_cb = _deliver_packet
 
-        #: observers of downlink exchange completions (callable(report)).
-        self.exchange_observers: List[Callable] = []
         #: observers of uplink receptions (callable(station, est_airtime,
         #: frame)) in addition to the scheduler.
         self.uplink_observers: List[Callable] = []
@@ -363,7 +360,3 @@ class AccessPoint:
         if success and self.reaper is not None:
             # An ACKed downlink attempt proves the peer is alive.
             self.reaper.heard(dst)
-
-    def _on_mac_complete(self, report) -> None:
-        for observer in self.exchange_observers:
-            observer(report)

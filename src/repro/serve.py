@@ -19,7 +19,7 @@ API::
                                 maximum, ``followers`` requests answered
                                 from another request's run)
     GET  /query?family=...&experiment=...&seed=...&digest=...
-                             -> JSON rows from the store index
+                             -> JSON rows from the entries' headers
     POST /run                -> rendered scenario (text/plain)
 
 ``POST /run`` bodies are JSON, either shape::
@@ -55,7 +55,7 @@ sweeps see them immediately:
    one item at a time over a pipe, checksum-verified reply, a crash
    costs that attempt and the worker is replaced); with ``N == 1`` it
    is :class:`~repro.campaign.executor.Inline` on the request thread.
-   Store writes happen in this process, behind the store's own lock.
+   Store writes happen in this process, one ``atomic_write`` each.
 
 Processes and threads.  One loop thread (:mod:`asyncio`, on the thread
 that calls ``serve_forever()``) owns every connection: it frames each

@@ -125,8 +125,8 @@ def test_cache_round_trip_and_corruption(tmp_path):
     assert cache.get(digest) == (False, None)  # corrupt -> miss, dropped
     assert len(cache) == 0
     cache.put(digest, {"v": 2})
-    assert cache.clear() == 1
-    assert cache.get(digest) == (False, None)
+    assert cache.get(digest) == (True, {"v": 2})
+    assert len(cache) == 1
 
 
 # ----------------------------------------------------------------------

@@ -176,6 +176,21 @@ def test_healthz_query_stats(server):
     assert stats["executed"] == 1
 
 
+def test_query_lists_what_another_process_stored_after_start(server):
+    """A CLI sweep or spool worker putting into the served store while
+    the server runs: ``GET /query`` lists the entry at once."""
+    from repro.campaign.job import make_job
+    from repro.campaign.store import job_meta
+
+    _, base, store = server
+    assert json.loads(get(base, "/query?experiment=late").read()) == []
+    job = make_job("late", "k", "repro.campaign.faults:echo", {"seed": 8})
+    ResultStore(store.root).put_for_job(job, {"echo": "late"})
+    rows = json.loads(get(base, "/query?experiment=late").read())
+    assert rows == [[job.digest, job_meta(job)]]
+    assert json.loads(get(base, "/query?seed=8").read()) == rows
+
+
 # ----------------------------------------------------------------------
 # error handling: bad requests never kill the server
 # ----------------------------------------------------------------------

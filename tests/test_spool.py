@@ -91,8 +91,8 @@ def test_process_one_executes_and_stores(tmp_path):
     assert q.process_one(root, cfg, store) == "empty"
     hit, value = store.get(job.digest)
     assert hit and value["echo"] == 0
-    # The worker's put carried the job metadata into the index.
-    assert store.index.entries[job.digest]["experiment"] == "spool-test"
+    # The worker's put carried the job metadata into the entry.
+    assert store.stat(job.digest)["experiment"] == "spool-test"
 
 
 def test_worker_loop_drains_spool(tmp_path):

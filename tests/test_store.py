@@ -1,10 +1,12 @@
-"""The layered result store: index, queries, planning, self-healing.
+"""The result store: entries that carry their own metadata, queries
+over their headers, planning, self-healing.
 
-The index is advisory — entry files are the source of truth — so every
-test here checks both directions: index rows must answer queries
-without unpickling a single payload, and damage to either side (torn
-index tail, vanished entry file, killed writer mid-campaign) must be
-detected and healed back to exactly the surviving entries.
+An entry file is the only record of a result, so every test here
+checks the entries themselves: queries must answer from entry headers
+without unpickling a single payload, every store open on a root must
+see every put made through any other, and damage (a truncated entry, a
+vanished file, a killed writer mid-campaign) must leave queries
+describing exactly the surviving entries.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.cli import main as campaign_main
 from repro.campaign.executor import run_jobs
 from repro.campaign.faults import FaultPlan
 from repro.campaign.job import make_job
@@ -23,7 +26,6 @@ from repro.campaign.store import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIRNAME,
     ResultStore,
-    StoreIndex,
     default_store_root,
     job_meta,
 )
@@ -67,7 +69,7 @@ def test_cwd_fallback_outside_any_repo(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# index + query + stat
+# query + stat, from the entries' headers
 # ----------------------------------------------------------------------
 def test_put_for_job_indexes_and_queries(tmp_path):
     store = ResultStore(tmp_path / "store")
@@ -100,7 +102,7 @@ def test_query_never_unpickles(tmp_path, monkeypatch):
     monkeypatch.setattr(pickle, "loads", boom)
     monkeypatch.setattr(pickle, "load", boom)
     assert len(reopened.query(experiment="store-test")) == 3
-    assert reopened.stat(echo_job(0).digest)["indexed"]
+    assert reopened.stat(echo_job(0).digest)["experiment"] == "store-test"
 
 
 def test_stat_reports_size_and_meta(tmp_path):
@@ -108,10 +110,34 @@ def test_stat_reports_size_and_meta(tmp_path):
     job = echo_job("x", seed=7)
     store.put_for_job(job, {"echo": "x"})
     st = store.stat(job.digest)
-    assert st["size_bytes"] > 0
-    assert st["indexed"] and st["seed"] == 7
-    assert st["experiment"] == "store-test"
+    path = store.path_for(job.digest)
+    assert st == {
+        "digest": job.digest,
+        "size_bytes": path.stat().st_size,
+        "mtime": path.stat().st_mtime,
+        **job_meta(job),
+    }
+    assert st["seed"] == 7 and st["experiment"] == "store-test"
     assert store.stat("f" * 64) is None
+    # A bare put carries no metadata: the file facts alone.
+    store.put("e" * 64, {"bare": True})
+    assert set(store.stat("e" * 64)) == {"digest", "size_bytes", "mtime"}
+    assert store.query() == sorted(
+        [(job.digest, job_meta(job)), ("e" * 64, {})]
+    )
+
+
+def test_a_second_store_on_the_root_sees_every_put(tmp_path):
+    """A long-lived store (``repro serve``'s) must list what another
+    process put after it opened: there is no copy of the metadata to
+    fall out of step."""
+    early = ResultStore(tmp_path / "store")
+    assert early.query() == []
+    job = echo_job("late", seed=4)
+    ResultStore(tmp_path / "store").put_for_job(job, {"echo": "late"})
+    assert early.query(seed=4) == [(job.digest, job_meta(job))]
+    assert early.stat(job.digest)["experiment"] == "store-test"
+    assert early.get(job.digest) == (True, {"echo": "late"})
 
 
 def test_scenario_meta_family_and_seed(tmp_path):
@@ -170,63 +196,65 @@ def test_plan_collapses_duplicate_digests(tmp_path):
 # ----------------------------------------------------------------------
 # crash consistency and self-healing
 # ----------------------------------------------------------------------
-def test_corrupt_index_tail_is_skipped(tmp_path):
+def test_torn_entry_is_skipped_by_query(tmp_path):
+    """An entry cut short inside its header (a full disk, a copy that
+    died) has no metadata to list: queries skip it, ``get`` drops it,
+    the rest stay listed."""
     store = ResultStore(tmp_path / "store")
-    for i in range(3):
-        store.put_for_job(echo_job(i), {"echo": i})
-    # A writer killed mid-append leaves a torn final line.
-    with open(store.index.path, "a") as fh:
-        fh.write('{"op": "add", "digest": "dead')
-    reopened = ResultStore(tmp_path / "store")
-    assert len(reopened.index.entries) == 3
-    assert reopened.index.corrupt_lines == 1
-    # Compaction drops the damage for good.
-    reopened.index.rewrite()
-    again = ResultStore(tmp_path / "store")
-    assert again.index.corrupt_lines == 0
-    assert len(again.index.entries) == 3
+    jobs = [echo_job(i) for i in range(3)]
+    for job in jobs:
+        store.put_for_job(job, {"echo": job.key})
+    path = store.path_for(jobs[0].digest)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: blob.index(b'"experiment"')])
+    survivors = sorted(job.digest for job in jobs[1:])
+    assert [d for d, _ in store.query()] == survivors
+    assert store.get(jobs[0].digest) == (False, None)
+    assert store.entry_digests() == survivors
 
 
-def test_verify_and_reindex_heal_both_directions(tmp_path):
+def test_query_follows_the_entry_files_both_ways(tmp_path):
+    """A vanished entry leaves no row behind, and an entry file planted
+    behind the store's back is listed with the metadata it carries."""
     store = ResultStore(tmp_path / "store")
     jobs = [echo_job(i) for i in range(4)]
     for job in jobs:
         store.put_for_job(job, {"echo": job.key})
-    # Dangling row: entry file vanished behind the index's back.
     store.path_for(jobs[0].digest).unlink()
-    # Unindexed entry: the raw entry file planted behind the store's
-    # back (e.g. a pre-index directory, or a crash before the index
-    # append).
-    extra = echo_job(99)
-    source = store.path_for(jobs[1].digest)
-    planted = store.path_for(extra.digest)
-    planted.parent.mkdir(exist_ok=True)
-    planted.write_bytes(source.read_bytes())
-    dangling, unindexed = store.verify_index()
-    assert dangling == [jobs[0].digest]
-    assert unindexed == [extra.digest]
-    entries, added, dropped = store.reindex()
-    assert (entries, added, dropped) == (4, 1, 1)
-    assert store.verify_index() == ([], [])
-    # The rebuilt index matches exactly the surviving entries, and kept
-    # the metadata of the rows it already knew.
-    assert sorted(store.index.entries) == store.entry_digests()
-    assert store.index.entries[jobs[1].digest]["experiment"] == "store-test"
+    elsewhere = ResultStore(tmp_path / "elsewhere")
+    extra = echo_job(99, seed=9)
+    shutil.copytree(
+        elsewhere.put_for_job(extra, {"echo": "x"}).parent,
+        store.path_for(extra.digest).parent, dirs_exist_ok=True,
+    )
+    rows = store.query()
+    assert [d for d, _ in rows] == store.entry_digests()
+    assert jobs[0].digest not in dict(rows)
+    assert dict(rows)[extra.digest] == job_meta(extra)
+    assert store.query(seed=9) == [(extra.digest, job_meta(extra))]
 
 
 def test_get_self_heals_stale_row(tmp_path):
+    """A corrupt entry is a miss that ``get`` drops: no query lists it
+    afterwards, and the next put refreshes it."""
     store = ResultStore(tmp_path / "store")
     job = echo_job(1)
     store.put_for_job(job, {"echo": 1})
-    store.path_for(job.digest).unlink()
+    path = store.path_for(job.digest)
+    path.write_bytes(path.read_bytes()[:-1])
+    assert [d for d, _ in store.query()] == [job.digest]  # header intact
     hit, value = store.get(job.digest)
     assert not hit and value is None
-    assert job.digest not in store.index.entries
+    assert not path.exists()
+    assert store.query() == [] and store.stat(job.digest) is None
+    store.put_for_job(job, {"echo": 1})
+    assert store.get(job.digest) == (True, {"echo": 1})
 
 
 def test_index_survives_faulted_campaign(tmp_path):
-    """PR 6 fault plan vs the index: after kill and corrupt faults the
-    index must describe exactly the surviving entries."""
+    """PR 6 fault plan vs the store: after kill and corrupt faults,
+    ``query`` lists exactly the surviving entries, each with its job's
+    metadata."""
     store = ResultStore(tmp_path / "store")
     jobs = [echo_job(i) for i in range(6)]
     plan = FaultPlan.from_json(json.dumps([
@@ -245,63 +273,75 @@ def test_index_survives_faulted_campaign(tmp_path):
     assert len(outcome.results) == 6
     assert outcome.stats.retried >= 2
     reopened = ResultStore(tmp_path / "store")
-    assert reopened.verify_index() == ([], [])
-    assert sorted(reopened.index.entries) == reopened.entry_digests()
-    assert len(reopened.entry_digests()) == 6
-
-
-def test_clear_resets_index(tmp_path):
-    store = ResultStore(tmp_path / "store")
-    for i in range(3):
-        store.put_for_job(echo_job(i), {"echo": i})
-    assert store.clear() == 3
-    assert store.index.entries == {}
-    assert ResultStore(tmp_path / "store").index.entries == {}
+    assert reopened.query() == sorted(
+        (job.digest, job_meta(job)) for job in jobs
+    )
+    assert reopened.verify_summary() == (6, [])
 
 
 def test_payload_format_is_cache_compatible(tmp_path):
-    """The entry layout, pinned literally — and the upgrade-in-place
-    promise: ``fixtures/store_no_index`` was written by the pre-index
-    cache class (no ``index.jsonl``), and a fresh store reads, verifies
-    and reindexes it under today's digests."""
+    """The entry layout, pinned literally — and the upgrade rule:
+    ``fixtures/store_no_index`` holds two entries of the previous
+    layout (``repro-cache/1``, no metadata line).  There is no reader
+    for it: each is a miss that ``get`` drops, and a rerun refreshes
+    it under the same digest."""
     jobs = [echo_job(1), echo_job(2)]
     values = [{"echo": v, "params": {"value": v}} for v in (1, 2)]
     written = ResultStore(tmp_path / "new").put_for_job(jobs[0], values[0])
     digest = jobs[0].digest
     assert written == tmp_path / "new" / digest[:2] / f"{digest}.pkl"
-    payload = pickle.dumps(values[0], protocol=pickle.HIGHEST_PROTOCOL)
+    meta = (
+        b'{"executor": "repro.campaign.faults:echo", '
+        b'"experiment": "store-test", "family": "store-test", '
+        b'"key": "key-1", "seed": null}'
+    )
+    body = meta + b"\n" + pickle.dumps(
+        values[0], protocol=pickle.HIGHEST_PROTOCOL
+    )
     assert written.read_bytes() == (
-        b"repro-cache/1\n"
-        + hashlib.sha256(payload).hexdigest().encode("ascii")
+        b"repro-cache/2\n"
+        + hashlib.sha256(body).hexdigest().encode("ascii")
         + b"\n"
-        + payload
+        + body
     )
 
     legacy = shutil.copytree(FIXTURE, tmp_path / "legacy")
     store = ResultStore(legacy)
-    assert not (legacy / "index.jsonl").exists()
-    for job, value in zip(jobs, values):
-        assert store.get(job.digest) == (True, value)
+    assert store.entry_digests() == sorted(j.digest for j in jobs)
+    assert store.query() == []
+    assert store.get(jobs[0].digest) == (False, None)  # a miss, dropped
+    assert store.entry_digests() == [jobs[1].digest]
+    verify = ["verify-cache", "--cache-dir", str(legacy)]
+    assert campaign_main(verify) == 1
+    assert campaign_main(verify + ["--purge"]) == 1
+    assert store.entry_digests() == []
+    assert campaign_main(verify) == 0
+    outcome = run_jobs(jobs, workers=1, cache=store)
+    assert outcome.stats.executed == 2  # each v1 entry re-runs once
+    assert [outcome.results[job] for job in jobs] == values
     assert store.verify_summary() == (2, [])
-    assert store.verify_index() == ([], sorted(j.digest for j in jobs))
-    assert store.reindex() == (2, 2, 0)
-    assert ResultStore(legacy).verify_index() == ([], [])
+    assert run_jobs(jobs, workers=1, cache=store).stats.executed == 0
+    assert not (legacy / "index.jsonl").exists()
 
 
-def test_index_ops_are_idempotent(tmp_path):
-    index = StoreIndex(tmp_path / "index.jsonl")
-    index.add("a" * 64, {"experiment": "x"})
-    size = index.path.stat().st_size
-    index.add("a" * 64, {"experiment": "x"})  # no-op re-put
-    assert index.path.stat().st_size == size
-    index.remove("b" * 64)  # removing the absent is silent
-    assert index.path.stat().st_size == size
+def test_re_put_is_idempotent(tmp_path):
+    """Putting a result again rewrites the same bytes under the same
+    name: one entry, one row, nothing else on disk."""
+    store = ResultStore(tmp_path / "store")
+    job = echo_job(1)
+    blob = store.put_for_job(job, {"echo": 1}).read_bytes()
+    store.put_for_job(job, {"echo": 1})
+    assert store.path_for(job.digest).read_bytes() == blob
+    assert store.query() == [(job.digest, job_meta(job))]
+    assert sorted(p.name for p in store.root.rglob("*")) == sorted(
+        [job.digest[:2], f"{job.digest}.pkl"]
+    )
 
 
 def test_concurrent_puts_keep_memory_log_and_disk_in_step(tmp_path):
     """``repro serve`` puts from every request thread: 8 writers, 200
-    entries, 8 of them fought over by all — no put may fail, and what
-    the store remembers must be what its log replays to."""
+    entries, 8 of them fought over by all — no put may fail, every
+    entry must verify whole, and no temp file may be left behind."""
     import sys
     import threading
 
@@ -335,10 +375,10 @@ def test_concurrent_puts_keep_memory_log_and_disk_in_step(tmp_path):
         sys.setswitchinterval(interval)
     assert failures == []
     assert len(store) == 200
-    assert store.verify_index() == ([], [])
+    rows = ResultStore(store.root).query()
+    assert len(rows) == 200
+    assert store.verify_summary() == (200, [])
     assert not list(store.root.glob("*/.*.tmp"))
-    reopened = ResultStore(store.root)
-    assert reopened.index.corrupt_lines == 0
-    assert reopened.index.entries == store.index.entries
     for job in shared:
         assert store.get(job.digest) == (True, {"echo": job.key})
+        assert dict(rows)[job.digest]["experiment"] == "store-test"

@@ -1,5 +1,5 @@
 """CLI surface of the store/queue layers: --missing-only, query,
-worker, verify-cache --reindex, --queue spool.
+worker, verify-cache, --queue spool.
 
 The acceptance bar for ``--missing-only``: a half-warm sweep must
 *report* the cached/missing split and *execute* exactly the missing
@@ -105,33 +105,37 @@ def test_query_lists_store_rows(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# verify-cache: index consistency + --reindex
+# verify-cache: the checksum covers the metadata line too
 # ----------------------------------------------------------------------
-def test_verify_cache_reports_and_rebuilds_index(tmp_path, capsys):
+def test_verify_cache_flags_a_damaged_meta_line(tmp_path, capsys):
     from repro.campaign.store import ResultStore
 
     store_dir = str(tmp_path / "store")
-    assert campaign_main(
-        ["fig2", "--jobs", "1", "--seconds", "0.5", "--quiet",
-         "--cache-dir", store_dir]
-    ) == 0
+    args = ["fig2", "--jobs", "1", "--seconds", "0.5", "--quiet",
+            "--cache-dir", store_dir]
+    assert campaign_main(args) == 0
     capsys.readouterr()
-    assert campaign_main(["verify-cache", "--cache-dir", store_dir]) == 0
-    assert "index: consistent" in capsys.readouterr().out
-    # Lose the index entirely (pre-index cache dir / crashed writer).
+    verify = ["verify-cache", "--cache-dir", store_dir]
+    assert campaign_main(verify) == 0
+    assert "2 entrie(s)" in capsys.readouterr().out
+    # One flipped byte inside the metadata line, payload untouched.
     store = ResultStore(store_dir)
-    store.index.path.unlink()
-    assert campaign_main(["verify-cache", "--cache-dir", store_dir]) == 0
+    path = store.path_for(store.entry_digests()[0])
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(b'"experiment": "fig') + len('"experiment": "f')] ^= 0x01
+    path.write_bytes(bytes(blob))
+    assert campaign_main(verify) == 1
     out = capsys.readouterr().out
-    assert "2 unindexed entrie(s)" in out
-    assert "--reindex" in out  # hint printed
-    assert campaign_main(
-        ["verify-cache", "--cache-dir", store_dir, "--reindex"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "reindexed: 2 entrie(s), 2 added, 0 dropped" in out
-    assert campaign_main(["verify-cache", "--cache-dir", store_dir]) == 0
-    assert "index: consistent" in capsys.readouterr().out
+    assert "1 ok" in out and "checksum mismatch" in out
+    assert "index" not in out
+    assert campaign_main(verify + ["--purge"]) == 1
+    assert "purged 1 bad entrie(s)" in capsys.readouterr().out
+    assert campaign_main(verify) == 0
+    capsys.readouterr()
+    assert campaign_main(args) == 0
+    assert re.search(r"\b1 executed", capsys.readouterr().out)
+    with pytest.raises(SystemExit):  # the index is gone, and its flag
+        campaign_main(verify + ["--reindex"])
 
 
 # ----------------------------------------------------------------------
