@@ -10,7 +10,9 @@ deterministically by job key.  The building blocks:
   results keyed by digest with checksummed entries (silent corruption
   reads as a miss, not a result), each carrying the metadata that
   queries over (experiment, family, seed, digest) read from its header,
-  and incremental-sweep planning (:meth:`ResultStore.plan`);
+  incremental-sweep planning (:meth:`ResultStore.plan`), and the
+  quarantine record of each job that exhausted its attempts, which
+  ``repro campaign --resume`` replays;
 * :mod:`repro.campaign.policy` — the failure taxonomy,
   :class:`RetryPolicy` (bounded attempts, seeded exponential backoff)
   and :func:`~repro.campaign.policy.book`, the one attempt state
@@ -28,8 +30,6 @@ deterministically by job key.  The building blocks:
   duplicate-config coalescing, one ``drain`` through the backend that
   ``workers`` picks (the in-process :class:`Inline` for 1), and
   completion-order-independent merging;
-* :mod:`repro.campaign.manifest` — per-campaign checkpoints behind
-  ``repro campaign --resume``;
 * :mod:`repro.campaign.faults` — deterministic fault injection for the
   chaos test suite;
 * :mod:`repro.campaign.cli` — ``python -m repro campaign`` over the one
@@ -65,7 +65,6 @@ from repro.campaign.executor import (
     serial_results,
 )
 from repro.campaign.faults import Fault, FaultPlan
-from repro.campaign.manifest import RunManifest, campaign_digest
 from repro.campaign.policy import (
     AttemptRecord,
     JobFailure,
@@ -84,10 +83,8 @@ __all__ = [
     "JobFailure",
     "ResultStore",
     "RetryPolicy",
-    "RunManifest",
     "SpoolQueue",
     "SweepPlan",
-    "campaign_digest",
     "default_store_root",
     "execute_job",
     "worker_loop",

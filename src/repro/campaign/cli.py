@@ -7,7 +7,7 @@ Examples::
     python -m repro campaign --jobs 1             # serial, in-process
     python -m repro campaign --force              # ignore cached results
     python -m repro campaign --timeout 600        # kill hung jobs
-    python -m repro campaign --resume             # finish an interrupted run
+    python -m repro campaign --resume             # replay stored quarantines
     python -m repro campaign --missing-only       # plan, then run only misses
     python -m repro campaign verify-cache         # integrity-check the store
     python -m repro campaign query --family fig9  # header lookups, no unpickle
@@ -22,10 +22,13 @@ order requested, independent of which worker finished first.
 Failure semantics: a job that exhausts its ``--retries`` attempts is
 *quarantined* — the campaign completes the rest, prints a quarantine
 report (digest, attempts, worker pids, traceback), skips the affected
-experiments' renders, and exits nonzero unless ``--partial``.  A ^C
-flushes finished results to the cache and the run's manifest, and
-``--resume`` then executes only the remainder (prior quarantined jobs
-are reported without burning their retry budget again).
+experiments' renders, and exits nonzero unless ``--partial``.  Every
+outcome lands in the store as it happens — a result as its entry, a
+quarantine as the digest's record — so after a ^C a rerun executes only
+the remainder.  ``--resume`` also replays the quarantine record of
+every job that has one, whichever earlier run on the store left it,
+without burning its retry budget again; a plain rerun attempts those
+jobs afresh.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.executor import (
@@ -43,7 +45,6 @@ from repro.campaign.executor import (
 )
 from repro.campaign.faults import FaultPlan, FaultPlanError
 from repro.campaign.job import Job
-from repro.campaign.manifest import RunManifest, campaign_digest
 from repro.campaign.policy import RetryPolicy
 from repro.campaign.store import (
     DEFAULT_CACHE_DIRNAME,
@@ -59,11 +60,6 @@ CACHE_DIR_HELP = (
 
 #: Exit code for an interrupted (^C) campaign, matching shell SIGINT.
 EXIT_INTERRUPTED = 130
-
-
-def manifest_path(cache_dir, digest: str) -> Path:
-    """Where a campaign's resume checkpoint lives."""
-    return Path(cache_dir) / "runs" / f"{digest[:16]}.json"
 
 
 # ----------------------------------------------------------------------
@@ -85,8 +81,8 @@ def add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="neither read nor write the result store (also disables "
-        "the resume manifest)",
+        help="neither read nor write the result store (results or "
+        "quarantine records)",
     )
     parser.add_argument(
         "--force", action="store_true",
@@ -368,9 +364,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="resume this campaign from its manifest: cached digests "
-        "are reused and previously quarantined jobs are reported "
-        "without re-running their attempts",
+        help="replay the store's quarantine records: a job that an "
+        "earlier run on this store quarantined is reported without "
+        "re-running its attempts (a plain run attempts it again)",
     )
     parser.add_argument(
         "--purge",
@@ -434,7 +430,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{name}: {exc}", file=sys.stderr)
             return 2
 
-    digest = campaign_digest(job.digest for job in jobs)
     try:
         if args.resume and args.no_cache:
             raise UsageError("--resume needs the cache; drop --no-cache")
@@ -444,22 +439,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if not jobs:
         return 0
-    manifest = None
-    skip_failed = None
-    if kwargs["cache"] is not None:
-        manifest = RunManifest.load(
-            manifest_path(kwargs["cache"].root, digest), digest
-        )
-        if args.resume:
-            skip_failed = set(manifest.failed)
-        else:
-            # A fresh (non-resume) run re-attempts everything that is
-            # not in the store, including previously failed digests.
-            manifest.failed.clear()
-
-    outcome = run_jobs(
-        jobs, manifest=manifest, skip_failed=skip_failed, **kwargs
-    )
+    outcome = run_jobs(jobs, resume=args.resume, **kwargs)
 
     failed_experiments = set(outcome.failed_experiments())
     incomplete = failed_experiments | (

@@ -17,11 +17,11 @@ campaign is byte-identical to an inline one.  Along the way it:
 * degrades gracefully: a backend whose workers keep dying hands its
   remaining jobs back and they drain inline, recording
   ``degraded_reason`` in :class:`CampaignStats`;
-* checkpoints: every completion lands in the store *and* the optional
-  :class:`~repro.campaign.manifest.RunManifest` immediately, and a
-  ``KeyboardInterrupt`` returns a coherent partial
-  :class:`CampaignOutcome` (flushed results, ``stats.interrupted``,
-  wall clock set) instead of losing the run.
+* checkpoints: every outcome lands in the store the moment it is
+  known — a result as an entry, a quarantine as the digest's record,
+  which ``resume=True`` replays — and a ``KeyboardInterrupt`` returns a
+  coherent partial :class:`CampaignOutcome` (flushed results,
+  ``stats.interrupted``, wall clock set) instead of losing the run.
 
 Every backend is a ``drain(items, retry=, timeout_s=, fault_plan=,
 sink=)`` over the same three parts: one attempt is
@@ -37,8 +37,12 @@ inline.  Backends differ only in *where* the attempt runs:
 :class:`~repro.campaign.pool.SupervisedPool` in supervised children on
 pipes, :class:`~repro.campaign.queue.SpoolQueue` in whichever process
 claims the job from a shared directory.  Worker processes only ever
-receive :class:`Job` descriptors (frozen primitive trees); manifest
-writes happen in the parent, so no locking is needed.
+receive :class:`Job` descriptors (frozen primitive trees).  Each
+outcome is written to the store once, by the process that ran its
+attempt's reply check: the run itself for inline and pool, the spool
+participant for the spool, which reports its outcomes with
+``stored=True``.  A store write is one atomic rename, so no locking is
+needed.
 """
 
 from __future__ import annotations
@@ -54,13 +58,11 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
 from repro.campaign.faults import FaultPlan
 from repro.campaign.job import Job, execute_job
-from repro.campaign.manifest import RunManifest
 from repro.campaign.policy import AttemptRecord, JobFailure, RetryPolicy, book
 from repro.campaign.pool import SupervisedPool, _execute_one, decode_reply
 from repro.campaign.store import ResultStore
@@ -165,11 +167,9 @@ class _Run:
     by_digest: Dict[str, List[Job]]
     stats: CampaignStats
     cache: Optional[ResultStore]
-    manifest: Optional[RunManifest]
     progress: Optional[ProgressFn]
     resolved: Dict[str, Any] = field(default_factory=dict)
     failures: List[JobFailure] = field(default_factory=list)
-    attempts_used: Dict[str, int] = field(default_factory=dict)
     done: int = 0
 
     def emit(self, event: str, digest: str) -> None:
@@ -184,29 +184,24 @@ class _Run:
         self.done += 1
         self.emit("cached", digest)
 
-    def finish(self, digest: str, value: Any) -> None:
+    def finish(self, digest: str, value: Any, stored: bool = False) -> None:
         self.resolved[digest] = value
         self.stats.executed += 1
         self.done += 1
-        if self.cache is not None:
+        if self.cache is not None and not stored:
             self.cache.put_for_job(self.by_digest[digest][0], value)
-        if self.manifest is not None:
-            self.manifest.record_done(
-                digest, self.attempts_used.get(digest, 0) + 1
-            )
         self.emit("executed", digest)
 
     def retried(self, digest: str, record: AttemptRecord) -> None:
         self.stats.retried += 1
-        self.attempts_used[digest] = record.attempt
         self.emit("retried", digest)
 
-    def quarantine(self, failure: JobFailure) -> None:
+    def quarantine(self, failure: JobFailure, stored: bool = False) -> None:
         self.failures.append(failure)
         self.stats.failed += 1
         self.done += 1
-        if self.manifest is not None:
-            self.manifest.record_failed(failure)
+        if self.cache is not None and not stored:
+            self.cache.put_failure(failure)
         self.emit("failed", failure.digest)
 
     def skip_known_failure(self, failure: JobFailure) -> None:
@@ -272,8 +267,7 @@ def run_jobs(
     retry: Optional[RetryPolicy] = None,
     timeout_s: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
-    manifest: Optional[RunManifest] = None,
-    skip_failed: Optional[Set[str]] = None,
+    resume: bool = False,
     queue=None,
 ) -> CampaignOutcome:
     """Execute a campaign and merge results deterministically.
@@ -282,11 +276,12 @@ def run_jobs(
     store lookups (entries are still refreshed with the new results).
     ``timeout_s`` bounds each job's wall clock (not inline — there is
     no one to kill).  ``retry`` defaults to
-    three attempts with seeded exponential backoff.  Digests listed in
-    ``skip_failed`` (a resumed run's prior quarantine) are reported as
-    failures without spending any attempts; ``manifest``, when given,
-    is updated after every completion or quarantine so a later run can
-    resume.  ``fault_plan`` injects worker failures for the chaos suite
+    three attempts with seeded exponential backoff.  With a ``cache``,
+    a quarantined digest leaves its record in the store, whichever run
+    put it there: ``resume=True`` reports each unresolved digest that
+    has one as a failure without spending any attempts, while a plain
+    run drops the record and attempts the digest again.
+    ``fault_plan`` injects worker failures for the chaos suite
     (default: the ``REPRO_CAMPAIGN_FAULTS`` environment hook).
     ``queue`` overrides the backend (e.g. a
     :class:`~repro.campaign.queue.SpoolQueue` shared with independent
@@ -325,31 +320,25 @@ def run_jobs(
     )
     stats.coalesced = stats.total - stats.unique
 
-    run = _Run(by_digest, stats, cache, manifest, progress)
+    run = _Run(by_digest, stats, cache, progress)
     if cache is not None and not force:
         for digest in by_digest:
             hit, value = cache.get(digest)
             if hit:
                 run.hit(digest, value)
 
-    if skip_failed:
-        for digest in by_digest:
-            if digest in run.resolved or digest not in skip_failed:
+    pending: List[Tuple[str, Job]] = []
+    for digest, group in by_digest.items():
+        if digest in run.resolved:
+            continue
+        if cache is not None:
+            prior = cache.failure(digest) if resume else None
+            if prior is not None:
+                run.skip_known_failure(prior)
                 continue
-            prior = (
-                manifest.failure_for(digest) if manifest is not None else None
-            )
-            if prior is None:
-                prior = JobFailure.for_job(by_digest[digest][0], permanent=True)
-            run.skip_known_failure(prior)
-
-    finished = set(run.resolved)
-    finished.update(f.digest for f in run.failures)
-    pending = [
-        (digest, group[0])
-        for digest, group in by_digest.items()
-        if digest not in finished
-    ]
+            # About to be attempted: whatever it ends as is its only record.
+            cache.drop_failure(digest)
+        pending.append((digest, group[0]))
 
     built = None  # closed here; a queue passed in is the caller's
     if queue is None and workers > 1:

@@ -190,7 +190,8 @@ class JobFailure:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """The JSON shape of manifests and spool ``failed/`` records."""
+        """The JSON shape of a store's quarantine record
+        (:meth:`~repro.campaign.store.ResultStore.put_failure`)."""
         return {**dataclasses.asdict(self), "key": repr(self.key)}
 
     @classmethod

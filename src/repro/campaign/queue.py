@@ -10,7 +10,7 @@ jobs are pickled envelopes in a shared directory, claimed by atomic
 ``os.rename`` (the rename either succeeds for exactly one claimant or
 raises — no locks, works over a shared filesystem), executed by any
 number of *independent* worker processes (``repro campaign worker``)
-that write results straight into the shared
+that write their outcomes straight into the shared
 :class:`~repro.campaign.store.ResultStore`.
 
 Spool liveness is lease-based: a claim is accompanied by a heartbeat
@@ -18,11 +18,11 @@ file the owner touches while working.  A worker that dies — SIGKILL,
 OOM, power loss — stops heartbeating, and after ``lease_s`` any other
 participant *reclaims* the job: the lost lease costs one ``crash``
 attempt under the shared retry policy, exactly like a pool worker
-death.  Retry state (the per-digest attempt log) and quarantine records
-(``failed/<digest>.json``) live in the spool directory itself, so
-policy is enforced identically no matter which process picks the job up
-next; the enqueuer freezes the policy into ``policy.json`` so every
-worker applies the same backoff schedule and fault plan.
+death.  Retry state (the per-digest attempt log) lives in the spool
+directory itself, so policy is enforced identically no matter which
+process picks the job up next; the enqueuer freezes the policy into
+``policy.json`` so every worker applies the same backoff schedule and
+fault plan.
 
 Spool layout, under one root directory::
 
@@ -32,11 +32,12 @@ Spool layout, under one root directory::
     claims/<digest>.hb     heartbeat (mtime = lease freshness)
     attempts/<digest>.jsonl  one line per failed attempt
                            (AttemptRecord.to_dict + requeued, traceback)
-    failed/<digest>.json   quarantine record (JobFailure.to_dict)
 
-Results never pass through the spool: workers write them to the result
-store (checksummed, atomic), and the coordinator detects completion by
-digest presence — which also makes enqueue/execute idempotent.
+Outcomes never pass through the spool: the participant that ran the
+last attempt writes the result entry or the quarantine record to the
+result store (atomic, under the digest), and the coordinator detects
+completion by their presence and only reports it — which also makes
+enqueue/execute idempotent.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class SpoolConfig:
 
 def _dirs(root: Path) -> Dict[str, Path]:
     return {
-        name: root / name for name in ("jobs", "claims", "failed", "attempts")
+        name: root / name for name in ("jobs", "claims", "attempts")
     }
 
 
@@ -194,17 +195,14 @@ def spool_drained(root) -> bool:
 def enqueue(root, cfg: SpoolConfig, items: List[Tuple[str, Job]]) -> int:
     """Write ``items`` into the spool, resetting their retry state.
 
-    Re-enqueueing a digest clears its attempt log and any quarantine
-    record (a fresh campaign re-attempts failed digests, matching
-    ``run_jobs`` without ``--resume``) and sweeps an expired stale
-    claim left by a dead participant of an earlier run.
+    Re-enqueueing a digest clears its attempt log and sweeps an expired
+    stale claim left by a dead participant of an earlier run.
     """
     root = init_spool(root)
     save_config(root, cfg)
     dirs = _dirs(root)
     now = time.time()
     for digest, job in items:
-        unlink_quietly(dirs["failed"] / f"{digest}.json")
         unlink_quietly(dirs["attempts"] / f"{digest}.jsonl")
         claim = dirs["claims"] / f"{digest}.job"
         if _lease_expired(cfg, now, claim.with_suffix(".hb"), claim):
@@ -214,7 +212,7 @@ def enqueue(root, cfg: SpoolConfig, items: List[Tuple[str, Job]]) -> int:
 
 
 # ----------------------------------------------------------------------
-# attempt log + quarantine records
+# attempt log + quarantine
 # ----------------------------------------------------------------------
 def _attempt_lines(root: Path, digest: str) -> List[Dict[str, Any]]:
     path = _dirs(root)["attempts"] / f"{digest}.jsonl"
@@ -274,10 +272,11 @@ def _fail_attempt(
 ) -> str:
     """Book one failed attempt: requeue with backoff, or quarantine.
 
-    The attempt line lands in the shared log *before* the claim is
-    released, so a crash inside this function can at worst inflate the
-    attempt count by one reclaim — never lose the failure.  Returns
-    ``"requeued"`` or ``"failed"``.
+    The attempt line, and a quarantine's record in the result store at
+    ``cfg.store_root``, land *before* the claim is released, so a crash
+    inside this function can at worst inflate the attempt count by one
+    reclaim — never lose the failure.  Returns ``"requeued"`` or
+    ``"failed"``.
     """
     record, permanent = book(
         cfg.retry, digest, attempt, kind, detail, pid, exc_type
@@ -304,20 +303,9 @@ def _fail_attempt(
         tracebacks[-1] if tracebacks else tb,
         permanent,
     )
-    atomic_write(
-        _dirs(root)["failed"] / f"{digest}.json",
-        (json.dumps(failure.to_dict(), sort_keys=True) + "\n").encode(),
-    )
+    ResultStore(cfg.store_root).put_failure(failure)
     _release(claim_path)
     return "failed"
-
-
-def load_failure(root, digest: str) -> Optional[JobFailure]:
-    path = _dirs(Path(root))["failed"] / f"{digest}.json"
-    try:
-        return JobFailure.from_dict(json.loads(path.read_text()))
-    except (OSError, ValueError, KeyError):
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -628,10 +616,12 @@ class SpoolQueue:
     """Drain a campaign through a filesystem spool.
 
     The coordinator enqueues the items, optionally spawns ``workers``
-    local worker processes, and then *observes*: results appear in the
-    shared ``store``, quarantines in ``failed/``, retries in the
-    attempt log — and it reports each into the run's ``sink`` exactly
-    as the other backends do.  Independent ``repro campaign worker``
+    local worker processes, and then *observes*: results and quarantine
+    records appear in the shared ``store`` (the run's ``cache`` should
+    be the same store), retries in the attempt log — and it reports
+    each into the run's ``sink`` as the other backends do, outcomes
+    with ``stored=True``: their writer was the participant that ran
+    the attempt.  Independent ``repro campaign worker``
     processes — started by hand, by CI, or on other hosts sharing the
     directory — join the same drain at any time.  ``workers=0`` relies
     entirely on such external workers (set ``participate=True`` to have
@@ -700,16 +690,10 @@ class SpoolQueue:
                         sink.retried(digest, AttemptRecord.from_dict(line))
                         progressed = True
                     retries_seen[digest] = len(requeued)
-                    failure = load_failure(self.root, digest)
-                    if failure is not None:
-                        sink.quarantine(failure)
-                        del pending[digest]
-                        progressed = True
-                        continue
                     if self.store.contains(digest):
                         hit, value = self.store.get(digest)
                         if hit:
-                            sink.finish(digest, value)
+                            sink.finish(digest, value, stored=True)
                             del pending[digest]
                             progressed = True
                         else:
@@ -717,6 +701,12 @@ class SpoolQueue:
                             # was dropped — put the job back in play.
                             enqueue(self.root, cfg, [(digest, job)])
                             retries_seen[digest] = 0
+                        continue
+                    failure = self.store.failure(digest)
+                    if failure is not None:
+                        sink.quarantine(failure, stored=True)
+                        del pending[digest]
+                        progressed = True
                 if progressed:
                     deaths = 0
                 if not pending:

@@ -1,4 +1,5 @@
-"""The result store: one checksummed entry file per result.
+"""The result store: one checksummed entry file per result, one
+quarantine record per job that never produced one.
 
 :class:`ResultStore` is the campaign subsystem's one storage class.
 Each finished job's result is one **entry** file under its digest (see
@@ -23,6 +24,15 @@ damaged entry is dropped so the next run refreshes it.  A put is one
 entry behind; temp files orphaned by a process that died *between* the
 write and the rename are swept on open (their embedded writer pid no
 longer exists).
+
+A job that exhausted its attempts leaves the other kind of file under
+its digest instead, the **quarantine record** ``<dd>/<digest>.failed``:
+:meth:`~repro.campaign.policy.JobFailure.to_dict` as one sorted-keys
+JSON line, also one :func:`atomic_write`.  It is what ``repro campaign
+--resume`` replays without spending attempts; a record that does not
+parse reads as no record, so its job is attempted again.  A result
+always wins: no record is written beside an entry.  Listing, queries
+and verification see entries only.
 
 What an opaque blob store cannot answer comes from the entries
 themselves:
@@ -59,6 +69,7 @@ from types import SimpleNamespace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.campaign.job import Job, thaw
+from repro.campaign.policy import JobFailure
 
 #: First line of every entry; bump the version for incompatible layout
 #: changes (old entries then read as corrupt -> miss -> refresh).
@@ -355,6 +366,33 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self.entry_digests())
+
+    # ------------------------------------------------------------------
+    # quarantine records
+    # ------------------------------------------------------------------
+    def _failure_path(self, digest: str) -> Path:
+        return self.root / digest[:2] / f"{digest}.failed"
+
+    def put_failure(self, failure: JobFailure) -> None:
+        """Record a quarantined job, unless its digest has an entry: a
+        result always wins (one can only be there under ``--force``)."""
+        if self.contains(failure.digest):
+            return
+        record = json.dumps(failure.to_dict(), sort_keys=True) + "\n"
+        atomic_write(self._failure_path(failure.digest), record.encode())
+
+    def failure(self, digest: str) -> Optional[JobFailure]:
+        """The quarantine record of ``digest``; ``None`` when there is
+        none or it does not parse, so the job is simply attempted
+        again."""
+        try:
+            data = json.loads(self._failure_path(digest).read_bytes())
+            return JobFailure.from_dict(data)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
+
+    def drop_failure(self, digest: str) -> bool:
+        return unlink_quietly(self._failure_path(digest))
 
     # ------------------------------------------------------------------
     # verification

@@ -6,8 +6,8 @@ and in nothing else — the attempt, the reply check and the
 retry-or-quarantine decision are shared code.  The matrix below runs one
 job set covering every outcome through each backend and holds it to the
 same results, the same attempt records (the seeded backoff schedule, not
-just the count), the same stats and the same store entry bytes; the
-table test pins the decision itself.
+just the count), the same stats, the same store entry bytes and the same
+quarantine records; the table test pins the decision itself.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import RunManifest, make_job, run_jobs
+from repro.campaign import make_job, run_jobs
 from repro.campaign.policy import (
     PERMANENT_EXCEPTIONS,
     TRANSIENT_KINDS,
@@ -67,46 +67,54 @@ def run_matrix(root, backend):
     root.mkdir()
     Path("flaky.marker").unlink(missing_ok=True)  # every run starts flaky
     store = ResultStore(root / "store")
-    manifest = RunManifest(root / "manifest.json", "matrix")
     how = BACKENDS[backend](root, store)
     try:
-        outcome = run_jobs(
-            matrix_jobs(),
-            cache=store,
-            retry=RETRY,
-            manifest=manifest,
-            **how,
-        )
+        outcome = run_jobs(matrix_jobs(), cache=store, retry=RETRY, **how)
     finally:
         queue = how.get("queue")
         if hasattr(queue, "close"):
             queue.close()  # a queue passed in is its caller's to close
-    return outcome, store, manifest
+    return outcome, store
 
 
-def observed(outcome, store, manifest):
+def booked(failures):
+    """``{label: (permanent, [(kind, attempt, backoff_s), ...])}`` —
+    pids and tracebacks differ by where an attempt ran, so they are
+    left out."""
+    return {
+        failure.label: (
+            failure.permanent,
+            [(a.kind, a.attempt, a.backoff_s) for a in failure.attempts],
+        )
+        for failure in sorted(failures, key=lambda f: f.label)
+    }
+
+
+def observed(outcome, store):
     """What the equivalence claim covers: everything a run returned,
-    booked and stored."""
+    booked and stored.
+
+    The store is read back from disk: entry bytes per digest, and each
+    quarantine record through ``store.failure``.  How many attempts a
+    completed job took is ``stats.retried`` together with the failures'
+    attempt lists; nothing else records it.
+    """
+    quarantined = sorted(p.stem for p in store.root.glob("??/*.failed"))
     return {
         "results": outcome.results,
-        "attempts": {
-            failure.label: (
-                failure.permanent,
-                [(a.kind, a.attempt, a.backoff_s) for a in failure.attempts],
-            )
-            for failure in sorted(outcome.failures, key=lambda f: f.label)
-        },
+        "attempts": booked(outcome.failures),
         "stats": (
             outcome.stats.executed,
             outcome.stats.retried,
             outcome.stats.failed,
             outcome.stats.coalesced,
         ),
-        "attempts_used": manifest.completed,
         "entries": {
             digest: store.path_for(digest).read_bytes()
             for digest in store.entry_digests()
         },
+        "quarantined": quarantined,
+        "records": booked(store.failure(digest) for digest in quarantined),
     }
 
 
@@ -132,8 +140,10 @@ def test_backends_are_equivalent(tmp_path, monkeypatch, backend):
     }
     # executed ok + flaky; retried flaky + closure; failed poison + closure
     assert got["stats"] == (2, 2, 2, 1)
-    assert got["attempts_used"] == {ok.digest: 1, flaky.digest: 2}
+    # One record per outcome: an entry or a quarantine record, never both.
     assert set(got["entries"]) == {ok.digest, flaky.digest}
+    assert got["quarantined"] == sorted([poison.digest, closure.digest])
+    assert got["records"] == got["attempts"]
     assert not list(tmp_path.glob(f"{backend}/store/*/.*.tmp"))
 
     # ... and to the inline run, byte for byte.

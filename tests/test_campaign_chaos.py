@@ -7,8 +7,10 @@ made to raise, or made to corrupt their results on chosen
 costs one attempt and the merged results stay byte-identical, a hung
 job dies at the timeout and retries on the seeded backoff schedule, a
 poison job quarantines with its traceback while the rest of the
-campaign completes, a sick pool degrades to serial, and an interrupted
-run resumes from its checkpoint executing only the remainder.
+campaign completes, a sick pool degrades to serial, an interrupted run
+resumes from the store executing only the remainder, and a quarantine
+leaves exactly one record in the store, which ``resume=True`` replays
+and a plain run replaces.
 
 Jobs are ``builtins:dict`` echoes, so the suite tests the machinery,
 not the simulator; a full pool spin-up is a few hundred ms.
@@ -27,8 +29,6 @@ from repro.campaign import (
     FaultPlan,
     ResultStore,
     RetryPolicy,
-    RunManifest,
-    campaign_digest,
     make_job,
     quarantine_report,
     run_jobs,
@@ -321,17 +321,19 @@ def test_interrupt_flushes_finished_results_and_reports_partial(
             assert hit and value == finished[job.key]
 
 
+def records(cache, suffix):
+    """Digests with a file of this kind in the store, sorted."""
+    return sorted(p.stem for p in cache.root.glob(f"??/*.{suffix}"))
+
+
 def test_resume_executes_only_the_remainder(tmp_path):
     jobs = echo_jobs(6)
     cache = ResultStore(tmp_path / "cache")
-    digest = campaign_digest(j.digest for j in jobs)
-    manifest = RunManifest(tmp_path / "runs" / "m.json", digest)
 
     first = run_jobs(
         jobs,
         workers=1,
         cache=cache,
-        manifest=manifest,
         retry=fast_retry(),
         progress=InterruptAfter(2),
     )
@@ -339,17 +341,18 @@ def test_resume_executes_only_the_remainder(tmp_path):
     done_first = first.stats.executed
     assert 0 < done_first < 6
 
-    # Resume: the manifest knows what completed; only the remainder
-    # executes, and the merged outcome covers the full campaign.
-    reloaded = RunManifest.load(tmp_path / "runs" / "m.json", digest)
-    assert len(reloaded.completed) == done_first
+    # Resume: the store alone knows what completed — one entry per
+    # finished job, nothing else — so only the remainder executes and
+    # the merged outcome covers the full campaign.
+    assert len(records(cache, "pkl")) == done_first
+    assert records(cache, "failed") == []
     log = ProgressLog()
     second = run_jobs(
         jobs,
         workers=1,
         cache=cache,
-        manifest=reloaded,
         retry=fast_retry(),
+        resume=True,
         progress=log,
     )
     assert second.ok
@@ -363,32 +366,23 @@ def test_resume_skips_known_failures_without_burning_attempts(tmp_path):
     victim = jobs[3].digest
     plan = FaultPlan((Fault(victim, 0, "fail"),))
     cache = ResultStore(tmp_path / "cache")
-    digest = campaign_digest(j.digest for j in jobs)
-    manifest = RunManifest(tmp_path / "runs" / "m.json", digest)
 
     first = run_jobs(
-        jobs,
-        workers=2,
-        cache=cache,
-        manifest=manifest,
-        retry=fast_retry(),
-        fault_plan=plan,
+        jobs, workers=2, cache=cache, retry=fast_retry(), fault_plan=plan
     )
     assert [f.digest for f in first.failures] == [victim]
 
-    # --resume semantics: the prior quarantine is replayed (with its
-    # recorded attempts) and nothing is re-executed.
-    reloaded = RunManifest.load(tmp_path / "runs" / "m.json", digest)
-    assert set(reloaded.failed) == {victim}
+    # --resume semantics: the stored quarantine record is replayed (with
+    # its recorded attempts) and nothing is re-executed.
+    assert records(cache, "failed") == [victim]
     log = ProgressLog()
     second = run_jobs(
         jobs,
         workers=2,
         cache=cache,
-        manifest=reloaded,
         retry=fast_retry(),
         fault_plan=plan,
-        skip_failed=set(reloaded.failed),
+        resume=True,
         progress=log,
     )
     assert log.count("executed") == 0
@@ -398,6 +392,55 @@ def test_resume_skips_known_failures_without_burning_attempts(tmp_path):
     assert replayed.digest == victim
     assert replayed.permanent
     assert [a.kind for a in replayed.attempts] == ["exception"]
+    assert records(cache, "failed") == [victim]
+
+
+def test_quarantine_is_one_record_until_a_plain_run_succeeds(tmp_path):
+    jobs = echo_jobs(3)
+    victim = jobs[1].digest
+    cache = ResultStore(tmp_path / "cache")
+    plan = FaultPlan((Fault(victim, 0, "raise"),))
+    first = run_jobs(
+        jobs, workers=2, cache=cache, retry=fast_retry(), fault_plan=plan
+    )
+    [failure] = first.failures
+    # Exactly one record per attempted digest: the victim's is its
+    # quarantine record, with no entry beside it.
+    assert records(cache, "failed") == [victim]
+    assert victim not in records(cache, "pkl")
+    assert len(records(cache, "pkl")) == 2
+    stored = cache.failure(victim)
+    assert (stored.label, stored.attempts, stored.traceback) == (
+        failure.label, failure.attempts, failure.traceback,
+    )
+    assert [a.kind for a in stored.attempts] == ["exception"] * 3
+
+    # A plain rerun attempts it again; success leaves the entry alone.
+    second = run_jobs(jobs, workers=2, cache=cache, retry=fast_retry())
+    assert second.ok and second.stats.executed == 1
+    assert records(cache, "failed") == []
+    assert sorted(records(cache, "pkl")) == sorted(j.digest for j in jobs)
+
+
+def test_resume_skips_a_digest_another_job_list_quarantined(tmp_path):
+    """Records are keyed by job digest, not by campaign: a resumed run
+    of a different job list still replays the shared digest's record."""
+    jobs = echo_jobs(5)
+    victim = jobs[2].digest
+    plan = FaultPlan((Fault(victim, 0, "fail"),))
+    cache = ResultStore(tmp_path / "cache")
+    run_jobs(
+        jobs[:3], workers=2, cache=cache, retry=fast_retry(), fault_plan=plan
+    )
+    log = ProgressLog()
+    resumed = run_jobs(
+        jobs[1:], workers=2, cache=cache, retry=fast_retry(), resume=True,
+        progress=log,
+    )
+    assert [f.digest for f in resumed.failures] == [victim]
+    assert (resumed.stats.skipped, resumed.stats.executed) == (1, 2)
+    assert (resumed.stats.cached, log.count("skipped")) == (1, 1)
+    assert sorted(resumed.experiment_results("chaos")) == [1, 3, 4]
 
 
 # ----------------------------------------------------------------------

@@ -116,9 +116,38 @@ def test_resume_after_complete_run_is_all_cache_hits(tmp_path, capsys):
     assert campaign_main(args + ["--resume"]) == 0
     out = capsys.readouterr().out
     assert "0 executed, 2 cache hits" in out
-    # The campaign's manifest checkpoint exists and is complete.
-    runs = list((tmp_path / "cache" / "runs").glob("*.json"))
-    assert len(runs) == 1
+    # The store is the whole checkpoint: no run manifest beside it.
+    assert not (tmp_path / "cache" / "runs").exists()
+
+
+def test_resume_replays_stored_quarantines_and_a_plain_run_retries(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.campaign.faults import FAULTS_ENV, Fault, FaultPlan
+
+    cache_dir = tmp_path / "cache"
+    args = [
+        "fig2", "--jobs", "2", "--seconds", "0.5", "--quiet",
+        "--cache-dir", str(cache_dir),
+    ]
+    monkeypatch.setenv(
+        FAULTS_ENV, FaultPlan((Fault("", 0, "fail"),)).to_json()
+    )
+    assert campaign_main(args) == 1
+    capsys.readouterr()
+    assert len(list(cache_dir.glob("??/*.failed"))) == 2
+    # --resume spends no attempt: both records are replayed as skips.
+    assert campaign_main(args + ["--resume"]) == 1
+    out = capsys.readouterr().out
+    assert "0 executed" in out and "2 skipped" in out
+    assert "QUARANTINE (2 job(s))" in out
+    # A plain run attempts them again, and success replaces the records.
+    monkeypatch.delenv(FAULTS_ENV)
+    assert campaign_main(args) == 0
+    assert "2 executed" in capsys.readouterr().out
+    assert list(cache_dir.glob("??/*.failed")) == []
+    assert len(list(cache_dir.glob("??/*.pkl"))) == 2
+    assert not (cache_dir / "runs").exists()
 
 
 def test_resume_without_cache_is_a_usage_error(capsys):

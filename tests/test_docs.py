@@ -23,6 +23,7 @@ SUBCOMMANDS = set(EXPERIMENTS) | {"list", "all", "campaign", "scenario", "serve"
 RETIRED = (
     "benchmarks/results", "repro.perf", "campus-scaling",
     "repro.sim.process", "repro.sim.monitor", "sim/process.py", "sim/monitor.py",
+    "repro.campaign.manifest", "RunManifest",
 )
 HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_docs.py"}
 TEXT_SUFFIXES = {".py", ".md", ".yml", ".json", ".txt", ".gitignore"}

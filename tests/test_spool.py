@@ -240,8 +240,8 @@ def test_live_lease_is_not_reclaimed(tmp_path):
 
 
 def test_crash_reclaim_exhaustion_quarantines(tmp_path):
-    """Every attempt dies without a heartbeat -> quarantine record,
-    exactly like the pool's crash-retry exhaustion."""
+    """Every attempt dies without a heartbeat -> quarantine record in
+    the result store, exactly like the pool's crash-retry exhaustion."""
     store_root = tmp_path / "store"
     root = tmp_path / "spool"
     cfg = q.SpoolConfig(
@@ -258,11 +258,16 @@ def test_crash_reclaim_exhaustion_quarantines(tmp_path):
         stale = time.time() - 1.0
         os.utime(claim, (stale, stale))
         assert q.reclaim_expired(root, cfg) == 1
-    failure = q.load_failure(root, job.digest)
+    store = ResultStore(store_root)
+    failure = store.failure(job.digest)
     assert failure is not None
     assert len(failure.attempts) == 2
     assert all(a.kind == "crash" for a in failure.attempts)
+    assert not store.contains(job.digest)
     assert q.claim_next(root)[0] == "empty"  # not requeued
+    assert sorted(p.name for p in root.iterdir()) == [
+        "attempts", "claims", "jobs", "policy.json",
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -290,6 +295,56 @@ def test_two_workers_drain_byte_identical_to_serial(tmp_path):
             == serial_store.path_for(job.digest).read_bytes()
         )
     assert q.spool_drained(tmp_path / "spool")
+
+
+def test_each_outcome_is_written_once_by_the_worker_that_ran_it(
+    tmp_path, monkeypatch
+):
+    """The coordinator only reports what a worker stored: every entry
+    and quarantine record is still the file the worker's rename landed
+    (spawned workers inherit the recording patch by fork)."""
+    landed = tmp_path / "landed.jsonl"
+    put_for_job = ResultStore.put_for_job
+    put_failure = ResultStore.put_failure
+    coordinator = os.getpid()
+
+    def note(path):
+        if os.getpid() != coordinator:
+            with open(landed, "a") as fh:
+                fh.write(json.dumps([path.name, path.stat().st_ino]) + "\n")
+        return path
+
+    def noted_put_failure(self, failure):
+        put_failure(self, failure)
+        note(self._failure_path(failure.digest))
+
+    monkeypatch.setattr(
+        ResultStore, "put_for_job",
+        lambda self, job, value: note(put_for_job(self, job, value)),
+    )
+    monkeypatch.setattr(ResultStore, "put_failure", noted_put_failure)
+    jobs = echo_jobs(4)
+    plan = FaultPlan.from_json(json.dumps([
+        {"digest_prefix": jobs[0].digest[:16], "attempt": 0,
+         "action": "fail"},
+    ]))
+    store = ResultStore(tmp_path / "store")
+    outcome = run_jobs(
+        jobs,
+        cache=store,
+        retry=fast_retry(),
+        fault_plan=plan,
+        queue=q.SpoolQueue(tmp_path / "spool", store, workers=2),
+    )
+    assert (outcome.stats.executed, outcome.stats.failed) == (3, 1)
+    on_disk = {
+        p.name: p.stat().st_ino
+        for p in store.root.glob("??/*")
+        if p.suffix in (".pkl", ".failed")
+    }
+    lines = [json.loads(line) for line in landed.read_text().splitlines()]
+    assert dict(lines) == on_disk
+    assert len(lines) == len(on_disk) == 4
 
 
 def test_clean_drain_waits_for_workers_to_release_their_claims(

@@ -1,5 +1,5 @@
 """The result store: entries that carry their own metadata, queries
-over their headers, planning, self-healing.
+over their headers, planning, self-healing, and quarantine records.
 
 An entry file is the only record of a result, so every test here
 checks the entries themselves: queries must answer from entry headers
@@ -21,7 +21,7 @@ from repro.campaign.cli import main as campaign_main
 from repro.campaign.executor import run_jobs
 from repro.campaign.faults import FaultPlan
 from repro.campaign.job import make_job
-from repro.campaign.policy import RetryPolicy
+from repro.campaign.policy import AttemptRecord, JobFailure, RetryPolicy
 from repro.campaign.store import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIRNAME,
@@ -382,3 +382,65 @@ def test_concurrent_puts_keep_memory_log_and_disk_in_step(tmp_path):
     for job in shared:
         assert store.get(job.digest) == (True, {"echo": job.key})
         assert dict(rows)[job.digest]["experiment"] == "store-test"
+
+
+# ----------------------------------------------------------------------
+# quarantine records
+# ----------------------------------------------------------------------
+def quarantined(job):
+    return JobFailure.for_job(
+        job,
+        [AttemptRecord(1, "exception", "ValueError: boom", 4242)],
+        "Traceback ...\nValueError: boom\n",
+        permanent=True,
+    )
+
+
+def test_quarantine_record_sits_beside_the_entries(tmp_path):
+    """One sorted-keys JSON line under the digest; listing, queries and
+    verification see entries only."""
+    store = ResultStore(tmp_path / "store")
+    job, other = echo_job(1), echo_job(2)
+    store.put_for_job(other, {"echo": 2})
+    failure = quarantined(job)
+    store.put_failure(failure)
+    path = store.root / job.digest[:2] / f"{job.digest}.failed"
+    assert path.read_text() == (
+        json.dumps(failure.to_dict(), sort_keys=True) + "\n"
+    )
+    assert store.failure(job.digest) == JobFailure.from_dict(
+        failure.to_dict()
+    )
+    # A result always wins: no record is written beside an entry.
+    store.put_failure(quarantined(other))
+    assert store.failure(other.digest) is None
+    assert store.entry_digests() == [other.digest] and len(store) == 1
+    assert [d for d, _ in store.query()] == [other.digest]
+    assert store.verify_summary() == (1, [])
+    assert not store.contains(job.digest)
+    assert store.drop_failure(job.digest)
+    assert store.failure(job.digest) is None
+    assert not store.drop_failure(job.digest)
+
+
+@pytest.mark.parametrize(
+    "torn",
+    [b"", b'{"attempts": [], "dig', b"[1, 2]\n", b'{"digest": "x"}\n',
+     b'{"digest": "x", "experiment": "e", "key": "k", "label": "l", '
+     b'"attempts": [7]}\n'],
+    ids=["empty", "cut", "list", "partial", "bad-attempt"],
+)
+def test_torn_quarantine_record_reads_as_none_and_reruns(tmp_path, torn):
+    """The safe direction: a record that does not parse is no record,
+    so even ``resume=True`` attempts the job, and its outcome replaces
+    the damaged file."""
+    store = ResultStore(tmp_path / "store")
+    job = echo_job(1)
+    store.put_failure(quarantined(job))
+    (store.root / job.digest[:2] / f"{job.digest}.failed").write_bytes(torn)
+    assert store.failure(job.digest) is None
+    outcome = run_jobs([job], workers=1, cache=store, resume=True)
+    assert outcome.ok and outcome.stats.executed == 1
+    assert sorted(p.name for p in store.root.rglob("*")) == sorted(
+        [job.digest[:2], f"{job.digest}.pkl"]
+    )
