@@ -425,9 +425,8 @@ class Channel:
             else:
                 for _, sub in self._carrier_subs:
                     sub.on_busy(now)
-        # Frame-end events are fire-and-forget (never cancelled), so the
-        # kernel may recycle the event objects.
-        sim.schedule_transient(
+        # Frame-end events are fire-and-forget: nobody keeps or cancels them.
+        sim.schedule(
             duration, self._end, tx, priority=_PRIO_PHY, category=_CAT_PHY
         )
         return tx

@@ -191,14 +191,10 @@ class DcfMac:
         self._bo_anchor = 0.0
         self._bo_event = None
         self._backoff_active = False
-        #: spent backoff event kept for reuse (timer-reuse fast path).
-        self._bo_spare = None
 
-        # Pending ACK-response and ACK-timeout events (+ reuse spares).
+        # Pending ACK-response and ACK-timeout events.
         self._ack_tx_event = None
-        self._ack_tx_spare = None
         self._ack_timeout_event = None
-        self._ack_timeout_spare = None
         self._awaiting_ack_for: Optional[Frame] = None
         self._transmitting = False
         #: the live Transmission handle while a data frame is on the air
@@ -432,16 +428,13 @@ class DcfMac:
         if anchor < now:
             anchor = now
         self._bo_anchor = anchor
-        spare = self._bo_spare
-        self._bo_spare = None
-        self._bo_event = sim.reschedule_at(
-            spare, anchor + self._bo_slots * self._slot_us,
+        self._bo_event = sim.schedule_at(
+            anchor + self._bo_slots * self._slot_us,
             self._countdown_expired,
             priority=_PRIO_TX_START, category=_CAT_MAC,
         )
 
     def _countdown_expired(self) -> None:
-        self._bo_spare = self._bo_event  # spent; reusable next arm
         self._bo_event = None
         self._backoff_active = False
         self._bo_slots = 0
@@ -510,10 +503,8 @@ class DcfMac:
         timeout = (
             duration + self._ack_timeout_base + self.config.ack_timeout_margin_us
         )
-        spare = self._ack_timeout_spare
-        self._ack_timeout_spare = None
-        self._ack_timeout_event = self.sim.reschedule(
-            spare, timeout, self._ack_timeout,
+        self._ack_timeout_event = self.sim.schedule(
+            timeout, self._ack_timeout,
             priority=_PRIO_HIGH, category=_CAT_MAC,
         )
 
@@ -525,7 +516,6 @@ class DcfMac:
         self._finish_exchange(frame, success=True)
 
     def _ack_timeout(self) -> None:
-        self._ack_timeout_spare = self._ack_timeout_event  # spent; reusable
         self._ack_timeout_event = None
         self._transmitting = False
         frame = self._awaiting_ack_for
@@ -701,11 +691,9 @@ class DcfMac:
         ack.acked_seq = data_frame.seq
         if self.ack_decorator is not None:
             self.ack_decorator(ack, data_frame)
-        spare = self._ack_tx_spare
-        self._ack_tx_spare = None
         sifs = self.phy.sifs_us
-        self._ack_tx_event = self.sim.reschedule(
-            spare, sifs, self._send_ack, ack,
+        self._ack_tx_event = self.sim.schedule(
+            sifs, self._send_ack, ack,
             priority=_PRIO_TX_START, category=_CAT_MAC,
         )
         # Committed: nothing but shutdown() stops _send_ack, so the
@@ -713,7 +701,6 @@ class DcfMac:
         self.channel.reserve_response(self.sim.now + sifs)
 
     def _send_ack(self, ack: Frame) -> None:
-        self._ack_tx_spare = self._ack_tx_event  # spent; reusable
         self._ack_tx_event = None
         duration = ack_airtime_us(self.phy, ack.rate_mbps)
         self.channel.transmit(ack, duration)

@@ -326,15 +326,14 @@ class AccessPoint:
         """Demand-path APPTXEVENT with drop-before-alloc.
 
         The two-event path materializes a packet at the source and drops
-        it at the full queue; this one asks the scheduler first and only
-        calls ``materialize()`` for admitted arrivals, so a saturated
-        cell's tail drops never touch the allocator.  Counters move
-        exactly as in :meth:`_enqueue_downlink` + drop-tail ``push``.
+        it at the full queue; this one lets the scheduler refuse first
+        and only calls ``materialize()`` for arrivals it does not, so a
+        saturated cell's tail drops never touch the allocator.  Counters
+        move exactly as in :meth:`_enqueue_downlink` + drop-tail ``push``.
         """
         self.downlink_packets += 1
         scheduler = self.scheduler
-        if not scheduler.admits(station):
-            scheduler.drop_arrival(station)
+        if scheduler.refuse(station):
             return False
         packet = materialize()
         packet.mac_dst = station

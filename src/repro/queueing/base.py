@@ -32,19 +32,6 @@ class StationQueue:
         self.enqueued_bytes += packet.size_bytes
         return True
 
-    def has_room(self) -> bool:
-        """True if :meth:`push` would accept a packet right now."""
-        return len(self.queue) < self.capacity
-
-    def count_drop(self) -> None:
-        """Record a drop-tail loss without materializing the packet.
-
-        The demand-driven traffic engine checks :meth:`has_room` before
-        allocating; this keeps the ``dropped`` counter identical to the
-        push-then-drop path it replaces.
-        """
-        self.dropped += 1
-
     def pop(self) -> Any:
         return self.queue.popleft()
 
@@ -191,47 +178,18 @@ class ApScheduler:
     # ------------------------------------------------------------------
     # drop-before-alloc admission (demand-driven traffic engine)
     # ------------------------------------------------------------------
-    def admits(self, station: str) -> bool:
-        """Would :meth:`enqueue` accept a packet for ``station`` now?
-
-        Mirrors :meth:`enqueue`'s side effects up to the capacity check
-        (unknown stations are associated), so callers can decide whether
-        to materialize a packet at all.  A ``True`` answer is valid until
-        the next enqueue/dequeue on this scheduler.
-        """
-        if station not in self.queues:
-            if station in self._departed:
-                return False
-            self.associate(station)
-        return self.queues[station].has_room()
-
-    def drop_arrival(self, station: str) -> None:
-        """Account an arrival refused by :meth:`admits` as a tail drop.
-
-        Together with :meth:`admits` this is the allocation-free
-        equivalent of ``enqueue`` returning ``False``: the same counters
-        move, but no packet object ever existed.
-        """
-        queue = self.queues.get(station)
-        if queue is None:
-            # Only a genuinely departed station counts as a refusal; a
-            # never-associated name here is a caller bug, not a drop.
-            if station in self._departed:
-                self.refused_departed += 1
-            return
-        queue.count_drop()
-
     def refuse(self, station: str) -> bool:
         """Refuse-and-count in one call, or say no without side effects.
 
         If :meth:`enqueue` would turn an arrival for ``station`` away
         right now, account the loss (tail drop or ``refused_departed``)
-        exactly as :meth:`admits` + :meth:`drop_arrival` do and return
-        ``True``.  Otherwise return ``False`` and touch nothing — unlike
-        :meth:`admits`, an unknown station is *not* associated; that
-        side effect belongs to the arrival that is actually delivered.
-        The wire pump's drain loop calls this once per offered packet
-        in a saturated cell, hence the single flat method.
+        exactly as ``enqueue`` returning ``False`` does, but with no
+        packet object, and return ``True``.  Otherwise return ``False``
+        and touch nothing: an unknown station is *not* associated here,
+        since that side effect belongs to the :meth:`enqueue` of the
+        arrival that is actually delivered.  The AP's demand path and
+        the wire pump's drain loop call this once per offered packet in
+        a saturated cell, hence the single flat method.
         """
         queue = self.queues.get(station)
         if queue is None:

@@ -57,20 +57,6 @@ class ApFifoScheduler(ApScheduler):
             self.mac.notify_pending()
         return True
 
-    def admits(self, station: str) -> bool:
-        if station not in self.queues:
-            if station in self._departed:
-                return False
-            self.associate(station)
-        return len(self._fifo) < self.total_capacity
-
-    def drop_arrival(self, station: str) -> None:
-        if station not in self.queues:
-            if station in self._departed:
-                self.refused_departed += 1
-            return
-        self.fifo_dropped += 1
-
     def refuse(self, station: str) -> bool:
         if station not in self.queues:
             if station in self._departed:

@@ -64,9 +64,9 @@ class Event:
     kernel keeps live/stale counts (via ``_kernel``) so cancellation is
     O(1) and heaps dominated by dead entries can be compacted.
 
-    A spent event (executed or discarded, i.e. no longer in the heap)
-    can be recycled through :meth:`Simulator.reschedule`, which saves an
-    allocation on high-churn timers such as MAC backoff and ACK-timeout.
+    Every schedule call returns a new event and the kernel never reuses
+    one, so a caller may keep a reference and cancel it at any time:
+    cancelling an event that already ran or was discarded does nothing.
     """
 
     __slots__ = (
@@ -79,7 +79,6 @@ class Event:
         "category",
         "_kernel",
         "_in_heap",
-        "_transient",
     )
 
     def __init__(
@@ -104,9 +103,6 @@ class Event:
         self._kernel = kernel
         #: True while a heap entry references this event.
         self._in_heap = False
-        #: True for fire-and-forget events the kernel may recycle after
-        #: execution (see Simulator.schedule_transient).
-        self._transient = False
 
     def cancel(self) -> None:
         """Mark this event dead; the kernel will skip it."""

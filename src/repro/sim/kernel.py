@@ -16,10 +16,11 @@ when stale entries outnumber live ones — saturated DCF cancels a
 backoff or ACK-timeout event on almost every exchange, and without
 compaction those corpses inflate every subsequent sift.
 
-``reschedule``/``reschedule_at`` recycle a spent :class:`Event` object
-(one that already executed or was discarded) so high-churn timers — MAC
-backoff, ACK timeouts, periodic fill timers — do not allocate a fresh
-event per cycle.
+:meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` are the only
+ways to queue a callback, and each call returns a fresh :class:`Event`
+that the kernel never reuses.  Holding a reference and cancelling it
+later is therefore always safe: an event that already ran or was
+discarded is simply inert, never a different callback.
 
 ``Simulator.now`` is a plain attribute, not a property: it is read
 several times per executed event from every layer, and a Python-level
@@ -79,8 +80,6 @@ class Simulator:
         #: cancelled events still occupying heap entries.
         self._stale = 0
         self._compactions = 0
-        #: recycled transient Event objects (see schedule_transient).
-        self._free: List[Event] = []
         #: optional per-event hook called as ``trace(time, callback)``
         #: just before each event's callback runs.  ``None`` (the
         #: default) costs one local truth test per event; the runtime
@@ -146,7 +145,7 @@ class Simulator:
         category: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` us from now."""
-        if delay < 0:
+        if not (delay >= 0):  # also rejects NaN
             raise SimulationError(f"negative delay {delay!r}")
         # Inlined schedule_at: this is the hottest allocation site in
         # saturated cells, one delegation frame matters.
@@ -168,8 +167,13 @@ class Simulator:
         priority: int = EventPriority.NORMAL,
         category: int = 0,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute time ``time``."""
-        if time < self.now:
+        """Schedule ``callback(*args)`` at absolute time ``time``.
+
+        The event fires at exactly ``time``: callers that computed a
+        timestamp elsewhere use this rather than :meth:`schedule`, whose
+        ``now + (time - now)`` can land one ulp off.
+        """
+        if not (time >= self.now):  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at {time!r}, now is {self.now!r}"
             )
@@ -177,167 +181,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, prio, seq, callback, args, self, category)
-        event._in_heap = True
-        self._live += 1
-        heappush(self._heap, (time, prio, seq, event))
-        return event
-
-    def schedule_transient(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = EventPriority.NORMAL,
-        category: int = 0,
-    ) -> Event:
-        """Schedule a fire-and-forget callback, recycling event objects.
-
-        Like :meth:`schedule`, but the kernel takes the returned event
-        back into a free list once it has executed, after which the
-        object may already represent a *different* scheduled callback.
-        Callers therefore MUST NOT retain the returned event past its
-        execution: no :meth:`reschedule`, and no :meth:`Event.cancel`
-        after it may have fired (cancelling an unrelated recycled
-        occupant would silently drop that event).  Cancelling strictly
-        *before* execution is safe — a cancelled transient is not
-        recycled.  Use for per-frame/per-packet events nobody keeps:
-        wire deliveries, channel frame-ends, one-shot notifications.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        time = self.now + delay
-        prio = priority if type(priority) is int else int(priority)
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = prio
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.category = category
-        else:
-            event = Event(time, prio, seq, callback, args, self, category)
-            event._transient = True
-        event._in_heap = True
-        self._live += 1
-        heappush(self._heap, (time, prio, seq, event))
-        return event
-
-    def schedule_transient_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = EventPriority.NORMAL,
-        category: int = 0,
-    ) -> Event:
-        """Absolute-time variant of :meth:`schedule_transient`.
-
-        Needed when the target timestamp was computed elsewhere and must
-        be hit exactly: going through a relative delay re-associates the
-        float arithmetic (``now + (t - now)``), which can land one ulp
-        off ``t``.  Same recycling contract as
-        :meth:`schedule_transient`.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time!r}, now is {self.now!r}"
-            )
-        prio = priority if type(priority) is int else int(priority)
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = prio
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.category = category
-        else:
-            event = Event(time, prio, seq, callback, args, self, category)
-            event._transient = True
-        event._in_heap = True
-        self._live += 1
-        heappush(self._heap, (time, prio, seq, event))
-        return event
-
-    def reschedule(
-        self,
-        event: Optional[Event],
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = EventPriority.NORMAL,
-        category: int = 0,
-    ) -> Event:
-        """Like :meth:`schedule`, but recycles ``event`` when possible.
-
-        ``event`` may be ``None`` (plain allocation) or a previously
-        returned event.  A *spent* event — already executed or already
-        discarded from the heap — is reused in place; an event still
-        queued (including a lazily-cancelled one) cannot be touched and a
-        fresh event is allocated instead.  Either way the returned event
-        is the live one.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        time = self.now + delay
-        if event is None or event._in_heap or event._kernel is not self:
-            return self.schedule_at(
-                time, callback, *args, priority=priority, category=category
-            )
-        # Inlined reuse path (mirrors reschedule_at, minus the past-time
-        # check: delay >= 0 guarantees time >= now).
-        prio = priority if type(priority) is int else int(priority)
-        seq = self._seq
-        self._seq = seq + 1
-        event.time = time
-        event.priority = prio
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event.category = category
-        event._in_heap = True
-        self._live += 1
-        heappush(self._heap, (time, prio, seq, event))
-        return event
-
-    def reschedule_at(
-        self,
-        event: Optional[Event],
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = EventPriority.NORMAL,
-        category: int = 0,
-    ) -> Event:
-        """Absolute-time variant of :meth:`reschedule`."""
-        if event is None or event._in_heap or event._kernel is not self:
-            return self.schedule_at(
-                time, callback, *args, priority=priority, category=category
-            )
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time!r}, now is {self.now!r}"
-            )
-        prio = priority if type(priority) is int else int(priority)
-        seq = self._seq
-        self._seq = seq + 1
-        event.time = time
-        event.priority = prio
-        event.seq = seq
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event.category = category
         event._in_heap = True
         self._live += 1
         heappush(self._heap, (time, prio, seq, event))
@@ -406,7 +249,6 @@ class Simulator:
         # ``until is not None`` test, -1 the ``max_events`` one.
         heap = self._heap
         heappop = heapq.heappop
-        free = self._free
         cat_counts = self._cat_counts
         trace = self.trace
         horizon = float("inf") if until is None else until
@@ -439,11 +281,7 @@ class Simulator:
                 # Break reference cycles and make double-execution obvious.
                 event.callback = None  # type: ignore[assignment]
                 event.args = ()
-                # Read the category before the callback runs: a recycled
-                # transient may already describe a different event after.
                 cat_counts[event.category] += 1
-                if event._transient and len(free) < 512:
-                    free.append(event)
                 if trace is not None:
                     trace(time, callback)
                 callback(*args)
@@ -534,7 +372,7 @@ class Simulator:
         if self._running:
             raise SimulationError("fast_forward_to() inside run()")
         delta = target - self.now
-        if delta < 0:
+        if not (delta >= 0):  # also rejects NaN
             raise SimulationError(
                 f"cannot fast-forward to {target!r}, now is {self.now!r}"
             )

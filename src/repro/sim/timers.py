@@ -55,10 +55,8 @@ class PeriodicTimer:
             self._event = None
 
     def _schedule_next(self) -> None:
-        # Recycle the just-fired event object (timer-reuse fast path);
-        # a cancelled-in-heap event falls back to a fresh allocation.
-        self._event = self.sim.reschedule(
-            self._event, self.period, self._fire,
+        self._event = self.sim.schedule(
+            self.period, self._fire,
             priority=self.priority, category=EventCategory.TIMER,
         )
 

@@ -114,9 +114,8 @@ class UdpSender:
         if self.stop_us is not None and now >= self.stop_us:
             self._timer = None
             return
-        # Recycle the just-fired timer event instead of allocating anew.
-        self._timer = sim.reschedule(
-            self._timer, self._next_interval(), self._fire,
+        self._timer = sim.schedule(
+            self._next_interval(), self._fire,
             priority=EventPriority.NORMAL,
             category=EventCategory.TRAFFIC,
         )

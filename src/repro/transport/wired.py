@@ -190,9 +190,8 @@ class WiredLink:
             self._busy_until = ready
         else:
             ready = now
-        # Fire-and-forget: nobody keeps (or cancels) delivery events, so
-        # let the kernel recycle the event objects.
-        sim.schedule_transient(
+        # Fire-and-forget: nobody keeps (or cancels) delivery events.
+        sim.schedule(
             ready - now + self.delay_us, self._deliver, packet, deliver,
             category=EventCategory.TRAFFIC,
         )
@@ -337,7 +336,7 @@ class WiredLink:
                 self.drained += 1
                 continue
             record = _Folded(source, index, fire, seq, busy_before, None)
-            record.event = sim.schedule_transient_at(
+            record.event = sim.schedule_at(
                 deliver_at,
                 self._pump_deliver,
                 category=EventCategory.TRAFFIC,

@@ -24,6 +24,7 @@ RETIRED = (
     "benchmarks/results", "repro.perf", "campus-scaling",
     "repro.sim.process", "repro.sim.monitor", "sim/process.py", "sim/monitor.py",
     "repro.campaign.manifest", "RunManifest",
+    "schedule_transient", "reschedule_at",
 )
 HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_docs.py"}
 TEXT_SUFFIXES = {".py", ".md", ".yml", ".json", ".txt", ".gitignore"}

@@ -47,8 +47,7 @@ def test_disassociate_refuses_late_arrivals_until_reassociation():
     # A late wired-pipe packet must not resurrect the association.
     assert sched.enqueue(_pkt("a")) is False
     assert not sched.is_associated("a")
-    assert sched.admits("a") is False
-    sched.drop_arrival("a")  # the demand path's follow-up call is safe
+    assert sched.refuse("a") is True  # the demand path's check
     assert sched.refused_departed == 2
     assert sched.backlog("a") == 0
     # ...but a brand-new station still lazily associates,

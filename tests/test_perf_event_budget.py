@@ -239,8 +239,8 @@ def test_coupling_charges_phy_per_neighbour():
 # heap pushes: the work behind the executed events
 # ----------------------------------------------------------------------
 #: label -> (spec, executed events as pinned above, heap pushes).
-#: ``Simulator._seq`` counts every schedule / reschedule, executed or
-#: not; what it has over the executed count is freeze/resume churn —
+#: ``Simulator._seq`` counts every ``schedule`` / ``schedule_at`` call,
+#: executed or not; what it has over the executed count is freeze/resume churn —
 #: countdowns armed and cancelled without expiring, ACK timeouts
 #: cancelled by the ACK.  Pushes may only move down; say why.  PR 22's
 #: response hold took the campus rows from 7 499 and 12 860 (one arm

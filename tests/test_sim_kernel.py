@@ -61,6 +61,23 @@ def test_schedule_at_past_rejected():
         sim.schedule_at(5.0, lambda: None)
 
 
+def test_nan_times_rejected():
+    # NaN compares false against everything, so a `< 0` / `< now` guard
+    # would let it through and the clock would end up NaN.
+    nan = float("nan")
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.fast_forward_to(nan)
+    assert sim.run(until=10.0) == 10.0
+    assert sim.now == 10.0
+    assert sim.events_executed == 1
+
+
 def test_cancel_prevents_execution():
     sim = Simulator()
     fired = []

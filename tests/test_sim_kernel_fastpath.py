@@ -1,13 +1,10 @@
 """Regression tests for the kernel fast paths.
 
 Covers the lazy-cancellation accounting, heap compaction, O(1)
-``pending_count``, the ``reschedule``/``schedule_transient`` fast
-paths, and the ordering guarantees they must preserve.
+``pending_count``, and the ordering guarantees they must preserve.
 """
 
-import pytest
-
-from repro.sim import EventPriority, SimulationError, Simulator
+from repro.sim import EventPriority, Simulator
 from repro.sim.kernel import _COMPACT_MIN_STALE
 
 
@@ -97,124 +94,19 @@ def test_compaction_preserves_same_time_priority_ties():
 
 
 def test_cancel_after_execution_does_not_corrupt_counters():
+    # Events are never reused, so a reference held past execution cannot
+    # alias (and cancelling it cannot drop) a later event.
     sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
+    fired = []
+    event = sim.schedule(1.0, fired.append, "a")
     sim.schedule(2.0, lambda: None)
     sim.run()
+    later = sim.schedule(3.0, fired.append, "b")
     event.cancel()  # spent; must be a no-op for the accounting
-    assert sim.pending_count() == 0
-    sim.schedule(3.0, lambda: None)
     assert sim.pending_count() == 1
-
-
-# ----------------------------------------------------------------------
-# reschedule (timer reuse)
-# ----------------------------------------------------------------------
-def test_reschedule_reuses_spent_event_object():
-    sim = Simulator()
-    fired = []
-    first = sim.schedule(1.0, fired.append, "a")
-    sim.run()
-    second = sim.reschedule(first, 1.0, fired.append, "b")
-    assert second is first  # recycled in place
     sim.run()
     assert fired == ["a", "b"]
-    assert sim.events_executed == 2
-
-
-def test_reschedule_of_queued_event_allocates_fresh():
-    sim = Simulator()
-    fired = []
-    queued = sim.schedule(10.0, fired.append, "queued")
-    other = sim.reschedule(queued, 1.0, fired.append, "other")
-    assert other is not queued
-    sim.run()
-    assert fired == ["other", "queued"]
-
-
-def test_reschedule_of_cancelled_queued_event_allocates_fresh():
-    sim = Simulator()
-    fired = []
-    dead = sim.schedule(10.0, fired.append, "dead")
-    dead.cancel()
-    live = sim.reschedule(dead, 1.0, fired.append, "live")
-    assert live is not dead
-    sim.run()
-    assert fired == ["live"]
-
-
-def test_reschedule_none_schedules_normally():
-    sim = Simulator()
-    fired = []
-    sim.reschedule(None, 2.0, fired.append, "x")
-    sim.run()
-    assert fired == ["x"]
-
-
-def test_reschedule_foreign_event_allocates_fresh():
-    sim_a = Simulator()
-    sim_b = Simulator()
-    fired = []
-    foreign = sim_a.schedule(1.0, lambda: None)
-    sim_a.run()
-    event = sim_b.reschedule(foreign, 1.0, fired.append, "b")
-    assert event is not foreign
-    sim_b.run()
-    assert fired == ["b"]
-
-
-def test_reschedule_negative_delay_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.reschedule(None, -1.0, lambda: None)
-
-
-def test_reschedule_ties_fall_after_existing_events():
-    # A recycled event gets a fresh sequence number: at an equal
-    # timestamp and priority it runs after anything scheduled earlier.
-    sim = Simulator()
-    order = []
-    spent = sim.schedule(1.0, order.append, "warmup")
-    sim.run()
-    sim.schedule(5.0, order.append, "first")
-    sim.reschedule(spent, 5.0, order.append, "second")
-    sim.run()
-    assert order == ["warmup", "first", "second"]
-
-
-# ----------------------------------------------------------------------
-# schedule_transient (recycled fire-and-forget events)
-# ----------------------------------------------------------------------
-def test_schedule_transient_executes_like_schedule():
-    sim = Simulator()
-    order = []
-    sim.schedule_transient(2.0, order.append, "b")
-    sim.schedule(1.0, order.append, "a")
-    sim.run()
-    assert order == ["a", "b"]
-    assert sim.events_executed == 2
-
-
-def test_transient_events_are_recycled():
-    sim = Simulator()
-    fired = []
-    first = sim.schedule_transient(1.0, fired.append, 1)
-    sim.run()
-    second = sim.schedule_transient(1.0, fired.append, 2)
-    assert second is first  # came back off the free list
-    sim.run()
-    assert fired == [1, 2]
-
-
-def test_cancelled_transient_is_not_recycled():
-    sim = Simulator()
-    fired = []
-    dead = sim.schedule_transient(1.0, fired.append, "dead")
-    dead.cancel()
-    fresh = sim.schedule_transient(1.0, fired.append, "fresh")
-    assert fresh is not dead
-    sim.run()
-    assert fired == ["fresh"]
+    assert later is not event
 
 
 # ----------------------------------------------------------------------

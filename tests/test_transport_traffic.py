@@ -499,30 +499,31 @@ def test_pool_bounds_and_counters():
 # ----------------------------------------------------------------------
 # scheduler admission API
 # ----------------------------------------------------------------------
-def test_admits_and_drop_arrival_mirror_enqueue_counters():
+def test_refuse_mirrors_enqueue_counters():
     sched = RoundRobinScheduler(total_capacity=4)
     sched.associate("n1")
     sched.associate("n2")  # 2 packets per station
-    assert sched.admits("n1")
+    assert not sched.refuse("n1")
     for _ in range(2):
         assert sched.enqueue(Packet(100, "n1", to_station=True))
-    assert not sched.admits("n1")
-    sched.drop_arrival("n1")
+    assert sched.refuse("n1")
     assert sched.queues["n1"].dropped == 1
     # Parity with push-path drops:
     assert not sched.enqueue(Packet(100, "n1", to_station=True))
     assert sched.queues["n1"].dropped == 2
-    assert sched.admits("n2")
-    # Unknown stations are associated, as enqueue would.
-    assert sched.admits("n3")
+    assert not sched.refuse("n2")
+    # Unknown stations are not refused, and are left for enqueue to
+    # associate.
+    assert not sched.refuse("n3")
+    assert "n3" not in sched.queues
+    assert sched.enqueue(Packet(100, "n3", to_station=True))
     assert "n3" in sched.queues
 
 
 def test_fifo_scheduler_admits_shared_capacity():
     sched = ApFifoScheduler(total_capacity=2)
-    assert sched.admits("n1")
+    assert not sched.refuse("n1")
     sched.enqueue(Packet(10, "n1", to_station=True))
     sched.enqueue(Packet(10, "n2", to_station=True))
-    assert not sched.admits("n1")
-    sched.drop_arrival("n1")
+    assert sched.refuse("n1")
     assert sched.dropped() == 1
