@@ -13,6 +13,10 @@ invalidates every entry when the job encoding itself changes).
 experiment's ``reduce()`` and are deliberately *not* part of the
 digest: a 1-vs-11 FIFO uplink run is the same simulation whether fig3
 or fig9 asked for it, and the executor coalesces such duplicates.
+
+Jobs hash by that digest, like
+:class:`~repro.scenario.spec.ScenarioSpec`, so putting one in a dict
+never walks its frozen tree; equality still compares every field.
 """
 
 from __future__ import annotations
@@ -139,6 +143,13 @@ class Job:
     def digest(self) -> str:
         """Content address: schema salt + executor + frozen params."""
         return self._digest
+
+    def __hash__(self) -> int:
+        # As ScenarioSpec does: equal jobs share executor and params, so
+        # they share a digest, and the frozen tree is never walked again.
+        # (Params equal only across numeric types, 1 == 1.0, repr and so
+        # digest apart: such jobs already cache as two results.)
+        return hash(self._digest)
 
     @property
     def label(self) -> str:

@@ -19,7 +19,11 @@ The metadata line is :func:`job_meta` of the job that produced it
 metadata line and the payload and is verified on every read, so silent
 corruption — a flipped bit, a truncated write, a partial disk — is
 detected deterministically rather than by unpickle luck, and the
-damaged entry is dropped so the next run refreshes it.  A put is one
+damaged entry is dropped so the next run refreshes it.  A ``get`` is
+one ``open`` and one ``read`` of the entry's string path, then the
+checks in order — magic, a 64-byte checksum line, SHA-256 of metadata
+line + payload, unpickle — on a ``memoryview`` of the bytes read, so
+a warm replay costs one checksum and one unpickle.  A put is one
 :func:`atomic_write`, so a killed campaign never leaves a truncated
 entry behind; temp files orphaned by a process that died *between* the
 write and the rename are swept on open (their embedded writer pid no
@@ -103,21 +107,30 @@ class CacheCorruption(Exception):
     """An entry's header or checksum did not verify."""
 
 
+#: Where the body (metadata line + payload) starts: after the magic and
+#: the 64-hex-digit checksum line.
+_CHECKSUM_END = len(MAGIC) + 64
+_BODY_START = _CHECKSUM_END + 1
+
+
 def _decode(blob: bytes) -> Any:
+    # The body is only sliced as a memoryview: the checksum and the
+    # unpickle read the blob in place, never a copy of it.
     if not blob.startswith(MAGIC):
         raise CacheCorruption("missing or unknown header magic")
-    rest = blob[len(MAGIC):]
-    newline = rest.find(b"\n")
-    if newline != 64:  # sha256 hex digest length
+    if blob.find(b"\n", len(MAGIC), _BODY_START) != _CHECKSUM_END:
         raise CacheCorruption("malformed checksum line")
-    checksum, body = rest[:newline], rest[newline + 1:]
+    view = memoryview(blob)
+    body = view[_BODY_START:]
     actual = hashlib.sha256(body).hexdigest().encode("ascii")
-    if actual != checksum:
+    if actual != view[len(MAGIC):_CHECKSUM_END]:
         raise CacheCorruption(
             f"metadata + payload checksum mismatch ({len(body)} bytes)"
         )
+    newline = blob.find(b"\n", _BODY_START)
+    payload = view[newline + 1:] if newline >= 0 else b""
     try:
-        return pickle.loads(body.partition(b"\n")[2])
+        return pickle.loads(payload)
     except Exception as exc:
         raise CacheCorruption(
             f"checksummed payload failed to unpickle: "
@@ -169,11 +182,11 @@ def append_json_line(path: Path, record: Dict[str, Any]) -> None:
         os.fsync(fh.fileno())
 
 
-def unlink_quietly(path: Path) -> bool:
-    """Remove a file that may already be gone, or be another process's
-    to remove; whether this call removed it."""
+def unlink_quietly(path) -> bool:
+    """Remove a file (a ``str`` or ``Path``) that may already be gone,
+    or be another process's to remove; whether this call removed it."""
     try:
-        path.unlink()
+        os.unlink(path)
         return True
     except OSError:
         return False
@@ -297,12 +310,18 @@ class ResultStore:
     def __init__(self, root=None) -> None:
         self.root = Path(default_store_root() if root is None else root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(str(self.root), "")
         self.swept_tmp = self._sweep_stale_tmp()
 
+    def _file_for(self, digest: str, suffix: str) -> str:
+        """``<root>/<dd>/<digest><suffix>``, the one place the layout
+        lives.  Two-level fan-out keeps directory listings short even
+        for campaigns with thousands of jobs; a ``str`` keeps ``Path``
+        joins off the replay path."""
+        return f"{self._prefix}{digest[:2]}{os.sep}{digest}{suffix}"
+
     def path_for(self, digest: str) -> Path:
-        # Two-level fan-out keeps directory listings short even for
-        # campaigns with thousands of jobs.
-        return self.root / digest[:2] / f"{digest}.pkl"
+        return Path(self._file_for(digest, ".pkl"))
 
     def _sweep_stale_tmp(self) -> int:
         """Remove temp files whose writer died mid-``put``.
@@ -337,10 +356,16 @@ class ResultStore:
     # entries
     # ------------------------------------------------------------------
     def get(self, digest: str) -> Tuple[bool, Any]:
-        """``(hit, value)``; corrupt or missing entries are misses."""
-        path = self.path_for(digest)
+        """``(hit, value)``; corrupt or missing entries are misses.
+
+        One ``open`` and one ``read`` of the entry, then :func:`_decode`'s
+        checks — magic, checksum line, SHA-256 of metadata + payload,
+        unpickle — on the bytes read."""
+        path = self._file_for(digest, ".pkl")
         try:
-            return True, _decode(path.read_bytes())
+            with open(path, "rb") as fh:
+                blob = fh.read()
+            return True, _decode(blob)
         except CacheCorruption:
             # Detected corruption: drop the entry so a rerun refreshes
             # it instead of serving damaged bytes.
@@ -371,7 +396,7 @@ class ResultStore:
     # quarantine records
     # ------------------------------------------------------------------
     def _failure_path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.failed"
+        return Path(self._file_for(digest, ".failed"))
 
     def put_failure(self, failure: JobFailure) -> None:
         """Record a quarantined job, unless its digest has an entry: a
@@ -420,7 +445,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     def contains(self, digest: str) -> bool:
         """Entry presence by file existence — no read at all."""
-        return self.path_for(digest).exists()
+        return os.path.exists(self._file_for(digest, ".pkl"))
 
     def plan(self, jobs: Iterable[Job]) -> SweepPlan:
         """Split ``jobs`` into already-stored vs still-to-run.

@@ -237,10 +237,18 @@ class Simulator:
 
         Events scheduled exactly at ``until`` are *not* executed; the
         clock is left at ``until`` so consecutive ``run`` calls compose.
-        Returns the final simulation time.
+        Returns the final simulation time.  A NaN ``until`` or one before
+        ``now`` (the clock never moves back), and a negative
+        ``max_events``, raise :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and not (until >= self.now):  # also rejects NaN
+            raise SimulationError(
+                f"cannot run until {until!r}, now is {self.now!r}"
+            )
+        if max_events is not None and not (max_events >= 0):
+            raise SimulationError(f"negative max_events {max_events!r}")
         self._running = True
         self._stopped = False
         executed = 0

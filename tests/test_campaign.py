@@ -94,6 +94,11 @@ def test_job_is_hashable_and_picklable():
     clone = pickle.loads(pickle.dumps(job))
     assert clone == job
     assert clone.digest == job.digest
+    # Jobs hash by digest, as ScenarioSpec does; key is not in the
+    # digest, so a job differing only in key hashes alike but is unequal.
+    assert hash(clone) == hash(job) == hash(job.digest)
+    rekeyed = Job(job.experiment, "other", job.executor, job.params)
+    assert rekeyed != job and rekeyed.digest == job.digest
     spec = job_params(clone)["spec"]
     assert {s.name: s.rate_mbps for s in spec.stations} == {
         "n1": 1.0, "n2": 11.0,

@@ -119,6 +119,29 @@ def test_run_with_empty_queue_advances_to_until():
     assert sim.now == 123.0
 
 
+def test_run_rejects_a_past_or_nan_horizon_and_a_negative_budget():
+    # The clock never moves back, with or without pending work; a NaN
+    # horizon would drain the whole heap and a negative budget never
+    # matches the count, so neither may silently mean "no limit".
+    sim = Simulator()
+    fired = []
+    sim.schedule(20.0, fired.append, "x")
+    assert sim.run(until=10.0) == 10.0
+    empty = Simulator()
+    assert empty.run(until=10.0) == 10.0
+    for s in (sim, empty):
+        for until in (5.0, float("nan")):
+            with pytest.raises(SimulationError):
+                s.run(until=until)
+        with pytest.raises(SimulationError):
+            s.run(max_events=-1)
+        assert s.now == 10.0
+    assert fired == []
+    assert sim.run(until=10.0) == 10.0  # now itself is a valid horizon
+    assert sim.run(max_events=0) == 10.0 and fired == []
+    assert sim.run() == 20.0 and fired == ["x"]
+
+
 def test_stop_halts_processing():
     sim = Simulator()
     fired = []

@@ -234,15 +234,64 @@ def test_query_follows_the_entry_files_both_ways(tmp_path):
     assert store.query(seed=9) == [(extra.digest, job_meta(extra))]
 
 
-def test_get_self_heals_stale_row(tmp_path):
-    """A corrupt entry is a miss that ``get`` drops: no query lists it
-    afterwards, and the next put refreshes it."""
+def checksummed(body):
+    """An entry whose checksum line verifies ``body`` (meta + payload)."""
+    return (
+        b"repro-cache/2\n"
+        + hashlib.sha256(body).hexdigest().encode("ascii")
+        + b"\n"
+        + body
+    )
+
+
+def flip(blob, at):
+    damaged = bytearray(blob)
+    damaged[at] ^= 0x01
+    return bytes(damaged)
+
+
+#: ``name -> (damage, verify-cache detail prefix)``.  With the legacy
+#: fixture's unknown magic (below) and the header torn mid-meta
+#: (above), every check ``_decode`` makes is hit.  Each damage leaves
+#: the header readable, so the entry stays listed until ``get`` drops
+#: it.
+DAMAGES = {
+    "truncated-payload": (
+        lambda blob: blob[:-1], "metadata + payload checksum mismatch"),
+    "short-checksum-line": (
+        lambda blob: blob[:20] + blob[21:], "malformed checksum line"),
+    "flipped-meta-byte": (
+        lambda blob: flip(blob, blob.index(b'"experiment"') + 1),
+        "metadata + payload checksum mismatch"),
+    "flipped-payload-byte": (
+        lambda blob: flip(blob, len(blob) - 2),
+        "metadata + payload checksum mismatch"),
+    "checksummed-non-pickle": (
+        lambda blob: checksummed(blob.split(b"\n")[2] + b"\nnot a pickle"),
+        "checksummed payload failed to unpickle: UnpicklingError"),
+    "no-meta-newline": (
+        lambda blob: checksummed(blob.split(b"\n")[2]),
+        "checksummed payload failed to unpickle: EOFError: Ran out of input"),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGES))
+def test_get_self_heals_stale_row(tmp_path, damage):
+    """A corrupt entry is reported by ``verify_summary`` with the check
+    it failed, read-only; it is a miss that ``get`` drops: no query
+    lists it afterwards, and the next put refreshes it."""
+    corrupt, detail = DAMAGES[damage]
     store = ResultStore(tmp_path / "store")
     job = echo_job(1)
     store.put_for_job(job, {"echo": 1})
     path = store.path_for(job.digest)
-    path.write_bytes(path.read_bytes()[:-1])
+    path.write_bytes(corrupt(path.read_bytes()))
     assert [d for d, _ in store.query()] == [job.digest]  # header intact
+    total, bad = store.verify_summary()
+    assert total == 1 and [(d, s) for d, s, _ in bad] == [
+        (job.digest, "corrupt")
+    ]
+    assert bad[0][2].startswith(detail)
     hit, value = store.get(job.digest)
     assert not hit and value is None
     assert not path.exists()
@@ -444,3 +493,35 @@ def test_torn_quarantine_record_reads_as_none_and_reruns(tmp_path, torn):
     assert sorted(p.name for p in store.root.rglob("*")) == sorted(
         [job.digest[:2], f"{job.digest}.pkl"]
     )
+
+
+# ----------------------------------------------------------------------
+# the warm replay's cost, as a host-free number
+# ----------------------------------------------------------------------
+#: cProfile ``total_calls`` of one warm single-job ``run_jobs`` replay.
+#: It read 78 while ``path_for`` joined ``Path`` parts, ``get`` went
+#: through ``Path.read_bytes``, ``_decode`` copied the body twice and
+#: ``Job`` hashed its frozen tree.  The rule of ``PINNED_PUSHES``: the
+#: count may only fall, and a rise needs a line in CHANGES.md saying why.
+PINNED_WARM_REPLAY_CALLS = 43
+
+
+def test_warm_replay_call_count_is_pinned(tmp_path, monkeypatch):
+    import cProfile
+    import pstats
+
+    from repro.campaign.faults import FAULTS_ENV
+    from repro.scenario.registry import build_spec
+    from repro.scenario.runner import scenario_job
+
+    monkeypatch.delenv(FAULTS_ENV, raising=False)
+    job = scenario_job(build_spec("mixed", seconds=0.2, warmup_s=0.1))
+    store = ResultStore(tmp_path / "store")
+    assert run_jobs([job], workers=1, cache=store).stats.executed == 1
+    run_jobs([job], workers=1, cache=store)
+    profile = cProfile.Profile()
+    profile.enable()
+    outcome = run_jobs([job], workers=1, cache=store)
+    profile.disable()
+    assert outcome.stats.executed == 0
+    assert pstats.Stats(profile).total_calls == PINNED_WARM_REPLAY_CALLS
