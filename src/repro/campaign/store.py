@@ -182,9 +182,9 @@ def append_json_line(path: Path, record: Dict[str, Any]) -> None:
         os.fsync(fh.fileno())
 
 
-def unlink_quietly(path) -> bool:
-    """Remove a file (a ``str`` or ``Path``) that may already be gone,
-    or be another process's to remove; whether this call removed it."""
+def unlink_quietly(path: str | Path) -> bool:
+    """Remove a file that may already be gone, or be another process's
+    to remove; whether this call removed it."""
     try:
         os.unlink(path)
         return True
