@@ -144,11 +144,20 @@ class Job:
         """Content address: schema salt + executor + frozen params."""
         return self._digest
 
+    def __eq__(self, other: object) -> bool:
+        # By digest, as ScenarioSpec compares: params equal only across
+        # numeric types (1 == 1.0) repr and so digest apart, cache as two
+        # results, and so are two jobs.
+        if not isinstance(other, Job):
+            return NotImplemented
+        return (self.experiment, self.key, self._digest) == (
+            other.experiment,
+            other.key,
+            other._digest,
+        )
+
     def __hash__(self) -> int:
-        # As ScenarioSpec does: equal jobs share executor and params, so
-        # they share a digest, and the frozen tree is never walked again.
-        # (Params equal only across numeric types, 1 == 1.0, repr and so
-        # digest apart: such jobs already cache as two results.)
+        # Equal jobs share a digest; the frozen tree is never walked again.
         return hash(self._digest)
 
     @property

@@ -225,7 +225,6 @@ class PollingCoordinator:
         poll_policy,
         *,
         address: str = "ap",
-        downlink_rate: Optional[Callable[[str], float]] = None,
         default_rate_mbps: float = 11.0,
     ) -> None:
         self.sim = sim
@@ -234,7 +233,6 @@ class PollingCoordinator:
         self.phy = phy
         self.policy = poll_policy
         self.address = address
-        self._downlink_rate = downlink_rate
         self.default_rate_mbps = default_rate_mbps
         self.rx_handler: Optional[Callable[[Frame], None]] = None
         self.polls_sent = 0
@@ -259,8 +257,6 @@ class PollingCoordinator:
         return self.phy.sifs_us + self.phy.slot_us
 
     def rate_for(self, station: str) -> float:
-        if self._downlink_rate is not None:
-            return self._downlink_rate(station)
         return self.default_rate_mbps
 
     def notify_pending(self) -> None:

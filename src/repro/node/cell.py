@@ -124,7 +124,6 @@ class Cell:
             self.ap.mac.ack_decorator = self._decorate_ack
         self.stations: Dict[str, Station] = {}
         self.flows: List[FlowHandle] = []
-        self._flow_seq = 0
         self._measure_start_us = 0.0
 
     # ------------------------------------------------------------------
@@ -295,7 +294,6 @@ class Cell:
     # flows
     # ------------------------------------------------------------------
     def _flow_name(self, station: Station, kind: str, direction: str) -> str:
-        self._flow_seq += 1
         return f"{station.address}/{kind}-{direction}"
 
     def tcp_flow(
@@ -324,7 +322,6 @@ class Cell:
         stats = FlowStats(self.sim, name)
 
         sta_addr = station.address
-        now = self.sim.now
 
         if direction == "up":
             data_via = station.send
@@ -383,7 +380,6 @@ class Cell:
             name, station, direction, "tcp", stats, sender, receiver, app_obj
         )
         self.flows.append(handle)
-        del now
         return handle
 
     def udp_flow(

@@ -69,31 +69,18 @@ class Event:
     cancelling an event that already ran or was discarded does nothing.
     """
 
-    __slots__ = (
-        "time",
-        "priority",
-        "seq",
-        "callback",
-        "args",
-        "cancelled",
-        "category",
-        "_kernel",
-        "_in_heap",
-    )
+    __slots__ = ("time", "callback", "args", "cancelled", "category", "_kernel")
 
     def __init__(
         self,
         time: float,
-        priority: int,
-        seq: int,
         callback: Callable[..., Any],
         args: tuple,
         kernel: Optional[object] = None,
         category: int = 0,
     ) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
+        #: ``None`` once the kernel has popped the event to run it.
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -101,24 +88,17 @@ class Event:
         self.category = category
         #: owning kernel, informed of cancellations for O(1) accounting.
         self._kernel = kernel
-        #: True while a heap entry references this event.
-        self._in_heap = False
 
     def cancel(self) -> None:
         """Mark this event dead; the kernel will skip it."""
         if not self.cancelled:
             self.cancelled = True
-            if self._in_heap and self._kernel is not None:
+            # A live event still holds its callback: the kernel clears it
+            # when it pops the event to run it.
+            if self.callback is not None and self._kernel is not None:
                 self._kernel._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.callback, "__name__", repr(self.callback))
-        return f"<Event t={self.time:.3f} prio={self.priority} {name} {state}>"
+        return f"<Event t={self.time:.3f} {name} {state}>"

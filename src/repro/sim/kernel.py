@@ -26,6 +26,10 @@ discarded is simply inert, never a different callback.
 several times per executed event from every layer, and a Python-level
 property call each time was measurable.  Only this module assigns it
 (``run`` and ``fast_forward_to``); everything else reads.
+
+A run ends by simulated time alone: at its ``until`` horizon, or when
+the queue drains.  Every result is measured over a window of simulated
+time, so there is no count-based way to end one.
 """
 
 from __future__ import annotations
@@ -68,12 +72,11 @@ class Simulator:
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._running = False
-        self._stopped = False
         #: ``until`` of the running :meth:`run` call; ``inf`` outside
         #: ``run`` and for a run with no horizon (see :meth:`next_time`).
         self._horizon = float("inf")
-        self._events_executed = 0
-        #: executed events per EventCategory bucket (index = category).
+        #: events whose callback returned, per EventCategory bucket
+        #: (index = category); their sum is :attr:`events_executed`.
         self._cat_counts = [0] * NUM_CATEGORIES
         #: non-cancelled events currently queued (O(1) pending_count).
         self._live = 0
@@ -98,8 +101,8 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def events_executed(self) -> int:
-        """Number of events executed so far (for budget checks in tests)."""
-        return self._events_executed
+        """Events whose callback has returned so far (for budget checks)."""
+        return sum(self._cat_counts)
 
     @property
     def heap_compactions(self) -> int:
@@ -153,8 +156,7 @@ class Simulator:
         prio = priority if type(priority) is int else int(priority)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, prio, seq, callback, args, self, category)
-        event._in_heap = True
+        event = Event(time, callback, args, self, category)
         self._live += 1
         heappush(self._heap, (time, prio, seq, event))
         return event
@@ -180,8 +182,7 @@ class Simulator:
         prio = priority if type(priority) is int else int(priority)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, prio, seq, callback, args, self, category)
-        event._in_heap = True
+        event = Event(time, callback, args, self, category)
         self._live += 1
         heappush(self._heap, (time, prio, seq, event))
         return event
@@ -215,10 +216,7 @@ class Simulator:
         live_entries = []
         keep = live_entries.append
         for entry in heap:
-            event = entry[3]
-            if event.cancelled:
-                event._in_heap = False
-            else:
+            if not entry[3].cancelled:
                 keep(entry)
         heap[:] = live_entries
         heapify(heap)
@@ -228,18 +226,15 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Run until the queue drains, ``until`` is reached, or ``stop()``.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until ``until`` is reached or the queue drains.
 
         Events scheduled exactly at ``until`` are *not* executed; the
         clock is left at ``until`` so consecutive ``run`` calls compose.
-        Returns the final simulation time.  A NaN ``until`` or one before
-        ``now`` (the clock never moves back), and a negative
-        ``max_events``, raise :class:`SimulationError`.
+        With no ``until`` the run ends when the queue drains.  Returns
+        the final simulation time.  A NaN ``until`` or one before
+        ``now`` (the clock never moves back) raises
+        :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -247,33 +242,23 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until {until!r}, now is {self.now!r}"
             )
-        if max_events is not None and not (max_events >= 0):
-            raise SimulationError(f"negative max_events {max_events!r}")
         self._running = True
-        self._stopped = False
-        executed = 0
-        # Local bindings and sentinels shave per-iteration work from the
-        # hottest loop in the repository: float("inf") replaces the
-        # ``until is not None`` test, -1 the ``max_events`` one.
+        # Local bindings and an inf sentinel for the ``until is not
+        # None`` test shave per-iteration work from the hottest loop in
+        # the repository.
         heap = self._heap
         heappop = heapq.heappop
         cat_counts = self._cat_counts
         trace = self.trace
         horizon = float("inf") if until is None else until
         self._horizon = horizon
-        budget = -1 if max_events is None else max_events
         try:
             while heap:
-                if self._stopped:
-                    break
-                if executed == budget:
-                    break
                 entry = heap[0]
                 event = entry[3]
                 if event.cancelled:
                     heappop(heap)
                     self._stale -= 1
-                    event._in_heap = False
                     continue
                 time = entry[0]
                 if time >= horizon and until is not None:
@@ -283,18 +268,16 @@ class Simulator:
                     break
                 heappop(heap)
                 self._live -= 1
-                event._in_heap = False
                 self.now = time
                 callback, args = event.callback, event.args
-                # Break reference cycles and make double-execution obvious.
+                # Break reference cycles, make double-execution obvious
+                # and mark the event spent for ``Event.cancel``.
                 event.callback = None  # type: ignore[assignment]
                 event.args = ()
-                cat_counts[event.category] += 1
                 if trace is not None:
                     trace(time, callback)
                 callback(*args)
-                executed += 1
-                self._events_executed += 1
+                cat_counts[event.category] += 1
             else:
                 # Queue drained completely.
                 if until is not None and until > self.now:
@@ -304,17 +287,12 @@ class Simulator:
             self._horizon = float("inf")
         return self.now
 
-    def stop(self) -> None:
-        """Stop the run loop after the current event completes."""
-        self._stopped = True
-
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         heap = self._heap
         while heap and heap[0][3].cancelled:
-            _, _, _, event = heapq.heappop(heap)
+            heapq.heappop(heap)
             self._stale -= 1
-            event._in_heap = False
         return heap[0][0] if heap else None
 
     def next_time(self) -> float:
@@ -324,9 +302,9 @@ class Simulator:
         running :meth:`run` call — no pending event fires before it and
         no caller regains control before it, so state that only kernel
         events mutate is frozen over ``[now, next_time())``.  ``inf``
-        when nothing is queued and no horizon is set.  ``stop()`` and
-        ``max_events`` end a run by count, not by time, and do not
-        bound it.
+        when nothing is queued and no horizon is set.  A run ends only
+        at its horizon or when the queue drains, so nothing else bounds
+        it.
         """
         head = self.peek()
         horizon = self._horizon
@@ -392,7 +370,6 @@ class Simulator:
         for entry in heap:
             event = entry[3]
             if event.cancelled:
-                event._in_heap = False
                 continue
             if event.category == EventCategory.OTHER:
                 if entry[0] < target:

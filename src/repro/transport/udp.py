@@ -146,10 +146,6 @@ class UdpDownlinkSource:
     * :meth:`refuse` — when the pump drains: a tail drop (or a refusal
       for a departed station) that nothing can observe before the next
       kernel event is counted here and now, with no event of its own.
-
-    After ``Simulator.stop()`` or a ``max_events`` cut (never after
-    ``run(until=...)``) ``sent`` and the AP's drop counters may
-    therefore already include drops up to the next pending event.
     """
 
     HEADER_BYTES = UdpSender.HEADER_BYTES

@@ -50,10 +50,7 @@ only keep a full queue full; and a drop schedules nothing, so
 ``next_time()`` is loop-invariant and the drop commutes with everything
 up to it.  A drained arrival is never speculative either: whatever
 could unwind it (a plain ``send``, ``stop()``, a new source) acts at or
-after ``next_time()``, later than its fire time.  The one visible
-difference: ``stop()`` and ``max_events`` end a run by count, not by
-time, so after them (never after ``run(until=...)``) the counters may
-already include drops up to the next pending event.
+after ``next_time()``, later than its fire time.
 """
 
 from __future__ import annotations
@@ -64,9 +61,8 @@ from typing import Any, Callable, Deque, List, Optional, Protocol, Tuple
 
 from repro.sim import EventCategory, Simulator
 
-_INF = float("inf")
 #: ``_fold_next`` limit under which no delivery time can fall.
-_NO_DRAIN = -_INF
+_NO_DRAIN = -float("inf")
 
 
 class DemandSource(Protocol):
@@ -351,11 +347,7 @@ class WiredLink:
         folded = self._folded
         if not folded:
             # The pump is the last actor of this kernel event: drain.
-            # An unbounded limit (nothing pending, no run horizon) would
-            # never hand control back to a ``max_events`` budget, so it
-            # gets the plain one-event-per-arrival path.
-            limit = self.sim.next_time()
-            self._fold_next(limit if limit < _INF else _NO_DRAIN)
+            self._fold_next(self.sim.next_time())
         elif folded[-1].fire_us <= self.sim.now:
             # Keep at most one speculative fold: folding here while the
             # tail still fires in the future would stack a second

@@ -99,6 +99,11 @@ def test_job_is_hashable_and_picklable():
     assert hash(clone) == hash(job) == hash(job.digest)
     rekeyed = Job(job.experiment, "other", job.executor, job.params)
     assert rekeyed != job and rekeyed.digest == job.digest
+    # Params equal only across numeric types digest apart, so the jobs
+    # are unequal too: equal jobs always hash alike.
+    whole, real = echo_job("e", "k", x=1), echo_job("e", "k", x=1.0)
+    assert whole.params == real.params and whole.digest != real.digest
+    assert whole != real
     spec = job_params(clone)["spec"]
     assert {s.name: s.rate_mbps for s in spec.stations} == {
         "n1": 1.0, "n2": 11.0,

@@ -27,10 +27,10 @@ CAP_US = 300_000.0
 def short_horizons(monkeypatch):
     original = Simulator.run
 
-    def clamped(self, until=None, max_events=None):
+    def clamped(self, until=None):
         if until is not None:
             until = min(until, self.now + CAP_US)
-        return original(self, until=until, max_events=max_events)
+        return original(self, until=until)
 
     monkeypatch.setattr(Simulator, "run", clamped)
 

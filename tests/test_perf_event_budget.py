@@ -161,15 +161,6 @@ def test_smoke_event_count_is_deterministic():
     assert first.total_mbps == second.total_mbps
 
 
-def test_budget_enforceable_with_max_events():
-    # The budget assertion above is advisory; this drives the same cell
-    # through the kernel's hard cap to prove the cap composes with it.
-    sim = ScenarioRuntime(saturated_spec(*SMOKE)).cell.sim
-    # (The uncapped run executes 316 events; the cap must sit below.)
-    sim.run(until=200_000.0, max_events=250)
-    assert sim.events_executed == 250
-
-
 def test_sample_records_event_categories():
     result = run_spec(saturated_spec("tbr", "multi", 4, 0.1))
     cats = result.events_by_category

@@ -119,10 +119,10 @@ def test_run_with_empty_queue_advances_to_until():
     assert sim.now == 123.0
 
 
-def test_run_rejects_a_past_or_nan_horizon_and_a_negative_budget():
+def test_run_rejects_a_past_or_nan_horizon():
     # The clock never moves back, with or without pending work; a NaN
-    # horizon would drain the whole heap and a negative budget never
-    # matches the count, so neither may silently mean "no limit".
+    # horizon would drain the whole heap, so it may not silently mean
+    # "no limit".
     sim = Simulator()
     fired = []
     sim.schedule(20.0, fired.append, "x")
@@ -133,38 +133,10 @@ def test_run_rejects_a_past_or_nan_horizon_and_a_negative_budget():
         for until in (5.0, float("nan")):
             with pytest.raises(SimulationError):
                 s.run(until=until)
-        with pytest.raises(SimulationError):
-            s.run(max_events=-1)
         assert s.now == 10.0
     assert fired == []
-    assert sim.run(until=10.0) == 10.0  # now itself is a valid horizon
-    assert sim.run(max_events=0) == 10.0 and fired == []
+    assert sim.run(until=10.0) == 10.0 and fired == []  # now is valid
     assert sim.run() == 20.0 and fired == ["x"]
-
-
-def test_stop_halts_processing():
-    sim = Simulator()
-    fired = []
-
-    def stopper():
-        fired.append("stop")
-        sim.stop()
-
-    sim.schedule(1.0, stopper)
-    sim.schedule(2.0, fired.append, "after")
-    sim.run()
-    assert fired == ["stop"]
-    sim.run()
-    assert fired == ["stop", "after"]
-
-
-def test_max_events_budget():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(float(i + 1), fired.append, i)
-    sim.run(max_events=3)
-    assert fired == [0, 1, 2]
 
 
 def test_events_scheduled_during_execution_run():

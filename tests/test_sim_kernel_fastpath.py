@@ -4,6 +4,8 @@ Covers the lazy-cancellation accounting, heap compaction, O(1)
 ``pending_count``, and the ordering guarantees they must preserve.
 """
 
+import pytest
+
 from repro.sim import EventPriority, Simulator
 from repro.sim.kernel import _COMPACT_MIN_STALE
 
@@ -107,6 +109,19 @@ def test_cancel_after_execution_does_not_corrupt_counters():
     sim.run()
     assert fired == ["a", "b"]
     assert later is not event
+    # Cancelling an event from inside its own callback is inert too: it
+    # left the heap when it was popped to run.
+    seen = []
+
+    def cancel_self():
+        box[0].cancel()
+        seen.append((sim.pending_count(), sim._stale))
+
+    box = [sim.schedule(1.0, cancel_self)]
+    sim.schedule(2.0, lambda: None)
+    sim.run(until=sim.now + 1.5)
+    assert seen == [(1, 0)]
+    assert (sim.pending_count(), sim._stale) == (1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +133,7 @@ def test_events_executed_accumulates_across_runs():
         sim.schedule(float(i + 1), lambda: None)
     sim.run(until=2.5)
     assert sim.events_executed == 2
-    sim.run(max_events=1)
+    sim.run(until=3.5)
     assert sim.events_executed == 3
     sim.run()
     assert sim.events_executed == 4
@@ -132,6 +147,20 @@ def test_event_at_infinity_executes_when_run_unbounded():
     sim.run()
     assert fired == ["finite", "inf"]
     assert sim.now == float("inf")  # clock stays a float, never None
+
+
+def test_raising_callback_keeps_the_counts_in_agreement():
+    # An event counts once its callback returns, in both totals alike.
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, boom)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.events_executed == sum(sim.events_by_category().values()) == 1
 
 
 def test_events_executed_is_live_during_run():

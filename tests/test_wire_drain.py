@@ -331,6 +331,29 @@ class Refused:
         return True
 
 
+class FiniteRefused(Refused):
+    """``Refused`` that runs dry after ``count`` arrivals."""
+
+    def __init__(self, sim, period_us, count):
+        super().__init__(sim, period_us)
+        self.count = count
+
+    def peek_fire_us(self):
+        return super().peek_fire_us() if self.pos <= self.count else None
+
+
+def test_no_horizon_drains_a_finite_source_inline():
+    # Nothing else pending and no horizon: nothing can act before the
+    # source runs dry, so all but the lead-in arrival drain.
+    sim = Simulator(seed=0)
+    link = WiredLink(sim, delay_us=0.0, rate_mbps=0.0)
+    source = FiniteRefused(sim, 100.0, 5)
+    link.attach_source(source)
+    assert sim.run() == 100.0
+    assert sim.events_executed == 1 and source.observed == [100.0]
+    assert (link.drained, link.delivered, source.refused) == (4, 5, 4)
+
+
 def test_exact_time_tie_is_not_drained():
     sim = Simulator(seed=0)
     link = WiredLink(sim, delay_us=0.0, rate_mbps=0.0)
@@ -346,19 +369,6 @@ def test_exact_time_tie_is_not_drained():
     assert seen == [(1, 2)]  # at the tie, only 100 and 200 are in
     assert (link.drained, link.delivered) == (4, 6)
     assert len(link._folded) == 1
-
-
-def test_unbounded_limit_does_not_drain():
-    # Nothing pending and no horizon: an inline drain would never hand
-    # control back, so ``max_events`` must still see one event each.
-    sim = Simulator(seed=0)
-    link = WiredLink(sim, delay_us=0.0, rate_mbps=0.0)
-    source = Refused(sim, 100.0)
-    link.attach_source(source)
-    sim.run(max_events=5)
-    assert sim.events_executed == 5
-    assert source.observed == [100.0, 200.0, 300.0, 400.0, 500.0]
-    assert (link.drained, link.delivered, source.refused) == (0, 5, 0)
 
 
 # ----------------------------------------------------------------------
