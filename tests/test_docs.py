@@ -18,13 +18,14 @@ COMMAND_DOCS = (
 SUBCOMMANDS = set(EXPERIMENTS) | {"list", "all", "campaign", "scenario", "serve"}
 
 #: Surfaces that were deleted (in favour of ``benchmarks/suite``; as
-#: unreachable, PR 21; count-based run ends, for time horizons).  The
-#: histories and this file may name them; nothing else may.
+#: unreachable, PR 21).  The histories and this file may name them;
+#: nothing else may.
 RETIRED = (
     "benchmarks/results", "repro.perf", "campus-scaling",
     "repro.sim.process", "repro.sim.monitor", "sim/process.py", "sim/monitor.py",
     "repro.campaign.manifest", "RunManifest",
     "schedule_transient", "reschedule_at",
+    # count-based ends of a run, retired for time horizons
     "max_events=", "Simulator.stop()",
 )
 HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_docs.py"}
