@@ -21,7 +21,7 @@ Key analytic facts the paper states (and our tests verify):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.model import NodeSpec
 

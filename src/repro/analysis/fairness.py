@@ -8,7 +8,7 @@ resource (throughput for RF, channel time for TF).  Jain's index
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 Values = Union[Sequence[float], Dict[str, float]]
 

@@ -25,7 +25,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, Callable, Dict, Hashable, List, Tuple
+from typing import Any, Callable, Dict, Hashable
 
 #: Version salt folded into every digest.  Bump when the frozen-tree
 #: encoding or any executor's semantics change incompatibly: old cache

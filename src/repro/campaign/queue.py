@@ -370,12 +370,12 @@ class _Lease(threading.Thread):
     it, the lease books a ``timeout`` attempt (requeue or quarantine —
     same decision the pool supervisor would make) and, in a real worker
     process, hard-exits it — the only way to stop a hung simulation
-    without an external killer.  A *coordinating* process (an
-    in-process ``participate=True`` embedder, or ``repro serve``) must
-    survive its jobs, so there the lease only books the attempt and
-    releases the claim, leaving the overrunning call to finish in
-    place (results are idempotent by digest, so a racing re-execution
-    is harmless).
+    without an external killer.  A *coordinating* process (a
+    :class:`SpoolQueue` built with ``participate=True``, which claims
+    jobs in-process) must survive its jobs, so there the lease only
+    books the attempt and releases the claim, leaving the overrunning
+    call to finish in place (results are idempotent by digest, so a
+    racing re-execution is harmless).
     """
 
     def __init__(

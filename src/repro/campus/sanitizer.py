@@ -14,9 +14,12 @@ only an ESS can break:
   pool balances to zero, individually, so a roam cannot launder a leak
   from one cell into another's surplus.
 
-Like the single-cell sanitizer this is observation only: no RNG draws,
-no scheduling, no mutation — a sanitized campus run is byte-identical
-to an unsanitized one.
+Like the single-cell sanitizer it attaches as one of the kernel's
+observers (:meth:`repro.sim.kernel.Simulator.observe`) and is
+observation only: no RNG draws, no scheduling, no mutation — a
+sanitized campus run is byte-identical to an unsanitized one.  It
+certifies no fast-forward jump: the engine never jumps a campus of
+more than one cell, so a jump under this sanitizer is a violation.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.sim.sanitizer import (
 
 
 class CampusSanitizer:
-    """Invariant checks for a whole campus, on the shared kernel hook."""
+    """Invariant checks for a whole campus, as a kernel observer."""
 
     def __init__(
         self,
@@ -58,15 +61,22 @@ class CampusSanitizer:
 
     # ------------------------------------------------------------------
     def install(self) -> "CampusSanitizer":
-        self.campus.sim.trace = self._trace
+        self.campus.sim.observe(self)
         return self
 
     def uninstall(self) -> None:
-        if self.campus.sim.trace is self._trace:
-            self.campus.sim.trace = None
+        self.campus.sim.unobserve(self)
 
     # ------------------------------------------------------------------
-    def _trace(self, time: float, callback: Any) -> None:
+    def on_fast_forward(self, old_now: float, new_now: float) -> None:
+        """No check certifies a multi-cell jump yet: any jump is loud."""
+        raise InvariantViolation(
+            "kernel", new_now,
+            f"fast-forward jump from {old_now:.3f}us on a campus, which "
+            "no campus invariant certifies",
+        )
+
+    def on_event(self, time: float, callback: Any) -> None:
         self.events_seen += 1
         if time < self._last_time:
             raise InvariantViolation(

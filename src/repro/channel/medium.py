@@ -62,10 +62,6 @@ from repro.sim import EventCategory, Simulator, EventPriority
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mac.frames import Frame
 
-#: Broadcast destination address (== repro.mac.frames.BROADCAST; kept
-#: literal here so the channel does not import the MAC package).
-_BROADCAST = "*"
-
 #: Frame-end priority and category as plain ``int``s: an ``IntEnum``
 #: member costs the kernel an ``int()`` per push and an ``__index__``
 #: per executed event, and this is the busiest schedule site there is.
@@ -148,8 +144,8 @@ class Channel:
         self._carrier_subs: Tuple[Tuple[int, ChannelListener], ...] = ()
         #: (index, address, on_frame_end) for every attached listener.
         self._frame_end_entries: Dict[int, Tuple[int, str, Callable]] = {}
-        #: same entries as a tuple in attach order (corrupted/broadcast
-        #: frames are delivered to everyone).
+        #: same entries as a tuple in attach order (corrupted frames
+        #: are delivered to everyone).
         self._frame_end_snapshot: Tuple[Tuple[int, str, Callable], ...] = ()
         #: listeners receiving *every* frame end, keyed by attach index
         #: (those that did not opt into filtered delivery).
@@ -244,9 +240,9 @@ class Channel:
         """Opt ``listener`` into filtered frame-end delivery.
 
         The listener then hears about a frame end only when it is the
-        destination, the frame was broadcast, the frame was corrupted
-        and it is not EIFS-marked yet, or it asked for the next clean
-        frame via :meth:`eifs_mark`.  Only safe for MACs (like
+        destination, the frame was corrupted and it is not EIFS-marked
+        yet, or it asked for the next clean frame via
+        :meth:`eifs_mark`.  Only safe for MACs (like
         :class:`repro.mac.dcf.DcfMac`) whose handler is a pure no-op for
         clean unicast frames addressed elsewhere once their EIFS flag
         is clear, and for corrupted ones addressed elsewhere while it
@@ -477,11 +473,10 @@ class Channel:
         # observe the peer's corrupted frame and retries after DIFS, not
         # EIFS, exactly as a real station that decoded no energy).
         #
-        # Broadcast frames concern every listener, and so do corrupted
-        # ones, bar the filtered listeners already in EIFS state that
-        # are not the destination (``settled``: their handler for one
-        # more corrupted frame is a bare return).  A clean unicast frame
-        # only matters to its destination, to the unfiltered listeners,
+        # Corrupted frames concern every listener, bar the filtered
+        # listeners already in EIFS state that are not the destination
+        # (``settled``: their handler for one more corrupted frame is a
+        # bare return).  A clean frame only matters to its destination, to the unfiltered listeners,
         # and to filtered listeners in EIFS state (their handler for it
         # is "clear EIFS and return") — delivering to just those turns
         # the O(listeners) loop into O(involved).
@@ -493,8 +488,6 @@ class Channel:
         if collided:
             targets = self._frame_end_snapshot
             settled = self._eifs_dirty
-        elif dst == _BROADCAST:
-            targets = self._frame_end_snapshot
         else:
             always = self._frame_end_always_snapshot
             dirty = self._eifs_dirty

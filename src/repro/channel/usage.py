@@ -12,7 +12,7 @@ directly — this regenerates the right-hand bars of the paper's Figures
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.sim import Simulator

@@ -240,7 +240,6 @@ class TbrScheduler(ApScheduler):
         bucket = self.buckets.get(packet.station)
         if bucket is not None:
             bucket.charge(airtime_us)
-        super().on_complete(packet, airtime_us, success, attempts, rate_mbps)
 
     def on_uplink_complete(
         self, station: str, airtime_us: float, *, attempts: int = 1,

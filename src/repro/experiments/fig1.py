@@ -22,10 +22,8 @@ from repro.experiments.common import fmt_table
 from repro.node.cell import Cell
 from repro.node.rate_control import ArfController
 from repro.traces.analyze import rate_fractions
-from repro.traces.records import TraceRecord
 from repro.traces.sniffer import ChannelSniffer
 from repro.traces.synthetic import (
-    PAPER_WORKSHOP_MIXES,
     WorkshopTraceConfig,
     generate_workshop_trace,
 )

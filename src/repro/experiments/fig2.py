@@ -11,7 +11,7 @@ ratio 6.4x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import List, Mapping
 
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job

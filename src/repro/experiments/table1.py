@@ -18,7 +18,7 @@ AggrThruput (fluid)   worse        better
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro.analysis.efficiency import Task, task_model_metrics
 from repro.campaign.executor import serial_results

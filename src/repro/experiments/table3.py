@@ -9,8 +9,8 @@ We reproduce both the analytic table and a live 4-station simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from dataclasses import dataclass
+from typing import List, Mapping
 
 from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS
 from repro.analysis.model import FairnessPrediction, NodeSpec, predict

@@ -1,6 +1,6 @@
 """802.11 MAC layer: frames and the DCF contention state machine."""
 
-from repro.mac.frames import Frame, FrameType, BROADCAST
+from repro.mac.frames import Frame, FrameType
 from repro.mac.dcf import DcfMac, MacConfig, TxScheduler, ExchangeReport
 from repro.mac.fifo import FifoTxScheduler
 from repro.mac.polling import (
@@ -13,7 +13,6 @@ from repro.mac.polling import (
 __all__ = [
     "Frame",
     "FrameType",
-    "BROADCAST",
     "DcfMac",
     "MacConfig",
     "TxScheduler",

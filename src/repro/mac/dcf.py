@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Protocol
 
 from repro.channel.medium import Channel
-from repro.mac.frames import BROADCAST, Frame, FrameType
+from repro.mac.frames import Frame, FrameType
 from repro.phy.phy import (
     ACK_BYTES,
     PhyParams,
@@ -227,14 +227,13 @@ class DcfMac:
         self.tx_success = 0
         self.tx_dropped = 0
         self.rx_data_ok = 0
-        self.rx_corrupted = 0
         self.rx_duplicates = 0
 
         channel.attach(self)
         # Not contending yet: no carrier notifications until a backoff
         # is armed (see _start_backoff / _countdown_expired), and only
         # involved-frame notifications (we are destination, the frame
-        # was corrupted/broadcast, or our EIFS flag needs clearing).
+        # was corrupted, or our EIFS flag needs clearing).
         channel.carrier_unsubscribe(self)
         channel.frame_end_filtered(self)
 
@@ -491,12 +490,6 @@ class DcfMac:
         self._airtime_accum += ifs + duration
         self._transmitting = True
         self._current_tx = self.channel.transmit(frame, duration)
-        if frame.is_broadcast:
-            self.sim.schedule(
-                duration, self._broadcast_done, priority=EventPriority.PHY,
-                category=EventCategory.MAC,
-            )
-            return
         self._awaiting_ack_for = frame
         # The ACK rate itself is chosen by the receiver; the timeout only
         # needs the (precomputed) worst-case tail at the lowest basic rate.
@@ -507,13 +500,6 @@ class DcfMac:
             timeout, self._ack_timeout,
             priority=_PRIO_HIGH, category=_CAT_MAC,
         )
-
-    def _broadcast_done(self) -> None:
-        self._transmitting = False
-        frame = self._current
-        if frame is None:
-            return  # shut down while the broadcast was in the air
-        self._finish_exchange(frame, success=True)
 
     def _ack_timeout(self) -> None:
         self._ack_timeout_event = None
@@ -652,14 +638,11 @@ class DcfMac:
             if not self._use_eifs:
                 self._use_eifs = True
                 self.channel.eifs_mark(self)
-            if frame.dst == self.address:
-                self.rx_corrupted += 1
             return
         if self._use_eifs:
             self._use_eifs = False
             self.channel.eifs_unmark(self)
-        dst = frame.dst
-        if dst != self.address and dst != BROADCAST:
+        if frame.dst != self.address:
             return
         if frame.is_ack:
             if frame.defer_hint is not None and self.defer_hint_handler:
@@ -667,8 +650,7 @@ class DcfMac:
             self._ack_received(frame)
             return
         # DATA frame addressed to us.
-        if not frame.is_broadcast:
-            self._schedule_ack(frame)
+        self._schedule_ack(frame)
         last = self._rx_seen.get(frame.src)
         if last == frame.seq:
             self.rx_duplicates += 1

@@ -9,7 +9,7 @@ destinations).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 
 class FifoTxScheduler:
@@ -22,9 +22,6 @@ class FifoTxScheduler:
         self.queue: deque = deque()
         self.mac = None
         self.dropped = 0
-        self.enqueued = 0
-        #: listeners called as (packet, airtime_us, success, attempts, rate).
-        self.completion_listeners: List[Callable] = []
         #: optional gate: when it returns False the queue withholds the
         #: head packet (used by the TBR client agent's defer behaviour).
         self.release_gate: Optional[Callable[[], bool]] = None
@@ -46,8 +43,7 @@ class FifoTxScheduler:
         self, packet: Any, airtime_us: float, success: bool, attempts: int,
         rate_mbps: float,
     ) -> None:
-        for listener in self.completion_listeners:
-            listener(packet, airtime_us, success, attempts, rate_mbps)
+        """Nothing to account: the MAC's completion listeners see it."""
 
     # ------------------------------------------------------------------
     # producer side
@@ -58,7 +54,6 @@ class FifoTxScheduler:
             self.dropped += 1
             return False
         self.queue.append(packet)
-        self.enqueued += 1
         if self.mac is not None:
             self.mac.notify_pending()
         return True

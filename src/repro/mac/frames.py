@@ -12,9 +12,6 @@ import enum
 import itertools
 from typing import Any, Optional
 
-#: Destination address of broadcast frames (no ACK expected).
-BROADCAST = "*"
-
 
 class FrameType(enum.Enum):
     DATA = "data"
@@ -91,10 +88,6 @@ class Frame:
     @property
     def is_ack(self) -> bool:
         return self.ftype is FrameType.ACK
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst == BROADCAST
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.channel.medium import Channel
-from repro.mac.frames import BROADCAST, Frame, FrameType
+from repro.mac.frames import Frame, FrameType
 from repro.phy.phy import (
     ACK_BYTES,
     PhyParams,
@@ -125,7 +125,6 @@ class PolledStation:
         self.rx_handler: Optional[Callable[[Frame], None]] = None
         self.polls_received = 0
         self.null_responses = 0
-        self.tx_frames = 0
         self._rx_seen = {}
         channel.attach(self)
 
@@ -191,7 +190,6 @@ class PolledStation:
                 ack_rate_for(self.phy, self.rate_mbps),
             )
             duration = ack_airtime_us(self.phy, frame.rate_mbps)
-        self.tx_frames += 1
         self.channel.transmit(frame, duration)
 
     def _ack_data(self, data_frame: Frame) -> None:
@@ -236,13 +234,11 @@ class PollingCoordinator:
         self.default_rate_mbps = default_rate_mbps
         self.rx_handler: Optional[Callable[[Frame], None]] = None
         self.polls_sent = 0
-        self.downlink_sent = 0
         self.idle_cycles = 0
         self._pending_downlink: Optional[Frame] = None
         self._awaiting: Optional[str] = None  # "ack" | "response"
         self._timeout_event = None
         self._cycle_event = None
-        self._last_poll_station: Optional[str] = None
         self._poll_overhead_us = 0.0
         # A "turn" alternates downlink service and polling so neither
         # starves the other.
@@ -302,7 +298,6 @@ class PollingCoordinator:
             FrameType.DATA, self.address, packet.station,
             packet.size_bytes, rate, packet=packet,
         )
-        self.downlink_sent += 1
         duration = frame_airtime_us(self.phy, packet.size_bytes, rate)
         self._pending_downlink = frame
         self._awaiting = "ack"
@@ -320,7 +315,6 @@ class PollingCoordinator:
         poll_rate = min(self.phy.basic_rates)
         frame = Frame(FrameType.POLL, self.address, station, POLL_BYTES, poll_rate)
         self.polls_sent += 1
-        self._last_poll_station = station
         duration = frame_airtime_us(
             self.phy, POLL_BYTES, poll_rate, include_llc=False
         )

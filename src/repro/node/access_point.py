@@ -17,11 +17,10 @@ sends or receives is accounted to the client station involved.  The AP:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from repro.channel.medium import Channel
 from repro.mac.dcf import DcfMac, MacConfig
-from repro.mac.frames import BROADCAST
 from repro.node.rate_control import FixedRate, RateController
 from repro.phy.phy import PhyParams, ack_airtime_us, ack_rate_for, frame_airtime_us
 from repro.queueing.base import ApScheduler
@@ -101,7 +100,7 @@ class InactivityReaper:
 
     def on_retry_exhausted(self, dst: str) -> None:
         """MAC hook: a frame toward ``dst`` burned all its retries."""
-        if dst == BROADCAST or dst in self._reaped:
+        if dst in self._reaped:
             return
         self._exhaustions[dst] = self._exhaustions.get(dst, 0) + 1
         # A station never heard from starts its silence clock at the
@@ -199,10 +198,6 @@ class AccessPoint:
         self._enqueue_downlink_cb = self._enqueue_downlink
         self._deliver_packet_cb = _deliver_packet
 
-        #: observers of uplink receptions (callable(station, est_airtime,
-        #: frame)) in addition to the scheduler.
-        self.uplink_observers: List[Callable] = []
-
         self.uplink_packets = 0
         self.downlink_packets = 0
 
@@ -290,8 +285,6 @@ class AccessPoint:
             success=True,
             payload_bytes=frame.size_bytes,
         )
-        for observer in self.uplink_observers:
-            observer(packet.station, est, frame)
         # Bridge to the wired side.
         self.uplink_wire.send(packet, self._deliver_packet_cb)
 

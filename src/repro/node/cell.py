@@ -158,7 +158,7 @@ class Cell:
             cooperate_with_tbr=cooperate_with_tbr,
             mac_config=mac_config,
         )
-        station.exchange_observers.append(self._on_station_exchange(station))
+        station.mac.add_completion_listener(self._on_station_exchange(station))
         self.stations[name] = station
         self.ap.associate(name)
         if rate_controller is None and downlink_rate_mbps is None:

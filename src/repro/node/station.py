@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.channel.medium import Channel
 from repro.mac.dcf import DcfMac, MacConfig
@@ -63,7 +63,6 @@ class Station:
         self.queue = FifoTxScheduler(capacity=queue_capacity)
         self.mac.attach_scheduler(self.queue)
         self.mac.rx_handler = self._on_mac_rx
-        self.mac.add_completion_listener(self._on_mac_complete)
         self.mac.attempt_listener = self._on_attempt
 
         self.cooperate_with_tbr = cooperate_with_tbr
@@ -72,11 +71,7 @@ class Station:
             self.queue.release_gate = self._may_transmit
             self.mac.defer_hint_handler = self._on_defer_hint
 
-        #: extra observers of uplink exchange completions
-        #: (callable(report)); the Cell wires usage monitors here.
-        self.exchange_observers = []
         self.rx_bytes = 0
-        self.tx_packets = 0
 
     # ------------------------------------------------------------------
     # transport-facing
@@ -84,7 +79,6 @@ class Station:
     def send(self, packet: Packet) -> bool:
         """Queue an uplink packet toward the AP."""
         packet.mac_dst = self.ap_address
-        self.tx_packets += 1
         return self.queue.enqueue(packet)
 
     def shutdown(self) -> None:
@@ -113,10 +107,6 @@ class Station:
     def _on_attempt(self, dst: str, success: bool) -> None:
         # One attempt at a time so rate control reacts before the retry.
         self.rate_controller.on_exchange(dst, success, 1)
-
-    def _on_mac_complete(self, report) -> None:
-        for observer in self.exchange_observers:
-            observer(report)
 
     # ------------------------------------------------------------------
     # TBR client cooperation

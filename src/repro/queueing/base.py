@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.transport.packet import try_release
 
@@ -87,12 +87,6 @@ class ApScheduler:
         self.refused_departed = 0
         #: packets flushed (and released) by :meth:`disassociate`.
         self.flushed_on_disassociate = 0
-        #: dequeued packets whose MAC exchange failed outright (retry
-        #: limit exhausted) — the frame was dropped on the air, not in
-        #: a queue, so drop-tail counters never see it.
-        self.tx_failed = 0
-        #: (packet, airtime_us, success, attempts, rate) listeners.
-        self.completion_listeners: List[Callable] = []
 
     # ------------------------------------------------------------------
     # association
@@ -232,10 +226,8 @@ class ApScheduler:
         self, packet: Any, airtime_us: float, success: bool, attempts: int,
         rate_mbps: float,
     ) -> None:
-        if not success:
-            self.tx_failed += 1
-        for listener in self.completion_listeners:
-            listener(packet, airtime_us, success, attempts, rate_mbps)
+        """COMPLETEEVENT: a dequeued packet finished its MAC exchange.
+        Only TBR charges for it; the other disciplines ignore it."""
 
     # ------------------------------------------------------------------
     # introspection

@@ -551,8 +551,8 @@ class ScenarioRuntime:
     def run(self) -> None:
         """Warm up, then measure, per the spec's windows.
 
-        With sanitization on, the invariant sanitizer rides the
-        kernel's trace hook for the whole run and its end-of-run
+        With sanitization on, the invariant sanitizer observes the
+        kernel for the whole run and its end-of-run
         conservation checks fire before this returns — an
         :class:`~repro.sim.sanitizer.InvariantViolation` propagates to
         the caller.

@@ -30,6 +30,14 @@ property call each time was measurable.  Only this module assigns it
 A run ends by simulated time alone: at its ``until`` horizon, or when
 the queue drains.  Every result is measured over a window of simulated
 time, so there is no count-based way to end one.
+
+Observation has one surface: an attach-ordered tuple of observers
+(:meth:`Simulator.observe` / :meth:`Simulator.unobserve`), each an
+:class:`Observer`.  ``run`` binds their ``on_event`` methods once at
+entry and tests the tuple once per event, so an empty tuple costs one
+truth test; every ``fast_forward_to`` jump reaches their
+``on_fast_forward``.  The runtime sanitizers and any recorder attach
+side by side, and neither may change what the kernel executes.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from __future__ import annotations
 import heapq
 import random
 from heapq import heapify, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Protocol, Tuple
 
 from repro.sim.event import NUM_CATEGORIES, Event, EventCategory, EventPriority
 
@@ -48,6 +56,16 @@ _COMPACT_MIN_STALE = 64
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling in the past, etc.)."""
+
+
+class Observer(Protocol):
+    """What :meth:`Simulator.observe` attaches."""
+
+    def on_event(self, time: float, callback: Callable[..., Any]) -> None:
+        """Called just before each event's callback runs."""
+
+    def on_fast_forward(self, old_now: float, new_now: float) -> None:
+        """Called after each jump, once the clock and heap have moved."""
 
 
 class Simulator:
@@ -83,14 +101,8 @@ class Simulator:
         #: cancelled events still occupying heap entries.
         self._stale = 0
         self._compactions = 0
-        #: optional per-event hook called as ``trace(time, callback)``
-        #: just before each event's callback runs.  ``None`` (the
-        #: default) costs one local truth test per event; the runtime
-        #: invariant sanitizer installs its checker here.
-        self.trace = None
-        #: observers of fast-forward jumps, called as ``fn(old_now, new_now)``
-        #: after the clock and heap have been shifted (sanitizer hooks here).
-        self.ff_listeners: List[Callable[[float, float], None]] = []
+        #: attached observers in attach order (see :meth:`observe`).
+        self._observers: Tuple[Observer, ...] = ()
         #: number of fast_forward_to() jumps and total microseconds skipped.
         self.fast_forwards = 0
         self.fast_forwarded_us = 0.0
@@ -121,6 +133,29 @@ class Simulator:
             category.name.lower(): self._cat_counts[category]
             for category in EventCategory
         }
+
+    # ------------------------------------------------------------------
+    # observation
+    # ------------------------------------------------------------------
+    def observe(self, observer: Observer) -> None:
+        """Attach ``observer`` after those already attached.
+
+        Attaching one that is already attached does nothing.  ``run``
+        binds the observers at entry, so attaching inside ``run()``
+        raises :class:`SimulationError`, as ``fast_forward_to`` does.
+        """
+        if self._running:
+            raise SimulationError("observe() inside run()")
+        if all(attached is not observer for attached in self._observers):
+            self._observers += (observer,)
+
+    def unobserve(self, observer: Observer) -> None:
+        """Detach ``observer``; one not attached is ignored."""
+        if self._running:
+            raise SimulationError("unobserve() inside run()")
+        self._observers = tuple(
+            attached for attached in self._observers if attached is not observer
+        )
 
     # ------------------------------------------------------------------
     # randomness
@@ -249,7 +284,7 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         cat_counts = self._cat_counts
-        trace = self.trace
+        on_events = tuple(observer.on_event for observer in self._observers)
         horizon = float("inf") if until is None else until
         self._horizon = horizon
         try:
@@ -274,8 +309,9 @@ class Simulator:
                 # and mark the event spent for ``Event.cancel``.
                 event.callback = None  # type: ignore[assignment]
                 event.args = ()
-                if trace is not None:
-                    trace(time, callback)
+                if on_events:
+                    for on_event in on_events:
+                        on_event(time, callback)
                 callback(*args)
                 cat_counts[event.category] += 1
             else:
@@ -350,10 +386,10 @@ class Simulator:
 
         The caller owns the semantics of the skipped interval (crediting
         accumulators, shifting component-held absolute timestamps); the
-        kernel only moves the clock and the heap.  Listeners registered
-        in :attr:`ff_listeners` are notified as ``fn(old_now, new_now)``
-        after the jump, which is how the runtime sanitizer distinguishes
-        a sanctioned skip from a monotonicity violation.
+        kernel only moves the clock and the heap.  Every observer's
+        ``on_fast_forward(old_now, new_now)`` runs after the jump, which
+        is how the runtime sanitizer distinguishes a sanctioned skip
+        from a monotonicity violation.
         """
         if self._running:
             raise SimulationError("fast_forward_to() inside run()")
@@ -389,5 +425,5 @@ class Simulator:
         self.now = target
         self.fast_forwards += 1
         self.fast_forwarded_us += delta
-        for listener in self.ff_listeners:
-            listener(old_now, target)
+        for observer in self._observers:
+            observer.on_fast_forward(old_now, target)

@@ -5,10 +5,11 @@ through every layer of the simulator, and the failure mode that matters
 is never the crash itself — it is the *silent* inconsistency left
 behind: a token rate stranded on a dead station, a pooled packet that
 never came home, an event delivered to a MAC that already detached.
-The sanitizer watches a run from the kernel's trace hook
-(:attr:`repro.sim.kernel.Simulator.trace`) and raises a structured
-:class:`InvariantViolation` the moment an invariant breaks, with the
-component and simulated time attached.
+The sanitizer watches a run as one of the kernel's observers
+(:meth:`repro.sim.kernel.Simulator.observe`: an attach-ordered tuple,
+so a recorder or test probe can ride the same run beside it) and raises
+a structured :class:`InvariantViolation` the moment an invariant
+breaks, with the component and simulated time attached.
 
 Checks (each documented on its method):
 
@@ -44,7 +45,7 @@ SANITIZE_ENV = "REPRO_SANITIZE"
 #: Guard-style MAC callbacks that legitimately fire after a shutdown
 #: (they are scheduled fire-and-forget and open with an ``if
 #: self._current is None: return`` guard): not violations.
-_BENIGN_DETACHED = frozenset({"_broadcast_done", "_transmit_burst_frame"})
+_BENIGN_DETACHED = frozenset({"_transmit_burst_frame"})
 
 
 def sanitize_enabled() -> bool:
@@ -131,7 +132,7 @@ def pool_leak(cell: Any) -> int:
 # the sanitizer
 # ----------------------------------------------------------------------
 class RuntimeSanitizer:
-    """Invariant checks driven by the kernel's trace hook.
+    """Invariant checks run as a kernel observer.
 
     Construct around a :class:`repro.node.cell.Cell`, :meth:`install`,
     run, then :meth:`finalize` for the end-of-run conservation checks.
@@ -171,18 +172,12 @@ class RuntimeSanitizer:
     # ------------------------------------------------------------------
     def install(self) -> "RuntimeSanitizer":
         """Attach to the cell's kernel.  Call before ``run()`` — the
-        run loop binds the hook once at entry."""
-        self.cell.sim.trace = self._trace
-        self.cell.sim.ff_listeners.append(self.on_fast_forward)
+        run loop binds its observers once at entry."""
+        self.cell.sim.observe(self)
         return self
 
     def uninstall(self) -> None:
-        if self.cell.sim.trace is self._trace:
-            self.cell.sim.trace = None
-        try:
-            self.cell.sim.ff_listeners.remove(self.on_fast_forward)
-        except ValueError:
-            pass
+        self.cell.sim.unobserve(self)
 
     # ------------------------------------------------------------------
     # fast-forward awareness
@@ -209,7 +204,7 @@ class RuntimeSanitizer:
     # ------------------------------------------------------------------
     # per-event hook
     # ------------------------------------------------------------------
-    def _trace(self, time: float, callback: Any) -> None:
+    def on_event(self, time: float, callback: Any) -> None:
         self.events_seen += 1
         # Monotonicity: the heap's (time, priority, seq) order is a
         # total order, so time can never regress — if it does, either

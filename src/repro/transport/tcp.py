@@ -17,7 +17,7 @@ Sequence space is bytes; data is synthetic (only offsets travel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.sim import EventCategory, EventPriority, Simulator
@@ -113,7 +113,6 @@ class TcpSender:
         self._send_times: Dict[int, TcpSegment] = {}
 
         # Counters for tests/diagnostics.
-        self.segments_sent = 0
         self.retransmits = 0
         self.timeouts = 0
         self.fast_retransmits = 0
@@ -176,7 +175,6 @@ class TcpSender:
             if old is not None:
                 old.retransmitted = True
             self.retransmits += 1
-        self.segments_sent += 1
         self.tx(length + self.params.header_bytes, seg)
         if self._rto_event is None:
             self._arm_rto()

@@ -42,6 +42,23 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip_slow)
 
 
+class EventLog:
+    """A kernel observer that records every event and every jump."""
+
+    def __init__(self, sim: Simulator) -> None:
+        #: ``(time, callback)`` per executed event, in execution order.
+        self.events = []
+        #: ``(old_now, new_now)`` per fast-forward jump.
+        self.jumps = []
+        sim.observe(self)
+
+    def on_event(self, time, callback) -> None:
+        self.events.append((time, callback))
+
+    def on_fast_forward(self, old_now, new_now) -> None:
+        self.jumps.append((old_now, new_now))
+
+
 class SimplePacket:
     """Duck-typed upper-layer packet for MAC-level tests."""
 
@@ -86,8 +103,8 @@ class MacHarness:
     def saturate(self, index: int, depth: int = 5, size: int = 1500) -> None:
         """Keep station ``index``'s queue topped up forever."""
         sched = self.scheds[index]
-        sched.completion_listeners.append(
-            lambda p, a, s, n, r, sched=sched, size=size: sched.enqueue(
+        self.macs[index].add_completion_listener(
+            lambda report, sched=sched, size=size: sched.enqueue(
                 SimplePacket("ap", size)
             )
         )

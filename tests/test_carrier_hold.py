@@ -26,6 +26,8 @@ from repro.scenario import (
 )
 from repro.scenario.builder import ScenarioRuntime
 
+from tests.conftest import EventLog
+
 
 class Probe:
     """``rows``: at every event boundary, before the callback runs —
@@ -37,9 +39,12 @@ class Probe:
         self.rows = []
         self.held = Counter()
         self._cells = cells  # the live container: roams re-populate it
-        sim.trace = self._trace
+        sim.observe(self)
 
-    def _trace(self, time, callback):
+    def on_fast_forward(self, old_now, new_now):
+        raise AssertionError("these runs never jump")
+
+    def on_event(self, time, callback):
         name = getattr(callback, "__qualname__", type(callback).__name__)
         cells = []
         for cell in self._cells:
@@ -60,7 +65,7 @@ class Probe:
 
 
 def _spec_world(spec):
-    runtime = ScenarioRuntime(spec, sanitize=False, fast_forward=False)
+    runtime = ScenarioRuntime(spec, fast_forward=False)
     campus = runtime.campus
     return campus.sim, campus.cells.values(), runtime.run
 
@@ -124,20 +129,15 @@ def _ack_start(spec, address, after_s):
     """When the first MAC ACK that ``address`` sends after ``after_s``
     goes on the air (us), found by running ``spec`` once."""
     sim, _, run = _spec_world(spec)
-    found = []
-
-    def trace(time, callback):
-        if (
-            not found
-            and time > after_s * 1e6
-            and getattr(callback, "__name__", "") == "_send_ack"
-            and callback.__self__.address == address
-        ):
-            found.append(time)
-
-    sim.trace = trace
+    log = EventLog(sim)
     run()
-    return found[0]
+    return next(
+        time
+        for time, callback in log.events
+        if time > after_s * 1e6
+        and getattr(callback, "__name__", "") == "_send_ack"
+        and callback.__self__.address == address
+    )
 
 
 def _mid_sifs_s(ack_start_us):

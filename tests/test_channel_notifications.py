@@ -3,7 +3,7 @@
 import pytest
 
 from repro.channel import Channel
-from repro.mac.frames import BROADCAST, Frame, FrameType
+from repro.mac.frames import Frame, FrameType
 from repro.sim import EventPriority, Simulator
 
 
@@ -146,13 +146,9 @@ def test_filtered_listener_hears_own_unicast_only_when_involved():
     assert (to_c, False) in c.frames  # destination always hears it
 
 
-def test_filtered_listener_hears_broadcast_and_collisions():
+def test_filtered_listener_hears_collisions():
     sim, channel, (a, b, c) = setup()
     channel.frame_end_filtered(c)
-    bcast = data_frame("n0", BROADCAST)
-    channel.transmit(bcast, 100.0)
-    sim.run()
-    assert (bcast, False) in c.frames
     f1 = data_frame("n0", "n1")
     f2 = data_frame("n1", "n0")
     channel.transmit(f1, 100.0)
@@ -179,7 +175,7 @@ def test_eifs_mark_delivers_next_clean_frame_then_unmark_stops():
 
 def test_eifs_marked_listener_is_spared_corrupted_frames_for_others():
     # Its handler for one more corrupted frame addressed elsewhere is a
-    # bare return; one addressed to it still counts (``rx_corrupted``).
+    # bare return; one addressed to it is still delivered.
     sim, channel, (a, b, c) = setup()
     channel.frame_end_filtered(c)
     channel.eifs_mark(c)

@@ -27,6 +27,8 @@ RETIRED = (
     "schedule_transient", "reschedule_at",
     # count-based ends of a run, retired for time horizons
     "max_events=", "Simulator.stop()",
+    # the trace slot and jump listeners, retired for kernel observers
+    "ff_listeners", "sim.trace =",
 )
 HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_docs.py"}
 TEXT_SUFFIXES = {".py", ".md", ".yml", ".json", ".txt", ".gitignore"}

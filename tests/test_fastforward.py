@@ -42,6 +42,7 @@ from repro.sim.steady import (
     time_state,
 )
 
+from tests.conftest import EventLog
 from test_scenario_golden import GOLDEN_DIR, GOLDEN_PARAMS
 
 
@@ -112,11 +113,10 @@ def test_fast_forward_drops_cancelled_entries():
 
 def test_fast_forward_notifies_listeners():
     sim = Simulator()
-    seen = []
-    sim.ff_listeners.append(lambda old, new: seen.append((old, new)))
+    log = EventLog(sim)
     sim.schedule(10.0, lambda: None, category=EventCategory.TIMER)
     sim.fast_forward_to(500.0)
-    assert seen == [(0.0, 500.0)]
+    assert log.jumps == [(0.0, 500.0)] and not log.events
 
 
 def test_fast_forward_inside_run_raises():

@@ -9,7 +9,7 @@ from repro.mac import DcfMac, FifoTxScheduler, MacConfig
 from repro.phy import DOT11B_LONG_PREAMBLE, ack_airtime_us, frame_airtime_us
 from repro.sim import Simulator, us_from_s
 
-from tests.conftest import MacHarness, SimplePacket
+from tests.conftest import EventLog, MacHarness, SimplePacket
 
 PHY = DOT11B_LONG_PREAMBLE
 
@@ -375,11 +375,11 @@ def test_fast_forward_jump_inside_a_hold_resumes_identically():
             h.sim.fast_forward_to(h.sim.now + jump)
             assert h.channel._response_at == reserved + jump
             assert h.channel.carrier_busy  # still holding
-        trace = []
-        h.sim.trace = lambda time, callback, trace=trace, jump=jump: (
-            trace.append((time - jump, callback.__qualname__))
-        )
+        log = EventLog(h.sim)
         h.sim.run(until=h.sim.now + 50_000.0)
+        trace = [
+            (time - jump, callback.__qualname__) for time, callback in log.events
+        ]
         traces.append((trace, [
             (m._bo_slots, m._cw, m.tx_attempts, m.tx_success) for m in h.macs
         ]))

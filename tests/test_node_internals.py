@@ -66,14 +66,18 @@ def test_ap_counts_downlink_packets():
     assert cell.ap.downlink_packets > 50
 
 
-def test_uplink_observers_called_with_estimates():
+def test_uplink_receptions_charge_the_scheduler_with_estimates():
     cell = Cell(seed=1)
     station = cell.add_station("n1", rate_mbps=11.0)
     cell.udp_flow(station, direction="up", rate_mbps=1.0)
     observed = []
-    cell.ap.uplink_observers.append(
-        lambda sta, est, frame: observed.append((sta, est))
-    )
+    on_uplink_complete = cell.scheduler.on_uplink_complete
+
+    def tapped(sta, est, **kwargs):
+        observed.append((sta, est))
+        on_uplink_complete(sta, est, **kwargs)
+
+    cell.scheduler.on_uplink_complete = tapped
     cell.run(seconds=0.5)
     assert observed
     expected = cell.ap.estimate_exchange_airtime(1500, 11.0)

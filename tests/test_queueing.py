@@ -98,17 +98,6 @@ def test_backlog_and_drops_reporting():
     assert sched.dropped() == 1
 
 
-def test_completion_listeners_invoked():
-    sched = RoundRobinScheduler()
-    seen = []
-    sched.completion_listeners.append(
-        lambda p, a, s, n, r: seen.append((p, a, s, n, r))
-    )
-    pkt = Pkt("a")
-    sched.on_complete(pkt, 123.0, True, 2, 11.0)
-    assert seen == [(pkt, 123.0, True, 2, 11.0)]
-
-
 # ----------------------------------------------------------------------
 # round robin
 # ----------------------------------------------------------------------

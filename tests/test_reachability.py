@@ -25,6 +25,15 @@ dead class stands for its methods).  The guard fails naming
 ``file:line symbol`` for every unreachable node not in :data:`ALLOWED`,
 every ``__all__`` entry its module does not bind, and every
 :data:`ALLOWED` entry that is gone or reachable: the list cannot rot.
+
+Two more rules walk the same parse, with no allow-list:
+
+* **write-only state** — an attribute the package stores on ``self``
+  that nothing loads (``x.attr``) in the package, its consumers or
+  ``tests/``, and that no string names (``TIME_STATE``, ``getattr``);
+* **unused imports** — a module-level import that a non-``__init__``
+  module never uses.  String annotations and ``__all__`` count as uses;
+  a ``# noqa: F401`` line is a deliberate re-export.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: Read-only consumers of the package: whatever they name is live.
 CONSUMERS = ("setup.py", "examples/*.py", "benchmarks/suite/*.py")
+#: Readers that are not roots: an attribute they load is not write-only.
+READERS = ("tests/**/*.py",)
 
 #: ``symbol -> reason``: unreachable from the roots, kept on purpose.
 #: Four classes only: fixtures by design, reference implementations
@@ -110,10 +121,38 @@ def _strings(tree: ast.AST) -> List[ast.Constant]:
     return [leaf for leaf in leaves if isinstance(leaf.value, str)]
 
 
+def _annotation_names(tree: ast.AST) -> Set[str]:
+    """Names used inside string annotations (``mac: "DcfMac"``)."""
+    notes = [
+        note
+        for node in ast.walk(tree)
+        for note in (
+            [node.returns] if isinstance(node, _DEFS)
+            else [node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign))
+            else []
+        )
+        if note is not None
+    ]
+    names = set()
+    for leaf in (leaf for note in notes for leaf in _strings(note)):
+        try:
+            parsed = ast.parse(leaf.value, mode="eval")
+        except SyntaxError:  # a ``Literal["..."]`` value, not a name
+            continue
+        names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return names
+
+
 class Census:
     """Walk ``src/package`` and mark what the roots reach."""
 
-    def __init__(self, src: Path, package: str, consumers: Iterable[Path] = ()):
+    def __init__(
+        self,
+        src: Path,
+        package: str,
+        consumers: Iterable[Path] = (),
+        readers: Iterable[Path] = (),
+    ):
         self.top, self.base = package, src / package
         self.modules: Dict[str, SimpleNamespace] = {}
         self.nodes: Dict[Key, SimpleNamespace] = {}
@@ -128,9 +167,10 @@ class Census:
         roots: List[Ref] = []
         for module in self.modules.values():
             roots += self._refs(module, module.executable)
-        for path in consumers:
-            outsider = self._load(f"<{path.name}>", path)
+        self.outsiders = [self._load(f"<{path.name}>", path) for path in consumers]
+        for outsider in self.outsiders:
             roots += self._refs(outsider, [outsider.tree])
+        self.readers = [self._load(f"<{path.name}>", path) for path in readers]
         self.alive = self._mark(roots)
         exports = [
             (module, name, line)
@@ -146,10 +186,11 @@ class Census:
         ]
 
     def _load(self, name: str, path: Path) -> SimpleNamespace:
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text, str(path))
         inside = self.base in path.parents
         return SimpleNamespace(
-            name=name, tree=tree,
+            name=name, tree=tree, lines=text.splitlines(),
             where=path.relative_to(self.base).as_posix() if inside else name,
             imports=_imports_below(tree),
             bound=set(),  # names the module's top level binds
@@ -377,6 +418,76 @@ class Census:
             if label not in allowed
         ] + self.stale_exports
 
+    def write_only(self) -> List[str]:
+        """``file:line Class.attr`` for every attribute stored on ``self``
+        that nothing loads and no string names."""
+        trees = [
+            m.tree
+            for m in (*self.modules.values(), *self.outsiders, *self.readers)
+        ]
+        read = {leaf.value for tree in trees for leaf in _strings(tree)}
+        read.update(
+            node.attr
+            for tree in trees
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+        found: Dict[str, Tuple[str, int]] = {}
+        for module in self.modules.values():
+            classes = (n for n in ast.walk(module.tree) if isinstance(n, ast.ClassDef))
+            for cls in classes:
+                methods = (f for f in cls.body if isinstance(f, _DEFS))
+                for node in (n for f in methods for n in ast.walk(f)):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and getattr(node.value, "id", None) == "self"
+                        and node.attr not in read
+                    ):
+                        found.setdefault(
+                            f"{cls.name}.{node.attr}", (module.where, node.lineno)
+                        )
+        return [
+            f"{where}:{line} {name} is stored but never read"
+            for name, (where, line) in sorted(found.items(), key=lambda i: i[1])
+        ]
+
+    def unused_imports(self) -> List[str]:
+        """``file:line name`` for every module-level import a
+        non-``__init__`` module never uses."""
+        findings = []
+        for module in self.modules.values():
+            if module.where.endswith("__init__.py"):
+                continue
+            tree = module.tree
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            used |= _annotation_names(tree)
+            used.update(name for name, _ in module.exported)
+            nested = {
+                id(inner)
+                for scope in ast.walk(tree)
+                if isinstance(scope, (*_DEFS, ast.ClassDef))
+                for inner in ast.walk(scope)
+            }
+            for stmt in ast.walk(tree):
+                if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                    continue
+                span = module.lines[stmt.lineno - 1:stmt.end_lineno]
+                if (
+                    id(stmt) in nested
+                    or getattr(stmt, "module", None) == "__future__"
+                    or any("# noqa: F401" in line for line in span)
+                ):
+                    continue
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in used:
+                        findings.append(
+                            f"{module.where}:{stmt.lineno} {bound} is imported "
+                            "but never used"
+                        )
+        return findings
+
     def rotted(self, allowed: Dict[str, str]) -> List[str]:
         """Allow-list entries that are gone or have become reachable."""
         dead = self.unreachable()
@@ -390,11 +501,22 @@ class Census:
 @pytest.fixture(scope="module")
 def real() -> Census:
     consumers = [path for glob in CONSUMERS for path in sorted(ROOT.glob(glob))]
-    return Census(ROOT / "src", "repro", consumers)
+    readers = [path for glob in READERS for path in sorted(ROOT.glob(glob))]
+    return Census(ROOT / "src", "repro", consumers, readers)
 
 
 def test_nothing_under_src_lives_only_for_its_tests(real):
     findings = real.unlisted(ALLOWED)
+    assert not findings, "\n" + "\n".join(findings)
+
+
+def test_nothing_under_src_is_stored_but_never_read(real):
+    findings = real.write_only()
+    assert not findings, "\n" + "\n".join(findings)
+
+
+def test_no_module_imports_what_it_never_uses(real):
+    findings = real.unused_imports()
     assert not findings, "\n" + "\n".join(findings)
 
 
@@ -463,4 +585,42 @@ def test_guard_names_exactly_the_dead_cluster_and_the_stale_export(tmp_path):
     assert planted.rotted(listed) == [
         "ALLOWED names mod.py::used, which is gone or has become reachable",
         "ALLOWED names x.py::y, which is gone or has become reachable",
+    ]
+
+
+#: A throwaway module for the two rules without an allow-list: a counter
+#: only ever incremented, an attribute only a string names, one only a
+#: reader loads, an unused import, a re-export, a string annotation.
+WRITE_ONLY = """
+    import os
+    from typing import Dict  # noqa: F401
+    from typing import Optional
+
+    class Meter:
+        TIME_STATE = dict(counters=("ticks",))
+
+        def __init__(self, sizes: "Optional[dict]"):
+            self.sizes = sizes
+            self.ticks = 0
+            self.total = 0
+            self.peek = 0
+
+        def add(self):
+            self.total += 1
+            self.ticks += 1
+            return self.sizes
+"""
+
+
+def test_write_only_and_unused_import_rules_name_exactly_the_planted(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "pkg" / "mod.py").write_text(dedent(WRITE_ONLY).lstrip("\n"))
+    (tmp_path / "test_mod.py").write_text("def test(meter):\n    meter.peek\n")
+    planted = Census(tmp_path, "pkg", readers=[tmp_path / "test_mod.py"])
+    assert planted.write_only() == [
+        "mod.py:11 Meter.total is stored but never read",
+    ]
+    assert planted.unused_imports() == [
+        "mod.py:1 os is imported but never used",
     ]

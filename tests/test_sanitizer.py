@@ -13,12 +13,14 @@ import pickle
 
 import pytest
 
+from repro.campus.sanitizer import CampusSanitizer
 from repro.scenario import (
     FlowSpec,
     ReaperSpec,
     ScenarioSpec,
     StationCrashEvent,
     StationSpec,
+    build_spec,
 )
 from repro.scenario.builder import ScenarioRuntime
 from repro.scenario.runner import run_spec
@@ -29,6 +31,8 @@ from repro.sim.sanitizer import (
     pool_leak,
     sanitize_enabled,
 )
+
+from tests.conftest import EventLog
 
 
 def _crash_spec(*, reaper, seconds=5.0):
@@ -133,9 +137,9 @@ def test_time_regression_is_caught():
         sanitize=False,
     )
     sanitizer = RuntimeSanitizer(runtime.cell)
-    sanitizer._trace(100.0, lambda: None)
+    sanitizer.on_event(100.0, lambda: None)
     with pytest.raises(InvariantViolation, match="regressed"):
-        sanitizer._trace(99.0, lambda: None)
+        sanitizer.on_event(99.0, lambda: None)
 
 
 def test_delivery_to_detached_mac_is_caught():
@@ -152,13 +156,50 @@ def test_delivery_to_detached_mac_is_caught():
     mac = cell.stations["a"].mac
     sanitizer = RuntimeSanitizer(cell)
     # Attached: any callback on the MAC is fine.
-    sanitizer._trace(10.0, mac._ack_timeout)
+    sanitizer.on_event(10.0, mac._ack_timeout)
     mac.shutdown()
     with pytest.raises(InvariantViolation, match="detached"):
-        sanitizer._trace(20.0, mac._ack_timeout)
+        sanitizer.on_event(20.0, mac._ack_timeout)
     # Guard-style fire-and-forget callbacks are exempt: they are
     # scheduled without a handle and legitimately outlive a shutdown.
-    sanitizer._trace(30.0, mac._broadcast_done)
+    sanitizer.on_event(30.0, mac._transmit_burst_frame)
+
+
+def test_sanitizer_and_a_recorder_observe_one_fast_forwarded_run():
+    runtime = ScenarioRuntime(
+        build_spec("steady-long", seconds=6.0), sanitize=False, fast_forward=True
+    )
+    sim = runtime.cell.sim
+    recorder = EventLog(sim)
+    sanitizer = RuntimeSanitizer(runtime.cell).install()
+
+    class Witness:
+        """Attached last: everyone before it has seen this event or jump."""
+
+        def on_event(self, time, callback):
+            assert recorder.events[-1] == (time, callback)
+            assert sanitizer.events_seen == len(recorder.events)
+
+        def on_fast_forward(self, old_now, new_now):
+            assert recorder.jumps[-1] == (old_now, new_now)
+            assert sanitizer._last_time == new_now
+
+    sim.observe(Witness())
+    runtime.run()
+    sanitizer.finalize()
+    assert sim.fast_forwards > 0
+    assert len(recorder.jumps) == sim.fast_forwards
+    assert len(recorder.events) == sanitizer.events_seen == sim.events_executed
+
+
+def test_campus_sanitizer_refuses_a_fast_forward_jump():
+    runtime = ScenarioRuntime(
+        build_spec("campus", seconds=0.5, warmup_s=0.1), sanitize=False
+    )
+    sim = runtime.campus.sim
+    CampusSanitizer(runtime.campus).install()
+    with pytest.raises(InvariantViolation, match="fast-forward jump"):
+        sim.fast_forward_to(sim.now + 1.0)
 
 
 def test_violation_carries_structured_fields():

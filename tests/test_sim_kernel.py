@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim import Simulator, SimulationError, EventPriority
 
+from tests.conftest import EventLog
+
 
 def test_initial_time_is_zero():
     assert Simulator().now == 0.0
@@ -260,3 +262,36 @@ def test_args_passed_to_callback():
     sim.schedule(1.0, lambda a, b: got.append((a, b)), 1, "two")
     sim.run()
     assert got == [(1, "two")]
+
+
+def test_observers_run_in_attach_order_and_attach_idempotently():
+    sim = Simulator()
+    first, second = EventLog(sim), EventLog(sim)
+    seen = []
+    first.on_event = lambda time, callback: seen.append(("first", time))
+    sim.observe(second)  # already attached: no second slot
+    sim.unobserve(first)
+    sim.observe(first)  # re-attached: now after ``second``
+    sim.unobserve(EventLog(Simulator()))  # never attached here: ignored
+    sim.schedule(1.0, lambda: seen.append("callback"))
+    sim.run()
+    assert [time for time, _ in second.events] == [1.0]
+    assert seen == [("first", 1.0), "callback"]
+    assert sim._observers == (second, first)
+
+
+def test_observe_and_unobserve_inside_run_raise():
+    sim = Simulator()
+    log = EventLog(sim)
+    errors = []
+
+    def attach_and_detach():
+        for change in (sim.observe, sim.unobserve):
+            with pytest.raises(SimulationError, match="inside run"):
+                change(log)
+            errors.append(change.__name__)
+
+    sim.schedule(1.0, attach_and_detach)
+    sim.run()
+    assert errors == ["observe", "unobserve"]
+    assert sim._observers == (log,)

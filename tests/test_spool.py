@@ -193,9 +193,9 @@ def test_interrupted_reclaim_is_itself_reclaimed(tmp_path):
 
 
 def test_lease_timeout_spares_a_coordinating_process(tmp_path, monkeypatch):
-    """With in_worker unset (participate=True embedders, repro serve),
-    a job overrunning timeout_s books the timeout attempt and releases
-    the claim but must NOT os._exit the whole process."""
+    """With in_worker unset (a participate=True coordinator claiming
+    in-process), a job overrunning timeout_s books the timeout attempt
+    and releases the claim but must NOT os._exit the whole process."""
     from repro.campaign import faults as faults_mod
 
     monkeypatch.setattr(faults_mod, "in_worker", False)

@@ -46,11 +46,11 @@ class Probe:
         #: kernel events that delivered something out of a downlink wire
         #: (pump deliveries, plus plain sends such as TCP segments).
         self.wire_events = 0
-        self.trace_calls = 0
+        self.events_seen = 0
         self._wires = [cell.ap.downlink_wire for cell in cells]
         for cell in cells:
             self._tap_enqueue(cell)
-        cells[0].sim.trace = self._trace
+        cells[0].sim.observe(self)
 
     def counters(self):
         return tuple(
@@ -81,8 +81,11 @@ class Probe:
 
         cell.scheduler.enqueue = tapped
 
-    def _trace(self, time, callback):
-        self.trace_calls += 1
+    def on_fast_forward(self, old_now, new_now):
+        raise AssertionError("these runs never jump")
+
+    def on_event(self, time, callback):
+        self.events_seen += 1
         func = getattr(callback, "__func__", None)
         if func in _TRAFFIC_FUNCS:
             if callback.__self__ in self._wires:
@@ -377,7 +380,7 @@ def test_exact_time_tie_is_not_drained():
 @pytest.mark.parametrize("scheduler", ["tbr", "fifo"])
 def test_pump_events_plus_drained_is_delivered_on_steady_long(scheduler):
     spec = build_spec("steady-long", scheduler=scheduler, seconds=3.0)
-    runtime = ScenarioRuntime(spec, sanitize=False, fast_forward=False)
+    runtime = ScenarioRuntime(spec, fast_forward=False)
     probe = Probe(runtime.cell)
     runtime.run()
     sim = runtime.cell.sim
@@ -385,7 +388,7 @@ def test_pump_events_plus_drained_is_delivered_on_steady_long(scheduler):
     assert link.drained > link.delivered // 2  # most offered load is drops
     assert probe.wire_events + link.drained == link.delivered
     assert runtime.cell.ap.downlink_packets == link.delivered
-    # Drained arrivals are invisible to the trace hook, and nothing else
-    # is: it still fires exactly once per executed event.
-    assert probe.trace_calls == sim.events_executed
+    # Drained arrivals are invisible to an observer, and nothing else
+    # is: it still sees exactly one call per executed event.
+    assert probe.events_seen == sim.events_executed
     assert probe.wire_events == sim.events_by_category()["traffic"]
