@@ -296,7 +296,8 @@ class Channel:
                 return
 
     def add_sniffer(self, sniffer: Callable) -> None:
-        """Register ``sniffer(frame, corrupted, start, end)`` observers."""
+        """Register ``sniffer(frame, dest_corrupted, collided, start,
+        end)`` observers, called at each transmission's end."""
         self._sniffers.append(sniffer)
 
     @property

@@ -35,7 +35,9 @@ from repro.analysis.fairness import jain_index
 from repro.campaign.job import Job, make_job
 from repro.channel.loss import PerLinkLoss
 from repro.core.tbr import TbrConfig, TbrScheduler
-from repro.experiments.common import competing_spec, fmt_table
+from repro.experiments.common import (
+    competing_spec, fmt_table, windowed_occupancy,
+)
 from repro.node.cell import Cell
 from repro.scenario.runner import ScenarioResult, scenario_job
 from repro.scenario.spec import FlowSpec, ScenarioSpec, StationSpec
@@ -141,6 +143,8 @@ def render_retry_accounting(
 DEFAULT_DEPTHS_US = (20_000.0, 100_000.0, 500_000.0, 2_000_000.0)
 #: Width of the short-term fairness windows, in seconds.
 WINDOW_S = 0.5
+#: Warm-up before the first window, in seconds.
+WARMUP_S = 2.0
 
 
 def execute_bucket_depth(params: Dict) -> Tuple[float, float]:
@@ -149,27 +153,25 @@ def execute_bucket_depth(params: Dict) -> Tuple[float, float]:
     window_s = params["window_s"]
     seconds = params["seconds"]
     config = TbrConfig(bucket_depth_us=depth, initial_tokens_us=depth / 5.0)
-    # Hand-built: the spec language has no windowed measurement loop (a
-    # spec run yields one figure per station for the whole window).
+    # Hand-built: the spec language has no windowed measurement (a spec
+    # run yields one figure per station for the whole window).
     cell = Cell(seed=params["seed"], scheduler="tbr", tbr_config=config)
     n1 = cell.add_station("n1", rate_mbps=1.0)
     n2 = cell.add_station("n2", rate_mbps=11.0)
     cell.tcp_flow(n1, direction="down")
     cell.tcp_flow(n2, direction="down")
-    cell.run(seconds=2.0)  # warm-up
-    cell.reset_measurements()
-
-    window_jains: List[float] = []
     usage = cell.usage
-    prev = {s: 0.0 for s in cell.stations}
+    usage.keep_records = True
     steps = int(seconds / window_s)
-    for _ in range(steps):
-        cell.sim.run(until=cell.sim.now + us_from_s(window_s))
-        current = {s: usage.occupancy_us(s) for s in cell.stations}
-        deltas = [current[s] - prev[s] for s in cell.stations]
-        prev = current
-        if sum(deltas) > 0:
-            window_jains.append(jain_index(deltas))
+    cell.run(steps * window_s, warmup_seconds=WARMUP_S)
+
+    edges_us = [us_from_s(WARMUP_S + k * window_s) for k in range(steps + 1)]
+    windows = windowed_occupancy(usage.records, edges_us, list(cell.stations))
+    window_jains = [
+        jain_index(list(window.values()))
+        for window in windows
+        if sum(window.values()) > 0
+    ]
     long_term = jain_index([usage.occupancy_us(s) for s in cell.stations])
     short_term = statistics.mean(window_jains) if window_jains else 0.0
     return (long_term, short_term)

@@ -21,9 +21,12 @@ shape most figures share is :func:`competing_spec`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.campaign.job import Job, make_job
+from repro.channel.usage import UsageRecord
 from repro.core.tbr import TbrConfig
 from repro.phy.phy import DOT11B_LONG_PREAMBLE, PhyParams
 from repro.scenario.builder import ScenarioRuntime
@@ -176,6 +179,28 @@ def shares(occupancy: Mapping[str, float]) -> Dict[str, float]:
     return {station: used / total for station, used in occupancy.items()}
 
 
+def windowed_occupancy(
+    records: Iterable[UsageRecord],
+    edges_us: Sequence[float],
+    stations: Sequence[str],
+) -> List[Dict[str, float]]:
+    """Bucket usage ``records`` by the half-open windows ``[edges_us[i],
+    edges_us[i + 1])``: one station -> attributed airtime (us) dict per
+    window, over ``stations`` in their order (0.0 for an idle one).
+
+    ``edges_us`` ascend; one ``bisect`` per record places it, so a
+    record stamped exactly on an edge counts in the later window.
+    Records before the first edge, at or past the last, or of a station
+    not in ``stations`` count nowhere.
+    """
+    windows = [dict.fromkeys(stations, 0.0) for _ in edges_us[1:]]
+    for record in records:
+        index = bisect_right(edges_us, record.time) - 1
+        if 0 <= index < len(windows) and record.station in windows[index]:
+            windows[index][record.station] += record.airtime_us
+    return windows
+
+
 def phased_occupancy(
     spec: ScenarioSpec,
     cuts_us: Sequence[float],
@@ -200,31 +225,23 @@ def phased_occupancy(
     usage.keep_records = True
     runtime.run()
 
-    occupancy: List[Dict[str, float]] = [
-        {station.name: 0.0 for station in spec.stations}
-        for _ in range(len(cuts_us) + 1)
-    ]
-    for record in usage.records:
-        occupancy[bisect_right(cuts_us, record.time)][
-            record.station
-        ] += record.airtime_us
+    inf = float("inf")
+    occupancy = windowed_occupancy(
+        usage.records, (-inf, *cuts_us, inf), [s.name for s in spec.stations]
+    )
 
     start_us, end_us = probe_us
     fill_us = (spec.tbr_config or TbrConfig()).fill_interval_us
     window_us = CONVERGE_WINDOW_FILLS * fill_us
+    edges_us = [start_us]
+    while start_us + len(edges_us) * window_us <= end_us:
+        edges_us.append(start_us + len(edges_us) * window_us)
     fair = 1.0 / len(probed)
-    window = 1
-    while start_us + window * window_us <= end_us:
-        lo = start_us + (window - 1) * window_us
-        hi = lo + window_us
-        in_window = {station: 0.0 for station in probed}
-        for record in usage.records:
-            if lo <= record.time < hi and record.station in in_window:
-                in_window[record.station] += record.airtime_us
+    windows = windowed_occupancy(usage.records, edges_us, probed)
+    for window, in_window in enumerate(windows, start=1):
         share = shares(in_window)
         if all(abs(share[s] - fair) <= SHARE_TOLERANCE for s in probed):
             return occupancy, window * CONVERGE_WINDOW_FILLS
-        window += 1
     return occupancy, None
 
 

@@ -119,7 +119,7 @@ class Cell:
             rate_controller=ap_rate_controller,
             oracle_retry_accounting=oracle_retry_accounting,
         )
-        self.ap.mac.add_completion_listener(self._on_ap_exchange)
+        self.ap.mac.add_completion_listener(self._on_exchange)
         if isinstance(self.scheduler, TbrScheduler) and self.scheduler.config.notify_clients:
             self.ap.mac.ack_decorator = self._decorate_ack
         self.stations: Dict[str, Station] = {}
@@ -158,7 +158,7 @@ class Cell:
             cooperate_with_tbr=cooperate_with_tbr,
             mac_config=mac_config,
         )
-        station.mac.add_completion_listener(self._on_station_exchange(station))
+        station.mac.add_completion_listener(self._on_exchange)
         self.stations[name] = station
         self.ap.associate(name)
         if rate_controller is None and downlink_rate_mbps is None:
@@ -255,35 +255,12 @@ class Cell:
     # ------------------------------------------------------------------
     # usage accounting (true occupancy, both directions)
     # ------------------------------------------------------------------
-    def _on_station_exchange(self, station: Station):
-        def observer(report) -> None:
-            if report.packet is None:
-                return
-            self.usage.record_exchange(
-                station.address,
-                report.airtime_us,
-                attempts=report.attempts,
-                success=report.success,
-                payload_bytes=report.payload_bytes,
-                rate_mbps=report.rate_mbps,
-                direction="up",
-            )
-
-        return observer
-
-    def _on_ap_exchange(self, report) -> None:
+    def _on_exchange(self, report) -> None:
+        # Every packet a cell builds carries its station's address, in
+        # either direction: the uplink source, the downlink destination.
         packet = report.packet
-        if packet is None:
-            return
-        self.usage.record_exchange(
-            packet.station,
-            report.airtime_us,
-            attempts=report.attempts,
-            success=report.success,
-            payload_bytes=report.payload_bytes,
-            rate_mbps=report.rate_mbps,
-            direction="down",
-        )
+        if packet is not None:
+            self.usage.record_exchange(packet.station, report.airtime_us)
 
     def _decorate_ack(self, ack, data_frame) -> None:
         hint = self.scheduler.defer_hint_for(data_frame.src)
@@ -493,24 +470,26 @@ class Cell:
         transmitted and then truly left must not report 0.000."""
         keys = list(self.stations)
         present = set(keys)
-        keys.extend(s for s in self.usage.stations() if s not in present)
+        keys.extend(s for s in sorted(self.usage.occupancies_us()) if s not in present)
         return keys
 
     def occupancy_fractions(self) -> Dict[str, float]:
         """Per-station channel occupancy as a fraction of elapsed time
         (0.0 each when the measurement window is empty)."""
-        if self.measured_us <= 0:
+        measured = self.measured_us
+        if measured <= 0:
             return {s: 0.0 for s in self._occupancy_keys()}
         return {
-            s: self.usage.fraction_of_time(s, self.measured_us)
+            s: self.usage.occupancy_us(s) / measured
             for s in self._occupancy_keys()
         }
 
     def occupancy_shares(self) -> Dict[str, float]:
         """Per-station share of the total attributed channel time (0.0
-        each when the measurement window is empty)."""
-        if self.measured_us <= 0:
+        each when the measurement window is empty, or holds none)."""
+        total = sum(self.usage.occupancies_us().values())
+        if self.measured_us <= 0 or total <= 0:
             return {s: 0.0 for s in self._occupancy_keys()}
         return {
-            s: self.usage.fraction_of_busy(s) for s in self._occupancy_keys()
+            s: self.usage.occupancy_us(s) / total for s in self._occupancy_keys()
         }

@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Sequence
 
 from repro.traces.records import TraceRecord
 
+#: Width of one busy-interval bucket: the paper's 1-second intervals.
 US_PER_SECOND = 1_000_000.0
 
 
@@ -64,7 +65,6 @@ class BusyInterval:
 def busy_intervals(
     records: Sequence[TraceRecord],
     *,
-    width_us: float = US_PER_SECOND,
     threshold_mbps: float = 4.0,
 ) -> List[BusyInterval]:
     """Find intervals whose total data throughput exceeds the threshold.
@@ -73,15 +73,13 @@ def busy_intervals(
     with total AP throughput above 4 Mbps (80 % of the commonly observed
     11 Mbps TCP saturation throughput).
     """
-    if width_us <= 0:
-        raise ValueError("interval width must be positive")
     buckets: Dict[int, Dict[str, int]] = {}
     for r in records:
-        idx = int(r.time_us // width_us)
+        idx = int(r.time_us // US_PER_SECOND)
         per_station = buckets.setdefault(idx, {})
         per_station[r.station] = per_station.get(r.station, 0) + r.size_bytes
 
-    threshold_bytes = threshold_mbps * width_us / 8.0
+    threshold_bytes = threshold_mbps * US_PER_SECOND / 8.0
     result: List[BusyInterval] = []
     for idx in sorted(buckets):
         per_station = buckets[idx]
@@ -90,7 +88,7 @@ def busy_intervals(
             result.append(
                 BusyInterval(
                     index=idx,
-                    start_us=idx * width_us,
+                    start_us=idx * US_PER_SECOND,
                     total_bytes=total,
                     per_station_bytes=dict(per_station),
                 )
@@ -101,13 +99,10 @@ def busy_intervals(
 def heaviest_user_fractions(
     records: Sequence[TraceRecord],
     *,
-    width_us: float = US_PER_SECOND,
     threshold_mbps: float = 4.0,
 ) -> List[float]:
     """Figure 5's series: heaviest user's byte share per busy interval."""
     return [
         interval.heaviest_fraction
-        for interval in busy_intervals(
-            records, width_us=width_us, threshold_mbps=threshold_mbps
-        )
+        for interval in busy_intervals(records, threshold_mbps=threshold_mbps)
     ]

@@ -19,7 +19,6 @@ not the simulator; a full pool spin-up is a few hundred ms.
 import multiprocessing
 import os
 import pickle
-import signal
 import time
 
 import pytest

@@ -8,7 +8,6 @@ import pytest
 
 from repro.channel import PerLinkLoss
 from repro.node import ArfController, Cell
-from repro.sim import us_from_s
 
 
 def test_rate_moves_to_survivor_when_flow_stops():

@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.channel import UsageRecord
+from repro.core.tbr import TbrConfig
 from repro.experiments.common import (
     fmt_frac,
     fmt_mbps,
     fmt_table,
     run_competing,
+    windowed_occupancy,
 )
+from repro.node.cell import Cell
+from repro.sim import us_from_s
 
 
 def test_fmt_table_alignment():
@@ -72,3 +77,66 @@ def test_competing_result_total():
     res = run_competing([11.0, 11.0], seconds=0.5, warmup_seconds=0.0)
     assert res.total_mbps == pytest.approx(sum(res.throughput_mbps.values()))
     assert res.scheduler == "fifo"
+
+
+# ----------------------------------------------------------------------
+# windowed_occupancy: the one reducer of usage records
+# ----------------------------------------------------------------------
+def test_windowed_occupancy_matches_stepped_snapshot_diffs():
+    # The bucket-depth cell (1 vs 11 Mbps downlink TCP under TBR, 2 s
+    # warm-up), reduced both ways over four 0.5 s windows: the reducer
+    # over the records, and the old loop that ran window by window and
+    # diffed the monitor's sums.
+    def bucket_depth_cell():
+        config = TbrConfig(bucket_depth_us=100_000.0, initial_tokens_us=20_000.0)
+        cell = Cell(seed=1, scheduler="tbr", tbr_config=config)
+        for name, rate in (("n1", 1.0), ("n2", 11.0)):
+            cell.tcp_flow(cell.add_station(name, rate_mbps=rate), direction="down")
+        cell.run(0.0, warmup_seconds=2.0)
+        return cell
+
+    stepped = bucket_depth_cell()
+    stepped.usage.keep_records = True
+    edges_us = [stepped.sim.now]
+    cuts = [0]  # index of each window's first record
+    diffs, prev = [], stepped.usage.occupancies_us()
+    for _ in range(4):
+        stepped.sim.run(until=stepped.sim.now + us_from_s(0.5))
+        edges_us.append(stepped.sim.now)
+        cuts.append(len(stepped.usage.records))
+        now = stepped.usage.occupancies_us()
+        diffs.append({s: now[s] - prev.get(s, 0.0) for s in now})
+        prev = now
+
+    recorded = bucket_depth_cell()
+    recorded.usage.keep_records = True
+    recorded.sim.run(until=edges_us[-1])
+    assert recorded.usage.records == stepped.usage.records  # runs compose
+    windows = windowed_occupancy(recorded.usage.records, edges_us, ["n1", "n2"])
+
+    assert len(windows) == 4
+    for window, diff, lo, hi in zip(windows, diffs, cuts, cuts[1:]):
+        # Membership is exact: a window holds the records its step made.
+        made = {"n1": 0.0, "n2": 0.0}
+        for record in stepped.usage.records[lo:hi]:
+            made[record.station] += record.airtime_us
+        assert window == made
+        assert set(diff) == {"n1", "n2"}
+        assert all(used > 0 for used in diff.values())
+        for station, used in diff.items():
+            assert window[station] == pytest.approx(used, rel=1e-12)
+
+
+def test_windowed_occupancy_edge_record_counts_in_the_later_window():
+    records = [
+        UsageRecord(0.0, "a", 1.0),  # on the first edge: window 0
+        UsageRecord(10.0, "a", 2.0),  # on an inner edge: window 1
+        UsageRecord(10.0, "b", 4.0),
+        UsageRecord(20.0, "a", 8.0),  # on the last edge: nowhere
+        UsageRecord(-1.0, "a", 16.0),  # before the first: nowhere
+        UsageRecord(5.0, "ghost", 32.0),  # not asked for: nowhere
+    ]
+    assert windowed_occupancy(records, [0.0, 10.0, 20.0], ["a", "b"]) == [
+        {"a": 1.0, "b": 0.0},
+        {"a": 2.0, "b": 4.0},
+    ]

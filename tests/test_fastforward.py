@@ -16,7 +16,6 @@ Three layers of coverage:
   load-bearing in the bursty golden).
 """
 
-import pathlib
 from collections import Counter
 
 import pytest

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.channel import Channel, ChannelUsageMonitor, PerLinkLoss
+from repro.channel import Channel, PerLinkLoss
 from repro.core import TbrConfig, TbrScheduler
 from repro.mac.polling import (
     PolledStation,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import TbrConfig, TbrScheduler
-from repro.node import AccessPoint, ArfController, Cell, FixedRate
+from repro.node import ArfController, Cell
 from repro.phy import DOT11B_LONG_PREAMBLE, ack_airtime_us, frame_airtime_us
 from repro.queueing import ApFifoScheduler, DrrScheduler, RoundRobinScheduler
 

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.channel import PerLinkLoss
-from repro.core import TbrConfig, TbrScheduler
+from repro.core import TbrConfig
 from repro.mac import FifoTxScheduler
 from repro.node import Cell
-from repro.sim import us_from_s
 
 
 # ----------------------------------------------------------------------
@@ -144,5 +143,5 @@ def test_two_cells_do_not_share_state():
     a.udp_flow(sa, direction="down", rate_mbps=1.0)
     a.run(seconds=0.5)
     assert b.sim.now == 0.0
-    assert b.usage.total_occupancy_us() == 0.0
+    assert sum(b.usage.occupancies_us().values()) == 0.0
     del sb

@@ -4,7 +4,6 @@ import pytest
 
 from repro.queueing import (
     ApFifoScheduler,
-    ApScheduler,
     DrrScheduler,
     RoundRobinScheduler,
     StationQueue,

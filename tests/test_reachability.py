@@ -454,9 +454,9 @@ class Census:
 
     def unused_imports(self) -> List[str]:
         """``file:line name`` for every module-level import a
-        non-``__init__`` module never uses."""
+        non-``__init__`` module (or a reader) never uses."""
         findings = []
-        for module in self.modules.values():
+        for module in [*self.modules.values(), *self.readers]:
             if module.where.endswith("__init__.py"):
                 continue
             tree = module.tree
@@ -590,7 +590,8 @@ def test_guard_names_exactly_the_dead_cluster_and_the_stale_export(tmp_path):
 
 #: A throwaway module for the two rules without an allow-list: a counter
 #: only ever incremented, an attribute only a string names, one only a
-#: reader loads, an unused import, a re-export, a string annotation.
+#: reader loads, an unused import, a re-export, a string annotation;
+#: the reader beside it imports one name it never uses.
 WRITE_ONLY = """
     import os
     from typing import Dict  # noqa: F401
@@ -616,11 +617,15 @@ def test_write_only_and_unused_import_rules_name_exactly_the_planted(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "__init__.py").write_text("")
     (tmp_path / "pkg" / "mod.py").write_text(dedent(WRITE_ONLY).lstrip("\n"))
-    (tmp_path / "test_mod.py").write_text("def test(meter):\n    meter.peek\n")
+    (tmp_path / "test_mod.py").write_text(
+        "from __future__ import annotations\nimport json\n\n"
+        "def test(meter):\n    meter.peek\n"
+    )
     planted = Census(tmp_path, "pkg", readers=[tmp_path / "test_mod.py"])
     assert planted.write_only() == [
         "mod.py:11 Meter.total is stored but never read",
     ]
     assert planted.unused_imports() == [
         "mod.py:1 os is imported but never used",
+        "<test_mod.py>:2 json is imported but never used",
     ]

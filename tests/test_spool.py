@@ -11,8 +11,6 @@ import json
 import os
 import time
 
-import pytest
-
 from repro.campaign import queue as q
 from repro.campaign.executor import run_jobs
 from repro.campaign.faults import FaultPlan

@@ -6,7 +6,6 @@ import pytest
 
 from repro.node import Cell
 from repro.traces import (
-    BusyInterval,
     ChannelSniffer,
     DormTraceConfig,
     PAPER_WORKSHOP_MIXES,
@@ -63,11 +62,6 @@ def test_heaviest_user_fraction():
     assert intervals[0].heaviest_fraction == pytest.approx(0.75)
     assert intervals[0].active_stations == 2
     assert heaviest_user_fractions(records) == [pytest.approx(0.75)]
-
-
-def test_busy_interval_width_validation():
-    with pytest.raises(ValueError):
-        busy_intervals([], width_us=0.0)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.queueing.round_robin import RoundRobinScheduler
 from repro.sim import Simulator
 from repro.transport.packet import Packet, PacketPool
 from repro.transport.stats import FlowStats
-from repro.transport.udp import UdpDownlinkSource, UdpSender, UdpSink
+from repro.transport.udp import UdpSender, UdpSink
 from repro.transport.wired import WiredLink
 
 
