@@ -85,8 +85,8 @@ def test_competing_result_total():
 def test_windowed_occupancy_matches_stepped_snapshot_diffs():
     # The bucket-depth cell (1 vs 11 Mbps downlink TCP under TBR, 2 s
     # warm-up), reduced both ways over four 0.5 s windows: the reducer
-    # over the records, and the old loop that ran window by window and
-    # diffed the monitor's sums.
+    # over one run's records, and a loop that runs window by window and
+    # diffs the monitor's sums.
     def bucket_depth_cell():
         config = TbrConfig(bucket_depth_us=100_000.0, initial_tokens_us=20_000.0)
         cell = Cell(seed=1, scheduler="tbr", tbr_config=config)

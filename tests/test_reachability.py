@@ -32,8 +32,9 @@ Two more rules walk the same parse, with no allow-list:
   that nothing loads (``x.attr``) in the package, its consumers or
   ``tests/``, and that no string names (``TIME_STATE``, ``getattr``);
 * **unused imports** — a module-level import that a non-``__init__``
-  module never uses.  String annotations and ``__all__`` count as uses;
-  a ``# noqa: F401`` line is a deliberate re-export.
+  module of the package, or a file under ``tests/``, never uses.  String
+  annotations and ``__all__`` count as uses; a ``# noqa: F401`` line is
+  a deliberate re-export, and ``from __future__`` is exempt.
 """
 
 from __future__ import annotations
