@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
-from repro.analysis.model import NodeSpec
+from repro.analysis.model import NodeSpec, predict
 
 
 @dataclass(frozen=True)
@@ -54,28 +54,18 @@ class TaskModelResult:
         return max(self.completion_us.values()) if self.completion_us else 0.0
 
 
-def _instant_rates(
-    active: Sequence[NodeSpec], notion: str, transport: str
-) -> Dict[str, float]:
-    from repro.analysis.model import rf_throughputs, tf_throughputs
-
-    if notion == "rf":
-        return rf_throughputs(active, transport)
-    if notion == "tf":
-        return tf_throughputs(active, transport)
-    raise ValueError(f"unknown fairness notion {notion!r} (rf/tf)")
-
-
 def fluid_completion_times(
     tasks: Sequence[Task], notion: str, transport: str = "tcp"
 ) -> TaskModelResult:
     """Integrate the fluid model until every task completes.
 
-    Rates are re-evaluated whenever the active set shrinks; β values are
-    held at their |I|-node values for simplicity (the dependence of β on
-    n is second-order: the contention gap term).  Time unit:
-    microseconds (bits / Mbps = µs).
+    Rates are re-evaluated through :func:`predict` whenever the active
+    set shrinks, so a node without ``beta_mbps`` also has its analytic
+    β re-evaluated for the smaller set (its contention gap term grows as
+    contenders finish).  Time unit: microseconds (bits / Mbps = µs).
     """
+    if notion not in ("rf", "tf"):
+        raise ValueError(f"unknown fairness notion {notion!r} (rf/tf)")
     names = [t.node.name for t in tasks]
     if len(set(names)) != len(names):
         raise ValueError("duplicate node names in task list")
@@ -85,8 +75,11 @@ def fluid_completion_times(
     now = 0.0
 
     while remaining:
-        active = [node_of[name] for name in remaining]
-        rates = _instant_rates(active, notion, transport)
+        prediction = predict([node_of[name] for name in remaining], transport)
+        if notion == "rf":
+            rates = prediction.rf_per_node
+        else:
+            rates = prediction.tf_per_node
         # Time until the next completion at current rates.
         horizons = {
             name: remaining[name] / rates[name]

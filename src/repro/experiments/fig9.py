@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
-from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS
-from repro.analysis.model import NodeSpec, rf_throughputs, tf_throughputs
+from repro.analysis.model import PAPER_TABLE2_TCP_MBPS, NodeSpec, predict
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
 from repro.experiments.common import competing_job, fmt_table
@@ -35,7 +34,8 @@ def model_predictions(pair: Tuple[float, float]) -> Dict[str, Dict[str, float]]:
         NodeSpec("n1", pair[0], beta_mbps=PAPER_TABLE2_TCP_MBPS[pair[0]]),
         NodeSpec("n2", pair[1], beta_mbps=PAPER_TABLE2_TCP_MBPS[pair[1]]),
     ]
-    return {"eq6": rf_throughputs(nodes), "eq12": tf_throughputs(nodes)}
+    model = predict(nodes)
+    return {"eq6": model.rf_per_node, "eq12": model.tf_per_node}
 
 
 @dataclass

@@ -23,8 +23,7 @@ from typing import Dict, List, Mapping
 from repro.analysis.efficiency import Task, task_model_metrics
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job, make_job
-from repro.analysis.model import NodeSpec
-from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS
+from repro.analysis.model import PAPER_TABLE2_TCP_MBPS, NodeSpec
 from repro.experiments.common import fmt_table
 from repro.node.cell import Cell
 from repro.sim import us_from_s

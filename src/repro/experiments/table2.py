@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping
 
-from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS, analytic_baseline_mbps
+from repro.analysis.model import PAPER_TABLE2_TCP_MBPS, analytic_baseline_mbps
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
 from repro.experiments.common import competing_job, fmt_table

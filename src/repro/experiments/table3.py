@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping
 
-from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS
-from repro.analysis.model import FairnessPrediction, NodeSpec, predict
+from repro.analysis.model import (
+    PAPER_TABLE2_TCP_MBPS, FairnessPrediction, NodeSpec, predict,
+)
 from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
 from repro.experiments.common import competing_job, fmt_table

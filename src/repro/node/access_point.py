@@ -22,7 +22,7 @@ from typing import Callable, Dict, Optional, Set
 from repro.channel.medium import Channel
 from repro.mac.dcf import DcfMac, MacConfig
 from repro.node.rate_control import FixedRate, RateController
-from repro.phy.phy import PhyParams, ack_airtime_us, ack_rate_for, frame_airtime_us
+from repro.phy.phy import PhyParams, exchange_airtime_us
 from repro.queueing.base import ApScheduler
 from repro.sim import EventCategory, Simulator
 from repro.transport.packet import Packet, PacketPool
@@ -273,7 +273,8 @@ class AccessPoint:
         self.uplink_packets += 1
         if self.reaper is not None:
             self.reaper.heard(packet.station)
-        est = self.estimate_exchange_airtime(
+        est = exchange_airtime_us(
+            self.phy,
             frame.size_bytes,
             frame.rate_mbps,
             attempts=frame.attempt if self.oracle_retry_accounting else 1,
@@ -287,19 +288,6 @@ class AccessPoint:
         )
         # Bridge to the wired side.
         self.uplink_wire.send(packet, self._deliver_packet_cb)
-
-    def estimate_exchange_airtime(
-        self, payload_bytes: int, rate_mbps: float, *, attempts: int = 1
-    ) -> float:
-        """Deterministic per-exchange channel time, as the AP computes it.
-
-        DIFS + data airtime (times ``attempts`` when retry information is
-        available) + SIFS + ACK airtime.
-        """
-        data = frame_airtime_us(self.phy, payload_bytes, rate_mbps)
-        ack = ack_airtime_us(self.phy, ack_rate_for(self.phy, rate_mbps))
-        per_attempt = self.phy.difs_us + data
-        return attempts * per_attempt + self.phy.sifs_us + ack
 
     # ------------------------------------------------------------------
     # downlink: wire -> AP -> station

@@ -19,6 +19,7 @@ from repro.phy.phy import (
     frame_airtime_us,
     ack_airtime_us,
     ack_rate_for,
+    exchange_airtime_us,
 )
 from repro.phy.modulation import (
     ber_for_rate,
@@ -36,6 +37,7 @@ __all__ = [
     "frame_airtime_us",
     "ack_airtime_us",
     "ack_rate_for",
+    "exchange_airtime_us",
     "ber_for_rate",
     "per_from_ber",
     "frame_error_probability",

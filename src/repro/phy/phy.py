@@ -151,3 +151,17 @@ def ack_rate_for(phy: PhyParams, data_rate_mbps: float) -> float:
     value = max(candidates) if candidates else min(phy.basic_rates)
     cache[data_rate_mbps] = value
     return value
+
+
+def exchange_airtime_us(
+    phy: PhyParams, payload_bytes: int, rate_mbps: float, attempts: int = 1
+) -> float:
+    """Channel time of one data exchange without its contention idle.
+
+    ``attempts`` × (DIFS + data airtime) + SIFS + the ACK at its control
+    rate: TBR's per-exchange uplink charge, and the success term of the
+    analytic baseline β in :mod:`repro.analysis.model`.
+    """
+    data = frame_airtime_us(phy, payload_bytes, rate_mbps)
+    ack = ack_airtime_us(phy, ack_rate_for(phy, rate_mbps))
+    return attempts * (phy.difs_us + data) + phy.sifs_us + ack

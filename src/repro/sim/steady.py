@@ -342,11 +342,7 @@ class FastForwardEngine:
 
     def _shares_match_model(self, snap: SimpleNamespace) -> bool:
         """Compare window occupancy shares with Eq 4 / Eq 11 predictions."""
-        from repro.analysis.model import (
-            NodeSpec,
-            dcf_time_shares,
-            tf_time_shares,
-        )
+        from repro.analysis.model import NodeSpec, predict
 
         cell = self.cell
         scheduler = cell.scheduler
@@ -375,10 +371,11 @@ class FastForwardEngine:
             )
             for name in cell.stations
         ]
+        prediction = predict(nodes, transport="udp")
         if getattr(scheduler, "buckets", None) is not None:
-            predicted = tf_time_shares(nodes)
+            predicted = prediction.tf_shares
         else:
-            predicted = dcf_time_shares(nodes, transport="udp")
+            predicted = prediction.rf_shares
         for name in cell.stations:
             measured = deltas[name] / total
             if abs(measured - predicted[name]) > SHARE_TOLERANCE:

@@ -111,6 +111,16 @@ def test_single_task():
     )
 
 
+def test_analytic_beta_follows_the_active_set():
+    # Without beta_mbps, β is re-derived for the nodes still active at
+    # each completion: alone, the slow node waits a longer contention
+    # gap than beside the fast one.  Its two-node β held to the end
+    # would finish it at 10 705 978 us instead.
+    tasks = [Task(NodeSpec("slow", 1.0), 8e6), Task(NodeSpec("fast", 11.0), 8e6)]
+    result = fluid_completion_times(tasks, "tf")
+    assert result.completion_us["slow"] == pytest.approx(10_751_048, abs=1.0)
+
+
 def test_unknown_notion_rejected():
     with pytest.raises(ValueError):
         fluid_completion_times(equal_tasks(), "max-min")

@@ -4,14 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis import (
-    BaselineModel,
     NodeSpec,
     PAPER_TABLE2_TCP_MBPS,
     analytic_baseline_mbps,
-    dcf_time_shares,
     predict,
-    rf_throughputs,
-    tf_throughputs,
     tf_time_shares,
 )
 
@@ -42,15 +38,16 @@ def test_baseline_increases_with_packet_size():
 
 
 def test_udp_baseline_exceeds_tcp():
-    model = BaselineModel()
-    assert model.udp_baseline_mbps(11.0) > model.tcp_baseline_mbps(11.0)
+    udp = analytic_baseline_mbps(11.0, transport="udp")
+    assert udp > analytic_baseline_mbps(11.0, transport="tcp")
 
 
 def test_contention_gap_shrinks_with_nodes():
-    model = BaselineModel()
-    assert model.contention_gap_us(4) < model.contention_gap_us(1)
+    # A smaller idle gap per exchange is a larger β.
+    crowded = analytic_baseline_mbps(11.0, n_nodes=4)
+    assert crowded > analytic_baseline_mbps(11.0, n_nodes=1)
     with pytest.raises(ValueError):
-        model.contention_gap_us(0)
+        analytic_baseline_mbps(11.0, n_nodes=0)
 
 
 def test_unknown_transport_rejected():
@@ -63,7 +60,7 @@ def test_unknown_transport_rejected():
 # ----------------------------------------------------------------------
 def test_rf_equal_rates_split_equally():
     nodes = [paper_node("a", 11.0), paper_node("b", 11.0)]
-    thr = rf_throughputs(nodes)
+    thr = predict(nodes).rf_per_node
     assert thr["a"] == pytest.approx(thr["b"])
     assert sum(thr.values()) == pytest.approx(PAPER_TABLE2_TCP_MBPS[11.0])
 
@@ -71,22 +68,22 @@ def test_rf_equal_rates_split_equally():
 def test_rf_mixed_rates_equal_throughput():
     """Eq 6: with equal packet sizes every node gets the same rate."""
     nodes = [paper_node("slow", 1.0), paper_node("fast", 11.0)]
-    thr = rf_throughputs(nodes)
+    thr = predict(nodes).rf_per_node
     assert thr["slow"] == pytest.approx(thr["fast"])
 
 
-def test_dcf_time_shares_sum_to_one():
+def test_rf_time_shares_sum_to_one():
     nodes = [paper_node("a", 1.0), paper_node("b", 2.0), paper_node("c", 11.0)]
-    shares = dcf_time_shares(nodes)
+    shares = predict(nodes).rf_shares
     assert sum(shares.values()) == pytest.approx(1.0)
     assert shares["a"] > shares["c"]  # slow node hogs the channel
 
 
 def test_rf_1v11_matches_paper_figure2():
     nodes = [paper_node("slow", 1.0), paper_node("fast", 11.0)]
-    total = predict(nodes).rf_total
-    assert total == pytest.approx(1.34, rel=0.06)
-    shares = dcf_time_shares(nodes)
+    prediction = predict(nodes)
+    assert prediction.rf_total == pytest.approx(1.34, rel=0.06)
+    shares = prediction.rf_shares
     assert shares["slow"] / shares["fast"] == pytest.approx(6.4, rel=0.05)
 
 
@@ -96,8 +93,8 @@ def test_packet_size_diversity_shifts_shares():
         NodeSpec("big", 11.0, packet_bytes=1500, beta_mbps=5.189),
         NodeSpec("small", 11.0, packet_bytes=300, beta_mbps=3.0),
     ]
-    shares = dcf_time_shares(nodes)
-    thr = rf_throughputs(nodes)
+    prediction = predict(nodes)
+    shares, thr = prediction.rf_shares, prediction.rf_per_node
     assert shares["big"] > shares["small"]
     assert thr["big"] != pytest.approx(thr["small"])
 
@@ -119,7 +116,7 @@ def test_tf_weighted_shares():
 
 def test_tf_throughput_is_beta_over_n():
     nodes = [paper_node("slow", 1.0), paper_node("fast", 11.0)]
-    thr = tf_throughputs(nodes)
+    thr = predict(nodes).tf_per_node
     assert thr["slow"] == pytest.approx(PAPER_TABLE2_TCP_MBPS[1.0] / 2)
     assert thr["fast"] == pytest.approx(PAPER_TABLE2_TCP_MBPS[11.0] / 2)
 
@@ -127,18 +124,21 @@ def test_tf_throughput_is_beta_over_n():
 def test_baseline_property():
     """R'(i) is independent of the other nodes' rates (the paper's
     headline property of time-based fairness)."""
-    slow = paper_node("slow", 1.0)
-    against_fast = tf_throughputs([slow, paper_node("x", 11.0)])["slow"]
-    against_slow = tf_throughputs([slow, paper_node("x", 1.0)])["slow"]
-    against_mid = tf_throughputs([slow, paper_node("x", 2.0)])["slow"]
+    def slow_against(rate):
+        nodes = [paper_node("slow", 1.0), paper_node("x", rate)]
+        return predict(nodes).tf_per_node["slow"]
+
+    against_fast = slow_against(11.0)
+    against_slow = slow_against(1.0)
+    against_mid = slow_against(2.0)
     assert against_fast == pytest.approx(against_slow)
     assert against_fast == pytest.approx(against_mid)
 
 
 def test_rf_equals_tf_for_uniform_nodes():
-    nodes = [paper_node("a", 5.5), paper_node("b", 5.5)]
-    assert predict(nodes).rf_total == pytest.approx(predict(nodes).tf_total)
-    assert rf_throughputs(nodes) == pytest.approx(tf_throughputs(nodes))
+    prediction = predict([paper_node("a", 5.5), paper_node("b", 5.5)])
+    assert prediction.rf_total == pytest.approx(prediction.tf_total)
+    assert prediction.rf_per_node == pytest.approx(prediction.tf_per_node)
 
 
 def test_table3_values():
@@ -159,13 +159,34 @@ def test_table3_values():
 
 def test_empty_node_list_rejected():
     with pytest.raises(ValueError):
-        rf_throughputs([])
+        predict([])
 
 
 def test_zero_weights_rejected():
-    node = NodeSpec("a", 11.0, beta_mbps=5.0, weight=0.0)
     with pytest.raises(ValueError):
-        tf_time_shares([node])
+        tf_time_shares([NodeSpec("a", 11.0, beta_mbps=5.0, weight=0.0)])
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        lambda: [NodeSpec("a", 1.0), NodeSpec("a", 11.0)],
+        lambda: [NodeSpec("a", 1.0, weight=-1.0), NodeSpec("b", 1.0, weight=3)],
+        lambda: [NodeSpec("a", 11.0, packet_bytes=20)],
+        lambda: [NodeSpec("a", 11.0, packet_bytes=40)],
+        lambda: [NodeSpec("a", 11.0, beta_mbps=0.0)],
+        lambda: [NodeSpec("a", 0.0, beta_mbps=1.0)],
+    ],
+    ids=[
+        "duplicate-name", "negative-weight", "packet-below-tcp-header",
+        "empty-tcp-payload", "zero-beta", "zero-rate",
+    ],
+)
+def test_model_rejects_impossible_nodes(nodes):
+    # Each node set is impossible: it would give shares outside [0, 1],
+    # shares that do not sum to 1, or a division by zero.
+    with pytest.raises(ValueError):
+        predict(nodes())
 
 
 @given(
@@ -177,13 +198,11 @@ def test_zero_weights_rejected():
 )
 def test_model_invariants(rates):
     nodes = [paper_node(f"n{i}", r) for i, r in enumerate(rates)]
-    rf_shares = dcf_time_shares(nodes)
-    tf_shares = tf_time_shares(nodes)
-    assert sum(rf_shares.values()) == pytest.approx(1.0)
-    assert sum(tf_shares.values()) == pytest.approx(1.0)
+    prediction = predict(nodes)
+    assert sum(prediction.rf_shares.values()) == pytest.approx(1.0)
+    assert sum(prediction.tf_shares.values()) == pytest.approx(1.0)
     # TF aggregate always >= RF aggregate (equal sizes), equality iff
     # all rates identical.
-    prediction = predict(nodes)
     rf, tf = prediction.rf_total, prediction.tf_total
     assert tf >= rf - 1e-9
     if len(set(rates)) == 1:

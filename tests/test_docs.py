@@ -29,6 +29,9 @@ RETIRED = (
     "max_events=", "Simulator.stop()",
     # the trace slot and jump listeners, retired for kernel observers
     "ff_listeners", "sim.trace =",
+    # the two-module analytic model, folded into one predict
+    "BaselineModel", "dcf_time_shares", "rf_throughputs", "tf_throughputs",
+    "estimate_exchange_airtime", "repro.analysis.baseline",
 )
 HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_docs.py"}
 TEXT_SUFFIXES = {".py", ".md", ".yml", ".json", ".txt", ".gitignore"}

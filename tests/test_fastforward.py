@@ -200,7 +200,7 @@ def test_steady_long_matches_event_by_event(steady_long_ab):
 
 
 def test_steady_long_fifo_uses_dcf_model():
-    # The non-TBR path gates on dcf_time_shares instead of Eq 11.  A
+    # The non-TBR path gates on predict's Eq 4 shares, not Eq 11's.  A
     # shared drop-tail FIFO mixes slowly, so this test stretches the
     # calibration window (the engine's one knob, trading wall-clock for
     # synthesis accuracy) instead of accepting a sloppier tolerance.
@@ -216,6 +216,19 @@ def test_steady_long_fifo_uses_dcf_model():
     assert runtime.cell.sim.fast_forwards >= 1
     fast_total = sum(runtime.cell.station_throughputs_mbps().values())
     assert fast_total == pytest.approx(slow.total_mbps, rel=0.10)
+
+
+@pytest.mark.parametrize("scheduler", ["tbr", "fifo"])
+def test_share_model_gate_declines_every_window(scheduler, monkeypatch):
+    # At zero tolerance no measured window matches predict's shares
+    # exactly, so the model gate (not an earlier one) vetoes every jump
+    # that a 12 s steady-long takes at the default tolerance.
+    monkeypatch.setattr("repro.sim.steady.SHARE_TOLERANCE", 0.0)
+    spec = build_spec("steady-long", scheduler=scheduler, seconds=12.0)
+    runtime = ScenarioRuntime(spec, fast_forward=True)
+    runtime.run()
+    assert runtime.ff_engine.jumps == 0
+    assert "share-model" in runtime.ff_engine.declines
 
 
 @pytest.mark.parametrize("scheduler", ["tbr", "fifo"])

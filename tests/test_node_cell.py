@@ -4,7 +4,12 @@ import pytest
 
 from repro.core import TbrConfig, TbrScheduler
 from repro.node import ArfController, Cell
-from repro.phy import DOT11B_LONG_PREAMBLE, ack_airtime_us, frame_airtime_us
+from repro.phy import (
+    DOT11B_LONG_PREAMBLE,
+    ack_airtime_us,
+    exchange_airtime_us,
+    frame_airtime_us,
+)
 from repro.queueing import ApFifoScheduler, DrrScheduler, RoundRobinScheduler
 
 
@@ -178,7 +183,7 @@ def test_flow_names_unique_and_descriptive():
 def test_ap_exchange_estimate_formula():
     cell = Cell()
     phy = DOT11B_LONG_PREAMBLE
-    est = cell.ap.estimate_exchange_airtime(1500, 11.0)
+    est = exchange_airtime_us(cell.ap.phy, 1500, 11.0)
     expected = (
         phy.difs_us
         + frame_airtime_us(phy, 1500, 11.0)
@@ -190,8 +195,8 @@ def test_ap_exchange_estimate_formula():
 
 def test_ap_estimate_with_attempts():
     cell = Cell()
-    one = cell.ap.estimate_exchange_airtime(1500, 11.0, attempts=1)
-    three = cell.ap.estimate_exchange_airtime(1500, 11.0, attempts=3)
+    one = exchange_airtime_us(cell.ap.phy, 1500, 11.0, attempts=1)
+    three = exchange_airtime_us(cell.ap.phy, 1500, 11.0, attempts=3)
     phy = DOT11B_LONG_PREAMBLE
     per_attempt = phy.difs_us + frame_airtime_us(phy, 1500, 11.0)
     assert three - one == pytest.approx(2 * per_attempt)

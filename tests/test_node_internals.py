@@ -6,6 +6,7 @@ from repro.channel import PerLinkLoss
 from repro.core import TbrConfig
 from repro.mac import FifoTxScheduler
 from repro.node import Cell
+from repro.phy import exchange_airtime_us
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +80,7 @@ def test_uplink_receptions_charge_the_scheduler_with_estimates():
     cell.scheduler.on_uplink_complete = tapped
     cell.run(seconds=0.5)
     assert observed
-    expected = cell.ap.estimate_exchange_airtime(1500, 11.0)
+    expected = exchange_airtime_us(cell.ap.phy, 1500, 11.0)
     stations, estimates = zip(*observed)
     assert all(s == "n1" for s in stations)
     assert all(e == pytest.approx(expected) for e in estimates)

@@ -11,7 +11,7 @@ tests/test_paper_claims.py``.  CI runs them on every push.
 
 import pytest
 
-from repro.analysis.baseline import PAPER_TABLE2_TCP_MBPS
+from repro.analysis.model import PAPER_TABLE2_TCP_MBPS
 from repro.experiments import (
     EXPERIMENTS,
     ablations,
