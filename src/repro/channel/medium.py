@@ -4,12 +4,12 @@ All attached listeners (MAC entities) share one carrier.  The channel
 tracks the set of in-flight transmissions:
 
 * it is *busy* whenever at least one transmission is active;
-* two transmissions that overlap in time corrupt each other (no capture
-  by default; an optional capture callback can rescue the stronger
-  frame);
-* at the end of each transmission every listener is told about the
-  frame (``on_frame_end``), with per-listener corruption flags — the
-  intended receiver additionally samples the link loss model.
+* two transmissions that overlap in time corrupt each other, always:
+  every frame in an overlap ends collided (no capture);
+* at the end of each transmission the listeners it *involves* are told
+  about the frame (``on_frame_end``), with per-listener corruption
+  flags — the intended receiver additionally samples the link loss
+  model.
 
 Timestamp conventions: ``on_busy(busy_start)`` is invoked synchronously
 when the medium transitions idle->busy.  A MAC whose own transmit event
@@ -17,33 +17,28 @@ is scheduled for exactly ``busy_start`` is already committed to that slot
 and must not treat the notification as carrier (slot-synchronous
 collision, see ``repro.mac.dcf``).
 
-Notification fan-out is the hot path of a large cell: every busy/idle
-transition used to call into all N listeners even though only the
-stations with an armed backoff do anything with it.  Transitions are now
-delivered to the *carrier-subscribed* listeners only, held as a tuple in
-attach order that :meth:`carrier_subscribe` / :meth:`carrier_unsubscribe`
-replace by inserting or cutting one entry (a contending MAC leaves and
-re-joins once per exchange, so the set is never re-sorted and a fan-out
-in progress keeps iterating the tuple it started with).  A listener that
-does not currently contend unsubscribes from carrier transitions
-entirely — it can still read :attr:`carrier_busy` / :attr:`idle_start`
-at decision time.  Listeners are subscribed by default, so
-implementations unaware of the subscription API keep the historical
-behavior.  Delivery order is always attachment order, regardless of
-subscription churn, which keeps simulations byte-for-byte deterministic.
+Every listener gets one delivery contract, from :meth:`Channel.attach`
+on:
 
-Frame-end delivery similarly runs off a snapshot of
-``(attach_index, address, on_frame_end)`` triples rebuilt on attach.
-A MAC that only needs frame-end notifications when it is *involved* can
-opt into filtered delivery (:meth:`frame_end_filtered`): a clean
-unicast frame is then delivered to its destination (O(1) address
-lookup) and to the listeners whose EIFS state must be cleared
-(:meth:`eifs_mark`), instead of to all N listeners.  Broadcast frames
-are delivered to everyone, and so are corrupted (collided) ones —
-every observer's EIFS/receive state depends on them — except to a
-filtered listener that is already EIFS-marked and is not the
-destination: the frame can teach it nothing it has not recorded.
-Delivery order remains attachment order in every case.
+* **Carrier edges** (``on_busy`` / ``on_idle``) go to the
+  *carrier-subscribed* listeners only.  A listener starts unsubscribed
+  and calls :meth:`carrier_subscribe` while it contends (an armed
+  backoff), :meth:`carrier_unsubscribe` when it stops; otherwise it
+  reads :attr:`carrier_busy` / :attr:`idle_start` at decision time.
+  The subscribers are a tuple in attach order that those two calls
+  replace by inserting or cutting one entry (a contending MAC leaves
+  and re-joins once per exchange, so the set is never re-sorted and a
+  fan-out in progress keeps iterating the tuple it started with).
+* **Frame ends** go to a listener only when it is *involved*: it is
+  the destination (O(1) address lookup), or the frame was corrupted
+  and the listener is not EIFS-marked, or it is EIFS-marked
+  (:meth:`eifs_mark`) and the frame is clean — it must see the medium
+  recover.  A listener's handler must therefore be a no-op for clean
+  frames addressed elsewhere while unmarked, and for corrupted ones
+  addressed elsewhere while marked.
+
+Delivery order is always attachment order, regardless of subscription
+churn, which keeps simulations byte-for-byte deterministic.
 
 Carrier edges are delivered only when a listener's state can depend on
 them.  A receiver that owes a SIFS response reserves it
@@ -78,25 +73,30 @@ class ChannelListener(Protocol):
     address: str
 
     def on_busy(self, busy_start: float) -> None:
-        """Medium went idle -> busy at ``busy_start`` (== sim.now)."""
+        """Medium went idle -> busy at ``busy_start`` (== sim.now).
+
+        Called only while the listener is carrier-subscribed, as is
+        :meth:`on_idle`; a listener that never subscribes need not
+        define either.
+        """
 
     def on_idle(self, idle_start: float) -> None:
         """Medium went busy -> idle at ``idle_start`` (== sim.now)."""
 
     def on_frame_end(self, frame: "Frame", corrupted: bool) -> None:
-        """A transmission finished; ``corrupted`` is this listener's view."""
+        """A transmission that involves this listener finished;
+        ``corrupted`` is this listener's view."""
 
 
 class Transmission:
     """One in-flight frame."""
 
-    __slots__ = ("frame", "sender", "start", "end", "collided")
+    __slots__ = ("frame", "start", "end", "collided")
 
     TIME_STATE = dict(clocks=("start", "end"))
 
-    def __init__(self, frame: "Frame", sender: str, start: float, end: float) -> None:
+    def __init__(self, frame: "Frame", start: float, end: float) -> None:
         self.frame = frame
-        self.sender = sender
         self.start = start
         self.end = end
         self.collided = False
@@ -128,9 +128,6 @@ class Channel:
         self.idle_start: float = 0.0
         self._busy_accum = 0.0
         self._sniffers: List[Callable] = []
-        #: optional capture: callable(winner_candidates) -> Transmission or
-        #: None; invoked on overlap, may spare one frame from collision.
-        self.capture_rule: Optional[Callable] = None
 
         # --- notification snapshots -----------------------------------
         #: attach index per listener (delivery order is attach order).
@@ -142,19 +139,13 @@ class Channel:
         #: carrier-subscribed listeners as ``(attach index, listener)``
         #: in attach order; replaced, never mutated (see module docstring).
         self._carrier_subs: Tuple[Tuple[int, ChannelListener], ...] = ()
-        #: (index, address, on_frame_end) for every attached listener.
-        self._frame_end_entries: Dict[int, Tuple[int, str, Callable]] = {}
-        #: same entries as a tuple in attach order (corrupted frames
-        #: are delivered to everyone).
+        #: (index, address, on_frame_end) for every attached listener,
+        #: in attach order (corrupted frames concern everyone).
         self._frame_end_snapshot: Tuple[Tuple[int, str, Callable], ...] = ()
-        #: listeners receiving *every* frame end, keyed by attach index
-        #: (those that did not opt into filtered delivery).
-        self._frame_end_always: Dict[int, Tuple[int, str, Callable]] = {}
-        self._frame_end_always_snapshot: Tuple[Tuple[int, str, Callable], ...] = ()
-        #: filtered listeners by MAC address (clean-unicast fast path).
+        #: the same entries by MAC address (clean-unicast delivery).
         self._by_address: Dict[str, Tuple[int, str, Callable]] = {}
-        #: filtered listeners currently in EIFS state: they must hear
-        #: about the next clean frame to clear it.
+        #: listeners currently in EIFS state: they must hear about the
+        #: next clean frame to clear it.
         self._eifs_dirty: Dict[int, Tuple[int, str, Callable]] = {}
         #: True while on_frame_end notifications for a just-finished
         #: transmission are being delivered and the idle notification is
@@ -190,17 +181,22 @@ class Channel:
 
     # ------------------------------------------------------------------
     def attach(self, listener: ChannelListener) -> None:
-        if listener in self.listeners:
-            raise ValueError(f"listener {listener!r} already attached")
+        """Register ``listener`` under the module's delivery contract:
+        unsubscribed from carrier edges, told of involved frame ends.
+
+        Addresses are unique per medium: attaching a second listener
+        (or the same one again) under an attached address raises.
+        """
+        address = listener.address
+        if address in self._by_address:
+            raise ValueError(f"address {address!r} already attached")
         index = self._attach_seq
         self._attach_seq += 1
         self.listeners.append(listener)
         self._attach_index[id(listener)] = index
-        self._carrier_subs += ((index, listener),)
-        entry = (index, listener.address, listener.on_frame_end)
-        self._frame_end_entries[index] = entry
-        self._frame_end_always[index] = entry
-        self._rebuild_frame_end_snapshots()
+        entry = (index, address, listener.on_frame_end)
+        self._frame_end_snapshot += (entry,)
+        self._by_address[address] = entry
 
     def detach(self, listener: ChannelListener) -> None:
         """Remove ``listener`` from every notification structure.
@@ -217,56 +213,24 @@ class Channel:
         self.carrier_unsubscribe(listener)
         index = self._attach_index.pop(id(listener))
         self.listeners.remove(listener)
-        self._frame_end_entries.pop(index, None)
-        self._frame_end_always.pop(index, None)
         self._eifs_dirty.pop(index, None)
-        entry = self._by_address.get(listener.address)
-        if entry is not None and entry[0] == index:
-            del self._by_address[listener.address]
-        self._rebuild_frame_end_snapshots()
+        del self._by_address[listener.address]
+        self._frame_end_snapshot = tuple(
+            entry for entry in self._frame_end_snapshot if entry[0] != index
+        )
 
     def is_attached(self, listener: ChannelListener) -> bool:
         return id(listener) in self._attach_index
 
-    def _rebuild_frame_end_snapshots(self) -> None:
-        self._frame_end_snapshot = tuple(
-            entry for _, entry in sorted(self._frame_end_entries.items())
-        )
-        self._frame_end_always_snapshot = tuple(
-            entry for _, entry in sorted(self._frame_end_always.items())
-        )
-
-    def frame_end_filtered(self, listener: ChannelListener) -> None:
-        """Opt ``listener`` into filtered frame-end delivery.
-
-        The listener then hears about a frame end only when it is the
-        destination, the frame was corrupted and it is not EIFS-marked
-        yet, or it asked for the next clean frame via
-        :meth:`eifs_mark`.  Only safe for MACs (like
-        :class:`repro.mac.dcf.DcfMac`) whose handler is a pure no-op for
-        clean unicast frames addressed elsewhere once their EIFS flag
-        is clear, and for corrupted ones addressed elsewhere while it
-        is set.
-        """
-        index = self._attach_index[id(listener)]
-        entry = self._frame_end_always.pop(index, None)
-        if entry is not None:
-            self._by_address[listener.address] = entry
-            self._rebuild_frame_end_snapshots()
-
     def eifs_mark(self, listener: ChannelListener) -> None:
-        """A filtered listener entered EIFS state: deliver the next
-        clean frame to it so it can observe the medium recovering, and
-        no further corrupted ones addressed elsewhere.  (An unfiltered
-        listener hears everything regardless and is not recorded.)"""
-        index = self._attach_index[id(listener)]
-        if index not in self._frame_end_always:
-            self._eifs_dirty[index] = (
-                index, listener.address, listener.on_frame_end
-            )
+        """``listener`` entered EIFS state: deliver the next clean frame
+        to it so it can observe the medium recovering, and no further
+        corrupted ones addressed elsewhere."""
+        entry = self._by_address[listener.address]
+        self._eifs_dirty[entry[0]] = entry
 
     def eifs_unmark(self, listener: ChannelListener) -> None:
-        """A filtered listener cleared its EIFS state."""
+        """``listener`` cleared its EIFS state."""
         self._eifs_dirty.pop(self._attach_index[id(listener)], None)
 
     def carrier_subscribe(self, listener: ChannelListener) -> None:
@@ -398,7 +362,7 @@ class Channel:
         now = sim.now
         end = now + duration
         src = frame.src
-        tx = Transmission(frame, src, now, end)
+        tx = Transmission(frame, now, end)
         last_tx_end = self._last_tx_end
         if last_tx_end.get(src, 0.0) < end:
             last_tx_end[src] = end
@@ -406,12 +370,9 @@ class Channel:
         was_idle = not active
         if not was_idle:
             # Overlap: everyone still in the air (and the newcomer) collides.
-            survivors = self._apply_capture(tx)
             for other in active:
-                if other not in survivors:
-                    other.collided = True
-            if tx not in survivors:
-                tx.collided = True
+                other.collided = True
+            tx.collided = True
         active.append(tx)
         if was_idle:
             self.busy_start = now
@@ -427,12 +388,6 @@ class Channel:
             duration, self._end, tx, priority=_PRIO_PHY, category=_CAT_PHY
         )
         return tx
-
-    def _apply_capture(self, newcomer: Transmission) -> List[Transmission]:
-        if self.capture_rule is None:
-            return []
-        winner = self.capture_rule(list(self.active) + [newcomer])
-        return [winner] if winner is not None else []
 
     # ------------------------------------------------------------------
     def abort(self, tx: Transmission) -> None:
@@ -474,13 +429,13 @@ class Channel:
         # observe the peer's corrupted frame and retries after DIFS, not
         # EIFS, exactly as a real station that decoded no energy).
         #
-        # Corrupted frames concern every listener, bar the filtered
-        # listeners already in EIFS state that are not the destination
-        # (``settled``: their handler for one more corrupted frame is a
-        # bare return).  A clean frame only matters to its destination, to the unfiltered listeners,
-        # and to filtered listeners in EIFS state (their handler for it
-        # is "clear EIFS and return") — delivering to just those turns
-        # the O(listeners) loop into O(involved).
+        # Only involved listeners hear it (module docstring).  A
+        # corrupted frame concerns every listener bar those already in
+        # EIFS state that are not the destination (``settled``: their
+        # handler for one more corrupted frame is a bare return).  A
+        # clean frame only matters to its destination and to listeners
+        # in EIFS state (their handler for it is "clear EIFS and
+        # return") — O(involved), not O(listeners).
         src = frame.src
         dst = frame.dst
         deaf_after = tx.start + 1e-9
@@ -490,26 +445,16 @@ class Channel:
             targets = self._frame_end_snapshot
             settled = self._eifs_dirty
         else:
-            always = self._frame_end_always_snapshot
             dirty = self._eifs_dirty
             dst_entry = self._by_address.get(dst)
             if not dirty:
-                # Common case in all-DCF cells: no EIFS stragglers and
-                # (usually) no unfiltered listeners — deliver straight
-                # to the destination without building a merged dict.
-                if dst_entry is None:
-                    targets = always
-                elif not always:
-                    targets = (dst_entry,)
-                else:
-                    merged = {entry[0]: entry for entry in always}
-                    merged[dst_entry[0]] = dst_entry
-                    targets = [e for _, e in sorted(merged.items())]
+                # Common case: no EIFS stragglers — deliver straight to
+                # the destination, if it is attached here.
+                targets = () if dst_entry is None else (dst_entry,)
             else:
-                merged = {entry[0]: entry for entry in always}
+                merged = dict(dirty)
                 if dst_entry is not None:
                     merged[dst_entry[0]] = dst_entry
-                merged.update(dirty)
                 targets = [entry for _, entry in sorted(merged.items())]
         for index, address, on_frame_end in targets:
             if address == src:

@@ -229,13 +229,12 @@ class DcfMac:
         self.rx_data_ok = 0
         self.rx_duplicates = 0
 
+        # Not contending yet: attach leaves us off carrier notifications
+        # until a backoff is armed (see _start_backoff /
+        # _countdown_expired), and hands us involved frames only (we are
+        # destination, the frame was corrupted, or our EIFS flag needs
+        # clearing).
         channel.attach(self)
-        # Not contending yet: no carrier notifications until a backoff
-        # is armed (see _start_backoff / _countdown_expired), and only
-        # involved-frame notifications (we are destination, the frame
-        # was corrupted, or our EIFS flag needs clearing).
-        channel.carrier_unsubscribe(self)
-        channel.frame_end_filtered(self)
 
     # ------------------------------------------------------------------
     # wiring
@@ -328,8 +327,6 @@ class DcfMac:
         self._completing = False
         self._use_eifs = False
         self.channel.attach(self)
-        self.channel.carrier_unsubscribe(self)
-        self.channel.frame_end_filtered(self)
 
     def rate_for(self, dst: str) -> float:
         if self._rate_provider is not None:

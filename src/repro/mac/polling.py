@@ -144,12 +144,6 @@ class PolledStation:
     # ------------------------------------------------------------------
     # channel listener interface
     # ------------------------------------------------------------------
-    def on_busy(self, busy_start: float) -> None:
-        pass  # polled stations never contend, so carrier is irrelevant
-
-    def on_idle(self, idle_start: float) -> None:
-        pass
-
     def on_frame_end(self, frame: Frame, corrupted: bool) -> None:
         if corrupted or frame.dst != self.address:
             return
@@ -354,12 +348,6 @@ class PollingCoordinator:
     # ------------------------------------------------------------------
     # channel listener interface
     # ------------------------------------------------------------------
-    def on_busy(self, busy_start: float) -> None:
-        pass
-
-    def on_idle(self, idle_start: float) -> None:
-        pass
-
     def on_frame_end(self, frame: Frame, corrupted: bool) -> None:
         if frame.dst != self.address:
             return

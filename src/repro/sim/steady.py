@@ -181,6 +181,12 @@ def credit_counters(
             getattr(obj, method)(delta_us)
 
 
+def _fast_forwardable(flow) -> bool:
+    """A downlink-UDP flow: the only kind the engine ever jumps over
+    (the ``flow-kind`` decline, at start and at every window)."""
+    return flow.kind == "udp" and flow.direction == "down"
+
+
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
@@ -227,12 +233,7 @@ class FastForwardEngine:
         event-by-event always.
         """
         flows = self.cell.flows
-        if not flows:
-            return False
-        for flow in flows:
-            if flow.kind != "udp" or flow.direction != "down":
-                return False
-        return True
+        return bool(flows) and all(_fast_forwardable(flow) for flow in flows)
 
     def _on_ap_exchange(self, report) -> None:
         if report.attempts > 1 or not report.success:
@@ -305,7 +306,7 @@ class FastForwardEngine:
         if frozenset(id(flow) for flow in flows) != snap.flow_ids:
             return "flow-set"
         for flow in flows:
-            if flow.kind != "udp" or flow.direction != "down":
+            if not _fast_forwardable(flow):
                 return "flow-kind"
             if getattr(flow.sender, "stop_us", None) is not None:
                 return "source-stopped"

@@ -40,19 +40,25 @@ def setup(n=3):
 # ----------------------------------------------------------------------
 # carrier subscription
 # ----------------------------------------------------------------------
-def test_listeners_subscribed_by_default():
+def test_listeners_start_unsubscribed():
     sim, channel, (a, b, c) = setup()
     channel.transmit(data_frame("n0", "n1"), 100.0)
     sim.run()
     for listener in (a, b, c):
-        assert listener.busy_events == [0.0]
-        assert listener.idle_events == [100.0]
+        assert listener.busy_events == [] and listener.idle_events == []
+    for listener in (a, b, c):
+        channel.carrier_subscribe(listener)
+    channel.transmit(data_frame("n0", "n1"), 100.0)  # starts at t=100
+    sim.run()
+    for listener in (a, b, c):
+        assert listener.busy_events == [100.0]
+        assert listener.idle_events == [200.0]
 
 
 def test_unsubscribed_listener_skips_carrier_but_not_frames():
     sim, channel, (a, b, c) = setup()
-    channel.carrier_unsubscribe(c)
-    frame = data_frame("n0", "n1")
+    channel.carrier_subscribe(b)
+    frame = data_frame("n0", "n2")
     channel.transmit(frame, 100.0)
     sim.run()
     assert c.busy_events == [] and c.idle_events == []
@@ -62,6 +68,7 @@ def test_unsubscribed_listener_skips_carrier_but_not_frames():
 
 def test_resubscribe_restores_notifications():
     sim, channel, (a, b, c) = setup()
+    channel.carrier_subscribe(b)
     channel.carrier_unsubscribe(b)
     channel.transmit(data_frame("n0", "n1"), 50.0)
     sim.run()
@@ -90,6 +97,8 @@ def test_notification_order_is_attach_order_after_churn():
         listener.on_busy = (
             lambda start, addr=listener.address: order.append(addr)
         )
+    for listener in reversed(listeners):
+        channel.carrier_subscribe(listener)
     # Churn the subscription set: drop and re-add out of attach order.
     for listener in (listeners[2], listeners[0], listeners[3]):
         channel.carrier_unsubscribe(listener)
@@ -131,11 +140,10 @@ def test_carrier_busy_holds_during_frame_end_broadcast():
 
 
 # ----------------------------------------------------------------------
-# filtered frame-end delivery
+# involved-only frame-end delivery
 # ----------------------------------------------------------------------
 def test_filtered_listener_hears_own_unicast_only_when_involved():
     sim, channel, (a, b, c) = setup()
-    channel.frame_end_filtered(c)
     to_b = data_frame("n0", "n1")
     channel.transmit(to_b, 100.0)
     sim.run()
@@ -148,7 +156,6 @@ def test_filtered_listener_hears_own_unicast_only_when_involved():
 
 def test_filtered_listener_hears_collisions():
     sim, channel, (a, b, c) = setup()
-    channel.frame_end_filtered(c)
     f1 = data_frame("n0", "n1")
     f2 = data_frame("n1", "n0")
     channel.transmit(f1, 100.0)
@@ -160,7 +167,6 @@ def test_filtered_listener_hears_collisions():
 
 def test_eifs_mark_delivers_next_clean_frame_then_unmark_stops():
     sim, channel, (a, b, c) = setup()
-    channel.frame_end_filtered(c)
     channel.eifs_mark(c)
     first = data_frame("n0", "n1")
     channel.transmit(first, 100.0)
@@ -177,25 +183,13 @@ def test_eifs_marked_listener_is_spared_corrupted_frames_for_others():
     # Its handler for one more corrupted frame addressed elsewhere is a
     # bare return; one addressed to it is still delivered.
     sim, channel, (a, b, c) = setup()
-    channel.frame_end_filtered(c)
-    channel.eifs_mark(c)
-    channel.eifs_mark(a)  # unfiltered: hears everything regardless
+    channel.eifs_mark(c)  # a and b are not marked: they hear both
     elsewhere, to_c = data_frame("x", "n1"), data_frame("y", "n2")
     channel.transmit(elsewhere, 100.0)
     channel.transmit(to_c, 100.0)
     sim.run()
     assert c.frames == [(to_c, True)]
     assert a.frames == b.frames == [(elsewhere, True), (to_c, True)]
-
-
-def test_unfiltered_listeners_hear_everything():
-    sim, channel, (a, b, c) = setup()
-    channel.frame_end_filtered(c)
-    frame = data_frame("n1", "n2")
-    channel.transmit(frame, 100.0)
-    sim.run()
-    # a is neither src, dst nor filtered: still notified (observer).
-    assert (frame, False) in a.frames
 
 
 def test_attach_duplicate_listener_still_rejected():
@@ -231,14 +225,16 @@ class Responder(RecordingListener):
 
 
 def hold_setup(sim=None, tag=""):
-    """A channel with an observer ``obs`` and a responder ``rx``
-    (``tag`` keeps addresses unique across coupled media)."""
+    """A channel with a carrier-subscribed observer ``obs`` and a
+    responder ``rx`` (``tag`` keeps addresses unique across coupled
+    media)."""
     sim = sim if sim is not None else Simulator(seed=1)
     channel = Channel(sim)
     obs = RecordingListener(f"obs{tag}")
     rx = Responder(f"rx{tag}", sim, channel)
     channel.attach(obs)
     channel.attach(rx)
+    channel.carrier_subscribe(obs)
     return sim, channel, obs, rx
 
 
@@ -260,6 +256,10 @@ def test_hold_withholds_both_edges_of_the_sifs_gap():
 
 def test_foreign_frame_inside_the_gap_collides_with_the_response():
     sim, channel, obs, rx = hold_setup()
+    collided = {}
+    channel.add_sniffer(
+        lambda f, dest_corr, hit, start, end: collided.__setitem__(f, hit)
+    )
     data = data_frame("tx", rx.address)
     foreign = data_frame("far", "away")
     channel.transmit(data, 100.0)
@@ -270,9 +270,10 @@ def test_foreign_frame_inside_the_gap_collides_with_the_response():
     assert (channel.busy, channel.carrier_busy) == (True, True)
     assert obs.busy_events == [0.0] and obs.idle_events == []
     sim.run()
-    corrupted = {frame: bad for frame, bad in obs.frames}
-    assert corrupted[foreign] and not corrupted[data]
-    assert [bad for frame, bad in obs.frames if frame.is_ack] == [True]
+    assert collided[foreign] and not collided[data]
+    assert [hit for frame, hit in collided.items() if frame.is_ack] == [True]
+    # The observer is involved in the two collided frames only.
+    assert [bad for frame, bad in obs.frames] == [True, True]
     assert obs.busy_events == [0.0]
     assert obs.idle_events == [304.0]  # once, when the last one ends
 
