@@ -27,8 +27,8 @@ class Backlog:
     """A saturating packet supply for one station."""
 
     def __init__(self, n=20_000):
-        self.packets = [type("Pkt", (), {"size_bytes": 1500, "mac_dst": "ap",
-                                         "station": None})() for _ in range(n)]
+        self.packets = [type("Pkt", (), {"size_bytes": 1500})()
+                        for _ in range(n)]
 
 
 def run_case(policy_name: str, seconds: float = 5.0):

@@ -387,8 +387,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.seconds is not None and args.seconds <= 0:
-        parser.error("--seconds must be positive")
+    if args.seconds is not None:
+        from repro.experiments.common import check_seconds
+
+        try:
+            check_seconds(args.seconds)
+        except ValueError as exc:
+            parser.error(f"--{exc}")
     if args.experiments and args.experiments[0] == "verify-cache":
         if len(args.experiments) > 1:
             parser.error("verify-cache takes no experiment names")

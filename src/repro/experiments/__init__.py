@@ -10,7 +10,9 @@ iterate::
 
 A figure/table module contributes its ``jobs`` / ``reduce`` / ``render``;
 an ablation is a row of :data:`ablations.ABLATIONS` reduced by ``dict``.
-Every job factory takes ``seed`` and ``seconds``.
+Every job factory takes ``seed`` and ``seconds``; the table refuses a
+``seconds`` that :func:`common.check_seconds` rejects before any
+factory sees it.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from repro.experiments import (
     fairness_churn,
     fairness_outage,
 )
+from repro.experiments.common import check_seconds
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,17 @@ class Experiment:
         return self.reduce(serial_results(self.jobs(**knobs)))
 
 
+def _checked(jobs: Callable[..., List[Job]]) -> Callable[..., List[Job]]:
+    """``jobs`` behind the one duration check every experiment shares."""
+
+    def checked(**knobs: Any) -> List[Job]:
+        if "seconds" in knobs:
+            check_seconds(knobs["seconds"])
+        return jobs(**knobs)
+
+    return checked
+
+
 def _summary(doc: str) -> str:
     """A docstring's first paragraph on one line."""
     return " ".join(doc.strip().split("\n\n")[0].split())
@@ -59,8 +73,8 @@ def _summary(doc: str) -> str:
 
 EXPERIMENTS: Dict[str, Experiment] = {
     name: Experiment(
-        name, _summary(module.__doc__), module.jobs, module.reduce,
-        module.render,
+        name, _summary(module.__doc__), _checked(module.jobs),
+        module.reduce, module.render,
     )
     for name, module in (
         ("fig1", fig1),
@@ -82,8 +96,8 @@ EXPERIMENTS.update(
     (
         name,
         Experiment(
-            name, _summary(matrix.__doc__), partial(ablations.jobs, name),
-            dict, render,
+            name, _summary(matrix.__doc__),
+            _checked(partial(ablations.jobs, name)), dict, render,
         ),
     )
     for name, (matrix, render) in ablations.ABLATIONS.items()

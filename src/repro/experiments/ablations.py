@@ -36,7 +36,7 @@ from repro.campaign.job import Job, make_job
 from repro.channel.loss import PerLinkLoss
 from repro.core.tbr import TbrConfig, TbrScheduler
 from repro.experiments.common import (
-    competing_spec, fmt_table, windowed_occupancy,
+    competing_spec, fmt_table, recorded_usage, windowed_occupancy,
 )
 from repro.node.cell import Cell
 from repro.scenario.runner import ScenarioResult, scenario_job
@@ -151,28 +151,26 @@ def execute_bucket_depth(params: Dict) -> Tuple[float, float]:
     """Job executor: one bucket depth's (long-term, short-window) Jain."""
     depth = params["depth_us"]
     window_s = params["window_s"]
-    seconds = params["seconds"]
-    config = TbrConfig(bucket_depth_us=depth, initial_tokens_us=depth / 5.0)
-    # Hand-built: the spec language has no windowed measurement (a spec
-    # run yields one figure per station for the whole window).
-    cell = Cell(seed=params["seed"], scheduler="tbr", tbr_config=config)
-    n1 = cell.add_station("n1", rate_mbps=1.0)
-    n2 = cell.add_station("n2", rate_mbps=11.0)
-    cell.tcp_flow(n1, direction="down")
-    cell.tcp_flow(n2, direction="down")
-    usage = cell.usage
-    usage.keep_records = True
-    steps = int(seconds / window_s)
-    cell.run(steps * window_s, warmup_seconds=WARMUP_S)
+    steps = int(params["seconds"] / window_s)
+    spec = competing_spec(
+        [1.0, 11.0], direction="down", scheduler="tbr",
+        tbr_config=TbrConfig(
+            bucket_depth_us=depth, initial_tokens_us=depth / 5.0
+        ),
+        seconds=steps * window_s, warmup_seconds=WARMUP_S,
+        seed=params["seed"],
+    )
+    usage = recorded_usage(spec)
 
+    stations = [station.name for station in spec.stations]
     edges_us = [us_from_s(WARMUP_S + k * window_s) for k in range(steps + 1)]
-    windows = windowed_occupancy(usage.records, edges_us, list(cell.stations))
+    windows = windowed_occupancy(usage.records, edges_us, stations)
     window_jains = [
         jain_index(list(window.values()))
         for window in windows
         if sum(window.values()) > 0
     ]
-    long_term = jain_index([usage.occupancy_us(s) for s in cell.stations])
+    long_term = jain_index([usage.occupancy_us(s) for s in stations])
     short_term = statistics.mean(window_jains) if window_jains else 0.0
     return (long_term, short_term)
 
@@ -184,6 +182,11 @@ def bucket_depth(
 ) -> Dict[float, Case]:
     """Sweep bucket depth; measure occupancy fairness long-term and over
     short windows (deep buckets allow long one-station bursts)."""
+    if seconds < WINDOW_S:
+        raise ValueError(
+            f"seconds must cover one {WINDOW_S:g} s fairness window, "
+            f"got {seconds!r}"
+        )
     return {
         depth: (
             execute_bucket_depth,
@@ -308,10 +311,7 @@ def execute_polling_tbr(params: Dict) -> Dict[str, object]:
     from repro.queueing.round_robin import RoundRobinScheduler
 
     class _Pkt:
-        def __init__(self):
-            self.size_bytes = 1500
-            self.mac_dst = "ap"
-            self.station = None
+        size_bytes = 1500  # all a polled station reads of its payload
 
     label = params["policy"]
     seed = params["seed"]

@@ -20,13 +20,14 @@ shape most figures share is :func:`competing_spec`.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import (
     Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 from repro.campaign.job import Job, make_job
-from repro.channel.usage import UsageRecord
+from repro.channel.usage import ChannelUsageMonitor, UsageRecord
 from repro.core.tbr import TbrConfig
 from repro.phy.phy import DOT11B_LONG_PREAMBLE, PhyParams
 from repro.scenario.builder import ScenarioRuntime
@@ -38,6 +39,19 @@ from repro.scenario.runner import (
     scenario_job,
 )
 from repro.scenario.spec import FlowSpec, ScenarioSpec, StationSpec
+
+
+def check_seconds(seconds: float) -> None:
+    """Reject a measurement window no run can measure over: a
+    non-positive one divides every figure by zero, and a run over a
+    non-finite one never returns."""
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(
+            f"seconds must be positive and finite, got {seconds!r}: a "
+            "zero-length measurement window makes every throughput/"
+            "occupancy figure a division by zero, and an endless one "
+            "never returns"
+        )
 
 
 def competing_spec(
@@ -68,16 +82,11 @@ def competing_spec(
     than the measurement window is legitimate (the golden fig8/fig9
     runs measure 1 s after a 3 s warm-up).  What *is* degenerate is a
     non-positive measurement window: every throughput and occupancy
-    divides by it.
+    divides by it (:func:`check_seconds`).
     """
     if transport not in ("tcp", "udp"):
         raise ValueError(f"unknown transport {transport!r}")
-    if seconds <= 0:
-        raise ValueError(
-            f"seconds must be positive, got {seconds!r}: a zero-length "
-            "measurement window makes every throughput/occupancy figure "
-            "a division by zero"
-        )
+    check_seconds(seconds)
     if warmup_seconds < 0:
         raise ValueError(
             f"warmup_seconds must be >= 0, got {warmup_seconds!r}"
@@ -201,6 +210,16 @@ def windowed_occupancy(
     return windows
 
 
+def recorded_usage(spec: ScenarioSpec) -> ChannelUsageMonitor:
+    """Run ``spec`` with its cell's usage monitor keeping one
+    :class:`UsageRecord` per exchange, and return the monitor."""
+    runtime = ScenarioRuntime(spec)
+    usage = runtime.cell.usage
+    usage.keep_records = True
+    runtime.run()
+    return usage
+
+
 def phased_occupancy(
     spec: ScenarioSpec,
     cuts_us: Sequence[float],
@@ -220,11 +239,7 @@ def phased_occupancy(
     (``None`` when none does).  FILLEVENT units are used under every
     scheduler so the columns compare.
     """
-    runtime = ScenarioRuntime(spec)
-    usage = runtime.cell.usage
-    usage.keep_records = True
-    runtime.run()
-
+    usage = recorded_usage(spec)
     inf = float("inf")
     occupancy = windowed_occupancy(
         usage.records, (-inf, *cuts_us, inf), [s.name for s in spec.stations]

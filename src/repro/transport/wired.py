@@ -1,9 +1,10 @@
 """Wired links between the AP and backbone hosts.
 
 A :class:`WiredLink` is a unidirectional pipe with a fixed propagation
-delay and an optional serialization rate (for modelling a bottleneck
-slower than the WLAN, e.g. Table 4's 2.1 Mbps constrained path).
-Delivery order is FIFO.
+delay and an optional serialization rate.  The only links built are
+the AP's two wires, at 100 Mbps, faster than any WLAN rate (Table 4's
+2.1 Mbps constraint is a paced application, not a wire).  Delivery
+order is FIFO.
 
 Demand-driven mode
 ------------------

@@ -32,8 +32,9 @@ def test_duration_the_job_factory_rejects_is_a_usage_error(capsys):
 def test_flag_validation():
     with pytest.raises(SystemExit):
         campaign_main(["fig2", "--jobs", "0"])
-    with pytest.raises(SystemExit):
-        campaign_main(["fig2", "--seconds", "0"])
+    for seconds in ("0", "nan", "inf"):
+        with pytest.raises(SystemExit):
+            campaign_main(["fig2", "--seconds", seconds])
 
 
 def test_small_campaign_runs_and_caches(tmp_path, capsys):

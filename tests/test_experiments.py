@@ -31,6 +31,30 @@ def test_registry_complete():
         assert callable(experiment.run) and callable(experiment.render)
 
 
+@pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_degenerate_duration_is_rejected_before_any_job(name, seconds):
+    # A zero or negative window divides every figure by zero, NaN slips
+    # past a bare ``<= 0`` and an infinite one never returns: the
+    # registry refuses all four when the jobs are built, so nothing runs.
+    with pytest.raises(ValueError, match="seconds must be positive"):
+        EXPERIMENTS[name].jobs(seed=1, seconds=seconds)
+
+
+def test_bucket_depth_needs_one_whole_window():
+    # Shorter than one fairness window, the ablation has no window to
+    # average: a 0.3 s run would report Jain 0.000 from no data.
+    with pytest.raises(ValueError, match="fairness window"):
+        EXPERIMENTS["abl-bucket-depth"].jobs(
+            seed=1, seconds=ablations.WINDOW_S * 0.6
+        )
+    assert len(
+        EXPERIMENTS["abl-bucket-depth"].jobs(
+            seed=1, seconds=ablations.WINDOW_S
+        )
+    ) == len(ablations.DEFAULT_DEPTHS_US)
+
+
 def test_fig1_shapes():
     result = fig1.run(seed=1, seconds=8.0)
     assert set(result.fractions) == {"WS-1", "WS-2", "WS-3", "EXP-1"}

@@ -118,20 +118,6 @@ def test_token_polling_restores_time_fairness():
     assert b["sta0"].spent_us == pytest.approx(b["sta1"].spent_us, rel=0.25)
 
 
-def test_downlink_service_interleaved_with_polls():
-    cell = PollingCell([11.0])
-    delivered = []
-    cell.stations[0].rx_handler = lambda f: delivered.append(f.size_bytes)
-    for _ in range(20):
-        pkt = SimplePacket("sta0")
-        pkt.station = "sta0"
-        cell.scheduler.enqueue(pkt)
-    cell.saturate_uplink(0, n=20)
-    cell.run_seconds(0.5)
-    assert len(delivered) == 20
-    assert cell.rx_bytes.get("sta0", 0) == 20 * 1500
-
-
 def test_polling_survives_lossy_responses():
     loss = PerLinkLoss({("sta0", "ap"): 0.5})
     cell = PollingCell([11.0], seed=3, loss_model=loss)
@@ -157,10 +143,40 @@ def test_coordinator_idles_gracefully_without_stations():
 def test_token_policy_strict_idles_when_all_starved():
     sim = Simulator(seed=1)
     tbr = TbrScheduler(sim, TbrConfig(initial_tokens_us=0.0))
-    policy = TokenPollPolicy(tbr, work_conserving=False)
+    policy = TokenPollPolicy(tbr)
     policy.register("a")
     tbr.buckets["a"].charge(1_000.0)
     assert policy.next_station() is None
-    policy_wc = TokenPollPolicy(tbr, work_conserving=True)
-    policy_wc.register("a")
-    assert policy_wc.next_station() == "a"
+
+
+#: ``policy -> (events_executed, events_by_category, polls_sent,
+#: idle_cycles, ((polls_received, null_responses) per station))`` for
+#: a saturated {1, 11} Mbps uplink, seed 1, 1 s.  Every poll is
+#: answered with data and none idles: a shift in any figure is a change
+#: to the polling loop's event volume or its poll order.
+POLLING_BUDGETS = {
+    "rr": (
+        900, {"traffic": 0, "mac": 515, "phy": 385, "timer": 0, "other": 0},
+        129, 0, ((65, 0), (64, 0)),
+    ),
+    "tbr": (
+        1902, {"traffic": 0, "mac": 1031, "phy": 772, "timer": 99, "other": 0},
+        258, 0, ((39, 0), (219, 0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(POLLING_BUDGETS))
+def test_polling_event_budget_is_pinned(policy):
+    cell = PollingCell([1.0, 11.0], policy=policy, seed=1)
+    cell.saturate_uplink(0)
+    cell.saturate_uplink(1)
+    cell.run_seconds(1.0)
+    measured = (
+        cell.sim.events_executed,
+        cell.sim.events_by_category(),
+        cell.coordinator.polls_sent,
+        cell.coordinator.idle_cycles,
+        tuple((s.polls_received, s.null_responses) for s in cell.stations),
+    )
+    assert measured == POLLING_BUDGETS[policy]
