@@ -111,8 +111,9 @@ class Channel:
     #: inside a response hold — resumes with identical timing.
     TIME_STATE = dict(
         clocks=("busy_start", "idle_start", "_last_tx_end", "_response_at"),
-        counters=("_busy_accum",),
+        counters=("busy_us",),
         parts=("active",),
+        phase={"_busy_accum": "the store behind busy_us, which a jump credits"},
     )
 
     def __init__(self, sim: Simulator, loss_model=None) -> None:
@@ -280,15 +281,22 @@ class Channel:
         """
         return bool(self.active) or self._idle_pending or self._idle_deferred
 
+    @property
+    def busy_us(self) -> float:
+        """Busy time so far, the open busy period included (so a jump
+        scales growth over the window, not the periods ending in it)."""
+        if self.busy and self.busy_start is not None:
+            return self._busy_accum + (self.sim.now - self.busy_start)
+        return self._busy_accum
+
+    @busy_us.setter
+    def busy_us(self, value: float) -> None:
+        self._busy_accum += value - self.busy_us
+
     def busy_fraction(self) -> float:
         """Fraction of elapsed simulation time the medium was busy."""
         total = self.sim.now
-        if total <= 0:
-            return 0.0
-        accum = self._busy_accum
-        if self.busy and self.busy_start is not None:
-            accum += self.sim.now - self.busy_start
-        return accum / total
+        return self.busy_us / total if total > 0 else 0.0
 
     # ------------------------------------------------------------------
     def couple(self, other: "Channel") -> None:

@@ -11,9 +11,10 @@ directions — converges to its fair share:
 * **MACTXEVENT**     -> :meth:`TbrScheduler.dequeue` (the MAC pulls a
   packet whenever it is ready to transmit)
 * **COMPLETEEVENT**  -> :meth:`TbrScheduler.on_complete` (downlink, true
-  airtime known to the AP) and :meth:`TbrScheduler.on_uplink_complete`
-  (uplink, estimated airtime — without retransmission information by
-  default, exactly like the paper's prototype)
+  airtime: the AP's first MAC completion listener) and
+  :meth:`TbrScheduler.on_uplink_complete` (uplink, estimated airtime —
+  without retransmission information by default, exactly like the
+  paper's prototype)
 * **ADJUSTRATEEVENT**-> periodic :class:`repro.core.RateAdjuster`
 
 Uplink TCP needs no client cooperation: its ACKs traverse the
@@ -233,17 +234,17 @@ class TbrScheduler(ApScheduler):
     # ------------------------------------------------------------------
     # COMPLETEEVENT
     # ------------------------------------------------------------------
-    def on_complete(
-        self, packet: Any, airtime_us: float, success: bool, attempts: int,
-        rate_mbps: float,
-    ) -> None:
+    def on_complete(self, report) -> None:
+        packet = report.packet
+        if packet is None:
+            return
         bucket = self.buckets.get(packet.station)
         if bucket is not None:
-            bucket.charge(airtime_us)
+            bucket.charge(report.airtime_us)
 
     def on_uplink_complete(
         self, station: str, airtime_us: float, *, attempts: int = 1,
-        success: bool = True, payload_bytes: int = 0,
+        payload_bytes: int = 0,
     ) -> None:
         bucket = self.buckets.get(station)
         if bucket is None:

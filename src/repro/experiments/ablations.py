@@ -151,7 +151,8 @@ def execute_bucket_depth(params: Dict) -> Tuple[float, float]:
     """Job executor: one bucket depth's (long-term, short-window) Jain."""
     depth = params["depth_us"]
     window_s = params["window_s"]
-    steps = int(params["seconds"] / window_s)
+    # bucket_depth() admits whole multiples of the window only.
+    steps = round(params["seconds"] / window_s)
     spec = competing_spec(
         [1.0, 11.0], direction="down", scheduler="tbr",
         tbr_config=TbrConfig(
@@ -182,10 +183,10 @@ def bucket_depth(
 ) -> Dict[float, Case]:
     """Sweep bucket depth; measure occupancy fairness long-term and over
     short windows (deep buckets allow long one-station bursts)."""
-    if seconds < WINDOW_S:
+    if seconds < WINDOW_S or not (seconds / WINDOW_S).is_integer():
         raise ValueError(
-            f"seconds must cover one {WINDOW_S:g} s fairness window, "
-            f"got {seconds!r}"
+            f"seconds must be a whole number of {WINDOW_S:g} s fairness "
+            f"windows, got {seconds!r}"
         )
     return {
         depth: (
@@ -293,6 +294,12 @@ def render_work_conservation(results: Mapping[str, ScenarioResult]) -> str:
 # ----------------------------------------------------------------------
 # polling MAC + TBR (Section 4.1's PCF remark)
 # ----------------------------------------------------------------------
+#: The polling case's kernel seed.  The polling MAC draws no random
+#: number without a loss model, so the case's params leave the seed
+#: out: one job per ``seconds``, whatever seed a campaign asks for.
+POLLING_SEED = 1
+
+
 def execute_polling_tbr(params: Dict) -> Dict[str, object]:
     """Job executor: saturated polled uplink under one poll policy.
 
@@ -314,9 +321,8 @@ def execute_polling_tbr(params: Dict) -> Dict[str, object]:
         size_bytes = 1500  # all a polled station reads of its payload
 
     label = params["policy"]
-    seed = params["seed"]
     seconds = params["seconds"]
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=POLLING_SEED)
     channel = Channel(sim)
     if label == "rr-poll":
         scheduler = RoundRobinScheduler()
@@ -362,8 +368,7 @@ def polling_tbr(seed: int = 1, seconds: float = 5.0) -> Dict[str, Case]:
     """
     return {
         label: (
-            execute_polling_tbr,
-            {"policy": label, "seed": seed, "seconds": seconds},
+            execute_polling_tbr, {"policy": label, "seconds": seconds},
         )
         for label in ("rr-poll", "tbr-poll")
     }

@@ -22,10 +22,11 @@ This is a slot-accurate CSMA/CA implementation:
   under Figure 4).
 
 The MAC pulls packets from a :class:`TxScheduler` — stations use a FIFO,
-the AP plugs in round-robin/DRR or the paper's TBR.  Every completed
-exchange is reported to the scheduler and to registered completion
-listeners together with its channel-occupancy time, which is how TBR's
-COMPLETEEVENT and the usage monitors are driven.
+the AP plugs in round-robin/DRR or the paper's TBR.  A finished
+exchange leaves the MAC one way: an :class:`ExchangeReport` with its
+channel-occupancy time, handed to the completion listeners in order —
+TBR's COMPLETEEVENT (subscribed first, by the AP), the usage ledger,
+the AP's reaper and the fast-forward detector.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ _CAT_MAC = int(EventCategory.MAC)
 
 
 class TxScheduler(Protocol):
-    """What the MAC needs from a transmit queue / scheduler."""
+    """What the MAC needs from a transmit queue / scheduler: packets.
+    (TBR's charge reads the completion listeners, like any consumer.)"""
 
     def bind(self, mac: "DcfMac") -> None:
         """Called once; the scheduler keeps the MAC to wake it later."""
@@ -71,19 +73,12 @@ class TxScheduler(Protocol):
         changes.
         """
 
-    def on_complete(
-        self, packet: Any, airtime_us: float, success: bool, attempts: int,
-        rate_mbps: float,
-    ) -> None:
-        """A dequeued packet finished its MAC exchange."""
-
 
 @dataclass
 class MacConfig:
     """Tunables of the DCF state machine."""
 
     max_attempts: int = 7
-    ack_timeout_margin_us: float = 0.0
     #: OAR-style opportunistic bursting (Sadeghi et al., the paper's
     #: related work [23]): when non-zero, a station that wins contention
     #: at rate ``d`` may send ``floor(d / burst_base_rate_mbps)`` frames
@@ -107,7 +102,8 @@ class MacConfig:
 
 @dataclass
 class ExchangeReport:
-    """Completion report for one data-frame exchange (all attempts)."""
+    """Completion report for one data-frame exchange (all attempts);
+    ``success=False``: the retry limit ran out and the frame dropped."""
 
     packet: Any
     src: str
@@ -162,7 +158,7 @@ class DcfMac:
 
         self.scheduler: Optional[TxScheduler] = None
         self.rx_handler: Optional[Callable[[Frame], None]] = None
-        #: called with an :class:`ExchangeReport` after each exchange.
+        #: called in order with an :class:`ExchangeReport` after each exchange.
         self.completion_listeners: List[Callable[[ExchangeReport], None]] = []
         #: called as (dst, success) after *every* transmission attempt —
         #: ARF-style rate control reacts per attempt, so a failed probe
@@ -171,10 +167,6 @@ class DcfMac:
         #: called for every received ACK/data frame carrying a defer hint
         #: (TBR client cooperation, paper Section 4.1).
         self.defer_hint_handler: Optional[Callable[[float], None]] = None
-        #: called as (dst,) when a frame toward ``dst`` exhausts its
-        #: retry limit and is dropped — the AP's inactivity reaper uses
-        #: consecutive exhaustions as evidence of a dead peer.
-        self.retry_exhausted_listener: Optional[Callable[[str], None]] = None
 
         # Current outgoing frame.
         self._current: Optional[Frame] = None
@@ -490,11 +482,8 @@ class DcfMac:
         self._awaiting_ack_for = frame
         # The ACK rate itself is chosen by the receiver; the timeout only
         # needs the (precomputed) worst-case tail at the lowest basic rate.
-        timeout = (
-            duration + self._ack_timeout_base + self.config.ack_timeout_margin_us
-        )
         self._ack_timeout_event = self.sim.schedule(
-            timeout, self._ack_timeout,
+            duration + self._ack_timeout_base, self._ack_timeout,
             priority=_PRIO_HIGH, category=_CAT_MAC,
         )
 
@@ -509,11 +498,9 @@ class DcfMac:
             self.attempt_listener(frame.dst, False)
         if self._attempts >= self.config.max_attempts:
             # Retry-limit exhaustion is a first-class outcome: the frame
-            # is dropped (released to its pool by _finish_exchange), the
-            # scheduler sees success=False, and the reaper hook fires.
+            # is dropped (released to its pool by _finish_exchange) and
+            # the listeners see success=False.
             self.tx_dropped += 1
-            if self.retry_exhausted_listener is not None:
-                self.retry_exhausted_listener(frame.dst)
             self._finish_exchange(frame, success=False)
             return
         # Exponential backoff and retry.
@@ -550,7 +537,6 @@ class DcfMac:
             payload_bytes=frame.size_bytes,
         )
         self._current = None
-        airtime = self._airtime_accum
         attempts = self._attempts
         self._airtime_accum = 0.0
         self._attempts = 0
@@ -567,10 +553,6 @@ class DcfMac:
             self._start_backoff(draw=True)
         self._completing = True
         try:
-            if self.scheduler is not None and packet is not None:
-                self.scheduler.on_complete(
-                    packet, airtime, success, attempts, frame.rate_mbps
-                )
             for listener in self.completion_listeners:
                 listener(report)
         finally:

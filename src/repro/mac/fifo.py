@@ -39,12 +39,6 @@ class FifoTxScheduler:
             return None
         return self.queue.popleft()
 
-    def on_complete(
-        self, packet: Any, airtime_us: float, success: bool, attempts: int,
-        rate_mbps: float,
-    ) -> None:
-        """Nothing to account: the MAC's completion listeners see it."""
-
     # ------------------------------------------------------------------
     # producer side
     # ------------------------------------------------------------------

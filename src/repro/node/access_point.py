@@ -6,6 +6,8 @@ sends or receives is accounted to the client station involved.  The AP:
 * bridges uplink packets onto the wired backbone;
 * enqueues packets arriving from the wire into its downlink scheduler
   (the paper's APPTXEVENT);
+* subscribes the scheduler's ``on_complete`` as its MAC's first
+  completion listener (TBR's COMPLETEEVENT for downlink traffic);
 * reports every observed *uplink* exchange to the scheduler
   (TBR's COMPLETEEVENT for client-originated traffic) using the
   deterministic exchange-time estimate a real AP can compute — by
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
 from repro.channel.medium import Channel
-from repro.mac.dcf import DcfMac, MacConfig
+from repro.mac.dcf import DcfMac, ExchangeReport
 from repro.node.rate_control import FixedRate, RateController
 from repro.phy.phy import PhyParams, exchange_airtime_us
 from repro.queueing.base import ApScheduler
@@ -63,9 +65,10 @@ class InactivityReaper:
     its downlink queue keeps admitting packets and — under TBR — its
     token rate stays allocated, shrinking every survivor's share.  The
     reaper watches two signals the AP already has: consecutive
-    retry-limit exhaustions toward the station (its MAC stopped ACKing)
-    and the time since the station was last *heard* (an uplink frame
-    received, or a downlink attempt it ACKed).  Only when both trip —
+    retry-limit exhaustions toward the station (failed reports from the
+    AP's MAC: its peer stopped ACKing) and the time since the station
+    was last *heard* (an uplink frame received, or a downlink attempt
+    it ACKed).  Only when both trip —
     at least ``exhaustion_threshold`` consecutive exhaustions AND
     ``idle_timeout_us`` of silence — does it call ``on_reap(station)``,
     so merely-quiet stations (burst gaps) are never reaped and a lossy
@@ -98,9 +101,11 @@ class InactivityReaper:
         if self._exhaustions.get(station):
             self._exhaustions[station] = 0
 
-    def on_retry_exhausted(self, dst: str) -> None:
-        """MAC hook: a frame toward ``dst`` burned all its retries."""
-        if dst in self._reaped:
+    def on_report(self, report: ExchangeReport) -> None:
+        """MAC completion listener (after TBR's charge and the usage
+        record): a failed report is a frame that burned all its retries."""
+        dst = report.dst
+        if report.success or dst in self._reaped:
             return
         self._exhaustions[dst] = self._exhaustions.get(dst, 0) + 1
         # A station never heard from starts its silence clock at the
@@ -161,8 +166,6 @@ class AccessPoint:
         *,
         address: str = "ap",
         rate_controller: Optional[RateController] = None,
-        default_rate_mbps: float = 11.0,
-        mac_config: Optional[MacConfig] = None,
         oracle_retry_accounting: bool = False,
     ) -> None:
         self.sim = sim
@@ -170,9 +173,7 @@ class AccessPoint:
         self.phy = phy
         self.scheduler = scheduler
         self.rate_controller = (
-            rate_controller
-            if rate_controller is not None
-            else FixedRate(default_rate_mbps)
+            rate_controller if rate_controller is not None else FixedRate()
         )
         self.oracle_retry_accounting = oracle_retry_accounting
         self.mac = DcfMac(
@@ -180,10 +181,12 @@ class AccessPoint:
             channel,
             address,
             phy,
-            config=mac_config,
             rate_provider=self.rate_controller.rate_for,
         )
         self.mac.attach_scheduler(scheduler)
+        # First, so TBR charges before anyone reads the report; the one
+        # subscription outlives outages (outage_end re-attaches it).
+        self.mac.add_completion_listener(scheduler.on_complete)
         self.mac.rx_handler = self._on_mac_rx
         self.mac.attempt_listener = self._on_attempt
 
@@ -220,7 +223,7 @@ class AccessPoint:
         """Install the inactivity reaper (off by default — detection is
         a policy, and the paper's prototype AP has none)."""
         self.reaper = InactivityReaper(self.sim, config, on_reap)
-        self.mac.retry_exhausted_listener = self.reaper.on_retry_exhausted
+        self.mac.add_completion_listener(self.reaper.on_report)
         return self.reaper
 
     # ------------------------------------------------------------------
@@ -283,7 +286,6 @@ class AccessPoint:
             packet.station,
             est,
             attempts=frame.attempt,
-            success=True,
             payload_bytes=frame.size_bytes,
         )
         # Bridge to the wired side.
@@ -335,8 +337,7 @@ class AccessPoint:
         return False
 
     def _on_attempt(self, dst: str, success: bool) -> None:
-        # One attempt at a time so rate control reacts before the retry.
-        self.rate_controller.on_exchange(dst, success, 1)
+        self.rate_controller.on_attempt(dst, success)
         if success and self.reaper is not None:
             # An ACKed downlink attempt proves the peer is alive.
             self.reaper.heard(dst)

@@ -119,7 +119,7 @@ class Cell:
             rate_controller=ap_rate_controller,
             oracle_retry_accounting=oracle_retry_accounting,
         )
-        self.ap.mac.add_completion_listener(self._on_exchange)
+        self.ap.mac.add_completion_listener(self._record_usage)
         if isinstance(self.scheduler, TbrScheduler) and self.scheduler.config.notify_clients:
             self.ap.mac.ack_decorator = self._decorate_ack
         self.stations: Dict[str, Station] = {}
@@ -158,7 +158,7 @@ class Cell:
             cooperate_with_tbr=cooperate_with_tbr,
             mac_config=mac_config,
         )
-        station.mac.add_completion_listener(self._on_exchange)
+        station.mac.add_completion_listener(self._record_usage)
         self.stations[name] = station
         self.ap.associate(name)
         if rate_controller is None and downlink_rate_mbps is None:
@@ -255,7 +255,7 @@ class Cell:
     # ------------------------------------------------------------------
     # usage accounting (true occupancy, both directions)
     # ------------------------------------------------------------------
-    def _on_exchange(self, report) -> None:
+    def _record_usage(self, report) -> None:
         # Every packet a cell builds carries its station's address, in
         # either direction: the uplink source, the downlink destination.
         packet = report.packet

@@ -19,8 +19,10 @@ class RateController:
     def rate_for(self, dst: str) -> float:
         raise NotImplementedError
 
-    def on_exchange(self, dst: str, success: bool, attempts: int) -> None:
-        """Feedback after each MAC exchange (attempts >= 1)."""
+    def on_attempt(self, dst: str, success: bool) -> None:
+        """Feedback after each transmission attempt toward ``dst`` (the
+        MAC's ``attempt_listener``), so a retry goes out at the rate
+        this attempt's outcome selects."""
 
 
 class FixedRate(RateController):
@@ -48,10 +50,10 @@ class _ArfState:
 class ArfController(RateController):
     """Automatic Rate Fallback.
 
-    Steps down one rate after ``down_threshold`` consecutive failed
-    transmissions; steps up (a probe) after ``up_threshold`` consecutive
-    successes; a failure on the probe's first exchange steps straight
-    back down.
+    Fed one transmission attempt at a time (:meth:`on_attempt`): steps
+    down one rate after ``down_threshold`` consecutive failed attempts;
+    steps up (a probe) after ``up_threshold`` consecutive successes; a
+    failure on the probe's first attempt steps straight back down.
     """
 
     def __init__(
@@ -90,17 +92,19 @@ class ArfController(RateController):
     def rate_for(self, dst: str) -> float:
         return self.rates[self._get(dst).rate_index]
 
-    def on_exchange(self, dst: str, success: bool, attempts: int) -> None:
+    def on_attempt(self, dst: str, success: bool) -> None:
         state = self._get(dst)
-        failures = attempts - 1 if success else attempts
-        # Process the per-attempt history: failures first, then the
-        # terminal success (if any).
-        for _ in range(failures):
-            self._one_failure(state)
         if success:
-            self._one_success(state)
-
-    def _one_failure(self, state: _ArfState) -> None:
+            state.consecutive_failures = 0
+            state.probing = False
+            state.consecutive_successes += 1
+            if state.consecutive_successes >= self.up_threshold:
+                state.consecutive_successes = 0
+                if state.rate_index < len(self.rates) - 1:
+                    state.rate_index += 1
+                    state.probing = True
+                    self.rate_changes += 1
+            return
         state.consecutive_successes = 0
         if state.probing:
             # Probe failed: fall straight back.
@@ -112,17 +116,6 @@ class ArfController(RateController):
         if state.consecutive_failures >= self.down_threshold:
             self._step_down(state)
             state.consecutive_failures = 0
-
-    def _one_success(self, state: _ArfState) -> None:
-        state.consecutive_failures = 0
-        state.probing = False
-        state.consecutive_successes += 1
-        if state.consecutive_successes >= self.up_threshold:
-            state.consecutive_successes = 0
-            if state.rate_index < len(self.rates) - 1:
-                state.rate_index += 1
-                state.probing = True
-                self.rate_changes += 1
 
     def _step_down(self, state: _ArfState) -> None:
         if state.rate_index > 0:

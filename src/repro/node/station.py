@@ -63,7 +63,8 @@ class Station:
         self.queue = FifoTxScheduler(capacity=queue_capacity)
         self.mac.attach_scheduler(self.queue)
         self.mac.rx_handler = self._on_mac_rx
-        self.mac.attempt_listener = self._on_attempt
+        # Per attempt, so rate control reacts before the retry goes out.
+        self.mac.attempt_listener = self.rate_controller.on_attempt
 
         self.cooperate_with_tbr = cooperate_with_tbr
         self._defer_until = 0.0
@@ -103,10 +104,6 @@ class Station:
             return
         self.rx_bytes += packet.size_bytes
         packet.deliver()
-
-    def _on_attempt(self, dst: str, success: bool) -> None:
-        # One attempt at a time so rate control reacts before the retry.
-        self.rate_controller.on_exchange(dst, success, 1)
 
     # ------------------------------------------------------------------
     # TBR client cooperation

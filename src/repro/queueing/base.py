@@ -52,7 +52,8 @@ class ApScheduler:
     serve next) and may override :meth:`on_complete` /
     :meth:`on_uplink_complete` for accounting.  The AP node calls
     :meth:`enqueue` for every downlink packet (the paper's APPTXEVENT)
-    and :meth:`on_uplink_complete` for every observed uplink exchange.
+    and :meth:`on_uplink_complete` for every observed uplink exchange;
+    :meth:`on_complete` is its MAC's first completion listener.
 
     Total buffer space is divided equally among associated stations when
     ``per_station_capacity`` is None, matching the paper's experimental
@@ -198,7 +199,7 @@ class ApScheduler:
 
     def on_uplink_complete(
         self, station: str, airtime_us: float, *, attempts: int = 1,
-        success: bool = True, payload_bytes: int = 0,
+        payload_bytes: int = 0,
     ) -> None:
         """An uplink exchange owned by ``station`` used ``airtime_us``.
 
@@ -222,12 +223,9 @@ class ApScheduler:
     def _select_queue(self) -> Optional[StationQueue]:
         raise NotImplementedError
 
-    def on_complete(
-        self, packet: Any, airtime_us: float, success: bool, attempts: int,
-        rate_mbps: float,
-    ) -> None:
-        """COMPLETEEVENT: a dequeued packet finished its MAC exchange.
-        Only TBR charges for it; the other disciplines ignore it."""
+    def on_complete(self, report) -> None:
+        """COMPLETEEVENT: the AP's MAC finished an exchange (an
+        ``ExchangeReport``).  Only TBR charges for it; the rest ignore it."""
 
     # ------------------------------------------------------------------
     # introspection

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import TbrConfig, TbrScheduler
+from repro.mac import ExchangeReport
 from repro.sim import Simulator
 
 
@@ -19,6 +20,15 @@ class FakeMac:
 
     def notify_pending(self):
         self.notifications += 1
+
+
+def report(pkt, airtime_us, success=True, attempts=1, rate_mbps=11.0):
+    """The AP MAC's completion report for a downlink ``pkt``."""
+    return ExchangeReport(
+        packet=pkt, src="ap", dst=pkt.station, success=success,
+        attempts=attempts, airtime_us=airtime_us, rate_mbps=rate_mbps,
+        payload_bytes=pkt.size_bytes,
+    )
 
 
 def make_tbr(sim=None, **config_kwargs):
@@ -132,8 +142,18 @@ def test_downlink_completion_charges_station():
     sim, tbr = make_tbr(initial_tokens_us=10_000.0)
     tbr.associate("a")
     pkt = tbr.enqueue(Pkt("a")) and tbr.dequeue()
-    tbr.on_complete(pkt, 2_500.0, True, 1, 11.0)
+    tbr.on_complete(report(pkt, 2_500.0))
     assert tbr.tokens_us("a") == pytest.approx(7_500.0)
+
+
+def test_completion_without_a_packet_charges_nobody():
+    sim, tbr = make_tbr(initial_tokens_us=10_000.0)
+    tbr.associate("a")
+    tbr.on_complete(ExchangeReport(
+        packet=None, src="ap", dst="a", success=True, attempts=1,
+        airtime_us=2_500.0, rate_mbps=11.0, payload_bytes=0,
+    ))
+    assert tbr.tokens_us("a") == pytest.approx(10_000.0)
 
 
 def test_uplink_completion_charges_station():
@@ -155,7 +175,7 @@ def test_failed_exchange_still_charged():
     tbr.associate("a")
     tbr.enqueue(Pkt("a"))
     pkt = tbr.dequeue()
-    tbr.on_complete(pkt, 9_000.0, False, 7, 1.0)
+    tbr.on_complete(report(pkt, 9_000.0, False, 7, 1.0))
     assert tbr.tokens_us("a") == pytest.approx(1_000.0)
 
 
@@ -176,7 +196,7 @@ def test_adjust_moves_rate_from_idle_to_busy():
         tbr.enqueue(Pkt("busy"))
         pkt = tbr.dequeue()
         if pkt is not None:
-            tbr.on_complete(pkt, elapsed * 0.6, True, 1, 11.0)
+            tbr.on_complete(report(pkt, elapsed * 0.6))
 
     from repro.sim import PeriodicTimer
 

@@ -17,6 +17,8 @@ from repro.experiments import (
     table3,
     table4,
 )
+from repro.cli import main as repro_main
+from repro.sim import Simulator
 
 S = 4.0  # short simulated seconds for smoke tests
 
@@ -48,6 +50,10 @@ def test_bucket_depth_needs_one_whole_window():
         EXPERIMENTS["abl-bucket-depth"].jobs(
             seed=1, seconds=ablations.WINDOW_S * 0.6
         )
+    # A partial window is refused too: 0.9 s used to measure 0.5 s.
+    with pytest.raises(ValueError, match=r"0\.5 s fairness windows, got 0\.9"):
+        EXPERIMENTS["abl-bucket-depth"].jobs(seed=1, seconds=0.9)
+    assert repro_main(["abl-bucket-depth", "--seconds", "0.9"]) == 2
     assert len(
         EXPERIMENTS["abl-bucket-depth"].jobs(
             seed=1, seconds=ablations.WINDOW_S
@@ -241,3 +247,29 @@ def test_ablation_polling_tbr():
     assert tbr["n2"] > 4.0 * tbr["n1"]
     assert sum(tbr.values()) > 1.5 * sum(rr.values())
     assert "Polling" in ablations.render_polling_tbr(result)
+
+
+def test_polling_jobs_do_not_key_on_the_seed():
+    # The polling MAC draws no random number, so a seed would only
+    # re-run the identical simulation under another digest.
+    digests = {
+        seed: [job.digest for job in EXPERIMENTS["abl-polling"].jobs(
+            seed=seed, seconds=1.0
+        )]
+        for seed in (1, 7)
+    }
+    assert digests[1] == digests[7]
+
+
+@pytest.mark.parametrize("policy", ["rr-poll", "tbr-poll"])
+def test_polling_case_draws_no_random_number(policy, monkeypatch):
+    # What makes leaving the seed out sound: a random draw added to the
+    # polling path later fails here instead of hiding behind one seed.
+    def refuse(self, name):
+        raise AssertionError(f"the polling case drew from {name!r}")
+
+    monkeypatch.setattr(Simulator, "rng", refuse)
+    result = ablations.execute_polling_tbr(
+        {"policy": policy, "seconds": 0.2}
+    )
+    assert sum(result["throughput"].values()) > 0.0

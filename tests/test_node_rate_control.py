@@ -19,7 +19,7 @@ def test_fixed_rate_default_and_table():
 def test_fixed_rate_ignores_feedback():
     ctrl = FixedRate(11.0)
     for _ in range(100):
-        ctrl.on_exchange("x", False, 1)
+        ctrl.on_attempt("x", False)
     assert ctrl.rate_for("x") == 11.0
 
 
@@ -28,12 +28,12 @@ def test_fixed_rate_ignores_feedback():
 # ----------------------------------------------------------------------
 def fail(ctrl, dst, n=1):
     for _ in range(n):
-        ctrl.on_exchange(dst, False, 1)
+        ctrl.on_attempt(dst, False)
 
 
 def succeed(ctrl, dst, n=1):
     for _ in range(n):
-        ctrl.on_exchange(dst, True, 1)
+        ctrl.on_attempt(dst, True)
 
 
 def test_arf_starts_at_highest():
@@ -96,13 +96,6 @@ def test_arf_per_destination_state():
     fail(ctrl, "bad", 2)
     assert ctrl.rate_for("bad") == 5.5
     assert ctrl.rate_for("good") == 11.0
-
-
-def test_arf_exchange_with_attempts_expands_history():
-    # on_exchange(success=True, attempts=3) == 2 failures then success.
-    ctrl = ArfController(down_threshold=2)
-    ctrl.on_exchange("x", True, 3)
-    assert ctrl.rate_for("x") == 5.5  # the two failures stepped it down
 
 
 def test_arf_validation():

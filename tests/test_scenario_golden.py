@@ -15,6 +15,7 @@ import pytest
 from repro.campaign.store import ResultStore
 from repro.campaign.executor import run_jobs, serial_results
 from repro.scenario import (
+    ScenarioRuntime,
     build_spec,
     render_result,
     run_spec,
@@ -35,6 +36,9 @@ GOLDEN_PARAMS = {
     "fairness-churn": dict(seconds=2.4, warmup_s=0.5),
     "fairness-outage": dict(seconds=3.0, warmup_s=0.5, outage_s=0.5),
     "campus": dict(seconds=2.5, warmup_s=0.5),
+    # The only family that arms the AP-side reaper; seed 1 reaps one
+    # crashed station (see test_chaos_golden_reaps_a_station).
+    "chaos": dict(seconds=6.0),
 }
 
 #: family -> (timeline fired, total events, per-category events).
@@ -74,6 +78,12 @@ PINNED_BUDGETS = {
     "campus": (
         2, 8390,
         {"traffic": 1033, "mac": 2433, "phy": 4318, "timer": 602, "other": 4},
+    ),
+    # Twelve timeline events fire; the end of each of the three
+    # channel-degrade windows is builder machinery under ``other``.
+    "chaos": (
+        12, 9400,
+        {"traffic": 2407, "mac": 3369, "phy": 2954, "timer": 655, "other": 15},
     ),
 }
 
@@ -144,6 +154,14 @@ def test_fairness_outage_recovers_everyone(family_results):
     assert len(restarted) == 4
     for name in restarted:
         assert result.flow_throughput_mbps[name] > 0.0, name
+
+
+def test_chaos_golden_reaps_a_station():
+    # The golden chaos run must exercise the reaper: a crashed station's
+    # retry exhaustions reach it and it disassociates the dead peer.
+    runtime = ScenarioRuntime(build_spec("chaos", **GOLDEN_PARAMS["chaos"]))
+    runtime.run()
+    assert runtime.cell.ap.reaper.reap_count >= 1
 
 
 def test_campus_golden_roams_out_and_back(family_results):
