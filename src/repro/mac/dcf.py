@@ -106,13 +106,10 @@ class ExchangeReport:
     ``success=False``: the retry limit ran out and the frame dropped."""
 
     packet: Any
-    src: str
     dst: str
     success: bool
     attempts: int
     airtime_us: float
-    rate_mbps: float
-    payload_bytes: int
 
 
 class DcfMac:
@@ -139,17 +136,17 @@ class DcfMac:
         address: str,
         phy: PhyParams,
         *,
+        rate_provider: Callable[[str], float],
         config: Optional[MacConfig] = None,
-        rate_provider: Optional[Callable[[str], float]] = None,
-        default_rate_mbps: float = 11.0,
     ) -> None:
         self.sim = sim
         self.channel = channel
         self.address = address
         self.phy = phy
         self.config = config if config is not None else MacConfig()
-        self._rate_provider = rate_provider
-        self.default_rate_mbps = default_rate_mbps
+        #: the data rate toward a destination, asked per load and per
+        #: attempt (rate control may step between attempts).
+        self.rate_for = rate_provider
         self._rng = sim.rng(f"mac/{address}")
         # The three PHY constants the freeze/resume path reads per arm.
         self._slot_us = phy.slot_us
@@ -256,15 +253,15 @@ class DcfMac:
         nothing delivers, and the packet is reclaimed.  Idempotent.
         """
         if self._bo_event is not None:
-            self._bo_event.cancel()
+            self.sim.cancel(self._bo_event)
             self._bo_event = None
         self._backoff_active = False
         self._bo_slots = 0
         if self._ack_timeout_event is not None:
-            self._ack_timeout_event.cancel()
+            self.sim.cancel(self._ack_timeout_event)
             self._ack_timeout_event = None
         if self._ack_tx_event is not None:
-            self._ack_tx_event.cancel()
+            self.sim.cancel(self._ack_tx_event)
             self._ack_tx_event = None
             # The ACK was reserved (_schedule_ack) and will not be sent:
             # contenders held across the SIFS gap must resume now.
@@ -319,11 +316,6 @@ class DcfMac:
         self._completing = False
         self._use_eifs = False
         self.channel.attach(self)
-
-    def rate_for(self, dst: str) -> float:
-        if self._rate_provider is not None:
-            return self._rate_provider(dst)
-        return self.default_rate_mbps
 
     # ------------------------------------------------------------------
     # scheduler-facing API
@@ -406,7 +398,7 @@ class DcfMac:
         ``anchor = max(idle_start + IFS, now)``.
         """
         if self._bo_event is not None:
-            self._bo_event.cancel()
+            self.sim.cancel(self._bo_event)
         sim = self.sim
         now = sim.now
         # (_current_ifs() and max(), inlined: once per contender per edge)
@@ -442,7 +434,7 @@ class DcfMac:
         event = self._bo_event
         if event is None:
             return
-        if abs(event.time - busy_start) < _SLOT_EPS:
+        if abs(event[0] - busy_start) < _SLOT_EPS:
             # Our countdown expires exactly when this carrier began: we
             # are committed to transmitting in this slot (collision).
             return
@@ -453,7 +445,7 @@ class DcfMac:
                 elapsed_us / self._slot_us + _SLOT_EPS
             )
             self._bo_slots = slots if slots > 0 else 0
-        event.cancel()
+        self.sim.cancel(event)
         self._bo_event = None
 
     def on_idle(self, idle_start: float) -> None:
@@ -512,7 +504,7 @@ class DcfMac:
         if frame is None or ack.acked_seq != frame.seq:
             return
         if self._ack_timeout_event is not None:
-            self._ack_timeout_event.cancel()
+            self.sim.cancel(self._ack_timeout_event)
             self._ack_timeout_event = None
         self._transmitting = False
         self._awaiting_ack_for = None
@@ -528,13 +520,10 @@ class DcfMac:
         packet = frame.packet
         report = ExchangeReport(
             packet=packet,
-            src=frame.src,
             dst=frame.dst,
             success=success,
             attempts=self._attempts,
             airtime_us=self._airtime_accum,
-            rate_mbps=frame.rate_mbps,
-            payload_bytes=frame.size_bytes,
         )
         self._current = None
         attempts = self._attempts

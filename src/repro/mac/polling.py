@@ -206,7 +206,7 @@ class PollingCoordinator:
     # ------------------------------------------------------------------
     def _schedule_cycle(self, delay: float) -> None:
         if self._cycle_event is not None:
-            self._cycle_event.cancel()
+            self.sim.cancel(self._cycle_event)
         self._cycle_event = self.sim.schedule(
             delay, self._cycle,
             priority=EventPriority.TX_START, category=EventCategory.MAC,
@@ -246,7 +246,7 @@ class PollingCoordinator:
 
     def _arm_timeout(self, delay: float) -> None:
         if self._timeout_event is not None:
-            self._timeout_event.cancel()
+            self.sim.cancel(self._timeout_event)
         self._timeout_event = self.sim.schedule(
             delay, self._on_timeout,
             priority=EventPriority.HIGH, category=EventCategory.MAC,
@@ -265,7 +265,7 @@ class PollingCoordinator:
     def _end_exchange(self) -> None:
         """The awaited response arrived (decoded or not): stop waiting."""
         if self._timeout_event is not None:
-            self._timeout_event.cancel()
+            self.sim.cancel(self._timeout_event)
             self._timeout_event = None
         self._awaiting = False
 

@@ -150,7 +150,6 @@ class AccessPoint:
     """Infrastructure-mode AP."""
 
     TIME_STATE = dict(
-        counters=("downlink_packets",),
         parts=(
             "mac", "uplink_wire", "downlink_wire", "scheduler",
             "packet_pool", "reaper",
@@ -202,7 +201,6 @@ class AccessPoint:
         self._deliver_packet_cb = _deliver_packet
 
         self.uplink_packets = 0
-        self.downlink_packets = 0
 
         #: optional dead-peer detector (see :meth:`enable_reaper`).
         self.reaper: Optional[InactivityReaper] = None
@@ -298,9 +296,14 @@ class AccessPoint:
         """Entry point for hosts: ship a packet over the backbone pipe."""
         self._downlink_send(packet, self._enqueue_downlink_cb)
 
+    @property
+    def downlink_packets(self) -> int:
+        """Downlink arrivals offered to the queue: every packet out of
+        the downlink wire, admitted, dropped or drained."""
+        return self.downlink_wire.delivered
+
     def _enqueue_downlink(self, packet: Packet) -> None:
         packet.mac_dst = packet.station
-        self.downlink_packets += 1
         self.scheduler.enqueue(packet)
 
     def downlink_arrival(
@@ -314,27 +317,12 @@ class AccessPoint:
         saturated cell's tail drops never touch the allocator.  Counters
         move exactly as in :meth:`_enqueue_downlink` + drop-tail ``push``.
         """
-        self.downlink_packets += 1
         scheduler = self.scheduler
         if scheduler.refuse(station):
             return False
         packet = materialize()
         packet.mac_dst = station
         return scheduler.enqueue(packet)
-
-    def refuse_downlink(self, station: str) -> bool:
-        """Account a demand arrival the queue refuses *now*, or decline.
-
-        ``True`` means the arrival was a tail drop (or aimed at a
-        departed station) and every counter :meth:`downlink_arrival`
-        would have moved has moved; ``False`` means it would be
-        admitted and nothing was touched.  Lets the wire's pump settle
-        provably-unobservable drops without a kernel event each.
-        """
-        if self.scheduler.refuse(station):
-            self.downlink_packets += 1
-            return True
-        return False
 
     def _on_attempt(self, dst: str, success: bool) -> None:
         self.rate_controller.on_attempt(dst, success)

@@ -11,13 +11,12 @@ backoff expires in the same slot must both decide to transmit *before*
 either observes the other's carrier).
 """
 
-from repro.sim.event import Event, EventCategory, EventPriority
+from repro.sim.event import EventCategory, EventPriority
 from repro.sim.kernel import Simulator, SimulationError
 from repro.sim.timers import PeriodicTimer
 from repro.sim.units import US_PER_S, us_from_s, throughput_mbps
 
 __all__ = [
-    "Event",
     "EventCategory",
     "EventPriority",
     "Simulator",

@@ -1,9 +1,8 @@
-"""Events and event priorities for the simulation kernel."""
+"""Event categories and priorities for the simulation kernel."""
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional
 
 
 class EventCategory(enum.IntEnum):
@@ -54,51 +53,3 @@ class EventPriority(enum.IntEnum):
     LOW = 8
     MONITOR = 10
 
-
-class Event:
-    """A scheduled callback.
-
-    Events are created by :meth:`repro.sim.kernel.Simulator.schedule` and
-    support *lazy cancellation*: :meth:`cancel` marks the event dead and
-    the kernel discards it when it reaches the head of the heap.  The
-    kernel keeps live/stale counts (via ``_kernel``) so cancellation is
-    O(1) and heaps dominated by dead entries can be compacted.
-
-    Every schedule call returns a new event and the kernel never reuses
-    one, so a caller may keep a reference and cancel it at any time:
-    cancelling an event that already ran or was discarded does nothing.
-    """
-
-    __slots__ = ("time", "callback", "args", "cancelled", "category", "_kernel")
-
-    def __init__(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple,
-        kernel: Optional[object] = None,
-        category: int = 0,
-    ) -> None:
-        self.time = time
-        #: ``None`` once the kernel has popped the event to run it.
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        #: accounting bucket (:class:`EventCategory`) counted on execution.
-        self.category = category
-        #: owning kernel, informed of cancellations for O(1) accounting.
-        self._kernel = kernel
-
-    def cancel(self) -> None:
-        """Mark this event dead; the kernel will skip it."""
-        if not self.cancelled:
-            self.cancelled = True
-            # A live event still holds its callback: the kernel clears it
-            # when it pops the event to run it.
-            if self.callback is not None and self._kernel is not None:
-                self._kernel._note_cancelled()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.callback, "__name__", repr(self.callback))
-        return f"<Event t={self.time:.3f} {name} {state}>"

@@ -3,24 +3,23 @@
 Hot-path design notes
 ---------------------
 
-The heap holds ``(time, priority, seq, event)`` tuples rather than bare
-:class:`Event` objects, so every sift comparison inside ``heapq`` is a C
-tuple comparison instead of a Python-level ``Event.__lt__`` call — in
-saturated-cell workloads those comparisons used to be the single largest
-cost in the profile.  ``seq`` is unique, so the tuple comparison never
-falls through to comparing events.
+An event is its heap entry: one mutable list,
+``[time, priority, seq, callback, args, category]``, which
+:meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` push and
+return.  Nothing else is allocated per event, and every sift comparison
+inside ``heapq`` is a C list comparison that decides on ``(time,
+priority, seq)`` — ``seq`` is unique, so it never reaches the callback.
 
-Cancellation is lazy (a dead entry stays queued until it surfaces), but
-the kernel keeps O(1) live/stale counts and compacts the heap in place
-when stale entries outnumber live ones — saturated DCF cancels a
-backoff or ACK-timeout event on almost every exchange, and without
-compaction those corpses inflate every subsequent sift.
-
-:meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` are the only
-ways to queue a callback, and each call returns a fresh :class:`Event`
-that the kernel never reuses.  Holding a reference and cancelling it
-later is therefore always safe: an event that already ran or was
-discarded is simply inert, never a different callback.
+There is one way to cancel: :meth:`Simulator.cancel`.  It clears the
+entry's callback (``entry[3] = None``) and the entry stays queued until
+it surfaces, when ``run`` drops it; ``run`` also clears the callback of
+an entry it pops to execute.  The kernel never reuses an entry, so a
+caller may keep one and cancel it at any time: cancelling an entry that
+already ran or was cancelled does nothing.  The kernel keeps O(1)
+live/stale counts and compacts the heap in place when stale entries
+outnumber live ones — saturated DCF cancels a backoff or ACK-timeout
+on almost every exchange, and without compaction those corpses inflate
+every subsequent sift.
 
 ``Simulator.now`` is a plain attribute, not a property: it is read
 several times per executed event from every layer, and a Python-level
@@ -47,7 +46,12 @@ import random
 from heapq import heapify, heappush
 from typing import Any, Callable, List, Optional, Protocol, Tuple
 
-from repro.sim.event import NUM_CATEGORIES, Event, EventCategory, EventPriority
+from repro.sim.event import NUM_CATEGORIES, EventCategory, EventPriority
+
+#: A scheduled event: ``[time, priority, seq, callback, args, category]``
+#: (see the module docstring); ``callback`` is ``None`` once it ran or
+#: was cancelled.
+Entry = List[Any]
 
 #: Compact only when at least this many stale entries accumulated (tiny
 #: heaps are cheaper to drain lazily than to rebuild).
@@ -86,8 +90,8 @@ class Simulator:
         self.seed = seed
         #: current simulation time in microseconds.
         self.now = 0.0
-        #: heap of (time, priority, seq, event) — see module docstring.
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        #: heap of entries — see the module docstring.
+        self._heap: List[Entry] = []
         self._seq = 0
         self._running = False
         #: ``until`` of the running :meth:`run` call; ``inf`` outside
@@ -96,9 +100,9 @@ class Simulator:
         #: events whose callback returned, per EventCategory bucket
         #: (index = category); their sum is :attr:`events_executed`.
         self._cat_counts = [0] * NUM_CATEGORIES
-        #: non-cancelled events currently queued (O(1) pending_count).
+        #: live entries currently queued (O(1) pending_count).
         self._live = 0
-        #: cancelled events still occupying heap entries.
+        #: cancelled entries still queued.
         self._stale = 0
         self._compactions = 0
         #: attached observers in attach order (see :meth:`observe`).
@@ -181,20 +185,22 @@ class Simulator:
         *args: Any,
         priority: int = EventPriority.NORMAL,
         category: int = 0,
-    ) -> Event:
+    ) -> Entry:
         """Schedule ``callback(*args)`` to run ``delay`` us from now."""
         if not (delay >= 0):  # also rejects NaN
             raise SimulationError(f"negative delay {delay!r}")
         # Inlined schedule_at: this is the hottest allocation site in
         # saturated cells, one delegation frame matters.
-        time = self.now + delay
-        prio = priority if type(priority) is int else int(priority)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, callback, args, self, category)
+        entry = [
+            self.now + delay,
+            priority if type(priority) is int else int(priority),
+            seq, callback, args, category,
+        ]
         self._live += 1
-        heappush(self._heap, (time, prio, seq, event))
-        return event
+        heappush(self._heap, entry)
+        return entry
 
     def schedule_at(
         self,
@@ -203,7 +209,7 @@ class Simulator:
         *args: Any,
         priority: int = EventPriority.NORMAL,
         category: int = 0,
-    ) -> Event:
+    ) -> Entry:
         """Schedule ``callback(*args)`` at absolute time ``time``.
 
         The event fires at exactly ``time``: callers that computed a
@@ -214,31 +220,35 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time!r}, now is {self.now!r}"
             )
-        prio = priority if type(priority) is int else int(priority)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, callback, args, self, category)
+        entry = [
+            time,
+            priority if type(priority) is int else int(priority),
+            seq, callback, args, category,
+        ]
         self._live += 1
-        heappush(self._heap, (time, prio, seq, event))
-        return event
+        heappush(self._heap, entry)
+        return entry
 
-    @staticmethod
-    def cancel(event: Optional[Event]) -> None:
-        """Cancel an event; ``None`` is accepted and ignored."""
-        if event is not None:
-            event.cancel()
+    def cancel(self, entry: Optional[Entry]) -> None:
+        """Cancel a scheduled entry.
 
-    # ------------------------------------------------------------------
-    # lazy-cancellation accounting
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """An in-heap event was cancelled (called by :meth:`Event.cancel`)."""
+        ``None``, and an entry that already ran or was cancelled, are
+        ignored.
+        """
+        if entry is None or entry[3] is None:
+            return
+        entry[3] = None
         self._live -= 1
         stale = self._stale + 1
         self._stale = stale
         if stale > _COMPACT_MIN_STALE and stale > self._live:
             self._compact()
 
+    # ------------------------------------------------------------------
+    # lazy-cancellation accounting
+    # ------------------------------------------------------------------
     def _compact(self) -> None:
         """Rebuild the heap without stale entries.
 
@@ -251,7 +261,7 @@ class Simulator:
         live_entries = []
         keep = live_entries.append
         for entry in heap:
-            if not entry[3].cancelled:
+            if entry[3] is not None:
                 keep(entry)
         heap[:] = live_entries
         heapify(heap)
@@ -290,8 +300,8 @@ class Simulator:
         try:
             while heap:
                 entry = heap[0]
-                event = entry[3]
-                if event.cancelled:
+                callback = entry[3]
+                if callback is None:
                     heappop(heap)
                     self._stale -= 1
                     continue
@@ -304,16 +314,16 @@ class Simulator:
                 heappop(heap)
                 self._live -= 1
                 self.now = time
-                callback, args = event.callback, event.args
-                # Break reference cycles, make double-execution obvious
-                # and mark the event spent for ``Event.cancel``.
-                event.callback = None  # type: ignore[assignment]
-                event.args = ()
+                args = entry[4]
+                # Break reference cycles and mark the entry spent, so a
+                # later ``cancel`` ignores it.
+                entry[3] = None
+                entry[4] = ()
                 if on_events:
                     for on_event in on_events:
                         on_event(time, callback)
                 callback(*args)
-                cat_counts[event.category] += 1
+                cat_counts[entry[5]] += 1
             else:
                 # Queue drained completely.
                 if until is not None and until > self.now:
@@ -326,7 +336,7 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        while heap and heap[0][3] is None:
             heapq.heappop(heap)
             self._stale -= 1
         return heap[0][0] if heap else None
@@ -361,10 +371,9 @@ class Simulator:
         """
         best: Optional[float] = None
         for entry in self._heap:
-            event = entry[3]
-            if event.cancelled:
+            if entry[3] is None:
                 continue
-            if category is not None and event.category != category:
+            if category is not None and entry[5] != category:
                 continue
             if best is None or entry[0] < best:
                 best = entry[0]
@@ -401,24 +410,17 @@ class Simulator:
         if delta == 0:
             return
         heap = self._heap
-        rebuilt: List[Tuple[float, int, int, Event]] = []
-        keep = rebuilt.append
-        for entry in heap:
-            event = entry[3]
-            if event.cancelled:
-                continue
-            if event.category == EventCategory.OTHER:
-                if entry[0] < target:
-                    raise SimulationError(
-                        f"timeline event at {entry[0]!r} pending before "
-                        f"fast-forward target {target!r}"
-                    )
-                keep(entry)
-                continue
-            new_time = entry[0] + delta
-            event.time = new_time
-            keep((new_time, entry[1], entry[2], event))
-        heap[:] = rebuilt
+        live = [entry for entry in heap if entry[3] is not None]
+        for entry in live:
+            if entry[5] == EventCategory.OTHER and entry[0] < target:
+                raise SimulationError(
+                    f"timeline event at {entry[0]!r} pending before "
+                    f"fast-forward target {target!r}"
+                )
+        for entry in live:
+            if entry[5] != EventCategory.OTHER:
+                entry[0] += delta
+        heap[:] = live
         heapify(heap)
         self._stale = 0
         old_now = self.now

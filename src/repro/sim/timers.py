@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.sim.event import Event, EventCategory, EventPriority
-from repro.sim.kernel import Simulator
+from repro.sim.event import EventCategory, EventPriority
+from repro.sim.kernel import Entry, Simulator
 
 
 class PeriodicTimer:
@@ -36,7 +36,7 @@ class PeriodicTimer:
         self.period = period
         self.callback = callback
         self.priority = priority
-        self._event: Optional[Event] = None
+        self._event: Optional[Entry] = None
         self._last_fire: float = 0.0
         self._running = False
 
@@ -50,9 +50,8 @@ class PeriodicTimer:
     def stop(self) -> None:
         """Stop the timer; no further callbacks fire."""
         self._running = False
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self.sim.cancel(self._event)
+        self._event = None
 
     def _schedule_next(self) -> None:
         self._event = self.sim.schedule(

@@ -279,7 +279,7 @@ class TcpSender:
 
     def _restart_rto(self) -> None:
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self.sim.cancel(self._rto_event)
             self._rto_event = None
         if self.flight_size > 0:
             self._arm_rto()
@@ -313,7 +313,7 @@ class TcpSender:
         ):
             self._complete_fired = True
             if self._rto_event is not None:
-                self._rto_event.cancel()
+                self.sim.cancel(self._rto_event)
                 self._rto_event = None
             self.on_complete()
 
@@ -386,7 +386,7 @@ class TcpReceiver:
 
     def _send_ack(self) -> None:
         if self._delack_event is not None:
-            self._delack_event.cancel()
+            self.sim.cancel(self._delack_event)
             self._delack_event = None
         self._pending_acks = 0
         self.acks_sent += 1

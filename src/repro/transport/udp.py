@@ -13,12 +13,14 @@ small uniform jitter, same RNG stream layout):
   uplink flows, where the packet goes straight into the station's MAC
   queue.
 * :class:`UdpDownlinkSource` — the demand-driven source for wired
-  downlink flows.  It never schedules its own timer: it registers its
-  arrival schedule with the :class:`~repro.transport.wired.WiredLink`
-  pump, which charges exactly one kernel event per *observable*
-  arrival (the delivery of an admitted packet, or of a tail drop that
-  ties with or follows the next thing that can run; drops nothing can
-  observe are accounted inline, see "Draining" in ``wired.py``) and
+  downlink flows.  It never schedules its own timer: it *is* its
+  arrival schedule, a :class:`~repro.transport.wired.Pacing` record
+  attached to the :class:`~repro.transport.wired.WiredLink` pump, which
+  advances it in place and charges exactly one kernel event per
+  *observable* arrival (the delivery of an admitted packet, or of a
+  tail drop that ties with or follows the next thing that can run;
+  drops nothing can observe are accounted inline, at the cost of the
+  scheduler's one ``refuse`` call, see "Draining" in ``wired.py``) and
   asks the source to materialize a packet only when the AP queue has
   room (drop-before-alloc, pooled packets).
 """
@@ -26,11 +28,13 @@ small uniform jitter, same RNG stream layout):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.sim import EventCategory, EventPriority, Simulator
 from repro.transport.packet import Packet
 from repro.transport.stats import FlowStats
+from repro.transport.wired import Pacing
 
 
 @dataclass
@@ -123,44 +127,39 @@ class UdpSender:
     def stop(self) -> None:
         self.stop_us = self.sim.now
         if self._timer is not None:
-            self._timer.cancel()
+            self.sim.cancel(self._timer)
             self._timer = None
 
 
-class UdpDownlinkSource:
+class UdpDownlinkSource(Pacing):
     """Demand-driven CBR source feeding an AP's downlink wire.
 
     The pacing model (interval, jitter, RNG stream ``udp/{name}``,
     initial phase draw) is identical to :class:`UdpSender`, so the two
     produce bit-identical fire schedules for the same seed and name.
     The difference is mechanical: instead of waking per packet, the
-    source hands its schedule to the wire's demand pump
-    (:meth:`WiredLink.attach_source`) and is called back
+    source *is* its schedule — a :class:`~repro.transport.wired.Pacing`
+    record handed to the wire's demand pump
+    (:meth:`WiredLink.attach_source`), which advances it in place as it
+    folds arrivals into the pipe and calls the source back only for
+    the consumer:
 
-    * :meth:`advance`/:meth:`rewind` — when the pump folds (or unwinds
-      a speculatively-folded) arrival into the pipe's serialization;
     * :meth:`deliver` — when the arrival exits the pipe, where the AP's
       queue decides *before any allocation* whether the packet exists
       at all (tail drops cost nothing), and accepted packets come from
       the AP's :class:`~repro.transport.packet.PacketPool`;
-    * :meth:`refuse` — when the pump drains: a tail drop (or a refusal
+    * ``refuse()`` — when the pump drains: a tail drop (or a refusal
       for a departed station) that nothing can observe before the next
       kernel event is counted here and now, with no event of its own.
+      It is the AP scheduler's own ``refuse`` bound to this station, so
+      such a drop costs one Python call.
     """
 
     HEADER_BYTES = UdpSender.HEADER_BYTES
 
-    #: The schedule shifts with the owning wire's ``_arrivals`` heap
-    #: (``repro.sim.steady``), keeping ``peek_fire_us`` consistent with
-    #: it.  ``sent`` is the offered load, which delivered counts must not
-    #: exceed, so it scales; the sequence numbers do not.
     TIME_STATE = dict(
-        clocks=("_fire_us", "_rewound", "_staged_ts", "stop_us"),
-        counters=("sent",),
-        phase={
-            "_seq": "sequence number: the sink's last_seq follows it",
-            "_staged_seq": "sequence number of the arrival being delivered",
-        },
+        clocks=("_staged_ts",),
+        phase={"_staged_seq": "sequence number of the arrival being delivered"},
     )
 
     def __init__(
@@ -183,76 +182,34 @@ class UdpDownlinkSource:
             raise ValueError("payload must be positive")
         if not 0.0 <= jitter_fraction < 1.0:
             raise ValueError("jitter_fraction must be in [0, 1)")
-        self.sim = sim
-        self.name = name
-        self.ap = ap
-        self.station = station
-        self.rate_mbps = rate_mbps
-        self.payload_bytes = payload_bytes
-        self.packet_bytes = payload_bytes + self.HEADER_BYTES
-        self.stop_us = stop_us
-        self.on_receive = on_receive
-        #: arrivals committed to the pipe.  Tracks UdpSender.sent, but
-        #: may run one packet ahead of the clock: the pump folds the
-        #: next arrival speculatively (and rolls `sent` back if that
-        #: fold is unwound).
-        self.sent = 0
-        self._seq = 0
-        self.interval_us = self.packet_bytes * 8.0 / rate_mbps
-        self.jitter_fraction = jitter_fraction
-        self._rng = sim.rng(f"udp/{name}")
-        #: current (earliest unfolded) fire time.  Same float expression
-        #: as UdpSender's initial schedule(start + draw): now + (s + d).
-        self._fire_us: float = sim.now + (
-            start_us + self._rng.uniform(0.0, self.interval_us)
+        packet_bytes = payload_bytes + self.HEADER_BYTES
+        interval_us = packet_bytes * 8.0 / rate_mbps
+        rng = sim.rng(f"udp/{name}")
+        # The first fire: the same float expression as UdpSender's
+        # initial schedule(start + draw), now + (s + d).
+        super().__init__(
+            sim.now + (start_us + rng.uniform(0.0, interval_us)),
+            interval_us,
+            packet_bytes,
+            jitter_us=interval_us * jitter_fraction,
+            random=rng.random if jitter_fraction > 0.0 else None,
+            stop_us=stop_us,
         )
-        #: fire times given back by rewind(), to be re-consumed before
-        #: drawing fresh jitter (keeps the RNG stream deterministic).
-        self._rewound: List[float] = []
+        self.sim = sim
+        self.station = station
+        self.ap = ap
+        self.on_receive = on_receive
+        self.refuse = partial(ap.scheduler.refuse, station)
         #: staged delivery context for :meth:`_materialize`.
         self._staged_seq = 0
         self._staged_ts = 0.0
         self.link = ap.downlink_wire
         self.link.attach_source(self)
 
-    def _next_interval(self) -> float:
-        if self.jitter_fraction <= 0.0:
-            return self.interval_us
-        spread = self.interval_us * self.jitter_fraction
-        return self.interval_us + self._rng.uniform(-spread, spread)
-
-    # ------------------------------------------------------------------
-    # DemandSource protocol (called by the wire's pump)
-    # ------------------------------------------------------------------
-    def peek_fire_us(self) -> Optional[float]:
-        fire = self._fire_us
-        if self.stop_us is not None and fire >= self.stop_us:
-            return None
-        return fire
-
-    def advance(self) -> int:
-        seq = self._seq + 1
-        self._seq = seq
-        self.sent += 1
-        if self._rewound:
-            self._fire_us = self._rewound.pop()
-        else:
-            self._fire_us = self._fire_us + self._next_interval()
-        return seq
-
-    def rewind(self, seq: int, fire_us: float) -> None:
-        self._rewound.append(self._fire_us)
-        self._fire_us = fire_us
-        self._seq -= 1
-        self.sent -= 1
-
     def deliver(self, seq: int, fire_us: float) -> None:
         self._staged_seq = seq
         self._staged_ts = fire_us
         self.ap.downlink_arrival(self.station, self._materialize)
-
-    def refuse(self) -> bool:
-        return self.ap.refuse_downlink(self.station)
 
     # ------------------------------------------------------------------
     def _materialize(self) -> Packet:

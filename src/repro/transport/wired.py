@@ -11,24 +11,31 @@ Demand-driven mode
 
 Constant-bit-rate sources used to cost *two* kernel events per offered
 packet: the source timer that created the packet, and the transient
-event that delivered it out of the pipe.  A :class:`DemandSource`
-(e.g. ``repro.transport.udp.UdpDownlinkSource``) instead registers its
-*future arrival schedule* with the link, and the link *folds* each
-arrival into the serialization state when a delivery (or a competing
-plain ``send``) proves it is next in fire-time order — so each
-*observable* arrival costs exactly one kernel event: its delivery.
+event that delivered it out of the pipe.  A demand source (e.g.
+``repro.transport.udp.UdpDownlinkSource``) is instead a :class:`Pacing`
+record — its *future arrival schedule* — that it hands to the link with
+:meth:`WiredLink.attach_source`, and the link *folds* each arrival into
+the serialization state when a delivery (or a competing plain ``send``)
+proves it is next in fire-time order — so each *observable* arrival
+costs exactly one kernel event: its delivery.
+
+The link owns the schedule's arithmetic: a fold advances the record in
+place (fire time, sequence number, ``sent``, the jitter draw), and an
+unwind rolls it back, so the source is called only for what needs its
+consumer — :meth:`DemandSource.deliver` and :meth:`DemandSource.refuse`.
 
 Exactness: the serialization fold ``busy = max(busy, t_fire) + bits/rate``
 is order-sensitive, so folds must happen in fire-time order across all
-senders sharing the pipe.  Each demand source exposes exactly its
-earliest unfolded fire time; the link keeps a FIFO of folded-but-
-undelivered arrivals in which at most the *tail* is speculative (folded
-ahead of simulation time).  An interleaving plain :meth:`send`, a
-source stopping, or a new source attaching with an earlier first fire
+senders sharing the pipe.  The link's arrival heap holds each source's
+earliest unfolded fire time, and a FIFO of folded-but-undelivered
+arrivals in which at most the *tail* is speculative (folded ahead of
+simulation time).  An interleaving plain :meth:`send`, a source
+stopping, or a new source attaching with an earlier first fire
 *unwinds* that speculative tail — restoring ``_busy_until`` and the
-source's counters — then refolds in the correct order.  Delivery
+source's schedule — then refolds in the correct order.  Delivery
 timestamps are computed with the same float expression the two-event
-path used, so they match bit for bit.
+path used, and the jitter with the one ``random.uniform`` uses, so they
+match bit for bit.
 
 Draining
 --------
@@ -42,7 +49,9 @@ link keeps folding, and an arrival whose delivery time ``t`` satisfies
 arrival that is admitted, ties with, or lands after the next thing that
 can run gets its kernel event as before.  :attr:`WiredLink.drained`
 counts the arrivals settled this way, so ``pump delivery events +
-drained == delivered``.
+drained == delivered``.  Such an arrival costs one Python call, the
+refusal itself: the fold, the schedule's advance and the jitter draw
+are inline.
 
 Exactness: room in a queue opens only inside some *other* kernel event
 (dequeue, flush, disassociate, timeline) or in caller code between
@@ -66,25 +75,64 @@ from repro.sim import EventCategory, Simulator
 _NO_DRAIN = -float("inf")
 
 
+class Pacing:
+    """A demand source's arrival schedule, which the link advances in place.
+
+    The next arrival fires at ``fire_us``; each later one
+    ``interval_us`` after its predecessor, plus a jitter drawn as
+    ``lo + (hi - lo) * random()`` — ``random.uniform(lo, hi)`` bit for
+    bit — when ``random`` is set.  Arrivals firing at or after
+    ``stop_us`` (``None``: never) do not exist.  ``rewound`` holds the
+    fire times unwound folds gave back, reused before any fresh draw so
+    the RNG stream is consumed exactly once per arrival.  ``seq``
+    numbers the arrivals and ``sent`` counts those committed to the pipe
+    (one ahead of the clock while a speculative fold is pending).
+
+    Only :class:`WiredLink` advances and rewinds the record; a demand
+    source is a subclass that adds the :class:`DemandSource` calls.
+    """
+
+    __slots__ = (
+        "fire_us", "stop_us", "interval_us", "packet_bytes",
+        "lo", "hi", "random", "rewound", "seq", "sent",
+    )
+
+    #: The schedule shifts with the owning wire's ``_arrivals`` heap
+    #: (``repro.sim.steady``).  ``sent`` is the offered load, which
+    #: delivered counts must not exceed, so it scales; the sequence
+    #: numbers do not.
+    TIME_STATE = dict(
+        clocks=("fire_us", "stop_us", "rewound"),
+        counters=("sent",),
+        phase={"seq": "sequence number: the sink's last_seq follows it"},
+    )
+
+    def __init__(
+        self,
+        fire_us: float,
+        interval_us: float,
+        packet_bytes: int,
+        *,
+        jitter_us: float = 0.0,
+        random: Optional[Callable[[], float]] = None,
+        stop_us: Optional[float] = None,
+    ) -> None:
+        self.fire_us = fire_us
+        self.stop_us = stop_us
+        self.interval_us = interval_us
+        #: fixed on-the-wire packet size.
+        self.packet_bytes = packet_bytes
+        self.lo = -jitter_us
+        self.hi = jitter_us
+        #: ``[0, 1)`` draws for the jitter; ``None``: no jitter, no draw.
+        self.random = random
+        self.rewound: List[float] = []
+        self.seq = 0
+        self.sent = 0
+
+
 class DemandSource(Protocol):
-    """What the link's demand path needs from a packet source."""
-
-    #: fixed on-the-wire packet size.
-    packet_bytes: int
-
-    def peek_fire_us(self) -> Optional[float]:
-        """Earliest unfolded fire time, or ``None`` when exhausted."""
-
-    def advance(self) -> int:
-        """Consume the current arrival; returns its sequence number.
-
-        Advancing moves the source to its next fire time (drawing any
-        jitter), increments its sent counters, and must be undoable by
-        exactly one :meth:`rewind`.
-        """
-
-    def rewind(self, seq: int, fire_us: float) -> None:
-        """Undo the latest :meth:`advance` (speculative fold unwound)."""
+    """What the link calls on a demand source (a :class:`Pacing`)."""
 
     def deliver(self, seq: int, fire_us: float) -> None:
         """The arrival transited the pipe; hand it to the consumer."""
@@ -107,7 +155,7 @@ class _Folded:
 
     def __init__(
         self,
-        source: DemandSource,
+        source: Pacing,
         index: int,
         fire_us: float,
         seq: int,
@@ -128,8 +176,9 @@ class WiredLink:
     #: The serialization clock, the ``(fire_us, index)`` arrival heap,
     #: the folded records and every attached source move by the delta the
     #: kernel heap moved (``repro.sim.steady``), so the fold/unwind
-    #: invariants (fire-time order, ``busy_before`` restoration,
-    #: ``peek_fire_us`` matching ``_arrivals``) are preserved verbatim.
+    #: invariants (fire-time order, ``busy_before`` restoration, each
+    #: source's ``fire_us`` matching its ``_arrivals`` entry) are
+    #: preserved verbatim.
     TIME_STATE = dict(
         clocks=("_busy_until", "_arrivals"),
         counters=("delivered", "drained"),
@@ -158,7 +207,7 @@ class WiredLink:
         # (fire_us, registration_index) holding at most one live entry
         # per source, and the FIFO of folded-but-undelivered arrivals
         # (at most the tail folded ahead of simulation time).
-        self._sources: List[DemandSource] = []
+        self._sources: List[Pacing] = []
         self._arrivals: List[Tuple[float, int]] = []
         self._folded: Deque[_Folded] = deque()
 
@@ -228,11 +277,13 @@ class WiredLink:
     # demand-driven (event-per-observable-arrival) path
     # ------------------------------------------------------------------
     def attach_source(self, source: DemandSource) -> None:
-        """Register a demand-driven source; delivery starts immediately."""
+        """Register a demand source (a :class:`Pacing` record that is a
+        :class:`DemandSource`); delivery starts immediately."""
         index = len(self._sources)
         self._sources.append(source)
-        fire = source.peek_fire_us()
-        if fire is None:
+        fire = source.fire_us
+        stop = source.stop_us
+        if stop is not None and fire >= stop:
             return
         folded = self._folded
         if folded and folded[-1].fire_us > fire:
@@ -247,8 +298,8 @@ class WiredLink:
     def source_stopped(self, source: DemandSource) -> None:
         """A source's future arrivals were cancelled (``stop()``).
 
-        Its stale heap entry is discarded lazily (``peek_fire_us`` now
-        disowns it); only a speculative fold that the two-event path
+        Its stale heap entry is discarded lazily (its fire time is now at
+        or past ``stop_us``); only a speculative fold that the two-event path
         would never have sent — fire time at or after the stop — needs
         active rollback.  Already-fired folds still deliver, exactly
         like packets already in the pipe.
@@ -274,7 +325,9 @@ class WiredLink:
         sources = self._sources
         while arrivals and arrivals[0][0] <= now:
             fire, index = arrivals[0]
-            if sources[index].peek_fire_us() != fire:
+            source = sources[index]
+            stop = source.stop_us
+            if source.fire_us != fire or (stop is not None and fire >= stop):
                 heappop(arrivals)  # orphaned by stop()/rewind
                 continue
             self._fold_next()
@@ -285,7 +338,8 @@ class WiredLink:
         Arrivals that would leave the pipe strictly before ``limit`` and
         that their consumer refuses right now are accounted inline and
         folding continues (see "Draining" in the module docstring); only
-        :meth:`_pump_deliver` passes a limit.
+        :meth:`_pump_deliver` passes a limit.  Each fold advances the
+        source's :class:`Pacing` record in place.
         """
         arrivals = self._arrivals
         sources = self._sources
@@ -298,7 +352,10 @@ class WiredLink:
             entry = arrivals[0]
             fire, index = entry
             source = sources[index]
-            if entry is not pushed and source.peek_fire_us() != fire:
+            stop = source.stop_us
+            if entry is not pushed and (
+                source.fire_us != fire or (stop is not None and fire >= stop)
+            ):
                 heappop(arrivals)  # orphaned by stop()/rewind
                 continue
             busy_before = self._busy_until
@@ -310,9 +367,21 @@ class WiredLink:
                 self._busy_until = ready
             else:
                 ready = fire
-            seq = source.advance()
-            next_fire = source.peek_fire_us()
-            if next_fire is None:
+            seq = source.seq + 1
+            source.seq = seq
+            source.sent += 1
+            rewound = source.rewound
+            if rewound:
+                next_fire = rewound.pop()
+            elif source.random is None:
+                next_fire = fire + source.interval_us
+            else:
+                lo = source.lo
+                next_fire = fire + (
+                    source.interval_us + (lo + (source.hi - lo) * source.random())
+                )
+            source.fire_us = next_fire
+            if stop is not None and next_fire >= stop:
                 heappop(arrivals)
             else:
                 pushed = (next_fire, index)
@@ -359,8 +428,13 @@ class WiredLink:
     def _unwind_tail(self) -> None:
         """Roll back the speculative fold (see module docstring)."""
         record = self._folded.pop()
-        record.event.cancel()
+        self.sim.cancel(record.event)
         self._busy_until = record.busy_before
-        record.source.rewind(record.seq, record.fire_us)
-        if record.source.peek_fire_us() == record.fire_us:
-            heappush(self._arrivals, (record.fire_us, record.index))
+        source = record.source
+        fire = record.fire_us
+        source.rewound.append(source.fire_us)
+        source.fire_us = fire
+        source.seq -= 1
+        source.sent -= 1
+        if source.stop_us is None or fire < source.stop_us:
+            heappush(self._arrivals, (fire, record.index))

@@ -76,7 +76,9 @@ class MacHarness:
         self.sim = Simulator(seed=seed)
         self.channel = Channel(self.sim, loss_model)
         self.phy = phy
-        self.ap = DcfMac(self.sim, self.channel, "ap", phy)
+        self.ap = DcfMac(
+            self.sim, self.channel, "ap", phy, rate_provider=lambda dst: 11.0
+        )
         self.ap_sched = FifoTxScheduler()
         self.ap.attach_scheduler(self.ap_sched)
         self.rx_bytes = {}
@@ -87,7 +89,8 @@ class MacHarness:
         rates = rates if rates is not None else [11.0] * n_stations
         for i, rate in enumerate(rates):
             mac = DcfMac(
-                self.sim, self.channel, f"sta{i}", phy, default_rate_mbps=rate
+                self.sim, self.channel, f"sta{i}", phy,
+                rate_provider=lambda dst, rate=rate: rate,
             )
             sched = FifoTxScheduler()
             mac.attach_scheduler(sched)

@@ -320,7 +320,7 @@ def test_second_reservation_does_not_strand_the_deferred_idle():
 def test_foreign_cancel_delivers_the_deferred_idle():
     sim, a, m, middle, rx_a = chain()
     sim.run(until=107.0)
-    rx_a.response.cancel()
+    sim.cancel(rx_a.response)
     a.cancel_response()
     # m was holding for c's response as well, but releasing early is
     # always safe: the listeners get the true idle start, late.

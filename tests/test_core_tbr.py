@@ -22,12 +22,11 @@ class FakeMac:
         self.notifications += 1
 
 
-def report(pkt, airtime_us, success=True, attempts=1, rate_mbps=11.0):
+def report(pkt, airtime_us, success=True, attempts=1):
     """The AP MAC's completion report for a downlink ``pkt``."""
     return ExchangeReport(
-        packet=pkt, src="ap", dst=pkt.station, success=success,
-        attempts=attempts, airtime_us=airtime_us, rate_mbps=rate_mbps,
-        payload_bytes=pkt.size_bytes,
+        packet=pkt, dst=pkt.station, success=success,
+        attempts=attempts, airtime_us=airtime_us,
     )
 
 
@@ -150,8 +149,7 @@ def test_completion_without_a_packet_charges_nobody():
     sim, tbr = make_tbr(initial_tokens_us=10_000.0)
     tbr.associate("a")
     tbr.on_complete(ExchangeReport(
-        packet=None, src="ap", dst="a", success=True, attempts=1,
-        airtime_us=2_500.0, rate_mbps=11.0, payload_bytes=0,
+        packet=None, dst="a", success=True, attempts=1, airtime_us=2_500.0,
     ))
     assert tbr.tokens_us("a") == pytest.approx(10_000.0)
 
@@ -175,7 +173,7 @@ def test_failed_exchange_still_charged():
     tbr.associate("a")
     tbr.enqueue(Pkt("a"))
     pkt = tbr.dequeue()
-    tbr.on_complete(report(pkt, 9_000.0, False, 7, 1.0))
+    tbr.on_complete(report(pkt, 9_000.0, False, 7))
     assert tbr.tokens_us("a") == pytest.approx(1_000.0)
 
 

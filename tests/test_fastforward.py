@@ -108,7 +108,7 @@ def test_fast_forward_drops_cancelled_entries():
     # The rebuild discarded the corpse: one live entry, zero stale.
     assert sim.pending_count() == 1
     assert sim._stale == 0
-    assert keep.time == 1_100.0
+    assert keep[0] == 1_100.0
 
 
 def test_fast_forward_notifies_listeners():
@@ -282,12 +282,10 @@ def test_jump_credits_drop_and_downlink_counters(scheduler):
     slow, fast = cells[False], cells[True]
     jumps = fast.sim.fast_forwards
     assert jumps >= 1 and slow.sim.fast_forwards == 0
-    # Every wire delivery is one AP arrival; each jump credits the two
-    # with independently rounded products of the same window rate.
+    # Every wire delivery is one AP arrival: the AP's count is a view of
+    # the wire's, so a jump cannot round the two apart.
     assert slow.ap.downlink_packets == slow.ap.downlink_wire.delivered
-    assert abs(
-        fast.ap.downlink_packets - fast.ap.downlink_wire.delivered
-    ) <= jumps
+    assert fast.ap.downlink_packets == fast.ap.downlink_wire.delivered
     assert fast.ap.downlink_packets == pytest.approx(
         slow.ap.downlink_packets, rel=0.05
     )

@@ -14,6 +14,10 @@ from tests.conftest import EventLog, MacHarness, SimplePacket
 PHY = DOT11B_LONG_PREAMBLE
 
 
+def at_11(dst):
+    return 11.0
+
+
 def test_single_sender_delivers_packet():
     h = MacHarness(1)
     h.scheds[0].enqueue(SimplePacket("ap", 1000))
@@ -107,9 +111,12 @@ def test_rate_diversity_equalizes_throughput_not_time():
 def test_retry_limit_drops_frame():
     sim = Simulator(seed=1)
     channel = Channel(sim, PerLinkLoss({("sta", "ap"): 1.0}))
-    ap = DcfMac(sim, channel, "ap", PHY)
+    ap = DcfMac(sim, channel, "ap", PHY, rate_provider=at_11)
     ap.attach_scheduler(FifoTxScheduler())
-    mac = DcfMac(sim, channel, "sta", PHY, config=MacConfig(max_attempts=4))
+    mac = DcfMac(
+        sim, channel, "sta", PHY, rate_provider=at_11,
+        config=MacConfig(max_attempts=4),
+    )
     sched = FifoTxScheduler()
     mac.attach_scheduler(sched)
     reports = []
@@ -126,9 +133,12 @@ def test_retry_limit_drops_frame():
 def test_cw_doubles_on_retries():
     sim = Simulator(seed=2)
     channel = Channel(sim, PerLinkLoss({("sta", "ap"): 1.0}))
-    ap = DcfMac(sim, channel, "ap", PHY)
+    ap = DcfMac(sim, channel, "ap", PHY, rate_provider=at_11)
     ap.attach_scheduler(FifoTxScheduler())
-    mac = DcfMac(sim, channel, "sta", PHY, config=MacConfig(max_attempts=3))
+    mac = DcfMac(
+        sim, channel, "sta", PHY, rate_provider=at_11,
+        config=MacConfig(max_attempts=3),
+    )
     sched = FifoTxScheduler()
     mac.attach_scheduler(sched)
     observed_cw = []
@@ -149,9 +159,12 @@ def test_exchange_airtime_includes_retries():
     sim = Simulator(seed=3)
     loss = PerLinkLoss({("sta", "ap"): 1.0})
     channel = Channel(sim, loss)
-    ap = DcfMac(sim, channel, "ap", PHY)
+    ap = DcfMac(sim, channel, "ap", PHY, rate_provider=at_11)
     ap.attach_scheduler(FifoTxScheduler())
-    mac = DcfMac(sim, channel, "sta", PHY, config=MacConfig(max_attempts=3))
+    mac = DcfMac(
+        sim, channel, "sta", PHY, rate_provider=at_11,
+        config=MacConfig(max_attempts=3),
+    )
     sched = FifoTxScheduler()
     mac.attach_scheduler(sched)
     reports = []
@@ -198,11 +211,11 @@ def test_scheduler_wakeup_after_none():
 
     sim = Simulator(seed=1)
     channel = Channel(sim)
-    ap = DcfMac(sim, channel, "ap", PHY)
+    ap = DcfMac(sim, channel, "ap", PHY, rate_provider=at_11)
     ap.attach_scheduler(FifoTxScheduler())
     received = []
     ap.rx_handler = received.append
-    mac = DcfMac(sim, channel, "sta", PHY)
+    mac = DcfMac(sim, channel, "sta", PHY, rate_provider=at_11)
     sched = GatedScheduler()
     mac.attach_scheduler(sched)
     sched.enqueue(SimplePacket("ap"))
@@ -226,18 +239,25 @@ def test_completion_reports_rates_and_sizes():
     h.sim.run()
     rep = reports[0]
     assert rep.success
-    assert rep.rate_mbps == 5.5
-    assert rep.payload_bytes == 700
-    assert rep.src == "sta0" and rep.dst == "ap"
+    assert rep.dst == "ap"
     assert rep.attempts == 1
+    # Rate, size and source are the frame's own: read them where the
+    # receiver got it.
+    (frame,) = h.rx_frames
+    assert frame.rate_mbps == 5.5
+    assert frame.size_bytes == 700
+    assert frame.src == "sta0"
 
 
 def test_attempt_listener_called_per_attempt():
     sim = Simulator(seed=4)
     channel = Channel(sim, PerLinkLoss({("sta", "ap"): 1.0}))
-    ap = DcfMac(sim, channel, "ap", PHY)
+    ap = DcfMac(sim, channel, "ap", PHY, rate_provider=at_11)
     ap.attach_scheduler(FifoTxScheduler())
-    mac = DcfMac(sim, channel, "sta", PHY, config=MacConfig(max_attempts=3))
+    mac = DcfMac(
+        sim, channel, "sta", PHY, rate_provider=at_11,
+        config=MacConfig(max_attempts=3),
+    )
     sched = FifoTxScheduler()
     mac.attach_scheduler(sched)
     attempts = []
@@ -259,7 +279,7 @@ def test_rate_provider_consulted_per_attempt():
 
     sim = Simulator(seed=5)
     channel = Channel(sim, PerLinkLoss({("sta", "ap"): 1.0}))
-    ap = DcfMac(sim, channel, "ap", PHY)
+    ap = DcfMac(sim, channel, "ap", PHY, rate_provider=at_11)
     ap.attach_scheduler(FifoTxScheduler())
     mac = DcfMac(
         sim, channel, "sta", PHY,
@@ -355,7 +375,7 @@ def test_receiver_shutdown_inside_the_hold_strands_nobody():
         assert not h.channel.carrier_busy
         assert all(mac._bo_event is not None for mac in contenders)
         expiries.append([
-            (mac._bo_event.time, mac._bo_anchor, mac._bo_slots)
+            (mac._bo_event[0], mac._bo_anchor, mac._bo_slots)
             for mac in contenders
         ])
     held, reference = expiries

@@ -30,19 +30,19 @@ import sys
 #: label -> {subpackage: ncalls} for one plain run of the spec.
 PINNED_CALLS = {
     "tbr/multi/n64": {
-        "campus": 134, "channel": 1545, "core": 9047, "mac": 2423,
-        "node": 2469, "phy": 847, "queueing": 3876, "scenario": 1578,
-        "sim": 2902, "transport": 7398,
+        "campus": 134, "channel": 1545, "core": 9047, "mac": 2256,
+        "node": 1689, "phy": 847, "queueing": 3876, "scenario": 1578,
+        "sim": 2025, "transport": 2610,
     },
     "campus/ch1": {
-        "campus": 27, "channel": 13926, "core": 2275, "mac": 17110,
+        "campus": 27, "channel": 13926, "core": 2275, "mac": 16102,
         "node": 4995, "phy": 5689, "queueing": 985, "scenario": 189,
-        "sim": 17242, "transport": 6735,
+        "sim": 8955, "transport": 6735,
     },
     "campus/ch3": {
-        "campus": 27, "channel": 25606, "core": 6085, "mac": 40535,
+        "campus": 27, "channel": 25606, "core": 6085, "mac": 37633,
         "node": 14169, "phy": 16738, "queueing": 2784, "scenario": 189,
-        "sim": 30838, "transport": 19380,
+        "sim": 15757, "transport": 19380,
     },
 }
 

@@ -72,6 +72,7 @@ ALLOWED: Dict[str, str] = {
     "transport/stats.py::FlowStats.delay_percentile_us": _LATENCY,
     "sim/kernel.py::Simulator.pending_count": _ACCESSOR,
     "mac/dcf.py::DcfMac.busy_with_frame": _ACCESSOR,
+    "node/access_point.py::AccessPoint.downlink_packets": _ACCESSOR,
     "core/tbr.py::TbrScheduler.token_rate": _ACCESSOR,
     "queueing/base.py::ApScheduler.is_associated": _ACCESSOR,
 }

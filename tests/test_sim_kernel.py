@@ -84,13 +84,13 @@ def test_cancel_prevents_execution():
     sim = Simulator()
     fired = []
     event = sim.schedule(10.0, fired.append, "x")
-    event.cancel()
+    sim.cancel(event)
     sim.run()
     assert fired == []
 
 
 def test_cancel_none_is_noop():
-    Simulator.cancel(None)  # must not raise
+    Simulator().cancel(None)  # must not raise
 
 
 def test_run_until_stops_clock_exactly():
@@ -172,7 +172,7 @@ def test_peek_returns_next_pending_time():
     event = sim.schedule(5.0, lambda: None)
     sim.schedule(9.0, lambda: None)
     assert sim.peek() == 5.0
-    event.cancel()
+    sim.cancel(event)
     assert sim.peek() == 9.0
 
 
@@ -182,7 +182,7 @@ def test_next_time_outside_run_is_the_heap_top_or_inf():
     sim.schedule(40.0, lambda: None)
     first = sim.schedule(10.0, lambda: None)
     assert sim.next_time() == 10.0
-    first.cancel()
+    sim.cancel(first)
     assert sim.next_time() == 40.0  # cancelled heads are skipped
 
 
@@ -193,7 +193,7 @@ def test_next_time_inside_run_is_bounded_by_the_horizon():
     sim.schedule(30.0, lambda: seen.append(sim.next_time()))
     doomed = sim.schedule(60.0, lambda: None)
     sim.schedule(70.0, lambda: seen.append(sim.next_time()))
-    sim.schedule(20.0, doomed.cancel)
+    sim.schedule(20.0, sim.cancel, doomed)
     sim.run(until=50.0)
     # From 10: the heap top (20) precedes the horizon.  From 30: the
     # next live event (70, the one at 60 is cancelled) lies beyond the
@@ -221,7 +221,7 @@ def test_pending_count_ignores_cancelled():
     sim = Simulator()
     keep = sim.schedule(1.0, lambda: None)
     drop = sim.schedule(2.0, lambda: None)
-    drop.cancel()
+    sim.cancel(drop)
     assert sim.pending_count() == 1
     del keep
 

@@ -33,7 +33,7 @@ def test_every_schedule_variant_carries_its_category():
 def test_cancelled_events_are_not_counted():
     sim = Simulator()
     event = sim.schedule(1.0, noop, category=EventCategory.MAC)
-    event.cancel()
+    sim.cancel(event)
     sim.schedule(2.0, noop, category=EventCategory.MAC)
     sim.run()
     assert sim.events_by_category()["mac"] == 1

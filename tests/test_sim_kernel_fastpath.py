@@ -18,7 +18,7 @@ def test_cancel_then_run_preserves_order_of_survivors():
     order = []
     events = [sim.schedule(float(i + 1), order.append, i) for i in range(10)]
     for i in (0, 3, 4, 8):
-        events[i].cancel()
+        sim.cancel(events[i])
     sim.run()
     assert order == [1, 2, 5, 6, 7, 9]
 
@@ -27,7 +27,7 @@ def test_cancel_inside_callback_prevents_later_execution():
     sim = Simulator()
     fired = []
     later = sim.schedule(10.0, fired.append, "later")
-    sim.schedule(5.0, later.cancel)
+    sim.schedule(5.0, sim.cancel, later)
     sim.run()
     assert fired == []
     assert sim.pending_count() == 0
@@ -38,7 +38,7 @@ def test_peek_after_mass_cancel():
     keep = sim.schedule(500.0, lambda: None)
     doomed = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
     for event in doomed:
-        event.cancel()
+        sim.cancel(event)
     assert sim.peek() == 500.0
     assert sim.pending_count() == 1
     del keep
@@ -50,10 +50,10 @@ def test_pending_count_is_accurate_through_churn():
     events = [sim.schedule(float(i + 1), lambda: None) for i in range(20)]
     assert sim.pending_count() == 20
     for event in events[::2]:
-        event.cancel()
+        sim.cancel(event)
     assert sim.pending_count() == 10
     # Double-cancel must not be double-counted.
-    events[0].cancel()
+    sim.cancel(events[0])
     assert sim.pending_count() == 10
     sim.run()
     assert sim.pending_count() == 0
@@ -70,7 +70,7 @@ def test_mass_cancel_triggers_compaction_and_keeps_order():
     for i in range(5):
         survivors.append(sim.schedule(100.0 + i, order.append, i))
     for event in stale:
-        event.cancel()
+        sim.cancel(event)
     assert sim.heap_compactions > 0
     assert sim.pending_count() == 5
     sim.run()
@@ -89,7 +89,7 @@ def test_compaction_preserves_same_time_priority_ties():
     sim.schedule(50.0, order.append, "tx", priority=EventPriority.TX_START)
     sim.schedule(50.0, order.append, "normal2", priority=EventPriority.NORMAL)
     for event in doomed:
-        event.cancel()
+        sim.cancel(event)
     assert sim.heap_compactions > 0
     sim.run()
     assert order == ["tx", "normal", "normal2"]
@@ -104,7 +104,7 @@ def test_cancel_after_execution_does_not_corrupt_counters():
     sim.schedule(2.0, lambda: None)
     sim.run()
     later = sim.schedule(3.0, fired.append, "b")
-    event.cancel()  # spent; must be a no-op for the accounting
+    sim.cancel(event)  # spent; must be a no-op for the accounting
     assert sim.pending_count() == 1
     sim.run()
     assert fired == ["a", "b"]
@@ -114,7 +114,7 @@ def test_cancel_after_execution_does_not_corrupt_counters():
     seen = []
 
     def cancel_self():
-        box[0].cancel()
+        sim.cancel(box[0])
         seen.append((sim.pending_count(), sim._stale))
 
     box = [sim.schedule(1.0, cancel_self)]

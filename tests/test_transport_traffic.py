@@ -22,7 +22,7 @@ from repro.sim import Simulator
 from repro.transport.packet import Packet, PacketPool
 from repro.transport.stats import FlowStats
 from repro.transport.udp import UdpSender, UdpSink
-from repro.transport.wired import WiredLink
+from repro.transport.wired import Pacing, WiredLink
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_stop_us_landing_exactly_on_a_fire_time():
     source = host.udp_stream(
         "n1", 1.0, 100, stop_us=first_fire, name="edge"
     )
-    assert source.peek_fire_us() is None
+    assert source.fire_us >= source.stop_us  # no arrival pending
     cell.sim.run(until=10 * interval)
     assert source.sent == 0
     assert cell.ap.downlink_packets == 0
@@ -216,7 +216,7 @@ def test_dynamic_stop_unwinds_speculative_fold():
     sent_before = source.sent
     source.stop()
     assert source.sent == sent_before - 1  # speculative arrival undone
-    assert source.peek_fire_us() is None
+    assert source.fire_us >= source.stop_us  # no arrival pending
     pending_deliveries = cell.sim.pending_count()
     cell.sim.run(until=cell.sim.now + 10 * source.interval_us)
     # No new arrivals after the stop: only in-flight work drained.
@@ -232,32 +232,22 @@ def test_zero_rate_link_fifo_ordering_across_sources_and_sends():
     link = WiredLink(sim, delay_us=500.0, rate_mbps=0.0)
     order = []
 
-    class Scripted:
-        """Minimal DemandSource with a fixed fire schedule."""
+    class Scripted(Pacing):
+        """Minimal demand source: ``count`` arrivals, ``interval_us``
+        apart from ``first_us`` on."""
 
-        packet_bytes = 1000
-
-        def __init__(self, label, fires):
+        def __init__(self, label, first_us, interval_us, count):
+            super().__init__(
+                first_us, interval_us, 1000,
+                stop_us=first_us + (count - 0.5) * interval_us,
+            )
             self.label = label
-            self.fires = list(fires)
-            self.pos = 0
-            self.delivered_seqs = []
-
-        def peek_fire_us(self):
-            return self.fires[self.pos] if self.pos < len(self.fires) else None
-
-        def advance(self):
-            self.pos += 1
-            return self.pos
-
-        def rewind(self, seq, fire_us):
-            self.pos -= 1
 
         def deliver(self, seq, fire_us):
             order.append((self.label, fire_us))
 
-    a = Scripted("a", [100.0, 300.0, 300.0 + 200.0])
-    b = Scripted("b", [100.0, 250.0])
+    a = Scripted("a", 100.0, 200.0, 3)  # 100, 300, 500
+    b = Scripted("b", 100.0, 150.0, 2)  # 100, 250
     link.attach_source(a)
     link.attach_source(b)
 
@@ -283,18 +273,11 @@ def test_plain_send_unwind_restores_serialization_state():
     link = WiredLink(sim, delay_us=100.0, rate_mbps=8.0)
     deliveries = []
 
-    class One:
-        packet_bytes = 1000
+    class One(Pacing):
+        """A single arrival, at 500 us."""
 
-        def peek_fire_us(self):
-            return 500.0 if not getattr(self, "done", False) else None
-
-        def advance(self):
-            self.done = True
-            return 1
-
-        def rewind(self, seq, fire_us):
-            self.done = False
+        def __init__(self):
+            super().__init__(500.0, 1000.0, 1000, stop_us=501.0)
 
         def deliver(self, seq, fire_us):
             deliveries.append(("demand", sim.now))
@@ -357,23 +340,12 @@ def test_reset_mid_sim_with_backlogged_demand_source(rate_mbps):
     link = WiredLink(sim, delay_us=0.0, rate_mbps=rate_mbps)
     delivered = []
 
-    class Fast:
-        # Fires every 200 us; at 8 Mbps each 1000 B packet serializes
-        # for 1000 us, so the fold frontier falls behind the clock.
-        packet_bytes = 1000
-
+    class Fast(Pacing):
+        # Fires every 200 us from 100 us on; at 8 Mbps each 1000 B
+        # packet serializes for 1000 us, so the fold frontier falls
+        # behind the clock.
         def __init__(self):
-            self.pos = 0
-
-        def peek_fire_us(self):
-            return self.pos * 200.0 + 100.0
-
-        def advance(self):
-            self.pos += 1
-            return self.pos
-
-        def rewind(self, seq, fire_us):
-            self.pos -= 1
+            super().__init__(100.0, 200.0, 1000)
 
         def deliver(self, seq, fire_us):
             delivered.append(sim.now)

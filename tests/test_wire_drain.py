@@ -19,7 +19,7 @@ from repro.scenario import build_spec
 from repro.scenario.builder import ScenarioRuntime
 from repro.sim import EventCategory, Simulator
 from repro.transport.udp import UdpSender
-from repro.transport.wired import WiredLink
+from repro.transport.wired import Pacing, WiredLink
 
 from test_transport_traffic import legacy_udp_down
 
@@ -304,27 +304,15 @@ def test_run_until_horizon_bounds_the_drain(scheduler, seed):
 # ----------------------------------------------------------------------
 # link-level units: ties, the unbounded case
 # ----------------------------------------------------------------------
-class Refused:
-    """Scripted demand source whose consumer refuses every arrival."""
+class Refused(Pacing):
+    """Scripted demand source whose consumer refuses every arrival: a
+    pacing record firing every ``period_us``, from ``period_us`` on."""
 
-    packet_bytes = 100
-
-    def __init__(self, sim, period_us):
+    def __init__(self, sim, period_us, stop_us=None):
+        super().__init__(period_us, period_us, 100, stop_us=stop_us)
         self.sim = sim
-        self.period_us = period_us
-        self.pos = 1
         self.observed = []  # arrival times that cost a kernel event
         self.refused = 0
-
-    def peek_fire_us(self):
-        return self.pos * self.period_us
-
-    def advance(self):
-        self.pos += 1
-        return self.pos - 1
-
-    def rewind(self, seq, fire_us):
-        self.pos -= 1
 
     def deliver(self, seq, fire_us):
         self.observed.append(self.sim.now)
@@ -338,11 +326,7 @@ class FiniteRefused(Refused):
     """``Refused`` that runs dry after ``count`` arrivals."""
 
     def __init__(self, sim, period_us, count):
-        super().__init__(sim, period_us)
-        self.count = count
-
-    def peek_fire_us(self):
-        return super().peek_fire_us() if self.pos <= self.count else None
+        super().__init__(sim, period_us, stop_us=(count + 0.5) * period_us)
 
 
 def test_no_horizon_drains_a_finite_source_inline():
