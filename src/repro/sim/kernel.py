@@ -15,11 +15,11 @@ entry's callback (``entry[3] = None``) and the entry stays queued until
 it surfaces, when ``run`` drops it; ``run`` also clears the callback of
 an entry it pops to execute.  The kernel never reuses an entry, so a
 caller may keep one and cancel it at any time: cancelling an entry that
-already ran or was cancelled does nothing.  The kernel keeps O(1)
-live/stale counts and compacts the heap in place when stale entries
-outnumber live ones — saturated DCF cancels a backoff or ACK-timeout
-on almost every exchange, and without compaction those corpses inflate
-every subsequent sift.
+already ran or was cancelled does nothing.  The kernel counts the
+stale entries (the rest of the heap is live) and compacts the heap in
+place when they outnumber the live ones — saturated DCF cancels a
+backoff or ACK-timeout on almost every exchange, and without
+compaction those corpses inflate every subsequent sift.
 
 ``Simulator.now`` is a plain attribute, not a property: it is read
 several times per executed event from every layer, and a Python-level
@@ -100,9 +100,7 @@ class Simulator:
         #: events whose callback returned, per EventCategory bucket
         #: (index = category); their sum is :attr:`events_executed`.
         self._cat_counts = [0] * NUM_CATEGORIES
-        #: live entries currently queued (O(1) pending_count).
-        self._live = 0
-        #: cancelled entries still queued.
+        #: cancelled entries still queued; the rest of the heap is live.
         self._stale = 0
         self._compactions = 0
         #: attached observers in attach order (see :meth:`observe`).
@@ -198,7 +196,6 @@ class Simulator:
             priority if type(priority) is int else int(priority),
             seq, callback, args, category,
         ]
-        self._live += 1
         heappush(self._heap, entry)
         return entry
 
@@ -227,7 +224,6 @@ class Simulator:
             priority if type(priority) is int else int(priority),
             seq, callback, args, category,
         ]
-        self._live += 1
         heappush(self._heap, entry)
         return entry
 
@@ -240,10 +236,9 @@ class Simulator:
         if entry is None or entry[3] is None:
             return
         entry[3] = None
-        self._live -= 1
         stale = self._stale + 1
         self._stale = stale
-        if stale > _COMPACT_MIN_STALE and stale > self._live:
+        if stale > _COMPACT_MIN_STALE and stale > len(self._heap) - stale:
             self._compact()
 
     # ------------------------------------------------------------------
@@ -312,7 +307,6 @@ class Simulator:
                     self.now = until
                     break
                 heappop(heap)
-                self._live -= 1
                 self.now = time
                 args = entry[4]
                 # Break reference cycles and mark the entry spent, so a
@@ -357,8 +351,8 @@ class Simulator:
         return horizon if head is None or head > horizon else head
 
     def pending_count(self) -> int:
-        """Number of non-cancelled events currently queued.  O(1)."""
-        return self._live
+        """Number of live (not cancelled) entries currently queued.  O(1)."""
+        return len(self._heap) - self._stale
 
     def next_pending(self, category: Optional[int] = None) -> Optional[float]:
         """Earliest pending event time, optionally filtered by category.

@@ -347,6 +347,11 @@ class WiredLink:
         now = sim.now
         rate = self.rate_mbps
         delay = self.delay_us
+        # The serialization clock and the drain count live in locals
+        # until the loop ends: a refusal touches only its scheduler.
+        busy = self._busy_until
+        drained = 0
+        record = None
         pushed = None  # the entry this loop pushed last: live by construction
         while arrivals:
             entry = arrivals[0]
@@ -358,13 +363,12 @@ class WiredLink:
             ):
                 heappop(arrivals)  # orphaned by stop()/rewind
                 continue
-            busy_before = self._busy_until
+            busy_before = busy
             if rate > 0:
-                start = busy_before
-                if fire > start:
-                    start = fire
-                ready = start + source.packet_bytes * 8.0 / rate
-                self._busy_until = ready
+                if fire > busy:
+                    busy = fire
+                busy = busy + source.packet_bytes * 8.0 / rate
+                ready = busy
             else:
                 ready = fire
             seq = source.seq + 1
@@ -398,17 +402,21 @@ class WiredLink:
                 # past.
                 deliver_at = now
             if deliver_at < limit and source.refuse():
-                self.delivered += 1
-                self.drained += 1
+                drained += 1
                 continue
             record = _Folded(source, index, fire, seq, busy_before, None)
+            break
+        self._busy_until = busy
+        if drained:
+            self.delivered += drained
+            self.drained += drained
+        if record is not None:
             record.event = sim.schedule_at(
                 deliver_at,
                 self._pump_deliver,
                 category=EventCategory.TRAFFIC,
             )
             self._folded.append(record)
-            return
 
     def _pump_deliver(self) -> None:
         record = self._folded.popleft()
