@@ -50,8 +50,8 @@ from repro.transport.packet import try_release
 _SLOT_EPS = 1e-6
 
 #: Priorities and the category of the per-exchange schedule sites as
-#: plain ``int``s (an ``IntEnum`` member costs the kernel an ``int()``
-#: per push and an ``__index__`` per executed event).
+#: plain ``int``s (an ``IntEnum`` category costs the kernel an
+#: ``__index__`` per executed event).
 _PRIO_TX_START = int(EventPriority.TX_START)
 _PRIO_HIGH = int(EventPriority.HIGH)
 _CAT_MAC = int(EventCategory.MAC)

@@ -191,11 +191,7 @@ class Simulator:
         # saturated cells, one delegation frame matters.
         seq = self._seq
         self._seq = seq + 1
-        entry = [
-            self.now + delay,
-            priority if type(priority) is int else int(priority),
-            seq, callback, args, category,
-        ]
+        entry = [self.now + delay, priority, seq, callback, args, category]
         heappush(self._heap, entry)
         return entry
 
@@ -219,11 +215,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        entry = [
-            time,
-            priority if type(priority) is int else int(priority),
-            seq, callback, args, category,
-        ]
+        entry = [time, priority, seq, callback, args, category]
         heappush(self._heap, entry)
         return entry
 

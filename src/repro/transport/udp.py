@@ -159,7 +159,9 @@ class UdpDownlinkSource(Pacing):
 
     TIME_STATE = dict(
         clocks=("_staged_ts",),
-        phase={"_staged_seq": "sequence number of the arrival being delivered"},
+        phase={
+            "_staged_seq": "sequence number of the arrival being delivered",
+        },
     )
 
     def __init__(

@@ -73,6 +73,9 @@ from repro.sim import EventCategory, Simulator
 
 #: ``_fold_next`` limit under which no delivery time can fall.
 _NO_DRAIN = -float("inf")
+#: The category of every delivery event, as a plain ``int`` (see
+#: ``repro.mac.dcf``).
+_CAT_TRAFFIC = int(EventCategory.TRAFFIC)
 
 
 class Pacing:
@@ -239,7 +242,7 @@ class WiredLink:
         # Fire-and-forget: nobody keeps (or cancels) delivery events.
         sim.schedule(
             ready - now + self.delay_us, self._deliver, packet, deliver,
-            category=EventCategory.TRAFFIC,
+            category=_CAT_TRAFFIC,
         )
         if not self._folded and self._arrivals:
             self._fold_next()
@@ -381,9 +384,8 @@ class WiredLink:
                 next_fire = fire + source.interval_us
             else:
                 lo = source.lo
-                next_fire = fire + (
-                    source.interval_us + (lo + (source.hi - lo) * source.random())
-                )
+                jitter = lo + (source.hi - lo) * source.random()
+                next_fire = fire + (source.interval_us + jitter)
             source.fire_us = next_fire
             if stop is not None and next_fire >= stop:
                 heappop(arrivals)
@@ -414,7 +416,7 @@ class WiredLink:
             record.event = sim.schedule_at(
                 deliver_at,
                 self._pump_deliver,
-                category=EventCategory.TRAFFIC,
+                category=_CAT_TRAFFIC,
             )
             self._folded.append(record)
 
