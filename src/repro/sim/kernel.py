@@ -184,7 +184,10 @@ class Simulator:
         priority: int = EventPriority.NORMAL,
         category: int = 0,
     ) -> Entry:
-        """Schedule ``callback(*args)`` to run ``delay`` us from now."""
+        """Schedule ``callback(*args)`` to run ``delay`` us from now.
+
+        Returns the heap entry, the handle :meth:`cancel` takes.
+        """
         if not (delay >= 0):  # also rejects NaN
             raise SimulationError(f"negative delay {delay!r}")
         # Inlined schedule_at: this is the hottest allocation site in

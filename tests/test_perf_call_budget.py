@@ -49,8 +49,11 @@ PINNED_CALLS = {
 _SCRIPT = r"""
 import cProfile, json, pathlib, pstats, sys
 
+import repro
 from repro.scenario import run_spec
 from test_perf_event_budget import HEADLINE, campus_spec, saturated_spec
+
+PACKAGE = pathlib.Path(repro.__file__).resolve().parent
 
 SPECS = {
     "tbr/multi/n64": saturated_spec(*HEADLINE),
@@ -60,10 +63,10 @@ SPECS = {
 
 
 def layer(filename):
-    parts = pathlib.PurePath(filename).parts
-    if "repro" not in parts[:-1]:
+    try:
+        inside = pathlib.Path(filename).resolve().relative_to(PACKAGE).parts
+    except ValueError:
         return None
-    inside = parts[len(parts) - parts[::-1].index("repro"):]
     return inside[0] if len(inside) > 1 else "repro"
 
 
