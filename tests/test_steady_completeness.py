@@ -23,9 +23,10 @@ from repro.scenario import build_spec
 from repro.scenario.builder import ScenarioRuntime
 from repro.sim.steady import CALIBRATION_US
 
-#: not cell state: the kernel and its events, pooled packets and the
-#: frames in flight around them.
-_SKIPPED = {"Simulator", "Event", "Packet", "Frame"}
+#: not cell state: the kernel, pooled packets and the frames in flight
+#: around them.  (A component's pending event is a plain list, which
+#: the walk enters like any container: nothing in it is cell state.)
+_SKIPPED = {"Simulator", "Packet", "Frame"}
 _KINDS = ("clocks", "counters", "exact", "phase")
 
 
