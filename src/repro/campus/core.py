@@ -1,8 +1,8 @@
 """``Campus`` — N cells, one kernel, co-channel interference.
 
 The extended service set the paper's single-cell experiments live
-inside: every :class:`~repro.node.cell.Cell` keeps its own AP, channel,
-scheduler and usage ledger, but all of them share one
+inside: every :class:`~repro.node.cell.Cell` keeps its own AP, scheduler
+and channel (the ledger of that medium's time), but all of them share one
 :class:`~repro.sim.Simulator`, so cross-cell timing (a roam landing, a
 co-channel collision) is exact, not approximated.
 

@@ -7,7 +7,7 @@ both — collision behaviour therefore *emerges* from MAC timing rather
 than being injected as a probability.
 """
 
-from repro.channel.medium import Channel, Transmission, ChannelListener
+from repro.channel.medium import Channel, Transmission, ChannelListener, UsageRecord
 from repro.channel.loss import (
     LossModel,
     NoLoss,
@@ -21,7 +21,6 @@ from repro.channel.propagation import (
     RadioEnvironment,
     distance,
 )
-from repro.channel.usage import ChannelUsageMonitor, UsageRecord
 
 __all__ = [
     "Channel",
@@ -36,6 +35,5 @@ __all__ = [
     "LogDistancePathLoss",
     "RadioEnvironment",
     "distance",
-    "ChannelUsageMonitor",
     "UsageRecord",
 ]

@@ -46,15 +46,22 @@ them.  A receiver that owes a SIFS response reserves it
 that just ended and the idle->busy edge of the response are then
 withheld together — the *response hold*; its contract sits beside the
 state that implements it, in :meth:`Channel.__init__`.
+
+The medium is also the ledger of its own time: :attr:`Channel.busy_us`,
+and each station's occupancy (the paper's T(i), Sections 2.3 and 4.2),
+which :meth:`Channel.charge`, a MAC completion listener, credits with
+every finished exchange's airtime.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Tuple, TYPE_CHECKING
 
 from repro.sim import EventCategory, Simulator, EventPriority
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.mac.dcf import ExchangeReport
     from repro.mac.frames import Frame
 
 #: Frame-end priority and category as plain ``int``s: an ``IntEnum``
@@ -88,6 +95,15 @@ class ChannelListener(Protocol):
         ``corrupted`` is this listener's view."""
 
 
+@dataclass
+class UsageRecord:
+    """One completed MAC exchange (possibly several retries)."""
+
+    time: float
+    station: str
+    airtime_us: float
+
+
 class Transmission:
     """One in-flight frame."""
 
@@ -108,10 +124,11 @@ class Channel:
     #: Busy/idle marks, the deaf-after-transmit window, a reserved
     #: response's start and in-flight frame boundaries all move with the
     #: clock (``repro.sim.steady``), so a jump taken mid-exchange — or
-    #: inside a response hold — resumes with identical timing.
+    #: inside a response hold — resumes with identical timing; a jump
+    #: appends no ``records`` (there was no exchange to describe).
     TIME_STATE = dict(
         clocks=("busy_start", "idle_start", "_last_tx_end", "_response_at"),
-        counters=("busy_us",),
+        counters=("busy_us", "_occupancy_us"),
         parts=("active",),
         phase={"_busy_accum": "the store behind busy_us, which a jump credits"},
     )
@@ -128,6 +145,10 @@ class Channel:
         #: when the medium last became idle (0.0 at t=0: born idle).
         self.idle_start: float = 0.0
         self._busy_accum = 0.0
+        #: station -> attributed airtime (us) since the warm-up reset.
+        self._occupancy_us: Dict[str, float] = {}
+        #: one :class:`UsageRecord` per charge, when a reader sets a list.
+        self.records: Optional[List[UsageRecord]] = None
         self._sniffers: List[Callable] = []
 
         # --- notification snapshots -----------------------------------
@@ -297,6 +318,36 @@ class Channel:
         """Fraction of elapsed simulation time the medium was busy."""
         total = self.sim.now
         return self.busy_us / total if total > 0 else 0.0
+
+    # ------------------------------------------------------------------
+    def charge(self, report: "ExchangeReport") -> None:
+        """MAC completion listener: attribute the exchange's airtime to
+        its packet's station (a packet-less report charges nobody)."""
+        packet = report.packet
+        if packet is None:
+            return
+        airtime_us = report.airtime_us
+        if airtime_us < 0:
+            raise ValueError("airtime must be non-negative")
+        station = packet.station
+        occupancy = self._occupancy_us
+        occupancy[station] = occupancy.get(station, 0.0) + airtime_us
+        if self.records is not None:
+            self.records.append(UsageRecord(self.sim.now, station, airtime_us))
+
+    def occupancy_us(self, station: str) -> float:
+        return self._occupancy_us.get(station, 0.0)
+
+    def occupancies_us(self) -> Dict[str, float]:
+        """Snapshot of every station's attributed airtime."""
+        return dict(self._occupancy_us)
+
+    def reset_occupancy(self) -> None:
+        """Clear the attributed airtime and any records (end of
+        warm-up); :attr:`busy_us` keeps counting from t = 0."""
+        self._occupancy_us.clear()
+        if self.records is not None:
+            self.records.clear()
 
     # ------------------------------------------------------------------
     def couple(self, other: "Channel") -> None:

@@ -161,17 +161,17 @@ def execute_bucket_depth(params: Dict) -> Tuple[float, float]:
         seconds=steps * window_s, warmup_seconds=WARMUP_S,
         seed=params["seed"],
     )
-    usage = recorded_usage(spec)
+    channel = recorded_usage(spec)
 
     stations = [station.name for station in spec.stations]
     edges_us = [us_from_s(WARMUP_S + k * window_s) for k in range(steps + 1)]
-    windows = windowed_occupancy(usage.records, edges_us, stations)
+    windows = windowed_occupancy(channel.records, edges_us, stations)
     window_jains = [
         jain_index(list(window.values()))
         for window in windows
         if sum(window.values()) > 0
     ]
-    long_term = jain_index([usage.occupancy_us(s) for s in stations])
+    long_term = jain_index([channel.occupancy_us(s) for s in stations])
     short_term = statistics.mean(window_jains) if window_jains else 0.0
     return (long_term, short_term)
 

@@ -27,7 +27,7 @@ from typing import (
 )
 
 from repro.campaign.job import Job, make_job
-from repro.channel.usage import ChannelUsageMonitor, UsageRecord
+from repro.channel.medium import Channel, UsageRecord
 from repro.core.tbr import TbrConfig
 from repro.phy.phy import DOT11B_LONG_PREAMBLE, PhyParams
 from repro.scenario.builder import ScenarioRuntime
@@ -210,14 +210,14 @@ def windowed_occupancy(
     return windows
 
 
-def recorded_usage(spec: ScenarioSpec) -> ChannelUsageMonitor:
-    """Run ``spec`` with its cell's usage monitor keeping one
-    :class:`UsageRecord` per exchange, and return the monitor."""
+def recorded_usage(spec: ScenarioSpec) -> Channel:
+    """Run ``spec`` with its cell's channel keeping one
+    :class:`UsageRecord` per exchange, and return the channel."""
     runtime = ScenarioRuntime(spec)
-    usage = runtime.cell.usage
-    usage.keep_records = True
+    channel = runtime.cell.channel
+    channel.records = []
     runtime.run()
-    return usage
+    return channel
 
 
 def phased_occupancy(
@@ -239,10 +239,10 @@ def phased_occupancy(
     (``None`` when none does).  FILLEVENT units are used under every
     scheduler so the columns compare.
     """
-    usage = recorded_usage(spec)
+    channel = recorded_usage(spec)
     inf = float("inf")
     occupancy = windowed_occupancy(
-        usage.records, (-inf, *cuts_us, inf), [s.name for s in spec.stations]
+        channel.records, (-inf, *cuts_us, inf), [s.name for s in spec.stations]
     )
 
     start_us, end_us = probe_us
@@ -252,7 +252,7 @@ def phased_occupancy(
     while start_us + len(edges_us) * window_us <= end_us:
         edges_us.append(start_us + len(edges_us) * window_us)
     fair = 1.0 / len(probed)
-    windows = windowed_occupancy(usage.records, edges_us, probed)
+    windows = windowed_occupancy(channel.records, edges_us, probed)
     for window, in_window in enumerate(windows, start=1):
         share = shares(in_window)
         if all(abs(share[s] - fair) <= SHARE_TOLERANCE for s in probed):

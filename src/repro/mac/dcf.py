@@ -25,8 +25,9 @@ The MAC pulls packets from a :class:`TxScheduler` — stations use a FIFO,
 the AP plugs in round-robin/DRR or the paper's TBR.  A finished
 exchange leaves the MAC one way: an :class:`ExchangeReport` with its
 channel-occupancy time, handed to the completion listeners in order —
-TBR's COMPLETEEVENT (subscribed first, by the AP), the usage ledger,
-the AP's reaper and the fast-forward detector.
+TBR's COMPLETEEVENT (subscribed first, by the AP), the channel's
+occupancy ledger (``Channel.charge``), the AP's reaper and the
+fast-forward detector.
 """
 
 from __future__ import annotations

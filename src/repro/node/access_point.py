@@ -306,24 +306,6 @@ class AccessPoint:
         packet.mac_dst = packet.station
         self.scheduler.enqueue(packet)
 
-    def downlink_arrival(
-        self, station: str, materialize: Callable[[], Packet]
-    ) -> bool:
-        """Demand-path APPTXEVENT with drop-before-alloc.
-
-        The two-event path materializes a packet at the source and drops
-        it at the full queue; this one lets the scheduler refuse first
-        and only calls ``materialize()`` for arrivals it does not, so a
-        saturated cell's tail drops never touch the allocator.  Counters
-        move exactly as in :meth:`_enqueue_downlink` + drop-tail ``push``.
-        """
-        scheduler = self.scheduler
-        if scheduler.refuse(station):
-            return False
-        packet = materialize()
-        packet.mac_dst = station
-        return scheduler.enqueue(packet)
-
     def _on_attempt(self, dst: str, success: bool) -> None:
         self.rate_controller.on_attempt(dst, success)
         if success and self.reaper is not None:

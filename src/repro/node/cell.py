@@ -3,9 +3,10 @@
 Every experiment in the paper is "an AP, a few stations at various
 rates, TCP or UDP flows up or down, with or without TBR".  ``Cell``
 assembles the simulator, channel, AP (with the chosen queueing
-discipline), stations, flows and measurement hooks, and exposes the
-results the paper reports: per-flow throughput and per-station channel
-occupancy.
+discipline), stations and flows, subscribes the channel's occupancy
+ledger (:meth:`Channel.charge`) on every MAC, and exposes the results
+the paper reports: per-flow throughput and per-station channel
+occupancy over its measurement window.
 
 Example::
 
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.channel.medium import Channel
-from repro.channel.usage import ChannelUsageMonitor
 from repro.core.tbr import TbrConfig, TbrScheduler
 from repro.node.access_point import AccessPoint
 from repro.node.rate_control import FixedRate, RateController
@@ -80,11 +80,12 @@ def _make_scheduler(
 
 
 class Cell:
-    """A single 802.11 cell with an AP, stations and flows."""
+    """A single 802.11 cell with an AP, stations and flows; its channel
+    keeps the time accounts, the cell the measurement window."""
 
     #: The root ``repro.sim.steady``'s walker starts from.
     TIME_STATE = dict(
-        parts=("channel", "usage", "ap", "stations", "flows"),
+        parts=("channel", "ap", "stations", "flows"),
         phase={"_measure_start_us": "stays put: skipped time counts as measured"},
     )
 
@@ -108,7 +109,6 @@ class Cell:
         self.sim = sim if sim is not None else Simulator(seed=seed)
         self.phy = phy
         self.channel = Channel(self.sim, loss_model)
-        self.usage = ChannelUsageMonitor(self.sim)
         self.scheduler = _make_scheduler(self.sim, scheduler, tbr_config)
         self.ap = AccessPoint(
             self.sim,
@@ -119,7 +119,7 @@ class Cell:
             rate_controller=ap_rate_controller,
             oracle_retry_accounting=oracle_retry_accounting,
         )
-        self.ap.mac.add_completion_listener(self._record_usage)
+        self.ap.mac.add_completion_listener(self.channel.charge)
         if isinstance(self.scheduler, TbrScheduler) and self.scheduler.config.notify_clients:
             self.ap.mac.ack_decorator = self._decorate_ack
         self.stations: Dict[str, Station] = {}
@@ -158,7 +158,7 @@ class Cell:
             cooperate_with_tbr=cooperate_with_tbr,
             mac_config=mac_config,
         )
-        station.mac.add_completion_listener(self._record_usage)
+        station.mac.add_completion_listener(self.channel.charge)
         self.stations[name] = station
         self.ap.associate(name)
         if rate_controller is None and downlink_rate_mbps is None:
@@ -251,16 +251,6 @@ class Cell:
         self.scheduler.disassociate(name)
         if isinstance(self.ap.rate_controller, FixedRate):
             self.ap.rate_controller.table.pop(name, None)
-
-    # ------------------------------------------------------------------
-    # usage accounting (true occupancy, both directions)
-    # ------------------------------------------------------------------
-    def _record_usage(self, report) -> None:
-        # Every packet a cell builds carries its station's address, in
-        # either direction: the uplink source, the downlink destination.
-        packet = report.packet
-        if packet is not None:
-            self.usage.record_exchange(packet.station, report.airtime_us)
 
     def _decorate_ack(self, ack, data_frame) -> None:
         hint = self.scheduler.defer_hint_for(data_frame.src)
@@ -429,7 +419,7 @@ class Cell:
     def reset_measurements(self) -> None:
         """Zero throughput/occupancy accumulators (end of warm-up)."""
         self._measure_start_us = self.sim.now
-        self.usage.reset()
+        self.channel.reset_occupancy()
         for flow in self.flows:
             flow.stats.reset()
 
@@ -441,7 +431,7 @@ class Cell:
     # warm-up, ``measured_us`` is 0 and every per-window metric below
     # reports 0.0 — uniformly, never a ZeroDivisionError.  The explicit
     # guards keep the contract visible (and independent of how the
-    # underlying monitors handle degenerate denominators).
+    # underlying accounts handle degenerate denominators).
     def throughputs_mbps(self) -> Dict[str, float]:
         """Per-flow goodput over the measurement window (0.0 each when
         the window is empty)."""
@@ -470,7 +460,7 @@ class Cell:
         transmitted and then truly left must not report 0.000."""
         keys = list(self.stations)
         present = set(keys)
-        keys.extend(s for s in sorted(self.usage.occupancies_us()) if s not in present)
+        keys.extend(s for s in sorted(self.channel.occupancies_us()) if s not in present)
         return keys
 
     def occupancy_fractions(self) -> Dict[str, float]:
@@ -480,16 +470,16 @@ class Cell:
         if measured <= 0:
             return {s: 0.0 for s in self._occupancy_keys()}
         return {
-            s: self.usage.occupancy_us(s) / measured
+            s: self.channel.occupancy_us(s) / measured
             for s in self._occupancy_keys()
         }
 
     def occupancy_shares(self) -> Dict[str, float]:
         """Per-station share of the total attributed channel time (0.0
         each when the measurement window is empty, or holds none)."""
-        total = sum(self.usage.occupancies_us().values())
+        total = sum(self.channel.occupancies_us().values())
         if self.measured_us <= 0 or total <= 0:
             return {s: 0.0 for s in self._occupancy_keys()}
         return {
-            s: self.usage.occupancy_us(s) / total for s in self._occupancy_keys()
+            s: self.channel.occupancy_us(s) / total for s in self._occupancy_keys()
         }

@@ -322,28 +322,23 @@ class Simulator:
             self._horizon = float("inf")
         return self.now
 
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or None if the queue is empty."""
+    def next_time(self) -> float:
+        """Earliest time at which anything but the running event can act.
+
+        The smaller of the next pending event's time and the ``until``
+        horizon of the running :meth:`run` call — no pending event fires
+        before it and no caller regains control before it, so state that
+        only kernel events mutate is frozen over ``[now, next_time())``.
+        ``inf`` when nothing is queued and no horizon is set.  A run ends
+        only at its horizon or when the queue drains, so nothing else
+        bounds it.  Cancelled entries at the head are popped on the way.
+        """
         heap = self._heap
         while heap and heap[0][3] is None:
             heapq.heappop(heap)
             self._stale -= 1
-        return heap[0][0] if heap else None
-
-    def next_time(self) -> float:
-        """Earliest time at which anything but the running event can act.
-
-        The smaller of :meth:`peek` and the ``until`` horizon of the
-        running :meth:`run` call — no pending event fires before it and
-        no caller regains control before it, so state that only kernel
-        events mutate is frozen over ``[now, next_time())``.  ``inf``
-        when nothing is queued and no horizon is set.  A run ends only
-        at its horizon or when the queue drains, so nothing else bounds
-        it.
-        """
-        head = self.peek()
         horizon = self._horizon
-        return horizon if head is None or head > horizon else head
+        return heap[0][0] if heap and heap[0][0] < horizon else horizon
 
     def pending_count(self) -> int:
         """Number of live (not cancelled) entries currently queued.  O(1)."""
@@ -352,7 +347,7 @@ class Simulator:
     def next_pending(self, category: Optional[int] = None) -> Optional[float]:
         """Earliest pending event time, optionally filtered by category.
 
-        Unlike :meth:`peek` this is a full O(n) heap walk — it skips
+        Unlike :meth:`next_time` this is a full O(n) heap walk — it skips
         cancelled entries without popping them and can answer "when is
         the next *timeline* event?" (``category=EventCategory.OTHER``),
         which the fast-forward planner uses to bound a jump.  Returns

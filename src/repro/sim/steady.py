@@ -286,7 +286,7 @@ class FastForwardEngine:
             backlogs={
                 name: cell.scheduler.backlog(name) for name in cell.stations
             },
-            occupancy=cell.usage.occupancies_us(),
+            occupancy=cell.channel.occupancies_us(),
             bad_exchanges=self._bad_exchanges,
             timeline_events=cell.sim.events_by_category()["other"],
             counters=read_counters(cell),
@@ -347,7 +347,7 @@ class FastForwardEngine:
 
         cell = self.cell
         scheduler = cell.scheduler
-        occupancy = cell.usage.occupancies_us()
+        occupancy = cell.channel.occupancies_us()
         deltas = {
             name: occupancy.get(name, 0.0) - snap.occupancy.get(name, 0.0)
             for name in cell.stations

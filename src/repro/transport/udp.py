@@ -146,8 +146,9 @@ class UdpDownlinkSource(Pacing):
 
     * :meth:`deliver` — when the arrival exits the pipe, where the AP's
       queue decides *before any allocation* whether the packet exists
-      at all (tail drops cost nothing), and accepted packets come from
-      the AP's :class:`~repro.transport.packet.PacketPool`;
+      at all (a tail drop costs one ``refuse`` call), and accepted
+      packets come from the AP's
+      :class:`~repro.transport.packet.PacketPool`;
     * ``refuse()`` — when the pump drains: a tail drop (or a refusal
       for a departed station) that nothing can observe before the next
       kernel event is counted here and now, with no event of its own.
@@ -156,13 +157,6 @@ class UdpDownlinkSource(Pacing):
     """
 
     HEADER_BYTES = UdpSender.HEADER_BYTES
-
-    TIME_STATE = dict(
-        clocks=("_staged_ts",),
-        phase={
-            "_staged_seq": "sequence number of the arrival being delivered",
-        },
-    )
 
     def __init__(
         self,
@@ -202,48 +196,43 @@ class UdpDownlinkSource(Pacing):
         self.ap = ap
         self.on_receive = on_receive
         self.refuse = partial(ap.scheduler.refuse, station)
-        #: staged delivery context for :meth:`_materialize`.
-        self._staged_seq = 0
-        self._staged_ts = 0.0
         self.link = ap.downlink_wire
         self.link.attach_source(self)
 
     def deliver(self, seq: int, fire_us: float) -> None:
-        self._staged_seq = seq
-        self._staged_ts = fire_us
-        self.ap.downlink_arrival(self.station, self._materialize)
-
-    # ------------------------------------------------------------------
-    def _materialize(self) -> Packet:
-        """Build (or recycle) the admitted packet.  Every field is
-        overwritten, so pooled reuse cannot leak state across flows."""
-        seq = self._staged_seq
-        ts = self._staged_ts
-        pool = self.ap.packet_pool
+        """Arrival ``seq`` (fired at ``fire_us``) exits the wire: unless
+        the AP's queue refuses it (drop-before-alloc), build or recycle
+        its packet — every field overwritten, so pooled reuse cannot
+        leak state across flows — and enqueue it."""
+        if self.refuse():
+            return
+        ap = self.ap
+        pool = ap.packet_pool
         packet = pool.get()
         if packet is None:
             packet = Packet(
                 self.packet_bytes,
                 self.station,
                 to_station=True,
-                payload=UdpDatagram(seq, ts),
+                payload=UdpDatagram(seq, fire_us),
                 on_receive=self.on_receive,
-                created_us=ts,
+                created_us=fire_us,
             )
         else:
             packet.size_bytes = self.packet_bytes
             packet.station = self.station
             packet.to_station = True
             packet.on_receive = self.on_receive
-            packet.created_us = ts
+            packet.created_us = fire_us
             payload = packet.payload
             if type(payload) is UdpDatagram:
                 payload.seq = seq
-                payload.ts_us = ts
+                payload.ts_us = fire_us
             else:
-                packet.payload = UdpDatagram(seq, ts)
+                packet.payload = UdpDatagram(seq, fire_us)
         packet._pool = pool
-        return packet
+        packet.mac_dst = self.station
+        ap.scheduler.enqueue(packet)
 
     def stop(self) -> None:
         """Cancel all arrivals from the current time on (deterministic:

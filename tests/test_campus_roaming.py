@@ -250,7 +250,7 @@ def test_roam_during_in_flight_mac_exchange_may_complete_cross_cell():
 def _window_shares(cell, start_us, end_us):
     """Occupancy shares over records inside ``[start_us, end_us)``."""
     totals = {}
-    for record in cell.usage.records:
+    for record in cell.channel.records:
         if start_us <= record.time < end_us:
             totals[record.station] = (
                 totals.get(record.station, 0.0) + record.airtime_us
@@ -308,7 +308,7 @@ def test_tbr_reconverges_to_fair_share_in_both_cells():
     )
     runtime = ScenarioRuntime(spec)
     for cell in runtime.campus.cells.values():
-        cell.usage.keep_records = True
+        cell.channel.records = []
     runtime.run()
     split_us = roam_s * 1e6
     end_us = (warmup_s + seconds) * 1e6

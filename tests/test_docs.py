@@ -32,6 +32,10 @@ RETIRED = (
     # the two-module analytic model, folded into one predict
     "BaselineModel", "dcf_time_shares", "rf_throughputs", "tf_throughputs",
     "estimate_exchange_airtime", "repro.analysis.baseline",
+    # the separate occupancy monitor, folded into the channel's ledger
+    "ChannelUsageMonitor", "repro.channel.usage", "keep_records",
+    # the AP's arrival hop, folded into the source's deliver
+    "downlink_arrival",
 )
 HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_docs.py"}
 TEXT_SUFFIXES = {".py", ".md", ".yml", ".json", ".txt", ".gitignore"}

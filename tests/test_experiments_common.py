@@ -86,7 +86,7 @@ def test_windowed_occupancy_matches_stepped_snapshot_diffs():
     # The bucket-depth cell (1 vs 11 Mbps downlink TCP under TBR, 2 s
     # warm-up), reduced both ways over four 0.5 s windows: the reducer
     # over one run's records, and a loop that runs window by window and
-    # diffs the monitor's sums.
+    # diffs the channel's sums.
     def bucket_depth_cell():
         config = TbrConfig(bucket_depth_us=100_000.0, initial_tokens_us=20_000.0)
         cell = Cell(seed=1, scheduler="tbr", tbr_config=config)
@@ -96,29 +96,29 @@ def test_windowed_occupancy_matches_stepped_snapshot_diffs():
         return cell
 
     stepped = bucket_depth_cell()
-    stepped.usage.keep_records = True
+    stepped.channel.records = []
     edges_us = [stepped.sim.now]
     cuts = [0]  # index of each window's first record
-    diffs, prev = [], stepped.usage.occupancies_us()
+    diffs, prev = [], stepped.channel.occupancies_us()
     for _ in range(4):
         stepped.sim.run(until=stepped.sim.now + us_from_s(0.5))
         edges_us.append(stepped.sim.now)
-        cuts.append(len(stepped.usage.records))
-        now = stepped.usage.occupancies_us()
+        cuts.append(len(stepped.channel.records))
+        now = stepped.channel.occupancies_us()
         diffs.append({s: now[s] - prev.get(s, 0.0) for s in now})
         prev = now
 
     recorded = bucket_depth_cell()
-    recorded.usage.keep_records = True
+    recorded.channel.records = []
     recorded.sim.run(until=edges_us[-1])
-    assert recorded.usage.records == stepped.usage.records  # runs compose
-    windows = windowed_occupancy(recorded.usage.records, edges_us, ["n1", "n2"])
+    assert recorded.channel.records == stepped.channel.records  # runs compose
+    windows = windowed_occupancy(recorded.channel.records, edges_us, ["n1", "n2"])
 
     assert len(windows) == 4
     for window, diff, lo, hi in zip(windows, diffs, cuts, cuts[1:]):
         # Membership is exact: a window holds the records its step made.
         made = {"n1": 0.0, "n2": 0.0}
-        for record in stepped.usage.records[lo:hi]:
+        for record in stepped.channel.records[lo:hi]:
             made[record.station] += record.airtime_us
         assert window == made
         assert set(diff) == {"n1", "n2"}

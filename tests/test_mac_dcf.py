@@ -340,7 +340,7 @@ def _held_after_first_data_frame(eager=False, seed=3):
     for i in range(3):
         h.saturate(i)
     while not h.rx_frames:
-        h.sim.run(until=math.nextafter(h.sim.peek(), math.inf))
+        h.sim.run(until=math.nextafter(h.sim.next_time(), math.inf))
     h.sim.run(until=h.sim.now + 5.0)
     sender = h.rx_frames[0].src
     contenders = [mac for mac in h.macs if mac.address != sender]

@@ -144,5 +144,5 @@ def test_two_cells_do_not_share_state():
     a.udp_flow(sa, direction="down", rate_mbps=1.0)
     a.run(seconds=0.5)
     assert b.sim.now == 0.0
-    assert sum(b.usage.occupancies_us().values()) == 0.0
+    assert sum(b.channel.occupancies_us().values()) == 0.0
     del sb

@@ -37,7 +37,7 @@ def test_downlink_udp_conservation(rates, scheduler, seed):
         assert sum(shares.values()) == pytest.approx(1.0)
     # Downlink-only: the AP is the sole data transmitter (stations send
     # nothing), so attributed airtime cannot overlap itself.
-    assert sum(cell.usage.occupancies_us().values()) <= cell.sim.now + 1e-6
+    assert sum(cell.channel.occupancies_us().values()) <= cell.sim.now + 1e-6
 
 
 @settings(max_examples=8, deadline=None)
@@ -122,6 +122,6 @@ def test_occupancy_roughly_bounded_by_wall_clock_under_load():
         st_ = cell.add_station(f"n{i}", rate_mbps=RATES[i % 4])
         cell.tcp_flow(st_, direction="up")
     cell.run(seconds=3.0)
-    total = sum(cell.usage.occupancies_us().values())
+    total = sum(cell.channel.occupancies_us().values())
     assert total <= 1.1 * cell.sim.now
     assert total > 0.5 * cell.sim.now  # and the channel was actually busy

@@ -33,13 +33,13 @@ def test_cancel_inside_callback_prevents_later_execution():
     assert sim.pending_count() == 0
 
 
-def test_peek_after_mass_cancel():
+def test_next_time_after_mass_cancel():
     sim = Simulator()
     keep = sim.schedule(500.0, lambda: None)
     doomed = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
     for event in doomed:
         sim.cancel(event)
-    assert sim.peek() == 500.0
+    assert sim.next_time() == 500.0
     assert sim.pending_count() == 1
     del keep
 
