@@ -166,6 +166,16 @@ def test_run_not_reentrant():
     sim.run()
 
 
+def test_peek_returns_next_pending_time():
+    sim = Simulator()
+    assert sim.next_time() == float("inf")
+    event = sim.schedule(5.0, lambda: None)
+    sim.schedule(9.0, lambda: None)
+    assert sim.next_time() == 5.0
+    sim.cancel(event)
+    assert sim.next_time() == 9.0
+
+
 def test_next_time_outside_run_is_the_heap_top_or_inf():
     sim = Simulator()
     assert sim.next_time() == float("inf")  # empty heap, no horizon
