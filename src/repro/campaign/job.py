@@ -31,8 +31,10 @@ from typing import Any, Callable, Dict, Hashable
 #: encoding or any executor's semantics change incompatibly: old cache
 #: entries then simply stop matching instead of being served stale.
 #: (/2: the wire pump drains unobservable tail drops, so the stored
-#: ``events_executed``/``events_by_category`` — which render — shrank.)
-CACHE_SCHEMA = "repro-campaign/2"
+#: ``events_executed``/``events_by_category`` — which render — shrank.
+#: /3: a stored ``ScenarioResult.cell_busy_fraction`` spans the
+#: measurement window, no longer the warm-up too.)
+CACHE_SCHEMA = "repro-campaign/3"
 
 _TAG_TUPLE = "@tuple"
 _TAG_DICT = "@dict"

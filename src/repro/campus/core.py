@@ -205,7 +205,7 @@ class Campus:
         return members
 
     def cell_busy_fractions(self) -> Dict[str, float]:
-        return {
-            name: cell.channel.busy_fraction()
-            for name, cell in self.cells.items()
-        }
+        """Each cell's medium busy time over the measurement window, as
+        a fraction of its length (the window the occupancy fractions
+        beside it span; the warm-up is left out)."""
+        return {name: cell.busy_fraction() for name, cell in self.cells.items()}

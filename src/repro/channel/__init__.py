@@ -10,7 +10,6 @@ than being injected as a probability.
 from repro.channel.medium import Channel, Transmission, ChannelListener, UsageRecord
 from repro.channel.loss import (
     LossModel,
-    NoLoss,
     BernoulliLoss,
     PerLinkLoss,
     SnrLoss,
@@ -27,7 +26,6 @@ __all__ = [
     "Transmission",
     "ChannelListener",
     "LossModel",
-    "NoLoss",
     "BernoulliLoss",
     "PerLinkLoss",
     "SnrLoss",

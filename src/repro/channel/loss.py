@@ -2,7 +2,9 @@
 
 A loss model answers one question: *given this frame, does the intended
 receiver fail to decode it?*  Collisions are handled by the medium; loss
-models cover channel noise, fading and interference floors.
+models cover channel noise, fading and interference floors.  The ideal
+channel has no model: a medium's ``loss`` is ``None`` and nothing is
+asked.
 """
 
 from __future__ import annotations
@@ -30,16 +32,6 @@ class LossModel:
         if p >= 1.0:
             return True
         return self.rng.random() < p
-
-
-class NoLoss(LossModel):
-    """The ideal channel."""
-
-    def __init__(self) -> None:
-        super().__init__(random.Random(0))
-
-    def loss_probability(self, frame: "Frame") -> float:
-        return 0.0
 
 
 class BernoulliLoss(LossModel):

@@ -8,8 +8,9 @@ tracks the set of in-flight transmissions:
   every frame in an overlap ends collided (no capture);
 * at the end of each transmission the listeners it *involves* are told
   about the frame (``on_frame_end``), with per-listener corruption
-  flags — the intended receiver additionally samples the link loss
-  model.
+  flags — the intended receiver of a clean frame additionally samples
+  the link loss model, when one is installed (:attr:`Channel.loss`;
+  ``None``, the default, is the ideal channel and draws nothing).
 
 Timestamp conventions: ``on_busy(busy_start)`` is invoked synchronously
 when the medium transitions idle->busy.  A MAC whose own transmit event
@@ -22,13 +23,15 @@ on:
 
 * **Carrier edges** (``on_busy`` / ``on_idle``) go to the
   *carrier-subscribed* listeners only.  A listener starts unsubscribed
-  and calls :meth:`carrier_subscribe` while it contends (an armed
-  backoff), :meth:`carrier_unsubscribe` when it stops; otherwise it
+  and calls :meth:`carrier_subscribe` when it starts contending; a DCF
+  MAC stays subscribed from its first backoff until a countdown expires
+  with nothing to send (or it shuts down), its own exchanges included,
+  and then calls :meth:`carrier_unsubscribe`.  An unsubscribed listener
   reads :attr:`carrier_busy` / :attr:`idle_start` at decision time.
   The subscribers are a tuple in attach order that those two calls
-  replace by inserting or cutting one entry (a contending MAC leaves
-  and re-joins once per exchange, so the set is never re-sorted and a
-  fan-out in progress keeps iterating the tuple it started with).
+  replace by inserting or cutting one entry (so the set is never
+  re-sorted, and a fan-out in progress keeps iterating the tuple it
+  started with).
 * **Frame ends** go to a listener only when it is *involved*: it is
   the destination (O(1) address lookup), or the frame was corrupted
   and the listener is not EIFS-marked, or it is EIFS-marked
@@ -134,10 +137,10 @@ class Channel:
     )
 
     def __init__(self, sim: Simulator, loss_model=None) -> None:
-        from repro.channel.loss import NoLoss
-
         self.sim = sim
-        self.loss = loss_model if loss_model is not None else NoLoss()
+        #: the destination's link loss model (``None``: the ideal
+        #: channel, consulted by nothing).
+        self.loss = loss_model
         self.listeners: List[ChannelListener] = []
         self.active: List[Transmission] = []
         self._last_tx_end: dict = {}
@@ -475,7 +478,8 @@ class Channel:
 
         frame = tx.frame
         collided = tx.collided
-        dest_corrupted = collided or self.loss.is_lost(frame)
+        loss = self.loss
+        dest_corrupted = collided or (loss is not None and loss.is_lost(frame))
 
         for sniffer in self._sniffers:
             sniffer(frame, dest_corrupted, collided, tx.start, tx.end)

@@ -33,7 +33,7 @@ fast-forward detector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Protocol
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.channel.medium import Channel
 from repro.mac.frames import Frame, FrameType
@@ -56,6 +56,8 @@ _SLOT_EPS = 1e-6
 _PRIO_TX_START = int(EventPriority.TX_START)
 _PRIO_HIGH = int(EventPriority.HIGH)
 _CAT_MAC = int(EventCategory.MAC)
+#: ``Frame.is_ack``'s test, without the property call per frame end.
+_ACK = FrameType.ACK
 
 
 class TxScheduler(Protocol):
@@ -153,6 +155,11 @@ class DcfMac:
         self._slot_us = phy.slot_us
         self._difs_us = phy.difs_us
         self._eifs_us = phy.eifs_us()
+        # phy.py's answers, asked once per key (_learn_*): data airtime
+        # by (size_bytes, rate), and the ACK's (rate, airtime) by data
+        # rate.  A hit is a dict lookup, with no Python frame.
+        self._data_airtime: Dict[Tuple[int, float], float] = {}
+        self._ack_for: Dict[float, Tuple[float, float]] = {}
 
         self.scheduler: Optional[TxScheduler] = None
         self.rx_handler: Optional[Callable[[Frame], None]] = None
@@ -175,12 +182,16 @@ class DcfMac:
         # Backoff bookkeeping.  Carrier state (busy flag, idle-start
         # timestamp) is read off the channel at decision time instead of
         # being mirrored per-listener; the MAC subscribes to carrier
-        # transitions only while a backoff is in progress, so the
-        # channel skips notification work for non-contending nodes.
+        # transitions from its first backoff until a countdown expires
+        # with nothing to send, so the channel skips notification work
+        # for idle nodes.  Staying subscribed across its own exchanges
+        # is exact: while one is in flight no countdown is armed and no
+        # backoff is active, so on_busy / on_idle return at once.
         self._bo_slots = 0
         self._bo_anchor = 0.0
         self._bo_event = None
         self._backoff_active = False
+        self._subscribed = False
 
         # Pending ACK-response and ACK-timeout events.
         self._ack_tx_event = None
@@ -257,6 +268,7 @@ class DcfMac:
             self.sim.cancel(self._bo_event)
             self._bo_event = None
         self._backoff_active = False
+        self._subscribed = False  # detach() below unsubscribes
         self._bo_slots = 0
         if self._ack_timeout_event is not None:
             self.sim.cancel(self._ack_timeout_event)
@@ -321,10 +333,6 @@ class DcfMac:
     # ------------------------------------------------------------------
     # scheduler-facing API
     # ------------------------------------------------------------------
-    def notify_pending(self) -> None:
-        """The scheduler may now have an eligible packet; try to load it."""
-        self._try_load()
-
     @property
     def busy_with_frame(self) -> bool:
         """True while a frame is loaded (contending, transmitting, waiting)."""
@@ -357,6 +365,9 @@ class DcfMac:
         self._cw = self.phy.cw_min
         self._begin_access()
 
+    #: The scheduler may now have an eligible packet; try to load it.
+    notify_pending = _try_load
+
     def _begin_access(self) -> None:
         """Start the channel-access procedure for the loaded frame."""
         if self._backoff_active:
@@ -380,7 +391,9 @@ class DcfMac:
         if draw:
             self._bo_slots = self._rng.randint(0, self._cw)
         self._backoff_active = True
-        self.channel.carrier_subscribe(self)
+        if not self._subscribed:
+            self._subscribed = True
+            self.channel.carrier_subscribe(self)
         if not self.channel.carrier_busy:
             self._arm_countdown(self.channel.idle_start)
         # else: countdown armed by on_idle.
@@ -419,12 +432,14 @@ class DcfMac:
         self._bo_event = None
         self._backoff_active = False
         self._bo_slots = 0
-        self.channel.carrier_unsubscribe(self)
         if self._current is None:
             # Post-transmission backoff finished with nothing to send;
             # ask the scheduler in case traffic arrived meanwhile.
             self._try_load()
             if self._current is None:
+                # Idle: stop contending until the next backoff.
+                self._subscribed = False
+                self.channel.carrier_unsubscribe(self)
                 return
         self._transmit_current()
 
@@ -460,15 +475,23 @@ class DcfMac:
         frame = self._current
         assert frame is not None
         # Refresh the rate each attempt (rate control may have stepped).
-        frame.rate_mbps = self.rate_for(frame.dst)
+        rate = frame.rate_mbps = self.rate_for(frame.dst)
         self._attempts += 1
         frame.attempt = self._attempts
         self.tx_attempts += 1
         if self._attempts == 1 and not self._burst_continuation:
             # A fresh contention win opens a burst window (1 for DCF).
-            self._burst_remaining = self.config.burst_frames(frame.rate_mbps) - 1
-        duration = frame_airtime_us(self.phy, frame.size_bytes, frame.rate_mbps)
-        ifs = self.phy.sifs_us if self._burst_continuation else self._current_ifs()
+            config = self.config
+            self._burst_remaining = (
+                config.burst_frames(rate) - 1
+                if config.burst_base_rate_mbps > 0 else 0
+            )
+        key = (frame.size_bytes, rate)
+        duration = self._data_airtime.get(key) or self._learn_airtime(key)
+        if self._burst_continuation:
+            ifs = self.phy.sifs_us
+        else:
+            ifs = self._eifs_us if self._use_eifs else self._difs_us
         self._airtime_accum += ifs + duration
         self._transmitting = True
         self._current_tx = self.channel.transmit(frame, duration)
@@ -511,8 +534,11 @@ class DcfMac:
         self._awaiting_ack_for = None
         if self.attempt_listener is not None:
             self.attempt_listener(frame.dst, True)
-        # Account the SIFS + ACK airtime in the exchange's occupancy.
-        ack_dur = ack_airtime_us(self.phy, ack.rate_mbps)
+        # Account the SIFS + ACK airtime in the exchange's occupancy (the
+        # receiver answered at the control rate for this attempt's rate:
+        # one PHY per medium).
+        rate = frame.rate_mbps
+        ack_dur = (self._ack_for.get(rate) or self._learn_ack(rate))[1]
         self._airtime_accum += self.phy.sifs_us + ack_dur
         self.tx_success += 1
         self._finish_exchange(frame, success=True)
@@ -613,7 +639,7 @@ class DcfMac:
             self.channel.eifs_unmark(self)
         if frame.dst != self.address:
             return
-        if frame.is_ack:
+        if frame.ftype is _ACK:
             if frame.defer_hint is not None and self.defer_hint_handler:
                 self.defer_hint_handler(frame.defer_hint)
             self._ack_received(frame)
@@ -634,8 +660,23 @@ class DcfMac:
     # Allow the node layer (TBR) to stamp defer hints onto outgoing ACKs.
     ack_decorator: Optional[Callable[[Frame, Frame], None]] = None
 
+    def _learn_airtime(self, key: Tuple[int, float]) -> float:
+        """Data airtime for ``(size_bytes, rate)``, from phy.py."""
+        value = self._data_airtime[key] = frame_airtime_us(self.phy, *key)
+        return value
+
+    def _learn_ack(self, data_rate_mbps: float) -> Tuple[float, float]:
+        """The ACK's control rate and airtime after a data frame at
+        ``data_rate_mbps``, from phy.py."""
+        ack_rate = ack_rate_for(self.phy, data_rate_mbps)
+        value = self._ack_for[data_rate_mbps] = (
+            ack_rate, ack_airtime_us(self.phy, ack_rate)
+        )
+        return value
+
     def _schedule_ack(self, data_frame: Frame) -> None:
-        ack_rate = ack_rate_for(self.phy, data_frame.rate_mbps)
+        rate = data_frame.rate_mbps
+        ack_rate, duration = self._ack_for.get(rate) or self._learn_ack(rate)
         ack = Frame(
             FrameType.ACK, self.address, data_frame.src, ACK_BYTES, ack_rate
         )
@@ -644,14 +685,13 @@ class DcfMac:
             self.ack_decorator(ack, data_frame)
         sifs = self.phy.sifs_us
         self._ack_tx_event = self.sim.schedule(
-            sifs, self._send_ack, ack,
+            sifs, self._send_ack, ack, duration,
             priority=_PRIO_TX_START, category=_CAT_MAC,
         )
         # Committed: nothing but shutdown() stops _send_ack, so the
         # channel may hold carrier edges across the SIFS gap.
         self.channel.reserve_response(self.sim.now + sifs)
 
-    def _send_ack(self, ack: Frame) -> None:
+    def _send_ack(self, ack: Frame, duration: float) -> None:
         self._ack_tx_event = None
-        duration = ack_airtime_us(self.phy, ack.rate_mbps)
         self.channel.transmit(ack, duration)

@@ -86,7 +86,10 @@ class Cell:
     #: The root ``repro.sim.steady``'s walker starts from.
     TIME_STATE = dict(
         parts=("channel", "ap", "stations", "flows"),
-        phase={"_measure_start_us": "stays put: skipped time counts as measured"},
+        phase={
+            "_measure_start_us": "stays put: skipped time counts as measured",
+            "_measure_busy_us": "stays put: channel.busy_us at the window start",
+        },
     )
 
     def __init__(
@@ -125,6 +128,8 @@ class Cell:
         self.stations: Dict[str, Station] = {}
         self.flows: List[FlowHandle] = []
         self._measure_start_us = 0.0
+        #: ``channel.busy_us`` when the measurement window opened.
+        self._measure_busy_us = 0.0
 
     # ------------------------------------------------------------------
     # topology
@@ -419,6 +424,7 @@ class Cell:
     def reset_measurements(self) -> None:
         """Zero throughput/occupancy accumulators (end of warm-up)."""
         self._measure_start_us = self.sim.now
+        self._measure_busy_us = self.channel.busy_us
         self.channel.reset_occupancy()
         for flow in self.flows:
             flow.stats.reset()
@@ -435,11 +441,10 @@ class Cell:
     def throughputs_mbps(self) -> Dict[str, float]:
         """Per-flow goodput over the measurement window (0.0 each when
         the window is empty)."""
-        if self.measured_us <= 0:
+        measured = self.measured_us
+        if measured <= 0:
             return {f.name: 0.0 for f in self.flows}
-        return {
-            f.name: f.stats.throughput_mbps(self.measured_us) for f in self.flows
-        }
+        return {f.name: f.stats.throughput_mbps(measured) for f in self.flows}
 
     def station_throughputs_mbps(self) -> Dict[str, float]:
         """Goodput summed per station (0.0 each on an empty window)."""
@@ -473,6 +478,14 @@ class Cell:
             s: self.channel.occupancy_us(s) / measured
             for s in self._occupancy_keys()
         }
+
+    def busy_fraction(self) -> float:
+        """The medium's busy time over the measurement window, as a
+        fraction of its length (0.0 when the window is empty)."""
+        measured = self.measured_us
+        if measured <= 0:
+            return 0.0
+        return (self.channel.busy_us - self._measure_busy_us) / measured
 
     def occupancy_shares(self) -> Dict[str, float]:
         """Per-station share of the total attributed channel time (0.0

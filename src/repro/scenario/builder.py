@@ -181,6 +181,8 @@ class ScenarioRuntime:
         #: re-exposes the newest remaining (or the base model), so
         #: nested and interleaved windows both restore correctly.
         self._degrade_stack: List = []
+        #: the channel's model before the first open window (``None``:
+        #: the ideal channel, which is what the restore puts back).
         self._degrade_base = None
         self._outage_seq = 0
         self.timeline_fired = 0

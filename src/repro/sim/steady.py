@@ -22,7 +22,8 @@ There is one mechanism for skipping time, in three parts:
 
 * **the walker** — :func:`time_state` follows ``parts`` from a root and
   is the only code that interprets declarations: :func:`shift_clocks`,
-  :func:`read_counters` and :func:`credit_counters`.  ``phase`` is
+  :func:`read_counters` and :func:`credit_counters` take the list it
+  yields (one walk serves all three while nothing runs).  ``phase`` is
   documentation that ``tests/test_steady_completeness.py`` enforces:
   any numeric attribute that moves over a window must be declared.
 * :class:`FastForwardEngine` — certifies a calibration window only when
@@ -50,7 +51,7 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from types import SimpleNamespace
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.event import EventCategory
 from repro.sim.units import us_from_s
@@ -87,6 +88,11 @@ def fastforward_enabled() -> bool:
 # ----------------------------------------------------------------------
 # the walker: the only code that interprets TIME_STATE declarations
 # ----------------------------------------------------------------------
+#: one walk's ``(obj, declaration)`` pairs, as :func:`time_state` yields
+#: them: valid until the next kernel event changes membership.
+Walked = List[Tuple[Any, Dict[str, Any]]]
+
+
 def time_state(root: Any) -> Iterator[Tuple[Any, Dict[str, Any]]]:
     """Yield ``(obj, declaration)`` for ``root`` and everything its
     declared ``parts`` reach (objects, or dicts / sequences of them):
@@ -119,14 +125,14 @@ def _shifted(value: Any, delta_us: float) -> Any:
     return value + delta_us
 
 
-def shift_clocks(root: Any, delta_us: float) -> None:
-    """Move every declared clock under ``root`` by ``delta_us``.
+def shift_clocks(walked: Walked, delta_us: float) -> None:
+    """Move every declared clock of a walk by ``delta_us``.
 
     The shift is uniform, so time-keyed heaps stay ordered and every
     relative distance (backoff anchor to countdown event, fold record to
     wire clock) is preserved verbatim.
     """
-    for obj, decl in time_state(root):
+    for obj, decl in walked:
         for attr in decl.get("clocks", ()):
             value = getattr(obj, attr)
             if isinstance(value, dict):
@@ -138,10 +144,10 @@ def shift_clocks(root: Any, delta_us: float) -> None:
                 setattr(obj, attr, _shifted(value, delta_us))
 
 
-def read_counters(root: Any) -> Dict[Tuple[int, str], Any]:
-    """Snapshot every declared counter under ``root``."""
+def read_counters(walked: Walked) -> Dict[Tuple[int, str], Any]:
+    """Snapshot every declared counter of a walk."""
     values = {}
-    for obj, decl in time_state(root):
+    for obj, decl in walked:
         for attr in decl.get("counters", ()):
             value = getattr(obj, attr)
             if isinstance(value, dict):
@@ -156,10 +162,10 @@ def _credited(now: Any, before: Any, scale: float) -> Any:
 
 
 def credit_counters(
-    root: Any, before: Dict[Tuple[int, str], Any], scale: float,
+    walked: Walked, before: Dict[Tuple[int, str], Any], scale: float,
     delta_us: float,
 ) -> None:
-    """Fold ``delta_us`` of steady state into every counter under ``root``.
+    """Fold ``delta_us`` of steady state into every counter of a walk.
 
     Each counter grows by ``scale`` (``delta_us / window``) times its
     growth since ``before``, the :func:`read_counters` snapshot from the
@@ -168,7 +174,7 @@ def credit_counters(
     not the horizon).  ``exact`` contributions are not measured: their
     methods take ``delta_us`` itself.
     """
-    for obj, decl in time_state(root):
+    for obj, decl in walked:
         for attr in decl.get("counters", ()):
             now = getattr(obj, attr)
             was = before[id(obj), attr]
@@ -256,30 +262,36 @@ class FastForwardEngine:
             sim.run(until=sim.now + us_from_s(warmup_seconds))
             self.campus.reset_measurements()
         until = sim.now + us_from_s(seconds)
+        walked = list(time_state(cell))
         while sim.now < until:
             window_start = sim.now
-            snap = self._snapshot()
+            snap = self._snapshot(walked)
             sim.run(until=min(window_start + self.calibration_us, until))
             if sim.now >= until:
                 break
+            # One walk per window end: the membership check, the credit,
+            # the shift and the next window's snapshot all read it, and
+            # no event runs in between.
+            walked = list(time_state(cell))
             window = sim.now - window_start
             landmark = sim.next_pending(EventCategory.OTHER)
             target = until if landmark is None else min(landmark, until)
             delta = target - sim.now
-            reason = self._decline_reason(snap, delta)
+            reason = self._decline_reason(snap, delta, walked)
             if reason is not None:
                 self.declines[reason] += 1
                 continue
-            credit_counters(cell, snap.counters, delta / window, delta)
-            shift_clocks(cell, delta)
+            credit_counters(walked, snap.counters, delta / window, delta)
+            shift_clocks(walked, delta)
             sim.fast_forward_to(target)
             self.jumps += 1
 
     # ------------------------------------------------------------------
     # detector
     # ------------------------------------------------------------------
-    def _snapshot(self) -> SimpleNamespace:
-        """Detector inputs and the counter ledger at a window start."""
+    def _snapshot(self, walked: Walked) -> SimpleNamespace:
+        """Detector inputs and the counter ledger at a window start
+        (``walked``: the cell's walk, taken since the last event)."""
         cell = self.cell
         return SimpleNamespace(
             flow_ids=frozenset(id(flow) for flow in cell.flows),
@@ -289,14 +301,14 @@ class FastForwardEngine:
             occupancy=cell.channel.occupancies_us(),
             bad_exchanges=self._bad_exchanges,
             timeline_events=cell.sim.events_by_category()["other"],
-            counters=read_counters(cell),
+            counters=read_counters(walked),
         )
 
     def _decline_reason(
-        self, snap: SimpleNamespace, delta_us: float
+        self, snap: SimpleNamespace, delta_us: float, walked: Walked
     ) -> Optional[str]:
         """Why the window since ``snap`` cannot seed a ``delta_us`` jump
-        (``None``: it can)."""
+        (``None``: it can); ``walked`` is the cell's walk at its end."""
         cell = self.cell
         if delta_us < MIN_SKIP_US:
             return "too-close-to-landmark"
@@ -315,7 +327,7 @@ class FastForwardEngine:
         # instances), never on names — a station literally named
         # "steady" (the bursty family ships one) is just another station,
         # and a leave/rejoin under the same name changes the key set.
-        if read_counters(cell).keys() != snap.counters.keys():
+        if read_counters(walked).keys() != snap.counters.keys():
             return "membership"
         # (c) a timeline event fired *inside* the calibration window: the
         # measured rates blend the before/after regimes and must not

@@ -19,10 +19,10 @@ small uniform jitter, same RNG stream layout):
   advances it in place and charges exactly one kernel event per
   *observable* arrival (the delivery of an admitted packet, or of a
   tail drop that ties with or follows the next thing that can run;
-  drops nothing can observe are accounted inline, at the cost of the
-  scheduler's one ``refuse`` call, see "Draining" in ``wired.py``) and
-  asks the source to materialize a packet only when the AP queue has
-  room (drop-before-alloc, pooled packets).
+  drops nothing can observe are accounted inline, see "Draining" in
+  ``wired.py``).  Either way a refusal costs the scheduler's one
+  ``refuse`` call, and the source materializes a packet only when the
+  AP queue has admitted it (drop-before-alloc, pooled packets).
 """
 
 from __future__ import annotations
@@ -144,16 +144,16 @@ class UdpDownlinkSource(Pacing):
     folds arrivals into the pipe and calls the source back only for
     the consumer:
 
-    * :meth:`deliver` — when the arrival exits the pipe, where the AP's
-      queue decides *before any allocation* whether the packet exists
-      at all (a tail drop costs one ``refuse`` call), and accepted
-      packets come from the AP's
-      :class:`~repro.transport.packet.PacketPool`;
-    * ``refuse()`` — when the pump drains: a tail drop (or a refusal
-      for a departed station) that nothing can observe before the next
-      kernel event is counted here and now, with no event of its own.
-      It is the AP scheduler's own ``refuse`` bound to this station, so
-      such a drop costs one Python call.
+    * ``refuse()`` — for every arrival that exits the pipe, in its
+      pump event or drained inline: the AP's queue decides *before any
+      allocation* whether the packet exists at all.  It is the AP
+      scheduler's own ``refuse`` bound to this station, so a tail drop
+      (or a refusal for a departed station) costs one Python call, and
+      one that nothing can observe before the next kernel event has no
+      event of its own;
+    * :meth:`deliver` — only for an arrival ``refuse()`` admitted: the
+      packet comes from the AP's
+      :class:`~repro.transport.packet.PacketPool` and is enqueued.
     """
 
     HEADER_BYTES = UdpSender.HEADER_BYTES
@@ -200,12 +200,10 @@ class UdpDownlinkSource(Pacing):
         self.link.attach_source(self)
 
     def deliver(self, seq: int, fire_us: float) -> None:
-        """Arrival ``seq`` (fired at ``fire_us``) exits the wire: unless
-        the AP's queue refuses it (drop-before-alloc), build or recycle
-        its packet — every field overwritten, so pooled reuse cannot
-        leak state across flows — and enqueue it."""
-        if self.refuse():
-            return
+        """Arrival ``seq`` (fired at ``fire_us``), admitted by
+        ``refuse()``, exits the wire: build or recycle its packet —
+        every field overwritten, so pooled reuse cannot leak state
+        across flows — and enqueue it."""
         ap = self.ap
         pool = ap.packet_pool
         packet = pool.get()

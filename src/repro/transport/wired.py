@@ -22,7 +22,8 @@ costs exactly one kernel event: its delivery.
 The link owns the schedule's arithmetic: a fold advances the record in
 place (fire time, sequence number, ``sent``, the jitter draw), and an
 unwind rolls it back, so the source is called only for what needs its
-consumer — :meth:`DemandSource.deliver` and :meth:`DemandSource.refuse`.
+consumer — :meth:`DemandSource.refuse`, and :meth:`DemandSource.deliver`
+for an arrival it admitted.
 
 Exactness: the serialization fold ``busy = max(busy, t_fire) + bits/rate``
 is order-sensitive, so folds must happen in fire-time order across all
@@ -35,15 +36,24 @@ stopping, or a new source attaching with an earlier first fire
 source's schedule — then refolds in the correct order.  Delivery
 timestamps are computed with the same float expression the two-event
 path used, and the jitter with the one ``random.uniform`` uses, so they
-match bit for bit.
+match bit for bit.  The factors that never change — each source's
+serialization time ``packet_bytes * 8.0 / rate`` and its jitter span
+``hi - lo`` — are evaluated once (at attach, and in :class:`Pacing`),
+and being the same floats every time, they leave every result
+bit-identical.
 
 Draining
 --------
 
 In a saturated cell most arrivals exist only to be tail-dropped, and a
-drop nobody can observe needs no event at all.  At the end of a pump
-delivery — a kernel event in which the pump is the last actor — the
-link keeps folding, and an arrival whose delivery time ``t`` satisfies
+drop nobody can observe needs no event at all.  The pump decides
+admission itself: a pump delivery asks :meth:`DemandSource.refuse`
+first and calls :meth:`DemandSource.deliver` only for an arrival the
+consumer admits, so a refused one that keeps its event (it ties with
+or follows ``sim.next_time()``) costs the one ``refuse`` call too.  At
+the end of a pump delivery — a kernel event in which the pump is the
+last actor — the link keeps folding, and an arrival whose delivery
+time ``t`` satisfies
 ``now <= t < sim.next_time()`` *strictly* and whose consumer refuses it
 *now* (:meth:`DemandSource.refuse`) is accounted on the spot; the first
 arrival that is admitted, ties with, or lands after the next thing that
@@ -83,13 +93,14 @@ class Pacing:
 
     The next arrival fires at ``fire_us``; each later one
     ``interval_us`` after its predecessor, plus a jitter drawn as
-    ``lo + (hi - lo) * random()`` — ``random.uniform(lo, hi)`` bit for
-    bit — when ``random`` is set.  Arrivals firing at or after
-    ``stop_us`` (``None``: never) do not exist.  ``rewound`` holds the
-    fire times unwound folds gave back, reused before any fresh draw so
-    the RNG stream is consumed exactly once per arrival.  ``seq``
-    numbers the arrivals and ``sent`` counts those committed to the pipe
-    (one ahead of the clock while a speculative fold is pending).
+    ``lo + span * random()``, with ``span = hi - lo`` stored once —
+    ``random.uniform(lo, hi)`` bit for bit — when ``random`` is set.
+    Arrivals firing at or after ``stop_us`` (``None``: never) do not
+    exist.  ``rewound`` holds the fire times unwound folds gave back,
+    reused before any fresh draw so the RNG stream is consumed exactly
+    once per arrival.  ``seq`` numbers the arrivals and ``sent`` counts
+    those committed to the pipe (one ahead of the clock while a
+    speculative fold is pending).
 
     Only :class:`WiredLink` advances and rewinds the record; a demand
     source is a subclass that adds the :class:`DemandSource` calls.
@@ -97,7 +108,7 @@ class Pacing:
 
     __slots__ = (
         "fire_us", "stop_us", "interval_us", "packet_bytes",
-        "lo", "hi", "random", "rewound", "seq", "sent",
+        "lo", "span", "random", "rewound", "seq", "sent",
     )
 
     #: The schedule shifts with the owning wire's ``_arrivals`` heap
@@ -126,7 +137,8 @@ class Pacing:
         #: fixed on-the-wire packet size.
         self.packet_bytes = packet_bytes
         self.lo = -jitter_us
-        self.hi = jitter_us
+        #: ``hi - lo`` for ``hi = jitter_us``: ``uniform``'s one product.
+        self.span = jitter_us - self.lo
         #: ``[0, 1)`` draws for the jitter; ``None``: no jitter, no draw.
         self.random = random
         self.rewound: List[float] = []
@@ -135,17 +147,24 @@ class Pacing:
 
 
 class DemandSource(Protocol):
-    """What the link calls on a demand source (a :class:`Pacing`)."""
+    """What the link calls on a demand source (a :class:`Pacing`).
+
+    Every arrival that leaves the pipe is first offered to
+    :meth:`refuse`; :meth:`deliver` follows only a ``refuse()`` that
+    returned ``False``, with nothing run in between.
+    """
 
     def deliver(self, seq: int, fire_us: float) -> None:
-        """The arrival transited the pipe; hand it to the consumer."""
+        """The admitted arrival transited the pipe; hand it to the
+        consumer."""
 
     def refuse(self) -> bool:
         """Would the consumer turn an arrival away right now?
 
-        ``True``: it would, and every counter :meth:`deliver` would have
-        moved for that loss has been moved (refuse-and-count).
-        ``False``: it would be admitted, and nothing was touched.
+        ``True``: it would, and the loss is counted wherever the
+        consumer counts it (refuse-and-count); :meth:`deliver` is not
+        called.  ``False``: it is admitted, nothing was touched, and
+        :meth:`deliver` comes next.
         """
 
 
@@ -211,6 +230,9 @@ class WiredLink:
         # per source, and the FIFO of folded-but-undelivered arrivals
         # (at most the tail folded ahead of simulation time).
         self._sources: List[Pacing] = []
+        #: each source's serialization time, aligned with ``_sources``
+        #: (the fold's ``packet_bytes * 8.0 / rate``, evaluated once).
+        self._ser_us: List[float] = []
         self._arrivals: List[Tuple[float, int]] = []
         self._folded: Deque[_Folded] = deque()
 
@@ -284,6 +306,8 @@ class WiredLink:
         :class:`DemandSource`); delivery starts immediately."""
         index = len(self._sources)
         self._sources.append(source)
+        rate = self.rate_mbps
+        self._ser_us.append(source.packet_bytes * 8.0 / rate if rate > 0 else 0.0)
         fire = source.fire_us
         stop = source.stop_us
         if stop is not None and fire >= stop:
@@ -346,9 +370,10 @@ class WiredLink:
         """
         arrivals = self._arrivals
         sources = self._sources
+        ser_us = self._ser_us
         sim = self.sim
         now = sim.now
-        rate = self.rate_mbps
+        serialized = self.rate_mbps > 0
         delay = self.delay_us
         # The serialization clock and the drain count live in locals
         # until the loop ends: a refusal touches only its scheduler.
@@ -367,10 +392,10 @@ class WiredLink:
                 heappop(arrivals)  # orphaned by stop()/rewind
                 continue
             busy_before = busy
-            if rate > 0:
+            if serialized:
                 if fire > busy:
                     busy = fire
-                busy = busy + source.packet_bytes * 8.0 / rate
+                busy = busy + ser_us[index]
                 ready = busy
             else:
                 ready = fire
@@ -383,8 +408,7 @@ class WiredLink:
             elif source.random is None:
                 next_fire = fire + source.interval_us
             else:
-                lo = source.lo
-                jitter = lo + (source.hi - lo) * source.random()
+                jitter = source.lo + source.span * source.random()
                 next_fire = fire + (source.interval_us + jitter)
             source.fire_us = next_fire
             if stop is not None and next_fire >= stop:
@@ -423,7 +447,9 @@ class WiredLink:
     def _pump_deliver(self) -> None:
         record = self._folded.popleft()
         self.delivered += 1
-        record.source.deliver(record.seq, record.fire_us)
+        source = record.source
+        if not source.refuse():
+            source.deliver(record.seq, record.fire_us)
         folded = self._folded
         if not folded:
             # The pump is the last actor of this kernel event: drain.

@@ -100,6 +100,18 @@ def test_cross_channel_neighbour_hears_nothing():
     assert busy["c1"] == 0.0
 
 
+def test_busy_fraction_spans_the_measurement_window():
+    # The busy fraction reads the window the occupancy fractions beside
+    # it read: busy time since the warm-up reset over the window's
+    # length (0.9367 when it divided all busy time by ``sim.now``).
+    from repro.scenario import build_spec, run_spec
+
+    spec = build_spec("campus", seconds=1.2, warmup_s=0.3, n_channels=1)
+    busy = run_spec(spec).cell_busy_fraction
+    assert busy == {"c0": pytest.approx(0.9317, abs=5e-5),
+                    "c1": pytest.approx(0.9317, abs=5e-5)}
+
+
 def test_co_channel_coupling_slows_both_cells_down():
     # Two saturated downlink cells: on the same RF channel they split
     # the air (carrier sense defers across the cell boundary), on

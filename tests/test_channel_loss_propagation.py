@@ -6,8 +6,8 @@ import pytest
 
 from repro.channel import (
     BernoulliLoss,
+    Channel,
     LogDistancePathLoss,
-    NoLoss,
     PerLinkLoss,
     Position,
     RadioEnvironment,
@@ -15,6 +15,7 @@ from repro.channel import (
     distance,
 )
 from repro.mac.frames import Frame, FrameType
+from repro.sim import Simulator
 
 
 def frame(src="a", dst="b", size=1500, rate=11.0):
@@ -25,8 +26,25 @@ def frame(src="a", dst="b", size=1500, rate=11.0):
 # loss models
 # ----------------------------------------------------------------------
 def test_no_loss_never_loses():
-    model = NoLoss()
-    assert all(not model.is_lost(frame()) for _ in range(100))
+    # The ideal channel has no model: a clean frame always reaches its
+    # destination intact, and nothing is asked to decide that.
+    sim = Simulator(seed=0)
+    channel = Channel(sim)
+    assert channel.loss is None
+    seen = []
+    channel.add_sniffer(lambda f, lost, collided, start, end: seen.append(lost))
+
+    class Receiver:
+        address = "b"
+
+        def on_frame_end(self, f, corrupted):
+            seen.append(corrupted)
+
+    channel.attach(Receiver())
+    for k in range(100):
+        sim.schedule_at(200.0 * k, channel.transmit, frame(), 100.0)
+    sim.run()
+    assert seen == [False] * 200
 
 
 def test_bernoulli_extremes():

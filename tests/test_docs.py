@@ -36,6 +36,8 @@ RETIRED = (
     "ChannelUsageMonitor", "repro.channel.usage", "keep_records",
     # the AP's arrival hop, folded into the source's deliver
     "downlink_arrival",
+    # the ideal channel's loss model, now ``Channel.loss is None``
+    "NoLoss",
 )
 HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_docs.py"}
 TEXT_SUFFIXES = {".py", ".md", ".yml", ".json", ".txt", ".gitignore"}

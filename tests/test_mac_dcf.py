@@ -383,7 +383,7 @@ def test_receiver_shutdown_inside_the_hold_strands_nobody():
 
 
 def test_fast_forward_jump_inside_a_hold_resumes_identically():
-    from repro.sim.steady import shift_clocks
+    from repro.sim.steady import shift_clocks, time_state
 
     delta = 3_000_000.0
     traces = []
@@ -391,7 +391,7 @@ def test_fast_forward_jump_inside_a_hold_resumes_identically():
         h, contenders = _held_after_first_data_frame()
         reserved = h.channel._response_at
         if jump:
-            shift_clocks([h.channel, h.ap] + h.macs, jump)
+            shift_clocks(list(time_state([h.channel, h.ap] + h.macs)), jump)
             h.sim.fast_forward_to(h.sim.now + jump)
             assert h.channel._response_at == reserved + jump
             assert h.channel.carrier_busy  # still holding
@@ -409,3 +409,64 @@ def test_fast_forward_jump_inside_a_hold_resumes_identically():
     assert [t for t, _ in jumped] == pytest.approx(
         [t for t, _ in straight], abs=1e-6
     )
+
+
+# ----------------------------------------------------------------------
+# carrier subscription: from the first backoff to an idle expiry
+# ----------------------------------------------------------------------
+def _subscribers(channel):
+    return [listener for _, listener in channel._carrier_subs]
+
+
+def test_carrier_subscription_follows_the_flag_on_mixed():
+    from repro.scenario import build_spec
+    from repro.scenario.builder import ScenarioRuntime
+
+    runtime = ScenarioRuntime(build_spec("mixed", seconds=1.0), fast_forward=False)
+    cell = runtime.cell
+    macs = [cell.ap.mac] + [station.mac for station in cell.stations.values()]
+    seen = set()
+    last = {mac.address: False for mac in macs}
+    idle_expiries = []
+
+    class Check:
+        def on_event(self, time, callback):
+            subscribed = _subscribers(cell.channel)
+            for mac in macs:
+                flag = mac._subscribed
+                assert (mac in subscribed) == flag, (time, mac.address)
+                seen.add((mac.address, flag))
+                if last[mac.address] and not flag:
+                    idle_expiries.append(mac.address)
+                last[mac.address] = flag
+
+        def on_fast_forward(self, old_now, new_now):
+            raise AssertionError("fast-forward is off")
+
+    cell.sim.observe(Check())
+    runtime.run()
+    # The AP and the uplink senders contended, the downlink-only
+    # receivers never did, and contenders left the set when idle.
+    contenders = {address for address, flag in seen if flag}
+    assert "ap" in contenders and len(contenders) > 1
+    assert len(contenders) < len(macs)
+    assert idle_expiries
+
+
+def test_idle_post_backoff_expiry_unsubscribes():
+    h = MacHarness(1)
+    mac = h.macs[0]
+    after_exchange = []
+    mac.add_completion_listener(
+        lambda report: after_exchange.append(
+            (mac._subscribed, mac in _subscribers(h.channel))
+        )
+    )
+    for _ in range(2):
+        h.scheds[0].enqueue(SimplePacket("ap", 1000))
+    h.sim.run()
+    assert mac.tx_success == 2
+    # Subscribed through both exchanges and their post-backoffs ...
+    assert after_exchange == [(True, True), (True, True)]
+    # ... and off once the last post-backoff expired with nothing queued.
+    assert not mac._subscribed and h.channel._carrier_subs == ()

@@ -243,6 +243,9 @@ def test_zero_rate_link_fifo_ordering_across_sources_and_sends():
             )
             self.label = label
 
+        def refuse(self):
+            return False  # every arrival is admitted
+
         def deliver(self, seq, fire_us):
             order.append((self.label, fire_us))
 
@@ -278,6 +281,9 @@ def test_plain_send_unwind_restores_serialization_state():
 
         def __init__(self):
             super().__init__(500.0, 1000.0, 1000, stop_us=501.0)
+
+        def refuse(self):
+            return False  # the arrival is admitted
 
         def deliver(self, seq, fire_us):
             deliveries.append(("demand", sim.now))

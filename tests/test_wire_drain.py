@@ -306,19 +306,37 @@ def test_run_until_horizon_bounds_the_drain(scheduler, seed):
 # ----------------------------------------------------------------------
 class Refused(Pacing):
     """Scripted demand source whose consumer refuses every arrival: a
-    pacing record firing every ``period_us``, from ``period_us`` on."""
+    pacing record firing every ``period_us``, from ``period_us`` on.
+
+    The pump asks ``refuse()`` first and never delivers a refused
+    arrival, so the arrivals that cost a kernel event are counted by a
+    kernel observer, and ``refused`` counts the refusals the drain made
+    inline: every ``refuse()`` call but the one per pump event.
+    """
 
     def __init__(self, sim, period_us, stop_us=None):
         super().__init__(period_us, period_us, 100, stop_us=stop_us)
         self.sim = sim
         self.observed = []  # arrival times that cost a kernel event
-        self.refused = 0
+        self.asked = 0
+        sim.observe(self)
+
+    def on_event(self, time, callback):
+        if getattr(callback, "__func__", None) is WiredLink._pump_deliver:
+            self.observed.append(time)
+
+    def on_fast_forward(self, old_now, new_now):
+        raise AssertionError("no jump in a link-level test")
+
+    @property
+    def refused(self):
+        return self.asked - len(self.observed)
 
     def deliver(self, seq, fire_us):
-        self.observed.append(self.sim.now)
+        raise AssertionError("a refused arrival was delivered")
 
     def refuse(self):
-        self.refused += 1
+        self.asked += 1
         return True
 
 
