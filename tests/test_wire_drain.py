@@ -316,7 +316,6 @@ class Refused(Pacing):
 
     def __init__(self, sim, period_us, stop_us=None):
         super().__init__(period_us, period_us, 100, stop_us=stop_us)
-        self.sim = sim
         self.observed = []  # arrival times that cost a kernel event
         self.asked = 0
         sim.observe(self)
