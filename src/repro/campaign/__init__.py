@@ -8,7 +8,8 @@ deterministically by job key.  The building blocks:
   a content-addressed digest (config hash + schema salt);
 * :mod:`repro.campaign.store` — the one :class:`ResultStore`: on-disk
   results keyed by digest with checksummed entries (silent corruption
-  reads as a miss, not a result), each carrying the metadata that
+  reads as a miss, not a result; every backend lands the entry its
+  attempt encoded), each carrying the metadata that
   queries over (experiment, family, seed, digest) read from its header,
   incremental-sweep planning (:meth:`ResultStore.plan`), and the
   quarantine record of each job that exhausted its attempts, which

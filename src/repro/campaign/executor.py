@@ -28,8 +28,8 @@ sink=)`` over the same three parts: one attempt is
 :func:`~repro.campaign.pool._execute_one`, its reply is checked by
 :func:`~repro.campaign.pool.decode_reply`, and a failed one is booked
 by :func:`~repro.campaign.policy.book`.  It reports into the run as it
-goes — ``sink.finish(digest, value)``, ``sink.retried(digest, record)``
-when a retry is scheduled after ``record.backoff_s``,
+goes — ``sink.finish(digest, value, entry)``, ``sink.retried(digest,
+record)`` when a retry is scheduled after ``record.backoff_s``,
 ``sink.quarantine(failure)`` — and returns ``(None, [])``, or
 ``(reason, remaining_items)`` when it gives up and the remainder drains
 inline.  Backends differ only in *where* the attempt runs:
@@ -39,10 +39,11 @@ pipes, :class:`~repro.campaign.queue.SpoolQueue` in whichever process
 claims the job from a shared directory.  Worker processes only ever
 receive :class:`Job` descriptors (frozen primitive trees).  Each
 outcome is written to the store once, by the process that ran its
-attempt's reply check: the run itself for inline and pool, the spool
-participant for the spool, which reports its outcomes with
-``stored=True``.  A store write is one atomic rename, so no locking is
-needed.
+attempt's reply check, as the entry that attempt encoded: the run
+itself for inline and pool, the spool participant for the spool (its
+coordinator's ``finish`` gets no ``entry``, its ``quarantine``
+``stored=True``).  A store write is one atomic rename, so no locking
+is needed.
 """
 
 from __future__ import annotations
@@ -184,12 +185,14 @@ class _Run:
         self.done += 1
         self.emit("cached", digest)
 
-    def finish(self, digest: str, value: Any, stored: bool = False) -> None:
+    def finish(
+        self, digest: str, value: Any, entry: Optional[bytes] = None
+    ) -> None:
         self.resolved[digest] = value
         self.stats.executed += 1
         self.done += 1
-        if self.cache is not None and not stored:
-            self.cache.put_for_job(self.by_digest[digest][0], value)
+        if self.cache is not None and entry is not None:
+            self.cache.put_entry(digest, entry)
         self.emit("executed", digest)
 
     def retried(self, digest: str, record: AttemptRecord) -> None:
@@ -219,7 +222,7 @@ class Inline:
     No worker boundary means no crash isolation and no wall-clock
     timeouts (killing a hung job requires a process to kill), and fault
     plans deliberately do not apply (:mod:`repro.campaign.faults`).
-    The result still crosses the pickle-and-checksum reply, so an
+    The result still crosses the entry encoding and its check, so an
     unpicklable one costs attempts here exactly as in a worker.
     """
 
@@ -239,7 +242,7 @@ class Inline:
                 attempt = len(records) + 1
                 reply = decode_reply(_execute_one(digest, job, attempt, None))
                 if reply[0] == "ok":
-                    sink.finish(digest, reply[1])
+                    sink.finish(digest, reply[1], reply[2])
                     break
                 _, kind, detail, exc_type, tb = reply
                 last_tb = tb or last_tb

@@ -8,9 +8,9 @@ campaign with it.  This pool supervises instead of delegating:
   over its own pipe, so the supervisor always knows exactly which
   ``(digest, attempt)`` a dying worker was holding — a crash costs that
   one attempt, never the campaign;
-* results come back as ``(payload_bytes, sha256)`` and are verified
-  before unpickling (:func:`decode_reply`), so a corrupted reply is an
-  attempt failure, not a store entry;
+* a result comes back as the store entry its attempt encoded, checked
+  by the store's decode (:func:`decode_reply`), so a corrupted reply
+  is an attempt failure, not a store entry;
 * every assignment carries a wall-clock deadline; a hung worker is
   SIGKILLed at its deadline, the item retried on the
   :class:`~repro.campaign.policy.RetryPolicy`'s seeded backoff
@@ -25,7 +25,8 @@ campaign with it.  This pool supervises instead of delegating:
 
 The worker-side half — :func:`_execute_one` and its inverse
 :func:`decode_reply` — is also how the inline and spool backends run a
-job, so one reply format and one failure taxonomy serve all three.
+job, so one reply format and one failure taxonomy serve all three, and
+the bytes a reply check passes are the bytes the store lands.
 
 Scheduling is deterministic: ready items run in (ready-time, submission
 sequence) order, retries re-enter the queue at ``now + backoff`` with a
@@ -36,11 +37,9 @@ serial run.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import importlib
 import os
-import pickle
 import signal
 import threading
 import time
@@ -49,12 +48,18 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.campaign import faults as faults_mod
 from repro.campaign.faults import FaultPlan
-from repro.campaign.job import Job, execute_job
+from repro.campaign.job import Job, job_params, resolve_executor
 from repro.campaign.policy import (
     AttemptRecord,
     JobFailure,
     RetryPolicy,
     book,
+)
+from repro.campaign.store import (
+    CacheCorruption,
+    decode_entry,
+    encode_entry,
+    meta_of,
 )
 
 #: How long a worker may hang (seconds) when a fault plan says "hang";
@@ -71,12 +76,6 @@ REAP_GRACE_S = 2.0
 # ----------------------------------------------------------------------
 # one attempt: shared by every backend
 # ----------------------------------------------------------------------
-def _flip_last_byte(payload: bytes) -> bytes:
-    if not payload:
-        return b"\xff"
-    return payload[:-1] + bytes([payload[-1] ^ 0xFF])
-
-
 def _execute_one(
     digest: str, job: Job, attempt: int, plan: Optional[FaultPlan]
 ) -> Tuple:
@@ -85,7 +84,8 @@ def _execute_one(
     (:data:`repro.campaign.faults.in_worker`).
 
     Replies are primitive-only:
-    ``("ok", digest, attempt, payload, sha256hex)`` or
+    ``("ok", digest, attempt, entry)``, ``entry`` being the result's
+    :func:`~repro.campaign.store.encode_entry` bytes, or
     ``("error", digest, attempt, exc_type, message, traceback)``.
     """
     action = None
@@ -106,7 +106,9 @@ def _execute_one(
             raise ValueError(
                 f"injected permanent fault ({digest[:12]}, attempt {attempt})"
             )
-        value = execute_job(job)
+        params = job_params(job)
+        value = resolve_executor(job.executor)(params)
+        meta = meta_of(job, params)
     except Exception as exc:
         return (
             "error",
@@ -117,7 +119,7 @@ def _execute_one(
             traceback.format_exc(),
         )
     try:
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        entry = encode_entry(value, meta)
     except Exception as exc:
         return (
             "error",
@@ -127,29 +129,27 @@ def _execute_one(
             f"{type(exc).__name__}: {exc}",
             traceback.format_exc(),
         )
-    checksum = hashlib.sha256(payload).hexdigest()
     if action == "corrupt":
-        payload = _flip_last_byte(payload)
-    return ("ok", digest, attempt, payload, checksum)
+        entry = entry[:-1] + bytes([entry[-1] ^ 0xFF])
+    return ("ok", digest, attempt, entry)
 
 
 def decode_reply(reply: Tuple) -> Tuple:
-    """Verify and unpack an :func:`_execute_one` reply.
+    """Check and unpack an :func:`_execute_one` reply.
 
-    ``("ok", value)``, or ``("fail", kind, detail, exc_type, traceback)``
-    with ``kind`` from the :mod:`~repro.campaign.policy` taxonomy — the
-    arguments :func:`~repro.campaign.policy.book` wants.
+    ``("ok", value, entry)``, checked by
+    :func:`~repro.campaign.store.decode_entry` (a
+    :class:`~repro.campaign.store.CacheCorruption` is a
+    ``corrupt-result``), or ``("fail", kind, detail, exc_type,
+    traceback)`` with ``kind`` from the :mod:`~repro.campaign.policy`
+    taxonomy — the arguments :func:`~repro.campaign.policy.book` wants.
     """
     if reply[0] == "ok":
-        _, _, _, payload, checksum = reply
-        if hashlib.sha256(payload).hexdigest() != checksum:
-            detail = f"payload checksum mismatch ({len(payload)} bytes)"
-            return ("fail", "corrupt-result", detail, None, "")
+        entry = reply[3]
         try:
-            return ("ok", pickle.loads(payload))
-        except Exception as exc:
-            detail = f"payload failed to unpickle: {type(exc).__name__}: {exc}"
-            return ("fail", "corrupt-result", detail, None, "")
+            return ("ok", decode_entry(entry), entry)
+        except CacheCorruption as exc:
+            return ("fail", "corrupt-result", str(exc), None, "")
     _, _, _, exc_type, message, tb = reply
     kind = "unpicklable" if exc_type == "UnpicklableResult" else "exception"
     return ("fail", kind, f"{exc_type}: {message}", exc_type, tb)
@@ -557,7 +557,7 @@ class _Supervision:
         self.deaths = 0
         reply = decode_reply(reply)
         if reply[0] == "ok":
-            self.sink.finish(digest, reply[1])
+            self.sink.finish(digest, reply[1], reply[2])
             return
         _, kind, detail, exc_type, tb = reply
         if tb:

@@ -523,8 +523,9 @@ def process_one(root, cfg: SpoolConfig, store: ResultStore) -> str:
     ``"wait"`` when work exists but nothing is ready, ``"empty"`` when
     the spool is drained.  The attempt and its reply check are the
     shared :func:`~repro.campaign.pool._execute_one` and
-    :func:`~repro.campaign.pool.decode_reply`; faults still only fire
-    when :data:`repro.campaign.faults.in_worker` is set, i.e. in real
+    :func:`~repro.campaign.pool.decode_reply`, whose checked entry
+    lands here; faults still only fire when
+    :data:`repro.campaign.faults.in_worker` is set, i.e. in real
     worker processes, never in a coordinating one.
     """
     root = Path(root)
@@ -540,7 +541,7 @@ def process_one(root, cfg: SpoolConfig, store: ResultStore) -> str:
         lease.release()
     reply = decode_reply(reply)
     if reply[0] == "ok":
-        store.put_for_job(job, reply[1])
+        store.put_entry(digest, reply[2])
         _release(claim_path)
         return "done"
     _, kind, detail, exc_type, tb = reply
@@ -619,14 +620,14 @@ class SpoolQueue:
     local worker processes, and then *observes*: results and quarantine
     records appear in the shared ``store`` (the run's ``cache`` should
     be the same store), retries in the attempt log — and it reports
-    each into the run's ``sink`` as the other backends do, outcomes
-    with ``stored=True``: their writer was the participant that ran
-    the attempt.  Independent ``repro campaign worker``
-    processes — started by hand, by CI, or on other hosts sharing the
-    directory — join the same drain at any time.  ``workers=0`` relies
-    entirely on such external workers (set ``participate=True`` to have
-    the coordinator claim jobs itself, with fault injection off, like
-    the inline backend).
+    each into the run's ``sink`` as the other backends do, a result
+    with no entry and a quarantine with ``stored=True``: their writer
+    was the participant that ran the attempt.  Independent ``repro
+    campaign worker`` processes — started by hand, by CI, or on other
+    hosts sharing the directory — join the same drain at any time.
+    ``workers=0`` relies entirely on such external workers (set
+    ``participate=True`` to have the coordinator claim jobs itself, with
+    fault injection off, like the inline backend).
 
     The ``workers`` run in the pool's worker table
     (:class:`~repro.campaign.pool._WorkerTable`), so a storm of their
@@ -693,7 +694,7 @@ class SpoolQueue:
                     if self.store.contains(digest):
                         hit, value = self.store.get(digest)
                         if hit:
-                            sink.finish(digest, value, stored=True)
+                            sink.finish(digest, value)
                             del pending[digest]
                             progressed = True
                         else:

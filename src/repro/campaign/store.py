@@ -14,8 +14,11 @@ An entry is the only record of its result.  Its layout::
     <metadata JSON, one line, sorted keys>\\n
     <pickled payload>
 
-The metadata line is :func:`job_meta` of the job that produced it
-(``{}`` for a bare :meth:`ResultStore.put`).  The checksum covers the
+The metadata line is :func:`meta_of` the job that produced it (``{}``
+for a bare :meth:`ResultStore.put`).  A campaign attempt encodes its
+result as the entry (:func:`encode_entry`), and the process that ran
+its check (:func:`decode_entry`) lands those bytes with
+:meth:`ResultStore.put_entry`.  The checksum covers the
 metadata line and the payload and is verified on every read, so silent
 corruption — a flipped bit, a truncated write, a partial disk — is
 detected deterministically rather than by unpickle luck, and the
@@ -93,7 +96,8 @@ DEFAULT_CACHE_DIRNAME = ".repro-cache/campaign"
 _ROOT_MARKERS = (".git", "setup.py", "pyproject.toml")
 
 
-def _encode(value: Any, meta: Dict[str, Any]) -> bytes:
+def encode_entry(value: Any, meta: Dict[str, Any]) -> bytes:
+    """An entry: ``meta``'s line and ``value`` pickled, checksummed."""
     body = (
         json.dumps(meta, sort_keys=True).encode("ascii")
         + b"\n"
@@ -113,7 +117,8 @@ _CHECKSUM_END = len(MAGIC) + 64
 _BODY_START = _CHECKSUM_END + 1
 
 
-def _decode(blob: bytes) -> Any:
+def decode_entry(blob: bytes) -> Any:
+    """An entry's value, or :class:`CacheCorruption` naming the check."""
     # The body is only sliced as a memoryview: the checksum and the
     # unpickle read the blob in place, never a copy of it.
     if not blob.startswith(MAGIC):
@@ -238,6 +243,15 @@ def default_store_root() -> Path:
 
 
 def job_meta(job: Job) -> Dict[str, Any]:
+    """:func:`meta_of` the job, its params thawed here."""
+    try:
+        params = thaw(job.params)
+    except Exception:
+        params = None
+    return meta_of(job, params)
+
+
+def meta_of(job: Job, params: Any) -> Dict[str, Any]:
     """Entry metadata for one job: experiment, key, family, seed.
 
     ``family`` and ``seed`` come from the job's own config: a scenario
@@ -249,10 +263,6 @@ def job_meta(job: Job) -> Dict[str, Any]:
     """
     family: Optional[str] = job.experiment
     seed: Optional[int] = None
-    try:
-        params = thaw(job.params)
-    except Exception:
-        params = None
     if isinstance(params, dict):
         raw_seed = params.get("seed")
         if isinstance(raw_seed, (int, float)):
@@ -358,14 +368,14 @@ class ResultStore:
     def get(self, digest: str) -> Tuple[bool, Any]:
         """``(hit, value)``; corrupt or missing entries are misses.
 
-        One ``open`` and one ``read`` of the entry, then :func:`_decode`'s
-        checks — magic, checksum line, SHA-256 of metadata + payload,
-        unpickle — on the bytes read."""
+        One ``open`` and one ``read`` of the entry, then
+        :func:`decode_entry`'s checks — magic, checksum line, SHA-256 of
+        metadata + payload, unpickle — on the bytes read."""
         path = self._file_for(digest, ".pkl")
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
-            return True, _decode(blob)
+            return True, decode_entry(blob)
         except CacheCorruption:
             # Detected corruption: drop the entry so a rerun refreshes
             # it instead of serving damaged bytes.
@@ -374,16 +384,20 @@ class ResultStore:
             pass
         return False, None
 
+    def put_entry(self, digest: str, entry: bytes) -> Path:
+        """Write ``entry``, :func:`encode_entry`'s bytes, as it is."""
+        path = self.path_for(digest)
+        atomic_write(path, entry)
+        return path
+
     def put(
         self, digest: str, value: Any, meta: Optional[Dict[str, Any]] = None
     ) -> Path:
-        path = self.path_for(digest)
-        atomic_write(path, _encode(value, meta or {}))
-        return path
+        return self.put_entry(digest, encode_entry(value, meta or {}))
 
     def put_for_job(self, job: Job, value: Any) -> Path:
         """``put`` with the job's own metadata in the entry's header."""
-        return self.put(job.digest, value, meta=job_meta(job))
+        return self.put_entry(job.digest, encode_entry(value, job_meta(job)))
 
     def entry_digests(self) -> List[str]:
         """Digests of the entry files actually on disk, sorted."""
@@ -432,7 +446,7 @@ class ResultStore:
         bad = []
         for digest in digests:
             try:
-                _decode(self.path_for(digest).read_bytes())
+                decode_entry(self.path_for(digest).read_bytes())
             except OSError as exc:
                 detail = f"{type(exc).__name__}: {exc}"
                 bad.append((digest, "unreadable", detail))

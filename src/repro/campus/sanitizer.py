@@ -28,6 +28,7 @@ from typing import Any, Dict
 
 from repro.sim.sanitizer import (
     _BENIGN_DETACHED,
+    CHECK_INTERVAL_US,
     InvariantViolation,
     RuntimeSanitizer,
     live_pooled_packets,
@@ -38,16 +39,10 @@ from repro.sim.sanitizer import (
 class CampusSanitizer:
     """Invariant checks for a whole campus, as a kernel observer."""
 
-    def __init__(
-        self,
-        campus: Any,
-        *,
-        check_interval_us: float = 10_000.0,
-    ) -> None:
+    def __init__(self, campus: Any) -> None:
         from repro.mac.dcf import DcfMac
 
         self.campus = campus
-        self.check_interval_us = check_interval_us
         self._mac_type = DcfMac
         #: uninstalled per-cell sanitizers, reused for their TBR walk.
         self._cell_checkers: Dict[str, RuntimeSanitizer] = {
@@ -100,7 +95,7 @@ class CampusSanitizer:
                     )
 
         if time >= self._next_check:
-            self._next_check = time + self.check_interval_us
+            self._next_check = time + CHECK_INTERVAL_US
             self._check_campus(time)
 
     # ------------------------------------------------------------------

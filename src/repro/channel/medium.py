@@ -317,11 +317,6 @@ class Channel:
     def busy_us(self, value: float) -> None:
         self._busy_accum += value - self.busy_us
 
-    def busy_fraction(self) -> float:
-        """Fraction of elapsed simulation time the medium was busy."""
-        total = self.sim.now
-        return self.busy_us / total if total > 0 else 0.0
-
     # ------------------------------------------------------------------
     def charge(self, report: "ExchangeReport") -> None:
         """MAC completion listener: attribute the exchange's airtime to

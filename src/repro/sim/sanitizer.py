@@ -47,6 +47,12 @@ SANITIZE_ENV = "REPRO_SANITIZE"
 #: self._current is None: return`` guard): not violations.
 _BENIGN_DETACHED = frozenset({"_transmit_burst_frame"})
 
+#: Simulated time between two periodic accounting checks; a live-share
+#: deficit over the tolerance is a violation after the grace.
+CHECK_INTERVAL_US = 10_000.0
+STRAND_GRACE_US = 2_000_000.0
+STRAND_TOLERANCE = 0.01
+
 
 def sanitize_enabled() -> bool:
     """True when :data:`SANITIZE_ENV` asks for sanitized runs."""
@@ -138,24 +144,14 @@ class RuntimeSanitizer:
     run, then :meth:`finalize` for the end-of-run conservation checks.
     Per-event work is two attribute reads and a couple of comparisons;
     the heavier TBR accounting walk runs at most once per simulated
-    ``check_interval_us``.
+    :data:`CHECK_INTERVAL_US`.
     """
 
-    def __init__(
-        self,
-        cell: Any,
-        *,
-        check_interval_us: float = 10_000.0,
-        strand_grace_us: float = 2_000_000.0,
-        strand_tolerance: float = 0.01,
-    ) -> None:
+    def __init__(self, cell: Any) -> None:
         from repro.core.tbr import TbrScheduler
         from repro.mac.dcf import DcfMac
 
         self.cell = cell
-        self.check_interval_us = check_interval_us
-        self.strand_grace_us = strand_grace_us
-        self.strand_tolerance = strand_tolerance
         self._mac_type = DcfMac
         self._tbr = (
             cell.scheduler
@@ -231,7 +227,7 @@ class RuntimeSanitizer:
                     )
 
         if time >= self._next_check:
-            self._next_check = time + self.check_interval_us
+            self._next_check = time + CHECK_INTERVAL_US
             self._check_tbr(time)
 
     # ------------------------------------------------------------------
@@ -278,10 +274,10 @@ class RuntimeSanitizer:
         # its idle window), so only a deficit persisting past the grace
         # period is a violation — exactly the bug a crashed station
         # leaves behind when nothing reaps it.
-        if live < 1.0 - self.strand_tolerance:
+        if live < 1.0 - STRAND_TOLERANCE:
             if self._strand_since is None:
                 self._strand_since = time
-            elif time - self._strand_since >= self.strand_grace_us:
+            elif time - self._strand_since >= STRAND_GRACE_US:
                 dead = sorted(set(buckets) - set(stations))
                 raise InvariantViolation(
                     "tbr", time,

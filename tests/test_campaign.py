@@ -14,6 +14,7 @@ from repro.campaign import (
     CACHE_SCHEMA,
     Job,
     ResultStore,
+    RetryPolicy,
     execute_job,
     freeze,
     job_params,
@@ -170,6 +171,37 @@ def test_run_jobs_cache_hits_and_force(tmp_path):
     assert warm.results == cold.results
     forced = run_jobs(jobs, workers=1, cache=cache, force=True)
     assert (forced.stats.executed, forced.stats.cached) == (3, 0)
+
+
+@pytest.mark.parametrize("backend", ["inline", "spool participant"])
+def test_an_executed_job_pickles_its_result_once(
+    backend, tmp_path, monkeypatch
+):
+    """The attempt encodes the store entry and the store lands those
+    bytes: no second pickle of the result on its way to disk."""
+    from repro.campaign import queue as q
+
+    job = echo_job("e", "once", seed=3)
+    expected = {"seed": 3}
+    dumps = pickle.dumps
+    pickled = []
+
+    def spy(obj, *args, **kwargs):
+        pickled.append(obj == expected)
+        return dumps(obj, *args, **kwargs)
+
+    store = ResultStore(tmp_path / "store")
+    if backend == "inline":
+        monkeypatch.setattr(pickle, "dumps", spy)
+        assert run_jobs([job], workers=1, cache=store).stats.executed == 1
+    else:
+        root = tmp_path / "spool"
+        cfg = q.SpoolConfig(store_root=str(store.root), retry=RetryPolicy())
+        q.enqueue(root, cfg, [(job.digest, job)])
+        monkeypatch.setattr(pickle, "dumps", spy)
+        assert q.process_one(root, cfg, store) == "done"
+    assert sum(pickled) == 1
+    assert store.get(job.digest) == (True, expected)
 
 
 def test_run_jobs_progress_events(tmp_path):

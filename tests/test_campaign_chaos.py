@@ -32,8 +32,15 @@ from repro.campaign import (
     quarantine_report,
     run_jobs,
 )
+from repro.campaign.executor import _Run
 from repro.campaign.faults import FAULTS_ENV
 from repro.campaign.queue import SpoolQueue
+from repro.campaign.store import (
+    CacheCorruption,
+    decode_entry,
+    encode_entry,
+    job_meta,
+)
 
 ECHO = "builtins:dict"
 
@@ -195,20 +202,33 @@ def test_permanent_exception_skips_retries_entirely():
     assert "permanent" in report
 
 
-def test_corrupt_payload_detected_by_checksum_and_retried():
+def test_corrupt_payload_detected_by_checksum_and_retried(monkeypatch):
     jobs = echo_jobs(3)
     victim = jobs[1].digest
     plan = FaultPlan((Fault(victim, 1, "corrupt"),))
     log = ProgressLog()
+    details = []
+    retried = _Run.retried
+
+    def noted(self, digest, record):
+        details.append(record.detail)
+        retried(self, digest, record)
+
+    monkeypatch.setattr(_Run, "retried", noted)
     outcome = run_jobs(
         jobs, workers=2, retry=fast_retry(), fault_plan=plan, progress=log
     )
     assert outcome.ok
     assert outcome.stats.retried == 1
     # The corrupted payload never reached the results.
-    assert outcome.experiment_results("chaos")[1] == {
-        "i": 1, "payload": "job-1",
-    }
+    value = {"i": 1, "payload": "job-1"}
+    assert outcome.experiment_results("chaos")[1] == value
+    # The reply check is the store's: the attempt failed with its message.
+    entry = encode_entry(value, job_meta(jobs[1]))
+    with pytest.raises(CacheCorruption) as caught:
+        decode_entry(entry[:-1] + bytes([entry[-1] ^ 0xFF]))
+    assert details == [str(caught.value)]
+    assert details[0].startswith("metadata + payload checksum mismatch")
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pool"])

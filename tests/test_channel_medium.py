@@ -142,14 +142,14 @@ def test_busy_fraction_accounts_transmissions():
     sim, channel, listeners = setup()
     channel.transmit(data_frame("n0", "n1"), 100.0)
     sim.run(until=200.0)
-    assert channel.busy_fraction() == pytest.approx(0.5)
+    assert channel.busy_us / sim.now == pytest.approx(0.5)
 
 
 def test_busy_fraction_with_inflight_transmission():
     sim, channel, listeners = setup()
     channel.transmit(data_frame("n0", "n1"), 1000.0)
     sim.run(until=100.0)
-    assert channel.busy_fraction() == pytest.approx(1.0)
+    assert channel.busy_us / sim.now == pytest.approx(1.0)
 
 
 def test_attach_duplicate_listener_rejected():

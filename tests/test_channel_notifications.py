@@ -250,7 +250,7 @@ def test_hold_withholds_both_edges_of_the_sifs_gap():
     # One busy period to the listeners; two to the medium's own books.
     assert obs.busy_events == [0.0]
     assert obs.idle_events == [160.0]
-    assert channel.busy_fraction() == pytest.approx(150.0 / 160.0)
+    assert channel.busy_us / sim.now == pytest.approx(150.0 / 160.0)
     assert not channel.carrier_busy
 
 

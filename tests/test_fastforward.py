@@ -301,8 +301,8 @@ def test_jump_credits_drop_and_downlink_counters(scheduler):
         assert fast_totals[name] == pytest.approx(
             total, rel=0.10 if loose else 0.05
         ), name
-    assert fast.channel.busy_fraction() == pytest.approx(
-        slow.channel.busy_fraction(), rel=0.05
+    assert fast.channel.busy_us / fast.sim.now == pytest.approx(
+        slow.channel.busy_us / slow.sim.now, rel=0.05
     )
 
 
@@ -321,7 +321,7 @@ def test_jump_keeps_the_busy_fraction():
         runtime = ScenarioRuntime(spec, fast_forward=fast)
         runtime.run()
         assert runtime.cell.sim.fast_forwards == (1 if fast else 0)
-        busy[fast] = runtime.cell.channel.busy_fraction()
+        busy[fast] = runtime.cell.channel.busy_us / runtime.cell.sim.now
     assert busy[True] == pytest.approx(busy[False], abs=0.01)
 
 

@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, encode_entry, job_meta
 from repro.campaign.executor import run_jobs, serial_results
 from repro.scenario import (
     ScenarioRuntime,
@@ -228,6 +228,21 @@ def test_sweep_runs_as_cached_campaign_jobs(tmp_path):
     fifo, tbr = (results[spec.name] for spec in specs)
     assert fifo.scheduler == "fifo" and tbr.scheduler == "tbr"
     assert fifo.throughput_mbps != tbr.throughput_mbps
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_PARAMS))
+def test_run_jobs_lands_the_entry_of_the_result(
+    family, family_results, tmp_path
+):
+    """The stored entry is the result encoded once under the job's
+    metadata, byte for byte: no re-encoding on the way to disk."""
+    spec = build_spec(family, **GOLDEN_PARAMS[family])
+    job = scenario_job(spec, key=spec.name)
+    store = ResultStore(tmp_path / "store")
+    assert run_jobs([job], workers=1, cache=store).stats.executed == 1
+    assert store.path_for(job.digest).read_bytes() == encode_entry(
+        family_results[family], job_meta(job)
+    )
 
 
 def test_scenario_jobs_parallel_matches_serial():

@@ -824,16 +824,16 @@ def test_a_streaming_client_that_hangs_up_fails_no_one_else(
     store = ResultStore(tmp_path / "store")
     state = ServeState(store)
     spec = build_spec(FAMILY, **OVERRIDES)
-    put = store.put_for_job
+    put = store.put_entry
 
-    def put_once_followed(job, value):
+    def put_once_followed(digest, entry):
         wait_for(lambda: state.flight_counters["followers"] == 1)
-        put(job, value)
+        put(digest, entry)
 
     def hung_up(*event):
         raise BrokenPipeError(32, "Broken pipe")
 
-    monkeypatch.setattr(store, "put_for_job", put_once_followed)
+    monkeypatch.setattr(store, "put_entry", put_once_followed)
     replies = {}
 
     def run(name, progress=None):

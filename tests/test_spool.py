@@ -302,7 +302,7 @@ def test_each_outcome_is_written_once_by_the_worker_that_ran_it(
     and quarantine record is still the file the worker's rename landed
     (spawned workers inherit the recording patch by fork)."""
     landed = tmp_path / "landed.jsonl"
-    put_for_job = ResultStore.put_for_job
+    put_entry = ResultStore.put_entry
     put_failure = ResultStore.put_failure
     coordinator = os.getpid()
 
@@ -317,8 +317,8 @@ def test_each_outcome_is_written_once_by_the_worker_that_ran_it(
         note(self._failure_path(failure.digest))
 
     monkeypatch.setattr(
-        ResultStore, "put_for_job",
-        lambda self, job, value: note(put_for_job(self, job, value)),
+        ResultStore, "put_entry",
+        lambda self, digest, entry: note(put_entry(self, digest, entry)),
     )
     monkeypatch.setattr(ResultStore, "put_failure", noted_put_failure)
     jobs = echo_jobs(4)

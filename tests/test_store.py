@@ -252,7 +252,7 @@ def flip(blob, at):
 
 #: ``name -> (damage, verify-cache detail prefix)``.  With the legacy
 #: fixture's unknown magic (below) and the header torn mid-meta
-#: (above), every check ``_decode`` makes is hit.  Each damage leaves
+#: (above), every check ``decode_entry`` makes is hit.  Each damage leaves
 #: the header readable, so the entry stays listed until ``get`` drops
 #: it.
 DAMAGES = {
@@ -500,7 +500,7 @@ def test_torn_quarantine_record_reads_as_none_and_reruns(tmp_path, torn):
 # ----------------------------------------------------------------------
 #: cProfile ``total_calls`` of one warm single-job ``run_jobs`` replay.
 #: It read 78 while ``path_for`` joined ``Path`` parts, ``get`` went
-#: through ``Path.read_bytes``, ``_decode`` copied the body twice and
+#: through ``Path.read_bytes``, ``decode_entry`` copied the body twice and
 #: ``Job`` hashed its frozen tree.  The rule of ``PINNED_PUSHES``: the
 #: count may only fall, and a rise needs a line in CHANGES.md saying why.
 PINNED_WARM_REPLAY_CALLS = 43
