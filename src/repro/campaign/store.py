@@ -368,9 +368,9 @@ class ResultStore:
     def get(self, digest: str) -> Tuple[bool, Any]:
         """``(hit, value)``; corrupt or missing entries are misses.
 
-        One ``open`` and one ``read`` of the entry, then
-        :func:`decode_entry`'s checks — magic, checksum line, SHA-256 of
-        metadata + payload, unpickle — on the bytes read."""
+        One ``open`` and one ``read`` of the entry, then the checks of
+        :func:`decode_entry` — magic, checksum line, SHA-256 of metadata
+        + payload, unpickle — on the bytes read."""
         path = self._file_for(digest, ".pkl")
         try:
             with open(path, "rb") as fh:
