@@ -169,17 +169,18 @@ class Job:
         return f"{self.experiment}:{key}"
 
     def __getstate__(self) -> Dict[str, Any]:
+        # The digest travels with the job: unpickling never re-hashes.
         return {
             "experiment": self.experiment,
             "key": self.key,
             "executor": self.executor,
             "params": self.params,
+            "_digest": self._digest,
         }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         for name, value in state.items():
             object.__setattr__(self, name, value)
-        self.__post_init__()
 
 
 def make_job(

@@ -265,7 +265,8 @@ def meta_of(job: Job, params: Any) -> Dict[str, Any]:
     seed: Optional[int] = None
     if isinstance(params, dict):
         raw_seed = params.get("seed")
-        if isinstance(raw_seed, (int, float)):
+        whole = isinstance(raw_seed, float) and raw_seed.is_integer()
+        if whole or isinstance(raw_seed, int):
             seed = int(raw_seed)
         spec = params.get("spec")
         # Duck-typed so the store never imports the scenario package

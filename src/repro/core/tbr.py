@@ -12,9 +12,9 @@ directions — converges to its fair share:
   packet whenever it is ready to transmit)
 * **COMPLETEEVENT**  -> :meth:`TbrScheduler.on_complete` (downlink, true
   airtime: the AP's first MAC completion listener) and
-  :meth:`TbrScheduler.on_uplink_complete` (uplink, estimated airtime —
-  without retransmission information by default, exactly like the
-  paper's prototype)
+  :meth:`TbrScheduler.on_uplink_complete` (uplink: TBR prices the
+  frame the AP received, one attempt by default exactly like the
+  paper's prototype; see :attr:`TbrConfig.uplink_charge`)
 * **ADJUSTRATEEVENT**-> periodic :class:`repro.core.RateAdjuster`
 
 Uplink TCP needs no client cooperation: its ACKs traverse the
@@ -32,6 +32,7 @@ from typing import Any, Dict, Optional
 
 from repro.core.rate_adjust import RateAdjustConfig, RateAdjuster
 from repro.core.token_bucket import TokenBucket
+from repro.phy.phy import exchange_airtime_us
 from repro.queueing.base import ApScheduler, StationQueue
 from repro.sim import PeriodicTimer, Simulator
 
@@ -70,8 +71,14 @@ class TbrConfig:
     weights: Dict[str, float] = field(default_factory=dict)
     #: ADJUSTRATEEVENT policy.
     adjust: RateAdjustConfig = field(default_factory=RateAdjustConfig)
+    #: Uplink frame price: ``"one"`` attempt (the paper's prototype sees
+    #: no retransmissions, Section 4.2) or the ``"oracle"`` true attempt
+    #: count off the frame (the retry-accounting ablation).
+    uplink_charge: str = "one"
 
     def __post_init__(self) -> None:
+        if self.uplink_charge not in ("one", "oracle"):
+            raise ValueError(f"unknown uplink_charge {self.uplink_charge!r}")
         if self.fill_interval_us <= 0:
             raise ValueError("fill interval must be positive")
         if self.bucket_depth_us <= 0:
@@ -121,6 +128,11 @@ class TbrScheduler(ApScheduler):
         # Per-adjust-window uplink payload bytes (activity signal).
         self._uplink_bytes_window: Dict[str, int] = {}
         self._window_start_us = sim.now
+
+    def bind(self, mac) -> None:
+        self.mac = mac
+        if self.config.notify_clients:
+            mac.ack_decorator = self._decorate_ack
 
     # ------------------------------------------------------------------
     # ASSOCIATEEVENT
@@ -243,9 +255,15 @@ class TbrScheduler(ApScheduler):
             bucket.charge(report.airtime_us)
 
     def on_uplink_complete(
-        self, station: str, airtime_us: float, *, attempts: int = 1,
-        payload_bytes: int = 0,
+        self, frame, airtime_us: Optional[float] = None
     ) -> None:
+        if airtime_us is None:
+            oracle = self.config.uplink_charge == "oracle"
+            airtime_us = exchange_airtime_us(
+                self.mac.phy, frame.size_bytes, frame.rate_mbps,
+                attempts=frame.attempt if oracle else 1,
+            )
+        station = frame.src
         bucket = self.buckets.get(station)
         if bucket is None:
             if station in self._departed:
@@ -257,7 +275,7 @@ class TbrScheduler(ApScheduler):
             bucket = self.buckets[station]
         bucket.charge(airtime_us)
         self._uplink_bytes_window[station] = (
-            self._uplink_bytes_window.get(station, 0) + payload_bytes
+            self._uplink_bytes_window.get(station, 0) + frame.size_bytes
         )
 
     # ------------------------------------------------------------------
@@ -327,6 +345,9 @@ class TbrScheduler(ApScheduler):
         if self.station_starved(station):
             return self.config.defer_hint_us
         return None
+
+    def _decorate_ack(self, ack, data_frame) -> None:
+        ack.defer_hint = self.defer_hint_for(data_frame.src)
 
     def stop(self) -> None:
         """Cancel timers (lets a finished simulation drain its queue)."""

@@ -5,7 +5,8 @@ dedicated figure:
 
 * **retry accounting** — the paper's prototype cannot see uplink
   retransmissions and slightly biases slow/lossy stations (the
-  Exp-TBR-vs-Eq12 gap); the oracle mode reads true attempt counts;
+  Exp-TBR-vs-Eq12 gap); ``TbrConfig(uplink_charge="oracle")`` reads
+  true attempt counts;
 * **bucket depth** — deeper buckets allow longer bursts and worsen
   short-term fairness (Section 4.5);
 * **weighted shares** — the QoS extension (unequal rate_i);
@@ -72,13 +73,14 @@ RETRY_LOSS_RATE = 0.08
 
 def execute_retry_accounting(params: Dict) -> Dict[str, float]:
     """Job executor: lossy 1-vs-11 uplink under TBR, one accounting mode."""
-    # Hand-built: the spec language has no per-link loss model and no
-    # word for ``oracle_retry_accounting``.
+    # Hand-built: the spec language has no per-link loss model.
     cell = Cell(
         seed=params["seed"],
         scheduler="tbr",
+        tbr_config=TbrConfig(
+            uplink_charge="oracle" if params["oracle"] else "one"
+        ),
         loss_model=PerLinkLoss({("n1", "ap"): params["loss_rate"]}),
-        oracle_retry_accounting=params["oracle"],
     )
     n1 = cell.add_station("n1", rate_mbps=1.0)
     n2 = cell.add_station("n2", rate_mbps=11.0)

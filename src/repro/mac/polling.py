@@ -18,9 +18,9 @@ provides that substrate:
   only token-positive stations — time-based fairness for uplink UDP
   with completely unmodified clients.
 
-Each delivered uplink exchange is reported to the AP's
-:class:`repro.queueing.ApScheduler` through ``on_uplink_complete``,
-exactly like the DCF AP, so TBR charges the polled station's tokens.
+Each delivered uplink frame goes to the AP's :class:`ApScheduler`'s
+``on_uplink_complete`` with the coordinator's own price (poll overhead
+included), so TBR charges the polled station's tokens.
 A response that never comes, or arrives corrupted, ends the exchange
 and the loop polls on; there are no PCF-level retries.
 """
@@ -313,8 +313,6 @@ class PollingCoordinator:
         data = frame_airtime_us(self.phy, frame.size_bytes, frame.rate_mbps)
         ack = ack_airtime_us(self.phy, ack_rate_for(self.phy, frame.rate_mbps))
         est = self._poll_overhead_us + data + self.phy.sifs_us + ack
-        self.scheduler.on_uplink_complete(
-            frame.src, est, payload_bytes=frame.size_bytes
-        )
+        self.scheduler.on_uplink_complete(frame, est)
         if self.rx_handler is not None:
             self.rx_handler(frame)

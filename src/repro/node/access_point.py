@@ -8,12 +8,9 @@ sends or receives is accounted to the client station involved.  The AP:
   (the paper's APPTXEVENT);
 * subscribes the scheduler's ``on_complete`` as its MAC's first
   completion listener (TBR's COMPLETEEVENT for downlink traffic);
-* reports every observed *uplink* exchange to the scheduler
-  (TBR's COMPLETEEVENT for client-originated traffic) using the
-  deterministic exchange-time estimate a real AP can compute — by
-  default without retransmission information, exactly like the paper's
-  prototype (Section 4.2); an "oracle" mode reads the true attempt
-  count off the frame for the retry-accounting ablation.
+* hands every received *uplink* frame to the scheduler unpriced
+  (TBR's COMPLETEEVENT for client-originated traffic: only TBR prices
+  it, see :attr:`repro.core.TbrConfig.uplink_charge`).
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from typing import Callable, Dict, Optional, Set
 from repro.channel.medium import Channel
 from repro.mac.dcf import DcfMac, ExchangeReport
 from repro.node.rate_control import FixedRate, RateController
-from repro.phy.phy import PhyParams, exchange_airtime_us
+from repro.phy.phy import PhyParams
 from repro.queueing.base import ApScheduler
 from repro.sim import EventCategory, Simulator
 from repro.transport.packet import Packet, PacketPool
@@ -165,7 +162,6 @@ class AccessPoint:
         *,
         address: str = "ap",
         rate_controller: Optional[RateController] = None,
-        oracle_retry_accounting: bool = False,
     ) -> None:
         self.sim = sim
         self.address = address
@@ -174,7 +170,6 @@ class AccessPoint:
         self.rate_controller = (
             rate_controller if rate_controller is not None else FixedRate()
         )
-        self.oracle_retry_accounting = oracle_retry_accounting
         self.mac = DcfMac(
             sim,
             channel,
@@ -274,18 +269,7 @@ class AccessPoint:
         self.uplink_packets += 1
         if self.reaper is not None:
             self.reaper.heard(packet.station)
-        est = exchange_airtime_us(
-            self.phy,
-            frame.size_bytes,
-            frame.rate_mbps,
-            attempts=frame.attempt if self.oracle_retry_accounting else 1,
-        )
-        self.scheduler.on_uplink_complete(
-            packet.station,
-            est,
-            attempts=frame.attempt,
-            payload_bytes=frame.size_bytes,
-        )
+        self.scheduler.on_uplink_complete(frame)
         # Bridge to the wired side.
         self.uplink_wire.send(packet, self._deliver_packet_cb)
 

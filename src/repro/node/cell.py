@@ -66,6 +66,8 @@ class FlowHandle:
 def _make_scheduler(
     sim: Simulator, spec: Union[str, ApScheduler], tbr_config: Optional[TbrConfig]
 ) -> ApScheduler:
+    if tbr_config is not None and spec != "tbr":
+        raise ValueError(f"scheduler {spec!r} takes no tbr_config")
     if isinstance(spec, ApScheduler):
         return spec
     if spec == "fifo":
@@ -100,7 +102,6 @@ class Cell:
         scheduler: Union[str, ApScheduler] = "fifo",
         tbr_config: Optional[TbrConfig] = None,
         loss_model=None,
-        oracle_retry_accounting: bool = False,
         ap_rate_controller: Optional[RateController] = None,
         sim: Optional[Simulator] = None,
         ap_address: str = "ap",
@@ -120,11 +121,8 @@ class Cell:
             phy,
             address=ap_address,
             rate_controller=ap_rate_controller,
-            oracle_retry_accounting=oracle_retry_accounting,
         )
         self.ap.mac.add_completion_listener(self.channel.charge)
-        if isinstance(self.scheduler, TbrScheduler) and self.scheduler.config.notify_clients:
-            self.ap.mac.ack_decorator = self._decorate_ack
         self.stations: Dict[str, Station] = {}
         self.flows: List[FlowHandle] = []
         self._measure_start_us = 0.0
@@ -256,11 +254,6 @@ class Cell:
         self.scheduler.disassociate(name)
         if isinstance(self.ap.rate_controller, FixedRate):
             self.ap.rate_controller.table.pop(name, None)
-
-    def _decorate_ack(self, ack, data_frame) -> None:
-        hint = self.scheduler.defer_hint_for(data_frame.src)
-        if hint is not None:
-            ack.defer_hint = hint
 
     # ------------------------------------------------------------------
     # flows

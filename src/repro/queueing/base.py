@@ -52,7 +52,7 @@ class ApScheduler:
     serve next) and may override :meth:`on_complete` /
     :meth:`on_uplink_complete` for accounting.  The AP node calls
     :meth:`enqueue` for every downlink packet (the paper's APPTXEVENT)
-    and :meth:`on_uplink_complete` for every observed uplink exchange;
+    and :meth:`on_uplink_complete` with each uplink frame it receives;
     :meth:`on_complete` is its MAC's first completion listener.
 
     Total buffer space is divided equally among associated stations when
@@ -198,15 +198,11 @@ class ApScheduler:
         return True
 
     def on_uplink_complete(
-        self, station: str, airtime_us: float, *, attempts: int = 1,
-        payload_bytes: int = 0,
+        self, frame, airtime_us: Optional[float] = None
     ) -> None:
-        """An uplink exchange owned by ``station`` used ``airtime_us``.
-
-        Plain throughput-fair schedulers ignore uplink usage; TBR charges
-        it against the station's tokens (and uses ``payload_bytes`` as an
-        activity signal for rate adjustment).
-        """
+        """The AP received uplink ``frame`` (``airtime_us``: its price,
+        when the caller knows it).  Throughput-fair schedulers ignore
+        it; TBR prices an unpriced frame and charges ``frame.src``."""
 
     # ------------------------------------------------------------------
     # TxScheduler protocol

@@ -538,6 +538,8 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r} (one of {SCHEDULERS})"
             )
+        if self.tbr_config is not None and self.scheduler != "tbr":
+            raise ValueError(f"scheduler {self.scheduler!r} takes no tbr_config")
         if self.seconds <= 0:
             raise ValueError("seconds must be positive")
         if self.warmup_seconds < 0:

@@ -6,6 +6,7 @@ Plumbing tests use ``builtins:dict`` as the executor — a free "echo the
 params" job — so only the tests that *need* a simulation pay for one.
 """
 
+import hashlib
 import pickle
 
 import pytest
@@ -173,12 +174,35 @@ def test_run_jobs_cache_hits_and_force(tmp_path):
     assert (forced.stats.executed, forced.stats.cached) == (3, 0)
 
 
+def hash_spy(monkeypatch):
+    """Record every ``hashlib.sha256`` call from now on."""
+    sha256 = hashlib.sha256
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", spy)
+    return calls
+
+
+def test_a_job_unpickles_without_rehashing(monkeypatch):
+    job = echo_job("e", "k", seed=3)
+    data = pickle.dumps(job)
+    hashed = hash_spy(monkeypatch)
+    clone = pickle.loads(data)
+    assert hashed == []
+    assert clone == job and clone.digest == job.digest
+
+
 @pytest.mark.parametrize("backend", ["inline", "spool participant"])
 def test_an_executed_job_pickles_its_result_once(
     backend, tmp_path, monkeypatch
 ):
     """The attempt encodes the store entry and the store lands those
-    bytes: no second pickle of the result on its way to disk."""
+    bytes: no second pickle of the result on its way to disk, and the
+    spooled job is not hashed again on its way out."""
     from repro.campaign import queue as q
 
     job = echo_job("e", "once", seed=3)
@@ -199,7 +223,9 @@ def test_an_executed_job_pickles_its_result_once(
         cfg = q.SpoolConfig(store_root=str(store.root), retry=RetryPolicy())
         q.enqueue(root, cfg, [(job.digest, job)])
         monkeypatch.setattr(pickle, "dumps", spy)
+        hashed = hash_spy(monkeypatch)
         assert q.process_one(root, cfg, store) == "done"
+        assert len(hashed) == 2
     assert sum(pickled) == 1
     assert store.get(job.digest) == (True, expected)
 

@@ -1,9 +1,12 @@
 """Tests for the TBR scheduler (Figure 6 event handlers)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import TbrConfig, TbrScheduler
 from repro.mac import ExchangeReport
+from repro.phy import DOT11B_LONG_PREAMBLE, exchange_airtime_us
 from repro.sim import Simulator
 
 
@@ -15,6 +18,8 @@ class Pkt:
 
 
 class FakeMac:
+    phy = DOT11B_LONG_PREAMBLE
+
     def __init__(self):
         self.notifications = 0
 
@@ -27,6 +32,13 @@ def report(pkt, airtime_us, success=True, attempts=1):
     return ExchangeReport(
         packet=pkt, dst=pkt.station, success=success,
         attempts=attempts, airtime_us=airtime_us,
+    )
+
+
+def uplink(src, size=1500, rate_mbps=11.0, attempt=1):
+    """The fields of a received uplink frame that TBR reads."""
+    return SimpleNamespace(
+        src=src, size_bytes=size, rate_mbps=rate_mbps, attempt=attempt
     )
 
 
@@ -70,6 +82,8 @@ def test_config_validation():
         TbrConfig(bucket_depth_us=0.0)
     with pytest.raises(ValueError):
         TbrConfig(weights={"a": 0.0})
+    with pytest.raises(ValueError, match="uplink_charge 'bogus'"):
+        TbrConfig(uplink_charge="bogus")
 
 
 # ----------------------------------------------------------------------
@@ -157,14 +171,25 @@ def test_completion_without_a_packet_charges_nobody():
 def test_uplink_completion_charges_station():
     sim, tbr = make_tbr(initial_tokens_us=10_000.0)
     tbr.associate("a")
-    tbr.on_uplink_complete("a", 4_000.0, payload_bytes=1500)
+    tbr.on_uplink_complete(uplink("a"), 4_000.0)
     assert tbr.tokens_us("a") == pytest.approx(6_000.0)
 
 
 def test_uplink_from_unknown_station_auto_associates():
     sim, tbr = make_tbr()
-    tbr.on_uplink_complete("newcomer", 1_000.0)
+    tbr.on_uplink_complete(uplink("newcomer"), 1_000.0)
     assert "newcomer" in tbr.buckets
+
+
+@pytest.mark.parametrize("charge, attempts", [("one", 1), ("oracle", 3)])
+def test_unpriced_uplink_frame_is_priced_by_uplink_charge(charge, attempts):
+    sim, tbr = make_tbr(initial_tokens_us=10_000.0, uplink_charge=charge)
+    tbr.associate("a")
+    tbr.on_uplink_complete(uplink("a", attempt=3))
+    price = exchange_airtime_us(
+        DOT11B_LONG_PREAMBLE, 1500, 11.0, attempts=attempts
+    )
+    assert tbr.tokens_us("a") == pytest.approx(10_000.0 - price)
 
 
 def test_failed_exchange_still_charged():

@@ -11,6 +11,8 @@ frame is mid-flight, leave with a backlog, rejoin under TBR with
 exactly one fresh ``T_init``, and double-disassociate as a no-op.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.tbr import TbrConfig, TbrScheduler
@@ -183,7 +185,8 @@ def test_tbr_ignores_uplink_from_departed_station():
     sched.disassociate("a")
     # An uplink frame already in the air when the station left must not
     # resurrect a bucket (or steal rate from the survivors).
-    sched.on_uplink_complete("a", 2_000.0, payload_bytes=1500)
+    frame = SimpleNamespace(src="a", size_bytes=1500)
+    sched.on_uplink_complete(frame, 2_000.0)
     assert "a" not in sched.buckets
     assert sched.token_rate("b") == pytest.approx(1.0)
 

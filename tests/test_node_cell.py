@@ -208,6 +208,12 @@ def test_ap_set_downlink_rate_requires_fixed_controller():
         cell.ap.set_downlink_rate("x", 5.5)
 
 
+@pytest.mark.parametrize("scheduler", ["fifo", "rr", "drr", DrrScheduler()])
+def test_cell_rejects_a_tbr_config_it_would_ignore(scheduler):
+    with pytest.raises(ValueError, match="takes no tbr_config"):
+        Cell(scheduler=scheduler, tbr_config=TbrConfig())
+
+
 def test_station_cooperation_gate():
     cell = Cell(seed=1, scheduler="tbr",
                 tbr_config=TbrConfig(notify_clients=True))

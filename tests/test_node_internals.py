@@ -1,5 +1,8 @@
 """Tests for station/AP internals: bridging, accounting, cooperation."""
 
+import cProfile
+import pstats
+
 import pytest
 
 from repro.channel import PerLinkLoss
@@ -67,15 +70,17 @@ def test_ap_counts_downlink_packets():
 
 
 def test_uplink_receptions_charge_the_scheduler_with_estimates():
-    cell = Cell(seed=1)
+    cell = Cell(seed=1, scheduler="tbr")
     station = cell.add_station("n1", rate_mbps=11.0)
     cell.udp_flow(station, direction="up", rate_mbps=1.0)
+    bucket = cell.scheduler.buckets["n1"]
     observed = []
     on_uplink_complete = cell.scheduler.on_uplink_complete
 
-    def tapped(sta, est, **kwargs):
-        observed.append((sta, est))
-        on_uplink_complete(sta, est, **kwargs)
+    def tapped(frame, airtime_us=None):
+        spent = bucket.spent_us
+        on_uplink_complete(frame, airtime_us)
+        observed.append((frame.src, bucket.spent_us - spent))
 
     cell.scheduler.on_uplink_complete = tapped
     cell.run(seconds=0.5)
@@ -86,12 +91,24 @@ def test_uplink_receptions_charge_the_scheduler_with_estimates():
     assert all(e == pytest.approx(expected) for e in estimates)
 
 
+def test_a_fifo_cell_prices_no_uplink_frame():
+    """Only TBR reads an uplink price, so the AP computes none."""
+    cell = Cell(seed=1)
+    station = cell.add_station("n1", rate_mbps=11.0)
+    cell.udp_flow(station, direction="up", rate_mbps=1.0)
+    profile = cProfile.Profile()
+    profile.runcall(cell.run, seconds=0.5)
+    assert cell.ap.uplink_packets > 0
+    called = {name for _, _, name in pstats.Stats(profile).stats}
+    assert "exchange_airtime_us" not in called
+
+
 def test_oracle_retry_accounting_charges_more_when_lossy():
     def charged(oracle):
         loss = PerLinkLoss({("n1", "ap"): 0.3})
+        config = TbrConfig(uplink_charge="oracle" if oracle else "one")
         cell = Cell(
-            seed=6, scheduler="tbr", loss_model=loss,
-            oracle_retry_accounting=oracle,
+            seed=6, scheduler="tbr", loss_model=loss, tbr_config=config,
         )
         station = cell.add_station("n1", rate_mbps=11.0)
         cell.udp_flow(station, direction="up", rate_mbps=2.0)
@@ -114,6 +131,25 @@ def test_tbr_ack_decoration_through_cell():
     cell.run(seconds=3.0)
     # The 1 Mbps station over-consumes, gets starved, and receives
     # defer hints piggybacked on MAC ACKs.
+    assert hints
+    assert all(h == 4_000.0 for h in hints)
+
+
+def test_tbr_ack_hints_survive_an_ap_outage():
+    """The scheduler re-bound at ``outage_end`` keeps stamping ACKs."""
+    config = TbrConfig(notify_clients=True, defer_hint_us=4_000.0)
+    cell = Cell(seed=2, scheduler="tbr", tbr_config=config)
+    station = cell.add_station("n1", rate_mbps=1.0, cooperate_with_tbr=True)
+    other = cell.add_station("n2", rate_mbps=11.0, cooperate_with_tbr=True)
+    cell.udp_flow(station, direction="up", rate_mbps=3.0)
+    cell.udp_flow(other, direction="up", rate_mbps=6.0)
+    cell.run(seconds=1.0)
+    cell.ap.outage_begin()
+    cell.ap.outage_end()
+    hints = []
+    original = station.mac.defer_hint_handler
+    station.mac.defer_hint_handler = lambda d: (hints.append(d), original(d))
+    cell.run(seconds=2.0)
     assert hints
     assert all(h == 4_000.0 for h in hints)
 

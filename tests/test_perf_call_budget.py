@@ -30,18 +30,18 @@ import sys
 #: label -> {subpackage: ncalls} for one plain run of the spec.
 PINNED_CALLS = {
     "tbr/multi/n64": {
-        "campus": 134, "channel": 1046, "core": 9047, "mac": 1934,
-        "node": 1217, "phy": 478, "queueing": 3876, "scenario": 1578,
+        "campus": 134, "channel": 1046, "core": 9048, "mac": 1934,
+        "node": 1217, "phy": 478, "queueing": 3875, "scenario": 1578,
         "sim": 1700, "transport": 2285,
     },
     "campus/ch1": {
-        "campus": 27, "channel": 9136, "core": 2275, "mac": 14116,
-        "node": 4525, "phy": 2320, "queueing": 985, "scenario": 189,
+        "campus": 27, "channel": 9136, "core": 2277, "mac": 14116,
+        "node": 4525, "phy": 2320, "queueing": 983, "scenario": 189,
         "sim": 8955, "transport": 6735,
     },
     "campus/ch3": {
-        "campus": 27, "channel": 17053, "core": 6085, "mac": 31811,
-        "node": 12752, "phy": 6737, "queueing": 2784, "scenario": 189,
+        "campus": 27, "channel": 17053, "core": 6087, "mac": 31811,
+        "node": 12752, "phy": 6737, "queueing": 2782, "scenario": 189,
         "sim": 15757, "transport": 19380,
     },
 }

@@ -68,6 +68,14 @@ def test_spec_with_tbr_config_hashes_despite_mutable_fields():
     )
 
 
+def test_a_tbr_config_under_another_scheduler_is_rejected():
+    """Only TBR reads it: the spec would run as without it, under a
+    second digest."""
+    spec = two_station_spec(tbr_config=TbrConfig(work_conserving=True))
+    with pytest.raises(ValueError, match="scheduler 'fifo' takes no tbr_config"):
+        spec.validate()
+
+
 def test_freeze_thaw_roundtrip_preserves_identity():
     spec = two_station_spec(
         scheduler="tbr",

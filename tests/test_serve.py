@@ -271,6 +271,22 @@ def test_a_body_nested_too_deep_is_the_clients_error(server, raw, path):
     assert json.loads(get(base, "/stats").read())["errors"] == 1
 
 
+def test_a_spec_whose_tbr_config_nothing_reads_is_a_400(server):
+    import dataclasses
+
+    from repro.core.tbr import TbrConfig
+    from repro.scenario.codec import spec_to_json
+    from repro.scenario.registry import build_spec
+
+    _, base, _ = server
+    spec = dataclasses.replace(
+        build_spec(FAMILY, **OVERRIDES), scheduler="fifo",
+        tbr_config=TbrConfig(work_conserving=True),
+    )
+    message = expect_error(base, {"spec": spec_to_json(spec)}, 400)
+    assert "scheduler 'fifo' takes no tbr_config" in message
+
+
 def test_spec_decode_refuses_untrusted_dataclass(server):
     _, base, _ = server
     hostile = {

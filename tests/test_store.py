@@ -140,6 +140,21 @@ def test_a_second_store_on_the_root_sees_every_put(tmp_path):
     assert early.get(job.digest) == (True, {"echo": "late"})
 
 
+def test_a_seed_no_int_can_hold_is_recorded_as_none(tmp_path):
+    """A float seed is metadata only when it is a whole number; inf and
+    NaN must not keep the entry from landing."""
+    store = ResultStore(tmp_path / "store")
+    seeds = (float("inf"), float("nan"), 2.5, 4.0)
+    jobs = [
+        make_job("e", f"k{i}", "builtins:dict", {"seed": seed})
+        for i, seed in enumerate(seeds)
+    ]
+    outcome = run_jobs(jobs, workers=1, cache=store)
+    assert (outcome.stats.executed, outcome.failures) == (4, [])
+    recorded = {meta["key"]: meta["seed"] for _, meta in store.query()}
+    assert recorded == {"k0": None, "k1": None, "k2": None, "k3": 4}
+
+
 def test_scenario_meta_family_and_seed(tmp_path):
     from repro.scenario.registry import build_spec
     from repro.scenario.runner import scenario_job
