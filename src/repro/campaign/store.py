@@ -405,7 +405,8 @@ class ResultStore:
         return sorted(p.stem for p in self.root.glob("??/*.pkl"))
 
     def __len__(self) -> int:
-        return len(self.entry_digests())
+        """Entry files on disk, counted without sorting their digests."""
+        return sum(1 for _ in self.root.glob("??/*.pkl"))
 
     # ------------------------------------------------------------------
     # quarantine records
@@ -461,6 +462,18 @@ class ResultStore:
     def contains(self, digest: str) -> bool:
         """Entry presence by file existence — no read at all."""
         return os.path.exists(self._file_for(digest, ".pkl"))
+
+    def signature(self, digest: str) -> Optional[Tuple[int, int, int]]:
+        """``(st_ino, st_size, st_mtime_ns)`` of the entry file, ``None``
+        when there is none: one ``stat``, no read.  A put renames a temp
+        file made while the old entry still held its inode, so every put
+        moves the signature; a reader that remembers what it decoded
+        under one need not read the entry again while it holds."""
+        try:
+            st = os.stat(self._file_for(digest, ".pkl"))
+        except OSError:
+            return None
+        return st.st_ino, st.st_size, st.st_mtime_ns
 
     def plan(self, jobs: Iterable[Job]) -> SweepPlan:
         """Split ``jobs`` into already-stored vs still-to-run.

@@ -90,16 +90,24 @@ bytes would otherwise be parsed as the next request.  ``Expect:
 ``Connection: close``, or HTTP/1.0 without ``keep-alive``, closes the
 connection after the reply.
 
-Admission memo.  A warm ``POST /run`` is one read, one store lookup, one
-send, all on the loop thread: ``ServeState`` remembers ``sha256(raw
-body) -> job digest`` for up to :data:`MEMO_CAP` bodies and asks the
-store for a remembered digest before parsing anything.  The body ->
-digest mapping is a pure function of process constants (the family
-registry, the cache schema salt), so there is nothing to invalidate;
-the store stays authoritative — when it no longer holds the digest the
-request takes the full parse -> validate -> ``run_jobs`` path as if
-never seen.  Only bodies that were answered 200 are remembered, and
-``?progress=1`` bypasses the memo.
+Admission memo.  A warm ``POST /run`` is one ``stat`` and one write,
+both on the loop thread: ``ServeState`` remembers ``sha256(raw body) ->
+job digest`` for up to :data:`MEMO_CAP` bodies, and for as many digests
+the rendered reply with the signature of the entry file it came from
+(:meth:`~repro.campaign.store.ResultStore.signature`).  A remembered
+body goes from its digest to one ``stat`` of the entry: an unchanged
+signature answers with the remembered bytes, without reading,
+verifying, unpickling or rendering anything.  Both mappings are pure
+functions of process constants (the family registry, the cache schema
+salt) and the seeded run, so there is nothing to invalidate; the store
+stays authoritative — a changed signature is read and verified again
+through ``store.get``, and when the store no longer holds the digest
+the request takes the full parse -> validate -> ``run_jobs`` path as if
+never seen.  Every request for a stored digest, memoised, parsed or
+streamed, answers through that one :meth:`ServeState.stored`; a leader
+remembers the render it made once its entry has landed.  Only bodies
+that were answered 200 are remembered, and ``?progress=1`` bypasses the
+memo (not the stored renders).
 """
 
 from __future__ import annotations
@@ -114,6 +122,7 @@ import sys
 import threading
 import time
 from email.utils import formatdate
+from functools import lru_cache
 from hashlib import sha256
 from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple
@@ -125,8 +134,11 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: Refuse a request line plus headers longer than this with a 431.
 MAX_HEAD_BYTES = 64 * 1024
 
-#: Admission memo size.  An entry is a 32-byte key and a 64-char digest
-#: (~250 B with the dict slot), so a full memo stays under 1 MB.
+#: Admission memo size, and the number of renders kept beside it.  A
+#: memo entry is a 32-byte key and a 64-char digest (~250 B with the
+#: dict slot), so a full memo stays under 1 MB; a kept render is
+#: 0.4-0.6 KB of text, ~0.8 KB with its digest, signature and slot, so
+#: the renders add about 3.2 MB: ~4 MB for both at the cap.
 MEMO_CAP = 4096
 
 #: What a worker process imports before its first item: the module a
@@ -228,7 +240,10 @@ class ServeState:
         self.counters_lock = threading.Lock()
         #: sha256(raw body) -> job digest, oldest first, <= MEMO_CAP.
         self.memo: Dict[bytes, str] = {}
-        self.memo_lock = threading.Lock()
+        #: job digest -> (rendered bytes, the entry's signature they were
+        #: rendered under), oldest first, <= MEMO_CAP.
+        self.replies: Dict[str, Tuple[bytes, Tuple[int, int, int]]] = {}
+        self.memo_lock = threading.Lock()  # adds to and drops from both
         #: job digest -> the run in progress for it.
         self.flights: Dict[str, _Flight] = {}
         self.flights_lock = threading.Lock()
@@ -256,34 +271,56 @@ class ServeState:
             for name, delta in deltas.items():
                 self.counters[name] += delta
 
+    def _keep(self, table: Dict, key, value) -> None:
+        """``table[key] = value``, the oldest entry out at MEMO_CAP."""
+        with self.memo_lock:
+            if key not in table and len(table) >= MEMO_CAP:
+                del table[next(iter(table))]
+            table[key] = value
+
     # ------------------------------------------------------------------
+    def stored(self, digest: str) -> Optional[bytes]:
+        """The render of ``digest``'s store entry, ``None`` when the store
+        holds none: how every hit is answered.  While the entry file
+        keeps the signature a render was remembered under, that is one
+        ``stat``; otherwise the entry is read and verified by
+        ``store.get`` and its render remembered under the new one."""
+        # The stat comes before any read: a put racing the read leaves
+        # a signature that no longer holds, so a re-read, never a stale
+        # reply.
+        signature = self.store.signature(digest)
+        known = self.replies.get(digest)
+        if known is not None and known[1] == signature:
+            return known[0]
+        hit, result = (
+            (False, None) if signature is None else self.store.get(digest)
+        )
+        if hit:
+            rendered = _rendered(result)
+            self._keep(self.replies, digest, (rendered, signature))
+            return rendered
+        if known is not None:
+            with self.memo_lock:
+                self.replies.pop(digest, None)
+        return None
+
     def remembered(self, raw: bytes):
         """What :meth:`run` returns for a body answered before while the
         store holds its digest, else ``None``: the loop's hit path."""
         digest = self.memo.get(sha256(raw).digest())
-        hit, result = self.store.get(digest) if digest else (False, None)
-        if not hit:
+        rendered = None if digest is None else self.stored(digest)
+        if rendered is None:
             return None
         self.bump(hits=1)
-        return _rendered(result), digest, True, 0
+        return rendered, digest, True, 0
 
     def run_body(self, raw: bytes) -> Tuple[bytes, str, bool, int]:
-        """Serve one raw ``POST /run`` body; returns what :meth:`run`
-        returns.
-
-        A body answered before goes straight from its remembered digest
-        to the store.  The store is authoritative: if it no longer
-        holds that digest the body is admitted in full again.
-        """
-        served = self.remembered(raw)
-        if served is not None:
-            return served
+        """Admit one raw ``POST /run`` body in full — parse, validate,
+        :meth:`run` — and remember its digest; returns what :meth:`run`
+        returns.  The loop asked :meth:`remembered` already: this is the
+        body it did not answer."""
         served = self.run(self.spec_for(_parse_body(raw)))
-        key = sha256(raw).digest()
-        with self.memo_lock:
-            if key not in self.memo and len(self.memo) >= MEMO_CAP:
-                del self.memo[next(iter(self.memo))]
-            self.memo[key] = served[1]  # the job digest
+        self._keep(self.memo, sha256(raw).digest(), served[1])
         return served
 
     # ------------------------------------------------------------------
@@ -333,10 +370,10 @@ class ServeState:
 
         job = scenario_job(spec, key=spec.name)
         digest = job.digest
-        hit, result = self.store.get(digest)
-        if hit:
+        rendered = self.stored(digest)
+        if rendered is not None:
             self.bump(hits=1)
-            return _rendered(result), digest, True, 0
+            return rendered, digest, True, 0
         self.bump(misses=1)
         t0 = time.perf_counter()
         with self.flights_lock:
@@ -383,6 +420,11 @@ class ServeState:
             executed = outcome.stats.executed
             if job in outcome.results:
                 flight.rendered = _rendered(outcome.results[job])
+                # Landed: the first repeat reads nothing either.
+                signature = self.store.signature(job.digest)
+                if signature is not None:
+                    self._keep(self.replies, job.digest,
+                               (flight.rendered, signature))
             else:
                 failure = next(
                     (f for f in outcome.failures if f.digest == job.digest),
@@ -409,10 +451,17 @@ class ServeState:
         return executed
 
 
+@lru_cache(maxsize=1)
+def _date(second: int) -> str:
+    """The ``Date`` value of a whole second: formatted once per second,
+    not once per reply."""
+    return formatdate(second, usegmt=True)
+
+
 def _head(status: int, fields) -> bytes:
     """Status line and header block; ``(name, value)`` ``fields``."""
     lines = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
-             f"Server: {_SERVER}", f"Date: {formatdate(usegmt=True)}"]
+             f"Server: {_SERVER}", f"Date: {_date(int(time.time()))}"]
     lines += [f"{name}: {value}" for name, value in fields]
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
@@ -562,8 +611,10 @@ class _Connection(asyncio.Protocol):
             return self._reject(400, "POST /run needs a JSON body")
         if length > MAX_BODY_BYTES:
             return self._reject(413, "request body too large")
-        progress = parse_qs(query).get("progress", ["0"])[-1]
-        self.stream = progress in ("1", "true", "yes")
+        self.stream = False
+        if query:  # no parse_qs for a plain target
+            progress = parse_qs(query).get("progress", ["0"])[-1]
+            self.stream = progress in ("1", "true", "yes")
         self.body_length = length
         expect = fields.get("expect", "").lower()
         if version == "HTTP/1.1" and expect == "100-continue":
@@ -642,8 +693,9 @@ class _Connection(asyncio.Protocol):
         return 200, _json(rows), False
 
     def _run(self, raw: bytes, stream: bool):
-        """``POST /run`` past the memo: parse, admission, the drain; with
-        ``stream``, chunks of ``# ...`` progress lines, then the render."""
+        """``POST /run`` the memo did not answer: parse, admission, the
+        drain; with ``stream``, chunks of ``# ...`` progress lines, then
+        the render."""
         try:
             if not stream:
                 return 200, _served(*self.state.run_body(raw)), False

@@ -631,6 +631,114 @@ def test_memo_cap_holds_under_concurrent_admission(capped_state):
     assert failures == [] and len(state.memo) == 8
 
 
+def test_kept_renders_stay_at_the_cap(capped_state):
+    from repro.scenario.runner import ScenarioResult
+
+    state = capped_state
+    digests = [f"{k:02x}" * 32 for k in range(8 + 5)]
+    for k, digest in enumerate(digests):
+        state.store.put(digest, ScenarioResult(
+            f"s{k}", k, "tbr", 1.0, 0.0,
+            throughput_mbps={"n1": 1.0}, occupancy={"n1": 0.5},
+        ))
+        assert state.stored(digest).startswith(f"Scenario s{k} ".encode())
+        assert len(state.replies) == min(k + 1, 8)
+    # Oldest out first, as in the memo.
+    assert list(state.replies) == digests[-8:]
+
+
+class GetSpy:
+    """Counts ``store.get`` calls and passes them through."""
+
+    def __init__(self, store, monkeypatch):
+        self.calls, self.get = 0, store.get
+        monkeypatch.setattr(store, "get", self)
+
+    def __call__(self, digest):
+        self.calls += 1
+        return self.get(digest)
+
+
+def test_a_stored_reply_is_read_from_the_store_once(server, monkeypatch):
+    from repro.scenario import build_spec, run_spec, scenario_job
+    from repro.scenario.codec import spec_to_json
+
+    srv, base, store = server
+    spec = build_spec(FAMILY, **OVERRIDES)
+    store.put_for_job(scenario_job(spec, key=spec.name), run_spec(spec))
+    spy = GetSpy(store, monkeypatch)
+    bodies = [{"family": FAMILY, "overrides": OVERRIDES},
+              {"spec": spec_to_json(spec)}]
+    replies = [verdict_and_body(post(base, body)) for body in bodies * 3]
+    assert spy.calls == 1  # the first request's, which parsed its body
+    assert all(reply == replies[0] for reply in replies)
+    assert replies[0][1] == cli_render(FAMILY, OVERRIDES)
+    # A stream answers from the same render.
+    streamed = post(base, bodies[0], path="/run?progress=1").read()
+    assert b" cache=hit executed=0\n" in streamed
+    assert streamed.endswith(replies[0][1]) and spy.calls == 1
+    assert srv.repro_state.counters["hits"] == 7
+
+
+def test_a_leader_leaves_its_render_for_the_first_repeat(server, monkeypatch):
+    srv, base, store = server
+    payload = {"family": FAMILY, "overrides": OVERRIDES}
+    cold = verdict_and_body(post(base, payload))
+    spy = GetSpy(store, monkeypatch)
+    warm = verdict_and_body(post(base, payload))
+    assert spy.calls == 0
+    assert warm[1] == cold[1]
+    assert dict(warm[0])["X-Repro-Cache"] == "hit"
+
+
+def test_an_entry_rewritten_under_its_digest_is_read_again(
+    server, monkeypatch
+):
+    from repro.campaign.store import encode_entry
+    from repro.scenario import build_spec, run_spec
+
+    srv, base, store = server
+    payload = {"family": FAMILY, "overrides": OVERRIDES}
+    cold = verdict_and_body(post(base, payload))
+    digest = dict(cold[0])["X-Repro-Digest"]
+    spy = GetSpy(store, monkeypatch)
+    value = run_spec(build_spec(FAMILY, **OVERRIDES))
+    # Other metadata, the same result: read, verified, the same reply.
+    store.put_entry(digest, encode_entry(value, {"rewritten": True}))
+    again = verdict_and_body(post(base, payload))
+    assert spy.calls == 1 and again[1] == cold[1]
+    assert dict(again[0])["X-Repro-Cache"] == "hit"
+    assert verdict_and_body(post(base, payload)) == again
+    assert spy.calls == 1
+    # A damaged rewrite fails that verification: dropped and re-run.
+    damaged = bytearray(encode_entry(value, {"rewritten": True}))
+    damaged[-1] ^= 0xFF
+    store.put_entry(digest, bytes(damaged))
+    rerun = verdict_and_body(post(base, payload))
+    # One read found the damage; run_jobs made the other, its own lookup.
+    assert spy.calls == 3 and rerun[1] == cold[1]
+    assert dict(rerun[0])["X-Repro-Cache"] == "miss"
+    assert dict(rerun[0])["X-Repro-Executed"] == "1"
+    assert srv.repro_state.counters["executed"] == 2
+
+
+def test_a_miss_asks_the_memo_once(server, monkeypatch):
+    srv, base, store = server
+    state = srv.repro_state
+    asked = []
+    remembered = state.remembered
+    monkeypatch.setattr(
+        state, "remembered", lambda raw: asked.append(raw) or remembered(raw)
+    )
+    payload = {"family": FAMILY, "overrides": OVERRIDES}
+    digest = post(base, payload).headers["X-Repro-Digest"]
+    post(base, payload).read()
+    store.path_for(digest).unlink()
+    post(base, payload).read()
+    assert len(asked) == 3  # one per request, misses included
+    assert state.counters["misses"] == 2 and state.counters["hits"] == 1
+
+
 def test_two_threads_posting_the_same_new_body(server):
     srv, base, _ = server
     state = srv.repro_state

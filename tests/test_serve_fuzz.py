@@ -3,8 +3,9 @@
 Whatever bytes a client sends, every reply parses as HTTP/1.1 with a
 plain-text body and no ``500``; a reject that leaves request bytes
 unread carries ``Connection: close`` and the socket closes after it;
-a fresh connection still gets ``/healthz``; and ``/stats`` counts every
-reject as an error.
+a fresh connection still gets ``/healthz``; ``/stats`` counts every
+reject as an error; and the server remembers nothing but what it
+answered 200 from an entry still in the store.
 
 Tier-1 runs a small derandomised budget.  For a soak, select the
 ``serve-soak`` profile (registered in ``conftest.py``)::
@@ -13,10 +14,11 @@ Tier-1 runs a small derandomised budget.  For a soak, select the
 """
 
 import json
+import re
 import socket
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from test_serve import FAMILY, get, serving
 
 BUDGET = (
@@ -92,8 +94,21 @@ def requests(draw):
 
 @pytest.fixture(scope="module")
 def fuzzed(tmp_path_factory):
-    with serving(tmp_path_factory.mktemp("fuzz")) as (srv, base, _):
-        yield srv, base
+    """The server, its base URL, its store, and the digests of every
+    ``200`` it answered so far."""
+    with serving(tmp_path_factory.mktemp("fuzz")) as (srv, base, store):
+        yield srv, base, store, set()
+
+
+def answered_digest(status, headers, body):
+    """The job digest a ``200`` names: its header, or a stream's
+    ``# digest=`` line."""
+    if status != 200:
+        return None
+    streamed = re.search(rb"^# digest=([0-9a-f]{64}) ", body, re.MULTILINE)
+    return headers.get("X-Repro-Digest") or (
+        streamed and streamed.group(1).decode("ascii")
+    )
 
 
 def replies(data: bytes):
@@ -131,13 +146,27 @@ def errors(base):
     return json.loads(get(base, "/stats").read())["errors"]
 
 
+def post(body: bytes, target: bytes = b"/run") -> bytes:
+    return b"POST %s HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (
+        target, len(body), body
+    )
+
+
 @given(st.lists(requests(), min_size=1, max_size=3))
+# Answered 200s for the memo property: a miss, its memoised repeat, a
+# stream, a failing stream and a reject, on one connection.
+@example(pipeline=[
+    post(GOOD_BODIES[0]), post(GOOD_BODIES[0]),
+    post(GOOD_BODIES[1], b"/run?progress=1"),
+    post(b'{"family": "nonesuch"}', b"/run?progress=1"),
+    post(b'{"family": "nonesuch"}'),
+])
 @settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     **BUDGET,
 )
 def test_fuzzed_requests_never_break_the_framing(fuzzed, pipeline):
-    srv, base = fuzzed
+    srv, base, store, served = fuzzed
     before = errors(base)
     received = b""
     with socket.create_connection(srv.server_address[:2], timeout=30) as sock:
@@ -169,5 +198,11 @@ def test_fuzzed_requests_never_break_the_framing(fuzzed, pipeline):
         rejects += status >= 400 or any(
             line.startswith("# error: ") for line in text.splitlines()
         )
+        served.add(answered_digest(status, headers, body))
     assert get(base, "/healthz").read() == b"ok\n"
     assert errors(base) - before == rejects
+    # Never a non-200 remembered: every memo and kept-render entry names
+    # a digest answered 200 whose entry is on disk.
+    state = srv.repro_state
+    for digest in [*state.memo.values(), *state.replies]:
+        assert digest in served and store.contains(digest), digest

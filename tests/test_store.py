@@ -540,3 +540,55 @@ def test_warm_replay_call_count_is_pinned(tmp_path, monkeypatch):
     profile.disable()
     assert outcome.stats.executed == 0
     assert pstats.Stats(profile).total_calls == PINNED_WARM_REPLAY_CALLS
+
+
+#: cProfile ``total_calls`` of one memoised ``POST /run`` hit on the
+#: serve loop, ``remembered()`` + ``_served()``, for the job above.  It
+#: read 210 while every hit opened, checksummed, unpickled and rendered
+#: the entry again.  The rule of ``PINNED_PUSHES``: the count may only
+#: fall, and a rise needs a line in CHANGES.md saying why.
+PINNED_MEMOISED_HIT_CALLS = 23
+
+
+def test_memoised_hit_call_count_is_pinned(tmp_path, monkeypatch):
+    import cProfile
+    import pstats
+    import time
+
+    from repro.campaign.faults import FAULTS_ENV
+    from repro.scenario.registry import build_spec
+    from repro.scenario.runner import scenario_job
+    from repro.serve import ServeState, _served
+
+    monkeypatch.delenv(FAULTS_ENV, raising=False)
+    overrides = {"seconds": 0.2, "warmup_s": 0.1}
+    job = scenario_job(build_spec("mixed", **overrides))
+    store = ResultStore(tmp_path / "store")
+    assert run_jobs([job], workers=1, cache=store).stats.executed == 1
+    state = ServeState(store)
+    raw = json.dumps({"family": "mixed", "overrides": overrides}).encode()
+    assert state.run_body(raw)[1:] == (job.digest, True, 0)
+    # One second throughout: the Date header is formatted once a second.
+    monkeypatch.setattr(time, "time", lambda: 1.7e9)
+    _served(*state.remembered(raw))
+    profile = cProfile.Profile()
+    profile.enable()
+    _served(*state.remembered(raw))
+    profile.disable()
+    assert state.counters["hits"] == 3
+    assert pstats.Stats(profile).total_calls == PINNED_MEMOISED_HIT_CALLS
+
+
+def test_an_entry_signature_moves_with_every_put(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    digest = "ab" * 32
+    assert store.signature(digest) is None
+    store.put(digest, {"v": 1})
+    first = store.signature(digest)
+    assert first == store.signature(digest)
+    st = store.path_for(digest).stat()
+    assert first == (st.st_ino, st.st_size, st.st_mtime_ns)
+    store.put(digest, {"v": 1}, meta={"other": True})
+    assert store.signature(digest) not in (None, first)
+    store.path_for(digest).unlink()
+    assert store.signature(digest) is None
