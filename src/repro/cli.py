@@ -20,6 +20,16 @@ an on-disk checksummed result cache (see ``repro.campaign``);
 ``repro.scenario``); ``serve`` answers the same scenarios over HTTP
 from the result store (see ``repro.serve``).  Performance is measured
 by ``benchmarks/suite`` (see its README).
+
+Every command starts a fresh process, so what it imports is start-up
+paid on every launch.  The rule: ``campaign``, ``scenario`` and
+``serve`` are handed to their own ``main()`` before anything here
+imports the experiment table (:mod:`repro.experiments`, which loads
+every experiment module and the simulator beneath them); only
+``list``, ``all`` and the experiment names import it.  A new
+subcommand is dispatched the same way, ahead of that import.
+``tests/test_perf_import_budget.py`` pins the modules each entry point
+loads.
 """
 
 from __future__ import annotations
@@ -28,14 +38,12 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.campaign.executor import serial_results
-from repro.experiments import EXPERIMENTS, ablations
-
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Subcommands with their own flag sets: hand over before the
-    # experiment parser rejects them.
+    # experiment parser rejects them, and before the experiment table
+    # is imported (the rule in the module docstring).
     if argv and argv[0] == "campaign":
         from repro.campaign.cli import main as campaign_main
 
@@ -71,6 +79,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="simulated duration per run (experiment default if omitted)",
     )
     args = parser.parse_args(argv)
+
+    from repro.campaign.executor import serial_results
+    from repro.experiments import EXPERIMENTS, ablations
 
     if args.experiment == "list":
         for name, experiment in EXPERIMENTS.items():

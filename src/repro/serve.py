@@ -41,6 +41,10 @@ store, where ``repro campaign query``/``verify-cache`` and warm CLI
 sweeps see them immediately:
 
 1. **Admission**: parse, validate, digest; a store hit answers here.
+   That lookup is the only one a miss makes: the drain below runs
+   ``run_jobs`` with ``force=True``.  An entry that lands after it
+   (another process's put, or a leader here finishing in between) is
+   simulated once more, and the seeded run puts the same result back.
 2. **Single-flight per digest**: the first request for a digest not in
    the store *leads* and runs it; requests for the same digest that
    arrive while it runs *follow* — they wait for the leader's outcome
@@ -49,7 +53,8 @@ sweeps see them immediately:
    entry goes when the leader finishes: the store stays authoritative.
 3. **The drain** (``--jobs N``, default one per CPU): a leader blocks
    until one of ``N`` slots is free — that wait is the only admission
-   queue — and ``run_jobs([job], queue=<the drain>)`` executes on it.
+   queue — and ``run_jobs([job], queue=<the drain>, force=True)``
+   executes on it.
    With ``N > 1`` a slot is a supervised worker process
    (:class:`~repro.campaign.pool.SupervisedPool` after ``start()``:
    one item at a time over a pipe, checksum-verified reply, a crash
@@ -414,8 +419,11 @@ class ServeState:
             )
         executed = 0
         try:
+            # run()'s stored() found no entry: run_jobs does not look
+            # again (see "Admission" above).
             outcome = run_jobs(
-                [job], queue=self.drain, cache=self.store, progress=progress
+                [job], queue=self.drain, cache=self.store, force=True,
+                progress=progress,
             )
             executed = outcome.stats.executed
             if job in outcome.results:

@@ -95,7 +95,7 @@ def test_all_stays_the_thirteen_reproductions(monkeypatch, capsys):
         )
         for name in EXPERIMENTS
     }
-    monkeypatch.setattr("repro.cli.EXPERIMENTS", stubs)
+    monkeypatch.setattr("repro.experiments.EXPERIMENTS", stubs)
     assert main(["all"]) == 0
     ran = capsys.readouterr().out.split()
     assert ran == [n for n in EXPERIMENTS if not n.startswith("abl-")]

@@ -715,8 +715,9 @@ def test_an_entry_rewritten_under_its_digest_is_read_again(
     damaged[-1] ^= 0xFF
     store.put_entry(digest, bytes(damaged))
     rerun = verdict_and_body(post(base, payload))
-    # One read found the damage; run_jobs made the other, its own lookup.
-    assert spy.calls == 3 and rerun[1] == cold[1]
+    # One read found the damage and decided the miss: run_jobs reads
+    # nothing more before it executes.
+    assert spy.calls == 2 and rerun[1] == cold[1]
     assert dict(rerun[0])["X-Repro-Cache"] == "miss"
     assert dict(rerun[0])["X-Repro-Executed"] == "1"
     assert srv.repro_state.counters["executed"] == 2
@@ -783,6 +784,35 @@ def test_rendering_a_result_does_not_import_the_experiments():
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_a_fresh_server_answers_its_first_miss_like_the_cli(tmp_path):
+    # The server starts without the scenario modules (the pin in
+    # test_perf_import_budget.py); its first miss imports them on the
+    # request thread.  This test process has them all loaded already,
+    # so only a fresh one shows that import path serves the CLI's bytes.
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    sets = [f"--set={k}={v}" for k, v in OVERRIDES.items()]
+    cli = subprocess.run(
+        [sys.executable, "-m", "repro", "scenario", "run", FAMILY, *sets],
+        env=env, capture_output=True, timeout=60, check=True,
+    )
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--jobs",
+         "1", "--cache-dir", str(tmp_path / "store")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        base = server.stdout.readline().split()[2]
+        response = post(base, {"family": FAMILY, "overrides": OVERRIDES})
+        assert response.headers["X-Repro-Cache"] == "miss"
+        assert response.headers["X-Repro-Executed"] == "1"
+        assert response.read() == cli.stdout
+    finally:
+        server.terminate()
+        server.wait(timeout=10)
+        server.stdout.close()
 
 
 # ----------------------------------------------------------------------
