@@ -12,7 +12,7 @@ Run:  python examples/polling_coordinator.py
 
 from repro.channel import Channel
 from repro.core import TbrScheduler
-from repro.mac import (
+from repro.mac.polling import (
     PolledStation,
     PollingCoordinator,
     RoundRobinPollPolicy,

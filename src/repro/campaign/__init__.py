@@ -39,6 +39,8 @@ deterministically by job key.  The building blocks:
 The CLI imports the experiment modules (inside ``main()``), so it is
 *not* re-exported here — ``repro.experiments.common`` depends on this
 package for :class:`Job` and importing it eagerly would be circular.
+Nor is the spool queue: only the CLI's ``--queue`` and ``worker`` paths
+run it, and they import it themselves.
 """
 
 from repro.campaign.job import (
@@ -57,7 +59,6 @@ from repro.campaign.store import (
     SweepPlan,
     default_store_root,
 )
-from repro.campaign.queue import SpoolQueue, worker_loop
 from repro.campaign.executor import (
     CampaignOutcome,
     CampaignStats,
@@ -84,11 +85,9 @@ __all__ = [
     "JobFailure",
     "ResultStore",
     "RetryPolicy",
-    "SpoolQueue",
     "SweepPlan",
     "default_store_root",
     "execute_job",
-    "worker_loop",
     "freeze",
     "job_params",
     "make_job",

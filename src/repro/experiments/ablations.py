@@ -22,7 +22,8 @@ Each is one row of :data:`ABLATIONS`: a *matrix* function ``(seed=,
 seconds=, ...) -> {label: case}`` and a renderer over ``{label:
 result}``.  A case is a :class:`ScenarioSpec` (run by the one
 ``scenario_job``) wherever the spec language can say it, and an
-``(executor, params)`` pair only where it has no word for the setup.
+``(executor, params)`` pair only where it has no word for the setup:
+bucket depth's fairness windows and the polling MAC.
 """
 
 from __future__ import annotations
@@ -34,17 +35,16 @@ from typing import (
 
 from repro.analysis.fairness import jain_index
 from repro.campaign.job import Job, make_job
-from repro.channel.loss import PerLinkLoss
 from repro.core.tbr import TbrConfig, TbrScheduler
 from repro.experiments.common import (
     competing_spec, fmt_table, recorded_usage, windowed_occupancy,
 )
-from repro.node.cell import Cell
 from repro.scenario.runner import ScenarioResult, scenario_job
 from repro.scenario.spec import FlowSpec, ScenarioSpec, StationSpec
 from repro.sim import Simulator, us_from_s
 
-#: One labelled case of an ablation: a spec, or ``(executor, params)``.
+#: One labelled case of an ablation: a spec, or ``(executor, params)``
+#: (``abl-bucket-depth`` and ``abl-polling`` only).
 Case = Union[ScenarioSpec, Tuple[Callable[[Dict], Any], Dict[str, Any]]]
 
 
@@ -71,62 +71,44 @@ def _station_throughputs(
 RETRY_LOSS_RATE = 0.08
 
 
-def execute_retry_accounting(params: Dict) -> Dict[str, float]:
-    """Job executor: lossy 1-vs-11 uplink under TBR, one accounting mode."""
-    # Hand-built: the spec language has no per-link loss model.
-    cell = Cell(
-        seed=params["seed"],
-        scheduler="tbr",
-        tbr_config=TbrConfig(
-            uplink_charge="oracle" if params["oracle"] else "one"
-        ),
-        loss_model=PerLinkLoss({("n1", "ap"): params["loss_rate"]}),
-    )
-    n1 = cell.add_station("n1", rate_mbps=1.0)
-    n2 = cell.add_station("n2", rate_mbps=11.0)
-    cell.tcp_flow(n1, direction="up")
-    cell.tcp_flow(n2, direction="up")
-    cell.run(seconds=params["seconds"], warmup_seconds=3.0)
-    return cell.station_throughputs_mbps()
-
-
 def retry_accounting(
     seed: int = 1, seconds: float = 15.0, loss_rate: float = RETRY_LOSS_RATE
 ) -> Dict[str, Case]:
     """1 Mbps lossy uplink vs clean 11 Mbps uplink, TBR with and
     without retransmission information."""
     return {
-        label: (
-            execute_retry_accounting,
-            {
-                "oracle": oracle,
-                "loss_rate": loss_rate,
-                "seed": seed,
-                "seconds": seconds,
-            },
+        label: ScenarioSpec(
+            name=f"abl-retry/{label}", scheduler="tbr",
+            tbr_config=TbrConfig(uplink_charge=charge),
+            stations=(
+                StationSpec("n1", rate_mbps=1.0, uplink_loss=loss_rate),
+                StationSpec("n2", rate_mbps=11.0),
+            ),
+            flows=(FlowSpec("n1"), FlowSpec("n2")),
+            seconds=seconds, warmup_seconds=3.0, seed=seed,
         )
-        for label, oracle in (("blind", False), ("oracle", True))
+        for label, charge in (("blind", "one"), ("oracle", "oracle"))
     }
 
 
-def slow_node_bias(results: Mapping[str, Dict[str, float]]) -> float:
+def slow_node_bias(results: Mapping[str, ScenarioResult]) -> float:
     """How much extra throughput the lossy slow node keeps when its
     retries are invisible (paper: TBR 'slightly biased the node
     sending at a lower data rate')."""
-    blind = results["blind"]["n1"]
-    oracle = results["oracle"]["n1"]
+    blind = results["blind"].throughput_mbps["n1"]
+    oracle = results["oracle"].throughput_mbps["n1"]
     if oracle <= 0:
         return 0.0
     return blind / oracle - 1.0
 
 
 def render_retry_accounting(
-    results: Mapping[str, Dict[str, float]],
+    results: Mapping[str, ScenarioResult],
     loss_rate: float = RETRY_LOSS_RATE,
 ) -> str:
     table = fmt_table(
         ["accounting", "n1 (1 Mbps, lossy)", "n2 (11 Mbps)", "total"],
-        _throughput_rows(results, "n1", "n2"),
+        _throughput_rows(_station_throughputs(results), "n1", "n2"),
         title=(
             f"Retry accounting ablation ({loss_rate * 100:.0f}% uplink "
             f"loss on n1)"
@@ -399,44 +381,25 @@ def render_polling_tbr(results: Mapping[str, Dict[str, Any]]) -> str:
 def _udp_uplink_spec(
     name: str, scheduler: str, seed: int, seconds: float,
     cooperate: bool = False, tbr_config: Optional[TbrConfig] = None,
+    burst_base_rate_mbps: float = 0.0,
 ) -> ScenarioSpec:
     """A 1 Mbps station offering 2 Mbps and an 11 Mbps station offering
     8 Mbps of uplink UDP (``competing_spec`` has one offered rate) —
     the setup OAR and client cooperation share."""
+    words = dict(
+        cooperate_with_tbr=cooperate, burst_base_rate_mbps=burst_base_rate_mbps
+    )
     return ScenarioSpec(
         name=name, scheduler=scheduler, tbr_config=tbr_config,
         stations=(
-            StationSpec("n1", rate_mbps=1.0, cooperate_with_tbr=cooperate),
-            StationSpec("n2", rate_mbps=11.0, cooperate_with_tbr=cooperate),
+            StationSpec("n1", rate_mbps=1.0, **words),
+            StationSpec("n2", rate_mbps=11.0, **words),
         ),
         flows=(
             FlowSpec("n1", kind="udp", rate_mbps=2.0),
             FlowSpec("n2", kind="udp", rate_mbps=8.0),
         ),
         seconds=seconds, warmup_seconds=3.0, seed=seed,
-    )
-
-
-def execute_oar(params: Dict) -> ScenarioResult:
-    """Job executor: the OAR case — every client MAC bursts at 1 Mbps
-    base rate under a stock (FIFO) AP."""
-    from repro.mac.dcf import MacConfig
-
-    seed, seconds = params["seed"], params["seconds"]
-    # Hand-built: the spec language has no word for a client MAC's
-    # ``MacConfig.burst_base_rate_mbps``.
-    cell = Cell(seed=seed, scheduler="fifo")
-    mac_config = MacConfig(burst_base_rate_mbps=1.0)
-    n1 = cell.add_station("n1", rate_mbps=1.0, mac_config=mac_config)
-    n2 = cell.add_station("n2", rate_mbps=11.0, mac_config=mac_config)
-    cell.udp_flow(n1, direction="up", rate_mbps=2.0)
-    cell.udp_flow(n2, direction="up", rate_mbps=8.0)
-    cell.run(seconds=seconds, warmup_seconds=3.0)
-    return ScenarioResult(
-        name="abl-oar/oar", seed=seed, scheduler="fifo",
-        seconds=seconds, warmup_seconds=3.0,
-        throughput_mbps=cell.station_throughputs_mbps(),
-        occupancy=cell.occupancy_fractions(),
     )
 
 
@@ -451,7 +414,10 @@ def oar_comparison(seed: int = 1, seconds: float = 15.0) -> Dict[str, Case]:
     """
     return {
         "dcf": _udp_uplink_spec("abl-oar/dcf", "fifo", seed, seconds),
-        "oar": (execute_oar, {"seed": seed, "seconds": seconds}),
+        # Every client MAC bursts at a 1 Mbps base rate, stock AP.
+        "oar": _udp_uplink_spec(
+            "abl-oar/oar", "fifo", seed, seconds, burst_base_rate_mbps=1.0,
+        ),
         "tbr": _udp_uplink_spec(
             "abl-oar/tbr", "tbr", seed, seconds, cooperate=True,
             tbr_config=TbrConfig(notify_clients=True),

@@ -84,6 +84,7 @@ from typing import Dict, List, Optional
 from repro.campus.core import Campus
 from repro.campus.sanitizer import CampusSanitizer
 from repro.channel.loss import BernoulliLoss, PerLinkLoss
+from repro.mac.dcf import MacConfig
 from repro.node.access_point import ReaperConfig
 from repro.node.cell import Cell, FlowHandle
 from repro.node.rate_control import FixedRate
@@ -250,7 +251,9 @@ class ScenarioRuntime:
     ) -> None:
         """Associate ``station`` in ``cell_name`` and start ``flows`` —
         at compile time, on a join and (with an ``@r<n>`` ``suffix``)
-        on every rejoin and roam landing."""
+        on every rejoin and roam landing; a lossy uplink is a link of the
+        cell's one :class:`PerLinkLoss` (default stream, no degrades)."""
+        burst = station.burst_base_rate_mbps
         self.campus.add_station(
             cell_name,
             station.name,
@@ -258,7 +261,12 @@ class ScenarioRuntime:
             downlink_rate_mbps=station.downlink_rate_mbps,
             queue_capacity=station.queue_capacity,
             cooperate_with_tbr=station.cooperate_with_tbr,
+            mac_config=MacConfig(burst_base_rate_mbps=burst) if burst else None,
         )
+        if station.uplink_loss:
+            cell = self.campus.cells[cell_name]
+            loss = cell.channel.loss = cell.channel.loss or PerLinkLoss()
+            loss.links[station.name, cell.ap.address] = station.uplink_loss
         self._station_specs[station.name] = station
         self._spec_flows[station.name] = list(flows)
         self._last_cells[station.name] = cell_name

@@ -104,10 +104,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     # How to execute — workers, store, retries, queue — is the campaign
     # CLI's flag set and meaning, shared verbatim (same default store
     # too: scenario jobs are content-addressed, so warm re-runs coalesce
-    # across both CLIs).
-    from repro.campaign import cli as campaign_cli
+    # across both CLIs).  Only a command line naming ``sweep`` loads it.
+    if "sweep" in (sys.argv[1:] if argv is None else argv):
+        from repro.campaign import cli as campaign_cli
 
-    campaign_cli.add_execution_flags(sweep_p)
+        campaign_cli.add_execution_flags(sweep_p)
     sweep_p.add_argument(
         "--sanitize", action="store_true",
         help="run every point under the runtime invariant sanitizer "

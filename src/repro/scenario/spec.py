@@ -77,7 +77,7 @@ def check_finite(tree: Any) -> None:
                         for f in dataclasses.fields(node)]
         else:
             continue
-        stack.extend((value, entry, key) for key, value in reversed(children))
+        stack.extend([(v, entry, k) for k, v in reversed(children)])
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,10 @@ class StationSpec:
     downlink_rate_mbps: Optional[float] = None
     queue_capacity: int = 100
     cooperate_with_tbr: bool = False
+    #: i.i.d. frame loss on the station -> AP link.
+    uplink_loss: float = 0.0
+    #: OAR bursting (``MacConfig.burst_base_rate_mbps``); 0: plain DCF.
+    burst_base_rate_mbps: float = 0.0
 
     def validate(self) -> None:
         if not self.name:
@@ -103,6 +107,14 @@ class StationSpec:
         if self.queue_capacity < 1:
             raise ValueError(
                 f"station {self.name!r}: queue capacity must be >= 1"
+            )
+        if not 0.0 <= self.uplink_loss <= 1.0:
+            raise ValueError(
+                f"station {self.name!r}: uplink_loss must be in [0, 1]"
+            )
+        if self.burst_base_rate_mbps < 0:
+            raise ValueError(
+                f"station {self.name!r}: burst_base_rate_mbps must be >= 0"
             )
 
 
@@ -574,11 +586,21 @@ class ScenarioSpec:
             ApOutageEvent,
             StationCrashEvent,
         )
+        stations = list(self.stations)  # and every joiner
+        degraded = False
         for event in self.timeline:
             if not isinstance(event, known_events):
                 raise ValueError(
                     f"unknown timeline event type {type(event).__name__}"
                 )
+            if isinstance(event, JoinEvent):
+                stations.append(event.station)
+            degraded = degraded or isinstance(event, ChannelDegradeEvent)
+        # A degrade window swaps the whole loss model, lossy uplinks too.
+        for station in stations if degraded else ():
+            if station.uplink_loss:
+                raise ValueError(f"station {station.name!r}: uplink_loss "
+                                 "cannot combine with a channel degrade event")
 
         # AP outages freeze the whole cell's population; nothing else
         # may fire inside an outage's exclusion window (down time plus

@@ -18,6 +18,7 @@ from repro.scenario.codec import (
     spec_to_json,
 )
 from repro.scenario.registry import FAMILIES, build_spec
+from repro.scenario.spec import ScenarioSpec, StationSpec
 
 
 def round_trip(tree):
@@ -42,6 +43,12 @@ def round_trip(tree):
         {"b": 1, "a": {"nested": [1.5, None]}},
         {1, 2, 3},
         ("mixed", b"bytes", 2.5),
+        ScenarioSpec(
+            name="station-words",
+            stations=(
+                StationSpec("n1", uplink_loss=0.08, burst_base_rate_mbps=1.0),
+            ),
+        ),
     ],
 )
 def test_round_trip_equals_frozen_form(value):

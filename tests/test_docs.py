@@ -38,6 +38,8 @@ RETIRED = (
     "downlink_arrival",
     # the ideal channel's loss model, now ``Channel.loss is None``
     "NoLoss",
+    # hand-built ablation cells, now station words of a plain spec
+    "execute_retry_accounting", "execute_oar",
 )
 HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_docs.py"}
 TEXT_SUFFIXES = {".py", ".md", ".yml", ".json", ".txt", ".gitignore"}

@@ -68,9 +68,9 @@ def test_sanitizer_reaches_the_paper_figures():
     assert len(jobs) == 77
     scenario = [job for job in jobs if job.executor == SCENARIO_EXECUTOR]
     # Coverage cannot silently shrink: everything but fig 1, fig 5,
-    # table 1, fairness-*, abl-retry, abl-bucket-depth, abl-polling and
-    # OAR's bursting case is a plain scenario job.
-    assert len(scenario) >= 57
+    # table 1, fairness-*, abl-bucket-depth and abl-polling is a plain
+    # scenario job.
+    assert len(scenario) >= 60
     # The sanitizer is observation-only: armed, every one of them holds
     # each invariant and returns the identical result.
     for spec in {job_params(job)["spec"] for job in scenario}:

@@ -234,8 +234,8 @@ def test_ablation_retry_accounting():
     # Blind accounting favours the lossy slow node; oracle accounting
     # (true attempt counts) restores the fast node and the total.
     assert ablations.slow_node_bias(result) > 0.0
-    blind_total = sum(result["blind"].values())
-    oracle_total = sum(result["oracle"].values())
+    blind_total = sum(result["blind"].throughput_mbps.values())
+    oracle_total = sum(result["oracle"].throughput_mbps.values())
     assert oracle_total > blind_total
 
 

@@ -31,17 +31,17 @@ import sys
 PINNED_CALLS = {
     "tbr/multi/n64": {
         "campus": 134, "channel": 1046, "core": 9048, "mac": 1934,
-        "node": 1217, "phy": 478, "queueing": 3875, "scenario": 1578,
+        "node": 1217, "phy": 478, "queueing": 3875, "scenario": 661,
         "sim": 1700, "transport": 2285,
     },
     "campus/ch1": {
         "campus": 27, "channel": 9136, "core": 2277, "mac": 14116,
-        "node": 4525, "phy": 2320, "queueing": 983, "scenario": 189,
+        "node": 4525, "phy": 2320, "queueing": 983, "scenario": 97,
         "sim": 8955, "transport": 6735,
     },
     "campus/ch3": {
         "campus": 27, "channel": 17053, "core": 6087, "mac": 31811,
-        "node": 12752, "phy": 6737, "queueing": 2782, "scenario": 189,
+        "node": 12752, "phy": 6737, "queueing": 2782, "scenario": 97,
         "sim": 15757, "transport": 19380,
     },
 }

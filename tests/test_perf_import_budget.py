@@ -37,29 +37,28 @@ from repro.sim.steady import FASTFWD_ENV
 
 #: label -> the sorted ``repro`` modules loaded by that entry point.
 PINNED_IMPORTS = {
-    "serve": [  # 11 modules
+    "serve": [  # 10 modules
         "repro", "repro.campaign", "repro.campaign.executor",
         "repro.campaign.faults", "repro.campaign.job", "repro.campaign.policy",
-        "repro.campaign.pool", "repro.campaign.queue", "repro.campaign.store",
-        "repro.cli", "repro.serve",
+        "repro.campaign.pool", "repro.campaign.store", "repro.cli",
+        "repro.serve",
     ],
-    "campaign --help": [  # 11
+    "campaign --help": [  # 10
         "repro", "repro.campaign", "repro.campaign.cli",
         "repro.campaign.executor", "repro.campaign.faults",
         "repro.campaign.job", "repro.campaign.policy", "repro.campaign.pool",
-        "repro.campaign.queue", "repro.campaign.store", "repro.cli",
+        "repro.campaign.store", "repro.cli",
     ],
-    "scenario run": [  # 62
-        "repro", "repro.campaign", "repro.campaign.cli",
-        "repro.campaign.executor", "repro.campaign.faults",
-        "repro.campaign.job", "repro.campaign.policy", "repro.campaign.pool",
-        "repro.campaign.queue", "repro.campaign.store", "repro.campus",
+    "scenario run": [  # 59
+        "repro", "repro.campaign", "repro.campaign.executor",
+        "repro.campaign.faults", "repro.campaign.job", "repro.campaign.policy",
+        "repro.campaign.pool", "repro.campaign.store", "repro.campus",
         "repro.campus.core", "repro.campus.sanitizer", "repro.channel",
         "repro.channel.loss", "repro.channel.medium",
         "repro.channel.propagation", "repro.cli", "repro.core",
         "repro.core.rate_adjust", "repro.core.tbr", "repro.core.token_bucket",
         "repro.mac", "repro.mac.dcf", "repro.mac.fifo", "repro.mac.frames",
-        "repro.mac.polling", "repro.node", "repro.node.access_point",
+        "repro.node", "repro.node.access_point",
         "repro.node.cell", "repro.node.rate_control", "repro.node.station",
         "repro.node.wired_host", "repro.phy", "repro.phy.modulation",
         "repro.phy.phy", "repro.phy.rates", "repro.queueing",

@@ -117,6 +117,32 @@ def test_rejoin_revives_the_station_with_fresh_flows():
     assert first.events_by_category == second.events_by_category
 
 
+def test_a_lossy_uplink_survives_leave_and_rejoin():
+    from repro.scenario import RejoinEvent
+
+    def spec(uplink_loss):
+        return make_spec(
+            stations=(StationSpec("a", uplink_loss=uplink_loss),),
+            flows=(FlowSpec(station="a"),),
+            seconds=1.5,
+            timeline=(
+                LeaveEvent(at_s=0.5, station="a"),
+                RejoinEvent(at_s=1.0, station="a"),
+            ),
+        )
+
+    runtime = ScenarioRuntime(spec(0.3))
+    model = runtime.cell.channel.loss
+    runtime.run()
+    # The rejoin reuses the cell's one model, with one link in it...
+    assert runtime.cell.channel.loss is model
+    assert model.links == {("a", "ap"): 0.3}
+    # ...and the rejoined station's uplink is still the lossy one.
+    lossy = run_spec(spec(0.3)).flow_throughput_mbps["a/tcp-up@r1"]
+    clean = run_spec(spec(0.0)).flow_throughput_mbps["a/tcp-up@r1"]
+    assert 0.0 < lossy < 0.9 * clean
+
+
 def test_rate_switch_changes_both_directions():
     spec = make_spec(
         timeline=(RateSwitchEvent(at_s=0.5, station="a", rate_mbps=1.0),),

@@ -1,5 +1,7 @@
 """Tests for ``python -m repro scenario`` (and its top-level dispatch)."""
 
+import pytest
+
 from repro.cli import main as repro_main
 from repro.scenario.cli import main
 
@@ -144,3 +146,13 @@ def test_sweep_rejects_axis_and_set_for_same_knob(capsys):
 def test_sweep_rejects_bad_jobs(capsys):
     assert main(["sweep", "churn", "--jobs", "0"]) == 2
     assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_help_lists_the_campaign_execution_flags(capsys):
+    # The campaign CLI loads only for a sweep; its flags must still show.
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["scenario", "sweep", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--jobs" in out
+    assert "--queue" in out

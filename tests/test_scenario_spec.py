@@ -8,6 +8,7 @@ import pytest
 from repro.campaign.job import freeze, thaw
 from repro.core.tbr import TbrConfig
 from repro.scenario import (
+    ChannelDegradeEvent,
     FlowSpec,
     JoinEvent,
     LeaveEvent,
@@ -133,6 +134,33 @@ def test_validate_accepts_a_full_timeline():
         (
             dict(timeline=(LeaveEvent(at_s=0.1, station="ghost"),)),
             "unknown station",
+        ),
+        (
+            dict(stations=(StationSpec("a", uplink_loss=1.5),)),
+            r"station 'a': uplink_loss must be in \[0, 1\]",
+        ),
+        (
+            dict(stations=(StationSpec("a", burst_base_rate_mbps=-1.0),)),
+            "station 'a': burst_base_rate_mbps must be >= 0",
+        ),
+        # A degrade window replaces the channel's whole loss model.
+        (
+            dict(
+                stations=(StationSpec("a", uplink_loss=0.1),),
+                timeline=(ChannelDegradeEvent(0.2, 0.1, 0.5),),
+            ),
+            "station 'a': uplink_loss cannot combine with a channel "
+            "degrade event",
+        ),
+        (
+            dict(
+                timeline=(
+                    ChannelDegradeEvent(0.2, 0.1, 0.5),
+                    JoinEvent(0.5, StationSpec("late", uplink_loss=0.1)),
+                ),
+            ),
+            "station 'late': uplink_loss cannot combine with a channel "
+            "degrade event",
         ),
     ],
 )
