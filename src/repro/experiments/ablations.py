@@ -20,10 +20,11 @@ dedicated figure:
 
 Each is one row of :data:`ABLATIONS`: a *matrix* function ``(seed=,
 seconds=, ...) -> {label: case}`` and a renderer over ``{label:
-result}``.  A case is a :class:`ScenarioSpec` (run by the one
-``scenario_job``) wherever the spec language can say it, and an
-``(executor, params)`` pair only where it has no word for the setup:
-bucket depth's fairness windows and the polling MAC.
+result}``.  A case is a :class:`ScenarioSpec` run by the one
+``scenario_job``, or a ``(spec, windows_us)`` pair for a run whose
+result also carries per-window airtime (bucket depth's fairness
+windows).  An ``(executor, params)`` pair is left only for the polling
+MAC, which the spec language has no word for.
 """
 
 from __future__ import annotations
@@ -36,16 +37,17 @@ from typing import (
 from repro.analysis.fairness import jain_index
 from repro.campaign.job import Job, make_job
 from repro.core.tbr import TbrConfig, TbrScheduler
-from repro.experiments.common import (
-    competing_spec, fmt_table, recorded_usage, windowed_occupancy,
-)
+from repro.experiments.common import competing_spec, fmt_table
 from repro.scenario.runner import ScenarioResult, scenario_job
 from repro.scenario.spec import FlowSpec, ScenarioSpec, StationSpec
 from repro.sim import Simulator, us_from_s
 
-#: One labelled case of an ablation: a spec, or ``(executor, params)``
-#: (``abl-bucket-depth`` and ``abl-polling`` only).
-Case = Union[ScenarioSpec, Tuple[Callable[[Dict], Any], Dict[str, Any]]]
+#: One labelled case of an ablation: a spec, ``(spec, windows_us)``
+#: (``abl-bucket-depth``) or ``(executor, params)`` (``abl-polling``).
+#: A windowed case is a pair because :func:`jobs` unpacks one anyway:
+#: a spec becomes ``(spec, ())`` and one ``isinstance`` picks the arm,
+#: where a ready-made ``Job`` would repeat the row's name and label.
+Case = Union[ScenarioSpec, Tuple[Any, Any]]
 
 
 def _throughput_rows(
@@ -131,35 +133,6 @@ WINDOW_S = 0.5
 WARMUP_S = 2.0
 
 
-def execute_bucket_depth(params: Dict) -> Tuple[float, float]:
-    """Job executor: one bucket depth's (long-term, short-window) Jain."""
-    depth = params["depth_us"]
-    window_s = params["window_s"]
-    # bucket_depth() admits whole multiples of the window only.
-    steps = round(params["seconds"] / window_s)
-    spec = competing_spec(
-        [1.0, 11.0], direction="down", scheduler="tbr",
-        tbr_config=TbrConfig(
-            bucket_depth_us=depth, initial_tokens_us=depth / 5.0
-        ),
-        seconds=steps * window_s, warmup_seconds=WARMUP_S,
-        seed=params["seed"],
-    )
-    channel = recorded_usage(spec)
-
-    stations = [station.name for station in spec.stations]
-    edges_us = [us_from_s(WARMUP_S + k * window_s) for k in range(steps + 1)]
-    windows = windowed_occupancy(channel.records, edges_us, stations)
-    window_jains = [
-        jain_index(list(window.values()))
-        for window in windows
-        if sum(window.values()) > 0
-    ]
-    long_term = jain_index([channel.occupancy_us(s) for s in stations])
-    short_term = statistics.mean(window_jains) if window_jains else 0.0
-    return (long_term, short_term)
-
-
 def bucket_depth(
     seed: int = 1,
     seconds: float = 12.0,
@@ -172,26 +145,47 @@ def bucket_depth(
             f"seconds must be a whole number of {WINDOW_S:g} s fairness "
             f"windows, got {seconds!r}"
         )
+    steps = round(seconds / WINDOW_S)
+    edges_us = [us_from_s(WARMUP_S + k * WINDOW_S) for k in range(steps + 1)]
     return {
         depth: (
-            execute_bucket_depth,
-            {
-                "depth_us": depth,
-                "window_s": WINDOW_S,
-                "seed": seed,
-                "seconds": seconds,
-            },
+            competing_spec(
+                [1.0, 11.0], direction="down", scheduler="tbr",
+                tbr_config=TbrConfig(
+                    bucket_depth_us=depth, initial_tokens_us=depth / 5.0
+                ),
+                seconds=seconds, warmup_seconds=WARMUP_S, seed=seed,
+            ),
+            edges_us,
         )
         for depth in depths_us
     }
 
 
-def render_bucket_depth(results: Mapping[float, Tuple[float, float]]) -> str:
-    """``results``: depth_us -> (long-term Jain over station occupancy,
-    mean short-window Jain)."""
+def depth_fairness(
+    results: Mapping[float, ScenarioResult]
+) -> Dict[float, Tuple[float, float]]:
+    """depth_us -> (long-term Jain over station occupancy, mean Jain
+    over the inner windows with any airtime: the first and last lie
+    outside the measured stretch)."""
+    fairness = {}
+    for depth, result in results.items():
+        window_jains = [
+            jain_index(list(window.values()))
+            for window in result.windows[1:-1]
+            if sum(window.values()) > 0
+        ]
+        fairness[depth] = (
+            jain_index(list(result.occupancy.values())),
+            statistics.mean(window_jains) if window_jains else 0.0,
+        )
+    return fairness
+
+
+def render_bucket_depth(results: Mapping[float, ScenarioResult]) -> str:
     rows = [
         [f"{depth / 1000:.0f} ms", f"{lt:.3f}", f"{st:.3f}"]
-        for depth, (lt, st) in results.items()
+        for depth, (lt, st) in depth_fairness(results).items()
     ]
     return fmt_table(
         ["bucket depth", "long-term Jain", "short-window Jain"],
@@ -554,10 +548,12 @@ def jobs(name: str, **knobs) -> List[Job]:
     matrix, _ = ABLATIONS[name]
     out = []
     for label, case in matrix(**knobs).items():
-        if isinstance(case, ScenarioSpec):
-            out.append(scenario_job(case, experiment=name, key=label))
+        head, tail = (case, ()) if isinstance(case, ScenarioSpec) else case
+        if isinstance(head, ScenarioSpec):
+            out.append(
+                scenario_job(head, experiment=name, key=label, windows_us=tail)
+            )
         else:
-            executor, params = case
-            address = f"{executor.__module__}:{executor.__qualname__}"
-            out.append(make_job(name, label, address, params))
+            address = f"{head.__module__}:{head.__qualname__}"
+            out.append(make_job(name, label, address, tail))
     return out

@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import (
-    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
-from repro.campaign.job import Job, make_job
-from repro.channel.medium import Channel, UsageRecord
+from repro.campaign.job import Job
 from repro.core.tbr import TbrConfig
 from repro.phy.phy import DOT11B_LONG_PREAMBLE, PhyParams
-from repro.scenario.builder import ScenarioRuntime
 from repro.scenario.registry import build_spec
 from repro.scenario.runner import (
     ScenarioResult,
@@ -160,24 +159,109 @@ SHARE_TOLERANCE = 0.12
 CONVERGE_WINDOW_FILLS = 25
 
 
+def probe_edges(
+    spec: ScenarioSpec, start_us: float, end_us: float
+) -> Tuple[float, ...]:
+    """Edges of the contiguous ``CONVERGE_WINDOW_FILLS``-FILLEVENT
+    windows from ``start_us`` up to ``end_us``, at the spec's fill
+    interval (TBR's default under every scheduler, so the FILLEVENT
+    columns compare)."""
+    fill_us = (spec.tbr_config or TbrConfig()).fill_interval_us
+    window_us = CONVERGE_WINDOW_FILLS * fill_us
+    edges = [start_us]
+    while start_us + len(edges) * window_us <= end_us:
+        edges.append(start_us + len(edges) * window_us)
+    return tuple(edges)
+
+
+@dataclass(frozen=True)
+class Phases:
+    """How a phased run is cut and probed: ``cuts_us`` (ascending) cut
+    it into ``len(cuts_us) + 1`` phases, and the probe walks the windows
+    between consecutive ``probe_us`` edges (:func:`probe_edges`) for the
+    first in which every ``probed`` station's share is within
+    ``SHARE_TOLERANCE`` of ``1 / len(probed)``."""
+
+    cuts_us: Tuple[float, ...]
+    probe_us: Tuple[float, ...]
+    probed: Tuple[str, ...]
+
+    def windows_us(self) -> Tuple[float, ...]:
+        """The run's window cuts: the phase cuts and the probe edges."""
+        return tuple(sorted({*self.cuts_us, *self.probe_us}))
+
+    def reduce(
+        self, windows: Sequence[Mapping[str, float]]
+    ) -> Tuple[List[Dict[str, float]], Optional[int]]:
+        """Each phase's station -> airtime (us), summed from the
+        ``windows`` of a run cut at :meth:`windows_us`, and the
+        FILLEVENTs the probe took to find a fair window (``None``:
+        none is)."""
+        starts = (-math.inf, *self.windows_us())
+        n_phases = len(self.cuts_us) + 1
+        phases = [dict.fromkeys(windows[0], 0.0) for _ in range(n_phases)]
+        for start, window in zip(starts, windows):
+            phase = phases[bisect_right(self.cuts_us, start)]
+            for station, used in window.items():
+                phase[station] += used
+        index = {start: i for i, start in enumerate(starts)}
+        fair = 1.0 / len(self.probed)
+        for n, start in enumerate(self.probe_us[:-1], start=1):
+            window = windows[index[start]]
+            share = shares({s: window[s] for s in self.probed})
+            if all(abs(v - fair) <= SHARE_TOLERANCE for v in share.values()):
+                return phases, n * CONVERGE_WINDOW_FILLS
+        return phases, None
+
+
 def family_jobs(
-    family: str, executor: str, seed: int, seconds: float
+    family: str, seed: int, seconds: float,
+    phases_of: Callable[[ScenarioSpec], Phases],
 ) -> List[Job]:
-    """One job per AP scheduler, run by ``executor`` over the scenario
-    family's spec.  The frozen spec IS the job config (like
-    ``scenario_job``): its content digest covers every knob, including
-    the family defaults resolved here at job-build time."""
-    return [
-        make_job(
-            family, scheduler, executor,
-            {
-                "spec": build_spec(
-                    family, scheduler=scheduler, seed=seed, seconds=seconds
-                )
-            },
-        )
+    """One scenario job per AP scheduler over the scenario family's
+    spec, windowed where ``phases_of(spec)`` cuts it.  The frozen spec
+    and cuts ARE the job config: the digest covers every knob,
+    including the family defaults resolved here at job-build time."""
+    specs = [
+        build_spec(family, scheduler=scheduler, seed=seed, seconds=seconds)
         for scheduler in SCHEDULERS
     ]
+    return [
+        scenario_job(
+            spec, experiment=family, key=spec.scheduler,
+            windows_us=phases_of(spec).windows_us(),
+        )
+        for spec in specs
+    ]
+
+
+@dataclass
+class PhasedResult:
+    """A fairness family's reduced runs, by AP scheduler."""
+
+    runs: Dict[str, Any]
+
+    @property
+    def tbr(self) -> Any:
+        return self.runs["tbr"]
+
+
+def family_phases(
+    family: str, results: Mapping[str, ScenarioResult],
+    phases_of: Callable[[ScenarioSpec], Phases],
+) -> Dict[str, Tuple[ScenarioSpec, List[Dict[str, float]], Optional[int]]]:
+    """scheduler -> (spec, each phase's airtime, converge_fills) of the
+    runs :func:`family_jobs` built, each spec rebuilt from its result's
+    seed and seconds as the jobs built it."""
+    reduced = {}
+    for scheduler in SCHEDULERS:
+        result = results[scheduler]
+        spec = build_spec(
+            family, scheduler=scheduler, seed=result.seed,
+            seconds=result.seconds,
+        )
+        reduced[scheduler] = (spec, *phases_of(spec).reduce(result.windows))
+    return reduced
 
 
 def shares(occupancy: Mapping[str, float]) -> Dict[str, float]:
@@ -186,78 +270,6 @@ def shares(occupancy: Mapping[str, float]) -> Dict[str, float]:
     if total <= 0:
         return {station: 0.0 for station in occupancy}
     return {station: used / total for station, used in occupancy.items()}
-
-
-def windowed_occupancy(
-    records: Iterable[UsageRecord],
-    edges_us: Sequence[float],
-    stations: Sequence[str],
-) -> List[Dict[str, float]]:
-    """Bucket usage ``records`` by the half-open windows ``[edges_us[i],
-    edges_us[i + 1])``: one station -> attributed airtime (us) dict per
-    window, over ``stations`` in their order (0.0 for an idle one).
-
-    ``edges_us`` ascend; one ``bisect`` per record places it, so a
-    record stamped exactly on an edge counts in the later window.
-    Records before the first edge, at or past the last, or of a station
-    not in ``stations`` count nowhere.
-    """
-    windows = [dict.fromkeys(stations, 0.0) for _ in edges_us[1:]]
-    for record in records:
-        index = bisect_right(edges_us, record.time) - 1
-        if 0 <= index < len(windows) and record.station in windows[index]:
-            windows[index][record.station] += record.airtime_us
-    return windows
-
-
-def recorded_usage(spec: ScenarioSpec) -> Channel:
-    """Run ``spec`` with its cell's channel keeping one
-    :class:`UsageRecord` per exchange, and return the channel."""
-    runtime = ScenarioRuntime(spec)
-    channel = runtime.cell.channel
-    channel.records = []
-    runtime.run()
-    return channel
-
-
-def phased_occupancy(
-    spec: ScenarioSpec,
-    cuts_us: Sequence[float],
-    probe_us: Tuple[float, float],
-    probed: Sequence[str],
-) -> Tuple[List[Dict[str, float]], Optional[int]]:
-    """Run ``spec`` keeping its usage records, and reduce them by phase.
-
-    ``cuts_us`` are the ascending times that cut the run into
-    ``len(cuts_us) + 1`` phases; the first return value is each phase's
-    station -> attributed airtime (us).  The second is how many
-    FILLEVENTs after ``probe_us[0]`` the ``probed`` stations took to
-    share the channel fairly: contiguous windows of
-    ``CONVERGE_WINDOW_FILLS`` fill intervals are walked up to
-    ``probe_us[1]``, and the first in which every probed station's share
-    is within ``SHARE_TOLERANCE`` of ``1 / len(probed)`` counts
-    (``None`` when none does).  FILLEVENT units are used under every
-    scheduler so the columns compare.
-    """
-    channel = recorded_usage(spec)
-    inf = float("inf")
-    occupancy = windowed_occupancy(
-        channel.records, (-inf, *cuts_us, inf), [s.name for s in spec.stations]
-    )
-
-    start_us, end_us = probe_us
-    fill_us = (spec.tbr_config or TbrConfig()).fill_interval_us
-    window_us = CONVERGE_WINDOW_FILLS * fill_us
-    edges_us = [start_us]
-    while start_us + len(edges_us) * window_us <= end_us:
-        edges_us.append(start_us + len(edges_us) * window_us)
-    fair = 1.0 / len(probed)
-    windows = windowed_occupancy(channel.records, edges_us, probed)
-    for window, in_window in enumerate(windows, start=1):
-        share = shares(in_window)
-        if all(abs(share[s] - fair) <= SHARE_TOLERANCE for s in probed):
-            return occupancy, window * CONVERGE_WINDOW_FILLS
-    return occupancy, None
 
 
 def render_phase_shares(

@@ -28,20 +28,21 @@ from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
 from repro.experiments.common import (
     SCHEDULERS,
+    Phases,
+    PhasedResult,
     family_jobs,
+    family_phases,
     fmt_frac,
-    phased_occupancy,
+    probe_edges,
     render_phase_shares,
     shares,
 )
+from repro.scenario.runner import ScenarioResult
 from repro.scenario.spec import LeaveEvent, RejoinEvent, ScenarioSpec
 from repro.sim import us_from_s
 
 FAMILY = "fairness-churn"
 PHASES = ("before", "away", "after")
-
-#: Executor address for :func:`execute_churn` (what workers import).
-CHURN_EXECUTOR = "repro.experiments.fairness_churn:execute_churn"
 
 
 @dataclass
@@ -62,79 +63,47 @@ class ChurnPhaseRun:
     converge_fills: Optional[int] = None
 
 
-@dataclass
-class FairnessChurnResult:
-    runs: Dict[str, ChurnPhaseRun]  # scheduler -> reduced run
-
-    @property
-    def tbr(self) -> ChurnPhaseRun:
-        return self.runs["tbr"]
-
-
-def execute_churn(params: Dict[str, object]) -> ChurnPhaseRun:
-    """Job executor: ``params`` carries the (thawed) fairness-churn spec.
-
-    Everything — topology, phase boundaries, scheduler, seed — is read
-    off the spec, so the campaign cache digest covers the full run
-    configuration (a family-default change in the registry reaches the
-    digest through the spec content and invalidates stale entries).
-    """
-    spec = params["spec"]
-    if not isinstance(spec, ScenarioSpec):
-        raise TypeError(
-            f"fairness-churn job params must carry a ScenarioSpec, "
-            f"got {type(spec).__name__}"
-        )
-    leave_event = next(
-        e for e in spec.timeline if isinstance(e, LeaveEvent)
-    )
-    leave_s, leaver = leave_event.at_s, leave_event.station
+def phases_of(spec: ScenarioSpec) -> Phases:
+    """The run cut at the leave and the rejoin, with post-leave
+    convergence probed through the away phase over the stations that
+    stay — all read off the spec, so the job digest covers them."""
+    leave = next(e for e in spec.timeline if isinstance(e, LeaveEvent))
     rejoin_s = next(
         e.at_s for e in spec.timeline if isinstance(e, RejoinEvent)
     )
-    n_peers = len(spec.stations) - 1  # everyone but the leaver
-    if n_peers < 1:
-        raise ValueError(
-            "fairness-churn needs at least one peer besides the leaver "
-            "(the away phase would have no stations to share the channel)"
-        )
-
-    leave_us, rejoin_us = us_from_s(leave_s), us_from_s(rejoin_s)
-    # Post-leave convergence is probed through the away phase, over the
-    # stations that stay.
-    occupancy, converge_fills = phased_occupancy(
-        spec,
-        (leave_us, rejoin_us),
-        (leave_us, rejoin_us),
-        [s.name for s in spec.stations if s.name != leaver],
-    )
-    return ChurnPhaseRun(
-        scheduler=spec.scheduler,
-        seed=spec.seed,
-        seconds=spec.seconds,
-        shares={
-            phase: shares(used) for phase, used in zip(PHASES, occupancy)
-        },
-        n_active={
-            "before": n_peers + 1, "away": n_peers, "after": n_peers + 1
-        },
-        converge_fills=converge_fills,
-    )
+    stay = tuple(s.name for s in spec.stations if s.name != leave.station)
+    cuts_us = (us_from_s(leave.at_s), us_from_s(rejoin_s))
+    return Phases(cuts_us, probe_edges(spec, *cuts_us), stay)
 
 
 def jobs(seed: int = 1, seconds: float = 9.0) -> List[Job]:
-    return family_jobs(FAMILY, CHURN_EXECUTOR, seed, seconds)
+    return family_jobs(FAMILY, seed, seconds, phases_of)
 
 
-def reduce(results: Mapping[str, ChurnPhaseRun]) -> FairnessChurnResult:
-    return FairnessChurnResult(runs={s: results[s] for s in SCHEDULERS})
+def reduce(results: Mapping[str, ScenarioResult]) -> PhasedResult:
+    runs = {}
+    for scheduler, (spec, occupancy, converge_fills) in family_phases(
+        FAMILY, results, phases_of
+    ).items():
+        n_peers = len(spec.stations) - 1  # everyone but the leaver
+        runs[scheduler] = ChurnPhaseRun(
+            scheduler, spec.seed, spec.seconds,
+            shares={
+                phase: shares(used) for phase, used in zip(PHASES, occupancy)
+            },
+            n_active={
+                "before": n_peers + 1, "away": n_peers, "after": n_peers + 1
+            },
+            converge_fills=converge_fills,
+        )
+    return PhasedResult(runs=runs)
 
 
-def run(seed: int = 1, seconds: float = 9.0) -> FairnessChurnResult:
+def run(seed: int = 1, seconds: float = 9.0) -> PhasedResult:
     return reduce(serial_results(jobs(seed=seed, seconds=seconds)))
 
 
-def render(result: FairnessChurnResult) -> str:
+def render(result: PhasedResult) -> str:
     blocks: List[str] = []
     for scheduler in SCHEDULERS:
         reduced = result.runs[scheduler]

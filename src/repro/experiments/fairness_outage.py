@@ -29,21 +29,21 @@ from repro.campaign.executor import serial_results
 from repro.campaign.job import Job
 from repro.experiments.common import (
     SCHEDULERS,
+    Phases,
+    PhasedResult,
     family_jobs,
+    family_phases,
     fmt_frac,
-    phased_occupancy,
+    probe_edges,
     render_phase_shares,
     shares,
 )
-from repro.scenario.registry import fairness_outage_phases
+from repro.scenario.runner import ScenarioResult
 from repro.scenario.spec import ApOutageEvent, ScenarioSpec
 from repro.sim import us_from_s
 
 FAMILY = "fairness-outage"
 PHASES = ("before", "down", "after")
-
-#: Executor address for :func:`execute_outage` (what workers import).
-OUTAGE_EXECUTOR = "repro.experiments.fairness_outage:execute_outage"
 
 
 @dataclass
@@ -67,70 +67,49 @@ class OutagePhaseRun:
     converge_fills: Optional[int] = None
 
 
-@dataclass
-class FairnessOutageResult:
-    runs: Dict[str, OutagePhaseRun]  # scheduler -> reduced run
-
-    @property
-    def tbr(self) -> OutagePhaseRun:
-        return self.runs["tbr"]
-
-
-def execute_outage(params: Dict[str, object]) -> OutagePhaseRun:
-    """Job executor: ``params`` carries the (thawed) fairness-outage spec.
-
-    Phase boundaries, population and scheduler are all read off the
-    spec, so the campaign cache digest covers the full configuration.
-    """
-    spec = params["spec"]
-    if not isinstance(spec, ScenarioSpec):
-        raise TypeError(
-            f"fairness-outage job params must carry a ScenarioSpec, "
-            f"got {type(spec).__name__}"
-        )
-    outage = next(
-        e for e in spec.timeline if isinstance(e, ApOutageEvent)
-    )
+def phases_of(spec: ScenarioSpec) -> Phases:
+    """The run cut where the AP goes dark and where the rejoin jitter
+    ends, with post-recovery convergence probed through the after
+    phase over every station — all read off the spec, so the job
+    digest covers them."""
+    outage = next(e for e in spec.timeline if isinstance(e, ApOutageEvent))
     down_us = us_from_s(outage.at_s)
     up_us = us_from_s(
         outage.at_s + outage.duration_s + outage.rejoin_jitter_s
     )
-
-    # Post-recovery convergence is probed through the after phase, over
-    # every station.
-    stations = [s.name for s in spec.stations]
-    occupancy, converge_fills = phased_occupancy(
-        spec,
+    return Phases(
         (down_us, up_us),
-        (up_us, us_from_s(spec.horizon_s)),
-        stations,
-    )
-    return OutagePhaseRun(
-        scheduler=spec.scheduler,
-        seed=spec.seed,
-        seconds=spec.seconds,
-        shares={
-            phase: shares(used) for phase, used in zip(PHASES, occupancy)
-        },
-        n_active=len(stations),
-        down_airtime_us=sum(occupancy[1].values()),  # the "down" phase
-        converge_fills=converge_fills,
+        probe_edges(spec, up_us, us_from_s(spec.horizon_s)),
+        tuple(s.name for s in spec.stations),
     )
 
 
 def jobs(seed: int = 1, seconds: float = 9.0) -> List[Job]:
-    return family_jobs(FAMILY, OUTAGE_EXECUTOR, seed, seconds)
+    return family_jobs(FAMILY, seed, seconds, phases_of)
 
 
-def reduce(results: Mapping[str, OutagePhaseRun]) -> FairnessOutageResult:
-    return FairnessOutageResult(runs={s: results[s] for s in SCHEDULERS})
+def reduce(results: Mapping[str, ScenarioResult]) -> PhasedResult:
+    runs = {}
+    for scheduler, (spec, occupancy, converge_fills) in family_phases(
+        FAMILY, results, phases_of
+    ).items():
+        runs[scheduler] = OutagePhaseRun(
+            scheduler, spec.seed, spec.seconds,
+            shares={
+                phase: shares(used) for phase, used in zip(PHASES, occupancy)
+            },
+            n_active=len(spec.stations),
+            down_airtime_us=sum(occupancy[1].values()),  # the "down" phase
+            converge_fills=converge_fills,
+        )
+    return PhasedResult(runs=runs)
 
 
-def run(seed: int = 1, seconds: float = 9.0) -> FairnessOutageResult:
+def run(seed: int = 1, seconds: float = 9.0) -> PhasedResult:
     return reduce(serial_results(jobs(seed=seed, seconds=seconds)))
 
 
-def render(result: FairnessOutageResult) -> str:
+def render(result: PhasedResult) -> str:
     blocks: List[str] = []
     for scheduler in SCHEDULERS:
         reduced = result.runs[scheduler]
@@ -149,17 +128,3 @@ def render(result: FairnessOutageResult) -> str:
         )
     return "\n\n".join(blocks)
 
-
-__all__ = [
-    "FAMILY",
-    "PHASES",
-    "SCHEDULERS",
-    "FairnessOutageResult",
-    "OutagePhaseRun",
-    "execute_outage",
-    "fairness_outage_phases",
-    "jobs",
-    "reduce",
-    "render",
-    "run",
-]

@@ -6,15 +6,19 @@ kernel's event accounting, so every scenario family doubles as a perf
 probe.  ``scenario_job`` wraps a spec as a campaign
 :class:`~repro.campaign.job.Job` — the spec *is* the job config — so
 sweeps fan out across worker processes and land in the on-disk result
-cache exactly like the figure/table reproductions.
+cache exactly like the figure/table reproductions — windowed runs too,
+whose per-window airtime is part of the stored result.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence
 
 from repro.campaign.job import Job, make_job
+from repro.channel.medium import UsageRecord
 from repro.scenario.builder import ScenarioRuntime
 from repro.scenario.spec import ScenarioSpec
 
@@ -65,10 +69,36 @@ class ScenarioResult:
     )
     cell_busy_fraction: Dict[str, float] = field(default_factory=dict)
     roams_fired: int = 0
+    #: windowed runs only: station -> attributed airtime (us) over
+    #: ``(-inf, c1), [c1, c2) ... [ck, +inf)`` for cuts ``windows_us``.
+    #: Immutable default: pickles from before the field still load.
+    windows: tuple = ()
 
     @property
     def total_mbps(self) -> float:
         return sum(self.throughput_mbps.values())
+
+
+def windowed_occupancy(
+    records: Iterable[UsageRecord],
+    edges_us: Sequence[float],
+    stations: Sequence[str],
+) -> List[Dict[str, float]]:
+    """Bucket usage ``records`` by the half-open windows ``[edges_us[i],
+    edges_us[i + 1])``: one station -> attributed airtime (us) dict per
+    window, over ``stations`` in their order (0.0 for an idle one).
+
+    ``edges_us`` ascend; one ``bisect`` per record places it, so a
+    record stamped exactly on an edge counts in the later window.
+    Records before the first edge, at or past the last, or of a station
+    not in ``stations`` count nowhere.
+    """
+    windows = [dict.fromkeys(stations, 0.0) for _ in edges_us[1:]]
+    for record in records:
+        index = bisect_right(edges_us, record.time) - 1
+        if 0 <= index < len(windows) and record.station in windows[index]:
+            windows[index][record.station] += record.airtime_us
+    return windows
 
 
 def run_spec(
@@ -76,6 +106,7 @@ def run_spec(
     *,
     sanitize: Optional[bool] = None,
     fast_forward: Optional[bool] = None,
+    windows_us: Sequence[float] = (),
 ) -> ScenarioResult:
     """Compile, run and measure one scenario spec.
 
@@ -93,12 +124,21 @@ def run_spec(
     the per-cell view, and are filled only when the spec has a
     ``campus`` section: a plain spec's result stays field for field
     what it always was (cached pickles, ``==``).
+
+    ``windows_us`` (ascending cut times, a single-cell spec only) fills
+    :attr:`ScenarioResult.windows` from the cell's usage records, which
+    are kept only then.
     """
+    if windows_us and spec.campus is not None:
+        raise ValueError("windows_us needs a single-cell spec")
     runtime = ScenarioRuntime(
         spec, sanitize=sanitize, fast_forward=fast_forward
     )
     campus = runtime.campus
     sim = campus.sim
+    if windows_us:
+        channel = runtime.cell.channel
+        channel.records = []
     runtime.run()
     result = ScenarioResult(
         name=spec.name,
@@ -126,6 +166,13 @@ def run_spec(
         result.cell_occupancy = campus.cell_occupancy_fractions()
         result.cell_busy_fraction = campus.cell_busy_fractions()
         result.roams_fired = runtime.roams_fired
+    if windows_us:
+        # Spec order first; a station that joined mid-run follows.
+        names = [s.name for s in spec.stations]
+        names += dict.fromkeys(r.station for r in channel.records)
+        edges_us = (-math.inf, *windows_us, math.inf)
+        windows = windowed_occupancy(channel.records, edges_us, names)
+        result.windows = tuple(windows)
     return result
 
 
@@ -133,14 +180,15 @@ def run_spec(
 # campaign integration — the spec is the job config
 # ----------------------------------------------------------------------
 def execute_scenario(params: Dict[str, Any]) -> ScenarioResult:
-    """Job executor: ``params`` carries the (thawed) ScenarioSpec."""
+    """Job executor: ``params`` are :func:`run_spec`'s arguments (the
+    thawed ScenarioSpec, and ``windows_us`` for a windowed run)."""
     spec = params["spec"]
     if not isinstance(spec, ScenarioSpec):
         raise TypeError(
             f"scenario job params must carry a ScenarioSpec, "
             f"got {type(spec).__name__}"
         )
-    return run_spec(spec)
+    return run_spec(**params)
 
 
 def scenario_job(
@@ -148,18 +196,24 @@ def scenario_job(
     *,
     experiment: str = "scenario",
     key: Optional[Hashable] = None,
+    windows_us: Sequence[float] = (),
 ) -> Job:
     """Describe one :func:`run_spec` call as a campaign job.
 
     The job's cache digest covers the full spec content, so editing any
     knob — a rate, a timeline timestamp, the scheduler — invalidates
-    exactly that scenario and nothing else.
+    exactly that scenario and nothing else.  ``windows_us`` joins the
+    params only when given, so a plain job's params are exactly
+    ``{"spec": spec}`` and its digest what it always was.
     """
+    params: Dict[str, Any] = {"spec": spec}
+    if windows_us:
+        params["windows_us"] = tuple(windows_us)
     return make_job(
         experiment,
         spec.name if key is None else key,
         SCENARIO_EXECUTOR,
-        {"spec": spec},
+        params,
     )
 
 

@@ -90,7 +90,10 @@ class StationSpec:
     downlink_rate_mbps: Optional[float] = None
     queue_capacity: int = 100
     cooperate_with_tbr: bool = False
-    #: i.i.d. frame loss on the station -> AP link.
+    #: i.i.d. frame loss on the station -> AP link.  Its draws come from
+    #: the cell's fixed ``Random(0)`` loss stream (``LossModel``'s
+    #: default), identical for every seed, until loss draws are routed
+    #: through ``sim.rng``.
     uplink_loss: float = 0.0
     #: OAR bursting (``MacConfig.burst_base_rate_mbps``); 0: plain DCF.
     burst_base_rate_mbps: float = 0.0

@@ -39,7 +39,8 @@ There is one mechanism for skipping time, in three parts:
 A jump never crosses a pending timeline event (category OTHER is pinned
 in the kernel), never happens within :data:`MIN_SKIP_US` of one, and
 anything the detector cannot certify (more than one cell, TCP flows,
-churn, chaos, loss windows, rate switches mid-window) simply runs
+a channel keeping usage records, churn, chaos, loss windows, rate
+switches mid-window) simply runs
 event-by-event, byte-identical to a run without the flag.
 
 Enable with ``REPRO_FASTFWD=1`` (or ``fast_forward=True`` on
@@ -201,7 +202,8 @@ class FastForwardEngine:
 
     Drop-in replacement for ``campus.run(seconds, warmup_seconds=...)``
     (:class:`repro.campus.core.Campus`): statically ineligible workloads
-    (more than one cell; any non-UDP or non-downlink flow) fall back to
+    (more than one cell; any non-UDP or non-downlink flow; a channel
+    keeping usage records, which a jump would leave empty) fall back to
     exactly that call, recording why once in :attr:`declines`, and
     eligible ones interleave event-by-event calibration windows
     (``calibration_us`` each; longer trades wall-clock for synthesis
@@ -250,8 +252,14 @@ class FastForwardEngine:
     # ------------------------------------------------------------------
     def run(self, seconds: float, *, warmup_seconds: float = 0.0) -> None:
         cell = self.cell
-        if cell is None or not self._statically_eligible():
-            self.declines["multi-cell" if cell is None else "flow-kind"] += 1
+        if cell is None:
+            reason = "multi-cell"
+        elif not self._statically_eligible():
+            reason = "flow-kind"
+        else:  # a jump appends no usage records: its windows would read 0
+            reason = "recording" if cell.channel.records is not None else None
+        if reason is not None:
+            self.declines[reason] += 1
             self.campus.run(seconds, warmup_seconds=warmup_seconds)
             return
         if not self._listener_installed:

@@ -40,6 +40,9 @@ RETIRED = (
     "NoLoss",
     # hand-built ablation cells, now station words of a plain spec
     "execute_retry_accounting", "execute_oar",
+    # windowed executors and their reducers, now windowed scenario jobs
+    "execute_bucket_depth", "execute_churn", "execute_outage",
+    "recorded_usage", "phased_occupancy",
 )
 HISTORY = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_docs.py"}
 TEXT_SUFFIXES = {".py", ".md", ".yml", ".json", ".txt", ".gitignore"}

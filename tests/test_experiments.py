@@ -183,14 +183,15 @@ def test_ablation_retry_accounting():
 
 
 def test_ablation_bucket_depth():
-    result = EXPERIMENTS["abl-bucket-depth"].run(
+    results = EXPERIMENTS["abl-bucket-depth"].run(
         seed=1, seconds=S, depths_us=(50_000.0, 2_000_000.0),
     )
+    result = ablations.depth_fairness(results)
     shallow_lt, shallow_st = result[50_000.0]
     deep_lt, deep_st = result[2_000_000.0]
     # Deeper buckets hurt short-term fairness (Section 4.5).
     assert shallow_st >= deep_st - 0.02
-    assert "Bucket depth" in ablations.render_bucket_depth(result)
+    assert "Bucket depth" in ablations.render_bucket_depth(results)
 
 
 def test_ablation_weighted_shares():

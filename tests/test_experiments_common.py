@@ -9,9 +9,9 @@ from repro.experiments.common import (
     fmt_mbps,
     fmt_table,
     run_competing,
-    windowed_occupancy,
 )
 from repro.node.cell import Cell
+from repro.scenario.runner import windowed_occupancy
 from repro.sim import us_from_s
 
 

@@ -68,15 +68,17 @@ def test_sanitizer_reaches_the_paper_figures():
     assert len(jobs) == 77
     scenario = [job for job in jobs if job.executor == SCENARIO_EXECUTOR]
     # Coverage cannot silently shrink: everything but fig 1, fig 5,
-    # table 1, fairness-*, abl-bucket-depth and abl-polling is a plain
-    # scenario job.
-    assert len(scenario) >= 60
+    # table 1 and abl-polling is a scenario job (the windowed ones
+    # included).
+    assert len(scenario) >= 68
     # The sanitizer is observation-only: armed, every one of them holds
-    # each invariant and returns the identical result.
-    for spec in {job_params(job)["spec"] for job in scenario}:
-        assert run_spec(spec, sanitize=True) == run_spec(
-            spec, sanitize=False
-        ), spec.name
+    # each invariant and returns the identical result, run with the
+    # job's own params (windows included).
+    for job in {job.digest: job for job in scenario}.values():
+        params = job_params(job)
+        assert run_spec(**params, sanitize=True) == run_spec(
+            **params, sanitize=False
+        ), job.label
 
 
 def test_a_figure_run_is_the_store_entry_of_its_spec():

@@ -215,7 +215,9 @@ def test_table4_rate_adjustment():
 # ablations and extensions
 # ----------------------------------------------------------------------
 def test_ablation_bucket_depth():
-    result = EXPERIMENTS["abl-bucket-depth"].run(seed=1, seconds=12.0)
+    result = ablations.depth_fairness(
+        EXPERIMENTS["abl-bucket-depth"].run(seed=1, seconds=12.0)
+    )
     depths = sorted(result)
     shallow = result[depths[0]]
     deepest = result[depths[-1]]
